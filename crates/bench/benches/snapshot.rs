@@ -10,9 +10,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rebalance_bench::{bench_trace, figure5_sims, warmed_cache, workload, BENCH_SCALE};
-use rebalance_trace::{
-    batch_capacity, snapshot, ComputeBackend, NullTool, Snapshot, SweepEngine, ToolSet,
-};
+use rebalance_trace::{snapshot, NullTool, Snapshot, SweepEngine, ToolSet};
 
 /// One workload, tool-free: isolates trace delivery cost
 /// (generation+interpretation vs snapshot decode).
@@ -135,32 +133,6 @@ fn bench_warm_replay_per_event_vs_batched(c: &mut Criterion) {
         )
     });
 
-    // Backend-pinned variants: identical snapshots, identical batched
-    // delivery spine, only the per-batch consumer loop differs (AoS
-    // event-struct walk vs dense SoA lane walk). The `batched` entry
-    // above goes through `select_backend`, so these two bracket it.
-    for backend in [ComputeBackend::Scalar, ComputeBackend::Wide] {
-        g.bench_function(format!("batched_{backend}"), |b| {
-            b.iter_batched(
-                fresh_sims,
-                |mut sims| {
-                    parsed
-                        .iter()
-                        .zip(&mut sims)
-                        .map(|(snap, set)| {
-                            black_box(snap)
-                                .replay_batched_backend(set, batch_capacity(), backend)
-                                .expect("decode");
-                            set.iter()
-                                .map(|sim| sim.report().total().mpki())
-                                .sum::<f64>()
-                        })
-                        .sum::<f64>()
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
     g.finish();
 }
 

@@ -2,7 +2,6 @@
 //! offline, so no clap — the same hand-rolled style as `repro`).
 
 use rebalance_coresim::FetchModelKind;
-use rebalance_trace::BackendChoice;
 use rebalance_workloads::{Scale, Suite};
 
 /// Accumulates positional arguments and recognized flags; rejects
@@ -28,9 +27,6 @@ pub struct Parsed {
     /// `--batch-size N` (events per delivery block; default
     /// [`rebalance_trace::DEFAULT_BATCH_CAPACITY`]).
     pub batch_size: Option<usize>,
-    /// `--backend {auto,scalar,wide}` (compute backend for the replay
-    /// hot path; default adapts per replay by trace size).
-    pub backend: Option<BackendChoice>,
     /// `--model {penalty,ftq}` (CPI timing backend).
     pub model: Option<FetchModelKind>,
     /// `--sample N` (slice each replay into N intervals and replay one
@@ -107,12 +103,6 @@ pub fn parse(argv: &[String]) -> Result<Parsed, String> {
                         )
                     })?;
                 parsed.batch_size = Some(n);
-            }
-            "--backend" => {
-                let v = it.next().ok_or("--backend needs a value")?;
-                parsed.backend = Some(BackendChoice::parse(v).ok_or_else(|| {
-                    format!("unknown backend `{v}` (expected: auto scalar wide)")
-                })?);
             }
             "--model" => {
                 let v = it.next().ok_or("--model needs a value")?;
@@ -246,12 +236,11 @@ pub fn configure_cache_env(parsed: &Parsed) {
     }
 }
 
-/// Applies the replay hot-path knobs: `--batch-size` through the
-/// explicit capacity setter (which takes precedence over
-/// `REBALANCE_BATCH` and turns a too-late conflicting set into a clean
-/// error instead of a silently ignored flag) and `--backend` through
-/// the process-wide compute-backend override. Must run early in each
-/// subcommand, before the first replay.
+/// Applies the replay hot-path knob `--batch-size` through the explicit
+/// capacity setter (which takes precedence over `REBALANCE_BATCH` and
+/// turns a too-late conflicting set into a clean error instead of a
+/// silently ignored flag). Must run early in each subcommand, before
+/// the first replay.
 ///
 /// # Errors
 ///
@@ -259,9 +248,6 @@ pub fn configure_cache_env(parsed: &Parsed) {
 pub fn configure_replay(parsed: &Parsed) -> Result<(), String> {
     if let Some(n) = parsed.batch_size {
         rebalance_trace::set_batch_capacity(n).map_err(|e| format!("--batch-size: {e}"))?;
-    }
-    if let Some(choice) = parsed.backend {
-        rebalance_trace::set_compute_backend(choice);
     }
     Ok(())
 }
@@ -375,20 +361,12 @@ mod tests {
     }
 
     #[test]
-    fn parses_backend() {
-        use rebalance_trace::ComputeBackend;
-        let p = parse(&argv(&["--backend", "wide"])).unwrap();
-        assert_eq!(p.backend, Some(BackendChoice::Forced(ComputeBackend::Wide)));
-        let p = parse(&argv(&["--backend", "scalar"])).unwrap();
-        assert_eq!(
-            p.backend,
-            Some(BackendChoice::Forced(ComputeBackend::Scalar))
-        );
-        let p = parse(&argv(&["--backend", "auto"])).unwrap();
-        assert_eq!(p.backend, Some(BackendChoice::Auto));
-        assert_eq!(parse(&argv(&[])).unwrap().backend, None);
-        assert!(parse(&argv(&["--backend"])).is_err());
-        assert!(parse(&argv(&["--backend", "simd"])).is_err());
+    fn rejects_the_removed_compute_backend_flag() {
+        // The scalar/wide compute-backend switch is gone; its old
+        // spelling fails like any other unknown flag.
+        let flag = format!("--{}", "backend");
+        let err = parse(&[flag.clone(), "wide".to_owned()]).unwrap_err();
+        assert_eq!(err, format!("unknown flag `{flag}`"));
     }
 
     #[test]

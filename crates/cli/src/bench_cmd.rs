@@ -1,21 +1,20 @@
-//! `rebalance bench` — replay-throughput measurement per compute
-//! backend, the CLI mirror of the `warm_replay_six_workloads` criterion
-//! group plus a sampled-sweep row.
+//! `rebalance bench` — replay-throughput measurement per delivery mode,
+//! the CLI mirror of the `warm_replay_six_workloads` criterion group
+//! plus a sampled-sweep row.
 //!
 //! Three measurements, all over pre-validated in-memory snapshots so
 //! the timed region is purely the delivery spine and the tools:
 //!
-//! * **warm sweep** — the nine-predictor fan-out replayed per event,
-//!   batched-scalar (AoS event structs), and batched-wide (SoA lanes);
-//!   dominated by TAGE table compute both sides pay, so the delivery
-//!   win shows as a modest ratio here,
+//! * **warm sweep** — the nine-predictor fan-out replayed per event
+//!   and batched; dominated by TAGE table compute both sides pay, so
+//!   the delivery win shows as a modest ratio here,
 //! * **pintools** — the branch-profiling fan-out (mix, direction,
 //!   bias) composed dynamically as `ToolSet<Box<dyn Pintool>>`, the
 //!   delivery-bound case: batched delivery pays the virtual
 //!   transitions once per block and walks only the dense branch
 //!   subset, while per-event delivery pays three virtual calls on
 //!   every instruction,
-//! * **sampled sweep** — phase-sampled replay per backend, reported as
+//! * **sampled sweep** — phase-sampled batched replay, reported as
 //!   both delivered and effective (full-trace-equivalent) throughput,
 //! * **sharded sweep** — the `--workers N` coordinator end to end
 //!   (spawn + shard replay + merge) at 1, 2, and 4 workers against a
@@ -40,10 +39,7 @@ use rebalance_frontend::predictor::{DirectionPredictor, PredictorSim};
 use rebalance_frontend::PredictorChoice;
 use rebalance_pintools::{BbvTool, BranchBiasTool, BranchMixTool, DirectionTool};
 use rebalance_telemetry::{self as telemetry, SpanNode};
-use rebalance_trace::{
-    batch_capacity, compute_backend_choice, set_compute_backend, snapshot, BackendChoice,
-    ComputeBackend, NullTool, Pintool, SamplePlan, Snapshot, ToolSet,
-};
+use rebalance_trace::{batch_capacity, snapshot, NullTool, Pintool, SamplePlan, Snapshot, ToolSet};
 use serde::Serialize;
 
 use crate::args;
@@ -76,8 +72,8 @@ struct BenchJson {
     /// Branch-profiling pintool fan-out (mix + direction + bias),
     /// dynamically composed — the delivery-bound sweep shape.
     pintools: Vec<ModeRow>,
-    /// Phase-sampled replay per backend.
-    sampled_sweep: Vec<SampledRow>,
+    /// Phase-sampled batched replay.
+    sampled_sweep: SampledRow,
     /// `--workers N` coordinator end-to-end, warm scratch cache.
     sharded_sweep: Vec<ShardedRow>,
     /// Telemetry on/off timing plus the per-stage span breakdown.
@@ -101,12 +97,11 @@ struct ModeRow {
     speedup_vs_per_event: f64,
 }
 
-/// One backend's sampled-replay throughput. `delivered` counts only
-/// events handed to the tools; `effective` credits the full trace the
-/// sampled totals reproduce.
+/// Sampled-replay throughput. `delivered` counts only events handed to
+/// the tools; `effective` credits the full trace the sampled totals
+/// reproduce.
 #[derive(Debug, Serialize)]
 struct SampledRow {
-    backend: String,
     delivered_fraction: f64,
     delivered_melem_per_s: f64,
     effective_melem_per_s: f64,
@@ -127,9 +122,6 @@ struct ShardedRow {
 /// went, stage by stage.
 #[derive(Debug, Serialize)]
 struct TelemetryJson {
-    /// Compute backend the timed passes used (the auto choice for the
-    /// selection's size).
-    backend: String,
     /// Min seconds per pass, collection off.
     disabled_secs: f64,
     /// Min seconds per pass, collection on.
@@ -144,7 +136,7 @@ struct TelemetryJson {
 /// One span path of the telemetry breakdown.
 #[derive(Debug, Serialize)]
 struct BreakdownRow {
-    /// Dot-joined path from the root, e.g. `decode.batch.wide.tools`.
+    /// Dot-joined path from the root, e.g. `decode.batch.tools`.
     span: String,
     /// Inclusive milliseconds across all passes.
     total_ms: f64,
@@ -234,24 +226,24 @@ fn measure_min<T>(mut setup: impl FnMut() -> T, mut routine: impl FnMut(&mut T))
     best
 }
 
-/// Replays every snapshot into `tool` under one delivery mode:
-/// `None` = per event, `Some(backend)` = batched with that backend.
-fn replay_all<T: Pintool>(snaps: &[Snapshot<'_>], tool: &mut [T], mode: Option<ComputeBackend>) {
+/// Replays every snapshot into `tool`, batched or per event.
+fn replay_all<T: Pintool>(snaps: &[Snapshot<'_>], tool: &mut [T], batched: bool) {
     for (snap, tool) in snaps.iter().zip(tool.iter_mut()) {
-        let result = match mode {
-            None => snap.replay_per_event(tool),
-            Some(backend) => snap.replay_batched_backend(tool, batch_capacity(), backend),
+        let result = if batched {
+            snap.replay(tool)
+        } else {
+            snap.replay_per_event(tool)
         };
         result.expect("validated snapshot replays");
     }
 }
 
-/// The three modes, with their display/JSON labels.
-fn modes() -> [(String, Option<ComputeBackend>); 3] {
+/// The two delivery modes, with their display/JSON labels (`batched`
+/// flag per mode).
+fn modes() -> [(String, bool); 2] {
     [
-        ("per_event".to_owned(), None),
-        ("batched_scalar".to_owned(), Some(ComputeBackend::Scalar)),
-        ("batched_wide".to_owned(), Some(ComputeBackend::Wide)),
+        ("per_event".to_owned(), false),
+        ("batched".to_owned(), true),
     ]
 }
 
@@ -274,12 +266,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     args::forbid(&[
         (parsed.force, "--force"),
         (parsed.model.is_some(), "--model"),
-        // The bench pins each backend explicitly; a process-wide
-        // override would only make one of its own rows lie.
-        (
-            parsed.backend.is_some(),
-            "--backend (bench measures every backend)",
-        ),
         // Snapshots are encoded in memory; the on-disk cache never
         // participates.
         (parsed.cache_dir.is_some(), "--cache"),
@@ -362,7 +348,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
 
     // Sampled sweep: one plan per snapshot (untimed — planning is a
     // per-roster one-off in real sweeps too), then replay only the
-    // weighted representatives, per backend.
+    // weighted representatives.
     let config = args::sampling_config(&parsed).unwrap_or_default();
     let plans: Vec<SamplePlan> = snaps
         .iter()
@@ -380,26 +366,17 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
                 .delivered_instructions
         })
         .sum();
-    let saved_choice = compute_backend_choice();
-    let sampled_sweep: Vec<SampledRow> = [ComputeBackend::Scalar, ComputeBackend::Wide]
-        .into_iter()
-        .map(|backend| {
-            set_compute_backend(BackendChoice::Forced(backend));
-            let secs = measure(fresh_sims, |sims| {
-                for ((snap, plan), set) in snaps.iter().zip(&plans).zip(sims.iter_mut()) {
-                    snap.replay_sampled(set, plan)
-                        .expect("validated snapshot replays");
-                }
-            });
-            SampledRow {
-                backend: backend.to_string(),
-                delivered_fraction: delivered as f64 / insts as f64,
-                delivered_melem_per_s: delivered as f64 / secs / 1e6,
-                effective_melem_per_s: insts as f64 / secs / 1e6,
-            }
-        })
-        .collect();
-    set_compute_backend(saved_choice);
+    let sampled_secs = measure(fresh_sims, |sims| {
+        for ((snap, plan), set) in snaps.iter().zip(&plans).zip(sims.iter_mut()) {
+            snap.replay_sampled(set, plan)
+                .expect("validated snapshot replays");
+        }
+    });
+    let sampled_sweep = SampledRow {
+        delivered_fraction: delivered as f64 / insts as f64,
+        delivered_melem_per_s: delivered as f64 / sampled_secs / 1e6,
+        effective_melem_per_s: insts as f64 / sampled_secs / 1e6,
+    };
 
     // Sharded sweep: the `--workers N` coordinator end to end — spawn,
     // shard replay, merge — against a scratch cache warmed by one
@@ -438,16 +415,11 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     // off, then on, min-of-passes so the delta is instrumentation
     // cost rather than scheduler noise. The enabled passes also feed
     // the per-stage breakdown below.
-    let bench_backend = rebalance_trace::select_backend(insts);
     let was_enabled = telemetry::enabled();
     telemetry::set_enabled(false);
-    let disabled_secs = measure_min(fresh_sims, |sims| {
-        replay_all(&snaps, sims, Some(bench_backend))
-    });
+    let disabled_secs = measure_min(fresh_sims, |sims| replay_all(&snaps, sims, true));
     telemetry::set_enabled(true);
-    let enabled_secs = measure_min(fresh_sims, |sims| {
-        replay_all(&snaps, sims, Some(bench_backend))
-    });
+    let enabled_secs = measure_min(fresh_sims, |sims| replay_all(&snaps, sims, true));
     let mut breakdown = Vec::new();
     flatten_spans(&telemetry::snapshot().spans, "", &mut breakdown);
     telemetry::set_enabled(was_enabled);
@@ -460,7 +432,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         ));
     }
     let telemetry_group = TelemetryJson {
-        backend: bench_backend.to_string(),
         disabled_secs,
         enabled_secs,
         overhead_pct,
@@ -496,14 +467,12 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
             ]);
         }
     }
-    for r in &json.sampled_sweep {
-        t.row(vec![
-            "sampled_sweep".to_owned(),
-            format!("batched_{}", r.backend),
-            f2(r.delivered_melem_per_s),
-            format!("{} effective", f2(r.effective_melem_per_s)),
-        ]);
-    }
+    t.row(vec![
+        "sampled_sweep".to_owned(),
+        "batched".to_owned(),
+        f2(json.sampled_sweep.delivered_melem_per_s),
+        format!("{} effective", f2(json.sampled_sweep.effective_melem_per_s)),
+    ]);
     for r in &json.sharded_sweep {
         t.row(vec![
             "sharded_sweep".to_owned(),

@@ -77,7 +77,7 @@ fn usage() -> ExitCode {
          \x20 paper [EXHIBIT...|all] [--suite S] [--scale S] [--model M] [--json DIR] [--cache DIR] [--no-cache] [--batch-size N] [--workers N]\n\
          \x20     regenerate the paper's figures/tables (see `repro`) through the cache\n\
          \x20 bench [--workloads A,B,...] [--suite S] [--scale S] [--json DIR] [--cache DIR] [--no-cache] [--batch-size N]\n\
-         \x20     measure replay throughput per compute backend, write BENCH_replay.json with --json\n\
+         \x20     measure replay throughput per delivery mode, write BENCH_replay.json with --json\n\
          \n\
          scales: smoke | quick | full | <positive factor>   (default: smoke)\n\
          suites: exmatex | specomp | npb | specint | kernels\n\
@@ -85,7 +85,6 @@ fn usage() -> ExitCode {
          --sample N [--sample-k K]: phase-sample sweep/fetch/paper replays into N intervals,\n\
          \x20    K clusters, replaying one weighted representative per cluster (default 160/8)\n\
          --batch-size N: events per delivery block (default 4096; env REBALANCE_BATCH)\n\
-         --backend B: replay compute backend, auto | scalar | wide (default auto; env REBALANCE_BACKEND)\n\
          --workers N: shard sweep/fetch/paper across N worker subprocesses sharing the trace cache\n\
          --metrics [text|json[=PATH]]: emit the telemetry snapshot after the report (sweep/fetch/paper/bench;\n\
          \x20    text prints the span tree + top counters, json writes metrics.json; env REBALANCE_METRICS=1\n\

@@ -12,8 +12,8 @@
 //!
 //! Merge rules: shards are *contiguous* slices of the selection, so
 //! concatenating shard rows in shard order reproduces selection order;
-//! reports fold with [`Report::merged`] (counters add, backends must
-//! agree). The coordinator then renders through the same code path as
+//! reports fold with [`Report::merged`] (counters add). The
+//! coordinator then renders through the same code path as
 //! a single-process run, making the merged output bit-identical.
 
 use std::io::Write as _;
@@ -22,7 +22,7 @@ use std::process::{Child, Command, Stdio};
 use rebalance_experiments::fetchsim::{FetchSummary, FetchsimRow};
 use rebalance_experiments::{driver, util};
 use rebalance_telemetry::{self as telemetry, HistogramSnapshot, MetricsSnapshot, SpanNode};
-use rebalance_trace::{CacheStats, ComputeBackend, LaneFill, Report};
+use rebalance_trace::{CacheStats, LaneFill, Report};
 use rebalance_workloads::{Scale, Suite, Workload};
 use serde::{Serialize, Value};
 
@@ -44,7 +44,6 @@ struct WorkerRequest {
     /// Cache directory; `None` runs uncached (`--no-cache`).
     cache: Option<String>,
     batch_size: Option<u64>,
-    backend: Option<String>,
     model: Option<String>,
     sample: Option<u64>,
     sample_k: Option<u64>,
@@ -68,7 +67,6 @@ impl WorkerRequest {
             items,
             cache: (!parsed.no_cache).then(|| args::cache_dir(parsed)),
             batch_size: parsed.batch_size.map(|n| n as u64),
-            backend: parsed.backend.map(|b| b.to_string()),
             model: parsed.model.map(|m| m.to_string()),
             sample: parsed.sample.map(|n| n as u64),
             sample_k: parsed.sample_k.map(|n| n as u64),
@@ -333,11 +331,6 @@ pub fn worker(argv: &[String]) -> Result<std::process::ExitCode, String> {
     if let Some(n) = opt_u64(&request, "batch_size")? {
         rebalance_trace::set_batch_capacity(n as usize).map_err(|e| e.to_string())?;
     }
-    if let Some(name) = opt_str(&request, "backend")? {
-        let choice = rebalance_trace::BackendChoice::parse(name)
-            .ok_or_else(|| format!("unknown backend `{name}`"))?;
-        rebalance_trace::set_compute_backend(choice);
-    }
     let sample = opt_u64(&request, "sample")?;
     let sample_k = opt_u64(&request, "sample_k")?;
     if sample.is_some() || sample_k.is_some() {
@@ -587,13 +580,6 @@ fn decode_report(v: &Value) -> Result<Report, String> {
         Value::Null => None,
         stats => Some(decode_cache_stats(stats)?),
     };
-    let backend = match field(v, "backend")? {
-        Value::Null => None,
-        b => Some(
-            ComputeBackend::parse(as_str(b, "backend")?)
-                .ok_or_else(|| format!("unknown backend `{b:?}`"))?,
-        ),
-    };
     let lanes = match field(v, "lanes")? {
         Value::Null => None,
         l => Some(LaneFill {
@@ -604,7 +590,6 @@ fn decode_report(v: &Value) -> Result<Report, String> {
     Ok(Report {
         replays: u64_field(v, "replays")?,
         cache,
-        backend,
         lanes,
     })
 }
@@ -721,7 +706,6 @@ mod tests {
                 bytes_written: 789,
                 lock_wait_ns: 5_000_000,
             }),
-            backend: Some(ComputeBackend::Wide),
             lanes: Some(LaneFill {
                 instructions: 1_000_000,
                 branches: 150_000,
@@ -730,7 +714,7 @@ mod tests {
         let json = serde_json::to_string(&report).unwrap();
         let decoded = decode_report(&serde_json::from_str(&json).unwrap()).unwrap();
         assert_eq!(decoded, report);
-        // Sparse reports (no cache, mixed backend) round-trip too.
+        // Sparse reports (no cache, no delivery tally) round-trip too.
         let sparse = Report {
             replays: 3,
             ..Report::default()

@@ -4,7 +4,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use rebalance_experiments::util::TextTable;
-use rebalance_trace::{select_backend, snapshot, SnapshotInfo, TraceCache};
+use rebalance_trace::{snapshot, SnapshotInfo, TraceCache};
 use serde::Serialize;
 
 use crate::args;
@@ -45,9 +45,8 @@ fn render_info_footer(infos: &[SnapshotInfo]) -> String {
     };
     format!(
         "total: {} snapshot(s), {events} events, {bytes} bytes, {per_event:.2} bytes/event\n\
-         lanes: {branch_pct:.1}% branch fill, auto backend at replay: {}\n",
+         lanes: {branch_pct:.1}% branch fill\n",
         infos.len(),
-        select_backend(events)
     )
 }
 
@@ -60,9 +59,6 @@ fn info_row(table: &mut TextTable, label: &str, info: &SnapshotInfo) {
         info.sections.parallel.to_string(),
         info.total_bytes.to_string(),
         format!("{:.2}", info.bytes_per_event()),
-        // Which compute backend an auto-selected replay of this
-        // snapshot would use (size-based; env/CLI overrides still win).
-        select_backend(info.summary.instructions).to_string(),
         format!("{:016x}", info.fingerprint),
     ]);
 }
@@ -76,7 +72,6 @@ fn info_table() -> TextTable {
         "parallel",
         "bytes",
         "B/event",
-        "backend",
         "fingerprint",
     ])
 }
@@ -148,9 +143,6 @@ struct TraceInfoRow {
     parallel: u64,
     bytes: u64,
     bytes_per_event: f64,
-    /// Compute backend an auto-selected replay of this snapshot would
-    /// use (size-based; env/CLI overrides still win).
-    backend: String,
     /// Content fingerprint, in the same hex spelling the table prints.
     fingerprint: String,
 }
@@ -164,7 +156,6 @@ struct TraceInfoTotals {
     bytes: u64,
     bytes_per_event: f64,
     branch_fill_pct: f64,
-    auto_backend: String,
 }
 
 fn trace_info_json(files: &[String], infos: &[SnapshotInfo]) -> TraceInfoJson {
@@ -183,7 +174,6 @@ fn trace_info_json(files: &[String], infos: &[SnapshotInfo]) -> TraceInfoJson {
                 parallel: info.sections.parallel,
                 bytes: info.total_bytes,
                 bytes_per_event: info.bytes_per_event(),
-                backend: select_backend(info.summary.instructions).to_string(),
                 fingerprint: format!("{:016x}", info.fingerprint),
             })
             .collect(),
@@ -202,7 +192,6 @@ fn trace_info_json(files: &[String], infos: &[SnapshotInfo]) -> TraceInfoJson {
             } else {
                 100.0 * branches as f64 / events as f64
             },
-            auto_backend: select_backend(events).to_string(),
         },
     }
 }

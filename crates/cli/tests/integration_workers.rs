@@ -27,7 +27,6 @@ fn run(args: &[&str]) -> String {
         // into either side of the comparison.
         .env_remove("REBALANCE_TRACE_CACHE")
         .env_remove("REBALANCE_BATCH")
-        .env_remove("REBALANCE_BACKEND")
         .output()
         .expect("spawn rebalance");
     assert!(

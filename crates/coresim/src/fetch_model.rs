@@ -132,14 +132,6 @@ impl Pintool for FetchTools {
     }
 
     #[inline]
-    fn wants_event_lanes(&self) -> bool {
-        match self {
-            FetchTools::Penalty(tools) => tools.wants_event_lanes(),
-            FetchTools::Ftq(sim) => sim.wants_event_lanes(),
-        }
-    }
-
-    #[inline]
     fn supports_sampled_replay(&self) -> bool {
         match self {
             FetchTools::Penalty(tools) => tools.supports_sampled_replay(),

@@ -142,13 +142,7 @@ pub fn shared_cache() -> Option<&'static TraceCache> {
 /// Replay and cache accounting for everything run through [`engine`]
 /// so far — the one report the CLI and benches print.
 pub fn sweep_report() -> Report {
-    let mut report = engine().report().with_lanes(rebalance_trace::lane_fill());
-    // Attributed only when every delivered batch used one backend —
-    // an auto policy that split small and large traces stays unlabeled
-    // rather than mislabeled.
-    if let Some(backend) = rebalance_trace::delivered_backend() {
-        report = report.with_backend(backend);
-    }
+    let report = engine().report().with_lanes(rebalance_trace::lane_fill());
     match shared_cache() {
         Some(cache) => report.with_cache(cache),
         None => report,
@@ -180,14 +174,11 @@ pub fn report_baseline() -> ReportBaseline {
 /// since `base` — the per-sweep variant of [`sweep_report`].
 pub fn sweep_report_since(base: &ReportBaseline) -> Report {
     let ledger = DeliveryLedger::snapshot().since(&base.ledger);
-    let mut report = Report {
+    let report = Report {
         replays: engine().replays() - base.replays,
         ..Report::default()
     }
     .with_lanes(ledger.lane_fill());
-    if let Some(backend) = ledger.backend() {
-        report = report.with_backend(backend);
-    }
     match shared_cache() {
         Some(cache) => report.with_cache_stats(cache.stats().since(&base.cache)),
         None => report,

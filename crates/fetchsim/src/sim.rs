@@ -53,10 +53,7 @@ use std::fmt;
 use rebalance_frontend::predictor::DirectionPredictor;
 use rebalance_frontend::{Btb, ICache, ReturnAddressStack};
 use rebalance_isa::{Addr, BranchKind};
-use rebalance_trace::{
-    branch_kind_from_index, BySection, ComputeBackend, EventBatch, Pintool, Section, TraceEvent,
-    BR_HAS_TARGET, BR_KIND_MASK, BR_TAKEN, LANE_BRANCH,
-};
+use rebalance_trace::{BySection, EventBatch, Pintool, Section, TraceEvent};
 
 use crate::config::{FetchConfig, FtqConfig};
 use crate::report::{FetchReport, FetchStats};
@@ -390,20 +387,7 @@ impl FetchSim {
         let branch = ev
             .branch
             .map(|br| (br.kind, br.outcome.is_taken(), br.target));
-        self.step_core(ev.pc, ev.len, ev.section, branch);
-    }
-
-    /// The representation-neutral step: both the AoS walk and the SoA
-    /// lane walk ([`FetchSim::batch_wide`]) decode into these values,
-    /// so the two backends run the exact same timing model.
-    #[inline]
-    fn step_core(
-        &mut self,
-        pc: Addr,
-        len: u8,
-        section: Section,
-        branch: Option<(BranchKind, bool, Option<Addr>)>,
-    ) {
+        let (pc, len, section) = (ev.pc, ev.len, ev.section);
         let model = &mut self.model;
         if model.block.active && model.block.section != section {
             model.finalize_block(None);
@@ -483,39 +467,6 @@ impl FetchSim {
             model.finalize_block(None);
         }
     }
-
-    /// The SoA lane walk: block assembly needs every event, so this
-    /// streams the full-event lanes and keeps a running cursor into the
-    /// branch lanes (advanced on each branch-flagged event) to decode
-    /// kind, outcome, and target for the BP unit.
-    fn batch_wide(&mut self, batch: &EventBatch) {
-        let lanes = batch.lanes();
-        let branches = batch.branch_lanes();
-        let mut cursor = 0usize;
-        for i in 0..lanes.len() {
-            let pc = Addr::new(lanes.pcs[i]);
-            let len = lanes.lens[i];
-            let section = lanes.section(i);
-            let branch = if lanes.flags[i] & LANE_BRANCH != 0 {
-                let j = cursor;
-                cursor += 1;
-                let flags = branches.flags[j];
-                let target = if flags & BR_HAS_TARGET != 0 {
-                    Some(Addr::new(branches.targets[j]))
-                } else {
-                    None
-                };
-                Some((
-                    branch_kind_from_index(flags & BR_KIND_MASK),
-                    flags & BR_TAKEN != 0,
-                    target,
-                ))
-            } else {
-                None
-            };
-            self.step_core(pc, len, section, branch);
-        }
-    }
 }
 
 impl Pintool for FetchSim {
@@ -526,23 +477,11 @@ impl Pintool for FetchSim {
     /// Hot path: a tight statically-dispatched loop over every event
     /// (block assembly needs each pc/len, so there is no slice to skip
     /// to — the same situation as
-    /// [`ICacheSim`](rebalance_frontend::ICacheSim)). The batch's
-    /// [`ComputeBackend`] picks the event representation.
+    /// [`ICacheSim`](rebalance_frontend::ICacheSim)).
     fn on_batch(&mut self, batch: &EventBatch) {
-        match batch.backend() {
-            ComputeBackend::Scalar => {
-                for ev in batch.events() {
-                    self.step(ev);
-                }
-            }
-            ComputeBackend::Wide => self.batch_wide(batch),
+        for ev in batch.events() {
+            self.step(ev);
         }
-    }
-
-    /// The wide loop streams [`EventBatch::lanes`], so the flush-time
-    /// transpose must build the full-event lanes for this tool.
-    fn wants_event_lanes(&self) -> bool {
-        true
     }
 
     fn on_sample_weight(&mut self, weight: u64) {

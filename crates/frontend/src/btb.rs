@@ -1,9 +1,7 @@
 //! Branch target buffer (Figure 7) with a return-address stack.
 
 use rebalance_isa::Addr;
-use rebalance_trace::{
-    weighted_add, BySection, ComputeBackend, EventBatch, Pintool, Section, TraceEvent,
-};
+use rebalance_trace::{weighted_add, BySection, EventBatch, Pintool, Section, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 use crate::ras::ReturnAddressStack;
@@ -309,46 +307,6 @@ impl BtbSim {
             }
         }
     }
-
-    /// The SoA lane loop — same decisions as [`BtbSim::step_branch`],
-    /// fed from the dense branch lanes: kind/taken/section decode from
-    /// one flag byte, and the PC/target lanes are only dereferenced for
-    /// branches that actually reach the BTB or RAS.
-    fn batch_wide(&mut self, batch: &EventBatch) {
-        use rebalance_isa::BranchKind;
-        let lanes = batch.branch_lanes();
-        for i in 0..lanes.len() {
-            let kind = lanes.kind(i);
-            let taken = lanes.taken(i);
-            let section = lanes.section(i);
-            if kind.is_call() && taken {
-                self.ras.push(lanes.next_pc(i));
-            }
-            if kind == BranchKind::Return {
-                self.sections.get_mut(section).ras_predictions += 1;
-                let predicted = self.ras.pop();
-                if predicted != lanes.target(i) {
-                    self.sections.get_mut(section).ras_misses += 1;
-                }
-                continue;
-            }
-            if !kind.uses_btb() || !taken {
-                continue;
-            }
-            let Some(actual) = lanes.target(i) else {
-                continue;
-            };
-            self.sections.get_mut(section).lookups += 1;
-            let pc = Addr::new(lanes.pcs[i]);
-            match self.btb.lookup(pc) {
-                Some(stored) if stored == actual => {}
-                _ => {
-                    self.sections.get_mut(section).misses += 1;
-                    self.btb.insert(pc, actual);
-                }
-            }
-        }
-    }
 }
 
 impl Pintool for BtbSim {
@@ -359,21 +317,14 @@ impl Pintool for BtbSim {
     }
 
     /// Hot path: instruction counts come from the batch's per-section
-    /// totals; only the branch subset reaches the BTB/RAS step — as the
-    /// AoS branch slice (scalar) or the SoA branch lanes (wide),
-    /// dispatched on the batch's [`ComputeBackend`].
+    /// totals; only the dense branch slice reaches the BTB/RAS step.
     fn on_batch(&mut self, batch: &EventBatch) {
         let insts = batch.sections();
         self.sections.serial.insts += insts.serial;
         self.sections.parallel.insts += insts.parallel;
-        match batch.backend() {
-            ComputeBackend::Scalar => {
-                for ev in batch.branch_events() {
-                    let br = ev.branch.expect("branch slice carries branch events");
-                    self.step_branch(ev, &br);
-                }
-            }
-            ComputeBackend::Wide => self.batch_wide(batch),
+        for ev in batch.branch_events() {
+            let br = ev.branch.expect("branch slice carries branch events");
+            self.step_branch(ev, &br);
         }
     }
 

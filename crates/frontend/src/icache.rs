@@ -2,10 +2,7 @@
 //! accounting.
 
 use rebalance_isa::Addr;
-use rebalance_trace::{
-    weighted_add, BySection, ComputeBackend, EventBatch, Pintool, Section, TraceEvent,
-    BR_HAS_TARGET, LANE_BRANCH, LANE_TAKEN,
-};
+use rebalance_trace::{weighted_add, BySection, EventBatch, Pintool, Section, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 /// Cache geometry.
@@ -403,23 +400,8 @@ impl ICacheSim {
         } else {
             None
         };
-        self.step_core(ev.pc, ev.len, ev.section, redirect, line_bytes);
-    }
-
-    /// The representation-neutral fetch step: both the AoS walk
-    /// ([`ICacheSim::step`]) and the SoA lane walk
-    /// ([`ICacheSim::batch_wide`]) decode into these five values, so
-    /// the two backends execute the exact same model.
-    #[inline]
-    fn step_core(
-        &mut self,
-        pc: Addr,
-        len: u8,
-        section: Section,
-        redirect: Option<Addr>,
-        line_bytes: u64,
-    ) {
-        let stats = self.sections.get_mut(section);
+        let (pc, len) = (ev.pc, ev.len);
+        let stats = self.sections.get_mut(ev.section);
         stats.insts += 1;
         // An instruction may span two lines; touch each containing line.
         let first = pc.line(line_bytes);
@@ -469,38 +451,6 @@ impl ICacheSim {
             }
         }
     }
-
-    /// The SoA lane walk: the fetch model needs every event, so this
-    /// streams the full-event lanes (PC, length, flag byte) and keeps a
-    /// running cursor into the branch lanes, advanced on each
-    /// branch-flagged event, to pull redirect targets.
-    fn batch_wide(&mut self, batch: &EventBatch) {
-        let line_bytes = self.cache.config().line_bytes as u64;
-        let lanes = batch.lanes();
-        let branches = batch.branch_lanes();
-        let mut cursor = 0usize;
-        for i in 0..lanes.len() {
-            let flags = lanes.flags[i];
-            let redirect = if flags & LANE_BRANCH != 0 {
-                let j = cursor;
-                cursor += 1;
-                if flags & LANE_TAKEN != 0 && branches.flags[j] & BR_HAS_TARGET != 0 {
-                    Some(Addr::new(branches.targets[j]))
-                } else {
-                    None
-                }
-            } else {
-                None
-            };
-            self.step_core(
-                Addr::new(lanes.pcs[i]),
-                lanes.lens[i],
-                lanes.section(i),
-                redirect,
-                line_bytes,
-            );
-        }
-    }
 }
 
 impl Pintool for ICacheSim {
@@ -511,25 +461,12 @@ impl Pintool for ICacheSim {
 
     /// Hot path: one geometry lookup per block, then a tight
     /// statically-dispatched loop over every event (the fetch model
-    /// needs each pc/len, so there is no slice to skip to). The batch's
-    /// [`ComputeBackend`] picks the event representation: AoS structs
-    /// or SoA lanes.
+    /// needs each pc/len, so there is no slice to skip to).
     fn on_batch(&mut self, batch: &EventBatch) {
-        match batch.backend() {
-            ComputeBackend::Scalar => {
-                let line_bytes = self.cache.config().line_bytes as u64;
-                for ev in batch.events() {
-                    self.step(ev, line_bytes);
-                }
-            }
-            ComputeBackend::Wide => self.batch_wide(batch),
+        let line_bytes = self.cache.config().line_bytes as u64;
+        for ev in batch.events() {
+            self.step(ev, line_bytes);
         }
-    }
-
-    /// The wide loop streams [`EventBatch::lanes`], so the flush-time
-    /// transpose must build the full-event lanes for this tool.
-    fn wants_event_lanes(&self) -> bool {
-        true
     }
 
     /// Scales the window's counter deltas; the line buffer is dropped

@@ -1,10 +1,7 @@
 //! The branch-MPKI measurement harness (Figures 5 and 6).
 
-use rebalance_isa::{Addr, BranchTrajectory};
-use rebalance_trace::{
-    weighted_add, BySection, ComputeBackend, EventBatch, Pintool, Section, TraceEvent,
-    BR_KIND_COND, BR_KIND_MASK, BR_TAKEN,
-};
+use rebalance_isa::BranchTrajectory;
+use rebalance_trace::{weighted_add, BySection, EventBatch, Pintool, Section, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 use super::DirectionPredictor;
@@ -179,51 +176,12 @@ impl<P: DirectionPredictor> PredictorSim<P> {
         }
     }
 
-    fn classify(&mut self, pc: Addr, trajectory: BranchTrajectory, section: Section) {
+    fn classify(&mut self, trajectory: BranchTrajectory, section: Section) {
         let b = &mut self.sections.get_mut(section).breakdown;
         match trajectory {
             BranchTrajectory::NotTaken => b.not_taken += 1,
             BranchTrajectory::TakenBackward => b.taken_backward += 1,
             BranchTrajectory::TakenForward => b.taken_forward += 1,
-        }
-        let _ = pc;
-    }
-
-    /// The AoS batch loop — the scalar backend, and the oracle the wide
-    /// loop is verified bit-identical against.
-    fn batch_scalar(&mut self, batch: &EventBatch) {
-        for ev in batch.branch_events() {
-            let br = ev.branch.expect("branch slice carries branch events");
-            if !br.kind.is_conditional() {
-                continue;
-            }
-            self.sections.get_mut(ev.section).cond_branches += 1;
-            let taken = br.outcome.is_taken();
-            let predicted = self.predictor.observe(ev.pc, taken);
-            if predicted != taken {
-                self.classify(ev.pc, br.trajectory(ev.pc), ev.section);
-            }
-        }
-    }
-
-    /// The SoA lane loop — the wide backend: one flag byte decides
-    /// conditionality, takenness, and section, and only conditional
-    /// branches ever touch the PC/target lanes, so the filter streams
-    /// a dense `u8` slice instead of ~40-byte structs.
-    fn batch_wide(&mut self, batch: &EventBatch) {
-        let lanes = batch.branch_lanes();
-        for (i, &flags) in lanes.flags.iter().enumerate() {
-            if flags & BR_KIND_MASK != BR_KIND_COND {
-                continue;
-            }
-            let section = lanes.section(i);
-            self.sections.get_mut(section).cond_branches += 1;
-            let taken = flags & BR_TAKEN != 0;
-            let pc = Addr::new(lanes.pcs[i]);
-            let predicted = self.predictor.observe(pc, taken);
-            if predicted != taken {
-                self.classify(pc, lanes.trajectory(i), section);
-            }
         }
     }
 }
@@ -239,7 +197,7 @@ impl<P: DirectionPredictor> Pintool for PredictorSim<P> {
         let taken = br.outcome.is_taken();
         let predicted = self.predictor.predict(ev.pc);
         if predicted != taken {
-            self.classify(ev.pc, br.trajectory(ev.pc), ev.section);
+            self.classify(br.trajectory(ev.pc), ev.section);
         }
         self.predictor.update(ev.pc, taken);
     }
@@ -250,15 +208,22 @@ impl<P: DirectionPredictor> Pintool for PredictorSim<P> {
     /// of events a direction predictor never looks at), and
     /// predict+update run as one fused [`DirectionPredictor::observe`]
     /// call — all bit-identical to the per-event path by the observe
-    /// contract. The batch's [`ComputeBackend`] picks the subset's
-    /// representation: the AoS branch slice or the SoA branch lanes.
+    /// contract.
     fn on_batch(&mut self, batch: &EventBatch) {
         let insts = batch.sections();
         self.sections.serial.insts += insts.serial;
         self.sections.parallel.insts += insts.parallel;
-        match batch.backend() {
-            ComputeBackend::Scalar => self.batch_scalar(batch),
-            ComputeBackend::Wide => self.batch_wide(batch),
+        for ev in batch.branch_events() {
+            let br = ev.branch.expect("branch slice carries branch events");
+            if !br.kind.is_conditional() {
+                continue;
+            }
+            self.sections.get_mut(ev.section).cond_branches += 1;
+            let taken = br.outcome.is_taken();
+            let predicted = self.predictor.observe(ev.pc, taken);
+            if predicted != taken {
+                self.classify(br.trajectory(ev.pc), ev.section);
+            }
         }
     }
 
@@ -284,7 +249,7 @@ impl<P: DirectionPredictor> Pintool for PredictorSim<P> {
 mod tests {
     use super::*;
     use crate::predictor::{Bimodal, Gshare, Tage, TageConfig, Tournament, WithLoop};
-    use rebalance_isa::{BranchKind, InstClass, Outcome};
+    use rebalance_isa::{Addr, BranchKind, InstClass, Outcome};
     use rebalance_trace::BranchEvent;
     use rebalance_workloads::{find, Scale};
 

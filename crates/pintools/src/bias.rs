@@ -3,9 +3,7 @@
 
 use std::collections::HashMap;
 
-use rebalance_trace::{
-    ComputeBackend, EventBatch, Pintool, Section, TraceEvent, BR_KIND_COND, BR_KIND_MASK, BR_TAKEN,
-};
+use rebalance_trace::{EventBatch, Pintool, Section, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 use rebalance_trace::BySection;
@@ -142,42 +140,20 @@ impl Pintool for BranchBiasTool {
     }
 
     /// Hot path: per-site accounting only ever touches conditionals, so
-    /// the loop walks the precomputed branch subset — the AoS slice
-    /// (scalar) or, wide, a flag-byte filter over the branch lanes that
-    /// only reads the PC lane for sites it actually counts.
+    /// the loop walks the precomputed branch subset.
     fn on_batch(&mut self, batch: &EventBatch) {
-        match batch.backend() {
-            ComputeBackend::Scalar => {
-                for ev in batch.branch_events() {
-                    let br = ev.branch.expect("branch slice carries branch events");
-                    if !br.kind.is_conditional() {
-                        continue;
-                    }
-                    let entry = self
-                        .sites
-                        .entry(ev.pc.as_u64())
-                        .or_insert((ev.section, SiteStats::default()));
-                    entry.1.total += 1;
-                    if br.outcome.is_taken() {
-                        entry.1.taken += 1;
-                    }
-                }
+        for ev in batch.branch_events() {
+            let br = ev.branch.expect("branch slice carries branch events");
+            if !br.kind.is_conditional() {
+                continue;
             }
-            ComputeBackend::Wide => {
-                let lanes = batch.branch_lanes();
-                for (i, &flags) in lanes.flags.iter().enumerate() {
-                    if flags & BR_KIND_MASK != BR_KIND_COND {
-                        continue;
-                    }
-                    let entry = self
-                        .sites
-                        .entry(lanes.pcs[i])
-                        .or_insert((lanes.section(i), SiteStats::default()));
-                    entry.1.total += 1;
-                    if flags & BR_TAKEN != 0 {
-                        entry.1.taken += 1;
-                    }
-                }
+            let entry = self
+                .sites
+                .entry(ev.pc.as_u64())
+                .or_insert((ev.section, SiteStats::default()));
+            entry.1.total += 1;
+            if br.outcome.is_taken() {
+                entry.1.taken += 1;
             }
         }
     }

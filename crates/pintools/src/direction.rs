@@ -1,10 +1,7 @@
 //! Table I: backward vs forward taken branches.
 
 use rebalance_isa::BranchTrajectory;
-use rebalance_trace::{
-    ComputeBackend, EventBatch, Pintool, Section, TraceEvent, BR_HAS_TARGET, BR_KIND_COND,
-    BR_KIND_MASK, BR_TAKEN,
-};
+use rebalance_trace::{EventBatch, Pintool, Section, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 use rebalance_trace::BySection;
@@ -134,40 +131,11 @@ impl Pintool for DirectionTool {
 
     /// Hot path: the tool only looks at branches, so it walks the
     /// precomputed branch subset and never touches the other ~85% of
-    /// the block. The wide backend decodes taken/conditional straight
-    /// from the lane flag byte and compares the PC/target lanes for
-    /// direction — the same `target < pc` rule
-    /// [`BranchTrajectory::classify`] applies.
+    /// the block.
     fn on_batch(&mut self, batch: &EventBatch) {
-        match batch.backend() {
-            ComputeBackend::Scalar => {
-                for ev in batch.branch_events() {
-                    let br = ev.branch.expect("branch slice carries branch events");
-                    self.step_branch(ev, &br);
-                }
-            }
-            ComputeBackend::Wide => {
-                let lanes = batch.branch_lanes();
-                for (i, &flags) in lanes.flags.iter().enumerate() {
-                    if flags & BR_TAKEN == 0 {
-                        continue;
-                    }
-                    let backward = flags & BR_HAS_TARGET != 0 && lanes.targets[i] < lanes.pcs[i];
-                    let cond = flags & BR_KIND_MASK == BR_KIND_COND;
-                    let stats = self.sections.get_mut(lanes.section(i));
-                    if backward {
-                        stats.all_backward += 1;
-                        if cond {
-                            stats.cond_backward += 1;
-                        }
-                    } else {
-                        stats.all_forward += 1;
-                        if cond {
-                            stats.cond_forward += 1;
-                        }
-                    }
-                }
-            }
+        for ev in batch.branch_events() {
+            let br = ev.branch.expect("branch slice carries branch events");
+            self.step_branch(ev, &br);
         }
     }
 }

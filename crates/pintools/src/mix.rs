@@ -1,7 +1,7 @@
 //! Figure 1: dynamic branch-instruction breakdown.
 
 use rebalance_isa::BranchKind;
-use rebalance_trace::{ComputeBackend, EventBatch, Pintool, Section, TraceEvent, BR_KIND_MASK};
+use rebalance_trace::{EventBatch, Pintool, Section, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 use rebalance_trace::BySection;
@@ -141,27 +141,13 @@ impl Pintool for BranchMixTool {
 
     /// Hot path: instruction counts come from the batch's per-section
     /// totals; only the branch subset is walked for the kind breakdown.
-    /// The wide backend exploits that the lane kind index and `by_kind`
-    /// share [`BranchKind::ALL`] order: each count is one flag-byte
-    /// mask and an indexed add, no enum decode at all.
     fn on_batch(&mut self, batch: &EventBatch) {
         let insts = batch.sections();
         self.sections.serial.insts += insts.serial;
         self.sections.parallel.insts += insts.parallel;
-        match batch.backend() {
-            ComputeBackend::Scalar => {
-                for ev in batch.branch_events() {
-                    let br = ev.branch.expect("branch slice carries branch events");
-                    self.sections.get_mut(ev.section).by_kind[kind_index(br.kind)] += 1;
-                }
-            }
-            ComputeBackend::Wide => {
-                let lanes = batch.branch_lanes();
-                for (i, &flags) in lanes.flags.iter().enumerate() {
-                    let counts = self.sections.get_mut(lanes.section(i));
-                    counts.by_kind[usize::from(flags & BR_KIND_MASK)] += 1;
-                }
-            }
+        for ev in batch.branch_events() {
+            let br = ev.branch.expect("branch slice carries branch events");
+            self.sections.get_mut(ev.section).by_kind[kind_index(br.kind)] += 1;
         }
     }
 }

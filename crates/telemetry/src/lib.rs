@@ -13,7 +13,7 @@
 //!
 //! * **Registry metrics** — [`Counter`], [`Gauge`], and [`Histogram`]
 //!   handles addressable by stable dotted names (`cache.hits`,
-//!   `replay.batches.wide`). Handles are cheap `Arc`s over atomics;
+//!   `replay.batches`). Handles are cheap `Arc`s over atomics;
 //!   call sites cache them in `OnceLock` statics so the hot path is a
 //!   single relaxed atomic op.
 //! * **Spans** — [`span`] returns an RAII guard over a monotonic clock.

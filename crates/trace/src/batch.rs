@@ -16,13 +16,6 @@
 //!   only touch events with `ev.branch.is_some()`, so they stream the
 //!   (typically ~15%) branch subset as its own dense slice instead of
 //!   filtering the full block;
-//! * **SoA lanes** ([`EventBatch::lanes`], [`EventBatch::branch_lanes`]):
-//!   the same events again as separate dense same-typed slices — PCs,
-//!   lengths, packed flag bytes, and for the branch subset also targets
-//!   and kinds — which is what the wide
-//!   [`ComputeBackend`](crate::ComputeBackend) streams so predictor,
-//!   BTB, and I-cache loops touch 10 contiguous bytes per event instead
-//!   of chasing a ~40-byte struct;
 //! * **per-section instruction counts** ([`EventBatch::sections`]): a
 //!   tool that only needs its MPKI denominator adds two integers per
 //!   batch instead of one per event;
@@ -44,12 +37,10 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use rebalance_isa::{Addr, BranchKind, BranchTrajectory, InstClass, Outcome};
 use rebalance_telemetry as telemetry;
 
-use crate::backend::ComputeBackend;
 use crate::by_section::BySection;
-use crate::event::{BranchEvent, TraceEvent};
+use crate::event::TraceEvent;
 use crate::exec::RunSummary;
 use crate::observer::Pintool;
 use crate::section::Section;
@@ -171,28 +162,19 @@ pub fn set_batch_capacity(capacity: usize) -> Result<(), BatchCapacityError> {
 }
 
 /// Process-wide batch-delivery ledger: how many events (and how many of
-/// them branches) went through fan-out batch delivery, and under which
-/// backend. Written at the [`ToolSet`](crate::ToolSet) choke point every
-/// sweep replays through — two relaxed adds per ~[`batch_capacity`]
-/// events — and read by [`lane_fill`] / [`delivered_backend`] for the
-/// shared [`Report`](crate::Report). The same role the
-/// [`replay_count`](crate::replay_count) ledger plays for replays.
+/// them branches) went through fan-out batch delivery. Written at the
+/// [`ToolSet`](crate::ToolSet) choke point every sweep replays through
+/// — two relaxed adds per ~[`batch_capacity`] events — and read by
+/// [`lane_fill`] for the shared [`Report`](crate::Report). The same
+/// role the [`replay_count`](crate::replay_count) ledger plays for
+/// replays.
 static LEDGER_INSTS: AtomicU64 = AtomicU64::new(0);
 static LEDGER_BRANCHES: AtomicU64 = AtomicU64::new(0);
-static LEDGER_SCALAR_BATCHES: AtomicU64 = AtomicU64::new(0);
-static LEDGER_WIDE_BATCHES: AtomicU64 = AtomicU64::new(0);
 
-/// Cached telemetry counter for flushed batches, per backend
-/// (`replay.batches.scalar` / `replay.batches.wide`).
-fn flush_tele(backend: ComputeBackend) -> &'static telemetry::Counter {
-    static SCALAR: OnceLock<telemetry::Counter> = OnceLock::new();
-    static WIDE: OnceLock<telemetry::Counter> = OnceLock::new();
-    match backend {
-        ComputeBackend::Scalar => {
-            SCALAR.get_or_init(|| telemetry::counter("replay.batches.scalar"))
-        }
-        ComputeBackend::Wide => WIDE.get_or_init(|| telemetry::counter("replay.batches.wide")),
-    }
+/// Cached telemetry counter for flushed batches (`replay.batches`).
+fn flush_tele() -> &'static telemetry::Counter {
+    static BATCHES: OnceLock<telemetry::Counter> = OnceLock::new();
+    BATCHES.get_or_init(|| telemetry::counter("replay.batches"))
 }
 
 /// Cached telemetry counter for events delivered through batch flushes
@@ -206,11 +188,6 @@ fn flush_events_tele() -> &'static telemetry::Counter {
 pub(crate) fn record_delivery(batch: &EventBatch) {
     LEDGER_INSTS.fetch_add(batch.len() as u64, Ordering::Relaxed);
     LEDGER_BRANCHES.fetch_add(batch.summary().branches, Ordering::Relaxed);
-    let per_backend = match batch.backend() {
-        ComputeBackend::Scalar => &LEDGER_SCALAR_BATCHES,
-        ComputeBackend::Wide => &LEDGER_WIDE_BATCHES,
-    };
-    per_backend.fetch_add(1, Ordering::Relaxed);
 }
 
 /// A point-in-time copy of the process-wide batch-delivery ledger.
@@ -218,18 +195,14 @@ pub(crate) fn record_delivery(batch: &EventBatch) {
 /// The underlying counters are cumulative over the process lifetime —
 /// a second sweep in the same process would otherwise fold the first
 /// sweep's traffic into its report. Take a snapshot before a sweep and
-/// diff with [`DeliveryLedger::since`] afterwards to scope lane-fill
-/// and backend attribution to exactly that sweep.
+/// diff with [`DeliveryLedger::since`] afterwards to scope delivery
+/// attribution to exactly that sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct DeliveryLedger {
     /// Events delivered through fan-out batches.
     pub instructions: u64,
-    /// Branch-lane share of the delivered events.
+    /// Branch share of the delivered events.
     pub branches: u64,
-    /// Batches delivered by the scalar AoS loop.
-    pub scalar_batches: u64,
-    /// Batches delivered by the wide SoA-lane loop.
-    pub wide_batches: u64,
 }
 
 impl DeliveryLedger {
@@ -238,8 +211,6 @@ impl DeliveryLedger {
         DeliveryLedger {
             instructions: LEDGER_INSTS.load(Ordering::Relaxed),
             branches: LEDGER_BRANCHES.load(Ordering::Relaxed),
-            scalar_batches: LEDGER_SCALAR_BATCHES.load(Ordering::Relaxed),
-            wide_batches: LEDGER_WIDE_BATCHES.load(Ordering::Relaxed),
         }
     }
 
@@ -249,8 +220,6 @@ impl DeliveryLedger {
         DeliveryLedger {
             instructions: self.instructions - earlier.instructions,
             branches: self.branches - earlier.branches,
-            scalar_batches: self.scalar_batches - earlier.scalar_batches,
-            wide_batches: self.wide_batches - earlier.wide_batches,
         }
     }
 
@@ -259,43 +228,22 @@ impl DeliveryLedger {
         DeliveryLedger {
             instructions: self.instructions + other.instructions,
             branches: self.branches + other.branches,
-            scalar_batches: self.scalar_batches + other.scalar_batches,
-            wide_batches: self.wide_batches + other.wide_batches,
         }
     }
 
-    /// The SoA lane fill this snapshot (or delta) describes.
+    /// The delivered-event fill this snapshot (or delta) describes.
     pub fn lane_fill(&self) -> crate::report::LaneFill {
         crate::report::LaneFill {
             instructions: self.instructions,
             branches: self.branches,
         }
     }
-
-    /// The backend every batch in this snapshot (or delta) streamed
-    /// with — `None` when none were delivered or backends were mixed
-    /// (e.g. an auto policy splitting small and large traces).
-    pub fn backend(&self) -> Option<ComputeBackend> {
-        match (self.scalar_batches, self.wide_batches) {
-            (0, 0) => None,
-            (_, 0) => Some(ComputeBackend::Scalar),
-            (0, _) => Some(ComputeBackend::Wide),
-            _ => None,
-        }
-    }
 }
 
-/// The process-wide SoA lane fill so far: events delivered through
-/// fan-out batches and the branch-lane share of them.
+/// The process-wide delivered-event fill so far: events delivered
+/// through fan-out batches and the branch share of them.
 pub fn lane_fill() -> crate::report::LaneFill {
     DeliveryLedger::snapshot().lane_fill()
-}
-
-/// The backend every fan-out batch so far streamed with — `None` when
-/// none were delivered yet or the process mixed backends (e.g. an auto
-/// policy splitting small and large traces).
-pub fn delivered_backend() -> Option<ComputeBackend> {
-    DeliveryLedger::snapshot().backend()
 }
 
 /// Where a producer's decode/interpret loop delivers events: directly
@@ -347,196 +295,11 @@ impl<T: Pintool + ?Sized> EventSink for BatchSink<'_, '_, T> {
     }
 }
 
-// --- lane flag encodings ---
-
-/// Full-event lane flag: the event executed in [`Section::Parallel`].
-pub const LANE_PARALLEL: u8 = 1 << 0;
-/// Full-event lane flag: the event is a branch (it occupies the next
-/// slot of the branch lane group).
-pub const LANE_BRANCH: u8 = 1 << 1;
-/// Full-event lane flag: the event is a *taken* branch.
-pub const LANE_TAKEN: u8 = 1 << 2;
-
-/// Branch-lane flag mask: bits 0..=2 hold the [`BranchKind`] index in
-/// [`BranchKind::ALL`] order.
-pub const BR_KIND_MASK: u8 = 0b111;
-/// Branch-lane flag: the branch was taken.
-pub const BR_TAKEN: u8 = 1 << 3;
-/// Branch-lane flag: the branch has a recorded target (everything but
-/// syscalls; the target lane slot is meaningful only when set).
-pub const BR_HAS_TARGET: u8 = 1 << 4;
-/// Branch-lane flag: the branch executed in [`Section::Parallel`].
-pub const BR_PARALLEL: u8 = 1 << 5;
-
-/// The [`BranchKind::ALL`] index of `kind` — the 3-bit code stored in
-/// the branch lane flags (and the paper's Figure 1 legend order).
-#[inline]
-pub const fn branch_kind_index(kind: BranchKind) -> u8 {
-    match kind {
-        BranchKind::Call => 0,
-        BranchKind::IndirectCall => 1,
-        BranchKind::CondDirect => 2,
-        BranchKind::UncondDirect => 3,
-        BranchKind::IndirectBranch => 4,
-        BranchKind::Syscall => 5,
-        BranchKind::Return => 6,
-    }
-}
-
-/// [`branch_kind_index`] for conditional direct branches — the one kind
-/// predictor loops compare against on every lane element.
-pub const BR_KIND_COND: u8 = branch_kind_index(BranchKind::CondDirect);
-
-/// Inverse of [`branch_kind_index`].
-///
-/// # Panics
-///
-/// Panics if `index` is not a valid kind code (0..=6).
-#[inline]
-pub fn branch_kind_from_index(index: u8) -> BranchKind {
-    BranchKind::ALL[usize::from(index)]
-}
-
-/// Dense SoA view of every buffered event: index `i` of each slice
-/// describes the `i`-th event of [`EventBatch::events`]. Branch events
-/// additionally occupy consecutive slots of the batch's
-/// [`BranchLanes`], in the same order — a walker keeps a running cursor
-/// into the branch lanes and advances it on every [`LANE_BRANCH`] flag.
-#[derive(Debug, Clone, Copy)]
-pub struct EventLanes<'a> {
-    /// Instruction addresses.
-    pub pcs: &'a [u64],
-    /// Encoded instruction lengths in bytes.
-    pub lens: &'a [u8],
-    /// Packed [`LANE_PARALLEL`] / [`LANE_BRANCH`] / [`LANE_TAKEN`]
-    /// bits.
-    pub flags: &'a [u8],
-}
-
-impl EventLanes<'_> {
-    /// Events in the view.
-    pub fn len(&self) -> usize {
-        self.pcs.len()
-    }
-
-    /// `true` if the view holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.pcs.is_empty()
-    }
-
-    /// The section of event `i`.
-    #[inline]
-    pub fn section(&self, i: usize) -> Section {
-        if self.flags[i] & LANE_PARALLEL != 0 {
-            Section::Parallel
-        } else {
-            Section::Serial
-        }
-    }
-}
-
-/// Dense SoA view of the branch subset, in delivery order. Slot `i`
-/// corresponds to `branch_events()[i]`; the target slot is meaningful
-/// only when [`BR_HAS_TARGET`] is set (syscalls carry none).
-#[derive(Debug, Clone, Copy)]
-pub struct BranchLanes<'a> {
-    /// Branch instruction addresses.
-    pub pcs: &'a [u64],
-    /// Branch target addresses (garbage where [`BR_HAS_TARGET`] is
-    /// clear).
-    pub targets: &'a [u64],
-    /// Encoded instruction lengths in bytes.
-    pub lens: &'a [u8],
-    /// Packed kind index ([`BR_KIND_MASK`]) plus [`BR_TAKEN`] /
-    /// [`BR_HAS_TARGET`] / [`BR_PARALLEL`] bits.
-    pub flags: &'a [u8],
-}
-
-impl BranchLanes<'_> {
-    /// Branches in the view.
-    pub fn len(&self) -> usize {
-        self.pcs.len()
-    }
-
-    /// `true` if the view holds no branches.
-    pub fn is_empty(&self) -> bool {
-        self.pcs.is_empty()
-    }
-
-    /// The branch kind of slot `i`.
-    #[inline]
-    pub fn kind(&self, i: usize) -> BranchKind {
-        branch_kind_from_index(self.flags[i] & BR_KIND_MASK)
-    }
-
-    /// `true` if the branch in slot `i` was taken.
-    #[inline]
-    pub fn taken(&self, i: usize) -> bool {
-        self.flags[i] & BR_TAKEN != 0
-    }
-
-    /// The recorded target of slot `i` (`None` for syscalls).
-    #[inline]
-    pub fn target(&self, i: usize) -> Option<Addr> {
-        (self.flags[i] & BR_HAS_TARGET != 0).then(|| Addr::new(self.targets[i]))
-    }
-
-    /// The section of slot `i`.
-    #[inline]
-    pub fn section(&self, i: usize) -> Section {
-        if self.flags[i] & BR_PARALLEL != 0 {
-            Section::Parallel
-        } else {
-            Section::Serial
-        }
-    }
-
-    /// The fall-through address of slot `i`.
-    #[inline]
-    pub fn next_pc(&self, i: usize) -> Addr {
-        Addr::new(self.pcs[i].wrapping_add(u64::from(self.lens[i])))
-    }
-
-    /// The not-taken / taken-backward / taken-forward classification of
-    /// slot `i`, straight from the lanes (bit-identical to
-    /// [`BranchEvent::trajectory`]).
-    #[inline]
-    pub fn trajectory(&self, i: usize) -> BranchTrajectory {
-        let f = self.flags[i];
-        if f & BR_TAKEN == 0 {
-            BranchTrajectory::NotTaken
-        } else if f & BR_HAS_TARGET != 0 && self.targets[i] < self.pcs[i] {
-            BranchTrajectory::TakenBackward
-        } else {
-            BranchTrajectory::TakenForward
-        }
-    }
-
-    /// Reconstructs the full [`TraceEvent`] of slot `i` — the bridge
-    /// equivalence tests use to prove the lanes carry everything the
-    /// AoS slice does.
-    pub fn event(&self, i: usize) -> TraceEvent {
-        let kind = self.kind(i);
-        TraceEvent {
-            pc: Addr::new(self.pcs[i]),
-            len: self.lens[i],
-            class: InstClass::Branch(kind),
-            branch: Some(BranchEvent {
-                kind,
-                outcome: Outcome::from_taken(self.taken(i)),
-                target: self.target(i),
-            }),
-            section: self.section(i),
-        }
-    }
-}
-
 /// A fixed-capacity block of trace events with a dense branch slice,
-/// SoA lanes, section counts, and interleaved section-start
-/// notifications. The derived views (branch slice and lanes) are built
-/// right before delivery — inside [`Pintool::on_batch`] they are
-/// always consistent with [`EventBatch::events`], but between pushes
-/// they are empty.
+/// section counts, and interleaved section-start notifications. The
+/// branch slice is built right before delivery — inside
+/// [`Pintool::on_batch`] it is always consistent with
+/// [`EventBatch::events`], but between pushes it is empty.
 ///
 /// # Examples
 ///
@@ -581,49 +344,28 @@ pub struct EventBatch {
     /// `(position, section)` pairs: the notification fires before the
     /// event at `position` (== `events.len()` for a trailing start).
     starts: Vec<(u32, Section)>,
-    // SoA lanes mirroring `events` / `branches` — what the wide
-    // backend streams. Built by `fill_derived` at flush time, and only
-    // when the batch's backend is wide.
-    pcs: Vec<u64>,
-    lens: Vec<u8>,
-    flags: Vec<u8>,
-    br_pcs: Vec<u64>,
-    br_targets: Vec<u64>,
-    br_lens: Vec<u8>,
-    br_flags: Vec<u8>,
     sections: BySection<u64>,
     /// Branches buffered so far — maintained in `push` so
-    /// [`EventBatch::summary`] is exact even before the derived views
-    /// exist.
+    /// [`EventBatch::summary`] is exact even before the branch slice
+    /// exists.
     branch_count: u64,
     taken_branches: u64,
     capacity: usize,
-    backend: ComputeBackend,
 }
 
 impl Default for EventBatch {
-    /// An empty batch at the process-wide [`batch_capacity`] and the
-    /// scalar backend (producers that know their trace size override it
-    /// via [`EventBatch::set_backend`]). Buffers are not pre-allocated;
-    /// they grow on first use and are retained across
-    /// [`EventBatch::clear`], so a reused batch allocates once.
+    /// An empty batch at the process-wide [`batch_capacity`]. Buffers
+    /// are not pre-allocated; they grow on first use and are retained
+    /// across [`EventBatch::clear`], so a reused batch allocates once.
     fn default() -> Self {
         EventBatch {
             events: Vec::new(),
             branches: Vec::new(),
             starts: Vec::new(),
-            pcs: Vec::new(),
-            lens: Vec::new(),
-            flags: Vec::new(),
-            br_pcs: Vec::new(),
-            br_targets: Vec::new(),
-            br_lens: Vec::new(),
-            br_flags: Vec::new(),
             sections: BySection::default(),
             branch_count: 0,
             taken_branches: 0,
             capacity: batch_capacity(),
-            backend: crate::backend::select_backend(0),
         }
     }
 }
@@ -652,29 +394,6 @@ impl EventBatch {
             capacity,
             ..EventBatch::default()
         }
-    }
-
-    /// The batch with its backend replaced (builder form of
-    /// [`EventBatch::set_backend`]).
-    pub fn with_backend(mut self, backend: ComputeBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Selects which representation consumers of this batch stream.
-    /// Producers call this once per replay with the
-    /// [`select_backend`](crate::select_backend) verdict for the
-    /// trace's size. Flipping the backend never changes results — only
-    /// the loop shape, and which derived views get built at flush time
-    /// (the SoA lanes are transposed only under the wide backend).
-    pub fn set_backend(&mut self, backend: ComputeBackend) {
-        self.backend = backend;
-    }
-
-    /// The backend consumers of this batch should stream with.
-    #[inline]
-    pub fn backend(&self) -> ComputeBackend {
-        self.backend
     }
 
     /// Maximum events the batch holds before it reports
@@ -712,32 +431,6 @@ impl EventBatch {
         &self.branches
     }
 
-    /// The SoA view of every buffered event — what full-stream tools
-    /// walk under the wide backend. Built at flush time, and only when
-    /// [`EventBatch::backend`] is wide (scalar consumers never read
-    /// it, so scalar replays skip the transpose).
-    #[inline]
-    pub fn lanes(&self) -> EventLanes<'_> {
-        EventLanes {
-            pcs: &self.pcs,
-            lens: &self.lens,
-            flags: &self.flags,
-        }
-    }
-
-    /// The SoA view of the branch subset — what branch-only tools walk
-    /// under the wide backend. Like [`EventBatch::lanes`], built at
-    /// flush time and only under the wide backend.
-    #[inline]
-    pub fn branch_lanes(&self) -> BranchLanes<'_> {
-        BranchLanes {
-            pcs: &self.br_pcs,
-            targets: &self.br_targets,
-            lens: &self.br_lens,
-            flags: &self.br_flags,
-        }
-    }
-
     /// Section-start notifications as `(position, section)`: the
     /// notification precedes the event at `position` (a position equal
     /// to [`EventBatch::len`] trails every event). Positions are
@@ -760,11 +453,11 @@ impl EventBatch {
         }
     }
 
-    /// Appends an event, maintaining the counters. The derived views
-    /// (dense branch slice, SoA lanes) are **not** built here — they
-    /// are transposed in one pass per block by [`EventBatch::flush_into`]
-    /// right before delivery, which keeps this producer-side hot loop
-    /// down to a single buffer append.
+    /// Appends an event, maintaining the counters. The dense branch
+    /// slice is **not** built here — it is gathered in one pass per
+    /// block by [`EventBatch::flush_into`] right before delivery, which
+    /// keeps this producer-side hot loop down to a single buffer
+    /// append.
     ///
     /// Producers should check [`EventBatch::is_full`] (and flush) after
     /// each push; pushing past capacity only grows the block, it is not
@@ -781,103 +474,17 @@ impl EventBatch {
         self.events.push(ev);
     }
 
-    /// Builds the derived views from the buffered events in one dense
-    /// transpose pass: the contiguous branch slice always (scalar
-    /// branch loops and the delivery ledger stream it), the SoA lanes
-    /// only under the wide backend (scalar consumers never touch them,
-    /// so a scalar replay skips the lane transpose entirely), and the
-    /// full-event lanes only when `event_lanes` says some consumer
-    /// actually streams them ([`Pintool::wants_event_lanes`]) — for
-    /// branch-only tool sets that skips ~90% of the lane traffic. Runs
-    /// once per delivered block from [`EventBatch::flush_into`];
-    /// deriving here instead of in [`EventBatch::push`] trades up to
-    /// eleven scattered per-event appends for one cache-warm sweep
-    /// over the block.
-    fn fill_derived(&mut self, event_lanes: bool) {
-        let EventBatch {
-            events,
-            branches,
-            pcs,
-            lens,
-            flags,
-            br_pcs,
-            br_targets,
-            br_lens,
-            br_flags,
-            branch_count,
-            backend,
-            ..
-        } = self;
-        // Rebuild from scratch: `clear` after delivery leaves these
-        // empty anyway, and rebuilding keeps the method idempotent.
-        branches.clear();
-        pcs.clear();
-        lens.clear();
-        flags.clear();
-        br_pcs.clear();
-        br_targets.clear();
-        br_lens.clear();
-        br_flags.clear();
-        branches.reserve(*branch_count as usize);
-        if *backend == ComputeBackend::Scalar {
-            branches.extend(events.iter().filter(|ev| ev.branch.is_some()));
-            return;
-        }
-        br_pcs.reserve(*branch_count as usize);
-        br_targets.reserve(*branch_count as usize);
-        br_lens.reserve(*branch_count as usize);
-        br_flags.reserve(*branch_count as usize);
-        // Appends one event's branch-lane slots; yields the taken bit
-        // so the full-lane loop below can flag it without re-matching.
-        let mut push_branch_lane = |ev: &TraceEvent| -> Option<bool> {
-            let branch = &ev.branch.as_ref()?;
-            let taken = branch.outcome.is_taken();
-            let mut bf = branch_kind_index(branch.kind);
-            if taken {
-                bf |= BR_TAKEN;
-            }
-            if matches!(ev.section, Section::Parallel) {
-                bf |= BR_PARALLEL;
-            }
-            let target = match branch.target {
-                Some(t) => {
-                    bf |= BR_HAS_TARGET;
-                    t.as_u64()
-                }
-                None => 0,
-            };
-            br_pcs.push(ev.pc.as_u64());
-            br_targets.push(target);
-            br_lens.push(ev.len);
-            br_flags.push(bf);
-            branches.push(*ev);
-            Some(taken)
-        };
-        if !event_lanes {
-            for ev in events.iter() {
-                push_branch_lane(ev);
-            }
-            return;
-        }
-        pcs.reserve(events.len());
-        lens.reserve(events.len());
-        flags.reserve(events.len());
-        for ev in events.iter() {
-            let mut lane = if matches!(ev.section, Section::Parallel) {
-                LANE_PARALLEL
-            } else {
-                0
-            };
-            if let Some(taken) = push_branch_lane(ev) {
-                lane |= LANE_BRANCH;
-                if taken {
-                    lane |= LANE_TAKEN;
-                }
-            }
-            pcs.push(ev.pc.as_u64());
-            lens.push(ev.len);
-            flags.push(lane);
-        }
+    /// Gathers the dense branch slice from the buffered events in one
+    /// pass. Runs once per delivered block from
+    /// [`EventBatch::flush_into`]; gathering here instead of in
+    /// [`EventBatch::push`] keeps the producer's append loop minimal
+    /// and sweeps the block while it is cache-warm. Rebuilds from
+    /// scratch, so it is idempotent.
+    fn fill_branches(&mut self) {
+        self.branches.clear();
+        self.branches.reserve(self.branch_count as usize);
+        self.branches
+            .extend(self.events.iter().filter(|ev| ev.branch.is_some()));
     }
 
     /// Records an `on_section_start` notification at the current
@@ -886,19 +493,11 @@ impl EventBatch {
         self.starts.push((self.events.len() as u32, section));
     }
 
-    /// Empties the batch, retaining buffer allocations for reuse (the
-    /// backend selection is retained too).
+    /// Empties the batch, retaining buffer allocations for reuse.
     pub fn clear(&mut self) {
         self.events.clear();
         self.branches.clear();
         self.starts.clear();
-        self.pcs.clear();
-        self.lens.clear();
-        self.flags.clear();
-        self.br_pcs.clear();
-        self.br_targets.clear();
-        self.br_lens.clear();
-        self.br_flags.clear();
         self.sections = BySection::default();
         self.branch_count = 0;
         self.taken_branches = 0;
@@ -906,25 +505,18 @@ impl EventBatch {
 
     /// Delivers the batch to `tool` via
     /// [`Pintool::on_batch`](crate::Pintool::on_batch) and clears it.
-    /// A no-op on an empty batch. Builds the derived views first —
-    /// always the branch slice, plus the SoA lanes under the wide
-    /// backend (full-event lanes only when the tool declares it
-    /// streams them via [`Pintool::wants_event_lanes`]) — so consumers
-    /// always see the views they read populated.
+    /// A no-op on an empty batch. Builds the branch slice first, so
+    /// consumers always see it populated.
     pub fn flush_into<T: Pintool + ?Sized>(&mut self, tool: &mut T) {
         if self.is_empty() {
             return;
         }
-        let _batch_span = telemetry::span(match self.backend {
-            ComputeBackend::Scalar => "batch.scalar",
-            ComputeBackend::Wide => "batch.wide",
-        });
-        flush_tele(self.backend).incr();
+        let _batch_span = telemetry::span("batch");
+        flush_tele().incr();
         flush_events_tele().add(self.events.len() as u64);
-        let event_lanes = self.backend == ComputeBackend::Wide && tool.wants_event_lanes();
         {
-            let _lanes_span = telemetry::span("lanes.fill");
-            self.fill_derived(event_lanes);
+            let _fill_span = telemetry::span("fill");
+            self.fill_branches();
         }
         {
             let _tools_span = telemetry::span("tools");
@@ -1013,7 +605,8 @@ mod tests {
         b.push(branch(0x10A, false, Section::Parallel));
         b.push(other(0x110, Section::Parallel));
         assert_eq!(b.len(), 4);
-        b.fill_derived(true); // flush_into does this before delivery
+        b.fill_branches(); // flush_into does this before delivery
+        b.fill_branches(); // and rebuilding does not duplicate
         assert_eq!(b.branch_events().len(), 2);
         assert_eq!(
             b.branch_events()
@@ -1031,97 +624,6 @@ mod tests {
             b.push(other(0x200 + i * 4, Section::Serial));
         }
         assert!(b.is_full());
-    }
-
-    #[test]
-    fn lanes_mirror_the_event_slices_exactly() {
-        let mut b = EventBatch::with_capacity(16).with_backend(ComputeBackend::Wide);
-        let syscall = TraceEvent {
-            pc: Addr::new(0x300),
-            len: 2,
-            class: InstClass::Branch(BranchKind::Syscall),
-            branch: Some(BranchEvent {
-                kind: BranchKind::Syscall,
-                outcome: Outcome::Taken,
-                target: None,
-            }),
-            section: Section::Serial,
-        };
-        b.push(other(0x100, Section::Serial));
-        b.push(branch(0x104, true, Section::Parallel));
-        b.push(syscall);
-        b.push(branch(0x302, false, Section::Serial));
-        b.push(other(0x308, Section::Parallel));
-        b.fill_derived(true); // flush_into does this before delivery
-
-        let lanes = b.lanes();
-        assert_eq!(lanes.len(), b.len());
-        for (i, ev) in b.events().iter().enumerate() {
-            assert_eq!(lanes.pcs[i], ev.pc.as_u64());
-            assert_eq!(lanes.lens[i], ev.len);
-            assert_eq!(lanes.section(i), ev.section);
-            assert_eq!(lanes.flags[i] & LANE_BRANCH != 0, ev.branch.is_some());
-            assert_eq!(lanes.flags[i] & LANE_TAKEN != 0, ev.is_taken_branch());
-        }
-
-        let bl = b.branch_lanes();
-        assert_eq!(bl.len(), b.branch_events().len());
-        assert!(!bl.is_empty());
-        for (i, ev) in b.branch_events().iter().enumerate() {
-            assert_eq!(
-                bl.event(i),
-                *ev,
-                "branch lane slot {i} reconstructs the AoS event"
-            );
-            let br = ev.branch.expect("branch slice holds branches");
-            assert_eq!(bl.trajectory(i), br.trajectory(ev.pc));
-            assert_eq!(bl.next_pc(i), ev.next_pc());
-        }
-        assert_eq!(bl.target(1), None, "syscall target stays None");
-    }
-
-    #[test]
-    fn scalar_fill_skips_the_lane_transpose() {
-        let mut b = EventBatch::with_capacity(4).with_backend(ComputeBackend::Scalar);
-        b.push(branch(0x100, true, Section::Serial));
-        b.push(other(0x104, Section::Parallel));
-        b.fill_derived(true);
-        assert_eq!(b.branch_events().len(), 1, "branch slice always built");
-        assert!(b.lanes().is_empty(), "lanes only built under wide");
-        assert!(b.branch_lanes().is_empty());
-        // Flipping to wide and refilling builds them — and the rebuild
-        // is idempotent (no duplicated branch slice).
-        b.set_backend(ComputeBackend::Wide);
-        b.fill_derived(true);
-        assert_eq!(b.lanes().len(), 2);
-        assert_eq!(b.branch_lanes().len(), 1);
-        assert_eq!(b.branch_events().len(), 1, "rebuild does not duplicate");
-        // A branch-only tool set (`wants_event_lanes` == false) gets
-        // the branch lanes but not the full-event transpose.
-        b.fill_derived(false);
-        assert!(b.lanes().is_empty(), "full lanes skipped when unwanted");
-        assert_eq!(b.branch_lanes().len(), 1);
-        assert_eq!(b.branch_events().len(), 1);
-    }
-
-    #[test]
-    fn kind_index_round_trips_in_all_order() {
-        for (i, kind) in BranchKind::ALL.iter().enumerate() {
-            assert_eq!(usize::from(branch_kind_index(*kind)), i);
-            assert_eq!(branch_kind_from_index(i as u8), *kind);
-        }
-        assert_eq!(BR_KIND_COND, branch_kind_index(BranchKind::CondDirect));
-    }
-
-    #[test]
-    fn backend_is_settable_and_survives_clear() {
-        let mut b = EventBatch::with_capacity(4).with_backend(ComputeBackend::Wide);
-        assert_eq!(b.backend(), ComputeBackend::Wide);
-        b.push(other(0x100, Section::Serial));
-        b.clear();
-        assert_eq!(b.backend(), ComputeBackend::Wide, "clear keeps the backend");
-        b.set_backend(ComputeBackend::Scalar);
-        assert_eq!(b.backend(), ComputeBackend::Scalar);
     }
 
     #[test]
@@ -1173,8 +675,7 @@ mod tests {
         assert_eq!(b.summary(), RunSummary::default());
         assert_eq!(b.sections(), BySection::default());
         assert_eq!(b.capacity(), 2);
-        assert!(b.lanes().is_empty());
-        assert!(b.branch_lanes().is_empty());
+        assert!(b.branch_events().is_empty());
     }
 
     #[test]

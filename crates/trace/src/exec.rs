@@ -108,7 +108,6 @@ impl<'p> Interpreter<'p> {
         tool: &mut T,
     ) -> RunSummary {
         let mut batch = std::mem::take(&mut self.scratch);
-        batch.set_backend(crate::backend::select_backend(max_insts));
         let summary = self.run_batched(entry, section, max_insts, &mut batch, tool);
         batch.flush_into(tool);
         self.scratch = batch;

@@ -28,13 +28,7 @@
 //!   [`Pintool::on_batch`]): producers hand tools ~[`batch_capacity`]
 //!   events per call instead of one, with a precomputed branch-index
 //!   slice and per-section counts so hot tools skip the events they
-//!   ignore — bit-identical to per-event delivery by construction, and
-//! * SoA lanes plus adaptive compute backends ([`EventBatch::lanes`],
-//!   [`ComputeBackend`], [`select_backend`]): each batch also carries
-//!   its events as dense same-typed slices (PCs, lengths, packed
-//!   flags, branch targets), and every replay picks scalar or
-//!   wide-lane consumption by trace size — overridable via
-//!   [`BACKEND_ENV`] or the CLI `--backend` flag.
+//!   ignore — bit-identical to per-event delivery by construction.
 //!
 //! # Examples
 //!
@@ -80,7 +74,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod backend;
 mod batch;
 mod builder;
 mod by_section;
@@ -101,15 +94,9 @@ mod sweep;
 mod timed;
 mod toolset;
 
-pub use backend::{
-    compute_backend_choice, resolve_backend, select_backend, set_compute_backend, BackendChoice,
-    ComputeBackend, BACKEND_ENV, WIDE_AUTO_THRESHOLD,
-};
 pub use batch::{
-    batch_capacity, branch_kind_from_index, branch_kind_index, delivered_backend, lane_fill,
-    parse_batch_capacity, set_batch_capacity, BatchCapacityError, BranchLanes, DeliveryLedger,
-    EventBatch, EventLanes, BATCH_ENV, BR_HAS_TARGET, BR_KIND_COND, BR_KIND_MASK, BR_PARALLEL,
-    BR_TAKEN, DEFAULT_BATCH_CAPACITY, LANE_BRANCH, LANE_PARALLEL, LANE_TAKEN, MAX_BATCH_CAPACITY,
+    batch_capacity, lane_fill, parse_batch_capacity, set_batch_capacity, BatchCapacityError,
+    DeliveryLedger, EventBatch, BATCH_ENV, DEFAULT_BATCH_CAPACITY, MAX_BATCH_CAPACITY,
 };
 pub use builder::ProgramBuilder;
 pub use by_section::BySection;

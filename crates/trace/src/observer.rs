@@ -90,19 +90,6 @@ pub trait Pintool {
     fn supports_sampled_replay(&self) -> bool {
         false
     }
-
-    /// `true` if this tool's wide-backend `on_batch` path reads the
-    /// full-event SoA lanes ([`EventBatch::lanes`]) rather than only
-    /// the branch subset ([`EventBatch::branch_lanes`]). The flush-time
-    /// transpose consults this to skip building the full-event lanes
-    /// for branch-only tool sets — at typical branch densities that is
-    /// ~90% of the lane traffic. A tool that leaves the default
-    /// (`false`) must not read [`EventBatch::lanes`]; the branch lanes
-    /// and the AoS slices are always populated regardless. Irrelevant
-    /// under the scalar backend, which never builds lanes.
-    fn wants_event_lanes(&self) -> bool {
-        false
-    }
 }
 
 /// Forwards the full `Pintool` surface through a pointer-like wrapper,
@@ -140,11 +127,6 @@ macro_rules! impl_pintool_forward {
             fn supports_sampled_replay(&self) -> bool {
                 (**self).supports_sampled_replay()
             }
-
-            #[inline]
-            fn wants_event_lanes(&self) -> bool {
-                (**self).wants_event_lanes()
-            }
         }
     )+};
 }
@@ -176,10 +158,6 @@ macro_rules! impl_pintool_tuple {
 
             fn supports_sampled_replay(&self) -> bool {
                 true $(&& self.$idx.supports_sampled_replay())+
-            }
-
-            fn wants_event_lanes(&self) -> bool {
-                false $(|| self.$idx.wants_event_lanes())+
             }
         }
     };
@@ -322,10 +300,6 @@ impl Pintool for MultiTool<'_> {
 
     fn supports_sampled_replay(&self) -> bool {
         self.tools.iter().all(|t| t.supports_sampled_replay())
-    }
-
-    fn wants_event_lanes(&self) -> bool {
-        self.tools.iter().any(|t| t.wants_event_lanes())
     }
 }
 

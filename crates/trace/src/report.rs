@@ -9,23 +9,22 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::backend::ComputeBackend;
 use crate::cache::{CacheStats, TraceCache};
 use crate::sweep::SweepEngine;
 
-/// How full the SoA lanes ran over one sweep: total events delivered
-/// and how many of them occupied the dense branch lane group.
+/// How many events one sweep delivered through fan-out batches, and how
+/// many of them landed in each batch's dense branch slice.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LaneFill {
-    /// Events pushed through batches (the full-event lane length).
+    /// Events pushed through batches.
     pub instructions: u64,
-    /// Events that also landed in the branch lane group.
+    /// Events that also landed in the dense branch slice.
     pub branches: u64,
 }
 
 impl LaneFill {
-    /// Fraction of events occupying the branch lanes (the data density
-    /// branch-only wide loops stream at).
+    /// Fraction of events that are branches (the density branch-only
+    /// tools stream their batch's branch slice at).
     pub fn branch_fraction(&self) -> f64 {
         if self.instructions == 0 {
             0.0
@@ -34,7 +33,7 @@ impl LaneFill {
         }
     }
 
-    /// Lane-fill sums across independent sweeps (shard merging).
+    /// Delivery sums across independent sweeps (shard merging).
     pub fn merged(&self, other: &LaneFill) -> LaneFill {
         LaneFill {
             instructions: self.instructions + other.instructions,
@@ -63,10 +62,8 @@ pub struct Report {
     pub replays: u64,
     /// Cache accounting, when a [`TraceCache`] mediated the replays.
     pub cache: Option<CacheStats>,
-    /// The compute backend the replays streamed with, when the caller
-    /// resolved one (`None` for mixed or backend-oblivious sweeps).
-    pub backend: Option<ComputeBackend>,
-    /// SoA lane fill over the sweep, when the caller tallied it.
+    /// Batch-delivered events over the sweep, when the caller tallied
+    /// them.
     pub lanes: Option<LaneFill>,
 }
 
@@ -76,7 +73,6 @@ impl Report {
         Report {
             replays: engine.replays(),
             cache: None,
-            backend: None,
             lanes: None,
         }
     }
@@ -94,13 +90,7 @@ impl Report {
         self
     }
 
-    /// Attaches the resolved compute backend.
-    pub fn with_backend(mut self, backend: ComputeBackend) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// Attaches SoA lane fill counters.
+    /// Attaches batch-delivery counters.
     pub fn with_lanes(mut self, lanes: LaneFill) -> Self {
         self.lanes = Some(lanes);
         self
@@ -116,19 +106,12 @@ impl Report {
     }
 
     /// Folds another report (typically a worker shard's delta) into
-    /// this one: replays, cache counters, and lane fill add; backends
-    /// agree or collapse to `None` (an empty report is neutral and
-    /// never erases the other side's backend).
+    /// this one: replays, cache counters, and delivered events add (an
+    /// empty report is a neutral fold seed).
     pub fn merged(&self, other: &Report) -> Report {
         let cache = match (self.cache, other.cache) {
             (Some(a), Some(b)) => Some(a.merged(&b)),
             (a, b) => a.or(b),
-        };
-        let backend = match (self.backend, other.backend) {
-            (Some(a), Some(b)) if a == b => Some(a),
-            (a, None) if other.replays == 0 => a,
-            (None, b) if self.replays == 0 => b,
-            _ => None,
         };
         let lanes = match (self.lanes, other.lanes) {
             (Some(a), Some(b)) => Some(a.merged(&b)),
@@ -137,7 +120,6 @@ impl Report {
         Report {
             replays: self.replays + other.replays,
             cache,
-            backend,
             lanes,
         }
     }
@@ -153,9 +135,6 @@ impl fmt::Display for Report {
         )?;
         if let Some(stats) = &self.cache {
             write!(f, " | cache: {stats}")?;
-        }
-        if let Some(backend) = &self.backend {
-            write!(f, " | backend: {backend}")?;
         }
         if let Some(lanes) = &self.lanes {
             write!(
@@ -203,30 +182,24 @@ mod tests {
     }
 
     #[test]
-    fn merged_sums_shards_and_reconciles_backends() {
-        let shard = |replays, backend| Report {
+    fn merged_sums_shards() {
+        let shard = |replays| Report {
             replays,
             cache: Some(CacheStats {
                 hits: replays,
                 ..CacheStats::default()
             }),
-            backend,
             lanes: Some(LaneFill {
                 instructions: 100 * replays,
                 branches: 10 * replays,
             }),
         };
-        let a = shard(3, Some(ComputeBackend::Wide));
-        let b = shard(4, Some(ComputeBackend::Wide));
+        let a = shard(3);
+        let b = shard(4);
         let merged = a.merged(&b);
         assert_eq!(merged.replays, 7);
         assert_eq!(merged.cache.unwrap().hits, 7);
-        assert_eq!(merged.backend, Some(ComputeBackend::Wide));
         assert_eq!(merged.lanes.unwrap().instructions, 700);
-
-        // Disagreeing backends collapse to mixed.
-        let c = shard(1, Some(ComputeBackend::Scalar));
-        assert_eq!(merged.merged(&c).backend, None);
 
         // The empty report is a neutral fold seed.
         assert_eq!(Report::default().merged(&merged), merged);

@@ -503,8 +503,7 @@ impl<'a, T: Pintool + ?Sized> SampleSink<'a, T> {
         SampleSink {
             tool,
             plan,
-            batch: EventBatch::with_capacity(batch_capacity())
-                .with_backend(crate::backend::select_backend(plan.total_instructions())),
+            batch: EventBatch::with_capacity(batch_capacity()),
             decoded: 0,
             delivered: 0,
             next_rep: 0,

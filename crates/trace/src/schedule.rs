@@ -236,9 +236,7 @@ impl SyntheticTrace {
         F: FnMut(&Phase) -> bool,
     {
         let mut interp = self.program.interpreter(self.seed);
-        let mut batch = EventBatch::with_capacity(capacity).with_backend(
-            crate::backend::select_backend(self.schedule.total_instructions()),
-        );
+        let mut batch = EventBatch::with_capacity(capacity);
         let mut summary = RunSummary::default();
         for _ in 0..self.schedule.repeat() {
             for phase in self.schedule.phases() {

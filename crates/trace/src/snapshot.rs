@@ -627,28 +627,10 @@ impl<'a> Snapshot<'a> {
         tool: &mut T,
         capacity: usize,
     ) -> Result<RunSummary, SnapshotError> {
-        let backend = crate::backend::select_backend(self.info.summary.instructions);
-        self.replay_batched_backend(tool, capacity, backend)
-    }
-
-    /// [`Snapshot::replay_batched`] with the compute backend pinned,
-    /// bypassing the per-replay [`select_backend`](crate::select_backend)
-    /// policy — how equivalence tests and benchmarks drive both
-    /// backends over one snapshot in a single process.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Snapshot::replay`].
-    pub fn replay_batched_backend<T: Pintool + ?Sized>(
-        &self,
-        tool: &mut T,
-        capacity: usize,
-        backend: crate::backend::ComputeBackend,
-    ) -> Result<RunSummary, SnapshotError> {
         // Batch spans nest under this one, so decode self-time is the
         // tree's record-walk remainder.
         let _decode_span = rebalance_telemetry::span("decode");
-        let mut batch = EventBatch::with_capacity(capacity).with_backend(backend);
+        let mut batch = EventBatch::with_capacity(capacity);
         let result = self.decode_into(&mut BatchSink {
             batch: &mut batch,
             tool,

@@ -15,9 +15,9 @@ use crate::section::Section;
 /// consumes to the counter `tool.<label>.on_batch_ns`.
 ///
 /// Every other `Pintool` method forwards untouched, so behaviour (batch
-/// ordering, sampled-replay support, lane demands) is bit-identical to
-/// the bare tool; only the batch path is bracketed by two monotonic clock
-/// reads, and even those are skipped while telemetry is disabled. The
+/// ordering, sampled-replay support) is bit-identical to the bare tool;
+/// only the batch path is bracketed by two monotonic clock reads, and
+/// even those are skipped while telemetry is disabled. The
 /// wrapper [`Deref`]s to the inner tool, so `timed.report()`-style calls
 /// keep working.
 ///
@@ -105,11 +105,6 @@ impl<T: Pintool> Pintool for Timed<T> {
     fn supports_sampled_replay(&self) -> bool {
         self.inner.supports_sampled_replay()
     }
-
-    #[inline]
-    fn wants_event_lanes(&self) -> bool {
-        self.inner.wants_event_lanes()
-    }
 }
 
 #[cfg(test)]
@@ -158,10 +153,6 @@ mod tests {
         fn supports_sampled_replay(&self) -> bool {
             true
         }
-
-        fn wants_event_lanes(&self) -> bool {
-            true
-        }
     }
 
     #[test]
@@ -176,7 +167,6 @@ mod tests {
         tool.on_sample_weight(7);
         tool.on_sample_gap();
         assert!(tool.supports_sampled_replay());
-        assert!(tool.wants_event_lanes());
 
         let inner = tool.into_inner();
         assert_eq!(inner.batches, 1, "wrapper must reach the override");

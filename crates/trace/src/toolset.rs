@@ -157,10 +157,6 @@ impl<T: Pintool> Pintool for ToolSet<T> {
     fn supports_sampled_replay(&self) -> bool {
         self.tools.iter().all(Pintool::supports_sampled_replay)
     }
-
-    fn wants_event_lanes(&self) -> bool {
-        self.tools.iter().any(Pintool::wants_event_lanes)
-    }
 }
 
 #[cfg(test)]

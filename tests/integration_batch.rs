@@ -9,19 +9,16 @@
 //! 3. every hot tool's `on_batch` override produces exactly the
 //!    results of its per-event path, live and from a snapshot.
 //!
-//! CI runs this file under `REBALANCE_BATCH` ∈ {default, 1} ×
-//! `REBALANCE_BACKEND` ∈ {scalar, wide}, so the process-wide capacity
-//! is covered at both extremes and every auto-selected replay above
-//! runs under both compute backends. The backend-forced tests below
-//! additionally pin scalar and wide explicitly in one process, so a
-//! scalar/wide divergence fails every CI leg, not just the forced one.
+//! CI runs this file under `REBALANCE_BATCH` ∈ {default, 1}, so the
+//! process-wide capacity is covered at both extremes; the tests below
+//! also pin capacity 1 explicitly, so every CI leg covers it.
 
 use rebalance::frontend::predictor::{DirectionPredictor, PredictorSim};
 use rebalance::frontend::{BtbConfig, BtbSim, CacheConfig, ICacheSim, PredictorChoice};
 use rebalance::pintools::{characterization_from_tools, characterization_tools};
 use rebalance::trace::{
-    snapshot, ComputeBackend, EventBatch, Phase, Pintool, ProgramBuilder, Schedule, Section,
-    Snapshot, SyntheticTrace, Terminator, ToolSet, TraceEvent,
+    snapshot, EventBatch, Phase, Pintool, ProgramBuilder, Schedule, Section, Snapshot,
+    SyntheticTrace, Terminator, ToolSet, TraceEvent,
 };
 use rebalance::workloads::find;
 use rebalance::Scale;
@@ -163,20 +160,12 @@ fn hot_tool_on_batch_overrides_match_per_event_results() {
                 "batched" => {
                     trace.replay_batched(&mut tools, cap);
                 }
-                mode => {
+                "snapshot" => {
                     let (bytes, _) = snapshot::snapshot_bytes(&trace, 0).unwrap();
                     let snap = Snapshot::parse(&bytes).unwrap();
-                    match mode {
-                        "snapshot" => snap.replay_batched(&mut tools, cap).unwrap(),
-                        "snapshot-scalar" => snap
-                            .replay_batched_backend(&mut tools, cap, ComputeBackend::Scalar)
-                            .unwrap(),
-                        "snapshot-wide" => snap
-                            .replay_batched_backend(&mut tools, cap, ComputeBackend::Wide)
-                            .unwrap(),
-                        other => panic!("unknown mode {other}"),
-                    };
+                    snap.replay_batched(&mut tools, cap).unwrap();
                 }
+                other => panic!("unknown mode {other}"),
             }
         }
         (
@@ -189,12 +178,7 @@ fn hot_tool_on_batch_overrides_match_per_event_results() {
 
     let baseline = measure("per-event", 0);
     for cap in [1usize, rebalance::trace::batch_capacity()] {
-        assert_eq!(
-            measure("batched", cap),
-            baseline,
-            "live batched (cap {cap}) diverged from per-event results"
-        );
-        for mode in ["snapshot", "snapshot-scalar", "snapshot-wide"] {
+        for mode in ["batched", "snapshot"] {
             assert_eq!(
                 measure(mode, cap),
                 baseline,
@@ -204,14 +188,12 @@ fn hot_tool_on_batch_overrides_match_per_event_results() {
     }
 }
 
-/// Roster-wide backend oracle: for **every** registered workload, the
-/// scalar (AoS event structs) and wide (SoA lanes) consumer loops must
-/// deliver bit-identical event streams and section notifications, at
-/// capacity 1 and the process default — both backends pinned
-/// explicitly, so this holds in every CI leg regardless of
-/// `REBALANCE_BACKEND`.
+/// Roster-wide decode oracle: for **every** registered workload,
+/// batched snapshot decode delivers bit-identical event streams and
+/// section notifications to per-event decode, at capacity 1 and the
+/// process default.
 #[test]
-fn all_workloads_backend_forced_decode_is_bit_identical() {
+fn all_workloads_batched_decode_is_bit_identical() {
     for w in rebalance::workloads::all() {
         let trace = w.trace(Scale::Smoke).unwrap();
         let (bytes, info) = snapshot::snapshot_bytes(&trace, 0).unwrap();
@@ -221,13 +203,11 @@ fn all_workloads_backend_forced_decode_is_bit_identical() {
         let base_summary = snap.replay_per_event(&mut baseline).unwrap();
         assert_eq!(base_summary, info.summary, "{}", w.name());
 
-        for backend in [ComputeBackend::Scalar, ComputeBackend::Wide] {
-            for cap in [1usize, rebalance::trace::batch_capacity()] {
-                let mut got = CallLog::default();
-                let summary = snap.replay_batched_backend(&mut got, cap, backend).unwrap();
-                assert_eq!(summary, base_summary, "{}: {backend} cap {cap}", w.name());
-                assert_eq!(got, baseline, "{}: {backend} cap {cap}", w.name());
-            }
+        for cap in [1usize, rebalance::trace::batch_capacity()] {
+            let mut got = CallLog::default();
+            let summary = snap.replay_batched(&mut got, cap).unwrap();
+            assert_eq!(summary, base_summary, "{}: cap {cap}", w.name());
+            assert_eq!(got, baseline, "{}: cap {cap}", w.name());
         }
     }
 }

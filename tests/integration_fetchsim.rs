@@ -14,16 +14,12 @@
 //! 4. the FTQ timing backend cross-validates against the closed-form
 //!    penalty model through [`CoreModel`].
 
-use std::sync::Mutex;
-
 use rebalance::coresim::{CoreModel, FetchModelKind};
 use rebalance::fetchsim::{FetchConfig, FetchReport, FetchSim, FtqConfig};
 use rebalance::frontend::{BtbConfig, CoreKind, FrontendConfig};
-use rebalance::trace::{replay_count, snapshot, Snapshot, SweepEngine, ToolSet, TraceCache};
+use rebalance::trace::{snapshot, Snapshot, SweepEngine, ToolSet, TraceCache};
 use rebalance::workloads::find;
 use rebalance::Scale;
-
-static REPLAY_COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
 /// A small depth × prefetch × BTB design grid (the CLI's default grid
 /// is a superset; size is irrelevant to the one-replay guarantee).
@@ -94,9 +90,6 @@ fn stall_attribution_invariant_holds_for_every_roster_workload() {
 
 #[test]
 fn grid_sweep_costs_one_replay_per_workload_and_matches_solo_runs() {
-    let _lock = REPLAY_COUNTER_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let workloads: Vec<_> = ["CG", "FT", "gcc", "k.triad"]
         .iter()
         .map(|n| find(n).unwrap())
@@ -104,19 +97,17 @@ fn grid_sweep_costs_one_replay_per_workload_and_matches_solo_runs() {
     let n_workloads = workloads.len();
 
     let engine = SweepEngine::new();
-    let before = replay_count();
     let outcomes = engine.sweep(
         workloads,
         |w| w.trace(Scale::Smoke).expect("roster profile"),
         |_| grid_sims(),
     );
     assert_eq!(
-        replay_count() - before,
+        engine.replays(),
         n_workloads as u64,
         "one replay per workload, independent of the {}-point grid",
         grid().len()
     );
-    assert_eq!(engine.replays(), n_workloads as u64);
 
     // Bit-identical to running each design alone.
     for o in &outcomes {
@@ -137,9 +128,6 @@ fn grid_sweep_costs_one_replay_per_workload_and_matches_solo_runs() {
 
 #[test]
 fn warm_cache_grid_sweep_generates_no_traces() {
-    let _lock = REPLAY_COUNTER_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let cache = TraceCache::scratch().unwrap();
     let engine = SweepEngine::new();
     let names = ["MG", "k.stencil"];

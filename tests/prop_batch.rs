@@ -20,8 +20,7 @@ use rebalance::isa::{Addr, InstClass, Outcome};
 use rebalance::pintools::{BasicBlockTool, BranchBiasTool, BranchMixTool, DirectionTool};
 use rebalance::trace::snapshot::KIND_TABLE;
 use rebalance::trace::{
-    BranchEvent, ComputeBackend, EventBatch, Pintool, Section, Snapshot, SnapshotWriter, ToolSet,
-    TraceEvent,
+    BranchEvent, EventBatch, Pintool, Section, Snapshot, SnapshotWriter, ToolSet, TraceEvent,
 };
 
 /// One drawn raw event: `(class selector, pc, len, taken, target,
@@ -109,29 +108,6 @@ fn deliver_batched<T: Pintool>(raws: &[RawEvent], capacity: usize, tool: &mut T)
     batch.flush_into(tool);
 }
 
-/// [`deliver_batched`] with the batch's compute backend pinned, so the
-/// consuming tools run their scalar (AoS) or wide (SoA lane) loops
-/// regardless of what `select_backend` would pick.
-fn deliver_batched_backend<T: Pintool>(
-    raws: &[RawEvent],
-    capacity: usize,
-    backend: ComputeBackend,
-    tool: &mut T,
-) {
-    let mut batch = EventBatch::with_capacity(capacity).with_backend(backend);
-    for raw in raws {
-        let ev = build_event(*raw);
-        if boundary_here(raw) {
-            batch.push_section_start(ev.section);
-        }
-        batch.push(ev);
-        if batch.is_full() {
-            batch.flush_into(tool);
-        }
-    }
-    batch.flush_into(tool);
-}
-
 /// Snapshot-encodes the stream the way a live replay would.
 fn encode(raws: &[RawEvent]) -> Vec<u8> {
     let mut writer = SnapshotWriter::new(Vec::new(), 1, 0);
@@ -193,20 +169,18 @@ proptest! {
         prop_assert_eq!(summary, base_summary);
     }
 
-    /// Every tool with a backend-sensitive `on_batch` port (predictor
-    /// fan-out, BTB, i-cache with its lane/branch cursor walk, and the
-    /// mix/direction/bias pintools) must report identically under the
-    /// pinned scalar and wide loops and per-event delivery — for
-    /// arbitrary streams, including branch shapes (targetless taken
-    /// branches, every kind, arbitrary sections) no real workload
-    /// synthesizes.
+    /// Every hot tool with its own `on_batch` loop (predictor fan-out,
+    /// BTB, i-cache, and the mix/direction/bias pintools) must report
+    /// identically under batched and per-event delivery — for arbitrary
+    /// streams, including branch shapes (targetless taken branches,
+    /// every kind, arbitrary sections) no real workload synthesizes.
     #[test]
-    fn backend_forced_tools_match_per_event_reports(
+    fn hot_tools_on_batch_match_per_event_reports(
         raws in raw_events(120),
         capacity in 1usize..10,
     ) {
         let configs = PredictorChoice::figure5_set();
-        let measure = |mode: Option<ComputeBackend>| {
+        let measure = |batched: bool| {
             // Three predictor configs keep the TAGE table setup cost
             // proportionate to a 120-event stream.
             let mut preds = ToolSet::from_tools(PredictorChoice::build_sims(&configs[..3]));
@@ -217,9 +191,10 @@ proptest! {
             let mut bias = BranchBiasTool::new();
             {
                 let mut tools = (&mut preds, &mut btb, &mut icache, &mut mix, &mut dir, &mut bias);
-                match mode {
-                    None => deliver_per_event(&raws, &mut tools),
-                    Some(backend) => deliver_batched_backend(&raws, capacity, backend, &mut tools),
+                if batched {
+                    deliver_batched(&raws, capacity, &mut tools);
+                } else {
+                    deliver_per_event(&raws, &mut tools);
                 }
             }
             (
@@ -231,16 +206,10 @@ proptest! {
                 bias.report(),
             )
         };
-        let baseline = measure(None);
         prop_assert_eq!(
-            measure(Some(ComputeBackend::Scalar)),
-            baseline.clone(),
-            "scalar loop diverged from per-event"
-        );
-        prop_assert_eq!(
-            measure(Some(ComputeBackend::Wide)),
-            baseline,
-            "wide lane loop diverged from per-event"
+            measure(true),
+            measure(false),
+            "batched loops diverged from per-event"
         );
     }
 
