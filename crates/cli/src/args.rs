@@ -35,9 +35,6 @@ pub struct Parsed {
     /// `--sample-k K` (number of phase clusters; implies `--sample`
     /// with the default interval count when given alone).
     pub sample_k: Option<usize>,
-    /// `--workers N` (shard the sweep across N worker subprocesses
-    /// sharing the on-disk trace cache).
-    pub workers: Option<usize>,
     /// `--metrics [text|json[=PATH]]` (collect and emit the telemetry
     /// snapshot after the report; bare `--metrics` means `text`).
     pub metrics: Option<MetricsMode>,
@@ -127,15 +124,6 @@ pub fn parse(argv: &[String]) -> Result<Parsed, String> {
                         .ok()
                         .filter(|&n: &usize| n >= 1)
                         .ok_or_else(|| format!("invalid cluster count `{v}` (expected >= 1)"))?,
-                );
-            }
-            "--workers" => {
-                let v = it.next().ok_or("--workers needs a count")?;
-                parsed.workers = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&n: &usize| (1..=256).contains(&n))
-                        .ok_or_else(|| format!("invalid worker count `{v}` (expected 1..=256)"))?,
                 );
             }
             "--metrics" => {
@@ -392,14 +380,12 @@ mod tests {
     }
 
     #[test]
-    fn parses_workers() {
-        let p = parse(&argv(&["--workers", "4"])).unwrap();
-        assert_eq!(p.workers, Some(4));
-        assert_eq!(parse(&argv(&[])).unwrap().workers, None);
-        assert!(parse(&argv(&["--workers"])).is_err());
-        assert!(parse(&argv(&["--workers", "0"])).is_err());
-        assert!(parse(&argv(&["--workers", "257"])).is_err());
-        assert!(parse(&argv(&["--workers", "some"])).is_err());
+    fn rejects_the_removed_workers_flag() {
+        // Subprocess sharding is gone; its old spelling fails like any
+        // other unknown flag.
+        let flag = format!("--{}", "workers");
+        let err = parse(&[flag.clone(), "2".to_owned()]).unwrap_err();
+        assert_eq!(err, format!("unknown flag `{flag}`"));
     }
 
     #[test]

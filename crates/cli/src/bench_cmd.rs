@@ -2,7 +2,7 @@
 //! the CLI mirror of the `warm_replay_six_workloads` criterion group
 //! plus a sampled-sweep row.
 //!
-//! Three measurements, all over pre-validated in-memory snapshots so
+//! Four measurements, all over pre-validated in-memory snapshots so
 //! the timed region is purely the delivery spine and the tools:
 //!
 //! * **warm sweep** — the nine-predictor fan-out replayed per event
@@ -16,10 +16,6 @@
 //!   every instruction,
 //! * **sampled sweep** — phase-sampled batched replay, reported as
 //!   both delivered and effective (full-trace-equivalent) throughput,
-//! * **sharded sweep** — the `--workers N` coordinator end to end
-//!   (spawn + shard replay + merge) at 1, 2, and 4 workers against a
-//!   warm scratch cache, so the subprocess fan-out's scaling is on
-//!   record next to the single-process numbers,
 //! * **telemetry** — the warm batched sweep timed with telemetry
 //!   collection off and on (min-of-passes), the measured overhead
 //!   percentage, and the per-stage span breakdown from the enabled
@@ -74,8 +70,6 @@ struct BenchJson {
     pintools: Vec<ModeRow>,
     /// Phase-sampled batched replay.
     sampled_sweep: SampledRow,
-    /// `--workers N` coordinator end-to-end, warm scratch cache.
-    sharded_sweep: Vec<ShardedRow>,
     /// Telemetry on/off timing plus the per-stage span breakdown.
     telemetry: TelemetryJson,
 }
@@ -105,16 +99,6 @@ struct SampledRow {
     delivered_fraction: f64,
     delivered_melem_per_s: f64,
     effective_melem_per_s: f64,
-}
-
-/// One worker count's end-to-end sharded-sweep throughput (subprocess
-/// spawn, shard replay against a warm scratch cache, and merge all
-/// included in the timed region).
-#[derive(Debug, Serialize)]
-struct ShardedRow {
-    workers: usize,
-    melem_per_s: f64,
-    speedup_vs_one: f64,
 }
 
 /// The telemetry group: the warm batched nine-predictor sweep timed
@@ -270,9 +254,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         // participates.
         (parsed.cache_dir.is_some(), "--cache"),
         (parsed.no_cache, "--no-cache"),
-        // Sharding is measured by the bench itself (the sharded_sweep
-        // group), not applied to it.
-        (parsed.workers.is_some(), "--workers"),
     ])?;
     args::configure_replay(&parsed)?;
     args::configure_metrics(&parsed);
@@ -378,39 +359,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         effective_melem_per_s: insts as f64 / sampled_secs / 1e6,
     };
 
-    // Sharded sweep: the `--workers N` coordinator end to end — spawn,
-    // shard replay, merge — against a scratch cache warmed by one
-    // untimed cold pass (so timed passes measure warm, hit-served
-    // shards, matching the other warm groups).
-    let scratch =
-        std::env::temp_dir().join(format!("rebalance-bench-shard-{}", std::process::id()));
-    let shard_parsed = args::Parsed {
-        positional: names.clone(),
-        scale: parsed.scale,
-        cache_dir: Some(scratch.to_string_lossy().into_owned()),
-        batch_size: parsed.batch_size,
-        ..args::Parsed::default()
-    };
-    let mut sharded_sweep = Vec::new();
-    let mut one_worker_secs = 0.0;
-    for workers in [1usize, 2, 4] {
-        let run = || crate::shard::sweep_sharded(&shard_parsed, &workloads, workers);
-        // Untimed warm-up; its merged report tells how many events one
-        // sharded pass delivers to the tools.
-        let (_, report) = run()?;
-        let delivered = report.lanes.map_or(insts, |l| l.instructions);
-        let secs = measure(|| (), |_: &mut ()| drop(run().expect("warm sharded sweep")));
-        if workers == 1 {
-            one_worker_secs = secs;
-        }
-        sharded_sweep.push(ShardedRow {
-            workers,
-            melem_per_s: delivered as f64 / secs / 1e6,
-            speedup_vs_one: one_worker_secs / secs,
-        });
-    }
-    let _ = std::fs::remove_dir_all(&scratch);
-
     // Telemetry overhead: the same warm batched sweep with collection
     // off, then on, min-of-passes so the delta is instrumentation
     // cost rather than scheduler noise. The enabled passes also feed
@@ -447,7 +395,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         warm_sweep,
         pintools,
         sampled_sweep,
-        sharded_sweep,
         telemetry: telemetry_group,
     };
     let dir = parsed.json_dir.as_deref().unwrap_or(".");
@@ -473,14 +420,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         f2(json.sampled_sweep.delivered_melem_per_s),
         format!("{} effective", f2(json.sampled_sweep.effective_melem_per_s)),
     ]);
-    for r in &json.sharded_sweep {
-        t.row(vec![
-            "sharded_sweep".to_owned(),
-            format!("workers_{}", r.workers),
-            f2(r.melem_per_s),
-            format!("{}x vs workers_1", f2(r.speedup_vs_one)),
-        ]);
-    }
     t.row(vec![
         "telemetry".to_owned(),
         "disabled".to_owned(),

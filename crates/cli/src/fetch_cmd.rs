@@ -34,20 +34,10 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     let grid = fetchsim::default_grid();
     let (sweep, report) = {
         let _fetch_span = rebalance_telemetry::span("fetch");
-        match parsed.workers {
-            Some(workers) => {
-                // Workers return their shards' rows; the grid (and thus the
-                // config labels) is deterministic, so rebuilding the sweep
-                // here reproduces `sweep_grid`'s output exactly.
-                let (rows, report) = crate::shard::fetch_sharded(&parsed, &workloads, workers)?;
-                let configs = grid.iter().map(|c| c.label()).collect();
-                (fetchsim::FetchsimSweep { configs, rows }, report)
-            }
-            None => (
-                fetchsim::sweep_grid(workloads, parsed.scale, &grid),
-                util::sweep_report(),
-            ),
-        }
+        (
+            fetchsim::sweep_grid(workloads, parsed.scale, &grid),
+            util::sweep_report(),
+        )
     };
 
     // Per design point: selection-mean bandwidth and stall breakdown.

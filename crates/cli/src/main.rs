@@ -28,7 +28,6 @@ mod fetch_cmd;
 mod metrics;
 mod paper_cmd;
 mod phases_cmd;
-mod shard;
 mod sweep_cmd;
 mod trace_cmd;
 mod workloads_cmd;
@@ -66,15 +65,15 @@ fn usage() -> ExitCode {
          \x20     print header/footer metadata of snapshot files (--json writes trace_info.json)\n\
          \x20 trace verify <FILE...> [--batch-size N]\n\
          \x20     fully validate snapshot files (framing, checksum, structure)\n\
-         \x20 sweep [--workloads A,B,...] [--suite S] [--scale S] [--json DIR] [--model M] [--cache DIR] [--no-cache] [--batch-size N] [--workers N]\n\
+         \x20 sweep [--workloads A,B,...] [--suite S] [--scale S] [--json DIR] [--model M] [--cache DIR] [--no-cache] [--batch-size N]\n\
          \x20     run the nine-predictor sweep, replays served from the cache\n\
-         \x20 fetch [--workloads A,B,...] [--suite S] [--scale S] [--json DIR] [--cache DIR] [--no-cache] [--batch-size N] [--workers N]\n\
+         \x20 fetch [--workloads A,B,...] [--suite S] [--scale S] [--json DIR] [--cache DIR] [--no-cache] [--batch-size N]\n\
          \x20     sweep the decoupled front-end (FTQ + FDIP) design grid, one replay per workload\n\
          \x20 workloads list [--suite S]\n\
          \x20     list the registered roster (paper suites + kernel archetypes)\n\
          \x20 phases [--workloads A,B,...] [--suite S] [--scale S] [--sample N] [--sample-k K] [--json DIR] [--cache DIR] [--no-cache] [--batch-size N]\n\
          \x20     print each workload's phase-cluster map and per-cluster weights\n\
-         \x20 paper [EXHIBIT...|all] [--suite S] [--scale S] [--model M] [--json DIR] [--cache DIR] [--no-cache] [--batch-size N] [--workers N]\n\
+         \x20 paper [EXHIBIT...|all] [--suite S] [--scale S] [--model M] [--json DIR] [--cache DIR] [--no-cache] [--batch-size N]\n\
          \x20     regenerate the paper's figures/tables (see `repro`) through the cache\n\
          \x20 bench [--workloads A,B,...] [--suite S] [--scale S] [--json DIR] [--cache DIR] [--no-cache] [--batch-size N]\n\
          \x20     measure replay throughput per delivery mode, write BENCH_replay.json with --json\n\
@@ -85,7 +84,6 @@ fn usage() -> ExitCode {
          --sample N [--sample-k K]: phase-sample sweep/fetch/paper replays into N intervals,\n\
          \x20    K clusters, replaying one weighted representative per cluster (default 160/8)\n\
          --batch-size N: events per delivery block (default 4096; env REBALANCE_BATCH)\n\
-         --workers N: shard sweep/fetch/paper across N worker subprocesses sharing the trace cache\n\
          --metrics [text|json[=PATH]]: emit the telemetry snapshot after the report (sweep/fetch/paper/bench;\n\
          \x20    text prints the span tree + top counters, json writes metrics.json; env REBALANCE_METRICS=1\n\
          \x20    turns collection on without emitting)"
@@ -117,8 +115,6 @@ fn main() -> ExitCode {
             Some((sub, rest)) if sub == "list" => workloads_cmd::list(rest),
             _ => return usage(),
         },
-        // Internal: one shard of a `--workers N` run (request on stdin).
-        "__worker" => shard::worker(rest),
         "--help" | "-h" | "help" => return usage(),
         _ => return usage(),
     };

@@ -1,6 +1,5 @@
 //! Shared `--metrics` emission: after a subcommand prints its report,
-//! this renders or writes the process-wide telemetry snapshot
-//! (including anything absorbed from `__worker` shards).
+//! this renders or writes the process-wide telemetry snapshot.
 
 use rebalance_telemetry as telemetry;
 
@@ -11,8 +10,8 @@ use crate::args::{MetricsMode, Parsed};
 /// versioned `metrics.json` (into the `--json` directory when one was
 /// given, the working directory otherwise, or an explicit
 /// `json=PATH`). A no-op without the flag — the `REBALANCE_METRICS`
-/// env latch alone collects but does not emit, so worker subprocesses
-/// and scripted runs stay quiet.
+/// env latch alone collects but does not emit, so scripted runs stay
+/// quiet.
 ///
 /// # Errors
 ///

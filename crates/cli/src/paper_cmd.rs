@@ -30,20 +30,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     }
     let exhibits = driver::resolve_exhibits(&parsed.positional)?;
 
-    if let Some(workers) = parsed.workers {
-        // Shard the exhibits across worker subprocesses; each worker
-        // captures its exhibits' text (and writes its own `--json`
-        // dumps into the shared directory), and the coordinator prints
-        // the concatenation in exhibit order plus the merged report.
-        let (text, report) = {
-            let _paper_span = rebalance_telemetry::span("paper");
-            crate::shard::paper_sharded(&parsed, &exhibits, workers)?
-        };
-        crate::print_ignoring_pipe(&format!("{text}{report}\n"));
-        crate::metrics::emit(&parsed)?;
-        return Ok(ExitCode::SUCCESS);
-    }
-
     let json_dir = parsed.json_dir.as_ref().map(PathBuf::from);
     {
         let _paper_span = rebalance_telemetry::span("paper");

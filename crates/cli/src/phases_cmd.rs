@@ -66,7 +66,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     args::forbid(&[
         (parsed.force, "--force"),
         (parsed.model.is_some(), "--model"),
-        (parsed.workers.is_some(), "--workers"),
     ])?;
     args::forbid(&args::metrics_flag(&parsed))?;
     let workloads = args::resolve_workloads(&parsed.positional, parsed.all, parsed.suite)?;

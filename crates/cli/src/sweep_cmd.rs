@@ -3,11 +3,8 @@
 //!
 //! The command is split into a *compute* half (replay the selection,
 //! reduce to plain per-workload rows) and a *render* half (tables and
-//! JSON from those rows). A single-process run chains the two; with
-//! `--workers N` the compute half runs inside worker subprocesses over
-//! shards of the selection and the coordinator renders the merged rows
-//! through the very same render half, so both modes print bit-identical
-//! output.
+//! JSON from those rows), so the printed tables and the `--json` dumps
+//! are rendered from the same rows.
 
 use std::process::ExitCode;
 
@@ -30,24 +27,23 @@ struct SweepJson {
 
 /// One workload's MPKI under every configuration.
 #[derive(Debug, Serialize)]
-pub(crate) struct SweepJsonRow {
-    pub(crate) workload: String,
-    pub(crate) suite: Suite,
-    pub(crate) mpki: Vec<f64>,
+struct SweepJsonRow {
+    workload: String,
+    suite: Suite,
+    mpki: Vec<f64>,
 }
 
 /// The reduced result of the sweep's compute half: everything the
-/// render half (or a shard coordinator) needs, with no live tools.
-#[derive(Debug, Serialize)]
-pub(crate) struct SweepRows {
-    pub(crate) rows: Vec<SweepJsonRow>,
-    pub(crate) cpi: Option<Vec<CpiJsonRow>>,
+/// render half needs, with no live tools.
+struct SweepRows {
+    rows: Vec<SweepJsonRow>,
+    cpi: Option<Vec<CpiJsonRow>>,
 }
 
 /// Replays the selection and reduces it to per-workload rows; with
 /// `model`, a second shared replay per workload measures both paper
 /// cores' CPI through the chosen timing backend.
-pub(crate) fn compute(
+fn compute(
     workloads: &[Workload],
     scale: rebalance_workloads::Scale,
     model: Option<FetchModelKind>,
@@ -81,9 +77,7 @@ pub(crate) fn compute(
 /// per-suite means over multi-suite selections, per-workload rows when
 /// a single suite is selected (`--suite kernels` reads best that way).
 /// With `--model {penalty,ftq}`, a per-workload CPI table measured
-/// through the chosen timing backend follows. With `--workers N` the
-/// selection is sharded across N worker subprocesses sharing the
-/// on-disk cache.
+/// through the chosen timing backend follows.
 pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     let parsed = args::parse(argv)?;
     args::forbid(&[(parsed.force, "--force")])?;
@@ -102,13 +96,10 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         // The whole compute half nests under one `sweep` span, closed
         // before the snapshot `metrics::emit` takes below.
         let _sweep_span = rebalance_telemetry::span("sweep");
-        match parsed.workers {
-            Some(workers) => crate::shard::sweep_sharded(&parsed, &workloads, workers)?,
-            None => (
-                compute(&workloads, parsed.scale, parsed.model),
-                util::sweep_report(),
-            ),
-        }
+        (
+            compute(&workloads, parsed.scale, parsed.model),
+            util::sweep_report(),
+        )
     };
 
     let suites: Vec<Suite> = Suite::ALL
@@ -196,12 +187,12 @@ struct CpiJson {
 
 /// One workload's CPI on its dominant section.
 #[derive(Debug, Serialize)]
-pub(crate) struct CpiJsonRow {
-    pub(crate) workload: String,
-    pub(crate) suite: Suite,
-    pub(crate) section: String,
-    pub(crate) baseline_cpi: f64,
-    pub(crate) tailored_cpi: f64,
+struct CpiJsonRow {
+    workload: String,
+    suite: Suite,
+    section: String,
+    baseline_cpi: f64,
+    tailored_cpi: f64,
 }
 
 /// Measures both paper cores over the selection through the chosen

@@ -21,7 +21,6 @@ fn forbid_file_subcommand_flags(parsed: &args::Parsed) -> Result<(), String> {
         (parsed.force, "--force"),
         (parsed.suite.is_some(), "--suite"),
         (parsed.model.is_some(), "--model"),
-        (parsed.workers.is_some(), "--workers"),
     ])?;
     args::forbid(&args::sampling_flags(parsed))?;
     args::forbid(&args::metrics_flag(parsed))
@@ -87,7 +86,6 @@ pub fn record(argv: &[String]) -> Result<ExitCode, String> {
         ),
         (parsed.json_dir.is_some(), "--json"),
         (parsed.model.is_some(), "--model"),
-        (parsed.workers.is_some(), "--workers"),
     ])?;
     args::forbid(&args::sampling_flags(&parsed))?;
     args::forbid(&args::metrics_flag(&parsed))?;

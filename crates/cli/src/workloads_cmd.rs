@@ -20,7 +20,6 @@ pub fn list(argv: &[String]) -> Result<ExitCode, String> {
         (parsed.force, "--force"),
         (parsed.batch_size.is_some(), "--batch-size"),
         (parsed.model.is_some(), "--model"),
-        (parsed.workers.is_some(), "--workers"),
     ])?;
     args::forbid(&args::sampling_flags(&parsed))?;
     args::forbid(&args::metrics_flag(&parsed))?;

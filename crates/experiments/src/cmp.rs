@@ -7,7 +7,7 @@ use rebalance_workloads::{Scale, Suite, Workload};
 use serde::{Deserialize, Serialize};
 
 use crate::paper;
-use crate::util::{self, f2, for_all_workloads, mean, par_map, TextTable};
+use crate::util::{self, f2, for_all_workloads, mean, TextTable};
 
 /// The four Figure 10 CMP simulators.
 fn figure10_sims() -> Vec<CmpSim> {
@@ -288,7 +288,7 @@ pub fn fig11(scale: Scale) -> Fig11 {
             .map(|n| rebalance_workloads::find(n).expect("figure 11 roster name"))
             .collect(),
     );
-    let rows = par_map(subset, |w| {
+    let rows = util::engine().map(&subset, |w| {
         let results = util::floorplans(&sims, w, scale);
         let base = results[0].time_s;
         results

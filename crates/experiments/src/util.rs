@@ -1,5 +1,5 @@
 //! Shared harness utilities: the process-wide sweep engine, the
-//! optional trace cache, parallel mapping, and table rendering.
+//! optional trace cache, and table rendering.
 //!
 //! Every experiment routes its replays through the helpers here, so
 //! exhibits share one [`SweepEngine`] (one replay ledger, one thread
@@ -17,8 +17,8 @@ use rebalance_pintools::{
     characterization_from_tools, characterization_tools, BbvTool, Characterization,
 };
 use rebalance_trace::{
-    CacheStats, DeliveryLedger, Pintool, Report, RunSummary, SampledOutcome, SamplingConfig,
-    SweepEngine, SweepOutcome, TraceCache,
+    Pintool, Report, RunSummary, SampledOutcome, SamplingConfig, SweepEngine, SweepOutcome,
+    TraceCache,
 };
 use rebalance_workloads::{Scale, Suite, Workload};
 
@@ -145,42 +145,6 @@ pub fn sweep_report() -> Report {
     let report = engine().report().with_lanes(rebalance_trace::lane_fill());
     match shared_cache() {
         Some(cache) => report.with_cache(cache),
-        None => report,
-    }
-}
-
-/// A point-in-time baseline of the process-wide accounting ledgers
-/// (replay count, batch delivery, cache counters — all cumulative over
-/// the process). Capture one before a sweep and render the sweep-scoped
-/// report with [`sweep_report_since`], so a second sweep in the same
-/// process does not inherit the first one's traffic.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReportBaseline {
-    replays: u64,
-    ledger: DeliveryLedger,
-    cache: CacheStats,
-}
-
-/// Snapshots the current process-wide ledgers as a baseline.
-pub fn report_baseline() -> ReportBaseline {
-    ReportBaseline {
-        replays: engine().replays(),
-        ledger: DeliveryLedger::snapshot(),
-        cache: shared_cache().map(TraceCache::stats).unwrap_or_default(),
-    }
-}
-
-/// Replay and cache accounting for everything run through [`engine`]
-/// since `base` — the per-sweep variant of [`sweep_report`].
-pub fn sweep_report_since(base: &ReportBaseline) -> Report {
-    let ledger = DeliveryLedger::snapshot().since(&base.ledger);
-    let report = Report {
-        replays: engine().replays() - base.replays,
-        ..Report::default()
-    }
-    .with_lanes(ledger.lane_fill());
-    match shared_cache() {
-        Some(cache) => report.with_cache_stats(cache.stats().since(&base.cache)),
         None => report,
     }
 }
@@ -324,18 +288,6 @@ pub fn characterize_workload(workload: &Workload, scale: Scale) -> Characterizat
     }
 }
 
-/// Maps `f` over `items` on the shared engine's executor
-/// (work-stealing, order-preserving). Thin wrapper kept for harness
-/// call sites that are not trace sweeps.
-pub fn par_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send + Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    engine().map(&items, f)
-}
-
 /// Runs `f` over the roster (narrowed by the active suite filter)
 /// in parallel, returning `(workload, result)` pairs in roster order.
 pub fn for_all_workloads<U, F>(f: F) -> Vec<(Workload, U)>
@@ -435,19 +387,6 @@ pub fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_map_preserves_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = par_map(items.clone(), |x| x * 2);
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_empty() {
-        let out: Vec<u64> = par_map(Vec::<u64>::new(), |x| *x);
-        assert!(out.is_empty());
-    }
 
     #[test]
     fn table_renders_aligned() {

@@ -42,14 +42,6 @@ impl Value {
         }
     }
 
-    /// The boolean payload, if this is a [`Value::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The unsigned-integer payload: [`Value::UInt`] directly, or a
     /// non-negative [`Value::Int`].
     pub fn as_u64(&self) -> Option<u64> {
@@ -60,54 +52,12 @@ impl Value {
         }
     }
 
-    /// The signed-integer payload: [`Value::Int`] directly, or a
-    /// [`Value::UInt`] that fits.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            Value::UInt(u) => i64::try_from(*u).ok(),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as a float (floats exactly; integers
-    /// converted, as JSON does not distinguish them).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Float(f) => Some(*f),
-            Value::Int(i) => Some(*i as f64),
-            Value::UInt(u) => Some(*u as f64),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a [`Value::Str`].
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The element list, if this is a [`Value::Seq`].
-    pub fn as_seq(&self) -> Option<&[Value]> {
-        match self {
-            Value::Seq(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// The key/value entries, if this is a [`Value::Map`].
     pub fn as_map(&self) -> Option<&[(String, Value)]> {
         match self {
             Value::Map(entries) => Some(entries),
             _ => None,
         }
-    }
-
-    /// `true` for [`Value::Null`].
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
     }
 }
 

@@ -1,13 +1,11 @@
 //! Process-wide telemetry: a metrics registry and a hierarchical span
-//! tree, both built for associative cross-process merging.
+//! tree, read out as one [`MetricsSnapshot`] per process.
 //!
-//! The sweep pipeline runs the same work in three shapes — single
-//! process, executor threads, and `--workers N` shards — and a
-//! measurement is only trustworthy if all three report it identically.
-//! Everything in this crate is therefore designed around one algebra:
-//! snapshots form a commutative monoid under [`MetricsSnapshot::merged`]
-//! with [`MetricsSnapshot::default`] as the identity, mirroring how the
-//! sweep layer folds per-shard `Report`s.
+//! The sweep pipeline runs its work on the executor's threads, and a
+//! measurement is only trustworthy if it does not depend on which
+//! thread did the work: every thread's spans fold into one tree
+//! ([`SpanNode::absorb`] adds totals and counts node by node), and
+//! registry metrics are shared atomics.
 //!
 //! Two primitives:
 //!
@@ -30,12 +28,10 @@
 //!
 //! Naming scheme: dotted lowercase segments, most-general first
 //! (`cache.lock_wait_ns`). Metrics whose *value* is a duration carry a
-//! `_ns` suffix; shard-merge comparisons treat those as
+//! `_ns` suffix; run-to-run comparisons treat those as
 //! machine-dependent and compare them structurally, never by value.
-//! Counters merge by sum; gauges record configuration-like values
-//! (e.g. batch capacity) and merge by max so that a shard fold does
-//! not multiply them by the worker count; histograms merge
-//! bucket-wise.
+//! Counters add; gauges record configuration-like values (e.g. batch
+//! capacity); histograms count observations in log2 buckets.
 //!
 //! # Examples
 //!
@@ -111,7 +107,7 @@ pub fn set_enabled(on: bool) {
 // Registry metrics
 // ---------------------------------------------------------------------------
 
-/// A monotonically increasing `u64` metric. Merges by sum.
+/// A monotonically increasing `u64` metric.
 #[derive(Clone, Debug)]
 pub struct Counter(Arc<AtomicU64>);
 
@@ -137,9 +133,7 @@ impl Counter {
 }
 
 /// A last-writer-wins `i64` metric for configuration-like values
-/// (thread counts, batch capacity). Merges by **max**, not sum: a
-/// fold over `N` shards must not multiply a shard-invariant value by
-/// `N`.
+/// (thread counts, batch capacity).
 #[derive(Clone, Debug)]
 pub struct Gauge(Arc<AtomicI64>);
 
@@ -168,7 +162,7 @@ struct HistogramInner {
 /// A `u64` histogram with [`HIST_BUCKETS`] fixed log2 buckets: bucket
 /// `i` counts observations whose bit width is `i` (values in
 /// `[2^(i-1), 2^i)`), with zero landing in bucket 0 and anything with
-/// the top bit set clamped into the last bucket. Merges bucket-wise.
+/// the top bit set clamped into the last bucket.
 #[derive(Clone, Debug)]
 pub struct Histogram(Arc<HistogramInner>);
 
@@ -259,7 +253,7 @@ pub fn histogram(name: &str) -> Histogram {
 // Spans
 // ---------------------------------------------------------------------------
 
-/// One node of the merged span tree: total inclusive nanoseconds,
+/// One node of the process span tree: total inclusive nanoseconds,
 /// number of completed spans, and child nodes keyed by span name.
 ///
 /// Self-time is implicit: `total_ns` minus the sum of child totals is
@@ -316,11 +310,6 @@ thread_local! {
 fn global_spans() -> &'static Mutex<SpanNode> {
     static GLOBAL: OnceLock<Mutex<SpanNode>> = OnceLock::new();
     GLOBAL.get_or_init(Mutex::default)
-}
-
-fn absorbed() -> &'static Mutex<MetricsSnapshot> {
-    static ABSORBED: OnceLock<Mutex<MetricsSnapshot>> = OnceLock::new();
-    ABSORBED.get_or_init(Mutex::default)
 }
 
 /// RAII guard returned by [`span`]; records the elapsed time into the
@@ -395,20 +384,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    fn merged(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        let len = self.buckets.len().max(other.buckets.len());
-        let mut buckets = vec![0u64; len];
-        for (i, slot) in buckets.iter_mut().enumerate() {
-            *slot = self.buckets.get(i).copied().unwrap_or(0)
-                + other.buckets.get(i).copied().unwrap_or(0);
-        }
-        HistogramSnapshot {
-            count: self.count + other.count,
-            sum: self.sum + other.sum,
-            buckets,
-        }
-    }
-
     /// Upper bound of the highest nonzero bucket (`2^i`), or 0 when
     /// the histogram is empty. A cheap tail indicator for rendering.
     pub fn max_bound(&self) -> u64 {
@@ -420,15 +395,8 @@ impl HistogramSnapshot {
     }
 }
 
-/// A mergeable point-in-time copy of every metric and the full span
-/// tree. This is the unit shipped from `__worker` shards to the
-/// coordinator and written to `metrics.json`.
-///
-/// Snapshots form a commutative monoid: [`MetricsSnapshot::merged`] is
-/// associative, and [`MetricsSnapshot::default`] is its identity —
-/// the same laws the sweep layer relies on when folding shard
-/// `Report`s, so telemetry from `--workers N` is bit-stable against a
-/// single-process run for every machine-independent metric.
+/// A point-in-time copy of every metric and the full span tree: what
+/// `--metrics` renders and writes to `metrics.json`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Counter values by name (zero-valued counters are omitted).
@@ -443,25 +411,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Merges two snapshots: counters add, gauges take the max,
-    /// histograms add bucket-wise, span trees merge recursively.
-    pub fn merged(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut out = self.clone();
-        for (name, v) in &other.counters {
-            *out.counters.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, v) in &other.gauges {
-            let slot = out.gauges.entry(name.clone()).or_insert(*v);
-            *slot = (*slot).max(*v);
-        }
-        for (name, h) in &other.histograms {
-            let slot = out.histograms.entry(name.clone()).or_default();
-            *slot = slot.merged(h);
-        }
-        out.spans.absorb(&other.spans);
-        out
-    }
-
     /// True when the snapshot holds no metrics and no spans.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()
@@ -639,13 +588,12 @@ impl MetricsSnapshot {
 // Process-level collection
 // ---------------------------------------------------------------------------
 
-/// Captures everything recorded so far: the live registry, the merged
-/// span tree (including this thread's finished spans), and every
-/// snapshot previously [`absorb`]ed from other processes.
+/// Captures everything recorded so far: the live registry and the
+/// process span tree (including this thread's finished spans).
 ///
 /// Zero-valued counters/gauges and empty histograms are omitted so
 /// that which handles happened to be *registered* (vs actually used)
-/// never shows up in merge comparisons.
+/// never shows up in run-to-run comparisons.
 pub fn snapshot() -> MetricsSnapshot {
     // Flush this thread's finished spans so a snapshot taken right
     // after the top-level span closes sees it.
@@ -654,44 +602,32 @@ pub fn snapshot() -> MetricsSnapshot {
         global_spans().lock().expect("span tree").absorb(&local);
     }
 
-    let mut snap = absorbed().lock().expect("absorbed snapshots").clone();
+    let mut snap = MetricsSnapshot::default();
     let reg = registry();
     for (name, c) in reg.counters.lock().expect("counter registry").iter() {
         let v = c.value();
         if v > 0 {
-            *snap.counters.entry(name.clone()).or_insert(0) += v;
+            snap.counters.insert(name.clone(), v);
         }
     }
     for (name, g) in reg.gauges.lock().expect("gauge registry").iter() {
         let v = g.value();
         if v != 0 {
-            let slot = snap.gauges.entry(name.clone()).or_insert(v);
-            *slot = (*slot).max(v);
+            snap.gauges.insert(name.clone(), v);
         }
     }
     for (name, h) in reg.histograms.lock().expect("histogram registry").iter() {
         let hs = h.snapshot();
         if hs.count > 0 {
-            let slot = snap.histograms.entry(name.clone()).or_default();
-            *slot = slot.merged(&hs);
+            snap.histograms.insert(name.clone(), hs);
         }
     }
-    snap.spans
-        .absorb(&global_spans().lock().expect("span tree"));
+    snap.spans = global_spans().lock().expect("span tree").clone();
     snap
 }
 
-/// Merges a snapshot from another process (a `__worker` shard) into
-/// this process's collection; [`snapshot`] folds it back out with the
-/// same associative merge the sweep layer uses for `Report`s.
-pub fn absorb(snap: &MetricsSnapshot) {
-    let mut held = absorbed().lock().expect("absorbed snapshots");
-    let merged = held.merged(snap);
-    *held = merged;
-}
-
-/// Clears every counter, gauge, histogram, the span tree, and all
-/// absorbed snapshots. For benches and tests that measure deltas.
+/// Clears every counter, gauge, histogram, and the span tree. For
+/// benches and tests that measure deltas.
 pub fn reset() {
     let reg = registry();
     for c in reg.counters.lock().expect("counter registry").values() {
@@ -704,7 +640,6 @@ pub fn reset() {
         h.reset();
     }
     *global_spans().lock().expect("span tree") = SpanNode::default();
-    *absorbed().lock().expect("absorbed snapshots") = MetricsSnapshot::default();
     LOCAL.with(|cell| cell.borrow_mut().root = SpanNode::default());
 }
 
@@ -713,7 +648,8 @@ mod tests {
     use super::*;
 
     // Registry + span state is process-global; tests that touch it
-    // serialize on this lock (pure merge-law tests don't need it).
+    // serialize on this lock (tests on hand-built snapshots don't need
+    // it).
     fn test_guard() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -820,21 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_feeds_snapshot() {
-        let _g = test_guard();
-        reset();
-        let mut external = MetricsSnapshot::default();
-        external.counters.insert("shard.counter".into(), 7);
-        external.gauges.insert("shard.gauge".into(), 3);
-        absorb(&external);
-        absorb(&external);
-        let snap = snapshot();
-        assert_eq!(snap.counters["shard.counter"], 14);
-        assert_eq!(snap.gauges["shard.gauge"], 3); // max, not sum
-        reset();
-    }
-
-    #[test]
     fn attribution_violation_is_reported() {
         let mut snap = MetricsSnapshot::default();
         let mut parent = SpanNode {
@@ -902,24 +823,6 @@ mod tests {
         assert!(text.contains("2.000ms"), "{text}");
         assert!(text.contains("cache.hits"), "{text}");
     }
-
-    #[test]
-    fn merge_identity_and_units() {
-        let mut a = MetricsSnapshot::default();
-        a.counters.insert("c".into(), 3);
-        a.gauges.insert("g".into(), -2);
-        a.histograms.insert(
-            "h".into(),
-            HistogramSnapshot {
-                count: 2,
-                sum: 9,
-                buckets: vec![0, 1, 1],
-            },
-        );
-        let id = MetricsSnapshot::default();
-        assert_eq!(a.merged(&id), a);
-        assert_eq!(id.merged(&a), a);
-    }
 }
 
 #[cfg(test)]
@@ -927,31 +830,14 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Builds a snapshot from generated (slot, value) pairs: slots map
-    /// onto a small fixed name space so merges actually collide.
+    /// Builds a span tree from generated (slot, value) pairs: slots
+    /// map onto a small fixed name space so paths collide and
+    /// [`SpanNode::absorb`] folds many spans into one node.
     fn snap_from(parts: &[(u8, u16)]) -> MetricsSnapshot {
         const NAMES: [&str; 4] = ["a.x", "a.y_ns", "b.x", "b.z"];
         let mut snap = MetricsSnapshot::default();
         for &(slot, v) in parts {
             let name = NAMES[(slot % 4) as usize];
-            match slot % 3 {
-                0 => *snap.counters.entry(name.into()).or_insert(0) += v as u64,
-                1 => {
-                    let slot = snap.gauges.entry(name.into()).or_insert(v as i64);
-                    *slot = (*slot).max(v as i64);
-                }
-                _ => {
-                    let h = snap.histograms.entry(name.into()).or_default();
-                    let mut one = HistogramSnapshot {
-                        count: 1,
-                        sum: v as u64,
-                        buckets: vec![0; HIST_BUCKETS],
-                    };
-                    one.buckets[super::bucket_index(v as u64)] = 1;
-                    *h = h.merged(&one);
-                }
-            }
-            // Give the span tree a couple of colliding paths too.
             let mut node = SpanNode {
                 total_ns: v as u64 + 1,
                 count: 1,
@@ -978,42 +864,10 @@ mod proptests {
 
     proptest! {
         #[test]
-        fn merge_is_associative(
-            xs in proptest::collection::vec((0u8..12, 0u16..1000), 0..20),
-            ys in proptest::collection::vec((0u8..12, 0u16..1000), 0..20),
-            zs in proptest::collection::vec((0u8..12, 0u16..1000), 0..20),
+        fn absorbed_spans_keep_attribution(
+            xs in proptest::collection::vec((0u8..12, 0u16..1000), 0..40),
         ) {
-            let (a, b, c) = (snap_from(&xs), snap_from(&ys), snap_from(&zs));
-            prop_assert_eq!(a.merged(&b).merged(&c), a.merged(&b.merged(&c)));
-        }
-
-        #[test]
-        fn default_is_the_merge_identity(
-            xs in proptest::collection::vec((0u8..12, 0u16..1000), 0..30),
-        ) {
-            let a = snap_from(&xs);
-            let id = MetricsSnapshot::default();
-            prop_assert_eq!(a.merged(&id), a.clone());
-            prop_assert_eq!(id.merged(&a), a);
-        }
-
-        #[test]
-        fn merge_is_commutative(
-            xs in proptest::collection::vec((0u8..12, 0u16..1000), 0..20),
-            ys in proptest::collection::vec((0u8..12, 0u16..1000), 0..20),
-        ) {
-            let (a, b) = (snap_from(&xs), snap_from(&ys));
-            prop_assert_eq!(a.merged(&b), b.merged(&a));
-        }
-
-        #[test]
-        fn merge_preserves_attribution(
-            xs in proptest::collection::vec((0u8..12, 0u16..1000), 0..20),
-            ys in proptest::collection::vec((0u8..12, 0u16..1000), 0..20),
-        ) {
-            let (a, b) = (snap_from(&xs), snap_from(&ys));
-            prop_assert!(a.check_attribution().is_ok());
-            prop_assert!(a.merged(&b).check_attribution().is_ok());
+            prop_assert!(snap_from(&xs).check_attribution().is_ok());
         }
     }
 }

@@ -190,60 +190,13 @@ pub(crate) fn record_delivery(batch: &EventBatch) {
     LEDGER_BRANCHES.fetch_add(batch.summary().branches, Ordering::Relaxed);
 }
 
-/// A point-in-time copy of the process-wide batch-delivery ledger.
-///
-/// The underlying counters are cumulative over the process lifetime —
-/// a second sweep in the same process would otherwise fold the first
-/// sweep's traffic into its report. Take a snapshot before a sweep and
-/// diff with [`DeliveryLedger::since`] afterwards to scope delivery
-/// attribution to exactly that sweep.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct DeliveryLedger {
-    /// Events delivered through fan-out batches.
-    pub instructions: u64,
-    /// Branch share of the delivered events.
-    pub branches: u64,
-}
-
-impl DeliveryLedger {
-    /// The ledger's current cumulative values.
-    pub fn snapshot() -> DeliveryLedger {
-        DeliveryLedger {
-            instructions: LEDGER_INSTS.load(Ordering::Relaxed),
-            branches: LEDGER_BRANCHES.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Counter deltas relative to an earlier snapshot in the same
-    /// process.
-    pub fn since(&self, earlier: &DeliveryLedger) -> DeliveryLedger {
-        DeliveryLedger {
-            instructions: self.instructions - earlier.instructions,
-            branches: self.branches - earlier.branches,
-        }
-    }
-
-    /// Counter sums across independent processes (shard merging).
-    pub fn merged(&self, other: &DeliveryLedger) -> DeliveryLedger {
-        DeliveryLedger {
-            instructions: self.instructions + other.instructions,
-            branches: self.branches + other.branches,
-        }
-    }
-
-    /// The delivered-event fill this snapshot (or delta) describes.
-    pub fn lane_fill(&self) -> crate::report::LaneFill {
-        crate::report::LaneFill {
-            instructions: self.instructions,
-            branches: self.branches,
-        }
-    }
-}
-
 /// The process-wide delivered-event fill so far: events delivered
 /// through fan-out batches and the branch share of them.
 pub fn lane_fill() -> crate::report::LaneFill {
-    DeliveryLedger::snapshot().lane_fill()
+    crate::report::LaneFill {
+        instructions: LEDGER_INSTS.load(Ordering::Relaxed),
+        branches: LEDGER_BRANCHES.load(Ordering::Relaxed),
+    }
 }
 
 /// Where a producer's decode/interpret loop delivers events: directly

@@ -234,23 +234,6 @@ impl CacheStats {
         }
     }
 
-    /// Counter sums across independent caches (or per-shard deltas) —
-    /// how a sweep coordinator folds worker stats into one report.
-    pub fn merged(&self, other: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            generations: self.generations + other.generations,
-            rejected: self.rejected + other.rejected,
-            write_failures: self.write_failures + other.write_failures,
-            coalesced: self.coalesced + other.coalesced,
-            tmp_swept: self.tmp_swept + other.tmp_swept,
-            bytes_read: self.bytes_read + other.bytes_read,
-            bytes_written: self.bytes_written + other.bytes_written,
-            lock_wait_ns: self.lock_wait_ns + other.lock_wait_ns,
-        }
-    }
-
     /// Hits as a fraction of all lookups (0 when none).
     pub fn hit_rate(&self) -> f64 {
         let lookups = self.hits + self.misses;
@@ -1412,8 +1395,8 @@ mod tests {
     }
 
     #[test]
-    fn stats_merge_sums_all_counters() {
-        let a = CacheStats {
+    fn stats_since_subtracts_every_counter() {
+        let earlier = CacheStats {
             hits: 1,
             misses: 2,
             generations: 3,
@@ -1425,11 +1408,36 @@ mod tests {
             bytes_written: 9,
             lock_wait_ns: 10,
         };
-        let merged = a.merged(&a);
-        assert_eq!(merged.since(&a), a, "merge then delta round-trips");
-        assert_eq!(merged.hits, 2);
-        assert_eq!(merged.tmp_swept, 14);
-        assert_eq!(merged.lock_wait_ns, 20);
+        let later = CacheStats {
+            hits: 11,
+            misses: 22,
+            generations: 33,
+            rejected: 44,
+            write_failures: 55,
+            coalesced: 66,
+            tmp_swept: 77,
+            bytes_read: 88,
+            bytes_written: 99,
+            lock_wait_ns: 110,
+        };
+        let delta = later.since(&earlier);
+        assert_eq!(
+            delta,
+            CacheStats {
+                hits: 10,
+                misses: 20,
+                generations: 30,
+                rejected: 40,
+                write_failures: 50,
+                coalesced: 60,
+                tmp_swept: 70,
+                bytes_read: 80,
+                bytes_written: 90,
+                lock_wait_ns: 100,
+            }
+        );
+        assert_eq!(later.since(&later), CacheStats::default());
+        assert_eq!(later.since(&CacheStats::default()), later);
     }
 
     #[test]

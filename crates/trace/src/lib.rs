@@ -96,7 +96,7 @@ mod toolset;
 
 pub use batch::{
     batch_capacity, lane_fill, parse_batch_capacity, set_batch_capacity, BatchCapacityError,
-    DeliveryLedger, EventBatch, BATCH_ENV, DEFAULT_BATCH_CAPACITY, MAX_BATCH_CAPACITY,
+    EventBatch, BATCH_ENV, DEFAULT_BATCH_CAPACITY, MAX_BATCH_CAPACITY,
 };
 pub use builder::ProgramBuilder;
 pub use by_section::BySection;

@@ -32,14 +32,6 @@ impl LaneFill {
             self.branches as f64 / self.instructions as f64
         }
     }
-
-    /// Delivery sums across independent sweeps (shard merging).
-    pub fn merged(&self, other: &LaneFill) -> LaneFill {
-        LaneFill {
-            instructions: self.instructions + other.instructions,
-            branches: self.branches + other.branches,
-        }
-    }
 }
 
 /// Replay and cache accounting for one sweep (or one whole process).
@@ -83,13 +75,6 @@ impl Report {
         self
     }
 
-    /// Attaches already-snapshotted cache counters (e.g. a
-    /// [`CacheStats::since`] delta).
-    pub fn with_cache_stats(mut self, stats: CacheStats) -> Self {
-        self.cache = Some(stats);
-        self
-    }
-
     /// Attaches batch-delivery counters.
     pub fn with_lanes(mut self, lanes: LaneFill) -> Self {
         self.lanes = Some(lanes);
@@ -102,25 +87,6 @@ impl Report {
         match &self.cache {
             Some(stats) => stats.generations,
             None => self.replays,
-        }
-    }
-
-    /// Folds another report (typically a worker shard's delta) into
-    /// this one: replays, cache counters, and delivered events add (an
-    /// empty report is a neutral fold seed).
-    pub fn merged(&self, other: &Report) -> Report {
-        let cache = match (self.cache, other.cache) {
-            (Some(a), Some(b)) => Some(a.merged(&b)),
-            (a, b) => a.or(b),
-        };
-        let lanes = match (self.lanes, other.lanes) {
-            (Some(a), Some(b)) => Some(a.merged(&b)),
-            (a, b) => a.or(b),
-        };
-        Report {
-            replays: self.replays + other.replays,
-            cache,
-            lanes,
         }
     }
 }
@@ -169,41 +135,19 @@ mod tests {
             ..Report::default()
         };
         assert_eq!(r.generations(), 41);
-        let r = r.with_cache_stats(CacheStats {
-            hits: 38,
-            misses: 3,
-            generations: 3,
-            ..CacheStats::default()
-        });
+        let r = Report {
+            cache: Some(CacheStats {
+                hits: 38,
+                misses: 3,
+                generations: 3,
+                ..CacheStats::default()
+            }),
+            ..r
+        };
         assert_eq!(r.generations(), 3);
         let text = r.to_string();
         assert!(text.contains("replays: 41"), "{text}");
         assert!(text.contains("38 hits"), "{text}");
-    }
-
-    #[test]
-    fn merged_sums_shards() {
-        let shard = |replays| Report {
-            replays,
-            cache: Some(CacheStats {
-                hits: replays,
-                ..CacheStats::default()
-            }),
-            lanes: Some(LaneFill {
-                instructions: 100 * replays,
-                branches: 10 * replays,
-            }),
-        };
-        let a = shard(3);
-        let b = shard(4);
-        let merged = a.merged(&b);
-        assert_eq!(merged.replays, 7);
-        assert_eq!(merged.cache.unwrap().hits, 7);
-        assert_eq!(merged.lanes.unwrap().instructions, 700);
-
-        // The empty report is a neutral fold seed.
-        assert_eq!(Report::default().merged(&merged), merged);
-        assert_eq!(merged.merged(&Report::default()), merged);
     }
 
     #[test]

@@ -1,17 +1,13 @@
-//! Concurrency guarantees behind `--workers N`:
-//!
-//! 1. the **torture test**: many threads hammer one shared on-disk
-//!    [`TraceCache`] with overlapping rosters — nothing corrupts,
-//!    nothing is rejected, every distinct key is generated exactly
-//!    once (single-flight), and the merged analysis results are
-//!    byte-identical to a single-threaded pass;
-//! 2. the **ledger regression**: two sweeps in one process each get a
-//!    report scoped to their own replays via
-//!    [`util::report_baseline`]/[`util::sweep_report_since`], instead
-//!    of the second inheriting the first's cumulative traffic.
+//! Concurrency guarantee of the shared on-disk [`TraceCache`]: many
+//! threads hammer one cache with overlapping rosters — nothing
+//! corrupts, nothing is rejected, every distinct key is generated
+//! exactly once (single-flight), and the combined analysis results are
+//! byte-identical to a single-threaded pass. The cross-*process* half
+//! of the same guarantee is checked end to end by the CLI's
+//! `integration_shared_cache` test.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier};
 
 use rebalance_trace::{Pintool, TraceCache, TraceEvent};
 use rebalance_workloads::Scale;
@@ -19,10 +15,6 @@ use rebalance_workloads::Scale;
 /// The six-workload bench roster: distinct suites, distinct trace
 /// shapes, and small enough that 8 threads x 2 rounds stays fast.
 const ROSTER: [&str; 6] = ["CG", "FT", "MG", "gcc", "CoMD", "swim"];
-
-/// Both tests below touch process-wide ledgers (batch delivery counts
-/// tick on every replay), so they serialize on this lock.
-static PROCESS_LEDGERS: Mutex<()> = Mutex::new(());
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
     let dir =
@@ -68,10 +60,6 @@ fn replay(cache: &TraceCache, name: &str) -> Digest {
 
 #[test]
 fn concurrent_torture_matches_single_process_byte_for_byte() {
-    let _guard = PROCESS_LEDGERS
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-
     // Single-process reference: one sequential pass over the roster.
     let ref_dir = scratch_dir("ref");
     let reference_cache = TraceCache::new(&ref_dir).expect("temp dir");
@@ -142,50 +130,4 @@ fn concurrent_torture_matches_single_process_byte_for_byte() {
 
     let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn second_sweep_report_covers_only_its_own_replays() {
-    use rebalance_experiments::util;
-
-    let _guard = PROCESS_LEDGERS
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-
-    let one = |name: &str| vec![rebalance_workloads::find(name).expect("roster workload")];
-    let tools = |_: &rebalance_workloads::Workload| vec![Digest::default()];
-
-    // First sweep: one workload.
-    let base0 = util::report_baseline();
-    let a = util::sweep(one("CG"), Scale::Smoke, tools);
-    let first = util::sweep_report_since(&base0);
-    assert_eq!(first.replays, 1);
-    let first_insts = first.lanes.map_or(0, |l| l.instructions);
-
-    // Second sweep, same process: two workloads. Its report must cover
-    // exactly its own replays — the pre-fix cumulative ledgers made it
-    // inherit the first sweep's traffic too.
-    let base1 = util::report_baseline();
-    let mut b = util::sweep(one("FT"), Scale::Smoke, tools);
-    b.extend(util::sweep(one("MG"), Scale::Smoke, tools));
-    let second = util::sweep_report_since(&base1);
-    assert_eq!(second.replays, 2, "second report counts only its sweep");
-    let second_insts = second.lanes.map_or(0, |l| l.instructions);
-    let delivered: u64 = b.iter().map(|o| o.tools[0].instructions).sum();
-    if second_insts > 0 {
-        assert_eq!(
-            second_insts, delivered,
-            "second report's lanes cover exactly its own deliveries"
-        );
-    }
-
-    // And the two scoped reports add up to the span since the start.
-    let cumulative = util::sweep_report_since(&base0);
-    assert_eq!(cumulative.replays, 3);
-    assert_eq!(
-        cumulative.lanes.map_or(0, |l| l.instructions),
-        first_insts + second_insts
-    );
-    assert_eq!(a.len(), 1);
-    assert_eq!(a[0].tools[0].instructions, a[0].summary.instructions);
 }
