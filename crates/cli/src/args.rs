@@ -1,7 +1,9 @@
 //! Minimal flag parsing shared by the subcommands (the workspace builds
-//! offline, so no clap — the same hand-rolled style as `repro`).
+//! offline, so no clap), and the [`Run`] built from the parsed flags.
 
 use rebalance_coresim::FetchModelKind;
+use rebalance_experiments::util::Run;
+use rebalance_trace::TraceCache;
 use rebalance_workloads::{Scale, Suite};
 
 /// Accumulates positional arguments and recognized flags; rejects
@@ -24,9 +26,6 @@ pub struct Parsed {
     pub force: bool,
     /// `--json DIR`.
     pub json_dir: Option<String>,
-    /// `--batch-size N` (events per delivery block; default
-    /// [`rebalance_trace::DEFAULT_BATCH_CAPACITY`]).
-    pub batch_size: Option<usize>,
     /// `--model {penalty,ftq}` (CPI timing backend).
     pub model: Option<FetchModelKind>,
     /// `--sample N` (slice each replay into N intervals and replay one
@@ -86,20 +85,6 @@ pub fn parse(argv: &[String]) -> Result<Parsed, String> {
                 parsed
                     .positional
                     .push(it.next().ok_or("--workloads needs a name list")?.clone());
-            }
-            "--batch-size" => {
-                let v = it.next().ok_or("--batch-size needs a value")?;
-                let n: usize = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| (1..=rebalance_trace::MAX_BATCH_CAPACITY).contains(&n))
-                    .ok_or_else(|| {
-                        format!(
-                            "invalid batch size `{v}` (expected 1..={})",
-                            rebalance_trace::MAX_BATCH_CAPACITY
-                        )
-                    })?;
-                parsed.batch_size = Some(n);
             }
             "--model" => {
                 let v = it.next().ok_or("--model needs a value")?;
@@ -211,35 +196,6 @@ pub fn cache_dir(parsed: &Parsed) -> String {
         .unwrap_or_else(|| crate::DEFAULT_CACHE_DIR.to_owned())
 }
 
-/// Points the experiments crate's process-wide cache at the chosen
-/// directory — or, with `--no-cache`, clears any inherited
-/// `REBALANCE_TRACE_CACHE` so the opt-out also wins over the caller's
-/// environment.
-pub fn configure_cache_env(parsed: &Parsed) {
-    use rebalance_experiments::util::TRACE_CACHE_ENV;
-    if parsed.no_cache {
-        std::env::remove_var(TRACE_CACHE_ENV);
-    } else {
-        std::env::set_var(TRACE_CACHE_ENV, cache_dir(parsed));
-    }
-}
-
-/// Applies the replay hot-path knob `--batch-size` through the explicit
-/// capacity setter (which takes precedence over `REBALANCE_BATCH` and
-/// turns a too-late conflicting set into a clean error instead of a
-/// silently ignored flag). Must run early in each subcommand, before
-/// the first replay.
-///
-/// # Errors
-///
-/// The capacity was already latched to a different value.
-pub fn configure_replay(parsed: &Parsed) -> Result<(), String> {
-    if let Some(n) = parsed.batch_size {
-        rebalance_trace::set_batch_capacity(n).map_err(|e| format!("--batch-size: {e}"))?;
-    }
-    Ok(())
-}
-
 /// The sampling configuration implied by `--sample`/`--sample-k`:
 /// `None` when neither flag was given, otherwise the default geometry
 /// with the given knobs overridden (either flag alone implies the
@@ -258,13 +214,33 @@ pub fn sampling_config(parsed: &Parsed) -> Option<rebalance_trace::SamplingConfi
     Some(cfg)
 }
 
-/// Latches `--sample`/`--sample-k` into the process-wide sampling
-/// switch every weighted sweep consults. Like the cache and batch
-/// knobs, must run before the first replay.
-pub fn configure_sampling(parsed: &Parsed) {
-    if let Some(cfg) = sampling_config(parsed) {
-        rebalance_experiments::util::set_sampling(Some(cfg));
+/// Opens the trace cache at [`cache_dir`].
+///
+/// # Errors
+///
+/// The directory cannot be created or used, named in the message.
+pub fn open_cache(parsed: &Parsed) -> Result<TraceCache, String> {
+    let dir = cache_dir(parsed);
+    TraceCache::new(&dir).map_err(|e| format!("cannot open trace cache {dir}: {e}"))
+}
+
+/// Builds the [`Run`] every replay of this invocation goes through:
+/// the cache from `--cache`/`--no-cache`, the suite filter from
+/// `--suite`, the sampling geometry from `--sample`/`--sample-k` and
+/// the CPI fetch model from `--model`.
+///
+/// # Errors
+///
+/// The trace cache cannot be opened (see [`open_cache`]).
+pub fn run(parsed: &Parsed) -> Result<Run, String> {
+    let mut run = Run::default();
+    if !parsed.no_cache {
+        run.cache = Some(open_cache(parsed)?);
     }
+    run.suite = parsed.suite;
+    run.sampling = sampling_config(parsed);
+    run.fetch_model = parsed.model.unwrap_or_default();
+    Ok(run)
 }
 
 /// Resolves a suite filter, workload names, or the whole roster into
@@ -336,16 +312,35 @@ mod tests {
     }
 
     #[test]
-    fn parses_batch_size() {
-        let p = parse(&argv(&["--batch-size", "512"])).unwrap();
-        assert_eq!(p.batch_size, Some(512));
-        assert_eq!(parse(&argv(&[])).unwrap().batch_size, None);
-        assert!(parse(&argv(&["--batch-size"])).is_err());
-        assert!(parse(&argv(&["--batch-size", "0"])).is_err());
-        assert!(parse(&argv(&["--batch-size", "many"])).is_err());
-        // Positions are u32-indexed; oversized capacities are a clean
-        // CLI error, not a panic deep in replay.
-        assert!(parse(&argv(&["--batch-size", "4294967296"])).is_err());
+    fn rejects_the_removed_block_size_flag() {
+        // The block size comes only from `REBALANCE_BATCH`; the old
+        // flag fails like any other unknown flag.
+        let flag = format!("--{}-size", "batch");
+        let err = parse(&[flag.clone(), "512".to_owned()]).unwrap_err();
+        assert_eq!(err, format!("unknown flag `{flag}`"));
+    }
+
+    #[test]
+    fn run_carries_the_parsed_configuration() {
+        let p = parse(&argv(&[
+            "--no-cache",
+            "--suite",
+            "npb",
+            "--sample-k",
+            "3",
+            "--model",
+            "ftq",
+        ]))
+        .unwrap();
+        let run = run(&p).unwrap();
+        assert!(run.cache.is_none());
+        assert_eq!(run.suite, Some(Suite::Npb));
+        assert_eq!(run.sampling, sampling_config(&p));
+        assert_eq!(run.fetch_model, FetchModelKind::Ftq);
+        let defaults = super::run(&parse(&argv(&["--no-cache"])).unwrap()).unwrap();
+        assert_eq!(defaults.suite, None);
+        assert_eq!(defaults.sampling, None);
+        assert_eq!(defaults.fetch_model, FetchModelKind::Penalty);
     }
 
     #[test]

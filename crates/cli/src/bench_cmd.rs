@@ -255,7 +255,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         (parsed.cache_dir.is_some(), "--cache"),
         (parsed.no_cache, "--no-cache"),
     ])?;
-    args::configure_replay(&parsed)?;
     args::configure_metrics(&parsed);
 
     let workloads = if parsed.positional.is_empty() && !parsed.all && parsed.suite.is_none() {

@@ -4,7 +4,7 @@
 use std::process::ExitCode;
 
 use rebalance_experiments::fetchsim::{self, FetchSummary};
-use rebalance_experiments::util::{self, f2, mean, TextTable};
+use rebalance_experiments::util::{f2, mean, TextTable};
 
 use crate::args;
 
@@ -26,17 +26,15 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         ),
     ])?;
     let workloads = args::resolve_workloads(&parsed.positional, parsed.all, parsed.suite)?;
-    args::configure_cache_env(&parsed);
-    args::configure_replay(&parsed)?;
-    args::configure_sampling(&parsed);
+    let run = args::run(&parsed)?;
     args::configure_metrics(&parsed);
 
     let grid = fetchsim::default_grid();
     let (sweep, report) = {
         let _fetch_span = rebalance_telemetry::span("fetch");
         (
-            fetchsim::sweep_grid(workloads, parsed.scale, &grid),
-            util::sweep_report(),
+            fetchsim::sweep_grid(&run, workloads, parsed.scale, &grid),
+            run.report(),
         )
     };
 

@@ -59,23 +59,23 @@ fn usage() -> ExitCode {
         "usage: rebalance <COMMAND> [OPTIONS]\n\
          \n\
          commands:\n\
-         \x20 trace record [WORKLOAD...] [--all] [--scale S] [--cache DIR] [--force] [--batch-size N]\n\
+         \x20 trace record [WORKLOAD...] [--all] [--scale S] [--cache DIR] [--force]\n\
          \x20     synthesize workloads once and store their snapshots in the cache\n\
          \x20 trace info <FILE...> [--json DIR]\n\
          \x20     print header/footer metadata of snapshot files (--json writes trace_info.json)\n\
-         \x20 trace verify <FILE...> [--batch-size N]\n\
+         \x20 trace verify <FILE...>\n\
          \x20     fully validate snapshot files (framing, checksum, structure)\n\
-         \x20 sweep [--workloads A,B,...] [--suite S] [--scale S] [--json DIR] [--model M] [--cache DIR] [--no-cache] [--batch-size N]\n\
+         \x20 sweep [--workloads A,B,...] [--suite S] [--scale S] [--json DIR] [--model M] [--cache DIR] [--no-cache]\n\
          \x20     run the nine-predictor sweep, replays served from the cache\n\
-         \x20 fetch [--workloads A,B,...] [--suite S] [--scale S] [--json DIR] [--cache DIR] [--no-cache] [--batch-size N]\n\
+         \x20 fetch [--workloads A,B,...] [--suite S] [--scale S] [--json DIR] [--cache DIR] [--no-cache]\n\
          \x20     sweep the decoupled front-end (FTQ + FDIP) design grid, one replay per workload\n\
          \x20 workloads list [--suite S]\n\
          \x20     list the registered roster (paper suites + kernel archetypes)\n\
-         \x20 phases [--workloads A,B,...] [--suite S] [--scale S] [--sample N] [--sample-k K] [--json DIR] [--cache DIR] [--no-cache] [--batch-size N]\n\
+         \x20 phases [--workloads A,B,...] [--suite S] [--scale S] [--sample N] [--sample-k K] [--json DIR] [--cache DIR] [--no-cache]\n\
          \x20     print each workload's phase-cluster map and per-cluster weights\n\
-         \x20 paper [EXHIBIT...|all] [--suite S] [--scale S] [--model M] [--json DIR] [--cache DIR] [--no-cache] [--batch-size N]\n\
-         \x20     regenerate the paper's figures/tables (see `repro`) through the cache\n\
-         \x20 bench [--workloads A,B,...] [--suite S] [--scale S] [--json DIR] [--cache DIR] [--no-cache] [--batch-size N]\n\
+         \x20 paper [EXHIBIT...|all] [--suite S] [--scale S] [--model M] [--json DIR] [--cache DIR] [--no-cache]\n\
+         \x20     regenerate the paper's figures/tables through the cache\n\
+         \x20 bench [--workloads A,B,...] [--suite S] [--scale S] [--json DIR] [--cache DIR] [--no-cache]\n\
          \x20     measure replay throughput per delivery mode, write BENCH_replay.json with --json\n\
          \n\
          scales: smoke | quick | full | <positive factor>   (default: smoke)\n\
@@ -83,7 +83,7 @@ fn usage() -> ExitCode {
          --model M: CPI timing backend, penalty (closed form) or ftq (decoupled fetch simulator)\n\
          --sample N [--sample-k K]: phase-sample sweep/fetch/paper replays into N intervals,\n\
          \x20    K clusters, replaying one weighted representative per cluster (default 160/8)\n\
-         --batch-size N: events per delivery block (default 4096; env REBALANCE_BATCH)\n\
+         env REBALANCE_BATCH=N: events per delivery block (default 4096)\n\
          --metrics [text|json[=PATH]]: emit the telemetry snapshot after the report (sweep/fetch/paper/bench;\n\
          \x20    text prints the span tree + top counters, json writes metrics.json; env REBALANCE_METRICS=1\n\
          \x20    turns collection on without emitting)"

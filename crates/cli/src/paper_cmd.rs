@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use rebalance_experiments::{driver, util};
+use rebalance_experiments::driver;
 
 use crate::args;
 
@@ -18,23 +18,16 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         (parsed.force, "--force"),
         (parsed.all, "--all (use the `all` exhibit name)"),
     ])?;
-    args::configure_cache_env(&parsed);
-    args::configure_replay(&parsed)?;
-    args::configure_sampling(&parsed);
-    args::configure_metrics(&parsed);
-    // Both knobs latch process-wide state the exhibits consult; set
-    // them before the first exhibit computes anything.
-    rebalance_experiments::util::set_suite_filter(parsed.suite);
-    if let Some(kind) = parsed.model {
-        rebalance_coresim::set_default_fetch_model(kind);
-    }
     let exhibits = driver::resolve_exhibits(&parsed.positional)?;
+    let run = args::run(&parsed)?;
+    args::configure_metrics(&parsed);
 
     let json_dir = parsed.json_dir.as_ref().map(PathBuf::from);
     {
         let _paper_span = rebalance_telemetry::span("paper");
         let mut out = std::io::stdout().lock();
-        if let Err(e) = driver::run_exhibits(&exhibits, parsed.scale, json_dir.as_deref(), &mut out)
+        if let Err(e) =
+            driver::run_exhibits(&run, &exhibits, parsed.scale, json_dir.as_deref(), &mut out)
         {
             // A closed pipe (`rebalance paper ... | head`) is a normal way
             // to stop reading, not a failure.
@@ -44,7 +37,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
             return Err(e.to_string());
         }
     }
-    crate::print_ignoring_pipe(&format!("{}\n", util::sweep_report()));
+    crate::print_ignoring_pipe(&format!("{}\n", run.report()));
     crate::metrics::emit(&parsed)?;
     Ok(ExitCode::SUCCESS)
 }

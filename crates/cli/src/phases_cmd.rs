@@ -4,7 +4,7 @@
 
 use std::process::ExitCode;
 
-use rebalance_experiments::util::{self, TextTable};
+use rebalance_experiments::util::TextTable;
 use rebalance_pintools::BbvTool;
 use rebalance_trace::{SamplePlan, SamplingConfig};
 use rebalance_workloads::Suite;
@@ -69,11 +69,10 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     ])?;
     args::forbid(&args::metrics_flag(&parsed))?;
     let workloads = args::resolve_workloads(&parsed.positional, parsed.all, parsed.suite)?;
-    args::configure_cache_env(&parsed);
-    args::configure_replay(&parsed)?;
-    let config = args::sampling_config(&parsed).unwrap_or_default();
+    let run = args::run(&parsed)?;
+    let config = run.sampling.unwrap_or_default();
 
-    let outcomes = util::sweep_sampled(&config, workloads, parsed.scale, |_| Vec::<BbvTool>::new());
+    let outcomes = run.sweep_sampled(&config, workloads, parsed.scale, |_| Vec::<BbvTool>::new());
 
     let mut text = String::new();
     let mut json = PhasesJson {
@@ -136,9 +135,9 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
 
     if let Some(dir) = &parsed.json_dir {
         crate::write_json(dir, "phases", &json)?;
-        crate::write_json(dir, "report", &util::sweep_report())?;
+        crate::write_json(dir, "report", &run.report())?;
     }
-    text.push_str(&util::sweep_report().to_string());
+    text.push_str(&run.report().to_string());
     text.push('\n');
     crate::print_ignoring_pipe(&text);
     Ok(ExitCode::SUCCESS)

@@ -9,7 +9,7 @@
 use std::process::ExitCode;
 
 use rebalance_coresim::{CoreModel, FetchModelKind};
-use rebalance_experiments::util::{self, f2, TextTable};
+use rebalance_experiments::util::{self, f2, Run, TextTable};
 use rebalance_frontend::{CoreKind, PredictorChoice};
 use rebalance_workloads::{Suite, Workload};
 use serde::Serialize;
@@ -44,6 +44,7 @@ struct SweepRows {
 /// `model`, a second shared replay per workload measures both paper
 /// cores' CPI through the chosen timing backend.
 fn compute(
+    run: &Run,
     workloads: &[Workload],
     scale: rebalance_workloads::Scale,
     model: Option<FetchModelKind>,
@@ -53,23 +54,24 @@ fn compute(
     // every config's `on_batch` time lands on its own
     // `tool.<label>.on_batch_ns` counter. `Timed` derefs to the sim,
     // so `.report()` below is unchanged.
-    let rows = util::sweep_weighted(workloads.to_vec(), scale, |_| {
-        PredictorChoice::build_sims(&configs)
-            .into_iter()
-            .zip(&configs)
-            .map(|(sim, choice)| rebalance_trace::Timed::new(&choice.label(), sim))
-            .collect()
-    })
-    .iter()
-    .map(|o| SweepJsonRow {
-        workload: o.item.name().to_owned(),
-        suite: o.item.suite(),
-        mpki: o.tools.iter().map(|s| s.report().total().mpki()).collect(),
-    })
-    .collect();
+    let rows = run
+        .sweep_weighted(workloads.to_vec(), scale, |_| {
+            PredictorChoice::build_sims(&configs)
+                .into_iter()
+                .zip(&configs)
+                .map(|(sim, choice)| rebalance_trace::Timed::new(&choice.label(), sim))
+                .collect()
+        })
+        .iter()
+        .map(|o| SweepJsonRow {
+            workload: o.item.name().to_owned(),
+            suite: o.item.suite(),
+            mpki: o.tools.iter().map(|s| s.report().total().mpki()).collect(),
+        })
+        .collect();
     SweepRows {
         rows,
-        cpi: model.map(|kind| measure_cpi(workloads, scale, kind)),
+        cpi: model.map(|kind| measure_cpi(run, workloads, scale, kind)),
     }
 }
 
@@ -82,13 +84,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     let parsed = args::parse(argv)?;
     args::forbid(&[(parsed.force, "--force")])?;
     let workloads = args::resolve_workloads(&parsed.positional, parsed.all, parsed.suite)?;
-    // The experiments crate opens its process-wide cache from the
-    // environment on first use; this routes every replay below through
-    // the on-disk cache (or explicitly disables it). The batch size is
-    // latched the same way, before the first replay.
-    args::configure_cache_env(&parsed);
-    args::configure_replay(&parsed)?;
-    args::configure_sampling(&parsed);
+    let run = args::run(&parsed)?;
     args::configure_metrics(&parsed);
 
     let configs = PredictorChoice::figure5_set();
@@ -97,8 +93,8 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         // before the snapshot `metrics::emit` takes below.
         let _sweep_span = rebalance_telemetry::span("sweep");
         (
-            compute(&workloads, parsed.scale, parsed.model),
-            util::sweep_report(),
+            compute(&run, &workloads, parsed.scale, parsed.model),
+            run.report(),
         )
     };
 
@@ -199,6 +195,7 @@ struct CpiJsonRow {
 /// timing backend (one additional cache-served replay per workload —
 /// both cores share it).
 fn measure_cpi(
+    run: &Run,
     workloads: &[Workload],
     scale: rebalance_workloads::Scale,
     kind: FetchModelKind,
@@ -207,7 +204,7 @@ fn measure_cpi(
         CoreModel::new(CoreKind::Baseline).with_fetch_model(kind),
         CoreModel::new(CoreKind::Tailored).with_fetch_model(kind),
     ];
-    util::sweep_weighted(workloads.to_vec(), scale, |_| {
+    run.sweep_weighted(workloads.to_vec(), scale, |_| {
         models.iter().map(CoreModel::fetch_tools).collect()
     })
     .iter()

@@ -4,7 +4,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use rebalance_experiments::util::TextTable;
-use rebalance_trace::{snapshot, SnapshotInfo, TraceCache};
+use rebalance_trace::{snapshot, SnapshotInfo};
 use serde::Serialize;
 
 use crate::args;
@@ -89,9 +89,8 @@ pub fn record(argv: &[String]) -> Result<ExitCode, String> {
     ])?;
     args::forbid(&args::sampling_flags(&parsed))?;
     args::forbid(&args::metrics_flag(&parsed))?;
-    args::configure_replay(&parsed)?;
     let workloads = args::resolve_workloads(&parsed.positional, parsed.all, parsed.suite)?;
-    let cache = TraceCache::new(args::cache_dir(&parsed)).map_err(|e| e.to_string())?;
+    let cache = args::open_cache(&parsed)?;
     let scale = parsed.scale;
 
     let mut table = info_table();
@@ -200,8 +199,6 @@ fn trace_info_json(files: &[String], infos: &[SnapshotInfo]) -> TraceInfoJson {
 pub fn info(argv: &[String]) -> Result<ExitCode, String> {
     let parsed = args::parse(argv)?;
     forbid_file_subcommand_flags(&parsed)?;
-    // Info never decodes the record stream, so a batch size is inert.
-    args::forbid(&[(parsed.batch_size.is_some(), "--batch-size")])?;
     if parsed.positional.is_empty() {
         return Err("trace info needs at least one snapshot file".into());
     }
@@ -228,9 +225,6 @@ pub fn verify(argv: &[String]) -> Result<ExitCode, String> {
     forbid_file_subcommand_flags(&parsed)?;
     // Verification prints pass/fail per file; there is no dump for it.
     args::forbid(&[(parsed.json_dir.is_some(), "--json")])?;
-    // Verification decodes through the batched path; `--batch-size`
-    // picks the block size it validates with.
-    args::configure_replay(&parsed)?;
     if parsed.positional.is_empty() {
         return Err("trace verify needs at least one snapshot file".into());
     }

@@ -18,7 +18,6 @@ pub fn list(argv: &[String]) -> Result<ExitCode, String> {
         (parsed.cache_dir.is_some(), "--cache"),
         (parsed.json_dir.is_some(), "--json"),
         (parsed.force, "--force"),
-        (parsed.batch_size.is_some(), "--batch-size"),
         (parsed.model.is_some(), "--model"),
     ])?;
     args::forbid(&args::sampling_flags(&parsed))?;

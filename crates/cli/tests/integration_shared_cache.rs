@@ -27,9 +27,6 @@ fn spawn_sweep(cache: &Path, json: Option<&Path>) -> Child {
     let mut cmd = Command::new(BIN);
     cmd.args(["sweep", "--workloads", WORKLOADS, "--cache"])
         .arg(cache)
-        // A cache override inherited from the harness environment must
-        // not redirect either run.
-        .env_remove("REBALANCE_TRACE_CACHE")
         .stdout(Stdio::piped());
     if let Some(dir) = json {
         cmd.arg("--json").arg(dir);

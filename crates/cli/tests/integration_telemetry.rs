@@ -27,13 +27,10 @@ fn scratch(tag: &str) -> PathBuf {
 fn run(args: &[&str]) -> String {
     let out = Command::new(BIN)
         .args(args)
-        // Pin the cache per invocation — an override inherited
-        // from the harness environment must not leak into either side
-        // of the comparison. REBALANCE_BATCH and REBALANCE_METRICS are
-        // deliberately passed through: CI reruns this test at both
-        // batch-size extremes with the env latch set, and the
-        // invariants must hold under all of them.
-        .env_remove("REBALANCE_TRACE_CACHE")
+        // REBALANCE_BATCH and REBALANCE_METRICS are deliberately passed
+        // through: CI reruns this test at both block-size extremes with
+        // collection latched on, and the invariants must hold under
+        // all of them.
         .output()
         .expect("spawn rebalance");
     assert!(

@@ -10,6 +10,7 @@ use rebalance_workloads::{Scale, Workload};
 use serde::{Deserialize, Serialize};
 
 use crate::core_model::{CoreModel, CoreTiming};
+use crate::fetch_model::FetchModelKind;
 
 /// Simulates one workload on many floorplans from a **single** trace
 /// synthesis and a **single** replay: the distinct core designs across
@@ -18,7 +19,8 @@ use crate::core_model::{CoreModel, CoreTiming};
 /// arithmetic reuses the shared timings. Results are in `sims` order.
 ///
 /// This is what the figure regenerators use: evaluating the four
-/// Figure 10 CMPs per workload costs one replay, not four.
+/// Figure 10 CMPs per workload costs one replay, not four. Every core
+/// is timed through `fetch_model`.
 ///
 /// # Errors
 ///
@@ -27,10 +29,11 @@ pub fn simulate_floorplans(
     sims: &[CmpSim],
     workload: &Workload,
     scale: Scale,
+    fetch_model: FetchModelKind,
 ) -> Result<Vec<CmpResult>, String> {
     let trace = workload.trace(scale)?;
     let backend = workload.profile().backend;
-    let models = distinct_core_models(sims);
+    let models = distinct_core_models(sims, fetch_model);
     let timings: HashMap<CoreKind, CoreTiming> = models
         .iter()
         .map(CoreModel::kind)
@@ -61,9 +64,10 @@ pub fn simulate_floorplans_cached(
     workload: &Workload,
     scale: Scale,
     cache: &TraceCache,
+    fetch_model: FetchModelKind,
 ) -> Result<Vec<CmpResult>, String> {
     let backend = workload.profile().backend;
-    let models = distinct_core_models(sims);
+    let models = distinct_core_models(sims, fetch_model);
     let key = workload.trace_key(scale);
     let (measured, replay) =
         CoreModel::measure_many_cached(&models, cache, &key, || workload.trace(scale), &backend)
@@ -77,8 +81,8 @@ pub fn simulate_floorplans_cached(
 }
 
 /// One [`CoreModel`] per distinct core kind used across `sims`, in
-/// first-appearance order.
-fn distinct_core_models(sims: &[CmpSim]) -> Vec<CoreModel> {
+/// first-appearance order, each timed through `fetch_model`.
+fn distinct_core_models(sims: &[CmpSim], fetch_model: FetchModelKind) -> Vec<CoreModel> {
     let mut kinds: Vec<CoreKind> = Vec::new();
     for sim in sims {
         for &kind in &sim.floorplan.cores {
@@ -87,7 +91,10 @@ fn distinct_core_models(sims: &[CmpSim]) -> Vec<CoreModel> {
             }
         }
     }
-    kinds.into_iter().map(CoreModel::new).collect()
+    kinds
+        .into_iter()
+        .map(|kind| CoreModel::new(kind).with_fetch_model(fetch_model))
+        .collect()
 }
 
 /// Threads the paper runs per HPC application (one per baseline-CMP
@@ -168,13 +175,19 @@ impl CmpSim {
     ///
     /// For several floorplans over the same workload, prefer
     /// [`simulate_floorplans`] directly — it measures all core designs
-    /// in one shared replay. This is that path for a single floorplan.
+    /// in one shared replay. This is that path for a single floorplan,
+    /// on the default [`FetchModelKind::Penalty`] timing backend.
     ///
     /// # Errors
     ///
     /// Propagates workload synthesis errors (invalid profile or scale).
     pub fn simulate(&self, workload: &Workload, scale: Scale) -> Result<CmpResult, String> {
-        let mut results = simulate_floorplans(std::slice::from_ref(self), workload, scale)?;
+        let mut results = simulate_floorplans(
+            std::slice::from_ref(self),
+            workload,
+            scale,
+            FetchModelKind::Penalty,
+        )?;
         Ok(results.remove(0))
     }
 
@@ -356,10 +369,11 @@ mod tests {
             CmpSim::new(CmpFloorplan::tailored(8)),
             CmpSim::new(CmpFloorplan::asymmetric(1, 7)),
         ];
-        let live = simulate_floorplans(&sims, &w, Scale::Smoke).unwrap();
+        let model = FetchModelKind::Penalty;
+        let live = simulate_floorplans(&sims, &w, Scale::Smoke, model).unwrap();
         let cache = TraceCache::scratch().unwrap();
-        let cold = simulate_floorplans_cached(&sims, &w, Scale::Smoke, &cache).unwrap();
-        let warm = simulate_floorplans_cached(&sims, &w, Scale::Smoke, &cache).unwrap();
+        let cold = simulate_floorplans_cached(&sims, &w, Scale::Smoke, &cache, model).unwrap();
+        let warm = simulate_floorplans_cached(&sims, &w, Scale::Smoke, &cache, model).unwrap();
         assert_eq!(cold, live);
         assert_eq!(warm, live);
         let stats = cache.stats();

@@ -10,7 +10,7 @@ use rebalance_trace::{
 use rebalance_workloads::BackendProfile;
 use serde::{Deserialize, Serialize};
 
-use crate::fetch_model::{default_fetch_model, FetchModelKind, FetchTools};
+use crate::fetch_model::{FetchModelKind, FetchTools};
 use crate::penalties::Penalties;
 
 /// One core design's front-end simulators, bundled as a single
@@ -97,14 +97,14 @@ pub struct CoreModel {
 
 impl CoreModel {
     /// A core of one of the paper's two designs with default penalties
-    /// and the process-default fetch model (see
-    /// [`set_default_fetch_model`](crate::set_default_fetch_model)).
+    /// and the [`FetchModelKind::Penalty`] timing backend (switch it
+    /// with [`CoreModel::with_fetch_model`]).
     pub fn new(kind: CoreKind) -> Self {
         CoreModel {
             kind,
             frontend: FrontendConfig::for_core(kind),
             penalties: Penalties::default(),
-            fetch_model: default_fetch_model(),
+            fetch_model: FetchModelKind::Penalty,
         }
     }
 
@@ -114,7 +114,7 @@ impl CoreModel {
             kind,
             frontend,
             penalties: Penalties::default(),
-            fetch_model: default_fetch_model(),
+            fetch_model: FetchModelKind::Penalty,
         }
     }
 

@@ -10,7 +10,6 @@
 //! them interchangeable — and cross-validatable — behind one knob.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use rebalance_fetchsim::FetchSim;
 use rebalance_trace::{EventBatch, Pintool, Section, TraceEvent};
@@ -47,26 +46,6 @@ impl fmt::Display for FetchModelKind {
             FetchModelKind::Penalty => f.write_str("penalty"),
             FetchModelKind::Ftq => f.write_str("ftq"),
         }
-    }
-}
-
-/// Process-wide default backend for cores built without an explicit
-/// [`CoreModel::with_fetch_model`](crate::CoreModel::with_fetch_model).
-/// `0 = Penalty, 1 = Ftq`.
-static DEFAULT_FETCH_MODEL: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide default fetch model (the CLI's `--model` flag;
-/// call before constructing cores).
-pub fn set_default_fetch_model(kind: FetchModelKind) {
-    DEFAULT_FETCH_MODEL.store(kind as u8, Ordering::Relaxed);
-}
-
-/// The process-wide default fetch model ([`FetchModelKind::Penalty`]
-/// unless [`set_default_fetch_model`] changed it).
-pub fn default_fetch_model() -> FetchModelKind {
-    match DEFAULT_FETCH_MODEL.load(Ordering::Relaxed) {
-        1 => FetchModelKind::Ftq,
-        _ => FetchModelKind::Penalty,
     }
 }
 
@@ -156,10 +135,12 @@ mod tests {
 
     #[test]
     fn process_default_starts_as_penalty() {
-        // Other tests rely on the penalty default; exercise the setter
-        // only with the value that is already in effect.
-        assert_eq!(default_fetch_model(), FetchModelKind::Penalty);
-        set_default_fetch_model(FetchModelKind::Penalty);
-        assert_eq!(default_fetch_model(), FetchModelKind::Penalty);
+        // Every core starts on the closed-form backend; only an
+        // explicit `with_fetch_model` switches it.
+        use crate::CoreModel;
+        use rebalance_frontend::CoreKind;
+        for kind in [CoreKind::Baseline, CoreKind::Tailored] {
+            assert_eq!(CoreModel::new(kind).fetch_model(), FetchModelKind::Penalty);
+        }
     }
 }

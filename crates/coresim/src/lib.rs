@@ -41,5 +41,5 @@ pub use cmp_sim::{
     simulate_floorplans, simulate_floorplans_cached, CmpResult, CmpSim, PARALLEL_THREADS,
 };
 pub use core_model::{CoreModel, CoreTiming, FrontendTools, SectionCpi};
-pub use fetch_model::{default_fetch_model, set_default_fetch_model, FetchModelKind, FetchTools};
+pub use fetch_model::{FetchModelKind, FetchTools};
 pub use penalties::Penalties;

@@ -10,7 +10,7 @@ use rebalance_mcpat::CmpFloorplan;
 use rebalance_workloads::{Scale, Workload};
 use serde::{Deserialize, Serialize};
 
-use crate::util::{self, f2, TextTable};
+use crate::util::{f2, Run, TextTable};
 
 /// One labelled measurement.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -56,7 +56,7 @@ fn workload(name: &str) -> Workload {
 /// Ablation 1: loop-BP entry count (16..256) on a loop-heavy workload,
 /// all variants fanned out over a single replay.
 /// The paper's 64-entry/512 B choice should sit at the knee.
-pub fn lbp_entries(scale: Scale) -> Ablation {
+pub fn lbp_entries(run: &Run, scale: Scale) -> Ablation {
     let w = workload("imagick");
     let variants = [0usize, 16, 64, 256];
     let sims: Vec<PredictorSim<Box<dyn DirectionPredictor>>> = variants
@@ -70,7 +70,7 @@ pub fn lbp_entries(scale: Scale) -> Ablation {
             PredictorSim::new(predictor)
         })
         .collect();
-    let (sims, _) = util::fan_out(&w, scale, sims);
+    let (sims, _) = run.fan_out(&w, scale, sims);
     let points = variants
         .iter()
         .zip(&sims)
@@ -96,7 +96,7 @@ pub fn lbp_entries(scale: Scale) -> Ablation {
 
 /// Ablation 2: TAGE tagged-table count at fixed per-table size.
 /// The paper's small TAGE keeps only two tables (histories 4 and 16).
-pub fn tage_tables(scale: Scale) -> Ablation {
+pub fn tage_tables(run: &Run, scale: Scale) -> Ablation {
     let w = workload("CoEVP");
     let histories: [&[u32]; 4] = [
         &[4, 16],
@@ -115,7 +115,7 @@ pub fn tage_tables(scale: Scale) -> Ablation {
             }))
         })
         .collect();
-    let (sims, _) = util::fan_out(&w, scale, sims);
+    let (sims, _) = run.fan_out(&w, scale, sims);
     let points = histories
         .iter()
         .zip(&sims)
@@ -137,7 +137,7 @@ pub fn tage_tables(scale: Scale) -> Ablation {
 
 /// Ablation 3: wide lines vs narrow lines + an explicit next-line
 /// prefetcher (the paper argues a wide line *is* a prefetch buffer).
-pub fn line_vs_prefetch(scale: Scale) -> Ablation {
+pub fn line_vs_prefetch(run: &Run, scale: Scale) -> Ablation {
     let w = workload("LULESH");
     let configs: [(&str, CacheConfig, bool); 3] = [
         ("16KB/64B", CacheConfig::new(16 * 1024, 64, 8), false),
@@ -159,7 +159,7 @@ pub fn line_vs_prefetch(scale: Scale) -> Ablation {
             }
         })
         .collect();
-    let (sims, _) = util::fan_out(&w, scale, sims);
+    let (sims, _) = run.fan_out(&w, scale, sims);
     let points = configs
         .iter()
         .zip(&sims)
@@ -181,14 +181,14 @@ pub fn line_vs_prefetch(scale: Scale) -> Ablation {
 
 /// Ablation 4: BTB associativity at 256 entries — the paper notes high
 /// associativity is needed with simple modulo indexing (ExMatEx).
-pub fn btb_associativity(scale: Scale) -> Ablation {
+pub fn btb_associativity(run: &Run, scale: Scale) -> Ablation {
     let w = workload("CoEVP");
     let assocs = [1usize, 2, 4, 8];
     let sims: Vec<BtbSim> = assocs
         .iter()
         .map(|&assoc| BtbSim::new(BtbConfig::new(256, assoc)))
         .collect();
-    let (sims, _) = util::fan_out(&w, scale, sims);
+    let (sims, _) = run.fan_out(&w, scale, sims);
     let points = assocs
         .iter()
         .zip(&sims)
@@ -211,7 +211,7 @@ pub fn btb_associativity(scale: Scale) -> Ablation {
 /// Section III-D scaling study: as core counts grow, serial sections
 /// dominate and the asymmetric design's advantage over an all-tailored
 /// chip grows with them.
-pub fn thread_scaling(scale: Scale) -> Ablation {
+pub fn thread_scaling(run: &Run, scale: Scale) -> Ablation {
     let workload = workload("CoEVP");
     let core_counts = [8usize, 16, 32, 64];
     // All eight floorplans reuse one trace replay: the core designs are
@@ -226,7 +226,7 @@ pub fn thread_scaling(scale: Scale) -> Ablation {
             ]
         })
         .collect();
-    let results = util::floorplans(&sims, &workload, scale);
+    let results = run.floorplans(&sims, &workload, scale);
     let points = core_counts
         .iter()
         .zip(results.chunks_exact(2))
@@ -250,13 +250,13 @@ pub fn thread_scaling(scale: Scale) -> Ablation {
 }
 
 /// Runs every ablation.
-pub fn run_all(scale: Scale) -> Vec<Ablation> {
+pub fn run_all(run: &Run, scale: Scale) -> Vec<Ablation> {
     vec![
-        lbp_entries(scale),
-        tage_tables(scale),
-        line_vs_prefetch(scale),
-        btb_associativity(scale),
-        thread_scaling(scale),
+        lbp_entries(run, scale),
+        tage_tables(run, scale),
+        line_vs_prefetch(run, scale),
+        btb_associativity(run, scale),
+        thread_scaling(run, scale),
     ]
 }
 
@@ -268,7 +268,7 @@ mod tests {
 
     #[test]
     fn lbp_entries_improve_then_saturate() {
-        let a = lbp_entries(SCALE);
+        let a = lbp_entries(&Run::default(), SCALE);
         assert_eq!(a.points.len(), 4);
         let no_lbp = a.points[0].value;
         let with64 = a.points[2].value;
@@ -284,7 +284,7 @@ mod tests {
 
     #[test]
     fn more_tage_tables_never_hurt_much() {
-        let a = tage_tables(SCALE);
+        let a = tage_tables(&Run::default(), SCALE);
         let two = a.points[0].value;
         let twelve = a.points[3].value;
         assert!(twelve <= two * 1.1 + 0.2, "12 tables {twelve} vs 2 {two}");
@@ -294,7 +294,7 @@ mod tests {
 
     #[test]
     fn wide_lines_match_prefetching_on_hpc() {
-        let a = line_vs_prefetch(SCALE);
+        let a = line_vs_prefetch(&Run::default(), SCALE);
         let plain = a.points[0].value;
         let prefetch = a.points[1].value;
         let wide = a.points[2].value;
@@ -305,7 +305,7 @@ mod tests {
 
     #[test]
     fn btb_associativity_monotone_for_exmatex() {
-        let a = btb_associativity(SCALE);
+        let a = btb_associativity(&Run::default(), SCALE);
         let direct = a.points[0].value;
         let eight = a.points[3].value;
         assert!(
@@ -316,7 +316,7 @@ mod tests {
 
     #[test]
     fn asymmetric_advantage_grows_with_cores() {
-        let a = thread_scaling(Scale::Custom(0.12));
+        let a = thread_scaling(&Run::default(), Scale::Custom(0.12));
         assert_eq!(a.points.len(), 4);
         let at8 = &a.points[0];
         let at64 = &a.points[3];

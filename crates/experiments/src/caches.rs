@@ -4,7 +4,7 @@ use rebalance_frontend::{BtbConfig, BtbSim, CacheConfig, ICacheSim};
 use rebalance_workloads::{Scale, Suite, Workload};
 use serde::{Deserialize, Serialize};
 
-use crate::util::{self, f2, mean, TextTable};
+use crate::util::{f2, mean, Run, TextTable};
 
 /// One Figure 7 row: per-suite BTB MPKI for one geometry.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -63,17 +63,18 @@ pub fn fig7_configs() -> Vec<BtbConfig> {
 }
 
 /// Runs Figure 7 (all geometries in one trace pass per workload).
-pub fn fig7(scale: Scale) -> Fig7 {
+pub fn fig7(run: &Run, scale: Scale) -> Fig7 {
     let configs = fig7_configs();
-    let results: Vec<(Workload, Vec<f64>)> = util::sweep(util::roster(), scale, |_| {
-        configs.iter().map(|c| BtbSim::new(*c)).collect()
-    })
-    .into_iter()
-    .map(|o| {
-        let mpki = o.tools.iter().map(|s| s.report().total().mpki()).collect();
-        (o.item, mpki)
-    })
-    .collect();
+    let results: Vec<(Workload, Vec<f64>)> = run
+        .sweep(run.roster(), scale, |_| {
+            configs.iter().map(|c| BtbSim::new(*c)).collect()
+        })
+        .into_iter()
+        .map(|o| {
+            let mpki = o.tools.iter().map(|s| s.report().total().mpki()).collect();
+            (o.item, mpki)
+        })
+        .collect();
     let rows = configs
         .iter()
         .enumerate()
@@ -143,22 +144,23 @@ impl Fig8 {
 }
 
 /// Runs Figure 8.
-pub fn fig8(scale: Scale) -> Fig8 {
+pub fn fig8(run: &Run, scale: Scale) -> Fig8 {
     let mut configs = Vec::new();
     for size_kb in [8, 16, 32] {
         for assoc in [2, 4, 8] {
             configs.push(CacheConfig::new(size_kb * 1024, 64, assoc));
         }
     }
-    let results: Vec<(Workload, Vec<f64>)> = util::sweep(util::roster(), scale, |_| {
-        configs.iter().map(|c| ICacheSim::new(*c)).collect()
-    })
-    .into_iter()
-    .map(|o| {
-        let mpki = o.tools.iter().map(|s| s.report().total().mpki()).collect();
-        (o.item, mpki)
-    })
-    .collect();
+    let results: Vec<(Workload, Vec<f64>)> = run
+        .sweep(run.roster(), scale, |_| {
+            configs.iter().map(|c| ICacheSim::new(*c)).collect()
+        })
+        .into_iter()
+        .map(|o| {
+            let mpki = o.tools.iter().map(|s| s.report().total().mpki()).collect();
+            (o.item, mpki)
+        })
+        .collect();
     let rows = configs
         .iter()
         .enumerate()
@@ -230,39 +232,40 @@ impl Fig9 {
 
 /// Runs Figure 9 over the highlighted subset: all nine line/assoc
 /// geometries share one replay per workload.
-pub fn fig9(scale: Scale) -> Fig9 {
+pub fn fig9(run: &Run, scale: Scale) -> Fig9 {
     let mut configs = Vec::new();
     for line in [32, 64, 128] {
         for assoc in [2, 4, 8] {
             configs.push(CacheConfig::new(16 * 1024, line, assoc));
         }
     }
-    let subset = util::filtered(
+    let subset = run.filtered(
         FIG9_WORKLOADS
             .iter()
             .map(|n| rebalance_workloads::find(n).expect("figure 9 roster name"))
             .collect(),
     );
-    let rows = util::sweep(subset, scale, |_| {
-        configs.iter().map(|c| ICacheSim::new(*c)).collect()
-    })
-    .into_iter()
-    .flat_map(|o| {
-        o.tools
-            .iter()
-            .map(|sim| {
-                let rep = sim.report();
-                Fig9Row {
-                    workload: o.item.name().to_owned(),
-                    line_bytes: rep.config.line_bytes,
-                    assoc: rep.config.assoc,
-                    mpki: rep.total().mpki(),
-                    usefulness: rep.usefulness,
-                }
-            })
-            .collect::<Vec<_>>()
-    })
-    .collect();
+    let rows = run
+        .sweep(subset, scale, |_| {
+            configs.iter().map(|c| ICacheSim::new(*c)).collect()
+        })
+        .into_iter()
+        .flat_map(|o| {
+            o.tools
+                .iter()
+                .map(|sim| {
+                    let rep = sim.report();
+                    Fig9Row {
+                        workload: o.item.name().to_owned(),
+                        line_bytes: rep.config.line_bytes,
+                        assoc: rep.config.assoc,
+                        mpki: rep.total().mpki(),
+                        usefulness: rep.usefulness,
+                    }
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
     Fig9 { rows }
 }
 
@@ -272,7 +275,7 @@ mod tests {
 
     #[test]
     fn fig7_shapes() {
-        let f = fig7(Scale::Smoke);
+        let f = fig7(&Run::default(), Scale::Smoke);
         assert_eq!(f.rows.len(), 9);
         // HPC is insensitive to BTB size (paper Implication 2): 256 vs
         // 1K entries changes NPB MPKI very little.
@@ -290,7 +293,7 @@ mod tests {
 
     #[test]
     fn fig8_shapes() {
-        let f = fig8(Scale::Smoke);
+        let f = fig8(&Run::default(), Scale::Smoke);
         assert_eq!(f.rows.len(), 9);
         // Sizes matter for desktop: 8KB much worse than 32KB.
         // Smoke-scale traces keep a warmup component, flattening the
@@ -316,7 +319,7 @@ mod tests {
 
     #[test]
     fn fig9_usefulness_contrast() {
-        let f = fig9(Scale::Smoke);
+        let f = fig9(&Run::default(), Scale::Smoke);
         assert_eq!(f.rows.len(), 5 * 9);
         // HPC keeps wide lines useful; desktop wastes them.
         let use_of = |w: &str| {

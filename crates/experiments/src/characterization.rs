@@ -8,7 +8,7 @@ use rebalance_workloads::{KernelSpec, Scale, Suite, Workload};
 use serde::{Deserialize, Serialize};
 
 use crate::paper;
-use crate::util::{self, f1, mean, pct, TextTable};
+use crate::util::{f1, mean, pct, Run, TextTable};
 
 /// Which bars a row describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -330,13 +330,14 @@ fn bars_for(suite: Suite) -> Vec<Bars> {
 
 /// Runs the characterization pass over the whole roster and aggregates
 /// per suite. Each workload is one engine item:
-/// [`util::characterize_workload`] feeds all five pintools from a
-/// single replay (served from the shared trace cache when one is
-/// configured), and workloads run in parallel on the shared engine's
-/// executor.
-pub fn run(scale: Scale) -> CharacterizationSet {
-    let workloads = util::roster();
-    let characterized = util::engine().map(&workloads, |w| util::characterize_workload(w, scale));
+/// [`Run::characterize_workload`] feeds all five pintools from a
+/// single replay (served from the run's trace cache when it has one),
+/// and workloads run in parallel on the run engine's executor.
+pub fn run(run: &Run, scale: Scale) -> CharacterizationSet {
+    let workloads = run.roster();
+    let characterized = run
+        .engine
+        .map(&workloads, |w| run.characterize_workload(w, scale));
     let results: Vec<(Workload, Characterization)> =
         workloads.into_iter().zip(characterized).collect();
 
@@ -537,9 +538,11 @@ impl KernelsSet {
 /// Runs the characterization pass over the kernel-archetype roster
 /// only, one engine item per workload, reporting measured values
 /// against each [`KernelSpec`]'s design targets.
-pub fn kernels(scale: Scale) -> KernelsSet {
-    let workloads = util::filtered(rebalance_workloads::kernels());
-    let characterized = util::engine().map(&workloads, |w| util::characterize_workload(w, scale));
+pub fn kernels(run: &Run, scale: Scale) -> KernelsSet {
+    let workloads = run.filtered(rebalance_workloads::kernels());
+    let characterized = run
+        .engine
+        .map(&workloads, |w| run.characterize_workload(w, scale));
     let rows = workloads
         .iter()
         .zip(characterized)
@@ -574,7 +577,7 @@ mod tests {
     use super::*;
 
     fn smoke_set() -> CharacterizationSet {
-        run(Scale::Smoke)
+        run(&Run::default(), Scale::Smoke)
     }
 
     #[test]
@@ -705,7 +708,7 @@ mod tests {
 
     #[test]
     fn kernels_sweep_reports_measured_vs_targets() {
-        let set = kernels(Scale::Smoke);
+        let set = kernels(&Run::default(), Scale::Smoke);
         assert!(set.rows.len() >= 6, "six archetypes minimum");
         for r in &set.rows {
             assert!(r.branch_fraction > 0.0, "{}", r.workload);

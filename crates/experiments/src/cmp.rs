@@ -7,7 +7,7 @@ use rebalance_workloads::{Scale, Suite, Workload};
 use serde::{Deserialize, Serialize};
 
 use crate::paper;
-use crate::util::{self, f2, for_all_workloads, mean, TextTable};
+use crate::util::{f2, mean, Run, TextTable};
 
 /// The four Figure 10 CMP simulators.
 fn figure10_sims() -> Vec<CmpSim> {
@@ -187,11 +187,11 @@ pub struct CmpRun {
 
 /// Simulates every workload on the four Figure 10 floorplans. The
 /// floorplans share one trace replay per workload
-/// ([`util::floorplans`], cache-served when configured), and workloads
-/// run in parallel.
-pub fn run_cmps(scale: Scale) -> Vec<CmpRun> {
+/// ([`Run::floorplans`], cache-served when the run has a cache), and
+/// workloads run in parallel.
+pub fn run_cmps(run: &Run, scale: Scale) -> Vec<CmpRun> {
     let sims = figure10_sims();
-    for_all_workloads(|w| util::floorplans(&sims, w, scale))
+    run.for_all_workloads(|w| run.floorplans(&sims, w, scale))
         .into_iter()
         .map(|(w, results): (Workload, Vec<CmpResult>)| CmpRun {
             workload: w.name().to_owned(),
@@ -231,8 +231,8 @@ pub fn fig10_from_runs(runs: &[CmpRun]) -> Fig10 {
 }
 
 /// Runs Figure 10 end to end.
-pub fn fig10(scale: Scale) -> Fig10 {
-    fig10_from_runs(&run_cmps(scale))
+pub fn fig10(run: &Run, scale: Scale) -> Fig10 {
+    fig10_from_runs(&run_cmps(run, scale))
 }
 
 /// The benchmarks Figure 11 highlights.
@@ -280,16 +280,16 @@ impl Fig11 {
 
 /// Runs Figure 11 over the highlighted subset (one shared replay per
 /// workload across the four floorplans).
-pub fn fig11(scale: Scale) -> Fig11 {
+pub fn fig11(run: &Run, scale: Scale) -> Fig11 {
     let sims = figure10_sims();
-    let subset = util::filtered(
+    let subset = run.filtered(
         FIG11_WORKLOADS
             .iter()
             .map(|n| rebalance_workloads::find(n).expect("figure 11 roster name"))
             .collect(),
     );
-    let rows = util::engine().map(&subset, |w| {
-        let results = util::floorplans(&sims, w, scale);
+    let rows = run.engine.map(&subset, |w| {
+        let results = run.floorplans(&sims, w, scale);
         let base = results[0].time_s;
         results
             .into_iter()
@@ -336,7 +336,7 @@ mod tests {
 
     #[test]
     fn fig10_smoke_shape() {
-        let f = fig10(Scale::Smoke);
+        let f = fig10(&Run::default(), Scale::Smoke);
         assert_eq!(f.rows.len(), Suite::COUNT * 4);
         // Baseline rows are exactly 1.0 (self-normalized).
         for suite in Suite::ALL {
@@ -358,7 +358,7 @@ mod tests {
 
     #[test]
     fn fig11_smoke_shape() {
-        let f = fig11(Scale::Smoke);
+        let f = fig11(&Run::default(), Scale::Smoke);
         assert_eq!(f.rows.len(), 6 * 4);
         // FT is a large Asymmetric++ winner.
         let ft = f.time("FT", "1B+8T").unwrap();

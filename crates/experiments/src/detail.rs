@@ -5,7 +5,7 @@
 use rebalance_workloads::{Scale, Suite};
 use serde::{Deserialize, Serialize};
 
-use crate::util::{characterize_workload, f1, for_all_workloads, pct, TextTable};
+use crate::util::{f1, pct, Run, TextTable};
 
 /// One benchmark's headline characterization numbers.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -81,29 +81,31 @@ impl Detail {
 }
 
 /// Characterizes every roster benchmark individually.
-pub fn run(scale: Scale) -> Detail {
-    let rows = for_all_workloads(|w| {
-        let c = characterize_workload(w, scale);
-        let mix = c.mix.total();
-        let branches = mix.branches().max(1);
-        use rebalance_isa::BranchKind;
-        let indirect = mix.count(BranchKind::IndirectBranch) + mix.count(BranchKind::IndirectCall);
-        DetailRow {
-            workload: w.name().to_owned(),
-            suite: w.suite(),
-            branch_fraction: mix.branch_fraction(),
-            indirect_share: indirect as f64 / branches as f64,
-            strongly_biased: c.bias.total.strongly_biased_fraction(),
-            backward: c.direction.total().backward_fraction(),
-            static_kb: c.footprint.static_kb(),
-            dyn99_kb: c.footprint.total.dyn99_kb(),
-            bbl_bytes: c.basic_blocks.total().avg_block_bytes(),
-            serial_share: w.profile().serial_fraction,
-        }
-    })
-    .into_iter()
-    .map(|(_, row)| row)
-    .collect();
+pub fn run(run: &Run, scale: Scale) -> Detail {
+    let rows = run
+        .for_all_workloads(|w| {
+            let c = run.characterize_workload(w, scale);
+            let mix = c.mix.total();
+            let branches = mix.branches().max(1);
+            use rebalance_isa::BranchKind;
+            let indirect =
+                mix.count(BranchKind::IndirectBranch) + mix.count(BranchKind::IndirectCall);
+            DetailRow {
+                workload: w.name().to_owned(),
+                suite: w.suite(),
+                branch_fraction: mix.branch_fraction(),
+                indirect_share: indirect as f64 / branches as f64,
+                strongly_biased: c.bias.total.strongly_biased_fraction(),
+                backward: c.direction.total().backward_fraction(),
+                static_kb: c.footprint.static_kb(),
+                dyn99_kb: c.footprint.total.dyn99_kb(),
+                bbl_bytes: c.basic_blocks.total().avg_block_bytes(),
+                serial_share: w.profile().serial_fraction,
+            }
+        })
+        .into_iter()
+        .map(|(_, row)| row)
+        .collect();
     Detail { rows }
 }
 
@@ -113,7 +115,7 @@ mod tests {
 
     #[test]
     fn named_paper_observations_hold_per_benchmark() {
-        let d = run(Scale::Smoke);
+        let d = run(&Run::default(), Scale::Smoke);
         assert_eq!(d.rows.len(), rebalance_workloads::all().len());
 
         // BT has the longest basic blocks of the *study* (~312 B); our
@@ -160,7 +162,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_names() {
-        let d = run(Scale::Smoke);
+        let d = run(&Run::default(), Scale::Smoke);
         let text = d.render();
         for w in rebalance_workloads::all() {
             assert!(text.contains(w.name()), "{} missing", w.name());

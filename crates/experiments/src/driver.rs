@@ -1,12 +1,12 @@
-//! The exhibit driver shared by the `repro` binary and the `rebalance
-//! paper` subcommand: name → regenerator dispatch, scale parsing, and
-//! optional JSON dumping.
+//! The exhibit driver behind the `rebalance paper` subcommand: name →
+//! regenerator dispatch, scale parsing, and optional JSON dumping.
 
 use std::io::{self, Write};
 use std::path::Path;
 
 use rebalance_workloads::Scale;
 
+use crate::util::Run;
 use crate::{ablations, caches, characterization, cmp, detail, fetchsim, predictors, sampling};
 
 /// Every exhibit name the driver understands, in paper order (the
@@ -100,8 +100,9 @@ fn dump_json<T: serde::Serialize>(dir: Option<&Path>, name: &str, value: &T) {
     }
 }
 
-/// Regenerates the given exhibits at `scale`, writing each rendering to
-/// `out` (and a JSON dump per exhibit into `json_dir` when given).
+/// Regenerates the given exhibits at `scale` through `run`, writing each
+/// rendering to `out` (and a JSON dump per exhibit into `json_dir` when
+/// given).
 /// Unknown names are skipped with a warning on stderr; exhibits sharing
 /// a sweep (the characterization set, the Figure 10 CMP runs) compute
 /// it once.
@@ -110,6 +111,7 @@ fn dump_json<T: serde::Serialize>(dir: Option<&Path>, name: &str, value: &T) {
 ///
 /// Propagates write failures on `out`.
 pub fn run_exhibits(
+    run: &Run,
     exhibits: &[String],
     scale: Scale,
     json_dir: Option<&Path>,
@@ -118,10 +120,10 @@ pub fn run_exhibits(
     let needs_characterization = exhibits
         .iter()
         .any(|e| matches!(e.as_str(), "fig1" | "fig2" | "table1" | "fig3" | "fig4"));
-    let characterization_set = needs_characterization.then(|| characterization::run(scale));
+    let characterization_set = needs_characterization.then(|| characterization::run(run, scale));
 
     let needs_cmp_runs = exhibits.iter().any(|e| e == "fig10");
-    let cmp_runs = needs_cmp_runs.then(|| cmp::run_cmps(scale));
+    let cmp_runs = needs_cmp_runs.then(|| cmp::run_cmps(run, scale));
 
     for exhibit in exhibits {
         let text = match exhibit.as_str() {
@@ -156,27 +158,27 @@ pub fn run_exhibits(
                 t.render()
             }
             "fig5" => {
-                let f = predictors::fig5(scale);
+                let f = predictors::fig5(run, scale);
                 dump_json(json_dir, "fig5", &f);
                 f.render()
             }
             "fig6" => {
-                let f = predictors::fig6(scale);
+                let f = predictors::fig6(run, scale);
                 dump_json(json_dir, "fig6", &f);
                 f.render()
             }
             "fig7" => {
-                let f = caches::fig7(scale);
+                let f = caches::fig7(run, scale);
                 dump_json(json_dir, "fig7", &f);
                 f.render()
             }
             "fig8" => {
-                let f = caches::fig8(scale);
+                let f = caches::fig8(run, scale);
                 dump_json(json_dir, "fig8", &f);
                 f.render()
             }
             "fig9" => {
-                let f = caches::fig9(scale);
+                let f = caches::fig9(run, scale);
                 dump_json(json_dir, "fig9", &f);
                 f.render()
             }
@@ -193,34 +195,34 @@ pub fn run_exhibits(
                 f.render()
             }
             "fig11" => {
-                let f = cmp::fig11(scale);
+                let f = cmp::fig11(run, scale);
                 dump_json(json_dir, "fig11", &f);
                 f.render()
             }
             "detail" => {
-                let d = detail::run(scale);
+                let d = detail::run(run, scale);
                 dump_json(json_dir, "detail", &d);
                 d.render()
             }
             "kernels" => {
-                let c = characterization::kernels(scale);
-                let p = predictors::kernels_sweep(scale);
+                let c = characterization::kernels(run, scale);
+                let p = predictors::kernels_sweep(run, scale);
                 dump_json(json_dir, "kernels_characterization", &c);
                 dump_json(json_dir, "kernels_predictors", &p);
                 format!("{}\n{}", c.render(), p.render())
             }
             "fetchsim" => {
-                let f = fetchsim::run(scale);
+                let f = fetchsim::run(run, scale);
                 dump_json(json_dir, "fetchsim", &f);
                 f.render()
             }
             "sampling" => {
-                let s = sampling::run(scale);
+                let s = sampling::run(run, scale);
                 dump_json(json_dir, "sampling", &s);
                 s.render()
             }
             "ablations" => {
-                let all = ablations::run_all(scale);
+                let all = ablations::run_all(run, scale);
                 dump_json(json_dir, "ablations", &all);
                 all.iter()
                     .map(|a| a.render())
@@ -283,7 +285,9 @@ mod tests {
     fn run_exhibits_renders_table2() {
         // table2 is cheap: it needs no trace replay at all.
         let mut out = Vec::new();
-        run_exhibits(&["table2".to_owned()], Scale::Smoke, None, &mut out).unwrap();
+        let run = Run::default();
+        run_exhibits(&run, &["table2".to_owned()], Scale::Smoke, None, &mut out).unwrap();
+        assert_eq!(run.report().replays, 0);
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Table II"), "{text}");
     }

@@ -16,7 +16,7 @@ use rebalance_frontend::{BtbConfig, FrontendConfig};
 use rebalance_workloads::{Scale, Suite, Workload};
 use serde::{Deserialize, Serialize};
 
-use crate::util::{self, f2, mean, TextTable};
+use crate::util::{f2, mean, Run, TextTable};
 
 /// The default design grid: FTQ depth × fetch width × prefetch degree
 /// × BTB size, all on the baseline predictor/I-cache so the BTB axis
@@ -117,22 +117,28 @@ impl FetchsimSweep {
 
 /// Sweeps the design grid over `workloads`: the whole grid joins one
 /// [`ToolSet`](rebalance_trace::ToolSet), so the cost is one replay per
-/// `(workload, scale)` — cache-served when a cache is configured —
-/// regardless of grid size. Honors the process-wide phase-sampling
-/// latch (`--sample`): when set, each replay covers only weighted
+/// `(workload, scale)` — cache-served when the run has a cache —
+/// regardless of grid size. Honors the run's sampling geometry
+/// ([`Run::sampling`]): when set, each replay covers only weighted
 /// representative intervals.
-pub fn sweep_grid(workloads: Vec<Workload>, scale: Scale, grid: &[FetchConfig]) -> FetchsimSweep {
+pub fn sweep_grid(
+    run: &Run,
+    workloads: Vec<Workload>,
+    scale: Scale,
+    grid: &[FetchConfig],
+) -> FetchsimSweep {
     let _fetchsim_span = rebalance_telemetry::span("fetchsim");
-    let rows = util::sweep_weighted(workloads, scale, |_| {
-        grid.iter().copied().map(FetchSim::new).collect()
-    })
-    .into_iter()
-    .map(|o| FetchsimRow {
-        workload: o.item.name().to_owned(),
-        suite: o.item.suite(),
-        summaries: o.tools.iter().map(FetchSummary::from_sim).collect(),
-    })
-    .collect();
+    let rows = run
+        .sweep_weighted(workloads, scale, |_| {
+            grid.iter().copied().map(FetchSim::new).collect()
+        })
+        .into_iter()
+        .map(|o| FetchsimRow {
+            workload: o.item.name().to_owned(),
+            suite: o.item.suite(),
+            summaries: o.tools.iter().map(FetchSummary::from_sim).collect(),
+        })
+        .collect();
     FetchsimSweep {
         configs: grid.iter().map(FetchConfig::label).collect(),
         rows,
@@ -226,8 +232,8 @@ impl Fetchsim {
 
 /// Runs the exhibit: the default grid over the full roster (paper
 /// suites + kernel archetypes, narrowed by the active suite filter).
-pub fn run(scale: Scale) -> Fetchsim {
-    from_sweep(&sweep_grid(util::roster(), scale, &default_grid()))
+pub fn run(run: &Run, scale: Scale) -> Fetchsim {
+    from_sweep(&sweep_grid(run, run.roster(), scale, &default_grid()))
 }
 
 /// Aggregates a raw grid sweep into the per-suite exhibit.
@@ -283,7 +289,7 @@ mod tests {
 
     #[test]
     fn exhibit_reproduces_the_small_btb_claim() {
-        let f = run(Scale::Smoke);
+        let f = run(&Run::default(), Scale::Smoke);
         assert_eq!(f.rows.len(), 16);
         let hpc_kernels: Vec<Suite> = Suite::ALL
             .into_iter()
@@ -312,7 +318,7 @@ mod tests {
             rebalance_workloads::find("CG").unwrap(),
             rebalance_workloads::find("k.triad").unwrap(),
         ];
-        let s = sweep_grid(ws, Scale::Smoke, &default_grid());
+        let s = sweep_grid(&Run::default(), ws, Scale::Smoke, &default_grid());
         assert_eq!(s.rows.len(), 2);
         assert_eq!(s.configs.len(), 16);
         let cell = s.summary("CG", "ftq16/w4/pf4/btb2048").unwrap();

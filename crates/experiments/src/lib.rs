@@ -15,20 +15,24 @@
 //! | [`fetchsim`] | decoupled front-end (FTQ + FDIP) design grid |
 //! | [`sampling`] | phase-sampled vs full-replay error validation |
 //!
-//! The `repro` binary drives them:
+//! Every replaying exhibit takes a [`util::Run`]: the one value that
+//! carries a run's sweep engine, trace cache, suite filter, sampling
+//! geometry and CPI fetch model. The `rebalance paper` subcommand
+//! builds it from its flags and drives the exhibits through
+//! [`driver::run_exhibits`]:
 //!
 //! ```text
-//! repro all --scale quick
-//! repro fig5 table3 --scale full --json results/
+//! rebalance paper all --scale quick
+//! rebalance paper fig5 table3 --scale full --json results/
 //! ```
 //!
 //! # Examples
 //!
 //! ```
-//! use rebalance_experiments::characterization;
+//! use rebalance_experiments::{characterization, util::Run};
 //! use rebalance_workloads::Scale;
 //!
-//! let set = characterization::run(Scale::Smoke);
+//! let set = characterization::run(&Run::default(), Scale::Smoke);
 //! // 3 HPC suites and the kernel archetypes get total/serial/parallel
 //! // bars; the sequentially-run SPEC CPU INT gets totals only.
 //! assert_eq!(set.fig1.rows.len(), 4 * 3 + 1);

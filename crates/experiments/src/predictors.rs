@@ -6,7 +6,7 @@ use rebalance_workloads::{Scale, Suite, Workload};
 use serde::{Deserialize, Serialize};
 
 use crate::paper;
-use crate::util::{self, f2, mean, TextTable};
+use crate::util::{f2, mean, Run, TextTable};
 
 /// Table II: the evaluated predictor parameterizations and their
 /// realized hardware budgets.
@@ -94,14 +94,15 @@ impl Fig5 {
 
 /// Runs Figure 5: all nine predictor configurations over every workload
 /// in one trace pass per workload.
-pub fn fig5(scale: Scale) -> Fig5 {
+pub fn fig5(run: &Run, scale: Scale) -> Fig5 {
     let configs = PredictorChoice::figure5_set();
-    let results: Vec<(Workload, Vec<PredictorReport>)> = util::sweep(util::roster(), scale, |_| {
-        PredictorChoice::build_sims(&configs)
-    })
-    .into_iter()
-    .map(|o| (o.item, o.tools.iter().map(PredictorSim::report).collect()))
-    .collect();
+    let results: Vec<(Workload, Vec<PredictorReport>)> = run
+        .sweep(run.roster(), scale, |_| {
+            PredictorChoice::build_sims(&configs)
+        })
+        .into_iter()
+        .map(|o| (o.item, o.tools.iter().map(PredictorSim::report).collect()))
+        .collect();
 
     let rows = configs
         .iter()
@@ -175,19 +176,18 @@ impl KernelsSweep {
 /// Runs the nine-configuration predictor sweep over the kernel
 /// archetypes, per workload instead of per suite (the archetypes are
 /// the point, not their mean).
-pub fn kernels_sweep(scale: Scale) -> KernelsSweep {
+pub fn kernels_sweep(run: &Run, scale: Scale) -> KernelsSweep {
     let configs = PredictorChoice::figure5_set();
-    let rows = util::sweep(
-        util::filtered(rebalance_workloads::kernels()),
-        scale,
-        |_| PredictorChoice::build_sims(&configs),
-    )
-    .into_iter()
-    .map(|o| KernelsSweepRow {
-        workload: o.item.name().to_owned(),
-        mpki: o.tools.iter().map(|s| s.report().total().mpki()).collect(),
-    })
-    .collect();
+    let rows = run
+        .sweep(run.filtered(rebalance_workloads::kernels()), scale, |_| {
+            PredictorChoice::build_sims(&configs)
+        })
+        .into_iter()
+        .map(|o| KernelsSweepRow {
+            workload: o.item.name().to_owned(),
+            mpki: o.tools.iter().map(|s| s.report().total().mpki()).collect(),
+        })
+        .collect();
     KernelsSweep {
         configs: configs.iter().map(|c| c.label()).collect(),
         rows,
@@ -267,19 +267,20 @@ impl Fig6 {
 
 /// Runs Figure 6 over the highlighted subset: all three gshare variants
 /// share one replay per workload.
-pub fn fig6(scale: Scale) -> Fig6 {
+pub fn fig6(run: &Run, scale: Scale) -> Fig6 {
     let configs = [
         PredictorChoice::new(PredictorClass::Gshare, PredictorSize::Big, false),
         PredictorChoice::new(PredictorClass::Gshare, PredictorSize::Small, false),
         PredictorChoice::new(PredictorClass::Gshare, PredictorSize::Small, true),
     ];
-    let subset = util::filtered(
+    let subset = run.filtered(
         FIG6_WORKLOADS
             .iter()
             .map(|n| rebalance_workloads::find(n).expect("figure 6 roster name"))
             .collect(),
     );
-    let rows = util::sweep(subset, scale, |_| PredictorChoice::build_sims(&configs))
+    let rows = run
+        .sweep(subset, scale, |_| PredictorChoice::build_sims(&configs))
         .into_iter()
         .flat_map(|o| {
             configs
@@ -328,7 +329,7 @@ mod tests {
 
     #[test]
     fn fig5_shape_holds_at_smoke_scale() {
-        let f = fig5(Scale::Smoke);
+        let f = fig5(&Run::default(), Scale::Smoke);
         assert_eq!(f.rows.len(), 9);
         // Desktop worst for every configuration.
         for r in &f.rows {
@@ -348,7 +349,7 @@ mod tests {
 
     #[test]
     fn kernels_sweep_orders_archetypes_by_difficulty() {
-        let k = kernels_sweep(Scale::Smoke);
+        let k = kernels_sweep(&Run::default(), Scale::Smoke);
         assert_eq!(k.configs.len(), 9);
         assert!(k.rows.len() >= 6);
         // The streaming and stencil kernels are nearly perfectly
@@ -370,7 +371,7 @@ mod tests {
     fn fig6_covers_the_paper_subset() {
         // The loop BP needs several completed loop executions per site
         // to become confident; smoke-scale traces are too short.
-        let f = fig6(Scale::Custom(0.12));
+        let f = fig6(&Run::default(), Scale::Custom(0.12));
         assert_eq!(f.rows.len(), 9 * 3);
         // imagick/botsspar: the loop BP should remove most taken-backward
         // misses (constant trip counts).

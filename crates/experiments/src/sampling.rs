@@ -17,7 +17,7 @@ use rebalance_trace::SamplingConfig;
 use rebalance_workloads::{Scale, Suite, Workload};
 use serde::{Deserialize, Serialize};
 
-use crate::util::{self, f2, mean, pct, TextTable};
+use crate::util::{f2, mean, pct, Run, TextTable};
 
 /// Relative CPI error bound the sampled replay must hold (±2%).
 pub const CPI_BAND: f64 = 0.02;
@@ -282,6 +282,7 @@ impl SamplingExhibit {
 /// timing backends share each of those replays through the usual tool
 /// fan-out.
 pub fn run_subset(
+    run: &Run,
     workloads: Vec<Workload>,
     scale: Scale,
     config: &SamplingConfig,
@@ -300,8 +301,8 @@ pub fn run_subset(
             .collect::<Vec<_>>()
     };
 
-    let full = util::sweep(workloads.clone(), scale, tools_for);
-    let sampled = util::sweep_sampled(config, workloads, scale, tools_for);
+    let full = run.sweep(workloads.clone(), scale, tools_for);
+    let sampled = run.sweep_sampled(config, workloads, scale, tools_for);
 
     let mut rows = Vec::new();
     for (f, s) in full.iter().zip(&sampled) {
@@ -344,11 +345,11 @@ pub fn run_subset(
 }
 
 /// Runs the exhibit over the full roster (paper suites + kernel
-/// archetypes, narrowed by the active suite filter) with the active
+/// archetypes, narrowed by the run's suite filter) with the run's
 /// sampling configuration (`--sample`/`--sample-k`) or the defaults.
-pub fn run(scale: Scale) -> SamplingExhibit {
-    let config = util::sampling().unwrap_or_default();
-    run_subset(util::roster(), scale, &config)
+pub fn run(run: &Run, scale: Scale) -> SamplingExhibit {
+    let config = run.sampling.unwrap_or_default();
+    run_subset(run, run.roster(), scale, &config)
 }
 
 #[cfg(test)]
@@ -374,7 +375,7 @@ mod tests {
             rebalance_workloads::find("k.triad").unwrap(),
         ];
         let config = SamplingConfig::default();
-        let ex = run_subset(ws, Scale::Smoke, &config);
+        let ex = run_subset(&Run::default(), ws, Scale::Smoke, &config);
         assert_eq!(ex.rows.len(), 6, "two models per workload");
         for r in &ex.rows {
             assert!(

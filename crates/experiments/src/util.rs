@@ -1,18 +1,20 @@
-//! Shared harness utilities: the process-wide sweep engine, the
-//! optional trace cache, and table rendering.
+//! Shared harness utilities: the [`Run`] every exhibit takes, and
+//! table rendering.
 //!
-//! Every experiment routes its replays through the helpers here, so
-//! exhibits share one [`SweepEngine`] (one replay ledger, one thread
-//! pool) and — when [`TRACE_CACHE_ENV`] points at a directory — one
-//! on-disk [`TraceCache`]. [`sweep_report`] then accounts for the whole
-//! process in a single [`Report`], replacing the ad-hoc per-experiment
-//! engines and stat printing this module used to encourage.
+//! A [`Run`] is one run's configuration and accounting as a plain
+//! value: its sweep engine (one replay tally, one thread pool), its
+//! optional on-disk [`TraceCache`], the suite filter, the sampling
+//! geometry and the CPI fetch model. The CLI (or a test) builds it once
+//! and passes it by reference; every experiment routes its replays
+//! through its methods, and [`Run::report`] accounts for the whole run
+//! in a single [`Report`].
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use rebalance_coresim::{simulate_floorplans, simulate_floorplans_cached, CmpResult, CmpSim};
+use rebalance_coresim::{
+    simulate_floorplans, simulate_floorplans_cached, CmpResult, CmpSim, FetchModelKind,
+};
 use rebalance_pintools::{
     characterization_from_tools, characterization_tools, BbvTool, Characterization,
 };
@@ -22,282 +24,249 @@ use rebalance_trace::{
 };
 use rebalance_workloads::{Scale, Suite, Workload};
 
-/// Environment variable naming the trace-cache directory. When set,
-/// every experiment replay is served through the cache; when unset,
-/// traces are generated live (the pre-cache behavior).
-pub const TRACE_CACHE_ENV: &str = "REBALANCE_TRACE_CACHE";
-
-/// Process-wide suite filter: [`u8::MAX`] means "no filter", anything
-/// else is a [`Suite::index`]. Set once (by the CLI's `--suite`) before
-/// exhibits run; unit tests leave it untouched.
-static SUITE_FILTER: AtomicU8 = AtomicU8::new(u8::MAX);
-
-/// Restricts every roster-driven exhibit in this process to one suite
-/// (`None` clears the filter). The CLI's `rebalance paper --suite S`
-/// sets this exactly once, before any exhibit runs.
-pub fn set_suite_filter(suite: Option<Suite>) {
-    let value = suite.map_or(u8::MAX, |s| s.index() as u8);
-    SUITE_FILTER.store(value, Ordering::Relaxed);
+/// One run's configuration and accounting.
+///
+/// Built once by the CLI (from `--cache`/`--no-cache`, `--suite`,
+/// `--sample`/`--sample-k` and `--model`) or by a test, then passed by
+/// reference to every exhibit. [`Run::default`] is a cache-less,
+/// unfiltered, unsampled run on the penalty timing backend.
+///
+/// # Examples
+///
+/// ```
+/// use rebalance_experiments::util::Run;
+/// use rebalance_workloads::{Scale, Suite};
+///
+/// let mut run = Run::default();
+/// run.suite = Some(Suite::Npb);
+/// assert!(run.roster().iter().all(|w| w.suite() == Suite::Npb));
+/// let w = rebalance_workloads::find("EP").unwrap();
+/// run.fan_out(&w, Scale::Smoke, vec![rebalance_trace::NullTool]);
+/// assert_eq!(run.report().replays, 1);
+/// ```
+#[derive(Debug, Default)]
+pub struct Run {
+    /// The sweep engine every replay of this run goes through.
+    pub engine: SweepEngine,
+    /// The on-disk trace cache replays are served from; `None` generates
+    /// every trace live.
+    pub cache: Option<TraceCache>,
+    /// Restricts every roster-driven exhibit to one suite.
+    pub suite: Option<Suite>,
+    /// Phase-samples every timing sweep routed through
+    /// [`Run::sweep_weighted`]; `None` replays in full.
+    pub sampling: Option<SamplingConfig>,
+    /// The CPI timing backend [`Run::floorplans`] times cores through.
+    pub fetch_model: FetchModelKind,
+    /// Where sampled sweeps snapshot traces when [`Run::cache`] is
+    /// `None`: a temp-dir cache created on first use.
+    scratch: OnceLock<TraceCache>,
 }
 
-/// The active suite filter, if any.
-pub fn suite_filter() -> Option<Suite> {
-    match SUITE_FILTER.load(Ordering::Relaxed) as usize {
-        i if i < Suite::COUNT => Some(Suite::ALL[i]),
-        _ => None,
-    }
-}
-
-/// Drops workloads outside the active suite filter (identity when no
-/// filter is set). Exhibits with hand-picked subsets route them through
-/// here so `--suite` narrows every exhibit consistently.
-pub fn filtered(workloads: Vec<Workload>) -> Vec<Workload> {
-    match suite_filter() {
-        Some(suite) => workloads
-            .into_iter()
-            .filter(|w| w.suite() == suite)
-            .collect(),
-        None => workloads,
-    }
-}
-
-/// The roster exhibits sweep: the full registry, narrowed by the
-/// active suite filter.
-pub fn roster() -> Vec<Workload> {
-    filtered(rebalance_workloads::all())
-}
-
-/// Process-wide phase-sampling latch: 0 intervals means "full replay".
-/// Set once (by the CLI's `--sample`/`--sample-k`) before exhibits run,
-/// like [`set_suite_filter`].
-static SAMPLE_INTERVALS: AtomicUsize = AtomicUsize::new(0);
-static SAMPLE_K: AtomicUsize = AtomicUsize::new(0);
-
-/// Turns phase sampling on (`Some(config)`) or off (`None`) for every
-/// timing sweep in this process that goes through [`sweep_weighted`].
-/// The CLI's `--sample N [--sample-k K]` sets this exactly once, before
-/// any exhibit runs.
-pub fn set_sampling(config: Option<SamplingConfig>) {
-    match config {
-        Some(cfg) => {
-            SAMPLE_INTERVALS.store(cfg.intervals.max(1), Ordering::Relaxed);
-            SAMPLE_K.store(cfg.k.max(1), Ordering::Relaxed);
-        }
-        None => {
-            SAMPLE_INTERVALS.store(0, Ordering::Relaxed);
-            SAMPLE_K.store(0, Ordering::Relaxed);
+impl Run {
+    /// The cache sampled sweeps draw snapshot bytes from: this run's
+    /// cache when it has one (so warm sampled sweeps skip generation
+    /// entirely), else a scratch directory under the system temp dir —
+    /// sampling needs a recorded snapshot to slice, so it always
+    /// snapshots.
+    pub fn sampling_cache(&self) -> &TraceCache {
+        match &self.cache {
+            Some(cache) => cache,
+            None => self
+                .scratch
+                .get_or_init(|| TraceCache::scratch().expect("temp dir must be writable")),
         }
     }
-}
 
-/// The active sampling configuration, if phase sampling is on.
-pub fn sampling() -> Option<SamplingConfig> {
-    let intervals = SAMPLE_INTERVALS.load(Ordering::Relaxed);
-    if intervals == 0 {
-        return None;
-    }
-    let k = SAMPLE_K.load(Ordering::Relaxed).max(1);
-    Some(
-        SamplingConfig::default()
-            .with_intervals(intervals)
-            .with_k(k),
-    )
-}
-
-/// The cache sampled sweeps draw snapshot bytes from: the shared cache
-/// when `REBALANCE_TRACE_CACHE` is set, else a process-lifetime scratch
-/// directory under the system temp dir (sampling needs a recorded
-/// snapshot to slice, so it always snapshots — pointing the env var at
-/// a persistent directory makes warm sampled sweeps skip generation
-/// entirely).
-pub fn sampling_cache() -> &'static TraceCache {
-    match shared_cache() {
-        Some(cache) => cache,
-        None => {
-            static SCRATCH: OnceLock<TraceCache> = OnceLock::new();
-            SCRATCH.get_or_init(|| TraceCache::scratch().expect("temp dir must be writable"))
+    /// Replay and cache accounting for everything run through this
+    /// run's engine so far — the one report the CLI and benches print.
+    pub fn report(&self) -> Report {
+        let report = self.engine.report();
+        match &self.cache {
+            Some(cache) => report.with_cache(cache),
+            None => report,
         }
     }
-}
 
-/// The process-wide sweep engine all experiments share.
-pub fn engine() -> &'static SweepEngine {
-    static ENGINE: OnceLock<SweepEngine> = OnceLock::new();
-    ENGINE.get_or_init(SweepEngine::new)
-}
-
-/// The process-wide trace cache, opened from [`TRACE_CACHE_ENV`] on
-/// first use; `None` when the variable is unset or the directory cannot
-/// be created (the experiments then run uncached rather than fail).
-pub fn shared_cache() -> Option<&'static TraceCache> {
-    static CACHE: OnceLock<Option<TraceCache>> = OnceLock::new();
-    CACHE
-        .get_or_init(|| {
-            let dir = std::env::var_os(TRACE_CACHE_ENV)?;
-            TraceCache::new(std::path::PathBuf::from(dir)).ok()
-        })
-        .as_ref()
-}
-
-/// Replay and cache accounting for everything run through [`engine`]
-/// so far — the one report the CLI and benches print.
-pub fn sweep_report() -> Report {
-    let report = engine().report().with_lanes(rebalance_trace::lane_fill());
-    match shared_cache() {
-        Some(cache) => report.with_cache(cache),
-        None => report,
+    /// Drops workloads outside this run's suite filter (identity when no
+    /// filter is set). Exhibits with hand-picked subsets route them
+    /// through here so `--suite` narrows every exhibit consistently.
+    pub fn filtered(&self, workloads: Vec<Workload>) -> Vec<Workload> {
+        match self.suite {
+            Some(suite) => workloads
+                .into_iter()
+                .filter(|w| w.suite() == suite)
+                .collect(),
+            None => workloads,
+        }
     }
-}
 
-/// Sweeps `tools_for` over `workloads` at `scale`, one replay per
-/// workload — served from the shared cache when one is configured.
-pub fn sweep<T, ToolsFn>(
-    workloads: Vec<Workload>,
-    scale: Scale,
-    tools_for: ToolsFn,
-) -> Vec<SweepOutcome<Workload, T>>
-where
-    T: Pintool + Send,
-    ToolsFn: Fn(&Workload) -> Vec<T> + Sync,
-{
-    match shared_cache() {
-        Some(cache) => engine()
-            .sweep_cached(
-                cache,
+    /// The roster exhibits sweep: the full registry, narrowed by this
+    /// run's suite filter.
+    pub fn roster(&self) -> Vec<Workload> {
+        self.filtered(rebalance_workloads::all())
+    }
+
+    /// Sweeps `tools_for` over `workloads` at `scale`, one replay per
+    /// workload — served from this run's cache when it has one.
+    pub fn sweep<T, ToolsFn>(
+        &self,
+        workloads: Vec<Workload>,
+        scale: Scale,
+        tools_for: ToolsFn,
+    ) -> Vec<SweepOutcome<Workload, T>>
+    where
+        T: Pintool + Send,
+        ToolsFn: Fn(&Workload) -> Vec<T> + Sync,
+    {
+        match &self.cache {
+            Some(cache) => self
+                .engine
+                .sweep_cached(
+                    cache,
+                    workloads,
+                    |w| w.trace_key(scale),
+                    |w| w.trace(scale),
+                    tools_for,
+                )
+                .expect("trace cache replay"),
+            None => self.engine.sweep(
+                workloads,
+                |w| w.trace(scale).expect("valid roster profile"),
+                tools_for,
+            ),
+        }
+    }
+
+    /// Sweeps `tools_for` over `workloads` at `scale` replaying only each
+    /// trace's weighted representative intervals under `config` — the
+    /// phase-sampled sibling of [`Run::sweep`]. Tools must be
+    /// weight-aware ([`Pintool::supports_sampled_replay`]).
+    pub fn sweep_sampled<T, ToolsFn>(
+        &self,
+        config: &SamplingConfig,
+        workloads: Vec<Workload>,
+        scale: Scale,
+        tools_for: ToolsFn,
+    ) -> Vec<SampledOutcome<Workload, T>>
+    where
+        T: Pintool + Send,
+        ToolsFn: Fn(&Workload) -> Vec<T> + Sync,
+    {
+        let dims = config.dims;
+        self.engine
+            .sweep_sampled(
+                self.sampling_cache(),
+                config,
                 workloads,
                 |w| w.trace_key(scale),
                 |w| w.trace(scale),
                 tools_for,
+                || BbvTool::new(dims),
             )
-            .expect("trace cache replay"),
-        None => engine().sweep(
-            workloads,
-            |w| w.trace(scale).expect("valid roster profile"),
-            tools_for,
-        ),
+            .expect("sampled trace replay")
     }
-}
 
-/// Sweeps `tools_for` over `workloads` at `scale` replaying only each
-/// trace's weighted representative intervals under `config` — the
-/// phase-sampled sibling of [`sweep`]. Tools must be weight-aware
-/// ([`Pintool::supports_sampled_replay`]).
-pub fn sweep_sampled<T, ToolsFn>(
-    config: &SamplingConfig,
-    workloads: Vec<Workload>,
-    scale: Scale,
-    tools_for: ToolsFn,
-) -> Vec<SampledOutcome<Workload, T>>
-where
-    T: Pintool + Send,
-    ToolsFn: Fn(&Workload) -> Vec<T> + Sync,
-{
-    let dims = config.dims;
-    engine()
-        .sweep_sampled(
-            sampling_cache(),
-            config,
-            workloads,
-            |w| w.trace_key(scale),
-            |w| w.trace(scale),
-            tools_for,
-            || BbvTool::new(dims),
-        )
-        .expect("sampled trace replay")
-}
-
-/// [`sweep`] that honors the process-wide sampling latch: a full replay
-/// per workload when sampling is off, a weighted representative replay
-/// when [`set_sampling`] turned it on. Only timing sweeps whose tools
-/// are weight-aware should route through here.
-pub fn sweep_weighted<T, ToolsFn>(
-    workloads: Vec<Workload>,
-    scale: Scale,
-    tools_for: ToolsFn,
-) -> Vec<SweepOutcome<Workload, T>>
-where
-    T: Pintool + Send,
-    ToolsFn: Fn(&Workload) -> Vec<T> + Sync,
-{
-    match sampling() {
-        Some(config) => sweep_sampled(&config, workloads, scale, tools_for)
-            .into_iter()
-            .map(|o| SweepOutcome {
-                item: o.item,
-                tools: o.tools,
-                summary: o.summary,
-            })
-            .collect(),
-        None => sweep(workloads, scale, tools_for),
-    }
-}
-
-/// Fans `tools` out over one replay of a single workload's trace —
-/// cached when a shared cache is configured.
-pub fn fan_out<T: Pintool>(
-    workload: &Workload,
-    scale: Scale,
-    tools: Vec<T>,
-) -> (Vec<T>, RunSummary) {
-    match shared_cache() {
-        Some(cache) => {
-            let (tools, replay) = engine()
-                .fan_out_cached(
-                    cache,
-                    &workload.trace_key(scale),
-                    || workload.trace(scale),
-                    tools,
-                )
-                .expect("trace cache replay");
-            (tools, replay.summary)
-        }
-        None => {
-            let trace = workload.trace(scale).expect("valid roster profile");
-            engine().fan_out(&trace, tools)
+    /// [`Run::sweep`] that honors this run's sampling geometry: a full
+    /// replay per workload when [`Run::sampling`] is `None`, a weighted
+    /// representative replay otherwise. Only timing sweeps whose tools
+    /// are weight-aware should route through here.
+    pub fn sweep_weighted<T, ToolsFn>(
+        &self,
+        workloads: Vec<Workload>,
+        scale: Scale,
+        tools_for: ToolsFn,
+    ) -> Vec<SweepOutcome<Workload, T>>
+    where
+        T: Pintool + Send,
+        ToolsFn: Fn(&Workload) -> Vec<T> + Sync,
+    {
+        match &self.sampling {
+            Some(config) => self
+                .sweep_sampled(config, workloads, scale, tools_for)
+                .into_iter()
+                .map(|o| SweepOutcome {
+                    item: o.item,
+                    tools: o.tools,
+                    summary: o.summary,
+                })
+                .collect(),
+            None => self.sweep(workloads, scale, tools_for),
         }
     }
-}
 
-/// Simulates `sims` over one workload — through the shared cache when
-/// one is configured.
-pub fn floorplans(sims: &[CmpSim], workload: &Workload, scale: Scale) -> Vec<CmpResult> {
-    match shared_cache() {
-        Some(cache) => simulate_floorplans_cached(sims, workload, scale, cache),
-        None => simulate_floorplans(sims, workload, scale),
-    }
-    .expect("valid roster profile")
-}
-
-/// Characterizes one workload, streaming the dynamic events from the
-/// shared cache when one is configured. The program model is still
-/// synthesized either way (the static footprint is a static property a
-/// dynamic event stream cannot supply), but synthesis is cheap — the
-/// cache removes the expensive interpreter pass.
-pub fn characterize_workload(workload: &Workload, scale: Scale) -> Characterization {
-    let trace = workload.trace(scale).expect("valid roster profile");
-    match shared_cache() {
-        Some(cache) => {
-            let static_bytes = trace.program().static_bytes();
-            let mut tools = characterization_tools();
-            let replay = cache
-                .replay_with(&workload.trace_key(scale), move || Ok(trace), &mut tools)
-                .expect("trace cache replay");
-            characterization_from_tools(tools, static_bytes, replay.summary)
+    /// Fans `tools` out over one replay of a single workload's trace —
+    /// cached when this run has a cache.
+    pub fn fan_out<T: Pintool>(
+        &self,
+        workload: &Workload,
+        scale: Scale,
+        tools: Vec<T>,
+    ) -> (Vec<T>, RunSummary) {
+        match &self.cache {
+            Some(cache) => {
+                let (tools, replay) = self
+                    .engine
+                    .fan_out_cached(
+                        cache,
+                        &workload.trace_key(scale),
+                        || workload.trace(scale),
+                        tools,
+                    )
+                    .expect("trace cache replay");
+                (tools, replay.summary)
+            }
+            None => {
+                let trace = workload.trace(scale).expect("valid roster profile");
+                self.engine.fan_out(&trace, tools)
+            }
         }
-        None => rebalance_pintools::characterize(&trace),
     }
-}
 
-/// Runs `f` over the roster (narrowed by the active suite filter)
-/// in parallel, returning `(workload, result)` pairs in roster order.
-pub fn for_all_workloads<U, F>(f: F) -> Vec<(Workload, U)>
-where
-    U: Send,
-    F: Fn(&Workload) -> U + Sync,
-{
-    let ws = roster();
-    let results = engine().map(&ws, f);
-    ws.into_iter().zip(results).collect()
+    /// Simulates `sims` over one workload through this run's fetch
+    /// model — via its cache when it has one.
+    pub fn floorplans(&self, sims: &[CmpSim], workload: &Workload, scale: Scale) -> Vec<CmpResult> {
+        match &self.cache {
+            Some(cache) => {
+                simulate_floorplans_cached(sims, workload, scale, cache, self.fetch_model)
+            }
+            None => simulate_floorplans(sims, workload, scale, self.fetch_model),
+        }
+        .expect("valid roster profile")
+    }
+
+    /// Characterizes one workload, streaming the dynamic events from
+    /// this run's cache when it has one. The program model is still
+    /// synthesized either way (the static footprint is a static property
+    /// a dynamic event stream cannot supply), but synthesis is cheap —
+    /// the cache removes the expensive interpreter pass.
+    pub fn characterize_workload(&self, workload: &Workload, scale: Scale) -> Characterization {
+        let trace = workload.trace(scale).expect("valid roster profile");
+        match &self.cache {
+            Some(cache) => {
+                let static_bytes = trace.program().static_bytes();
+                let mut tools = characterization_tools();
+                let replay = cache
+                    .replay_with(&workload.trace_key(scale), move || Ok(trace), &mut tools)
+                    .expect("trace cache replay");
+                characterization_from_tools(tools, static_bytes, replay.summary)
+            }
+            None => rebalance_pintools::characterize(&trace),
+        }
+    }
+
+    /// Runs `f` over the roster (narrowed by this run's suite filter)
+    /// in parallel, returning `(workload, result)` pairs in roster
+    /// order.
+    pub fn for_all_workloads<U, F>(&self, f: F) -> Vec<(Workload, U)>
+    where
+        U: Send,
+        F: Fn(&Workload) -> U + Sync,
+    {
+        let ws = self.roster();
+        let results = self.engine.map(&ws, f);
+        ws.into_iter().zip(results).collect()
+    }
 }
 
 /// Minimal fixed-width text table.
@@ -419,7 +388,7 @@ mod tests {
 
     #[test]
     fn for_all_covers_roster() {
-        let names = for_all_workloads(|w| w.name().to_owned());
+        let names = Run::default().for_all_workloads(|w| w.name().to_owned());
         assert_eq!(names.len(), rebalance_workloads::all().len());
         assert!(names.len() > 41, "kernel archetypes ride along");
         assert_eq!(names[0].0.name(), names[0].1);
@@ -427,49 +396,45 @@ mod tests {
 
     #[test]
     fn roster_without_filter_is_the_full_registry() {
-        // Unit tests never set the filter (it is process-wide), so the
-        // default view must be the whole registry; `--suite` behavior
-        // is exercised end to end by the CLI smoke in CI.
-        assert_eq!(suite_filter(), None);
-        assert_eq!(roster().len(), rebalance_workloads::all().len());
-        let subset = filtered(rebalance_workloads::by_suite(Suite::Npb));
+        // The filter is a field of one run, so a filtered and an
+        // unfiltered run coexist in one process.
+        let npb = Run {
+            suite: Some(Suite::Npb),
+            ..Run::default()
+        };
+        let everything = Run::default();
+        assert_eq!(npb.roster(), rebalance_workloads::by_suite(Suite::Npb));
+        assert_eq!(everything.roster(), rebalance_workloads::all());
         assert_eq!(
-            subset.len(),
-            rebalance_workloads::by_suite(Suite::Npb).len()
+            npb.filtered(rebalance_workloads::kernels()),
+            Vec::<Workload>::new()
         );
-    }
-
-    #[test]
-    fn engine_is_process_wide() {
-        assert!(std::ptr::eq(engine(), engine()));
-        assert!(engine().executor().threads() >= 1);
+        assert_eq!(
+            everything.filtered(rebalance_workloads::kernels()),
+            rebalance_workloads::kernels()
+        );
     }
 
     #[test]
     fn sweep_report_tracks_the_shared_engine() {
-        let before = sweep_report().replays;
+        let run = Run::default();
         let w = rebalance_workloads::find("EP").unwrap();
-        let (tools, summary) = fan_out(
+        let before = run.report();
+        let (tools, summary) = run.fan_out(
             &w,
             Scale::Smoke,
             vec![rebalance_trace::NullTool, rebalance_trace::NullTool],
         );
+        let after = run.report();
         assert_eq!(tools.len(), 2);
         assert!(summary.instructions > 0);
-        // Sibling tests tick the same process-wide engine concurrently,
-        // so only a lower bound is stable here; the exact one-replay-
-        // per-fan-out accounting is asserted on private engines in the
-        // trace crate's tests.
-        assert!(sweep_report().replays > before, "the shared ledger moved");
-    }
-
-    #[test]
-    fn sampling_latch_defaults_to_off() {
-        // The latch is process-wide; exhibits' own unit tests run in
-        // this binary, so nothing here may flip it on. Round-trip
-        // behavior is exercised by `tests/integration_sampling.rs`,
-        // which owns its process.
-        assert_eq!(sampling(), None);
+        assert_eq!(after.replays - before.replays, 1, "one fan-out, one replay");
+        assert_eq!(
+            after.lanes.unwrap().instructions - before.lanes.unwrap().instructions,
+            summary.instructions,
+            "the replay's events, each counted once"
+        );
+        assert!(after.cache.is_none(), "a cache-less run reports no cache");
     }
 
     #[test]
@@ -479,7 +444,7 @@ mod tests {
 
         let w = rebalance_workloads::find("CG").unwrap();
         let config = SamplingConfig::default().with_intervals(40).with_k(4);
-        let out = sweep_sampled(&config, vec![w.clone()], Scale::Smoke, |_| {
+        let out = Run::default().sweep_sampled(&config, vec![w.clone()], Scale::Smoke, |_| {
             vec![CoreModel::new(CoreKind::Baseline).fetch_tools()]
         });
         assert_eq!(out.len(), 1);
@@ -504,12 +469,27 @@ mod tests {
 
     #[test]
     fn characterize_workload_matches_direct_characterization() {
-        // Without REBALANCE_TRACE_CACHE in the test environment this
-        // exercises the live path; the cached path is covered by the
-        // integration tests.
         let w = rebalance_workloads::find("CG").unwrap();
         let direct = rebalance_pintools::characterize(&w.trace(Scale::Smoke).unwrap());
-        assert_eq!(characterize_workload(&w, Scale::Smoke), direct);
+        assert_eq!(
+            Run::default().characterize_workload(&w, Scale::Smoke),
+            direct,
+            "live path"
+        );
+        let cached = Run {
+            cache: Some(TraceCache::scratch().unwrap()),
+            ..Run::default()
+        };
+        for pass in ["cold", "warm"] {
+            assert_eq!(
+                cached.characterize_workload(&w, Scale::Smoke),
+                direct,
+                "{pass} cached path"
+            );
+        }
+        let cache = cached.cache.as_ref().unwrap();
+        assert_eq!((cache.stats().generations, cache.stats().hits), (1, 1));
+        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]
@@ -517,8 +497,32 @@ mod tests {
         use rebalance_mcpat::CmpFloorplan;
         let w = rebalance_workloads::find("MG").unwrap();
         let sims = [CmpSim::new(CmpFloorplan::baseline(8))];
-        let results = floorplans(&sims, &w, Scale::Smoke);
+        let results = Run::default().floorplans(&sims, &w, Scale::Smoke);
         assert_eq!(results.len(), 1);
         assert!(results[0].time_s > 0.0);
+    }
+
+    #[test]
+    fn floorplans_time_cores_through_the_run_fetch_model() {
+        use rebalance_mcpat::CmpFloorplan;
+        let w = rebalance_workloads::find("MG").unwrap();
+        let sims = [
+            CmpSim::new(CmpFloorplan::baseline(8)),
+            CmpSim::new(CmpFloorplan::tailored(8)),
+        ];
+        let ftq = Run {
+            fetch_model: FetchModelKind::Ftq,
+            ..Run::default()
+        };
+        let results = ftq.floorplans(&sims, &w, Scale::Smoke);
+        assert_eq!(
+            results,
+            simulate_floorplans(&sims, &w, Scale::Smoke, FetchModelKind::Ftq).unwrap()
+        );
+        assert_ne!(
+            results,
+            Run::default().floorplans(&sims, &w, Scale::Smoke),
+            "the penalty default times cores differently"
+        );
     }
 }

@@ -33,8 +33,6 @@
 //! N-tool fan-out performs `N × (events / capacity)` virtual transitions
 //! instead of `N × events`.
 
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use rebalance_telemetry as telemetry;
@@ -75,10 +73,10 @@ pub fn parse_batch_capacity(value: &str) -> Option<usize> {
         .filter(|&n| (1..=MAX_BATCH_CAPACITY).contains(&n))
 }
 
-/// The process-wide batch capacity: the value installed by
-/// [`set_batch_capacity`] if it ran before first use, else [`BATCH_ENV`]
-/// when set to an integer in `1..=`[`MAX_BATCH_CAPACITY`], otherwise
-/// [`DEFAULT_BATCH_CAPACITY`]. Latched on first call.
+/// The process-wide batch capacity: [`BATCH_ENV`] when set to an
+/// integer in `1..=`[`MAX_BATCH_CAPACITY`], otherwise
+/// [`DEFAULT_BATCH_CAPACITY`]. The environment is read once, on first
+/// call.
 pub fn batch_capacity() -> usize {
     *CAPACITY.get_or_init(|| {
         std::env::var(BATCH_ENV)
@@ -88,88 +86,6 @@ pub fn batch_capacity() -> usize {
             .unwrap_or(DEFAULT_BATCH_CAPACITY)
     })
 }
-
-/// Why [`set_batch_capacity`] refused a capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchCapacityError {
-    /// The requested capacity is outside `1..=`[`MAX_BATCH_CAPACITY`].
-    OutOfRange {
-        /// The rejected value.
-        requested: usize,
-    },
-    /// [`batch_capacity`] already latched a *different* value — some
-    /// code consumed the capacity before the caller configured it, the
-    /// exact silent disagreement this API exists to surface. (Setting
-    /// the already-latched value again is accepted.)
-    AlreadyLatched {
-        /// The value the caller asked for.
-        requested: usize,
-        /// The value the process is latched to.
-        latched: usize,
-    },
-}
-
-impl fmt::Display for BatchCapacityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BatchCapacityError::OutOfRange { requested } => write!(
-                f,
-                "batch capacity must be in 1..={MAX_BATCH_CAPACITY}, got {requested}"
-            ),
-            BatchCapacityError::AlreadyLatched { requested, latched } => write!(
-                f,
-                "batch capacity already latched to {latched}; cannot change it to {requested} \
-                 (call set_batch_capacity before the first batch_capacity use)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for BatchCapacityError {}
-
-/// Installs the process-wide batch capacity **before first use**,
-/// taking precedence over [`BATCH_ENV`]. This is how the CLI's
-/// `--batch-size` flag configures the capacity without racing the
-/// read-once env latch: an explicit set that arrives too late fails
-/// loudly instead of being silently ignored.
-///
-/// # Errors
-///
-/// [`BatchCapacityError::OutOfRange`] for a capacity outside
-/// `1..=`[`MAX_BATCH_CAPACITY`];
-/// [`BatchCapacityError::AlreadyLatched`] if [`batch_capacity`] already
-/// latched a different value.
-pub fn set_batch_capacity(capacity: usize) -> Result<(), BatchCapacityError> {
-    if !(1..=MAX_BATCH_CAPACITY).contains(&capacity) {
-        return Err(BatchCapacityError::OutOfRange {
-            requested: capacity,
-        });
-    }
-    match CAPACITY.set(capacity) {
-        Ok(()) => Ok(()),
-        Err(_) => {
-            let latched = *CAPACITY.get().expect("set failed, so the cell is full");
-            if latched == capacity {
-                Ok(())
-            } else {
-                Err(BatchCapacityError::AlreadyLatched {
-                    requested: capacity,
-                    latched,
-                })
-            }
-        }
-    }
-}
-
-/// Process-wide batch-delivery ledger: how many events (and how many of
-/// them branches) went through fan-out batch delivery. Written at the
-/// [`ToolSet`](crate::ToolSet) choke point every sweep replays through
-/// — two relaxed adds per ~[`batch_capacity`] events — and read by
-/// [`lane_fill`] for the shared [`Report`](crate::Report). The same
-/// role the [`replay_count`](crate::replay_count) ledger plays for
-/// replays.
-static LEDGER_INSTS: AtomicU64 = AtomicU64::new(0);
-static LEDGER_BRANCHES: AtomicU64 = AtomicU64::new(0);
 
 /// Cached telemetry counter for flushed batches (`replay.batches`).
 fn flush_tele() -> &'static telemetry::Counter {
@@ -182,21 +98,6 @@ fn flush_tele() -> &'static telemetry::Counter {
 fn flush_events_tele() -> &'static telemetry::Counter {
     static EVENTS: OnceLock<telemetry::Counter> = OnceLock::new();
     EVENTS.get_or_init(|| telemetry::counter("replay.events"))
-}
-
-/// Tallies one delivered batch into the process-wide ledger.
-pub(crate) fn record_delivery(batch: &EventBatch) {
-    LEDGER_INSTS.fetch_add(batch.len() as u64, Ordering::Relaxed);
-    LEDGER_BRANCHES.fetch_add(batch.summary().branches, Ordering::Relaxed);
-}
-
-/// The process-wide delivered-event fill so far: events delivered
-/// through fan-out batches and the branch share of them.
-pub fn lane_fill() -> crate::report::LaneFill {
-    crate::report::LaneFill {
-        instructions: LEDGER_INSTS.load(Ordering::Relaxed),
-        branches: LEDGER_BRANCHES.load(Ordering::Relaxed),
-    }
 }
 
 /// Where a producer's decode/interpret loop delivers events: directly
@@ -662,27 +563,5 @@ mod tests {
         assert_eq!(parse_batch_capacity(""), None);
         assert_eq!(parse_batch_capacity("-1"), None);
         assert_eq!(parse_batch_capacity("4096.0"), None);
-    }
-
-    #[test]
-    fn set_batch_capacity_rejects_out_of_range_without_latching() {
-        assert_eq!(
-            set_batch_capacity(0),
-            Err(BatchCapacityError::OutOfRange { requested: 0 })
-        );
-        assert_eq!(
-            set_batch_capacity(MAX_BATCH_CAPACITY + 1),
-            Err(BatchCapacityError::OutOfRange {
-                requested: MAX_BATCH_CAPACITY + 1
-            })
-        );
-        let msg = BatchCapacityError::OutOfRange { requested: 0 }.to_string();
-        assert!(msg.contains("must be in 1..="), "{msg}");
-        let msg = BatchCapacityError::AlreadyLatched {
-            requested: 7,
-            latched: 9,
-        }
-        .to_string();
-        assert!(msg.contains("latched to 9"), "{msg}");
     }
 }

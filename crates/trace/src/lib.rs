@@ -95,8 +95,8 @@ mod timed;
 mod toolset;
 
 pub use batch::{
-    batch_capacity, lane_fill, parse_batch_capacity, set_batch_capacity, BatchCapacityError,
-    EventBatch, BATCH_ENV, DEFAULT_BATCH_CAPACITY, MAX_BATCH_CAPACITY,
+    batch_capacity, parse_batch_capacity, EventBatch, BATCH_ENV, DEFAULT_BATCH_CAPACITY,
+    MAX_BATCH_CAPACITY,
 };
 pub use builder::ProgramBuilder;
 pub use by_section::BySection;
@@ -111,7 +111,7 @@ pub use report::{LaneFill, Report};
 pub use sampling::{
     weighted_add, ClusterInfo, Fingerprinter, SamplePlan, SampledReplay, SamplingConfig,
 };
-pub use schedule::{replay_count, Phase, Schedule, SyntheticTrace};
+pub use schedule::{Phase, Schedule, SyntheticTrace};
 pub use section::Section;
 pub use snapshot::{Snapshot, SnapshotError, SnapshotInfo, SnapshotWriter};
 pub use sweep::{SampledOutcome, SweepEngine, SweepOutcome};

@@ -34,7 +34,7 @@ impl LaneFill {
     }
 }
 
-/// Replay and cache accounting for one sweep (or one whole process).
+/// Replay, cache and lane accounting for one sweep (or one whole run).
 ///
 /// # Examples
 ///
@@ -54,30 +54,24 @@ pub struct Report {
     pub replays: u64,
     /// Cache accounting, when a [`TraceCache`] mediated the replays.
     pub cache: Option<CacheStats>,
-    /// Batch-delivered events over the sweep, when the caller tallied
+    /// Batch-delivered events over the sweep, when an engine tallied
     /// them.
     pub lanes: Option<LaneFill>,
 }
 
 impl Report {
-    /// A report over an engine's replay ledger, cache-less.
+    /// A report over an engine's replay and lane counters, cache-less.
     pub fn from_engine(engine: &SweepEngine) -> Self {
         Report {
             replays: engine.replays(),
             cache: None,
-            lanes: None,
+            lanes: Some(engine.lanes()),
         }
     }
 
     /// Attaches a cache's counters.
     pub fn with_cache(mut self, cache: &TraceCache) -> Self {
         self.cache = Some(cache.stats());
-        self
-    }
-
-    /// Attaches batch-delivery counters.
-    pub fn with_lanes(mut self, lanes: LaneFill) -> Self {
-        self.lanes = Some(lanes);
         self
     }
 

@@ -1,7 +1,5 @@
 //! Phase schedules and replayable synthetic traces.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use serde::{Deserialize, Serialize};
 
 use crate::batch::{batch_capacity, EventBatch};
@@ -9,22 +7,6 @@ use crate::exec::RunSummary;
 use crate::observer::Pintool;
 use crate::program::{BlockId, Program};
 use crate::section::Section;
-
-/// Process-wide count of completed trace replays (full and
-/// section-filtered alike).
-///
-/// Sweeps are judged by how few replays they spend: the engine promises
-/// one replay per `(workload, scale)` regardless of how many tools are
-/// attached, and tests assert that promise against this counter. The
-/// counter is monotonically increasing and shared by every thread, so
-/// assertions should compare deltas and run while no unrelated replays
-/// are in flight.
-static REPLAYS: AtomicU64 = AtomicU64::new(0);
-
-/// Total [`SyntheticTrace`] replays performed by this process so far.
-pub fn replay_count() -> u64 {
-    REPLAYS.load(Ordering::Relaxed)
-}
 
 /// One contiguous serial or parallel execution phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -215,7 +197,6 @@ impl SyntheticTrace {
                 ));
             }
         }
-        REPLAYS.fetch_add(1, Ordering::Relaxed);
         summary
     }
 
@@ -252,7 +233,6 @@ impl SyntheticTrace {
             }
         }
         batch.flush_into(tool);
-        REPLAYS.fetch_add(1, Ordering::Relaxed);
         summary
     }
 }

@@ -18,7 +18,7 @@ use crate::cache::{CacheError, CachedReplay, TraceCache, TraceKey};
 use crate::exec::RunSummary;
 use crate::executor::Executor;
 use crate::observer::Pintool;
-use crate::report::Report;
+use crate::report::{LaneFill, Report};
 use crate::sampling::{Fingerprinter, SamplePlan, SamplingConfig};
 use crate::schedule::SyntheticTrace;
 use crate::snapshot::Snapshot;
@@ -59,7 +59,9 @@ pub struct SampledOutcome<I, T> {
 /// across items.
 ///
 /// The engine counts every replay it performs ([`SweepEngine::replays`]),
-/// which is how tests assert the one-replay-per-item guarantee.
+/// which is how tests assert the one-replay-per-item guarantee, and
+/// every event its tool sets received in batches
+/// ([`SweepEngine::lanes`]).
 ///
 /// # Examples
 ///
@@ -108,6 +110,8 @@ pub struct SampledOutcome<I, T> {
 pub struct SweepEngine {
     executor: Executor,
     replays: AtomicU64,
+    lane_instructions: AtomicU64,
+    lane_branches: AtomicU64,
     /// Sampled-replay plans, keyed by `(trace fingerprint, sampling
     /// config)` — building one costs a fingerprinting replay plus a
     /// clustering, so a warm sampled sweep pays it zero times.
@@ -117,11 +121,7 @@ pub struct SweepEngine {
 impl SweepEngine {
     /// An engine on a machine-sized [`Executor`].
     pub fn new() -> Self {
-        SweepEngine {
-            executor: Executor::new(),
-            replays: AtomicU64::new(0),
-            plans: Mutex::new(HashMap::new()),
-        }
+        SweepEngine::default()
     }
 
     /// An engine on an explicit executor (e.g. single-threaded for
@@ -129,8 +129,7 @@ impl SweepEngine {
     pub fn with_executor(executor: Executor) -> Self {
         SweepEngine {
             executor,
-            replays: AtomicU64::new(0),
-            plans: Mutex::new(HashMap::new()),
+            ..SweepEngine::default()
         }
     }
 
@@ -139,20 +138,39 @@ impl SweepEngine {
         &self.executor
     }
 
-    /// Total trace replays this engine has performed.
-    ///
-    /// Scoped to this engine instance, unlike the process-wide
-    /// [`replay_count`](crate::replay_count) ledger — a delta of the
-    /// global counter would be polluted by concurrent replays elsewhere
-    /// in the process, so the engine keeps its own tally at its single
-    /// replay choke point ([`SweepEngine::fan_out`]).
+    /// Total trace replays this engine has performed, counted at its
+    /// three replay sites ([`SweepEngine::fan_out`],
+    /// [`SweepEngine::fan_out_cached`] and [`SweepEngine::sweep_sampled`]).
+    /// Scoped to this engine instance, so replays elsewhere in the
+    /// process never pollute it.
     pub fn replays(&self) -> u64 {
         self.replays.load(Ordering::Relaxed)
     }
 
+    /// Events this engine's replays delivered in batches, and how many
+    /// of them were branches.
+    pub fn lanes(&self) -> LaneFill {
+        LaneFill {
+            instructions: self.lane_instructions.load(Ordering::Relaxed),
+            branches: self.lane_branches.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Counts one finished replay through `set`: the replay itself and
+    /// the events its batches carried.
+    fn record<T>(&self, set: &ToolSet<T>) {
+        let lanes = set.lanes();
+        self.replays.fetch_add(1, Ordering::Relaxed);
+        self.lane_instructions
+            .fetch_add(lanes.instructions, Ordering::Relaxed);
+        self.lane_branches
+            .fetch_add(lanes.branches, Ordering::Relaxed);
+    }
+
     /// Replays `trace` once, feeding all `tools`; returns the tools and
-    /// the replay summary. This is the single choke point every sweep
-    /// goes through, so [`SweepEngine::replays`] is authoritative.
+    /// the replay summary. Every live sweep goes through here, and the
+    /// replay and its batched events are counted
+    /// ([`SweepEngine::replays`], [`SweepEngine::lanes`]).
     pub fn fan_out<T: Pintool>(
         &self,
         trace: &SyntheticTrace,
@@ -161,7 +179,7 @@ impl SweepEngine {
         let _replay_span = telemetry::span("replay");
         let mut set = ToolSet::from_tools(tools);
         let summary = trace.replay(&mut set);
-        self.replays.fetch_add(1, Ordering::Relaxed);
+        self.record(&set);
         (set.into_inner(), summary)
     }
 
@@ -217,7 +235,7 @@ impl SweepEngine {
         let _replay_span = telemetry::span("replay");
         let mut set = ToolSet::from_tools(tools);
         let replay = cache.replay_with(key, make_trace, &mut set)?;
-        self.replays.fetch_add(1, Ordering::Relaxed);
+        self.record(&set);
         Ok((set.into_inner(), replay))
     }
 
@@ -331,7 +349,7 @@ impl SweepEngine {
             let plan = self.plan_for(&key, config, &snapshot, &fingerprinter)?;
             let mut set = ToolSet::from_tools(tools_for(item));
             let replay = snapshot.replay_sampled(&mut set, &plan)?;
-            self.replays.fetch_add(1, Ordering::Relaxed);
+            self.record(&set);
             Ok::<_, CacheError>((set.into_inner(), replay, plan))
         });
         items
@@ -350,8 +368,8 @@ impl SweepEngine {
             .collect()
     }
 
-    /// This engine's accounting as a printable [`Report`] (attach cache
-    /// stats with [`Report::with_cache`]).
+    /// This engine's replay and lane accounting as a printable
+    /// [`Report`] (attach cache stats with [`Report::with_cache`]).
     pub fn report(&self) -> Report {
         Report::from_engine(self)
     }
@@ -417,6 +435,11 @@ mod tests {
         let (tools, summary) = engine.fan_out(&trace, vec![PcSum::default(); 3]);
         assert_eq!(summary.instructions, 2_000);
         assert_eq!(engine.replays(), 1);
+        assert_eq!(
+            engine.lanes().instructions,
+            2_000,
+            "every event reached the set in a batch"
+        );
         assert!(tools[0].0 > 0);
         assert!(tools.iter().all(|t| t.0 == tools[0].0));
     }

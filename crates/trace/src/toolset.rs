@@ -4,6 +4,7 @@
 use crate::batch::EventBatch;
 use crate::event::TraceEvent;
 use crate::observer::Pintool;
+use crate::report::LaneFill;
 use crate::section::Section;
 
 /// A set of same-typed tools sharing one pass over the instruction
@@ -39,17 +40,21 @@ use crate::section::Section;
 #[derive(Debug, Default)]
 pub struct ToolSet<T> {
     tools: Vec<T>,
+    lanes: LaneFill,
 }
 
 impl<T> ToolSet<T> {
     /// Creates an empty set.
     pub fn new() -> Self {
-        ToolSet { tools: Vec::new() }
+        ToolSet::from_tools(Vec::new())
     }
 
     /// Wraps an existing vector of tools.
     pub fn from_tools(tools: Vec<T>) -> Self {
-        ToolSet { tools }
+        ToolSet {
+            tools,
+            lanes: LaneFill::default(),
+        }
     }
 
     /// Adds a tool.
@@ -77,6 +82,12 @@ impl<T> ToolSet<T> {
         self.tools.iter_mut()
     }
 
+    /// Events this set received through [`Pintool::on_batch`], and how
+    /// many of them were branches.
+    pub fn lanes(&self) -> LaneFill {
+        self.lanes
+    }
+
     /// Consumes the set, returning the tools in insertion order.
     pub fn into_inner(self) -> Vec<T> {
         self.tools
@@ -91,9 +102,7 @@ impl<T> From<Vec<T>> for ToolSet<T> {
 
 impl<T> FromIterator<T> for ToolSet<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        ToolSet {
-            tools: iter.into_iter().collect(),
-        }
+        ToolSet::from_tools(iter.into_iter().collect())
     }
 }
 
@@ -132,11 +141,12 @@ impl<T: Pintool> Pintool for ToolSet<T> {
     /// Fans the whole block out: each tool walks the batch with its own
     /// (statically dispatched, possibly branch-subset-only) loop while
     /// the block is hot in cache, instead of interleaving all N tools
-    /// on every single event. Also tallies the block into the
-    /// process-wide delivery ledger ([`lane_fill`](crate::lane_fill))
-    /// — this is the choke point every sweep's batches pass through.
+    /// on every single event. Also tallies the block into this set's
+    /// [`ToolSet::lanes`] — the choke point every sweep's batches pass
+    /// through.
     fn on_batch(&mut self, batch: &EventBatch) {
-        crate::batch::record_delivery(batch);
+        self.lanes.instructions += batch.len() as u64;
+        self.lanes.branches += batch.summary().branches;
         for tool in &mut self.tools {
             tool.on_batch(batch);
         }

@@ -25,6 +25,7 @@ use rebalance::pintools::characterize;
 use rebalance::workloads::Workload;
 use rebalance::{Characterization, Scale};
 use rebalance_experiments::sampling;
+use rebalance_experiments::util::Run;
 use rebalance_trace::SamplingConfig;
 use serde::Serialize;
 
@@ -226,7 +227,12 @@ fn round6(x: f64) -> f64 {
 /// full-replay + sampled sweep of the whole roster.
 fn render_sampling_records() -> Vec<(String, String)> {
     let config = SamplingConfig::default();
-    let ex = sampling::run_subset(rebalance::workloads::all(), GOLDEN_SCALE, &config);
+    let ex = sampling::run_subset(
+        &Run::default(),
+        rebalance::workloads::all(),
+        GOLDEN_SCALE,
+        &config,
+    );
     let mut records = Vec::new();
     for w in rebalance::workloads::all() {
         let rows = ["penalty", "ftq"]

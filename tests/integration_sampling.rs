@@ -9,12 +9,10 @@
 //!    universal ±2% / ±5% bands where Smoke-scale statistics permit,
 //!    committed per-workload bands where they do not);
 //! 2. the **budget**: each sampled replay delivers at most `1/k` of the
-//!    trace's instructions (representatives plus warmup);
-//! 3. the process-wide `--sample` latch round-trips and routes weighted
-//!    sweeps through the sampled path.
+//!    trace's instructions (representatives plus warmup).
 
 use rebalance_experiments::sampling::{self, SamplingExhibit};
-use rebalance_experiments::util;
+use rebalance_experiments::util::Run;
 use rebalance_trace::SamplingConfig;
 use rebalance_workloads::Scale;
 
@@ -25,6 +23,7 @@ fn exhibit() -> &'static SamplingExhibit {
     static EXHIBIT: std::sync::OnceLock<SamplingExhibit> = std::sync::OnceLock::new();
     EXHIBIT.get_or_init(|| {
         sampling::run_subset(
+            &Run::default(),
             rebalance::workloads::all(),
             Scale::Smoke,
             &SamplingConfig::default(),
@@ -103,20 +102,4 @@ fn every_roster_workload_appears_under_both_models() {
             );
         }
     }
-}
-
-/// The `--sample` latch: off by default, round-trips a configuration,
-/// and switches back off. This test owns the process-wide latch — it
-/// lives in its own integration binary precisely so no other test can
-/// observe the latched state.
-#[test]
-fn sampling_latch_round_trips() {
-    assert_eq!(util::sampling(), None, "latch starts off");
-    let cfg = SamplingConfig::default().with_intervals(40).with_k(4);
-    util::set_sampling(Some(cfg));
-    let active = util::sampling().expect("latch is on");
-    assert_eq!(active.intervals, 40);
-    assert_eq!(active.k, 4);
-    util::set_sampling(None);
-    assert_eq!(util::sampling(), None, "latch switches back off");
 }

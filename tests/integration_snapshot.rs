@@ -188,7 +188,9 @@ fn kernel_archetypes_cached_replay_matches_fresh() {
 
 #[test]
 fn cached_cmp_simulation_matches_live() {
-    use rebalance::coresim::{simulate_floorplans, simulate_floorplans_cached, CmpSim};
+    use rebalance::coresim::{
+        simulate_floorplans, simulate_floorplans_cached, CmpSim, FetchModelKind,
+    };
     use rebalance::mcpat::CmpFloorplan;
 
     let cache = TraceCache::scratch().unwrap();
@@ -197,15 +199,17 @@ fn cached_cmp_simulation_matches_live() {
         .into_iter()
         .map(CmpSim::new)
         .collect();
-    let live = simulate_floorplans(&sims, &w, Scale::Smoke).unwrap();
-    let cold = simulate_floorplans_cached(&sims, &w, Scale::Smoke, &cache).unwrap();
-    let warm = simulate_floorplans_cached(&sims, &w, Scale::Smoke, &cache).unwrap();
-    assert_eq!(cold, live);
-    assert_eq!(warm, live);
+    for model in [FetchModelKind::Penalty, FetchModelKind::Ftq] {
+        let live = simulate_floorplans(&sims, &w, Scale::Smoke, model).unwrap();
+        let cold = simulate_floorplans_cached(&sims, &w, Scale::Smoke, &cache, model).unwrap();
+        let warm = simulate_floorplans_cached(&sims, &w, Scale::Smoke, &cache, model).unwrap();
+        assert_eq!(cold, live, "{model}");
+        assert_eq!(warm, live, "{model}");
+    }
     assert_eq!(
         cache.stats().generations,
         1,
-        "four floorplans, one generation"
+        "four floorplans under two models, one generation"
     );
 
     let _ = std::fs::remove_dir_all(cache.dir());

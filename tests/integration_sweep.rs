@@ -6,18 +6,14 @@
 //! 2. a sweep performs exactly **one** trace replay per `(workload,
 //!    scale)` item, however many tools are attached.
 //!
-//! The replay-count assertions read the process-wide
-//! [`replay_count`] counter, so the tests in this binary serialize on a
-//! shared lock to keep the deltas exact.
-
-use std::sync::Mutex;
+//! Replays are counted on each test's own [`SweepEngine`]
+//! ([`SweepEngine::replays`]), so the counts are exact while sibling
+//! tests replay concurrently.
 
 use rebalance::frontend::predictor::{DirectionPredictor, PredictorReport, PredictorSim};
 use rebalance::frontend::{BtbConfig, BtbSim, CacheConfig, ICacheSim, PredictorChoice};
-use rebalance::trace::{replay_count, Executor, SweepEngine, SyntheticTrace, ToolSet};
+use rebalance::trace::{Executor, SweepEngine, SyntheticTrace, ToolSet};
 use rebalance::Scale;
-
-static REPLAY_COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
 fn trace_for(name: &str) -> SyntheticTrace {
     rebalance::workloads::find(name)
@@ -32,31 +28,27 @@ fn predictor_sims() -> Vec<PredictorSim<Box<dyn DirectionPredictor>>> {
 
 #[test]
 fn fan_out_replay_is_bit_identical_to_sequential_replays() {
-    let _lock = REPLAY_COUNTER_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let trace = trace_for("CoMD");
 
     // --- Predictors: nine configurations, one replay. ---
-    let before = replay_count();
-    let mut fanned = ToolSet::from_tools(predictor_sims());
-    trace.replay(&mut fanned);
+    let engine = SweepEngine::new();
+    let (fanned, _) = engine.fan_out(&trace, predictor_sims());
     assert_eq!(
-        replay_count() - before,
+        engine.replays(),
         1,
-        "a ToolSet of nine sims costs one replay"
+        "a fan-out of nine sims costs one replay"
     );
     let fanned_reports: Vec<PredictorReport> = fanned.iter().map(PredictorSim::report).collect();
 
-    let before = replay_count();
+    let engine = SweepEngine::new();
     let sequential_reports: Vec<PredictorReport> = predictor_sims()
         .into_iter()
-        .map(|mut sim| {
-            trace.replay(&mut sim);
-            sim.report()
+        .map(|sim| {
+            let (sims, _) = engine.fan_out(&trace, vec![sim]);
+            sims[0].report()
         })
         .collect();
-    assert_eq!(replay_count() - before, 9, "the baseline costs nine");
+    assert_eq!(engine.replays(), 9, "the baseline costs nine");
     assert_eq!(fanned_reports, sequential_reports, "bit-identical reports");
 
     // --- I-cache geometries. ---
@@ -86,9 +78,6 @@ fn fan_out_replay_is_bit_identical_to_sequential_replays() {
 
 #[test]
 fn sweep_replays_each_workload_exactly_once() {
-    let _lock = REPLAY_COUNTER_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let workloads: Vec<_> = ["CG", "FT", "gcc", "swim"]
         .iter()
         .map(|n| rebalance::workloads::find(n).unwrap())
@@ -96,32 +85,29 @@ fn sweep_replays_each_workload_exactly_once() {
     let n_workloads = workloads.len();
 
     let engine = SweepEngine::new();
-    let before = replay_count();
     let outcomes = engine.sweep(
         workloads,
         |w| w.trace(Scale::Smoke).expect("roster profile"),
         |_| predictor_sims(),
     );
-    let delta = replay_count() - before;
 
     assert_eq!(outcomes.len(), n_workloads);
     assert!(outcomes.iter().all(|o| o.tools.len() == 9));
     assert_eq!(
-        delta, n_workloads as u64,
-        "one replay per workload, independent of the nine tools attached"
-    );
-    assert_eq!(
         engine.replays(),
         n_workloads as u64,
-        "the engine's own ledger agrees"
+        "one replay per workload, independent of the nine tools attached"
+    );
+    let instructions: u64 = outcomes.iter().map(|o| o.summary.instructions).sum();
+    assert_eq!(
+        engine.lanes().instructions,
+        instructions,
+        "each replayed event reaches the tools once, in a batch"
     );
 }
 
 #[test]
 fn parallel_sweep_matches_single_threaded_sweep() {
-    let _lock = REPLAY_COUNTER_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let names = ["CoEVP", "MG", "astar"];
     let run = |engine: SweepEngine| -> Vec<Vec<PredictorReport>> {
         let workloads: Vec<_> = names
