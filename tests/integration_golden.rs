@@ -6,7 +6,10 @@
 //! the smallest scale and diffs it against the committed fixture, so
 //! *any* behavioural change anywhere in the pipeline — synthesizer,
 //! interpreter, batching, pintools, schedule shapes — shows up as a
-//! fixture diff instead of slipping through spot asserts.
+//! fixture diff instead of slipping through spot asserts. The same
+//! flow pins the per-workload sampled-error records under
+//! `tests/golden/sampling/` and whole rendered exhibits under
+//! `tests/golden/exhibits/`.
 //!
 //! To re-bless the fixtures after an *intentional* change:
 //!
@@ -19,13 +22,13 @@
 //! silently rewrite its own expectations.
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use rebalance::pintools::characterize;
 use rebalance::workloads::Workload;
 use rebalance::{Characterization, Scale};
-use rebalance_experiments::sampling;
 use rebalance_experiments::util::Run;
+use rebalance_experiments::{fetchsim, sampling};
 use rebalance_trace::SamplingConfig;
 use serde::Serialize;
 
@@ -57,10 +60,6 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
 }
 
-fn fixture_path(workload: &Workload) -> PathBuf {
-    golden_dir().join(format!("{}.json", workload.name()))
-}
-
 fn render_report(workload: &Workload) -> String {
     let trace = workload.trace(GOLDEN_SCALE).expect("roster profile");
     let report = GoldenReport {
@@ -73,7 +72,12 @@ fn render_report(workload: &Workload) -> String {
         serial_fraction: trace.schedule().serial_fraction(),
         characterization: characterize(&trace),
     };
-    let mut text = serde_json::to_string_pretty(&report).expect("report serializes");
+    pretty(&report)
+}
+
+/// A fixture's text: pretty JSON with a trailing newline.
+fn pretty<T: Serialize>(value: &T) -> String {
+    let mut text = serde_json::to_string_pretty(value).expect("fixture serializes");
     text.push('\n');
     text
 }
@@ -82,8 +86,53 @@ fn blessing() -> bool {
     std::env::var(BLESS_ENV).map(|v| v == "1").unwrap_or(false)
 }
 
-/// Renders the whole roster in parallel (each workload is independent).
-fn render_all() -> Vec<(Workload, String)> {
+/// Diffs `(file name, text)` fixtures against the files committed in
+/// `dir` — or, under `REBALANCE_BLESS=1`, rewrites them and fails, so a
+/// blessing run never passes.
+fn check_fixtures(dir: &Path, rendered: &[(String, String)], what: &str) {
+    if blessing() {
+        std::fs::create_dir_all(dir).expect("create fixture directory");
+        for (name, text) in rendered {
+            std::fs::write(dir.join(name), text).expect("write fixture");
+        }
+        panic!(
+            "blessed {} {what} into {}; unset {BLESS_ENV} and re-run to verify",
+            rendered.len(),
+            dir.display()
+        );
+    }
+
+    let mut failures = Vec::new();
+    for (name, text) in rendered {
+        let path = dir.join(name);
+        match std::fs::read_to_string(&path) {
+            Ok(committed) if committed == *text => {}
+            Ok(committed) => {
+                let first_diff = committed
+                    .lines()
+                    .zip(text.lines())
+                    .enumerate()
+                    .find(|(_, (a, b))| a != b)
+                    .map(|(n, (a, b))| format!("line {}: `{a}` != `{b}`", n + 1))
+                    .unwrap_or_else(|| "lengths differ".to_owned());
+                failures.push(format!("{name}: {first_diff}"));
+            }
+            Err(e) => failures.push(format!("{name}: missing fixture {} ({e})", path.display())),
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} {what} drifted from {} — if the change is intentional, re-bless \
+         with {BLESS_ENV}=1 and review the diff:\n{}",
+        failures.len(),
+        dir.display(),
+        failures.join("\n")
+    );
+}
+
+/// Renders the whole roster in parallel (each workload is independent),
+/// as `(<workload>.json, text)` pairs.
+fn render_all() -> Vec<(String, String)> {
     let workloads = rebalance::workloads::all();
     let mut rendered: Vec<(usize, Workload, String)> = Vec::with_capacity(workloads.len());
     std::thread::scope(|scope| {
@@ -99,71 +148,33 @@ fn render_all() -> Vec<(Workload, String)> {
         }
     });
     rendered.sort_by_key(|(i, _, _)| *i);
-    rendered.into_iter().map(|(_, w, text)| (w, text)).collect()
+    rendered
+        .into_iter()
+        .map(|(_, w, text)| (format!("{}.json", w.name()), text))
+        .collect()
 }
 
 #[test]
 fn golden_reports_match_committed_fixtures() {
-    let dir = golden_dir();
-    let rendered = render_all();
-
-    if blessing() {
-        std::fs::create_dir_all(&dir).expect("create tests/golden");
-        for (w, text) in &rendered {
-            std::fs::write(fixture_path(w), text).expect("write fixture");
-        }
-        panic!(
-            "blessed {} fixtures into {}; unset {BLESS_ENV} and re-run to verify",
-            rendered.len(),
-            dir.display()
-        );
-    }
-
-    let mut failures = Vec::new();
-    for (w, text) in &rendered {
-        let path = fixture_path(w);
-        match std::fs::read_to_string(&path) {
-            Ok(committed) => {
-                if committed != *text {
-                    let first_diff = committed
-                        .lines()
-                        .zip(text.lines())
-                        .enumerate()
-                        .find(|(_, (a, b))| a != b)
-                        .map(|(n, (a, b))| format!("line {}: `{a}` != `{b}`", n + 1))
-                        .unwrap_or_else(|| "lengths differ".to_owned());
-                    failures.push(format!("{}: {first_diff}", w.name()));
-                }
-            }
-            Err(e) => failures.push(format!(
-                "{}: missing fixture {} ({e})",
-                w.name(),
-                path.display()
-            )),
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} golden report(s) drifted from tests/golden/ — if the change is \
-         intentional, re-bless with {BLESS_ENV}=1 and review the diff:\n{}",
-        failures.len(),
-        failures.join("\n")
-    );
+    check_fixtures(&golden_dir(), &render_all(), "golden report(s)");
 }
 
-/// Every committed fixture must belong to a registered workload, so
-/// renames/removals cannot leave stale expectations behind. Applies to
-/// the characterization fixtures and the `sampling/` error records
-/// alike.
+/// Every committed fixture must belong to a registered workload (or,
+/// under `exhibits/`, to a rendered exhibit), so renames/removals
+/// cannot leave stale expectations behind.
 #[test]
 fn no_orphan_fixtures() {
-    let names: BTreeSet<String> = rebalance::workloads::all()
+    let workloads: BTreeSet<String> = rebalance::workloads::all()
         .iter()
         .map(|w| format!("{}.json", w.name()))
         .collect();
-    for (dir, label) in [
-        (golden_dir(), "golden"),
-        (sampling_dir(), "golden/sampling"),
+    let exhibits: BTreeSet<String> = ["fetchsim.json", "fetchsim_sampled.json"]
+        .map(str::to_owned)
+        .into();
+    for (dir, label, names) in [
+        (golden_dir(), "golden", &workloads),
+        (sampling_dir(), "golden/sampling", &workloads),
+        (exhibits_dir(), "golden/exhibits", &exhibits),
     ] {
         let entries = match std::fs::read_dir(&dir) {
             Ok(e) => e,
@@ -173,18 +184,17 @@ fn no_orphan_fixtures() {
         };
         for entry in entries {
             let entry = entry.expect("dir entry");
+            let name = entry.file_name().to_string_lossy().into_owned();
             if entry.file_type().expect("file type").is_dir() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                assert_eq!(
-                    name, "sampling",
+                assert!(
+                    label == "golden" && ["sampling", "exhibits"].contains(&name.as_str()),
                     "unexpected directory tests/{label}/{name} among fixtures"
                 );
                 continue;
             }
-            let name = entry.file_name().to_string_lossy().into_owned();
             assert!(
                 names.contains(&name),
-                "orphan fixture tests/{label}/{name}: no such workload in the roster"
+                "orphan fixture tests/{label}/{name}: no such workload or exhibit"
             );
         }
     }
@@ -261,9 +271,7 @@ fn render_sampling_records() -> Vec<(String, String)> {
             warmup_intervals: config.warmup_intervals,
             rows,
         };
-        let mut text = serde_json::to_string_pretty(&record).expect("record serializes");
-        text.push('\n');
-        records.push((format!("{}.json", w.name()), text));
+        records.push((format!("{}.json", w.name()), pretty(&record)));
     }
     records
 }
@@ -276,39 +284,41 @@ fn render_sampling_records() -> Vec<(String, String)> {
 /// diff. Bless with the same `REBALANCE_BLESS=1` flow.
 #[test]
 fn sampled_error_records_match_committed_fixtures() {
-    let dir = sampling_dir();
-    let rendered = render_sampling_records();
+    check_fixtures(
+        &sampling_dir(),
+        &render_sampling_records(),
+        "sampled-error record(s)",
+    );
+}
 
-    if blessing() {
-        std::fs::create_dir_all(&dir).expect("create tests/golden/sampling");
-        for (name, text) in &rendered {
-            std::fs::write(dir.join(name), text).expect("write record");
-        }
-        panic!(
-            "blessed {} sampled-error records into {}; unset {BLESS_ENV} and re-run to verify",
-            rendered.len(),
-            dir.display()
-        );
-    }
+/// Where whole rendered exhibits live.
+fn exhibits_dir() -> PathBuf {
+    golden_dir().join("exhibits")
+}
 
-    let mut failures = Vec::new();
-    for (name, text) in &rendered {
-        let path = dir.join(name);
-        match std::fs::read_to_string(&path) {
-            Ok(committed) => {
-                if committed != *text {
-                    failures.push(format!("{name}: drifted"));
-                }
-            }
-            Err(e) => failures.push(format!("{name}: missing record {} ({e})", path.display())),
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} sampled-error record(s) drifted from tests/golden/sampling/ — if the \
-         change is intentional, re-bless with {BLESS_ENV}=1 and review the diff:\n{}",
-        failures.len(),
-        failures.join("\n")
+/// The `fetchsim` exhibit on a cache-less run at the golden scale, one
+/// grid pass per variant: full replays, then phase-sampled replays
+/// (160 intervals into 8 clusters).
+fn render_fetchsim_exhibits() -> Vec<(String, String)> {
+    let full = Run::default();
+    let mut sampled = Run::default();
+    sampled.sampling = Some(SamplingConfig::default().with_intervals(160).with_k(8));
+    [("fetchsim.json", full), ("fetchsim_sampled.json", sampled)]
+        .into_iter()
+        .map(|(name, run)| (name.to_owned(), pretty(&fetchsim::run(&run, GOLDEN_SCALE))))
+        .collect()
+}
+
+/// The decoupled front-end design grid, pinned whole: every design
+/// point's per-suite bandwidth and stall breakdown, full and sampled,
+/// so any change to the fetch model — or to how the grid shares work —
+/// shows up as a fixture diff.
+#[test]
+fn fetchsim_exhibits_match_committed_fixtures() {
+    check_fixtures(
+        &exhibits_dir(),
+        &render_fetchsim_exhibits(),
+        "fetchsim exhibit(s)",
     );
 }
 
