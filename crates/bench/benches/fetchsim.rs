@@ -1,17 +1,17 @@
-//! Decoupled front-end (FTQ + FDIP) benchmarks: the design-grid sweep
-//! sharing one replay against the per-design-replay baseline, plus the
-//! single-design simulation cost.
+//! Decoupled front-end (FTQ + FDIP) benchmarks: the design grid three
+//! ways, plus the single-design simulation cost.
 //!
-//! The headline mirrors `benches/sweep.rs`: `per_design_replays` pays
-//! one full trace replay per grid point (16 with the default grid),
-//! `single_pass_fan_out` pays one replay total and fans the stream out
-//! to every [`FetchSim`] — the guarantee the `fetchsim` exhibit and the
-//! `rebalance fetch` subcommand build on.
+//! `per_design_replays` pays one full trace replay per grid point (16
+//! with the default grid); `single_pass_fan_out` pays one replay and
+//! fans the stream out to 16 solo [`FetchSim`]s; `shared_stages` pays
+//! one replay into one [`FetchGrid`], which also builds each
+//! timing-free stage once per distinct key — the path the `fetchsim`
+//! exhibit and the `rebalance fetch` subcommand take.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rebalance_bench::{bench_trace, BENCH_SCALE};
 use rebalance_experiments::fetchsim::default_grid;
-use rebalance_fetchsim::{FetchConfig, FetchSim};
+use rebalance_fetchsim::{FetchConfig, FetchGrid, FetchSim};
 use rebalance_frontend::CoreKind;
 use rebalance_trace::SweepEngine;
 
@@ -19,7 +19,8 @@ fn grid_sims() -> Vec<FetchSim> {
     default_grid().into_iter().map(FetchSim::new).collect()
 }
 
-/// One workload, the 16-point design grid: 16 replays vs one.
+/// One workload, the 16-point design grid: 16 replays vs one, and 16
+/// solo simulators vs one shared grid.
 fn bench_grid_fan_out_vs_per_design(c: &mut Criterion) {
     let trace = bench_trace("CG");
     let insts = trace.schedule().total_instructions();
@@ -46,6 +47,17 @@ fn bench_grid_fan_out_vs_per_design(c: &mut Criterion) {
             let (sims, _) = engine.fan_out(&trace, grid_sims());
             sims.iter()
                 .map(|sim| sim.report().total().bandwidth())
+                .sum::<f64>()
+        })
+    });
+
+    g.bench_function("shared_stages", |b| {
+        b.iter(|| {
+            let mut grid = FetchGrid::new(&default_grid());
+            trace.replay(&mut grid);
+            grid.reports()
+                .iter()
+                .map(|r| r.total().bandwidth())
                 .sum::<f64>()
         })
     });
@@ -83,10 +95,11 @@ fn bench_single_design_and_parallel_sweep(c: &mut Criterion) {
                 .sweep(
                     workloads.clone(),
                     |w| w.trace(BENCH_SCALE).expect("roster profile"),
-                    |_| grid_sims(),
+                    |_| vec![FetchGrid::new(&default_grid())],
                 )
                 .iter()
-                .flat_map(|o| o.tools.iter().map(|s| s.report().total().bandwidth()))
+                .flat_map(|o| o.tools[0].reports())
+                .map(|r| r.total().bandwidth())
                 .sum::<f64>()
         })
     });

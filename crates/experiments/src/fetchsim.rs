@@ -4,14 +4,14 @@
 //!
 //! This is the cycle-level counterpart of the MPKI exhibits: instead of
 //! pricing miss rates through closed-form penalties, every design point
-//! runs the [`FetchSim`] pipeline model and reports measured fetch
+//! runs the [`FetchGrid`] pipeline model and reports measured fetch
 //! bandwidth plus the exact stall-cycle breakdown. The headline
 //! directional claim it reproduces: on HPC and kernel workloads, a
 //! BTB an order of magnitude smaller costs almost no fetch bandwidth
 //! once fetch-directed prefetching and the FTQ's run-ahead are in
 //! place — the resteers still happen, but their cycles are hidden.
 
-use rebalance_fetchsim::{FetchConfig, FetchSim, FetchStats, FtqConfig};
+use rebalance_fetchsim::{FetchConfig, FetchGrid, FetchReport, FetchStats, FtqConfig};
 use rebalance_frontend::{BtbConfig, FrontendConfig};
 use rebalance_workloads::{Scale, Suite, Workload};
 use serde::{Deserialize, Serialize};
@@ -65,8 +65,7 @@ pub struct FetchSummary {
 }
 
 impl FetchSummary {
-    fn from_sim(sim: &FetchSim) -> Self {
-        let report = sim.report();
+    fn from_report(report: &FetchReport) -> Self {
         report
             .check_attribution()
             .expect("fetchsim attribution invariant");
@@ -115,12 +114,12 @@ impl FetchsimSweep {
     }
 }
 
-/// Sweeps the design grid over `workloads`: the whole grid joins one
-/// [`ToolSet`](rebalance_trace::ToolSet), so the cost is one replay per
-/// `(workload, scale)` — cache-served when the run has a cache —
-/// regardless of grid size. Honors the run's sampling geometry
-/// ([`Run::sampling`]): when set, each replay covers only weighted
-/// representative intervals.
+/// Sweeps the design grid over `workloads`: one [`FetchGrid`] per
+/// replay, so the cost is one replay per `(workload, scale)` —
+/// cache-served when the run has a cache — and each timing-free stage
+/// runs once per distinct key rather than once per design point.
+/// Honors the run's sampling geometry ([`Run::sampling`]): when set,
+/// each replay covers only weighted representative intervals.
 pub fn sweep_grid(
     run: &Run,
     workloads: Vec<Workload>,
@@ -129,14 +128,16 @@ pub fn sweep_grid(
 ) -> FetchsimSweep {
     let _fetchsim_span = rebalance_telemetry::span("fetchsim");
     let rows = run
-        .sweep_weighted(workloads, scale, |_| {
-            grid.iter().copied().map(FetchSim::new).collect()
-        })
+        .sweep_weighted(workloads, scale, |_| vec![FetchGrid::new(grid)])
         .into_iter()
         .map(|o| FetchsimRow {
             workload: o.item.name().to_owned(),
             suite: o.item.suite(),
-            summaries: o.tools.iter().map(FetchSummary::from_sim).collect(),
+            summaries: o.tools[0]
+                .reports()
+                .iter()
+                .map(FetchSummary::from_report)
+                .collect(),
         })
         .collect();
     FetchsimSweep {

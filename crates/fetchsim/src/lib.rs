@@ -20,30 +20,39 @@
 //! The attribution is exact by construction and checked by
 //! [`FetchReport::check_attribution`].
 //!
-//! [`FetchSim`] is a batched [`Pintool`](rebalance_trace::Pintool), so
-//! a whole design grid (FTQ depth × fetch width × prefetch degree ×
-//! front-end) shares **one** trace replay through a
-//! [`ToolSet`](rebalance_trace::ToolSet), exactly like the MPKI sims.
+//! [`FetchSim`] simulates one design point as a batched
+//! [`Pintool`](rebalance_trace::Pintool). [`FetchGrid`] simulates a
+//! whole design grid (FTQ depth × fetch width × prefetch degree ×
+//! front-end) over **one** trace replay, and builds each stage that
+//! never reads a clock — branch unit, block stream, I-cache — once per
+//! distinct configuration rather than once per design point. Its
+//! reports are bit-identical to one `FetchSim` per point.
 //!
 //! # Examples
 //!
-//! Sweep two design points over one replay:
+//! Sweep four design points over one replay; the two BTB sizes share a
+//! predictor, and the two prefetch degrees share each block stream:
 //!
 //! ```
-//! use rebalance_fetchsim::{FetchConfig, FetchSim};
-//! use rebalance_frontend::CoreKind;
-//! use rebalance_trace::ToolSet;
+//! use rebalance_fetchsim::{FetchConfig, FetchGrid, FtqConfig};
+//! use rebalance_frontend::{BtbConfig, FrontendConfig};
 //! use rebalance_workloads::{find, Scale};
 //!
+//! let mut grid = Vec::new();
+//! for btb in [2048, 256] {
+//!     for degree in [0, 4] {
+//!         let frontend = FrontendConfig {
+//!             btb: BtbConfig::new(btb, 8),
+//!             ..FrontendConfig::baseline()
+//!         };
+//!         grid.push(FetchConfig::new(frontend, FtqConfig::new(16, 4, degree)));
+//!     }
+//! }
 //! let trace = find("MG").unwrap().trace(Scale::Smoke).unwrap();
-//! let mut set: ToolSet<FetchSim> = [CoreKind::Baseline, CoreKind::Tailored]
-//!     .map(FetchConfig::for_core)
-//!     .map(FetchSim::new)
-//!     .into_iter()
-//!     .collect();
-//! trace.replay(&mut set);
-//! for sim in set.iter() {
-//!     sim.report().check_attribution().expect("exact attribution");
+//! let mut sim = FetchGrid::new(&grid);
+//! trace.replay(&mut sim);
+//! for report in sim.reports() {
+//!     report.check_attribution().expect("exact attribution");
 //! }
 //! ```
 
@@ -51,9 +60,12 @@
 #![warn(missing_debug_implementations)]
 
 mod config;
+mod grid;
 mod report;
 mod sim;
+mod stages;
 
 pub use config::{FetchConfig, FtqConfig};
+pub use grid::FetchGrid;
 pub use report::{FetchReport, FetchStats, StallBreakdown};
 pub use sim::FetchSim;

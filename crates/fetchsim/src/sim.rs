@@ -1,328 +1,20 @@
-//! The decoupled front-end timing simulator.
-//!
-//! # Model
-//!
-//! The branch-prediction unit (direction predictor + BTB + RAS) runs
-//! ahead of the I-cache, producing one **fetch block** per cycle into a
-//! bounded fetch target queue. A fetch block is up to `fetch_width`
-//! sequential instructions, terminated early by a taken branch (or a
-//! section switch). The fetch stage dequeues one block per cycle and
-//! spends one busy cycle per I-cache line the block touches, stalling
-//! on misses. A **fetch-directed prefetcher** probes each block's lines
-//! when the block *enters* the FTQ and issues I-cache fills for absent
-//! lines, so by the time the fetch stage reaches the block the lines
-//! are resident (miss fully hidden) or in flight (partially hidden).
-//!
-//! Redirects reset the BP unit's run-ahead lead, which is the
-//! trace-driven equivalent of flushing the queue (the wrong-path
-//! entries a real FTQ would discard are never synthesized here):
-//!
-//! * **mispredict** (wrong conditional direction, wrong indirect
-//!   target, RAS miss): resolved at execute — the BP restarts
-//!   `mispredict_penalty` cycles after the fetch stage finishes the
-//!   block containing the branch;
-//! * **BTB resteer** (taken direct branch whose target missed in the
-//!   BTB): resolved at decode inside the BP unit itself — production
-//!   of the next block is delayed by `resteer_penalty` cycles. If the
-//!   FTQ holds enough of a lead, the fetch stage never notices: this
-//!   is exactly how a run-ahead front-end hides a small BTB.
-//!
-//! # Cycle accounting
-//!
-//! The model is solved analytically, block by block, with two clocks:
-//! `bp_time` (when the BP unit enqueued the last block) and
-//! `fetch_time` (when the fetch stage finished the last block). For
-//! block *i*:
-//!
-//! ```text
-//! enq[i]   = max(bp_time + 1, dequeue time of block i-depth)   // FTQ full ⇒ BP waits
-//! start[i] = max(fetch_time, enq[i] + 1)                        // FTQ empty ⇒ fetch waits
-//! end[i]   = start[i] + lines(i) + exposed miss cycles
-//! ```
-//!
-//! The gap `start[i] - fetch_time` is attributed — first to a pending
-//! redirect (up to its penalty), the remainder to *FTQ empty* — and
-//! the service time is split into busy cycles and exposed I-cache miss
-//! cycles. Every fetch cycle is therefore attributed to exactly one
-//! category of exactly one section, which is the invariant
-//! [`FetchReport::check_attribution`] verifies.
+//! The single-design decoupled front-end simulator: one of each stage,
+//! chained. It is the reference the shared
+//! [`FetchGrid`](crate::FetchGrid) is tested against.
 
-use std::collections::VecDeque;
-use std::fmt;
+use std::{fmt, slice};
 
-use rebalance_frontend::predictor::DirectionPredictor;
-use rebalance_frontend::{Btb, ICache, ReturnAddressStack};
-use rebalance_isa::{Addr, BranchKind};
-use rebalance_trace::{BySection, EventBatch, Pintool, Section, TraceEvent};
+use rebalance_trace::{EventBatch, Pintool, TraceEvent};
 
-use crate::config::{FetchConfig, FtqConfig};
-use crate::report::{FetchReport, FetchStats};
-
-/// How a fetch block ended, when it ended on a redirect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Redirect {
-    /// Execute-resolved: full flush and restart after `penalty` cycles
-    /// (the mispredict penalty for direction/indirect redirects, the
-    /// RAS penalty for return mispredictions).
-    Mispredict { penalty: u64 },
-    /// Decode-resolved inside the BP unit: delayed block production.
-    Resteer,
-}
-
-/// The fetch block currently being assembled by the BP unit.
-#[derive(Debug, Clone)]
-struct Block {
-    active: bool,
-    section: Section,
-    insts: u64,
-    /// Line-aligned addresses the block touches, in fetch order
-    /// (strictly increasing — a block never crosses a taken branch).
-    lines: Vec<Addr>,
-}
-
-impl Block {
-    fn idle() -> Self {
-        Block {
-            active: false,
-            section: Section::Serial,
-            insts: 0,
-            lines: Vec::with_capacity(4),
-        }
-    }
-
-    #[inline]
-    fn push_line(&mut self, line: Addr) {
-        if self.lines.last() != Some(&line) {
-            self.lines.push(line);
-        }
-    }
-}
-
-/// The timing half of the simulator: I-cache state, the two clocks,
-/// FTQ occupancy, in-flight prefetches, and the stall ledger. Kept
-/// separate from the (un-clonable) BP structures so [`FetchSim::report`]
-/// can finalize a pending block on a clone without disturbing the live
-/// simulation.
-#[derive(Debug, Clone)]
-struct FtqModel {
-    ftq: FtqConfig,
-    line_bytes: u64,
-    icache: ICache,
-    sections: BySection<FetchStats>,
-    /// When the BP unit enqueued the most recent block.
-    bp_time: u64,
-    /// When the fetch stage finished the most recent block.
-    fetch_time: u64,
-    /// Dequeue (fetch-start) times of the last `depth` blocks — the
-    /// FTQ occupancy window for back-pressure.
-    ring: VecDeque<u64>,
-    /// In-flight FDIP prefetches as `(line, ready)` in issue order.
-    pending: VecDeque<(Addr, u64)>,
-    /// Mispredict-penalty cycles the next block may charge.
-    carry_mispredict: u64,
-    /// Resteer-penalty cycles the next block may charge.
-    carry_resteer: u64,
-    block: Block,
-    /// Counter snapshot at the last sampled-replay boundary.
-    mark_sections: BySection<FetchStats>,
-    /// Fetch-clock reading at the last sampled-replay boundary.
-    mark_fetch_time: u64,
-    /// Fetch cycles spent in weight-0 (warmup) windows of a sampled
-    /// replay: they advance the clock and warm the structures but are
-    /// excluded from the report's attributed total.
-    discarded: u64,
-}
-
-impl FtqModel {
-    fn new(config: &FetchConfig) -> Self {
-        FtqModel {
-            ftq: config.ftq,
-            line_bytes: config.frontend.icache.line_bytes as u64,
-            icache: ICache::new(config.frontend.icache),
-            sections: BySection::default(),
-            bp_time: 0,
-            fetch_time: 0,
-            ring: VecDeque::with_capacity(config.ftq.depth),
-            pending: VecDeque::with_capacity(config.ftq.prefetch_degree),
-            carry_mispredict: 0,
-            carry_resteer: 0,
-            block: Block::idle(),
-            mark_sections: BySection::default(),
-            mark_fetch_time: 0,
-            discarded: 0,
-        }
-    }
-
-    /// Sampled-replay boundary: settle the pending block so the window
-    /// ends on a block edge, scale the window's counters **and** the
-    /// fetch-clock delta by `weight` (keeping
-    /// [`FetchReport::check_attribution`] exact), and shift the BP
-    /// clock, FTQ ring, and in-flight prefetches forward by the same
-    /// amount so their lead over the fetch stage is preserved.
-    ///
-    /// Weight 0 is the warmup contract: the window's events warmed the
-    /// predictors and the I-cache, but its counters revert to the mark
-    /// and its fetch cycles move to `discarded` (subtracted from the
-    /// report's total) — the clocks themselves keep running forward, so
-    /// no monotonic state has to be rewound.
-    fn apply_sample_weight(&mut self, weight: u64) {
-        self.finalize_block(None);
-        if weight == 0 {
-            self.sections = self.mark_sections;
-            self.discarded += self.fetch_time - self.mark_fetch_time;
-        } else if weight > 1 {
-            self.sections
-                .serial
-                .scale_from(&self.mark_sections.serial, weight);
-            self.sections
-                .parallel
-                .scale_from(&self.mark_sections.parallel, weight);
-            let old = self.fetch_time;
-            self.fetch_time = rebalance_trace::weighted_add(
-                self.mark_fetch_time,
-                old - self.mark_fetch_time,
-                weight,
-            );
-            let shift = self.fetch_time - old;
-            self.bp_time += shift;
-            for t in &mut self.ring {
-                *t += shift;
-            }
-            for (_, ready) in &mut self.pending {
-                *ready += shift;
-            }
-        }
-        self.mark_sections = self.sections;
-        self.mark_fetch_time = self.fetch_time;
-    }
-
-    /// Runs the assembled block through enqueue, prefetch, and fetch,
-    /// then applies the redirect (if any) to the BP clock.
-    fn finalize_block(&mut self, cause: Option<Redirect>) {
-        if !self.block.active {
-            return;
-        }
-        // Move the line buffer out (returned, cleared, at the end) so
-        // the hot path reuses one allocation across all blocks.
-        let lines = std::mem::take(&mut self.block.lines);
-        let section = self.block.section;
-        let stats = self.sections.get_mut(section);
-        stats.insts += self.block.insts;
-        stats.blocks += 1;
-        self.block.active = false;
-        self.block.insts = 0;
-
-        // --- BP unit: enqueue (waits for a free FTQ slot). ---
-        let mut enq = self.bp_time + 1;
-        if self.ring.len() >= self.ftq.depth {
-            if let Some(&oldest_dequeue) = self.ring.front() {
-                enq = enq.max(oldest_dequeue);
-            }
-        }
-        self.bp_time = enq;
-
-        // --- FDIP: probe the block's lines at enqueue time. The
-        // pending queue drains during this block's own service (every
-        // prefetched line is demanded there), so the degree bound
-        // applies per block.
-        if self.ftq.prefetch_degree > 0 {
-            for &line in &lines {
-                if self.pending.len() < self.ftq.prefetch_degree && !self.icache.probe(line) {
-                    self.icache.prefetch(line);
-                    self.pending.push_back((line, enq + self.ftq.miss_latency));
-                    stats.prefetches += 1;
-                }
-            }
-        }
-
-        // --- Fetch stage: dequeue and attribute the wait. ---
-        let start = self.fetch_time.max(enq + 1);
-        let mut gap = start - self.fetch_time;
-        let charged = gap.min(self.carry_mispredict);
-        stats.stalls.mispredict += charged;
-        gap -= charged;
-        let charged = gap.min(self.carry_resteer);
-        stats.stalls.resteer += charged;
-        gap -= charged;
-        stats.stalls.ftq_empty += gap;
-        self.carry_mispredict = 0;
-        self.carry_resteer = 0;
-
-        self.ring.push_back(start);
-        if self.ring.len() > self.ftq.depth {
-            self.ring.pop_front();
-        }
-
-        // --- Service: one busy cycle per line, stall on exposed misses. ---
-        let mut now = start;
-        for &line in &lines {
-            now += 1;
-            stats.busy += 1;
-            let in_flight = self.pending.iter().position(|&(l, _)| l == line);
-            let hit = self.icache.access(line, 0, self.line_bytes);
-            match in_flight {
-                Some(idx) => {
-                    let (_, ready) = self.pending.remove(idx).expect("indexed entry");
-                    if hit && ready <= now {
-                        stats.prefetch_hits += 1;
-                    } else if hit {
-                        // Prefetch still in flight: only the remainder
-                        // of the miss latency is exposed.
-                        stats.icache_misses += 1;
-                        stats.prefetch_late += 1;
-                        stats.stalls.icache += ready - now;
-                        now = ready;
-                    } else {
-                        // Prefetched but evicted before use: full miss.
-                        stats.icache_misses += 1;
-                        stats.stalls.icache += self.ftq.miss_latency;
-                        now += self.ftq.miss_latency;
-                    }
-                }
-                None if !hit => {
-                    stats.icache_misses += 1;
-                    stats.stalls.icache += self.ftq.miss_latency;
-                    now += self.ftq.miss_latency;
-                }
-                None => {}
-            }
-        }
-        self.fetch_time = now;
-
-        // --- Redirect: reset the BP unit's run-ahead lead. ---
-        match cause {
-            Some(Redirect::Mispredict { penalty }) => {
-                self.bp_time = now + penalty;
-                self.carry_mispredict = penalty;
-            }
-            Some(Redirect::Resteer) => {
-                self.bp_time = enq + self.ftq.resteer_penalty;
-                self.carry_resteer = self.ftq.resteer_penalty;
-            }
-            None => {}
-        }
-
-        // Hand the (emptied) line buffer back for the next block.
-        self.block.lines = lines;
-        self.block.lines.clear();
-    }
-
-    fn report(&self, config: FetchConfig) -> FetchReport {
-        let mut settled = self.clone();
-        settled.finalize_block(None);
-        FetchReport {
-            config,
-            sections: settled.sections,
-            total_cycles: settled.fetch_time - settled.discarded,
-        }
-    }
-}
+use crate::config::FetchConfig;
+use crate::report::FetchReport;
+use crate::stages::{serve, BlockStream, BranchUnit, LineCache, Redirect, Timing};
 
 /// The decoupled front-end simulator as a batched
 /// [`Pintool`](rebalance_trace::Pintool): attach it to a trace replay
-/// (alone, or fanned out with a whole design grid in a
-/// [`ToolSet`](rebalance_trace::ToolSet)) and read the
-/// [`FetchReport`] afterwards.
+/// and read the [`FetchReport`] afterwards. To time many design points
+/// over one replay, use a [`FetchGrid`](crate::FetchGrid), which shares
+/// the stages the points have in common.
 ///
 /// # Examples
 ///
@@ -340,17 +32,17 @@ impl FtqModel {
 /// ```
 pub struct FetchSim {
     config: FetchConfig,
-    predictor: Box<dyn DirectionPredictor>,
-    btb: Btb,
-    ras: ReturnAddressStack,
-    model: FtqModel,
+    branch: BranchUnit,
+    stream: BlockStream,
+    cache: LineCache,
+    timing: Timing,
 }
 
 impl fmt::Debug for FetchSim {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FetchSim")
             .field("config", &self.config)
-            .field("model", &self.model)
+            .field("timing", &self.timing)
             .finish_non_exhaustive()
     }
 }
@@ -359,11 +51,12 @@ impl FetchSim {
     /// Creates a simulator for one design point (an 8-entry RAS, as on
     /// the lean core).
     pub fn new(config: FetchConfig) -> Self {
+        let FetchConfig { frontend, ftq } = config;
         FetchSim {
-            predictor: config.frontend.predictor.build(),
-            btb: Btb::new(config.frontend.btb),
-            ras: ReturnAddressStack::new(8),
-            model: FtqModel::new(&config),
+            branch: BranchUnit::new(&[frontend.predictor], &[frontend.btb]),
+            stream: BlockStream::new(ftq.fetch_width, frontend.icache.line_bytes),
+            cache: LineCache::new(frontend.icache, ftq.prefetch_degree),
+            timing: Timing::new(ftq),
             config,
         }
     }
@@ -377,95 +70,48 @@ impl FetchSim {
     /// fetch block settled on a copy of the model (the live simulation
     /// is not disturbed, so reports mid-replay are safe).
     pub fn report(&self) -> FetchReport {
-        self.model.report(self.config)
+        let (mut cache, mut timing) = (self.cache.clone(), self.timing.clone());
+        serve(
+            self.stream.block(),
+            &mut cache,
+            slice::from_mut(&mut timing),
+            None,
+        );
+        timing.report(self.config)
     }
 
     /// The per-event step shared verbatim by per-event and batched
     /// delivery, which makes the two bit-identical by construction.
     #[inline]
     fn step(&mut self, ev: &TraceEvent) {
-        let branch = ev
-            .branch
-            .map(|br| (br.kind, br.outcome.is_taken(), br.target));
-        let (pc, len, section) = (ev.pc, ev.len, ev.section);
-        let model = &mut self.model;
-        if model.block.active && model.block.section != section {
-            model.finalize_block(None);
+        if self.stream.breaks_before(ev.section) {
+            self.close(None);
         }
-        if !model.block.active {
-            model.block.active = true;
-            model.block.section = section;
-        }
-        model.block.insts += 1;
-        let line_bytes = model.line_bytes;
-        let first = pc.line(line_bytes);
-        let last = (pc + (u64::from(len) - 1)).line(line_bytes);
-        let mut line = first;
-        loop {
-            model.block.push_line(line);
-            if line == last {
-                break;
-            }
-            line += line_bytes;
-        }
-
-        let Some((kind, taken, target)) = branch else {
-            if model.block.insts >= model.ftq.fetch_width as u64 {
-                model.finalize_block(None);
+        let full = self.stream.push(ev);
+        let Some(br) = ev.branch else {
+            if full {
+                self.close(None);
             }
             return;
         };
+        let taken = br.outcome.is_taken();
+        self.branch
+            .resolve(ev.pc, ev.len, br.kind, taken, br.target);
+        let cause = self.branch.redirect(0, 0);
+        if taken || cause.is_some() || full {
+            self.close(cause);
+        }
+    }
 
-        // --- BP unit: predict, train, and detect redirects. ---
-        let stats = model.sections.get_mut(section);
-        let mut redirect = None;
-        if kind.is_call() && taken {
-            self.ras.push(pc + u64::from(len));
-        }
-        if kind == BranchKind::Return {
-            if self.ras.pop() != target {
-                stats.ras_misses += 1;
-                redirect = Some(Redirect::Mispredict {
-                    penalty: model.ftq.ras_penalty,
-                });
-            }
-        } else {
-            if kind.is_conditional() && self.predictor.observe(pc, taken) != taken {
-                stats.mispredicts += 1;
-                redirect = Some(Redirect::Mispredict {
-                    penalty: model.ftq.mispredict_penalty,
-                });
-            }
-            if taken && kind.uses_btb() {
-                if let Some(actual) = target {
-                    match self.btb.lookup(pc) {
-                        Some(stored) if stored == actual => {}
-                        _ => {
-                            self.btb.insert(pc, actual);
-                            if redirect.is_none() {
-                                if kind.is_indirect() {
-                                    // The right target is only known at
-                                    // execute: a full redirect.
-                                    stats.mispredicts += 1;
-                                    redirect = Some(Redirect::Mispredict {
-                                        penalty: model.ftq.mispredict_penalty,
-                                    });
-                                } else {
-                                    stats.resteers += 1;
-                                    redirect = Some(Redirect::Resteer);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        if taken || redirect.is_some() {
-            model.finalize_block(redirect);
-        } else if model.block.insts >= model.ftq.fetch_width as u64 {
-            model.finalize_block(None);
-        }
+    /// Serves the open block (if any) and closes it.
+    fn close(&mut self, cause: Option<Redirect>) {
+        serve(
+            self.stream.block(),
+            &mut self.cache,
+            slice::from_mut(&mut self.timing),
+            cause,
+        );
+        self.stream.clear();
     }
 }
 
@@ -484,8 +130,11 @@ impl Pintool for FetchSim {
         }
     }
 
+    /// Settles the open block so the window ends on a block edge, then
+    /// scales the window's counters and fetch-clock delta by `weight`.
     fn on_sample_weight(&mut self, weight: u64) {
-        self.model.apply_sample_weight(weight);
+        self.close(None);
+        self.timing.apply_sample_weight(weight);
     }
 
     fn supports_sampled_replay(&self) -> bool {
@@ -496,9 +145,10 @@ impl Pintool for FetchSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FtqConfig;
     use rebalance_frontend::{BtbConfig, CacheConfig, CoreKind, FrontendConfig};
-    use rebalance_isa::{InstClass, Outcome};
-    use rebalance_trace::BranchEvent;
+    use rebalance_isa::{Addr, BranchKind, InstClass, Outcome};
+    use rebalance_trace::{BranchEvent, Section};
 
     fn inst(pc: u64, len: u8) -> TraceEvent {
         TraceEvent {

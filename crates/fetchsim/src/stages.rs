@@ -1,0 +1,578 @@
+//! The four stages of the decoupled fetch pipeline.
+//!
+//! # Model
+//!
+//! The branch-prediction unit (direction predictor + BTB + RAS) runs
+//! ahead of the I-cache, producing one **fetch block** per cycle into a
+//! bounded fetch target queue. A fetch block is up to `fetch_width`
+//! sequential instructions, terminated early by a taken branch, a
+//! redirect or a section switch. The fetch stage dequeues one block per
+//! cycle and spends one busy cycle per I-cache line the block touches,
+//! stalling on misses. A **fetch-directed prefetcher** probes each
+//! block's lines when the block *enters* the FTQ and issues I-cache
+//! fills for absent lines, so by the time the fetch stage reaches the
+//! block the lines are resident (miss fully hidden) or in flight
+//! (partially hidden).
+//!
+//! Redirects reset the BP unit's run-ahead lead, which is the
+//! trace-driven equivalent of flushing the queue (the wrong-path
+//! entries a real FTQ would discard are never synthesized here):
+//!
+//! * **mispredict** (wrong conditional direction, wrong indirect
+//!   target, RAS miss): resolved at execute — the BP restarts
+//!   `mispredict_penalty` (or `ras_penalty`) cycles after the fetch
+//!   stage finishes the block containing the branch;
+//! * **BTB resteer** (taken direct branch whose target missed in the
+//!   BTB): resolved at decode inside the BP unit itself — production
+//!   of the next block is delayed by `resteer_penalty` cycles. If the
+//!   FTQ holds enough of a lead, the fetch stage never notices: this
+//!   is exactly how a run-ahead front-end hides a small BTB.
+//!
+//! # Stages
+//!
+//! Each event flows through four stages, and only the last one reads
+//! a clock:
+//!
+//! 1. [`BranchUnit`] — RAS, direction predictor and BTB. Fed only by
+//!    the branch stream; yields each branch's [`Redirect`].
+//! 2. [`BlockStream`] — cuts the instruction stream into fetch blocks
+//!    (width, taken branches, redirects, section switches) and lists
+//!    the I-cache lines each block touches.
+//! 3. [`LineCache`] — the I-cache plus FDIP issue: which of a block's
+//!    lines hit, miss, or were prefetched for it.
+//! 4. [`Timing`] — the two clocks, the FTQ ring, redirect carries,
+//!    latencies and the stall ledger.
+//!
+//! Stage 3 is timing-free for two reasons. Every line FDIP prefetches
+//! for a block is one of that block's own lines, so the block's service
+//! drains them all before the next block is probed; and the I-cache's
+//! LRU runs on its own access clock. So cache contents never depend on
+//! FTQ timing, and every prefetch of a block is ready exactly
+//! `miss_latency` cycles after the block's enqueue — which [`Timing`]
+//! alone knows.
+//!
+//! # Cycle accounting
+//!
+//! The model is solved analytically, block by block, with two clocks:
+//! `bp_time` (when the BP unit enqueued the last block) and
+//! `fetch_time` (when the fetch stage finished the last block). For
+//! block *i*:
+//!
+//! ```text
+//! enq[i]   = max(bp_time + 1, dequeue time of block i-depth)   // FTQ full ⇒ BP waits
+//! start[i] = max(fetch_time, enq[i] + 1)                        // FTQ empty ⇒ fetch waits
+//! end[i]   = start[i] + lines(i) + exposed miss cycles
+//! ```
+//!
+//! The gap `start[i] - fetch_time` is attributed — first to a pending
+//! redirect (up to its penalty), the remainder to *FTQ empty* — and
+//! the service time is split into busy cycles and exposed I-cache miss
+//! cycles. Every fetch cycle is therefore attributed to exactly one
+//! category of exactly one section, which is the invariant
+//! [`FetchReport::check_attribution`] verifies.
+
+use std::collections::VecDeque;
+use std::fmt;
+
+use rebalance_frontend::predictor::DirectionPredictor;
+use rebalance_frontend::{
+    Btb, BtbConfig, CacheConfig, ICache, PredictorChoice, ReturnAddressStack,
+};
+use rebalance_isa::{Addr, BranchKind};
+use rebalance_trace::{BySection, Section, TraceEvent};
+
+use crate::config::{FetchConfig, FtqConfig};
+use crate::report::{FetchReport, FetchStats};
+
+/// Return-address-stack entries, as on the lean core.
+const RAS_ENTRIES: usize = 8;
+
+/// Why a fetch block ended on a redirect.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Redirect {
+    /// The RAS predicted the wrong return target: execute-resolved,
+    /// charged the RAS penalty.
+    Ras,
+    /// The direction predictor was wrong: execute-resolved, charged the
+    /// mispredict penalty.
+    Direction,
+    /// A taken indirect branch's target missed in the BTB: the right
+    /// target is only known at execute, charged the mispredict penalty.
+    IndirectTarget,
+    /// A taken direct branch's target missed in the BTB: decode-resolved
+    /// inside the BP unit, charged the resteer penalty.
+    Resteer,
+}
+
+/// Stage 1: one RAS, one direction predictor per distinct
+/// [`PredictorChoice`] and one BTB per distinct [`BtbConfig`], all
+/// trained by every branch. [`BranchUnit::redirect`] then answers, for
+/// any (predictor, BTB) pair, what the last branch cost.
+pub(crate) struct BranchUnit {
+    ras: ReturnAddressStack,
+    predictors: Vec<Box<dyn DirectionPredictor>>,
+    btbs: Vec<Btb>,
+    /// The last branch was a return whose target the RAS got wrong.
+    ras_miss: bool,
+    /// The last branch was indirect (so a BTB miss costs a mispredict).
+    indirect: bool,
+    /// Bit `p`: predictor `p` mispredicted the last branch's direction.
+    wrong_direction: u64,
+    /// Bit `b`: the last branch was taken and BTB `b` held no target or
+    /// a stale one.
+    btb_miss: u64,
+}
+
+impl fmt::Debug for BranchUnit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BranchUnit")
+            .field("predictors", &self.predictors.len())
+            .field("btbs", &self.btbs.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl BranchUnit {
+    /// # Panics
+    ///
+    /// Panics on more than 64 predictors or 64 BTBs.
+    pub(crate) fn new(predictors: &[PredictorChoice], btbs: &[BtbConfig]) -> Self {
+        assert!(
+            predictors.len() <= 64 && btbs.len() <= 64,
+            "a branch unit holds at most 64 predictors and 64 BTBs"
+        );
+        BranchUnit {
+            ras: ReturnAddressStack::new(RAS_ENTRIES),
+            predictors: predictors.iter().map(PredictorChoice::build).collect(),
+            btbs: btbs.iter().copied().map(Btb::new).collect(),
+            ras_miss: false,
+            indirect: false,
+            wrong_direction: 0,
+            btb_miss: 0,
+        }
+    }
+
+    /// Runs one taken-or-not branch at `pc` through every structure,
+    /// training all of them.
+    pub(crate) fn resolve(
+        &mut self,
+        pc: Addr,
+        len: u8,
+        kind: BranchKind,
+        taken: bool,
+        target: Option<Addr>,
+    ) {
+        if kind.is_call() && taken {
+            self.ras.push(pc + u64::from(len));
+        }
+        self.indirect = kind.is_indirect();
+        if kind == BranchKind::Return {
+            self.ras_miss = self.ras.pop() != target;
+            self.wrong_direction = 0;
+            self.btb_miss = 0;
+            return;
+        }
+        self.ras_miss = false;
+        let mut wrong = 0;
+        if kind.is_conditional() {
+            for (p, predictor) in self.predictors.iter_mut().enumerate() {
+                wrong |= u64::from(predictor.observe(pc, taken) != taken) << p;
+            }
+        }
+        self.wrong_direction = wrong;
+        let mut miss = 0;
+        if let Some(actual) = target.filter(|_| taken && kind.uses_btb()) {
+            for (b, btb) in self.btbs.iter_mut().enumerate() {
+                if btb.lookup(pc) != Some(actual) {
+                    btb.insert(pc, actual);
+                    miss |= 1 << b;
+                }
+            }
+        }
+        self.btb_miss = miss;
+    }
+
+    /// `(predictors, btbs)` built.
+    #[cfg(test)]
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        (self.predictors.len(), self.btbs.len())
+    }
+
+    /// What the last resolved branch costs a front-end built from
+    /// predictor `predictor` and BTB `btb`. A wrong direction outranks
+    /// a BTB miss on the same branch.
+    #[inline]
+    pub(crate) fn redirect(&self, predictor: usize, btb: usize) -> Option<Redirect> {
+        if self.ras_miss {
+            Some(Redirect::Ras)
+        } else if self.wrong_direction >> predictor & 1 != 0 {
+            Some(Redirect::Direction)
+        } else if self.btb_miss >> btb & 1 == 0 {
+            None
+        } else if self.indirect {
+            Some(Redirect::IndirectTarget)
+        } else {
+            Some(Redirect::Resteer)
+        }
+    }
+}
+
+/// The fetch block a [`BlockStream`] is assembling.
+#[derive(Debug, Clone)]
+pub(crate) struct Block {
+    section: Section,
+    /// Instructions so far; zero means no block is open.
+    insts: u64,
+    /// Line-aligned addresses the block touches, in fetch order
+    /// (consecutive duplicates merged).
+    lines: Vec<Addr>,
+}
+
+/// Stage 2: cuts the instruction stream into fetch blocks for one
+/// (predictor, BTB, fetch width, line size) combination.
+#[derive(Debug, Clone)]
+pub(crate) struct BlockStream {
+    fetch_width: u64,
+    line_bytes: u64,
+    /// `!(line_bytes - 1)`: the line walk masks instead of re-checking
+    /// the line size on every event.
+    line_mask: u64,
+    block: Block,
+}
+
+impl BlockStream {
+    /// # Panics
+    ///
+    /// Panics unless `line_bytes` is a power of two.
+    pub(crate) fn new(fetch_width: usize, line_bytes: usize) -> Self {
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
+        let line_bytes = line_bytes as u64;
+        BlockStream {
+            fetch_width: fetch_width as u64,
+            line_bytes,
+            line_mask: !(line_bytes - 1),
+            block: Block {
+                section: Section::Serial,
+                insts: 0,
+                lines: Vec::with_capacity(4),
+            },
+        }
+    }
+
+    /// The open (or just-filled) block.
+    pub(crate) fn block(&self) -> &Block {
+        &self.block
+    }
+
+    /// Whether an instruction in `section` must close the open block
+    /// before joining the stream (a section switch).
+    #[inline]
+    pub(crate) fn breaks_before(&self, section: Section) -> bool {
+        self.block.insts > 0 && self.block.section != section
+    }
+
+    /// Appends one instruction and the lines it spans; returns `true`
+    /// when the block has reached the fetch width.
+    #[inline]
+    pub(crate) fn push(&mut self, ev: &TraceEvent) -> bool {
+        let block = &mut self.block;
+        if block.insts == 0 {
+            block.section = ev.section;
+        }
+        block.insts += 1;
+        let pc = ev.pc.as_u64();
+        let last = (pc + (u64::from(ev.len) - 1)) & self.line_mask;
+        let mut line = pc & self.line_mask;
+        loop {
+            if block.lines.last() != Some(&Addr::new(line)) {
+                block.lines.push(Addr::new(line));
+            }
+            if line == last {
+                break;
+            }
+            line += self.line_bytes;
+        }
+        block.insts >= self.fetch_width
+    }
+
+    /// Closes the block (after stages 3 and 4 consumed it).
+    #[inline]
+    pub(crate) fn clear(&mut self) {
+        self.block.insts = 0;
+        self.block.lines.clear();
+    }
+}
+
+/// What a block's demand fetch found for one of its lines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LineFetch {
+    /// Resident and not prefetched for this block.
+    Hit,
+    /// Absent (or prefetched but evicted before use): a full miss.
+    Miss,
+    /// Prefetched for this block and still resident: hidden if the
+    /// prefetch is ready by the time the fetch stage gets there.
+    Prefetched,
+}
+
+/// Stage 3: the I-cache plus FDIP issue for one (block stream,
+/// [`CacheConfig`], prefetch degree) combination.
+#[derive(Debug, Clone)]
+pub(crate) struct LineCache {
+    icache: ICache,
+    line_bytes: u64,
+    prefetch_degree: usize,
+    /// Lines FDIP prefetched for the current block, in issue order.
+    prefetched: Vec<Addr>,
+    /// The current block's per-line outcomes.
+    fetches: Vec<LineFetch>,
+}
+
+impl LineCache {
+    pub(crate) fn new(cache: CacheConfig, prefetch_degree: usize) -> Self {
+        LineCache {
+            icache: ICache::new(cache),
+            line_bytes: cache.line_bytes as u64,
+            prefetch_degree,
+            prefetched: Vec::with_capacity(prefetch_degree),
+            fetches: Vec::with_capacity(4),
+        }
+    }
+
+    /// Probes and prefetches `lines` at enqueue (up to the degree), then
+    /// demand-fetches them in order. Returns the prefetch count and the
+    /// per-line outcomes.
+    #[inline]
+    pub(crate) fn fetch(&mut self, lines: &[Addr]) -> (u64, &[LineFetch]) {
+        if self.prefetch_degree > 0 {
+            for &line in lines {
+                if self.prefetched.len() < self.prefetch_degree && !self.icache.probe(line) {
+                    self.icache.prefetch(line);
+                    self.prefetched.push(line);
+                }
+            }
+        }
+        let prefetches = self.prefetched.len() as u64;
+        self.fetches.clear();
+        for &line in lines {
+            let in_flight = self.prefetched.iter().position(|&l| l == line);
+            if let Some(idx) = in_flight {
+                self.prefetched.remove(idx);
+            }
+            let hit = self.icache.access(line, 0, self.line_bytes);
+            self.fetches.push(match (hit, in_flight) {
+                (false, _) => LineFetch::Miss,
+                (true, Some(_)) => LineFetch::Prefetched,
+                (true, None) => LineFetch::Hit,
+            });
+        }
+        // Every prefetched line is one of the block's own lines, so its
+        // service drained them all.
+        debug_assert!(self.prefetched.is_empty());
+        (prefetches, &self.fetches)
+    }
+}
+
+/// Serves a block through one line cache to every timing model that
+/// cache feeds (nothing when no block is open).
+#[inline]
+pub(crate) fn serve(
+    block: &Block,
+    cache: &mut LineCache,
+    timings: &mut [Timing],
+    cause: Option<Redirect>,
+) {
+    if block.insts == 0 {
+        return;
+    }
+    let (prefetches, fetches) = cache.fetch(&block.lines);
+    for timing in timings {
+        timing.retire(block, prefetches, fetches, cause);
+    }
+}
+
+/// Stage 4: one design point's clocks, FTQ occupancy, redirect carries
+/// and stall ledger.
+#[derive(Debug, Clone)]
+pub(crate) struct Timing {
+    ftq: FtqConfig,
+    sections: BySection<FetchStats>,
+    /// When the BP unit enqueued the most recent block.
+    bp_time: u64,
+    /// When the fetch stage finished the most recent block.
+    fetch_time: u64,
+    /// Dequeue (fetch-start) times of the last `depth` blocks — the
+    /// FTQ occupancy window for back-pressure.
+    ring: VecDeque<u64>,
+    /// Mispredict-penalty cycles the next block may charge.
+    carry_mispredict: u64,
+    /// Resteer-penalty cycles the next block may charge.
+    carry_resteer: u64,
+    /// Counter snapshot at the last sampled-replay boundary.
+    mark_sections: BySection<FetchStats>,
+    /// Fetch-clock reading at the last sampled-replay boundary.
+    mark_fetch_time: u64,
+    /// Fetch cycles spent in weight-0 (warmup) windows of a sampled
+    /// replay: they advance the clock and warm the structures but are
+    /// excluded from the report's attributed total.
+    discarded: u64,
+}
+
+impl Timing {
+    pub(crate) fn new(ftq: FtqConfig) -> Self {
+        Timing {
+            ftq,
+            sections: BySection::default(),
+            bp_time: 0,
+            fetch_time: 0,
+            ring: VecDeque::with_capacity(ftq.depth),
+            carry_mispredict: 0,
+            carry_resteer: 0,
+            mark_sections: BySection::default(),
+            mark_fetch_time: 0,
+            discarded: 0,
+        }
+    }
+
+    /// Runs one closed block through enqueue, fetch and service, then
+    /// applies its redirect (if any) to the BP clock. `fetches` and
+    /// `prefetches` come from the block's [`LineCache`].
+    #[inline]
+    pub(crate) fn retire(
+        &mut self,
+        block: &Block,
+        prefetches: u64,
+        fetches: &[LineFetch],
+        cause: Option<Redirect>,
+    ) {
+        let stats = self.sections.get_mut(block.section);
+        match cause {
+            Some(Redirect::Ras) => stats.ras_misses += 1,
+            Some(Redirect::Direction | Redirect::IndirectTarget) => stats.mispredicts += 1,
+            Some(Redirect::Resteer) => stats.resteers += 1,
+            None => {}
+        }
+        stats.insts += block.insts;
+        stats.blocks += 1;
+        stats.prefetches += prefetches;
+
+        // --- BP unit: enqueue (waits for a free FTQ slot). FDIP issues
+        // the block's prefetches now, so they land `miss_latency` later.
+        let mut enq = self.bp_time + 1;
+        if self.ring.len() >= self.ftq.depth {
+            if let Some(&oldest_dequeue) = self.ring.front() {
+                enq = enq.max(oldest_dequeue);
+            }
+        }
+        self.bp_time = enq;
+        let ready = enq + self.ftq.miss_latency;
+
+        // --- Fetch stage: dequeue and attribute the wait. ---
+        let start = self.fetch_time.max(enq + 1);
+        let mut gap = start - self.fetch_time;
+        let charged = gap.min(self.carry_mispredict);
+        stats.stalls.mispredict += charged;
+        gap -= charged;
+        let charged = gap.min(self.carry_resteer);
+        stats.stalls.resteer += charged;
+        gap -= charged;
+        stats.stalls.ftq_empty += gap;
+        self.carry_mispredict = 0;
+        self.carry_resteer = 0;
+
+        self.ring.push_back(start);
+        if self.ring.len() > self.ftq.depth {
+            self.ring.pop_front();
+        }
+
+        // --- Service: one busy cycle per line, stall on exposed misses. ---
+        let mut now = start;
+        for &fetch in fetches {
+            now += 1;
+            stats.busy += 1;
+            match fetch {
+                LineFetch::Hit => {}
+                LineFetch::Prefetched if ready <= now => stats.prefetch_hits += 1,
+                LineFetch::Prefetched => {
+                    // Prefetch still in flight: only the remainder of
+                    // the miss latency is exposed.
+                    stats.icache_misses += 1;
+                    stats.prefetch_late += 1;
+                    stats.stalls.icache += ready - now;
+                    now = ready;
+                }
+                LineFetch::Miss => {
+                    stats.icache_misses += 1;
+                    stats.stalls.icache += self.ftq.miss_latency;
+                    now += self.ftq.miss_latency;
+                }
+            }
+        }
+        self.fetch_time = now;
+
+        // --- Redirect: reset the BP unit's run-ahead lead. ---
+        let mispredict = match cause {
+            None => return,
+            Some(Redirect::Resteer) => {
+                self.bp_time = enq + self.ftq.resteer_penalty;
+                self.carry_resteer = self.ftq.resteer_penalty;
+                return;
+            }
+            Some(Redirect::Ras) => self.ftq.ras_penalty,
+            Some(Redirect::Direction | Redirect::IndirectTarget) => self.ftq.mispredict_penalty,
+        };
+        self.bp_time = now + mispredict;
+        self.carry_mispredict = mispredict;
+    }
+
+    /// Sampled-replay boundary, once the open block has been retired:
+    /// scale the window's counters **and** the fetch-clock delta by
+    /// `weight` (keeping [`FetchReport::check_attribution`] exact), and
+    /// shift the BP clock and FTQ ring forward by the same amount so
+    /// their lead over the fetch stage is preserved. No prefetch is in
+    /// flight at a block edge, so nothing else carries a time.
+    ///
+    /// Weight 0 is the warmup contract: the window's events warmed the
+    /// predictors and the I-cache, but its counters revert to the mark
+    /// and its fetch cycles move to `discarded` (subtracted from the
+    /// report's total) — the clocks themselves keep running forward, so
+    /// no monotonic state has to be rewound.
+    pub(crate) fn apply_sample_weight(&mut self, weight: u64) {
+        if weight == 0 {
+            self.sections = self.mark_sections;
+            self.discarded += self.fetch_time - self.mark_fetch_time;
+        } else if weight > 1 {
+            self.sections
+                .serial
+                .scale_from(&self.mark_sections.serial, weight);
+            self.sections
+                .parallel
+                .scale_from(&self.mark_sections.parallel, weight);
+            let old = self.fetch_time;
+            self.fetch_time = rebalance_trace::weighted_add(
+                self.mark_fetch_time,
+                old - self.mark_fetch_time,
+                weight,
+            );
+            let shift = self.fetch_time - old;
+            self.bp_time += shift;
+            for t in &mut self.ring {
+                *t += shift;
+            }
+        }
+        self.mark_sections = self.sections;
+        self.mark_fetch_time = self.fetch_time;
+    }
+
+    /// The accumulated timing as a report for `config`.
+    pub(crate) fn report(&self, config: FetchConfig) -> FetchReport {
+        FetchReport {
+            config,
+            sections: self.sections,
+            total_cycles: self.fetch_time - self.discarded,
+        }
+    }
+}

@@ -12,14 +12,24 @@
 //! 3. batched delivery — live and snapshot-decoded, down to capacity
 //!    1 — is bit-identical to per-event delivery for [`FetchSim`];
 //! 4. the FTQ timing backend cross-validates against the closed-form
-//!    penalty model through [`CoreModel`].
+//!    penalty model through [`CoreModel`];
+//! 5. the grid-vs-reference check: a [`FetchGrid`], which shares every
+//!    timing-free stage across its design points, reports bit for bit
+//!    what one solo [`FetchSim`] per point reports — over the whole
+//!    roster, under every delivery mode, sampled replay included, and
+//!    when read mid-replay.
 
 use rebalance::coresim::{CoreModel, FetchModelKind};
-use rebalance::fetchsim::{FetchConfig, FetchReport, FetchSim, FtqConfig};
+use rebalance::fetchsim::{FetchConfig, FetchGrid, FetchReport, FetchSim, FtqConfig};
 use rebalance::frontend::{BtbConfig, CoreKind, FrontendConfig};
-use rebalance::trace::{snapshot, Snapshot, SweepEngine, ToolSet, TraceCache};
+use rebalance::pintools::BbvTool;
+use rebalance::trace::{
+    snapshot, Pintool, SamplePlan, SamplingConfig, Snapshot, SweepEngine, SyntheticTrace, ToolSet,
+    TraceCache, TraceEvent,
+};
 use rebalance::workloads::find;
 use rebalance::Scale;
+use rebalance_experiments::fetchsim::default_grid;
 
 /// A small depth × prefetch × BTB design grid (the CLI's default grid
 /// is a superset; size is irrelevant to the one-replay guarantee).
@@ -230,5 +240,169 @@ fn ftq_backend_cross_validates_against_the_penalty_backend() {
             f.bp_mpki,
             p.bp_mpki
         );
+    }
+}
+
+/// A grid where every stage has more than one group: two predictors,
+/// two BTBs (crossed, so a predictor feeds both), 64 B and 128 B lines,
+/// two widths, three prefetch degrees, several RAS penalties, and two
+/// design points that differ only in latencies (one line cache, two
+/// timing models).
+fn mixed_grid() -> Vec<FetchConfig> {
+    let baseline = FrontendConfig::baseline();
+    let tailored = FrontendConfig::tailored();
+    let small_btb = FrontendConfig {
+        btb: tailored.btb,
+        ..baseline
+    };
+    let wide_lines = FrontendConfig {
+        icache: tailored.icache,
+        ..baseline
+    };
+    let mut grid = Vec::new();
+    for frontend in [baseline, tailored, small_btb, wide_lines] {
+        for (depth, width, degree, ras) in [(16, 4, 4, 12), (4, 4, 0, 20), (16, 2, 2, 6)] {
+            grid.push(FetchConfig::new(
+                frontend,
+                FtqConfig::new(depth, width, degree).with_ras_penalty(ras),
+            ));
+        }
+    }
+    grid.push(FetchConfig::new(
+        tailored,
+        FtqConfig::new(8, 4, 4).with_latencies(30, 15, 5),
+    ));
+    grid
+}
+
+/// One solo [`FetchSim`] per design point.
+fn solos(grid: &[FetchConfig]) -> ToolSet<FetchSim> {
+    grid.iter().copied().map(FetchSim::new).collect()
+}
+
+fn solo_reports(set: &ToolSet<FetchSim>) -> Vec<FetchReport> {
+    set.iter().map(FetchSim::report).collect()
+}
+
+/// Asserts the grid's reports equal the solo reports, cell by cell.
+fn assert_grid_matches(label: &str, grid: &FetchGrid, solo: &ToolSet<FetchSim>) {
+    let (shared, alone) = (grid.reports(), solo_reports(solo));
+    assert_eq!(shared.len(), alone.len(), "{label}: one report per point");
+    for (g, s) in shared.iter().zip(&alone) {
+        g.check_attribution()
+            .unwrap_or_else(|e| panic!("{label} [{}]: {e}", g.config));
+        assert_eq!(g, s, "{label} [{}]", g.config);
+    }
+}
+
+#[test]
+fn fetch_grid_matches_solo_fetchsims_on_the_default_grid_over_the_roster() {
+    let grid = default_grid();
+    let workloads = rebalance::workloads::all();
+    let engine = SweepEngine::new();
+    let trace = |w: &rebalance::workloads::Workload| w.trace(Scale::Smoke).expect("roster profile");
+    let shared = engine.sweep(workloads.clone(), trace, |_| vec![FetchGrid::new(&grid)]);
+    let alone = engine.sweep(workloads, trace, |_| {
+        grid.iter().copied().map(FetchSim::new).collect()
+    });
+    assert_eq!(shared.len(), alone.len());
+    for (g, s) in shared.iter().zip(&alone) {
+        assert_eq!(g.item.name(), s.item.name());
+        let reports: Vec<FetchReport> = s.tools.iter().map(FetchSim::report).collect();
+        assert_eq!(g.tools[0].reports(), reports, "{}", g.item.name());
+    }
+}
+
+/// Replays `trace` into a fresh grid and a fresh solo set through
+/// `deliver`, and asserts they agree.
+fn check_delivery(label: &str, grid: &[FetchConfig], mut deliver: impl FnMut(&mut dyn Pintool)) {
+    let mut shared = FetchGrid::new(grid);
+    deliver(&mut shared);
+    let mut alone = solos(grid);
+    deliver(&mut alone);
+    assert_grid_matches(label, &shared, &alone);
+}
+
+#[test]
+fn fetch_grid_matches_solo_fetchsims_under_every_delivery_mode() {
+    for name in ["CG", "gcc", "k.bfs"] {
+        let trace = find(name).unwrap().trace(Scale::Smoke).unwrap();
+        let (bytes, _) = snapshot::snapshot_bytes(&trace, 0).unwrap();
+        let snap = Snapshot::parse(&bytes).unwrap();
+        let config = SamplingConfig::default().with_intervals(160).with_k(8);
+        let plan = SamplePlan::from_snapshot(&snap, &mut BbvTool::new(config.dims), &config)
+            .expect("sampling plan");
+        assert!(!plan.is_full_replay(), "{name}: the plan must skip");
+
+        for (grid_name, grid) in [("default", default_grid()), ("mixed", mixed_grid())] {
+            let label = |mode: &str| format!("{name} {grid_name} grid, {mode}");
+            check_delivery(&label("per-event"), &grid, |t| {
+                trace.replay_per_event(t);
+            });
+            for cap in [1usize, 7, rebalance::trace::batch_capacity()] {
+                check_delivery(&label(&format!("batched {cap}")), &grid, |t| {
+                    trace.replay_batched(t, cap);
+                });
+            }
+            check_delivery(&label("snapshot-decoded"), &grid, |t| {
+                snap.replay(t).expect("snapshot replay");
+            });
+            check_delivery(&label("sampled"), &grid, |t| {
+                snap.replay_sampled(t, &plan).expect("sampled replay");
+            });
+        }
+    }
+}
+
+/// Feeds a grid and its solo reference event by event, reading every
+/// report once at event `at`.
+struct MidReplayProbe {
+    grid: FetchGrid,
+    solo: ToolSet<FetchSim>,
+    seen: u64,
+    at: u64,
+    mid: Option<(Vec<FetchReport>, Vec<FetchReport>)>,
+}
+
+impl Pintool for MidReplayProbe {
+    fn on_inst(&mut self, ev: &TraceEvent) {
+        self.grid.on_inst(ev);
+        self.solo.on_inst(ev);
+        self.seen += 1;
+        if self.seen == self.at {
+            let first = self.grid.reports();
+            assert_eq!(first, self.grid.reports(), "reading is idempotent");
+            self.mid = Some((first, solo_reports(&self.solo)));
+        }
+    }
+}
+
+#[test]
+fn fetch_grid_reports_mid_replay_without_disturbing_the_live_grid() {
+    let grid = mixed_grid();
+    for name in ["CG", "k.bfs"] {
+        let trace: SyntheticTrace = find(name).unwrap().trace(Scale::Smoke).unwrap();
+        // An odd event count lands mid-block for most design points.
+        let at = trace.schedule().total_instructions() / 2 + 1;
+        let mut probe = MidReplayProbe {
+            grid: FetchGrid::new(&grid),
+            solo: solos(&grid),
+            seen: 0,
+            at,
+            mid: None,
+        };
+        trace.replay_per_event(&mut probe);
+        let (shared, alone) = probe.mid.expect("probe fired");
+        assert_eq!(shared, alone, "{name}: mid-replay reports");
+        assert!(shared.iter().all(|r| r.total().insts == at));
+
+        let mut undisturbed = FetchGrid::new(&grid);
+        trace.replay_per_event(&mut undisturbed);
+        assert_eq!(
+            probe.grid.reports(),
+            undisturbed.reports(),
+            "{name}: reading mid-replay changed the live grid"
+        );
+        assert_grid_matches(name, &probe.grid, &probe.solo);
     }
 }
