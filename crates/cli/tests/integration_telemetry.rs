@@ -154,6 +154,63 @@ fn warm_sweep_metrics_hold_their_invariants_and_leave_results_unchanged() {
     }
 }
 
+/// The first span named `name` anywhere in a span forest level (a map
+/// of span name to node).
+fn find_span<'a>(name: &str, level: &'a Value) -> Option<&'a Value> {
+    level.as_map()?.iter().find_map(|(n, node)| {
+        if n == name {
+            Some(node)
+        } else {
+            find_span(name, node.get("children")?)
+        }
+    })
+}
+
+/// The direct child span `name` of `node`.
+fn child<'a>(node: &'a Value, name: &str) -> Option<&'a Value> {
+    let children = node.get("children")?.as_map()?;
+    children.iter().find(|(n, _)| n == name).map(|(_, c)| c)
+}
+
+#[test]
+fn sampled_sweep_attributes_plan_and_window_decodes_separately() {
+    let cache = scratch("sampled-cache");
+    let json = scratch("sampled-json");
+    let metrics_arg = format!("json={}", json.join("metrics.json").display());
+    run(&[
+        "sweep",
+        "--workloads",
+        WORKLOADS,
+        "--sample",
+        "40",
+        "--sample-k",
+        "4",
+        "--cache",
+        cache.to_str().unwrap(),
+        "--metrics",
+        metrics_arg.as_str(),
+    ]);
+
+    let m = load_metrics(&json);
+    let spans = m.get("spans").expect("spans");
+    check_attribution("", spans);
+    let roots = spans.get("children").expect("span roots");
+    let replay = find_span("replay", roots).expect("a replay span");
+    let plan = child(replay, "sampling.plan").expect("replay/sampling.plan");
+    assert!(
+        child(plan, "decode").is_some(),
+        "the plan pass's full decode sits under sampling.plan: {plan:?}"
+    );
+    assert!(
+        child(replay, "decode").is_some(),
+        "the window decodes sit directly under replay: {replay:?}"
+    );
+
+    for dir in [cache, json] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
 #[test]
 fn metrics_text_prints_span_tree_and_counters() {
     let cache = scratch("text-cache");

@@ -66,7 +66,7 @@ use crate::by_section::BySection;
 use crate::exec::RunSummary;
 use crate::observer::Pintool;
 use crate::schedule::SyntheticTrace;
-use crate::snapshot::{Snapshot, SnapshotError, SnapshotInfo, SnapshotWriter};
+use crate::snapshot::{OwnedSnapshot, Snapshot, SnapshotError, SnapshotInfo, SnapshotWriter};
 
 /// File extension of cached snapshots.
 pub const SNAPSHOT_EXT: &str = "rbts";
@@ -661,34 +661,50 @@ impl TraceCache {
     }
 
     /// Returns the raw snapshot bytes for `key`, generating and
-    /// recording them on a miss. This is how phase sampling shares one
-    /// snapshot pass: the same byte buffer is parsed once for
-    /// fingerprinting and again for the weighted representative replay,
-    /// with generation and disk I/O paid at most once.
+    /// recording them on a miss: [`TraceCache::snapshot`] without the
+    /// parsed frame.
+    ///
+    /// # Errors
+    ///
+    /// As for [`TraceCache::snapshot`].
+    pub fn snapshot_bytes<F>(&self, key: &TraceKey, generate: F) -> Result<Vec<u8>, CacheError>
+    where
+        F: FnOnce() -> Result<SyntheticTrace, String>,
+    {
+        self.snapshot(key, generate).map(OwnedSnapshot::into_bytes)
+    }
+
+    /// Returns the validated snapshot for `key`, generating and
+    /// recording it on a miss. This is how phase sampling shares one
+    /// snapshot pass: the bytes are read and checksummed once, then
+    /// viewed ([`OwnedSnapshot::snapshot`]) for fingerprinting and for
+    /// the weighted representative replay, with generation, disk I/O
+    /// and the checksum paid at most once.
     ///
     /// Counter accounting matches [`TraceCache::replay_with`]: a valid
-    /// existing snapshot is a hit, a miss generates and (best-effort)
-    /// persists, an unwritable directory counts a write failure but
-    /// still returns the in-memory bytes.
+    /// existing snapshot is a hit, a corrupt one is rejected and
+    /// regenerated, a miss generates and (best-effort) persists, an
+    /// unwritable directory counts a write failure but still returns
+    /// the in-memory snapshot.
     ///
     /// # Errors
     ///
     /// Generation failures, or encoding failures while snapshotting the
     /// generated trace.
-    pub fn snapshot_bytes<F>(&self, key: &TraceKey, generate: F) -> Result<Vec<u8>, CacheError>
+    pub fn snapshot<F>(&self, key: &TraceKey, generate: F) -> Result<OwnedSnapshot, CacheError>
     where
         F: FnOnce() -> Result<SyntheticTrace, String>,
     {
         let path = self.path_for(key);
         if let Ok(bytes) = fs::read(&path) {
-            if Snapshot::parse(&bytes).is_ok() {
+            if let Ok(snapshot) = OwnedSnapshot::parse(bytes) {
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 self.counters
                     .bytes_read
-                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+                    .fetch_add(snapshot.info().total_bytes, Ordering::Relaxed);
                 tele().hits.incr();
-                tele().bytes_read.add(bytes.len() as u64);
-                return Ok(bytes);
+                tele().bytes_read.add(snapshot.info().total_bytes);
+                return Ok(snapshot);
             }
             self.counters.rejected.fetch_add(1, Ordering::Relaxed);
             tele().rejected.incr();
@@ -702,16 +718,16 @@ impl TraceCache {
         let lock = KeyLock::acquire(self.lock_path(key));
         self.note_lock_wait(lock.waited);
         if let Ok(bytes) = fs::read(&path) {
-            if Snapshot::parse(&bytes).is_ok() {
+            if let Ok(snapshot) = OwnedSnapshot::parse(bytes) {
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
                 self.counters
                     .bytes_read
-                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+                    .fetch_add(snapshot.info().total_bytes, Ordering::Relaxed);
                 tele().hits.incr();
                 tele().coalesced.incr();
-                tele().bytes_read.add(bytes.len() as u64);
-                return Ok(bytes);
+                tele().bytes_read.add(snapshot.info().total_bytes);
+                return Ok(snapshot);
             }
         }
 
@@ -752,7 +768,7 @@ impl TraceCache {
         tele()
             .generation_hist
             .observe(generate_start.elapsed().as_nanos() as u64);
-        Ok(bytes)
+        Ok(OwnedSnapshot::parse(bytes)?)
     }
 
     /// The in-process single-flight guard for one key fingerprint.

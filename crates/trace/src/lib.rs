@@ -113,7 +113,7 @@ pub use sampling::{
 };
 pub use schedule::{Phase, Schedule, SyntheticTrace};
 pub use section::Section;
-pub use snapshot::{Snapshot, SnapshotError, SnapshotInfo, SnapshotWriter};
+pub use snapshot::{OwnedSnapshot, Snapshot, SnapshotError, SnapshotInfo, SnapshotWriter};
 pub use sweep::{SampledOutcome, SweepEngine, SweepOutcome};
 pub use timed::Timed;
 pub use toolset::ToolSet;

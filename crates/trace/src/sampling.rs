@@ -23,17 +23,25 @@
 //! number of intervals), and a degenerate plan where every interval is
 //! its own representative ([`SamplePlan::is_full_replay`]) replays the
 //! stream bit-identically to [`Snapshot::replay`].
+//!
+//! The plan pass ([`SamplePlan::from_snapshot`]) is the one full decode
+//! of the snapshot: it validates the footer counters and records a
+//! cursor at every interval boundary. The sampled replay then seeks to
+//! each window's warmup start and decodes only what it delivers, so
+//! skipping an interval skips its decoding too. The plan is tied to the
+//! snapshot it indexed by the snapshot's checksum; applying it to other
+//! bytes is a [`SnapshotError::PlanMismatch`], never wrong events.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::batch::{batch_capacity, EventBatch, EventSink};
-use crate::event::TraceEvent;
+use rebalance_telemetry as telemetry;
+
+use crate::batch::{batch_capacity, BatchSink, EventBatch};
 use crate::exec::RunSummary;
-use crate::observer::Pintool;
-use crate::section::Section;
-use crate::snapshot::{Snapshot, SnapshotError};
+use crate::observer::{NullTool, Pintool};
+use crate::snapshot::{CursorTable, Snapshot, SnapshotError};
 
 /// `base + delta × weight`, computed in `u128` and saturating at
 /// `u64::MAX` — the one place weighted counter folding is allowed to
@@ -149,6 +157,9 @@ pub struct SamplePlan {
     warmup_insts: u64,
     assignments: Vec<u32>,
     clusters: Vec<ClusterInfo>,
+    /// Where every interval starts in the snapshot the plan was built
+    /// from (`None` for plans built from bare vectors).
+    cursors: Option<CursorTable>,
 }
 
 impl SamplePlan {
@@ -167,6 +178,10 @@ impl SamplePlan {
     /// representative stand in for it either drops those misses
     /// entirely or multiplies them by the cluster weight. Pinning
     /// counts the transient exactly once, like the full replay does.
+    ///
+    /// A plan built here carries no cursor table, so each
+    /// [`Snapshot::replay_sampled`] of it first records one with a full
+    /// decode; [`SamplePlan::from_snapshot`] records it for free.
     ///
     /// # Panics
     ///
@@ -197,6 +212,7 @@ impl SamplePlan {
                         weight: 1,
                     })
                     .collect(),
+                cursors: None,
             };
         }
 
@@ -244,11 +260,17 @@ impl SamplePlan {
             warmup_insts,
             assignments,
             clusters,
+            cursors: None,
         }
     }
 
     /// Fingerprints a snapshot with `fp` and clusters the result — the
     /// end-to-end plan builder for one cached snapshot pass.
+    ///
+    /// The fingerprinting replay is a full decode: it validates the
+    /// footer counters and records a cursor at every interval boundary,
+    /// which [`Snapshot::replay_sampled`] later seeks to. The plan keeps
+    /// that cursor table together with the snapshot's checksum.
     ///
     /// # Errors
     ///
@@ -261,14 +283,12 @@ impl SamplePlan {
         let total = snapshot.info().summary.instructions;
         let interval_insts = cfg.interval_insts(total);
         fp.set_interval_insts(interval_insts);
-        snapshot.replay(fp)?;
+        let (_, cursors) = snapshot.replay_indexed(fp, interval_insts)?;
         let vectors = fp.finish();
-        Ok(SamplePlan::from_vectors(
-            &vectors,
-            interval_insts,
-            total,
-            cfg,
-        ))
+        Ok(SamplePlan {
+            cursors: Some(cursors),
+            ..SamplePlan::from_vectors(&vectors, interval_insts, total, cfg)
+        })
     }
 
     /// Interval length in instructions.
@@ -362,8 +382,9 @@ impl SamplePlan {
 /// What a sampled replay delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SampledReplay {
-    /// Summary of the **full** decoded trace (every record is decoded —
-    /// sampling skips delivery, not validation).
+    /// Summary of the **full** trace: the footer counters the plan
+    /// pass's full decode validated. The sampled replay itself decodes
+    /// only the windows it delivers.
     pub summary: RunSummary,
     /// Instructions actually delivered to the tool.
     pub delivered_instructions: u64,
@@ -479,118 +500,19 @@ fn kmeans(
     (centroids, assignments)
 }
 
-/// The sampled-delivery [`EventSink`]: decodes every record (so the
-/// footer-count validation still runs over the whole stream) but only
-/// forwards the events of representative intervals and their warmup
-/// prefixes, batching them and announcing each window's weight via
-/// [`Pintool::on_sample_weight`] — 0 after a warmup prefix (state
-/// warmed, counters discarded), the cluster weight after the
-/// representative itself.
-struct SampleSink<'a, T: Pintool + ?Sized> {
-    tool: &'a mut T,
-    plan: &'a SamplePlan,
-    batch: EventBatch,
-    /// Instructions decoded so far (interval cursor).
-    decoded: u64,
-    /// Instructions delivered to the tool.
-    delivered: u64,
-    /// Next entry of `plan.clusters` to deliver.
-    next_rep: usize,
-}
-
-impl<'a, T: Pintool + ?Sized> SampleSink<'a, T> {
-    fn new(tool: &'a mut T, plan: &'a SamplePlan) -> Self {
-        SampleSink {
-            tool,
-            plan,
-            batch: EventBatch::with_capacity(batch_capacity()),
-            decoded: 0,
-            delivered: 0,
-            next_rep: 0,
-        }
-    }
-
-    /// The `(warmup_start, rep_start, end)` window of the next
-    /// representative, or `None` when all representatives are delivered.
-    fn window(&self) -> Option<(u64, u64, u64)> {
-        (self.next_rep < self.plan.clusters.len()).then(|| self.plan.window(self.next_rep))
-    }
-
-    /// Closes the current representative: flush buffered events, hand
-    /// the tool the cluster weight to scale by, and announce the
-    /// upcoming stream gap (unless the next window starts exactly where
-    /// this one ended).
-    fn close_rep(&mut self) {
-        self.batch.flush_into(self.tool);
-        let weight = self.plan.clusters[self.next_rep].weight;
-        let end = self.plan.window(self.next_rep).2;
-        self.tool.on_sample_weight(weight);
-        self.next_rep += 1;
-        match self.window() {
-            Some((warm, _, _)) if warm == end => {}
-            _ => self.tool.on_sample_gap(),
-        }
-    }
-
-    /// Settles a trailing window cut short by end-of-trace.
-    fn finish(mut self) -> u64 {
-        if let Some((warm, start, _)) = self.window() {
-            if self.decoded > start {
-                self.close_rep();
-            } else if self.decoded > warm {
-                // Ended inside the warmup prefix: discard it.
-                self.batch.flush_into(self.tool);
-                self.tool.on_sample_weight(0);
-            }
-        }
-        self.batch.flush_into(self.tool);
-        self.delivered
-    }
-}
-
-impl<T: Pintool + ?Sized> EventSink for SampleSink<'_, T> {
-    fn section_start(&mut self, section: Section) {
-        // Section markers are only meaningful inside delivered windows;
-        // events carry their own section, so skipped markers lose no
-        // attribution.
-        if let Some((warm, _, end)) = self.window() {
-            if self.decoded >= warm && self.decoded < end {
-                if self.batch.is_full() {
-                    self.batch.flush_into(self.tool);
-                }
-                self.batch.push_section_start(section);
-            }
-        }
-    }
-
-    fn event(&mut self, ev: TraceEvent) {
-        if let Some((warm, start, end)) = self.window() {
-            if self.decoded >= warm {
-                self.batch.push(ev);
-                self.delivered += 1;
-                if self.batch.is_full() {
-                    self.batch.flush_into(self.tool);
-                }
-                if self.decoded + 1 == start {
-                    // Last warmup event: state is warm, counters are
-                    // not supposed to know the window happened.
-                    self.batch.flush_into(self.tool);
-                    self.tool.on_sample_weight(0);
-                } else if self.decoded + 1 == end {
-                    self.close_rep();
-                }
-            }
-        }
-        self.decoded += 1;
-    }
-}
-
 impl Snapshot<'_> {
     /// Replays only the plan's representative intervals into `tool`,
     /// delivering each cluster's weight through
     /// [`Pintool::on_sample_weight`] after its representative's events.
-    /// Every record is still decoded, so the snapshot's footer counters
-    /// are validated exactly as in a full [`Snapshot::replay`].
+    ///
+    /// Only the delivered windows are decoded: each one starts from the
+    /// cursor the plan pass recorded at its warmup start and stops right
+    /// after its last event, and the records between windows are never
+    /// read. The footer counters were validated by the plan pass's full
+    /// decode, which the plan is tied to by this snapshot's checksum; the
+    /// returned [`SampledReplay::summary`] is that validated one. A plan
+    /// without a cursor table ([`SamplePlan::from_vectors`]) first records
+    /// one with a validating full decode that delivers nothing.
     ///
     /// A [`SamplePlan::is_full_replay`] plan takes the unsampled decode
     /// path and is bit-identical to [`Snapshot::replay`] (no
@@ -598,7 +520,9 @@ impl Snapshot<'_> {
     ///
     /// # Errors
     ///
-    /// As for [`Snapshot::replay`].
+    /// As for [`Snapshot::replay`], plus [`SnapshotError::PlanMismatch`]
+    /// when the plan's cursor table was recorded over other bytes or its
+    /// geometry covers another instruction count.
     ///
     /// # Panics
     ///
@@ -610,24 +534,110 @@ impl Snapshot<'_> {
         tool: &mut T,
         plan: &SamplePlan,
     ) -> Result<SampledReplay, SnapshotError> {
+        self.replay_sampled_batched(tool, plan, batch_capacity())
+    }
+
+    /// [`Snapshot::replay_sampled`] with an explicit batch capacity
+    /// (exercised down to capacity 1 by the equivalence tests).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Snapshot::replay_sampled`].
+    ///
+    /// # Panics
+    ///
+    /// As for [`Snapshot::replay_sampled`].
+    pub fn replay_sampled_batched<T: Pintool + ?Sized>(
+        &self,
+        tool: &mut T,
+        plan: &SamplePlan,
+        capacity: usize,
+    ) -> Result<SampledReplay, SnapshotError> {
         assert!(
             tool.supports_sampled_replay(),
             "tool does not support weighted sampled replay"
         );
         if plan.is_full_replay() {
-            let summary = self.replay(tool)?;
+            let summary = self.replay_batched(tool, capacity)?;
             return Ok(SampledReplay {
                 summary,
                 delivered_instructions: summary.instructions,
             });
         }
-        let mut sink = SampleSink::new(tool, plan);
-        let result = self.decode_into(&mut sink);
-        let delivered_instructions = sink.finish();
+        let built;
+        let cursors = match &plan.cursors {
+            Some(table) => table,
+            None => {
+                built = self.replay_indexed(&mut NullTool, plan.interval_insts)?.1;
+                &built
+            }
+        };
+        for (field, planned, actual) in [
+            ("checksum", cursors.checksum(), self.checksum()),
+            (
+                "instruction",
+                plan.total_instructions,
+                self.info().summary.instructions,
+            ),
+        ] {
+            if planned != actual {
+                return Err(SnapshotError::PlanMismatch {
+                    field,
+                    planned,
+                    actual,
+                });
+            }
+        }
+
+        let _decode_span = telemetry::span("decode");
+        let mut batch = EventBatch::with_capacity(capacity);
+        let delivered = self.deliver_windows(tool, plan, cursors, &mut batch);
+        // A failed window still hands over what it decoded.
+        batch.flush_into(tool);
         Ok(SampledReplay {
-            summary: result?,
-            delivered_instructions,
+            summary: self.info().summary,
+            delivered_instructions: delivered?,
         })
+    }
+
+    /// The sampled delivery loop: per representative, the warmup prefix
+    /// (closed by weight 0: state warmed, counters discarded), then the
+    /// representative (closed by the cluster weight), then a gap notice
+    /// unless the next window starts exactly where this one ended.
+    /// Returns the instructions delivered.
+    fn deliver_windows<T: Pintool + ?Sized>(
+        &self,
+        tool: &mut T,
+        plan: &SamplePlan,
+        cursors: &CursorTable,
+        batch: &mut EventBatch,
+    ) -> Result<u64, SnapshotError> {
+        let mut delivered = 0;
+        for (i, cluster) in plan.clusters.iter().enumerate() {
+            let (warm, start, end) = plan.window(i);
+            let mut at = cursors
+                .at(warm)
+                .expect("windows start on recorded interval boundaries");
+            for (until, weight) in [(start, 0), (end, cluster.weight)] {
+                if until == at.events() {
+                    // No warmup before this representative.
+                    continue;
+                }
+                let mut sink = BatchSink {
+                    batch: &mut *batch,
+                    tool: &mut *tool,
+                };
+                at = self.decode_into(&mut sink, at, Some(until), None)?.end;
+                batch.flush_into(tool);
+                tool.on_sample_weight(weight);
+            }
+            let adjacent = i + 1 < plan.clusters.len() && plan.window(i + 1).0 == end;
+            if !adjacent {
+                tool.on_sample_gap();
+            }
+            delivered += end - warm;
+        }
+        Ok(delivered)
     }
 }
 

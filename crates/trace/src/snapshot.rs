@@ -45,6 +45,23 @@
 //! event's fall-through address, so straight-line code costs two bytes
 //! per instruction (tag + length).
 //!
+//! # Decoding from a cursor
+//!
+//! The delta encoding makes a record readable only with the decoder
+//! state before it: the expected next PC and the current section. A
+//! cursor captures that state plus the byte offset and the count of
+//! events decoded so far, so one decode loop serves every reader:
+//!
+//! * a **full replay** starts at the stream start, runs to the end
+//!   record and then checks the footer counters;
+//! * a full replay can also **record a cursor table**: one cursor every
+//!   N events, taken right after that event's record (the sampling plan
+//!   pass records one per interval boundary);
+//! * a **window** resumes from a recorded cursor and stops right after a
+//!   given event, so phase-sampled replay
+//!   ([`Snapshot::replay_sampled`]) decodes only the windows it
+//!   delivers.
+//!
 //! # Examples
 //!
 //! Round-trip a trace through an in-memory snapshot:
@@ -162,6 +179,17 @@ pub enum SnapshotError {
         /// Value observed while decoding.
         decoded: u64,
     },
+    /// A sampling plan does not describe this snapshot: its cursor
+    /// table was recorded over other bytes, or its interval geometry
+    /// covers another instruction count.
+    PlanMismatch {
+        /// Which property disagrees (`"checksum"` or `"instruction"`).
+        field: &'static str,
+        /// Value the plan was built for.
+        planned: u64,
+        /// Value of this snapshot.
+        actual: u64,
+    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -190,6 +218,14 @@ impl fmt::Display for SnapshotError {
             } => write!(
                 f,
                 "snapshot {field} count mismatch: footer says {stored}, stream decodes {decoded}"
+            ),
+            SnapshotError::PlanMismatch {
+                field,
+                planned,
+                actual,
+            } => write!(
+                f,
+                "sampling plan was built for another snapshot: planned {field} {planned}, snapshot has {actual}"
             ),
         }
     }
@@ -516,6 +552,82 @@ impl<W: Write> Pintool for SnapshotWriter<W> {
     }
 }
 
+/// A resumable position in a snapshot's record stream: the offset of
+/// the next record, the decoder state the delta encoding needs there,
+/// and how many events precede it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct Cursor {
+    /// Byte offset of the next record within the record region.
+    offset: usize,
+    /// Fall-through address of the previous event.
+    expected_pc: u64,
+    /// Section the next event belongs to unless a marker changes it.
+    section: Section,
+    /// Events decoded before this position.
+    events: u64,
+}
+
+impl Cursor {
+    /// The start of the record stream.
+    const START: Cursor = Cursor {
+        offset: 0,
+        expected_pc: 0,
+        section: Section::Serial,
+        events: 0,
+    };
+
+    /// Events decoded before this position.
+    pub(crate) fn events(&self) -> u64 {
+        self.events
+    }
+}
+
+/// Cursors recorded during one full decode, one every `every` events:
+/// entry `i` resumes the stream right after event `i × every` (entry 0
+/// is the stream start). The table is tied to the snapshot it indexes
+/// by that snapshot's checksum.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct CursorTable {
+    checksum: u64,
+    every: u64,
+    cursors: Vec<Cursor>,
+}
+
+impl CursorTable {
+    /// Checksum of the snapshot the table indexes.
+    pub(crate) fn checksum(&self) -> u64 {
+        self.checksum
+    }
+
+    /// The cursor right after the first `events` events, or `None` when
+    /// `events` is not a recorded boundary.
+    pub(crate) fn at(&self, events: u64) -> Option<Cursor> {
+        if !events.is_multiple_of(self.every) {
+            return None;
+        }
+        usize::try_from(events / self.every)
+            .ok()
+            .and_then(|i| self.cursors.get(i))
+            .copied()
+    }
+
+    /// Event count at which the next cursor is due.
+    fn next_mark(&self) -> u64 {
+        (self.cursors.len() as u64).saturating_mul(self.every)
+    }
+}
+
+/// Where one decode call stopped, and what it counted on the way.
+#[derive(Debug)]
+pub(crate) struct Decoded {
+    /// The position right after the last decoded record.
+    pub end: Cursor,
+    /// Counters of the decoded events.
+    pub summary: RunSummary,
+    /// Decoded events per section.
+    pub sections: BySection<u64>,
+}
+
 /// A parsed snapshot borrowing its underlying bytes — decode streams
 /// events straight off the buffer without materializing them.
 ///
@@ -529,6 +641,7 @@ pub struct Snapshot<'a> {
     /// positions).
     base: usize,
     info: SnapshotInfo,
+    checksum: u64,
 }
 
 impl<'a> Snapshot<'a> {
@@ -536,9 +649,9 @@ impl<'a> Snapshot<'a> {
     ///
     /// # Errors
     ///
-    /// Any [`SnapshotError`] variant except [`SnapshotError::Io`] and
-    /// [`SnapshotError::CountMismatch`] (the latter is a decode-time
-    /// check).
+    /// Any [`SnapshotError`] variant except [`SnapshotError::Io`],
+    /// [`SnapshotError::CountMismatch`] (a decode-time check) and
+    /// [`SnapshotError::PlanMismatch`] (a sampled-replay check).
     pub fn parse(data: &'a [u8]) -> Result<Snapshot<'a>, SnapshotError> {
         if data.len() < MIN_BYTES {
             return Err(SnapshotError::Truncated { at: data.len() });
@@ -584,16 +697,29 @@ impl<'a> Snapshot<'a> {
             sections: BySection::new(counter(3), counter(4)),
             total_bytes: data.len() as u64,
         };
-        Ok(Snapshot {
-            records: &data[HEADER_BYTES..end_tag_at],
+        Ok(Snapshot::framed(data, info, stored))
+    }
+
+    /// A view of bytes whose frame [`Snapshot::parse`] already
+    /// validated into `info` and `checksum`.
+    fn framed(data: &'a [u8], info: SnapshotInfo, checksum: u64) -> Snapshot<'a> {
+        Snapshot {
+            records: &data[HEADER_BYTES..data.len() - FOOTER_BYTES - 1],
             base: HEADER_BYTES,
             info,
-        })
+            checksum,
+        }
     }
 
     /// Header/footer metadata (no record decoding needed).
     pub fn info(&self) -> &SnapshotInfo {
         &self.info
+    }
+
+    /// The FNV-1a 64 checksum stored in the footer: the identity of
+    /// these exact bytes.
+    pub(crate) fn checksum(&self) -> u64 {
+        self.checksum
     }
 
     /// Streams the recorded events into `tool`, exactly as the original
@@ -627,14 +753,42 @@ impl<'a> Snapshot<'a> {
         tool: &mut T,
         capacity: usize,
     ) -> Result<RunSummary, SnapshotError> {
+        self.replay_recording(tool, capacity, None)
+    }
+
+    /// [`Snapshot::replay`] that also records a cursor every `every`
+    /// events (the sampling plan pass's cursor table).
+    pub(crate) fn replay_indexed<T: Pintool + ?Sized>(
+        &self,
+        tool: &mut T,
+        every: u64,
+    ) -> Result<(RunSummary, CursorTable), SnapshotError> {
+        let mut table = CursorTable {
+            checksum: self.checksum,
+            every: every.max(1),
+            cursors: vec![Cursor::START],
+        };
+        let summary = self.replay_recording(tool, batch_capacity(), Some(&mut table))?;
+        Ok((summary, table))
+    }
+
+    fn replay_recording<T: Pintool + ?Sized>(
+        &self,
+        tool: &mut T,
+        capacity: usize,
+        table: Option<&mut CursorTable>,
+    ) -> Result<RunSummary, SnapshotError> {
         // Batch spans nest under this one, so decode self-time is the
         // tree's record-walk remainder.
         let _decode_span = rebalance_telemetry::span("decode");
         let mut batch = EventBatch::with_capacity(capacity);
-        let result = self.decode_into(&mut BatchSink {
-            batch: &mut batch,
-            tool,
-        });
+        let result = self.decode_all(
+            &mut BatchSink {
+                batch: &mut batch,
+                tool,
+            },
+            table,
+        );
         // Deliver the buffered tail (also on error, so the tool observes
         // the same prefix a per-event decode would have delivered).
         batch.flush_into(tool);
@@ -652,21 +806,88 @@ impl<'a> Snapshot<'a> {
         &self,
         tool: &mut T,
     ) -> Result<RunSummary, SnapshotError> {
-        self.decode_into(&mut DirectSink(tool))
+        self.decode_all(&mut DirectSink(tool), None)
     }
 
-    /// The record-stream decode shared by both delivery modes (and by
-    /// the sampled replay in [`crate::sampling`]).
+    /// Decodes the whole record stream (recording cursors into `table`
+    /// when given), then checks the footer counters against it.
+    fn decode_all<S: EventSink>(
+        &self,
+        sink: &mut S,
+        table: Option<&mut CursorTable>,
+    ) -> Result<RunSummary, SnapshotError> {
+        let decoded = self.decode_into(sink, Cursor::START, None, table)?;
+        for (field, stored, decoded) in [
+            (
+                "instruction",
+                self.info.summary.instructions,
+                decoded.summary.instructions,
+            ),
+            (
+                "branch",
+                self.info.summary.branches,
+                decoded.summary.branches,
+            ),
+            (
+                "taken-branch",
+                self.info.summary.taken_branches,
+                decoded.summary.taken_branches,
+            ),
+            (
+                "serial-instruction",
+                self.info.sections.serial,
+                decoded.sections.serial,
+            ),
+            (
+                "parallel-instruction",
+                self.info.sections.parallel,
+                decoded.sections.parallel,
+            ),
+        ] {
+            if stored != decoded {
+                return Err(SnapshotError::CountMismatch {
+                    field,
+                    stored,
+                    decoded,
+                });
+            }
+        }
+        Ok(decoded.summary)
+    }
+
+    /// The record decode every reader shares. Starts at `from`, stops
+    /// right after the event that brings the count to `until` (which
+    /// must lie past `from`; `None` runs to the end record), and pushes
+    /// a cursor onto `table` each time the count reaches its next
+    /// multiple of the table's spacing.
     pub(crate) fn decode_into<S: EventSink>(
         &self,
         sink: &mut S,
-    ) -> Result<RunSummary, SnapshotError> {
+        from: Cursor,
+        until: Option<u64>,
+        mut table: Option<&mut CursorTable>,
+    ) -> Result<Decoded, SnapshotError> {
         let data = self.records;
-        let mut pos = 0usize;
-        let mut expected_pc = 0u64;
-        let mut section = Section::Serial;
+        let mut pos = from.offset;
+        let mut expected_pc = from.expected_pc;
+        let mut section = from.section;
+        let mut events = from.events;
         let mut summary = RunSummary::default();
         let mut sections: BySection<u64> = BySection::default();
+
+        let stop = until.unwrap_or(u64::MAX);
+        let mut next_mark = table.as_deref().map_or(u64::MAX, CursorTable::next_mark);
+        // One comparison per event covers both the stop and the mark.
+        let mut check_at = stop.min(next_mark);
+        let done = |end: Cursor, summary: RunSummary, sections| Decoded {
+            end,
+            summary: RunSummary {
+                instructions: end.events - from.events,
+                ..summary
+            },
+            sections,
+        };
+        debug_assert!(stop > events, "a decode must reach past its start");
 
         while pos < data.len() {
             let at = self.base + pos;
@@ -732,13 +953,29 @@ impl<'a> Snapshot<'a> {
                         section,
                     });
                     expected_pc = pc.wrapping_add(u64::from(len));
-                    summary.instructions += 1;
+                    events += 1;
                     *sections.get_mut(section) += 1;
                     if let Some(b) = &branch {
                         summary.branches += 1;
                         if b.outcome.is_taken() {
                             summary.taken_branches += 1;
                         }
+                    }
+                    if events == check_at {
+                        let here = Cursor {
+                            offset: pos,
+                            expected_pc,
+                            section,
+                            events,
+                        };
+                        if let Some(table) = table.as_deref_mut().filter(|_| events == next_mark) {
+                            table.cursors.push(here);
+                            next_mark = table.next_mark();
+                        }
+                        if events == stop {
+                            return Ok(done(here, summary, sections));
+                        }
+                        check_at = stop.min(next_mark);
                     }
                 }
                 _ => {
@@ -749,39 +986,55 @@ impl<'a> Snapshot<'a> {
                 }
             }
         }
+        let end = Cursor {
+            offset: pos,
+            expected_pc,
+            section,
+            events,
+        };
+        Ok(done(end, summary, sections))
+    }
+}
 
-        for (field, stored, decoded) in [
-            (
-                "instruction",
-                self.info.summary.instructions,
-                summary.instructions,
-            ),
-            ("branch", self.info.summary.branches, summary.branches),
-            (
-                "taken-branch",
-                self.info.summary.taken_branches,
-                summary.taken_branches,
-            ),
-            (
-                "serial-instruction",
-                self.info.sections.serial,
-                sections.serial,
-            ),
-            (
-                "parallel-instruction",
-                self.info.sections.parallel,
-                sections.parallel,
-            ),
-        ] {
-            if stored != decoded {
-                return Err(SnapshotError::CountMismatch {
-                    field,
-                    stored,
-                    decoded,
-                });
-            }
-        }
-        Ok(summary)
+/// A snapshot that owns its bytes and was validated once: framing,
+/// version and checksum were checked when it was built, and every
+/// [`OwnedSnapshot::snapshot`] view reuses that parse instead of
+/// hashing the bytes again.
+#[derive(Debug, Clone)]
+pub struct OwnedSnapshot {
+    bytes: Vec<u8>,
+    info: SnapshotInfo,
+    checksum: u64,
+}
+
+impl OwnedSnapshot {
+    /// Validates `bytes` as [`Snapshot::parse`] does and keeps them.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Snapshot::parse`].
+    pub fn parse(bytes: Vec<u8>) -> Result<OwnedSnapshot, SnapshotError> {
+        let Snapshot { info, checksum, .. } = Snapshot::parse(&bytes)?;
+        Ok(OwnedSnapshot {
+            bytes,
+            info,
+            checksum,
+        })
+    }
+
+    /// A borrowed view for decoding, without re-validating.
+    pub fn snapshot(&self) -> Snapshot<'_> {
+        Snapshot::framed(&self.bytes, self.info, self.checksum)
+    }
+
+    /// Header/footer metadata.
+    pub fn info(&self) -> &SnapshotInfo {
+        &self.info
+    }
+
+    /// The raw snapshot bytes.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes
     }
 }
 
@@ -1058,6 +1311,76 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         assert!(verify_file(&path).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Re-seals `bytes` with the last record byte cut off: the
+    /// checksum is valid, the record stream is not.
+    fn cut_last_record_byte(bytes: &[u8]) -> Vec<u8> {
+        let end_tag_at = bytes.len() - FOOTER_BYTES - 1;
+        let mut cut = bytes[..end_tag_at - 1].to_vec();
+        cut.extend_from_slice(&bytes[end_tag_at..bytes.len() - 8]);
+        let checksum = fnv1a_extend(FNV_OFFSET, &cut);
+        cut.extend_from_slice(&checksum.to_le_bytes());
+        cut
+    }
+
+    #[test]
+    fn every_recorded_cursor_resumes_the_stream_exactly() {
+        let trace = sample_trace();
+        let (live, _) = collect_events(&trace);
+        let (bytes, _) = snapshot_bytes(&trace, 0).unwrap();
+        let snapshot = Snapshot::parse(&bytes).unwrap();
+        let total = live.len() as u64;
+        let every = 97;
+        let (summary, table) = snapshot
+            .replay_indexed(&mut crate::NullTool, every)
+            .unwrap();
+        assert_eq!(summary.instructions, total);
+        assert_eq!(table.checksum(), snapshot.checksum());
+        assert_eq!(table.cursors.len() as u64, total / every + 1);
+        for (i, cursor) in table.cursors.iter().enumerate() {
+            let from = i as u64 * every;
+            assert_eq!(table.at(from), Some(*cursor));
+            assert_eq!(cursor.events(), from);
+            let until = (from + 50).min(total);
+            let mut events = Vec::new();
+            let decoded = snapshot
+                .decode_into(
+                    &mut DirectSink(&mut FnTool::new(|ev: &TraceEvent| events.push(*ev))),
+                    *cursor,
+                    Some(until),
+                    None,
+                )
+                .unwrap();
+            assert_eq!(
+                events,
+                live[from as usize..until as usize],
+                "window at {from}"
+            );
+            assert_eq!(decoded.end.events(), until);
+        }
+        assert_eq!(table.at(every + 1), None, "only boundaries are recorded");
+    }
+
+    #[test]
+    fn a_window_over_truncated_records_is_a_typed_error() {
+        let trace = sample_trace();
+        let (bytes, info) = snapshot_bytes(&trace, 0).unwrap();
+        let snapshot = Snapshot::parse(&bytes).unwrap();
+        let (_, table) = snapshot.replay_indexed(&mut crate::NullTool, 251).unwrap();
+        let bad = cut_last_record_byte(&bytes);
+        let cut = Snapshot::parse(&bad).expect("re-sealed checksum");
+        let last = *table.cursors.last().unwrap();
+        assert!(last.events() < info.summary.instructions);
+        let err = cut
+            .decode_into(
+                &mut DirectSink(&mut crate::NullTool),
+                last,
+                Some(info.summary.instructions),
+                None,
+            )
+            .expect_err("the window runs into the cut record");
+        assert!(matches!(err, SnapshotError::Truncated { .. }), "{err}");
     }
 
     #[test]

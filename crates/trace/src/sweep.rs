@@ -45,8 +45,9 @@ pub struct SampledOutcome<I, T> {
     pub item: I,
     /// The tools after observing the weighted representative replay.
     pub tools: Vec<T>,
-    /// Summary of the **full** decoded stream (sampling skips delivery,
-    /// not decoding — see [`Snapshot::replay_sampled`]).
+    /// Summary of the **full** stream, as the plan pass's full decode
+    /// validated it (the sampled replay decodes only its windows — see
+    /// [`Snapshot::replay_sampled`]).
     pub summary: RunSummary,
     /// Instructions delivered to the tools (representatives only).
     pub delivered_instructions: u64,
@@ -311,11 +312,11 @@ impl SweepEngine {
     }
 
     /// [`SweepEngine::sweep_cached`]'s phase-sampled sibling: each item
-    /// obtains its snapshot **bytes** once through `cache`
-    /// ([`TraceCache::snapshot_bytes`]), fingerprints them into a
-    /// [`SamplePlan`] (cached per engine), and replays only the plan's
-    /// weighted representatives through the tools
-    /// ([`Snapshot::replay_sampled`]). Tools must be weight-aware
+    /// obtains its validated snapshot once through `cache`
+    /// ([`TraceCache::snapshot`], one checksum per snapshot),
+    /// fingerprints it into a [`SamplePlan`] (cached per engine), and
+    /// replays only the plan's weighted representatives through the
+    /// tools ([`Snapshot::replay_sampled`]). Tools must be weight-aware
     /// ([`Pintool::supports_sampled_replay`]).
     ///
     /// # Errors
@@ -344,8 +345,8 @@ impl SweepEngine {
         let measured = self.executor.map(&items, |item| {
             let _replay_span = telemetry::span("replay");
             let key = key_of(item);
-            let bytes = cache.snapshot_bytes(&key, || trace_of(item))?;
-            let snapshot = Snapshot::parse(&bytes)?;
+            let owned = cache.snapshot(&key, || trace_of(item))?;
+            let snapshot = owned.snapshot();
             let plan = self.plan_for(&key, config, &snapshot, &fingerprinter)?;
             let mut set = ToolSet::from_tools(tools_for(item));
             let replay = snapshot.replay_sampled(&mut set, &plan)?;

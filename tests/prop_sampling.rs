@@ -1,13 +1,18 @@
 //! Property-based invariants of the phase-sampling pipeline: random
-//! fingerprint sets through the clusterer, and degenerate plans over
-//! real synthesized traces.
+//! fingerprint sets through the clusterer, degenerate plans over real
+//! synthesized traces, and the windowed sampled replay against a
+//! decode-everything-and-filter oracle.
 
 use proptest::prelude::*;
 use rebalance::coresim::CoreModel;
 use rebalance::frontend::CoreKind;
+use rebalance::isa::{Addr, InstClass, Outcome};
 use rebalance::pintools::BbvTool;
-use rebalance::trace::snapshot;
-use rebalance::trace::{SamplePlan, SamplingConfig, Snapshot};
+use rebalance::trace::snapshot::{self, KIND_TABLE};
+use rebalance::trace::{
+    batch_capacity, BranchEvent, EventBatch, Pintool, SamplePlan, SamplingConfig, Section,
+    Snapshot, SnapshotError, SnapshotWriter, TraceEvent,
+};
 use rebalance::Scale;
 
 /// A snapshot of one roster workload at Smoke scale, parsed in place.
@@ -161,11 +166,465 @@ fn interval_size_one_loses_no_events() {
         .expect("sampled replay");
     assert_eq!(
         replay.summary.instructions, total,
-        "sampling skips delivery, never decoding"
+        "the summary covers the full trace"
     );
     assert_eq!(
         replay.delivered_instructions,
         plan.replayed_instructions(),
         "delivered exactly the planned windows"
     );
+}
+
+/// One observable tool callback, with a batch's full contents.
+#[derive(Debug, Clone, PartialEq)]
+enum Call {
+    Inst(TraceEvent),
+    SectionStart(Section),
+    Batch {
+        events: Vec<TraceEvent>,
+        starts: Vec<(u32, Section)>,
+    },
+    Weight(u64),
+    Gap,
+}
+
+/// A weight-aware tool that logs every callback it receives.
+#[derive(Default)]
+struct CallLog(Vec<Call>);
+
+impl Pintool for CallLog {
+    fn on_inst(&mut self, ev: &TraceEvent) {
+        self.0.push(Call::Inst(*ev));
+    }
+
+    fn on_section_start(&mut self, section: Section) {
+        self.0.push(Call::SectionStart(section));
+    }
+
+    fn on_batch(&mut self, batch: &EventBatch) {
+        self.0.push(Call::Batch {
+            events: batch.events().to_vec(),
+            starts: batch.section_starts().to_vec(),
+        });
+    }
+
+    fn on_sample_weight(&mut self, weight: u64) {
+        self.0.push(Call::Weight(weight));
+    }
+
+    fn on_sample_gap(&mut self) {
+        self.0.push(Call::Gap);
+    }
+
+    fn supports_sampled_replay(&self) -> bool {
+        true
+    }
+}
+
+/// The reference sampled delivery: a per-event pass over the **whole**
+/// stream that forwards only the events of the plan's windows, batching
+/// them at the given capacity, and announces each window's weight (0
+/// after a warmup prefix, the cluster weight after the representative)
+/// and each gap at the point the windowed replay must.
+struct FilterOracle<'a> {
+    tool: &'a mut CallLog,
+    plan: &'a SamplePlan,
+    batch: EventBatch,
+    /// Instructions seen so far (interval cursor).
+    decoded: u64,
+    /// Instructions forwarded to the tool.
+    delivered: u64,
+    /// Next entry of `plan.clusters()` to deliver.
+    next_rep: usize,
+}
+
+impl FilterOracle<'_> {
+    fn window(&self) -> Option<(u64, u64, u64)> {
+        (self.next_rep < self.plan.clusters().len()).then(|| self.plan.window(self.next_rep))
+    }
+
+    fn close_rep(&mut self) {
+        self.batch.flush_into(self.tool);
+        let weight = self.plan.clusters()[self.next_rep].weight;
+        let end = self.plan.window(self.next_rep).2;
+        self.tool.on_sample_weight(weight);
+        self.next_rep += 1;
+        match self.window() {
+            Some((warm, _, _)) if warm == end => {}
+            _ => self.tool.on_sample_gap(),
+        }
+    }
+
+    fn finish(mut self) -> u64 {
+        if let Some((warm, start, _)) = self.window() {
+            if self.decoded > start {
+                self.close_rep();
+            } else if self.decoded > warm {
+                self.batch.flush_into(self.tool);
+                self.tool.on_sample_weight(0);
+            }
+        }
+        self.batch.flush_into(self.tool);
+        self.delivered
+    }
+}
+
+impl Pintool for FilterOracle<'_> {
+    fn on_inst(&mut self, ev: &TraceEvent) {
+        if let Some((warm, start, end)) = self.window() {
+            if self.decoded >= warm {
+                self.batch.push(*ev);
+                self.delivered += 1;
+                if self.batch.is_full() {
+                    self.batch.flush_into(self.tool);
+                }
+                if self.decoded + 1 == start {
+                    self.batch.flush_into(self.tool);
+                    self.tool.on_sample_weight(0);
+                } else if self.decoded + 1 == end {
+                    self.close_rep();
+                }
+            }
+        }
+        self.decoded += 1;
+    }
+
+    fn on_section_start(&mut self, section: Section) {
+        if let Some((warm, _, end)) = self.window() {
+            if self.decoded >= warm && self.decoded < end {
+                if self.batch.is_full() {
+                    self.batch.flush_into(self.tool);
+                }
+                self.batch.push_section_start(section);
+            }
+        }
+    }
+}
+
+/// The oracle's call log and delivered count for `plan` at `capacity`.
+/// A full-replay plan is plain batched replay, as for the real thing.
+fn oracle(snap: &Snapshot<'_>, plan: &SamplePlan, capacity: usize) -> (Vec<Call>, u64) {
+    let mut log = CallLog::default();
+    if plan.is_full_replay() {
+        let summary = snap
+            .replay_batched(&mut log, capacity)
+            .expect("full replay");
+        return (log.0, summary.instructions);
+    }
+    let mut filter = FilterOracle {
+        tool: &mut log,
+        plan,
+        batch: EventBatch::with_capacity(capacity),
+        decoded: 0,
+        delivered: 0,
+        next_rep: 0,
+    };
+    snap.replay_per_event(&mut filter).expect("oracle decode");
+    let delivered = filter.finish();
+    (log.0, delivered)
+}
+
+/// What a plan's geometry exercises, for coverage assertions.
+#[derive(Debug, Default)]
+struct Coverage {
+    adjacent: bool,
+    gap: bool,
+    short_tail: bool,
+    warmup: bool,
+    full_replay: bool,
+}
+
+impl Coverage {
+    fn note(&mut self, plan: &SamplePlan) {
+        let n = plan.clusters().len();
+        for i in 1..n {
+            let prev_end = plan.window(i - 1).2;
+            let (warm, start, _) = plan.window(i);
+            self.adjacent |= warm == prev_end;
+            self.gap |= warm != prev_end;
+            self.warmup |= warm < start;
+        }
+        self.short_tail |= !plan
+            .total_instructions()
+            .is_multiple_of(plan.interval_insts());
+        self.full_replay |= plan.is_full_replay();
+    }
+}
+
+/// Asserts the windowed replay's call log, delivered count and summary
+/// match the oracle's for `plan`, at batch capacities 1, 7 and the
+/// default.
+fn assert_matches_oracle(label: &str, snap: &Snapshot<'_>, plan: &SamplePlan) {
+    for capacity in [1usize, 7, batch_capacity()] {
+        let (expected, expected_delivered) = oracle(snap, plan, capacity);
+        let mut log = CallLog::default();
+        let replay = snap
+            .replay_sampled_batched(&mut log, plan, capacity)
+            .unwrap_or_else(|e| panic!("{label} cap {capacity}: {e}"));
+        if let Some(at) =
+            (0..expected.len().max(log.0.len())).find(|&i| expected.get(i) != log.0.get(i))
+        {
+            panic!(
+                "{label} cap {capacity}: call {at} of {} differs: oracle {:?}, windowed {:?}",
+                expected.len(),
+                expected.get(at),
+                log.0.get(at)
+            );
+        }
+        assert_eq!(
+            replay.delivered_instructions, expected_delivered,
+            "{label} cap {capacity}: delivered"
+        );
+        assert_eq!(
+            replay.delivered_instructions,
+            plan.replayed_instructions(),
+            "{label} cap {capacity}: delivered the planned windows"
+        );
+        assert_eq!(
+            replay.summary,
+            snap.info().summary,
+            "{label} cap {capacity}: summary is the validated full-trace one"
+        );
+    }
+}
+
+/// One drawn raw event: `(class selector, pc step, len, taken, target,
+/// section start here when 0)`.
+type RawEvent = (u8, u8, u8, bool, u64, u8);
+
+/// Encodes drawn events as a live replay would: mostly sequential code
+/// with occasional jumps, random branches, and section starts that
+/// switch the section.
+fn encode_random(raws: &[RawEvent]) -> Vec<u8> {
+    let mut writer = SnapshotWriter::new(Vec::new(), 1, 0);
+    let mut pc = 0x1000u64;
+    let mut section = Section::Serial;
+    for &(class_sel, step, len, taken, target, start) in raws {
+        if start == 0 {
+            section = match section {
+                Section::Serial => Section::Parallel,
+                Section::Parallel => Section::Serial,
+            };
+            writer.on_section_start(section);
+        }
+        if step % 5 == 0 {
+            pc = pc.wrapping_add(u64::from(step) * 64);
+        }
+        let (class, branch) = if class_sel == 0 {
+            (InstClass::Other, None)
+        } else {
+            let kind = KIND_TABLE[usize::from(class_sel - 1) % KIND_TABLE.len()];
+            (
+                InstClass::Branch(kind),
+                Some(BranchEvent {
+                    kind,
+                    outcome: Outcome::from_taken(taken),
+                    target: (target % 3 != 0).then_some(Addr::new(target >> 8)),
+                }),
+            )
+        };
+        writer.on_inst(&TraceEvent {
+            pc: Addr::new(pc),
+            len,
+            class,
+            branch,
+            section,
+        });
+        pc = pc.wrapping_add(u64::from(len));
+    }
+    writer.finish().expect("Vec sink cannot fail").0
+}
+
+/// Deterministic fingerprint vectors with a few repeating archetypes,
+/// so the clusterer sees real phase structure.
+fn archetype_vectors(n: usize, seed: u64) -> Vec<Vec<f64>> {
+    let mut x = seed | 1;
+    (0..n)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let arch = (x % 4) as usize;
+            (0..4).map(|d| f64::from(u8::from(d == arch))).collect()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On arbitrary streams and plan geometries (interval length 1 up
+    /// to the whole stream, short tails, warmup 0/1/3, adjacent and
+    /// gapped representatives, k at or beyond the interval count), the
+    /// windowed replay delivers exactly the oracle's callbacks — both
+    /// for plans built from the snapshot (cursor table from the plan
+    /// pass) and from bare vectors (cursor table built on demand).
+    #[test]
+    fn windowed_replay_matches_the_filter_oracle_on_random_streams(
+        raws in proptest::collection::vec(
+            (0u8..8, any::<u8>(), 1u8..=15, any::<bool>(), any::<u64>(), 0u8..20),
+            1..300,
+        ),
+        intervals in 1usize..400,
+        k in 1usize..12,
+        warmup in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let bytes = encode_random(&raws);
+        let snap = Snapshot::parse(&bytes).expect("writer output parses");
+        let total = snap.info().summary.instructions;
+        let cfg = SamplingConfig { seed, ..SamplingConfig::default() }
+            .with_intervals(intervals.min(total as usize))
+            .with_k(k)
+            .with_warmup([0, 1, 3][warmup]);
+
+        let planned = SamplePlan::from_snapshot(&snap, &mut BbvTool::new(cfg.dims), &cfg)
+            .expect("plan");
+        assert_matches_oracle("from_snapshot", &snap, &planned);
+
+        let interval_insts = cfg.interval_insts(total);
+        let n = total.div_ceil(interval_insts) as usize;
+        let vectors = archetype_vectors(n, seed);
+        let bare = SamplePlan::from_vectors(&vectors, interval_insts, total, &cfg);
+        assert_matches_oracle("from_vectors", &snap, &bare);
+    }
+}
+
+/// The windowed replay matches the oracle on real traces, across plan
+/// geometries that cover warmup, adjacent representatives, gaps, short
+/// tails and the degenerate full replay.
+#[test]
+fn windowed_replay_matches_the_filter_oracle_on_real_traces() {
+    let mut coverage = Coverage::default();
+    for name in ["CG", "gcc", "k.bfs"] {
+        let bytes = snapshot_of(name);
+        let snap = Snapshot::parse(&bytes).expect("snapshot parses");
+        for (intervals, k, warmup) in [
+            (160, 8, 1),
+            (160, 8, 0),
+            (37, 5, 3),
+            (12, 9, 1),
+            (16, 32, 1),
+        ] {
+            let cfg = SamplingConfig::default()
+                .with_intervals(intervals)
+                .with_k(k)
+                .with_warmup(warmup);
+            let plan =
+                SamplePlan::from_snapshot(&snap, &mut BbvTool::new(cfg.dims), &cfg).expect("plan");
+            coverage.note(&plan);
+            let label = format!("{name} {intervals}/{k} warmup {warmup}");
+            assert_matches_oracle(&label, &snap, &plan);
+        }
+    }
+    assert!(
+        coverage.adjacent
+            && coverage.gap
+            && coverage.short_tail
+            && coverage.warmup
+            && coverage.full_replay,
+        "the geometries must exercise every window shape: {coverage:?}"
+    );
+}
+
+/// A plan is tied to the snapshot it indexed: applied to another
+/// snapshot it fails with a typed error before delivering anything.
+#[test]
+fn a_plan_applied_to_another_snapshot_is_a_typed_error() {
+    let cg_bytes = snapshot_of("CG");
+    let cg = Snapshot::parse(&cg_bytes).expect("snapshot parses");
+    let gcc_bytes = snapshot_of("gcc");
+    let gcc = Snapshot::parse(&gcc_bytes).expect("snapshot parses");
+    let cfg = SamplingConfig::default();
+    let plan = SamplePlan::from_snapshot(&cg, &mut BbvTool::new(cfg.dims), &cfg).expect("plan");
+    assert!(!plan.is_full_replay());
+
+    let mut log = CallLog::default();
+    let err = gcc
+        .replay_sampled(&mut log, &plan)
+        .expect_err("a foreign cursor table must be refused");
+    assert!(
+        matches!(
+            err,
+            SnapshotError::PlanMismatch {
+                field: "checksum",
+                ..
+            }
+        ),
+        "{err}"
+    );
+    assert!(log.0.is_empty(), "nothing delivered: {:?}", log.0.len());
+
+    // A bare plan whose geometry covers another instruction count is
+    // refused the same way, after its cursor table is recorded.
+    let total = gcc.info().summary.instructions + 1;
+    let interval_insts = cfg.interval_insts(total);
+    let vectors = archetype_vectors(total.div_ceil(interval_insts) as usize, 3);
+    let bare = SamplePlan::from_vectors(&vectors, interval_insts, total, &cfg);
+    let err = gcc
+        .replay_sampled(&mut log, &bare)
+        .expect_err("a plan for another length must be refused");
+    assert!(
+        matches!(
+            err,
+            SnapshotError::PlanMismatch {
+                field: "instruction",
+                ..
+            }
+        ),
+        "{err}"
+    );
+    assert!(log.0.is_empty(), "nothing delivered: {:?}", log.0.len());
+}
+
+/// FNV-1a 64, the snapshot checksum, to re-seal edited bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A stream whose last record is cut short inside a representative
+/// window, re-sealed with a valid checksum, fails the sampled replay
+/// with `Truncated` or `Malformed` and delivers nothing.
+#[test]
+fn records_truncated_inside_a_window_fail_the_sampled_replay() {
+    let good = snapshot_of("k.bfs");
+    // Layout: records | end tag | 40 footer bytes | 8 checksum bytes.
+    // Drop the last record byte and re-seal.
+    let end_tag_at = good.len() - 49;
+    let mut bad = good[..end_tag_at - 1].to_vec();
+    bad.extend_from_slice(&good[end_tag_at..good.len() - 8]);
+    let checksum = fnv1a(&bad);
+    bad.extend_from_slice(&checksum.to_le_bytes());
+    let snap = Snapshot::parse(&bad).expect("the checksum was re-sealed");
+    let total = snap.info().summary.instructions;
+
+    // The last interval is a singleton cluster, so its window holds the
+    // cut record.
+    let cfg = SamplingConfig::default().with_intervals(20).with_k(3);
+    let interval_insts = cfg.interval_insts(total);
+    let n = total.div_ceil(interval_insts) as usize;
+    let mut vectors = vec![vec![0.0, 1.0]; n];
+    vectors[n - 1] = vec![1.0, 0.0];
+    let plan = SamplePlan::from_vectors(&vectors, interval_insts, total, &cfg);
+    let last = plan.clusters().last().expect("clusters");
+    assert_eq!(last.representative, n - 1, "{:?}", plan.clusters());
+
+    let typed = |err: &SnapshotError| {
+        matches!(
+            err,
+            SnapshotError::Truncated { .. } | SnapshotError::Malformed { .. }
+        )
+    };
+    let mut log = CallLog::default();
+    let err = snap
+        .replay_sampled(&mut log, &plan)
+        .expect_err("a cut record must fail");
+    assert!(typed(&err), "{err}");
+    assert!(log.0.is_empty(), "nothing delivered: {:?}", log.0.len());
+
+    let err = SamplePlan::from_snapshot(&snap, &mut BbvTool::new(cfg.dims), &cfg)
+        .expect_err("the plan pass decodes the cut record too");
+    assert!(typed(&err), "{err}");
 }

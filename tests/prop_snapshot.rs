@@ -5,14 +5,20 @@
 //! 2. flipping any single bit anywhere in a snapshot is rejected with a
 //!    typed [`SnapshotError`] — the FNV-1a 64 checksum covers every
 //!    byte except itself, and a flip inside the stored checksum is a
-//!    direct mismatch.
+//!    direct mismatch, and
+//! 3. a sampled sweep, which reads each cached snapshot once and
+//!    decodes only its sampled windows, still rejects a cached snapshot
+//!    with one flipped bit and regenerates it, with unchanged results.
 
 use proptest::prelude::*;
 
 use rebalance::isa::{Addr, InstClass, Outcome};
+use rebalance::pintools::BbvTool;
 use rebalance::trace::snapshot::KIND_TABLE;
 use rebalance::trace::{
-    BranchEvent, Pintool, Section, Snapshot, SnapshotError, SnapshotWriter, TraceEvent,
+    BranchEvent, CondBehavior, IterCount, Phase, Pintool, ProgramBuilder, SamplingConfig, Schedule,
+    Section, Snapshot, SnapshotError, SnapshotWriter, SweepEngine, SyntheticTrace, Terminator,
+    TraceCache, TraceEvent, TraceKey,
 };
 
 /// One drawn raw event: `(class selector, pc, len, taken, target,
@@ -153,5 +159,131 @@ proptest! {
             .expect("pristine parse")
             .replay(&mut rebalance::trace::NullTool)
             .expect("pristine decode");
+    }
+}
+
+/// A small phased trace: a serial loop and a call-heavy parallel loop,
+/// repeated, so the sampling plan has distinct phases to pick from.
+fn phased_trace() -> SyntheticTrace {
+    let mut b = ProgramBuilder::new();
+    let main = b.region("main");
+    let lib = b.region("lib");
+    let head = b.reserve_block();
+    let call = b.reserve_block();
+    let cont = b.reserve_block();
+    let callee = b.reserve_block();
+    let exit = b.reserve_block();
+    b.define_block(
+        head,
+        main,
+        4,
+        Terminator::Cond {
+            taken: head,
+            fall: call,
+            behavior: CondBehavior::Loop {
+                count: IterCount::Uniform { lo: 2, hi: 6 },
+            },
+        },
+    );
+    b.define_block(
+        call,
+        main,
+        2,
+        Terminator::Call {
+            callee,
+            ret_to: cont,
+        },
+    );
+    b.define_block(callee, lib, 5, Terminator::Return);
+    b.define_block(cont, main, 2, Terminator::Jump { target: exit });
+    b.define_block(exit, main, 1, Terminator::Exit);
+    let schedule = Schedule::with_repeat(
+        vec![
+            Phase::new(Section::Serial, head, 500),
+            Phase::new(Section::Parallel, call, 1_500),
+        ],
+        2,
+    );
+    SyntheticTrace::new(b.build().expect("valid program"), schedule, 5)
+}
+
+/// A weight-aware tool logging delivered PCs, section starts, weights
+/// and gaps in order.
+#[derive(Default)]
+struct SampledLog(Vec<(char, u64)>);
+
+impl Pintool for SampledLog {
+    fn on_inst(&mut self, ev: &TraceEvent) {
+        self.0.push(('i', ev.pc.as_u64()));
+    }
+
+    fn on_section_start(&mut self, section: Section) {
+        self.0.push(('s', section.index() as u64));
+    }
+
+    fn on_sample_weight(&mut self, weight: u64) {
+        self.0.push(('w', weight));
+    }
+
+    fn on_sample_gap(&mut self) {
+        self.0.push(('g', 0));
+    }
+
+    fn supports_sampled_replay(&self) -> bool {
+        true
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn sampled_sweep_rejects_and_regenerates_a_flipped_cached_snapshot(
+        flip_at in any::<u64>(),
+        bit in 0u8..8,
+    ) {
+        let cache = TraceCache::scratch().expect("scratch cache");
+        let key = TraceKey::new("phased", "test", 5, 0);
+        let config = SamplingConfig::default().with_intervals(20).with_k(4);
+        let sweep = || {
+            let outcomes = SweepEngine::new()
+                .sweep_sampled(
+                    &cache,
+                    &config,
+                    vec![()],
+                    |_| key.clone(),
+                    |_| Ok(phased_trace()),
+                    |_| vec![SampledLog::default()],
+                    || BbvTool::new(config.dims),
+                )
+                .expect("sampled sweep");
+            let o = outcomes.into_iter().next().expect("one item");
+            (
+                o.tools.into_iter().next().expect("one tool").0,
+                o.summary,
+                o.delivered_instructions,
+            )
+        };
+        let cold = sweep();
+        prop_assert!(cold.2 < cold.1.instructions, "the plan must skip intervals");
+
+        let path = cache.path_for(&key);
+        let pristine = std::fs::read(&path).expect("snapshot persisted");
+        let mut bad = pristine.clone();
+        let at = (flip_at % bad.len() as u64) as usize;
+        bad[at] ^= 1 << bit;
+        std::fs::write(&path, &bad).expect("rewrite snapshot");
+
+        let before = cache.stats();
+        let warm = sweep();
+        let delta = cache.stats().since(&before);
+        prop_assert_eq!(delta.rejected, 1, "flip of bit {} at byte {} not rejected", bit, at);
+        prop_assert_eq!(delta.generations, 1, "the rejected snapshot is regenerated");
+        prop_assert!(cold == warm, "results changed after regeneration");
+        prop_assert!(
+            std::fs::read(&path).expect("snapshot rewritten") == pristine,
+            "the regenerated snapshot is the pristine one"
+        );
+        std::fs::remove_dir_all(cache.dir()).expect("remove scratch cache");
     }
 }
