@@ -17,11 +17,12 @@
 //! consumed by
 //! [`SamplePlan::from_vectors`](rebalance_trace::SamplePlan::from_vectors).
 
-use std::collections::HashSet;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rebalance_isa::{Addr, Outcome};
 use rebalance_trace::sampling::Fingerprinter;
-use rebalance_trace::{Pintool, Section, TraceEvent};
+use rebalance_trace::{EventBatch, Pintool, Section, TraceEvent};
 
 /// Hashes a block-start PC into a bucket (FNV-1a over the address
 /// bytes, stable across runs and platforms).
@@ -34,6 +35,36 @@ fn bucket_of(pc: Addr, dims: usize) -> usize {
     (h % dims as u64) as usize
 }
 
+/// A fixed multiplicative hasher for block-start PCs: the 128-bit
+/// product with an odd constant, folded to 64 bits, so both the low
+/// bits (table index) and the high bits (control tag) depend on every
+/// address bit. The map is only looked up, never iterated, so the
+/// hasher cannot change a fingerprint.
+#[derive(Debug, Default, Clone, Copy)]
+struct PcHasher(u64);
+
+impl Hasher for PcHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Block-start PC → its bucket, for every block seen so far.
+type BlockMap = HashMap<u64, usize, BuildHasherDefault<PcHasher>>;
+
 /// Behavior features appended after the `dims` hashed buckets, each in
 /// `[0, 1]`: novel-block instruction share, branch density, taken
 /// rate, parallel-section share.
@@ -41,6 +72,14 @@ pub const BBV_FEATURES: usize = 4;
 
 /// The interval-fingerprinting pintool: one hashed, L1-normalized
 /// basic-block vector per instruction interval.
+///
+/// Batched delivery runs a segment loop ([`Pintool::on_batch`]): each
+/// block of events is cut into segments at every section start and
+/// interval end, and inside a segment the tool only counts parallel
+/// instructions, branches and taken branches and closes a basic block
+/// at each branch, with no per-event interval or block-start checks. A
+/// closed block costs one map lookup, which yields both its novelty and
+/// its bucket. The vectors are bit-identical to per-event delivery.
 ///
 /// # Examples
 ///
@@ -68,8 +107,9 @@ pub struct BbvTool {
     block_start: Option<Addr>,
     /// Instructions in the block being assembled.
     block_insts: u64,
-    /// Block-start PCs seen in *any* interval so far (novelty baseline).
-    known_blocks: HashSet<u64>,
+    /// Block-start PCs seen in *any* interval so far (novelty
+    /// baseline), each with its bucket.
+    known_blocks: BlockMap,
     /// Instructions of first-seen blocks in the current interval.
     novel_insts: u64,
     /// Branches in the current interval.
@@ -96,7 +136,7 @@ impl BbvTool {
             vectors: Vec::new(),
             block_start: None,
             block_insts: 0,
-            known_blocks: HashSet::new(),
+            known_blocks: BlockMap::default(),
             novel_insts: 0,
             branches: 0,
             taken: 0,
@@ -113,12 +153,50 @@ impl BbvTool {
     /// buckets.
     fn close_block(&mut self) {
         if let Some(start) = self.block_start.take() {
-            self.current[bucket_of(start, self.dims)] += self.block_insts as f64;
-            if self.known_blocks.insert(start.as_u64()) {
+            let dims = self.dims;
+            let mut novel = false;
+            let bucket = *self.known_blocks.entry(start.as_u64()).or_insert_with(|| {
+                novel = true;
+                bucket_of(start, dims)
+            });
+            self.current[bucket] += self.block_insts as f64;
+            if novel {
                 self.novel_insts += self.block_insts;
             }
         }
         self.block_insts = 0;
+    }
+
+    /// Delivers events that hold no section start after their first
+    /// and end no interval before their last: the batch loop's unit.
+    fn segment(&mut self, events: &[TraceEvent]) {
+        let Some(first) = events.first() else {
+            return;
+        };
+        if self.block_start.is_none() {
+            self.block_start = Some(first.pc);
+        }
+        // Index of the open block's first event not yet counted into
+        // `block_insts`.
+        let mut open = 0;
+        for (i, ev) in events.iter().enumerate() {
+            self.parallel_insts += u64::from(ev.section == Section::Parallel);
+            if let Some(br) = &ev.branch {
+                self.branches += 1;
+                self.taken += u64::from(br.outcome == Outcome::Taken);
+                self.block_insts += (i + 1 - open) as u64;
+                self.close_block();
+                open = i + 1;
+                if let Some(next) = events.get(open) {
+                    self.block_start = Some(next.pc);
+                }
+            }
+        }
+        self.block_insts += (events.len() - open) as u64;
+        self.seen += events.len() as u64;
+        if self.seen >= self.interval_insts {
+            self.close_interval();
+        }
     }
 
     /// L1-normalizes the bucket vector, appends the behavior-feature
@@ -177,6 +255,30 @@ impl Pintool for BbvTool {
         // `BasicBlockTool`; here the partial block still counts (its
         // instructions belong to this interval's fingerprint).
         self.close_block();
+    }
+
+    fn on_batch(&mut self, batch: &EventBatch) {
+        let events = batch.events();
+        let mut starts = batch.section_starts().iter().peekable();
+        let mut at = 0;
+        loop {
+            while starts.next_if(|&&(pos, _)| pos as usize <= at).is_some() {
+                self.close_block();
+            }
+            if at == events.len() {
+                return;
+            }
+            // The segment ends at the next section start or right after
+            // the event that completes the interval, whichever is first.
+            let next_start = starts
+                .peek()
+                .map_or(events.len(), |&&(pos, _)| pos as usize);
+            let interval_left = self.interval_insts.saturating_sub(self.seen).max(1);
+            let end = usize::try_from(interval_left)
+                .map_or(next_start, |left| next_start.min(at.saturating_add(left)));
+            self.segment(&events[at..end]);
+            at = end;
+        }
     }
 }
 

@@ -1002,6 +1002,7 @@ mod tests {
     use crate::program::{CondBehavior, IterCount, Terminator};
     use crate::schedule::{Phase, Schedule};
     use crate::section::Section;
+    use crate::snapshot::{read_info, SNAPSHOT_VERSION};
     use crate::TraceEvent;
 
     fn make_trace(seed: u64) -> SyntheticTrace {
@@ -1114,6 +1115,54 @@ mod tests {
             .replay_with(&key, || Ok(make_trace(5)), &mut NullTool)
             .unwrap();
         assert!(rep.from_cache);
+        cleanup(cache);
+    }
+
+    #[test]
+    fn version_1_snapshot_is_rejected_and_regenerated_once() {
+        let cache = TraceCache::scratch().unwrap();
+        let key = TraceKey::new("w", "s", 7, 0);
+        let collect = |cache: &TraceCache| {
+            let mut pcs = Vec::new();
+            let mut tool = FnTool::new(|ev: &TraceEvent| pcs.push((ev.pc, ev.len, ev.class)));
+            let rep = cache
+                .replay_with(&key, || Ok(make_trace(7)), &mut tool)
+                .unwrap();
+            (pcs, rep)
+        };
+        let (live_pcs, live) = collect(&cache);
+        assert!(!live.from_cache);
+
+        // Stamp the recorded file as the older format; the version is
+        // checked before the checksum, so the stamp alone must do.
+        let path = cache.path_for(&key);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            Snapshot::parse(&bytes),
+            Err(SnapshotError::UnsupportedVersion(1))
+        ));
+
+        let before = cache.stats();
+        let (pcs, rep) = collect(&cache);
+        assert!(!rep.from_cache, "a version-1 file must not be served");
+        assert_eq!(pcs, live_pcs, "the regenerated stream is the live one");
+        assert_eq!((rep.summary, rep.sections), (live.summary, live.sections));
+        let delta = cache.stats().since(&before);
+        assert_eq!((delta.rejected, delta.generations), (1, 1));
+        assert_eq!(
+            read_info(&path).unwrap().version,
+            SNAPSHOT_VERSION,
+            "regenerated in place at the current version"
+        );
+
+        let before = cache.stats();
+        let (pcs, rep) = collect(&cache);
+        assert!(rep.from_cache);
+        assert_eq!(pcs, live_pcs);
+        let delta = cache.stats().since(&before);
+        assert_eq!((delta.hits, delta.rejected, delta.generations), (1, 0, 0));
         cleanup(cache);
     }
 

@@ -10,7 +10,7 @@
 //! That is what makes the on-disk [`TraceCache`](crate::TraceCache)
 //! transparent: generate once, replay forever.
 //!
-//! # Format (version 1)
+//! # Format (version 2)
 //!
 //! All multi-byte integers are little-endian; `varint` is LEB128 and
 //! `zigzag` maps signed deltas onto it. The full byte layout:
@@ -18,7 +18,7 @@
 //! ```text
 //! header (24 bytes)
 //!   0   4  magic  "RBTS"
-//!   4   2  format version (= 1)
+//!   4   2  format version (= 2)
 //!   6   2  reserved (= 0)
 //!   8   8  replay seed
 //!   16  8  cache-key fingerprint (0 when unkeyed)
@@ -37,8 +37,18 @@
 //! footer (48 bytes)
 //!   0  40  instructions, branches, taken branches,
 //!          serial instructions, parallel instructions (5 × u64)
-//!   40  8  FNV-1a 64 checksum over every preceding byte of the file
+//!   40  8  checksum over every preceding byte of the file
 //! ```
+//!
+//! The checksum ([`checksum`]) is FNV-1a 64 taken over the
+//! little-endian 8-byte words of the checksummed bytes, with the 0–7
+//! trailing bytes folded in one at a time. Each step `h = (h ^ w) × P`
+//! is a bijection in both `h` and `w`, so a corruption confined to one
+//! word always changes the result — every single-bit flip included —
+//! while the serial multiply chain runs once per word instead of once
+//! per byte. Version 1 files (the byte-wise FNV-1a) are not read: they
+//! fail [`Snapshot::parse`] with [`SnapshotError::UnsupportedVersion`],
+//! and the trace cache regenerates them in place.
 //!
 //! Branch kinds 1–7 follow [`BranchKind::ALL`] order as listed in
 //! [`KIND_TABLE`]. Event PCs are delta-encoded against the previous
@@ -116,7 +126,7 @@ use crate::section::Section;
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"RBTS";
 
 /// Format version this build writes and the only one it reads.
-pub const SNAPSHOT_VERSION: u16 = 1;
+pub const SNAPSHOT_VERSION: u16 = 2;
 
 /// Branch-kind wire codes: index+1 in this table is the on-disk class
 /// code (0 is reserved for non-branch instructions).
@@ -133,6 +143,10 @@ pub const KIND_TABLE: [BranchKind; 7] = [
 const HEADER_BYTES: usize = 24;
 const FOOTER_BYTES: usize = 48; // 5 counters + checksum
 const MIN_BYTES: usize = HEADER_BYTES + 1 + FOOTER_BYTES; // + end tag
+
+/// Bytes [`SnapshotWriter`] stages before checksumming and writing them
+/// in bulk.
+const STAGE_BYTES: usize = 64 * 1024;
 
 const TAG_END: u8 = 0xFD;
 const TAG_SECTION_START: u8 = 0xFE;
@@ -197,12 +211,12 @@ impl fmt::Display for SnapshotError {
         match self {
             SnapshotError::Io(e) => write!(f, "snapshot I/O error: {e}"),
             SnapshotError::BadMagic(m) => write!(f, "bad snapshot magic {m:02x?}"),
-            SnapshotError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported snapshot version {v} (expected {SNAPSHOT_VERSION})"
-                )
-            }
+            SnapshotError::UnsupportedVersion(v) => write!(
+                f,
+                "unsupported snapshot version {v}: this build reads only version \
+                 {SNAPSHOT_VERSION}; re-run `rebalance trace record`, or let a cached \
+                 run regenerate the file"
+            ),
             SnapshotError::Truncated { at } => write!(f, "snapshot truncated at byte {at}"),
             SnapshotError::Malformed { at, what } => {
                 write!(f, "malformed snapshot at byte {at}: {what}")
@@ -276,17 +290,49 @@ impl SnapshotInfo {
     }
 }
 
-// --- FNV-1a 64 ---
+// --- checksum: FNV-1a 64 over little-endian words ---
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
+/// Folds the whole 8-byte words of `bytes` into a running checksum and
+/// returns it with the 0–7 bytes left over.
+fn fold_words(mut hash: u64, bytes: &[u8]) -> (u64, &[u8]) {
+    let words = bytes.chunks_exact(8);
+    let rest = words.remainder();
+    for word in words {
+        let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        hash = (hash ^ w).wrapping_mul(FNV_PRIME);
     }
-    hash
+    (hash, rest)
+}
+
+/// Finishes a running checksum over the last bytes: their whole words,
+/// then the 0–7 trailing bytes one at a time.
+fn fold_tail(hash: u64, bytes: &[u8]) -> u64 {
+    let (hash, rest) = fold_words(hash, bytes);
+    rest.iter()
+        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// The snapshot checksum: FNV-1a 64 over the little-endian 8-byte words
+/// of `bytes`, then over its 0–7 trailing bytes one at a time. A
+/// snapshot's footer stores this over every byte before it;
+/// [`Snapshot::parse`] recomputes it and [`SnapshotWriter`] streams it.
+///
+/// # Examples
+///
+/// ```
+/// use rebalance_trace::snapshot::checksum;
+///
+/// // Any single-bit flip changes the checksum.
+/// let bytes = *b"twelve bytes";
+/// let mut flipped = bytes;
+/// flipped[9] ^= 0x10;
+/// assert_ne!(checksum(&bytes), checksum(&flipped));
+/// ```
+pub fn checksum(bytes: &[u8]) -> u64 {
+    fold_tail(FNV_OFFSET, bytes)
 }
 
 // --- varint / zigzag ---
@@ -372,6 +418,11 @@ fn kind_code(class: InstClass) -> u8 {
 /// I/O errors during the replay are deferred and surfaced by `finish`.
 pub struct SnapshotWriter<W: Write> {
     sink: W,
+    /// Emitted bytes not yet checksummed or written. Drained whole words
+    /// at a time once it holds [`STAGE_BYTES`], so `hash` always covers
+    /// a word-aligned prefix of the file.
+    stage: Vec<u8>,
+    /// Running checksum over every drained byte.
     hash: u64,
     bytes: u64,
     seed: u64,
@@ -398,6 +449,8 @@ impl<W: Write> SnapshotWriter<W> {
     pub fn new(sink: W, seed: u64, fingerprint: u64) -> Self {
         let mut w = SnapshotWriter {
             sink,
+            // Room past the drain mark for the last record or the footer.
+            stage: Vec::with_capacity(STAGE_BYTES + 64),
             hash: FNV_OFFSET,
             bytes: 0,
             seed,
@@ -422,15 +475,28 @@ impl<W: Write> SnapshotWriter<W> {
         &self.summary
     }
 
+    #[inline]
     fn emit(&mut self, bytes: &[u8]) {
-        if self.error.is_some() {
-            return;
-        }
-        self.hash = fnv1a_extend(self.hash, bytes);
+        self.stage.extend_from_slice(bytes);
         self.bytes += bytes.len() as u64;
-        if let Err(e) = self.sink.write_all(bytes) {
-            self.error = Some(e);
+        if self.stage.len() >= STAGE_BYTES {
+            self.drain();
         }
+    }
+
+    /// Checksums and writes the staged whole words, keeping the 0–7
+    /// bytes after them staged. After an I/O error the stage is only
+    /// discarded: `finish` reports the first error.
+    fn drain(&mut self) {
+        let (hash, rest) = fold_words(self.hash, &self.stage);
+        let whole = self.stage.len() - rest.len();
+        self.hash = hash;
+        if self.error.is_none() {
+            if let Err(e) = self.sink.write_all(&self.stage[..whole]) {
+                self.error = Some(e);
+            }
+        }
+        self.stage.drain(..whole);
     }
 
     /// Writes the end marker, footer counters, and checksum; flushes
@@ -453,11 +519,12 @@ impl<W: Write> SnapshotWriter<W> {
         }
         self.emit(&footer);
         // The checksum covers everything already emitted; it is the one
-        // field written outside the running hash.
-        let checksum = self.hash;
+        // field outside the running hash.
+        let checksum = fold_tail(self.hash, &self.stage);
+        self.stage.extend_from_slice(&checksum.to_le_bytes());
+        self.bytes += 8;
         if self.error.is_none() {
-            self.bytes += 8;
-            if let Err(e) = self.sink.write_all(&checksum.to_le_bytes()) {
+            if let Err(e) = self.sink.write_all(&self.stage) {
                 self.error = Some(e);
             }
         }
@@ -666,7 +733,7 @@ impl<'a> Snapshot<'a> {
         }
         let stored =
             u64::from_le_bytes(data[data.len() - 8..].try_into().expect("sliced to length"));
-        let computed = fnv1a_extend(FNV_OFFSET, &data[..data.len() - 8]);
+        let computed = checksum(&data[..data.len() - 8]);
         if stored != computed {
             return Err(SnapshotError::ChecksumMismatch { stored, computed });
         }
@@ -716,8 +783,8 @@ impl<'a> Snapshot<'a> {
         &self.info
     }
 
-    /// The FNV-1a 64 checksum stored in the footer: the identity of
-    /// these exact bytes.
+    /// The [`checksum`] stored in the footer: the identity of these
+    /// exact bytes.
     pub(crate) fn checksum(&self) -> u64 {
         self.checksum
     }
@@ -860,6 +927,11 @@ impl<'a> Snapshot<'a> {
     /// must lie past `from`; `None` runs to the end record), and pushes
     /// a cursor onto `table` each time the count reaches its next
     /// multiple of the table's spacing.
+    ///
+    /// The sequential non-branch record (tag `0x20`, about four records
+    /// in five) takes a fast path at the top of the loop. No event is
+    /// counted into a section one at a time: each run of events is
+    /// credited to its section at the marker that ends it and at exit.
     pub(crate) fn decode_into<S: EventSink>(
         &self,
         sink: &mut S,
@@ -872,118 +944,128 @@ impl<'a> Snapshot<'a> {
         let mut expected_pc = from.expected_pc;
         let mut section = from.section;
         let mut events = from.events;
-        let mut summary = RunSummary::default();
+        // Events before `run_start` are already credited to `sections`.
+        let mut run_start = events;
         let mut sections: BySection<u64> = BySection::default();
+        let mut summary = RunSummary::default();
 
         let stop = until.unwrap_or(u64::MAX);
         let mut next_mark = table.as_deref().map_or(u64::MAX, CursorTable::next_mark);
         // One comparison per event covers both the stop and the mark.
         let mut check_at = stop.min(next_mark);
-        let done = |end: Cursor, summary: RunSummary, sections| Decoded {
-            end,
-            summary: RunSummary {
-                instructions: end.events - from.events,
-                ..summary
-            },
-            sections,
+        // Credits the open run and reports where the decode stopped.
+        let done = |end: Cursor, run_start: u64, summary, mut sections: BySection<u64>| {
+            *sections.get_mut(end.section) += end.events - run_start;
+            Decoded {
+                end,
+                summary: RunSummary {
+                    instructions: end.events - from.events,
+                    ..summary
+                },
+                sections,
+            }
         };
         debug_assert!(stop > events, "a decode must reach past its start");
 
         while pos < data.len() {
             let at = self.base + pos;
             let tag = data[pos];
-            pos += 1;
-            match tag {
-                TAG_SECTION_START | TAG_SECTION_SET => {
-                    let Some(&code) = data.get(pos) else {
-                        return Err(SnapshotError::Truncated {
-                            at: self.base + pos,
-                        });
-                    };
-                    pos += 1;
-                    section = section_from_code(code, at)?;
-                    if tag == TAG_SECTION_START {
-                        sink.section_start(section);
-                    }
-                }
-                0x00..=0x3F => {
-                    let class_code = tag & 0x07;
-                    let Some(&len) = data.get(pos) else {
-                        return Err(SnapshotError::Truncated {
-                            at: self.base + pos,
-                        });
-                    };
-                    pos += 1;
-                    let pc = if tag & EVT_SEQUENTIAL != 0 {
-                        expected_pc
-                    } else {
-                        let delta = unzigzag(read_varint(data, &mut pos)?);
-                        expected_pc.wrapping_add(delta as u64)
-                    };
-                    let (class, branch) = if class_code == 0 {
-                        if tag & (EVT_TAKEN | EVT_HAS_TARGET) != 0 {
-                            return Err(SnapshotError::Malformed {
-                                at,
-                                what: "branch flags on a non-branch event",
-                            });
+            // Every record is at least a tag and one more byte: the
+            // event length or the section code.
+            let Some(&byte) = data.get(pos + 1) else {
+                return Err(SnapshotError::Truncated { at: at + 1 });
+            };
+            pos += 2;
+            if tag == EVT_SEQUENTIAL {
+                sink.event(TraceEvent {
+                    pc: Addr::new(expected_pc),
+                    len: byte,
+                    class: InstClass::Other,
+                    branch: None,
+                    section,
+                });
+                expected_pc = expected_pc.wrapping_add(u64::from(byte));
+            } else {
+                match tag {
+                    TAG_SECTION_START | TAG_SECTION_SET => {
+                        *sections.get_mut(section) += events - run_start;
+                        run_start = events;
+                        section = section_from_code(byte, at)?;
+                        if tag == TAG_SECTION_START {
+                            sink.section_start(section);
                         }
-                        (InstClass::Other, None)
-                    } else {
-                        let kind = KIND_TABLE[usize::from(class_code) - 1];
-                        let target = if tag & EVT_HAS_TARGET != 0 {
-                            let delta = unzigzag(read_varint(data, &mut pos)?);
-                            Some(Addr::new(pc.wrapping_add(delta as u64)))
+                        continue;
+                    }
+                    0x00..=0x3F => {
+                        let class_code = tag & 0x07;
+                        let len = byte;
+                        let pc = if tag & EVT_SEQUENTIAL != 0 {
+                            expected_pc
                         } else {
-                            None
+                            let delta = unzigzag(read_varint(data, &mut pos)?);
+                            expected_pc.wrapping_add(delta as u64)
                         };
-                        (
-                            InstClass::Branch(kind),
-                            Some(BranchEvent {
-                                kind,
-                                outcome: Outcome::from_taken(tag & EVT_TAKEN != 0),
-                                target,
-                            }),
-                        )
-                    };
-                    sink.event(TraceEvent {
-                        pc: Addr::new(pc),
-                        len,
-                        class,
-                        branch,
-                        section,
-                    });
-                    expected_pc = pc.wrapping_add(u64::from(len));
-                    events += 1;
-                    *sections.get_mut(section) += 1;
-                    if let Some(b) = &branch {
-                        summary.branches += 1;
-                        if b.outcome.is_taken() {
-                            summary.taken_branches += 1;
-                        }
-                    }
-                    if events == check_at {
-                        let here = Cursor {
-                            offset: pos,
-                            expected_pc,
+                        let (class, branch) = if class_code == 0 {
+                            if tag & (EVT_TAKEN | EVT_HAS_TARGET) != 0 {
+                                return Err(SnapshotError::Malformed {
+                                    at,
+                                    what: "branch flags on a non-branch event",
+                                });
+                            }
+                            (InstClass::Other, None)
+                        } else {
+                            let kind = KIND_TABLE[usize::from(class_code) - 1];
+                            let target = if tag & EVT_HAS_TARGET != 0 {
+                                let delta = unzigzag(read_varint(data, &mut pos)?);
+                                Some(Addr::new(pc.wrapping_add(delta as u64)))
+                            } else {
+                                None
+                            };
+                            let taken = tag & EVT_TAKEN != 0;
+                            summary.branches += 1;
+                            summary.taken_branches += u64::from(taken);
+                            (
+                                InstClass::Branch(kind),
+                                Some(BranchEvent {
+                                    kind,
+                                    outcome: Outcome::from_taken(taken),
+                                    target,
+                                }),
+                            )
+                        };
+                        sink.event(TraceEvent {
+                            pc: Addr::new(pc),
+                            len,
+                            class,
+                            branch,
                             section,
-                            events,
-                        };
-                        if let Some(table) = table.as_deref_mut().filter(|_| events == next_mark) {
-                            table.cursors.push(here);
-                            next_mark = table.next_mark();
-                        }
-                        if events == stop {
-                            return Ok(done(here, summary, sections));
-                        }
-                        check_at = stop.min(next_mark);
+                        });
+                        expected_pc = pc.wrapping_add(u64::from(len));
+                    }
+                    _ => {
+                        return Err(SnapshotError::Malformed {
+                            at,
+                            what: "unknown record tag",
+                        });
                     }
                 }
-                _ => {
-                    return Err(SnapshotError::Malformed {
-                        at,
-                        what: "unknown record tag",
-                    });
+            }
+            events += 1;
+            if events == check_at {
+                let here = Cursor {
+                    offset: pos,
+                    expected_pc,
+                    section,
+                    events,
+                };
+                if let Some(table) = table.as_deref_mut().filter(|_| events == next_mark) {
+                    table.cursors.push(here);
+                    next_mark = table.next_mark();
                 }
+                if events == stop {
+                    return Ok(done(here, run_start, summary, sections));
+                }
+                check_at = stop.min(next_mark);
             }
         }
         let end = Cursor {
@@ -992,7 +1074,7 @@ impl<'a> Snapshot<'a> {
             section,
             events,
         };
-        Ok(done(end, summary, sections))
+        Ok(done(end, run_start, summary, sections))
     }
 }
 
@@ -1319,8 +1401,8 @@ mod tests {
         let end_tag_at = bytes.len() - FOOTER_BYTES - 1;
         let mut cut = bytes[..end_tag_at - 1].to_vec();
         cut.extend_from_slice(&bytes[end_tag_at..bytes.len() - 8]);
-        let checksum = fnv1a_extend(FNV_OFFSET, &cut);
-        cut.extend_from_slice(&checksum.to_le_bytes());
+        let sealed = checksum(&cut);
+        cut.extend_from_slice(&sealed.to_le_bytes());
         cut
     }
 
@@ -1381,6 +1463,187 @@ mod tests {
             )
             .expect_err("the window runs into the cut record");
         assert!(matches!(err, SnapshotError::Truncated { .. }), "{err}");
+    }
+
+    #[test]
+    fn unsupported_version_names_both_versions_and_the_fix() {
+        let msg = SnapshotError::UnsupportedVersion(1).to_string();
+        assert!(msg.contains("version 1"), "{msg}");
+        assert!(
+            msg.contains(&format!("version {SNAPSHOT_VERSION}")),
+            "{msg}"
+        );
+        assert!(msg.contains("rebalance trace record"), "{msg}");
+        assert!(msg.contains("regenerate"), "{msg}");
+    }
+
+    #[test]
+    fn checksum_is_pinned_and_word_wise() {
+        assert_eq!(checksum(&[]), FNV_OFFSET, "no bytes, no steps");
+        // Pinned: a change here is a format change and needs a version
+        // bump.
+        assert_eq!(
+            checksum(b"RBTS format v2, word-wise"),
+            0x2fba_975a_e30b_9cf8
+        );
+        // One step per whole word: a word folds like one 64-bit value.
+        let word = 0x0123_4567_89ab_cdefu64;
+        assert_eq!(
+            checksum(&word.to_le_bytes()),
+            (FNV_OFFSET ^ word).wrapping_mul(FNV_PRIME)
+        );
+    }
+
+    /// Writes a stream of sequential records with section markers of
+    /// both kinds and a branch every `branch_every` events, so the
+    /// records form long sequential runs.
+    fn runs_snapshot() -> Vec<u8> {
+        let mut writer = SnapshotWriter::new(Vec::new(), 3, 0);
+        let mut pc = 0x4000u64;
+        for run in 0..12u64 {
+            let section = Section::ALL[(run / 2 % 2) as usize];
+            // Even runs open with a delivered marker (0xFE); odd runs
+            // switch section silently (0xFC on the next event).
+            if run % 2 == 0 {
+                writer.on_section_start(section);
+            }
+            for i in 0..(40 + run * 17) {
+                let branch = i % 29 == 28;
+                let ev = TraceEvent {
+                    pc: Addr::new(pc),
+                    len: 1 + (i % 7) as u8,
+                    class: if branch {
+                        InstClass::Branch(BranchKind::CondDirect)
+                    } else {
+                        InstClass::Other
+                    },
+                    branch: branch.then_some(BranchEvent {
+                        kind: BranchKind::CondDirect,
+                        outcome: Outcome::from_taken(i % 2 == 0),
+                        target: Some(Addr::new(pc + 64)),
+                    }),
+                    section,
+                };
+                writer.on_inst(&ev);
+                pc = if branch && i % 2 == 0 {
+                    pc + 64
+                } else {
+                    ev.next_pc().as_u64()
+                };
+            }
+        }
+        writer.finish().unwrap().0
+    }
+
+    #[test]
+    fn windows_inside_sequential_runs_count_like_a_per_event_walk() {
+        let bytes = runs_snapshot();
+        let snapshot = Snapshot::parse(&bytes).unwrap();
+        let mut live = Vec::new();
+        snapshot
+            .replay_per_event(&mut FnTool::new(|ev: &TraceEvent| live.push(*ev)))
+            .unwrap();
+        let total = live.len() as u64;
+        // Count the records: sequential runs dominate, so most marks
+        // land inside one.
+        let sequential = live
+            .windows(2)
+            .filter(|w| w[1].branch.is_none() && w[1].pc == w[0].next_pc())
+            .count();
+        assert!(sequential * 5 > live.len() * 4, "{sequential} of {total}");
+
+        let every = 13;
+        let (_, table) = snapshot
+            .replay_indexed(&mut crate::NullTool, every)
+            .unwrap();
+        let per_event = |from: u64, until: u64| {
+            let mut sections = BySection::<u64>::default();
+            let mut summary = RunSummary::default();
+            for ev in &live[from as usize..until as usize] {
+                *sections.get_mut(ev.section) += 1;
+                summary.instructions += 1;
+                if let Some(b) = &ev.branch {
+                    summary.branches += 1;
+                    summary.taken_branches += u64::from(b.outcome.is_taken());
+                }
+            }
+            (sections, summary)
+        };
+        for (i, cursor) in table.cursors.iter().enumerate() {
+            // Windows to the next marks, to a point inside the run
+            // after this mark, and to the end.
+            for until in [
+                (i as u64 + 1) * every,
+                (i as u64 + 3) * every,
+                i as u64 * every + 7,
+                total,
+            ] {
+                if until <= cursor.events() || until > total {
+                    continue;
+                }
+                let decoded = snapshot
+                    .decode_into(
+                        &mut DirectSink(&mut crate::NullTool),
+                        *cursor,
+                        Some(until),
+                        None,
+                    )
+                    .unwrap();
+                let (sections, summary) = per_event(cursor.events(), until);
+                assert_eq!(
+                    decoded.sections,
+                    sections,
+                    "window {}..{until}",
+                    cursor.events()
+                );
+                assert_eq!(
+                    decoded.summary,
+                    summary,
+                    "window {}..{until}",
+                    cursor.events()
+                );
+                assert_eq!(decoded.end.events(), until);
+                if let Some(mark) = table.at(until) {
+                    assert_eq!(decoded.end, mark, "end cursor at mark {until}");
+                }
+                // The end cursor resumes the stream exactly.
+                if until < total {
+                    let mut rest = Vec::new();
+                    snapshot
+                        .decode_into(
+                            &mut DirectSink(&mut FnTool::new(|ev: &TraceEvent| rest.push(*ev))),
+                            decoded.end,
+                            None,
+                            None,
+                        )
+                        .unwrap();
+                    assert_eq!(rest, live[until as usize..], "resume at {until}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn streamed_checksum_matches_for_any_emit_chunking(
+            chunks in proptest::collection::vec((0usize..4, 0usize..(STAGE_BYTES + 9)), 0..10),
+            salt in 0u8..255,
+        ) {
+            let mut writer = SnapshotWriter::new(Vec::new(), 0, 0);
+            let mut n = 0usize;
+            for (pick, len) in chunks {
+                // Mostly short emits, now and then one past the stage.
+                let len = if pick == 0 { len } else { len % 17 };
+                let chunk: Vec<u8> = (n..n + len).map(|i| (i as u8) ^ salt).collect();
+                writer.emit(&chunk);
+                n += len;
+            }
+            let (bytes, info) = writer.finish().unwrap();
+            proptest::prop_assert_eq!(info.total_bytes, bytes.len() as u64);
+            proptest::prop_assert_eq!(bytes.len(), MIN_BYTES + n);
+            let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+            proptest::prop_assert_eq!(stored, checksum(&bytes[..bytes.len() - 8]));
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 
 use rebalance::frontend::predictor::{DirectionPredictor, PredictorSim};
 use rebalance::frontend::{BtbConfig, BtbSim, CacheConfig, ICacheSim, PredictorChoice};
-use rebalance::pintools::{characterization_from_tools, characterization_tools};
+use rebalance::pintools::{characterization_from_tools, characterization_tools, BbvTool};
+use rebalance::trace::sampling::Fingerprinter;
 use rebalance::trace::{
     snapshot, EventBatch, Phase, Pintool, ProgramBuilder, Schedule, Section, Snapshot,
     SyntheticTrace, Terminator, ToolSet, TraceEvent,
@@ -126,8 +127,9 @@ fn batched_snapshot_decode_is_bit_identical_to_per_event_decode() {
     assert_eq!(live, baseline);
 }
 
-/// Every hot front-end tool + the characterization set, batched vs
-/// per-event, live and snapshot-decoded: reports must be equal.
+/// Every hot front-end tool, the characterization set and the BBV
+/// fingerprint, batched vs per-event, live and snapshot-decoded at
+/// capacities 1, 7 and the default: reports must be equal.
 #[test]
 fn hot_tool_on_batch_overrides_match_per_event_results() {
     let trace = smoke_trace("FT");
@@ -145,14 +147,18 @@ fn hot_tool_on_batch_overrides_match_per_event_results() {
         rebalance::frontend::BtbReport,
         rebalance::frontend::ICacheReport,
         rebalance::Characterization,
+        Vec<Vec<u64>>,
     );
     let measure = |mode: &str, cap: usize| -> Measured {
         let mut preds = predictor_sims();
         let mut btb = BtbSim::new(BtbConfig::new(512, 4));
         let mut icache = ICacheSim::new(CacheConfig::new(16 * 1024, 64, 4));
         let mut chars = characterization_tools();
+        // A prime interval ends mid-batch at every capacity but 1.
+        let mut bbv = BbvTool::new(32);
+        bbv.set_interval_insts(997);
         {
-            let mut tools = (&mut preds, &mut btb, &mut icache, &mut chars);
+            let mut tools = (&mut preds, &mut btb, &mut icache, &mut chars, &mut bbv);
             match mode {
                 "per-event" => {
                     trace.replay_per_event(&mut tools);
@@ -173,11 +179,16 @@ fn hot_tool_on_batch_overrides_match_per_event_results() {
             btb.report(),
             icache.report(),
             characterization_from_tools(chars, static_bytes, Default::default()),
+            // The fingerprints as raw bits: equality is bit-identity.
+            bbv.finish()
+                .into_iter()
+                .map(|v| v.into_iter().map(f64::to_bits).collect())
+                .collect(),
         )
     };
 
     let baseline = measure("per-event", 0);
-    for cap in [1usize, rebalance::trace::batch_capacity()] {
+    for cap in [1usize, 7, rebalance::trace::batch_capacity()] {
         for mode in ["batched", "snapshot"] {
             assert_eq!(
                 measure(mode, cap),

@@ -17,7 +17,8 @@ use proptest::prelude::*;
 
 use rebalance::frontend::{BtbConfig, BtbSim, CacheConfig, ICacheSim, PredictorChoice};
 use rebalance::isa::{Addr, InstClass, Outcome};
-use rebalance::pintools::{BasicBlockTool, BranchBiasTool, BranchMixTool, DirectionTool};
+use rebalance::pintools::{BasicBlockTool, BbvTool, BranchBiasTool, BranchMixTool, DirectionTool};
+use rebalance::trace::sampling::Fingerprinter;
 use rebalance::trace::snapshot::KIND_TABLE;
 use rebalance::trace::{
     BranchEvent, EventBatch, Pintool, Section, Snapshot, SnapshotWriter, ToolSet, TraceEvent,
@@ -115,6 +116,14 @@ fn encode(raws: &[RawEvent]) -> Vec<u8> {
     writer.finish().expect("Vec sink cannot fail").0
 }
 
+/// Fingerprint vectors as raw `f64` bits, so equality is bit-identity.
+fn vector_bits(vectors: Vec<Vec<f64>>) -> Vec<Vec<u64>> {
+    vectors
+        .into_iter()
+        .map(|v| v.into_iter().map(f64::to_bits).collect())
+        .collect()
+}
+
 fn raw_events(max: usize) -> impl Strategy<Value = Vec<RawEvent>> {
     proptest::collection::vec(
         (
@@ -170,7 +179,8 @@ proptest! {
     }
 
     /// Every hot tool with its own `on_batch` loop (predictor fan-out,
-    /// BTB, i-cache, and the mix/direction/bias pintools) must report
+    /// BTB, i-cache, the mix/direction/bias pintools and the BBV
+    /// fingerprint, compared as `f64` bits) must report
     /// identically under batched and per-event delivery — for arbitrary
     /// streams, including branch shapes (targetless taken branches,
     /// every kind, arbitrary sections) no real workload synthesizes.
@@ -178,6 +188,7 @@ proptest! {
     fn hot_tools_on_batch_match_per_event_reports(
         raws in raw_events(120),
         capacity in 1usize..10,
+        interval in 1u64..40,
     ) {
         let configs = PredictorChoice::figure5_set();
         let measure = |batched: bool| {
@@ -189,8 +200,15 @@ proptest! {
             let mut mix = BranchMixTool::new();
             let mut dir = DirectionTool::new();
             let mut bias = BranchBiasTool::new();
+            // Intervals end mid-batch for most (capacity, interval)
+            // draws, and section starts land anywhere in a batch.
+            let mut bbv = BbvTool::new(16);
+            bbv.set_interval_insts(interval);
             {
-                let mut tools = (&mut preds, &mut btb, &mut icache, &mut mix, &mut dir, &mut bias);
+                let mut tools = (
+                    (&mut preds, &mut btb, &mut icache, &mut mix, &mut dir, &mut bias),
+                    &mut bbv,
+                );
                 if batched {
                     deliver_batched(&raws, capacity, &mut tools);
                 } else {
@@ -204,6 +222,7 @@ proptest! {
                 mix.report(),
                 dir.report(),
                 bias.report(),
+                vector_bits(bbv.finish()),
             )
         };
         prop_assert_eq!(

@@ -8,7 +8,7 @@ use rebalance::coresim::CoreModel;
 use rebalance::frontend::CoreKind;
 use rebalance::isa::{Addr, InstClass, Outcome};
 use rebalance::pintools::BbvTool;
-use rebalance::trace::snapshot::{self, KIND_TABLE};
+use rebalance::trace::snapshot::{self, checksum, KIND_TABLE};
 use rebalance::trace::{
     batch_capacity, BranchEvent, EventBatch, Pintool, SamplePlan, SamplingConfig, Section,
     Snapshot, SnapshotError, SnapshotWriter, TraceEvent,
@@ -577,13 +577,6 @@ fn a_plan_applied_to_another_snapshot_is_a_typed_error() {
     assert!(log.0.is_empty(), "nothing delivered: {:?}", log.0.len());
 }
 
-/// FNV-1a 64, the snapshot checksum, to re-seal edited bytes.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// A stream whose last record is cut short inside a representative
 /// window, re-sealed with a valid checksum, fails the sampled replay
 /// with `Truncated` or `Malformed` and delivers nothing.
@@ -595,8 +588,8 @@ fn records_truncated_inside_a_window_fail_the_sampled_replay() {
     let end_tag_at = good.len() - 49;
     let mut bad = good[..end_tag_at - 1].to_vec();
     bad.extend_from_slice(&good[end_tag_at..good.len() - 8]);
-    let checksum = fnv1a(&bad);
-    bad.extend_from_slice(&checksum.to_le_bytes());
+    let sealed = checksum(&bad);
+    bad.extend_from_slice(&sealed.to_le_bytes());
     let snap = Snapshot::parse(&bad).expect("the checksum was re-sealed");
     let total = snap.info().summary.instructions;
 

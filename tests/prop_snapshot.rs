@@ -3,9 +3,10 @@
 //! 1. encode → decode round-trips **arbitrary** event streams
 //!    bit-identically (events, section notifications, and summary), and
 //! 2. flipping any single bit anywhere in a snapshot is rejected with a
-//!    typed [`SnapshotError`] — the FNV-1a 64 checksum covers every
-//!    byte except itself, and a flip inside the stored checksum is a
-//!    direct mismatch, and
+//!    typed [`SnapshotError`] — the word-wise FNV-1a 64 checksum covers
+//!    every byte except itself, and a flip inside the stored checksum
+//!    is a direct mismatch; small snapshots of every length residue mod
+//!    8 are checked exhaustively, every bit of every byte, and
 //! 3. a sampled sweep, which reads each cached snapshot once and
 //!    decodes only its sampled windows, still rejects a cached snapshot
 //!    with one flipped bit and regenerates it, with unchanged results.
@@ -14,7 +15,7 @@ use proptest::prelude::*;
 
 use rebalance::isa::{Addr, InstClass, Outcome};
 use rebalance::pintools::BbvTool;
-use rebalance::trace::snapshot::KIND_TABLE;
+use rebalance::trace::snapshot::{checksum, KIND_TABLE};
 use rebalance::trace::{
     BranchEvent, CondBehavior, IterCount, Phase, Pintool, ProgramBuilder, SamplingConfig, Schedule,
     Section, Snapshot, SnapshotError, SnapshotWriter, SweepEngine, SyntheticTrace, Terminator,
@@ -117,6 +118,12 @@ proptest! {
         prop_assert_eq!(&rec.starts, &starts, "section notifications must match");
         prop_assert_eq!(summary, snapshot.info().summary);
         prop_assert_eq!(summary.instructions, events.len() as u64);
+        let (sealed, stored) = bytes.split_at(bytes.len() - 8);
+        prop_assert_eq!(
+            u64::from_le_bytes(stored.try_into().expect("8 bytes")),
+            checksum(sealed),
+            "the writer's streamed checksum is the format's checksum"
+        );
     }
 
     #[test]
@@ -160,6 +167,56 @@ proptest! {
             .replay(&mut rebalance::trace::NullTool)
             .expect("pristine decode");
     }
+}
+
+/// Every bit of every byte of small snapshots, one per length residue
+/// mod 8, flipped one at a time: each flip is rejected, by the check
+/// that owns the flipped field.
+#[test]
+fn every_single_bit_flip_of_small_snapshots_is_rejected() {
+    let mut residues = [false; 8];
+    // `sequential` 2-byte records and `jumps` 3-byte ones (a one-byte
+    // pc delta) reach every length residue.
+    for sequential in 0..4u64 {
+        for jumps in 0..4u64 {
+            let mut writer = SnapshotWriter::new(Vec::new(), 9, 0x5eed);
+            let mut pc = 0u64;
+            for i in 0..sequential + jumps {
+                if i >= sequential {
+                    pc += 8;
+                }
+                let ev = build_event((0, pc, 4, false, 0, false));
+                writer.on_inst(&ev);
+                pc = ev.next_pc().as_u64();
+            }
+            let (bytes, _) = writer.finish().expect("Vec sink cannot fail");
+            residues[bytes.len() % 8] = true;
+            Snapshot::parse(&bytes)
+                .expect("pristine parse")
+                .replay(&mut rebalance::trace::NullTool)
+                .expect("pristine decode");
+            for at in 0..bytes.len() {
+                for bit in 0..8 {
+                    let mut bad = bytes.clone();
+                    bad[at] ^= 1 << bit;
+                    let err = Snapshot::parse(&bad)
+                        .and_then(|s| s.replay(&mut rebalance::trace::NullTool))
+                        .expect_err("a flipped bit must be rejected");
+                    let typed = match at {
+                        0..=3 => matches!(err, SnapshotError::BadMagic(_)),
+                        4..=5 => matches!(err, SnapshotError::UnsupportedVersion(_)),
+                        _ => matches!(err, SnapshotError::ChecksumMismatch { .. }),
+                    };
+                    assert!(
+                        typed,
+                        "{} bytes, bit {bit} of byte {at}: {err}",
+                        bytes.len()
+                    );
+                }
+            }
+        }
+    }
+    assert_eq!(residues, [true; 8], "every length residue mod 8 is covered");
 }
 
 /// A small phased trace: a serial loop and a call-heavy parallel loop,
