@@ -24,12 +24,13 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
+use rebalance::coresim::FetchModelKind;
 use rebalance::pintools::characterize;
 use rebalance::workloads::Workload;
 use rebalance::{Characterization, Scale};
 use rebalance_experiments::util::Run;
-use rebalance_experiments::{fetchsim, sampling};
-use rebalance_trace::SamplingConfig;
+use rebalance_experiments::{driver, fetchsim, sampling};
+use rebalance_trace::{SamplingConfig, TraceCache};
 use serde::Serialize;
 
 /// The scale every fixture is recorded at (the smallest, so the
@@ -168,9 +169,12 @@ fn no_orphan_fixtures() {
         .iter()
         .map(|w| format!("{}.json", w.name()))
         .collect();
-    let exhibits: BTreeSet<String> = ["fetchsim.json", "fetchsim_sampled.json"]
-        .map(str::to_owned)
-        .into();
+    let exhibits: BTreeSet<String> = PAPER_EXHIBIT_FILES
+        .iter()
+        .chain(&FTQ_EXHIBIT_FILES)
+        .map(|name| format!("{name}.json"))
+        .chain(["fetchsim_sampled.json".to_owned()])
+        .collect();
     for (dir, label, names) in [
         (golden_dir(), "golden", &workloads),
         (sampling_dir(), "golden/sampling", &workloads),
@@ -319,6 +323,113 @@ fn fetchsim_exhibits_match_committed_fixtures() {
         &exhibits_dir(),
         &render_fetchsim_exhibits(),
         "fetchsim exhibit(s)",
+    );
+}
+
+/// The JSON dumps `rebalance paper all --scale smoke --json DIR` writes,
+/// by file stem. `fetchsim` is the same file
+/// [`fetchsim_exhibits_match_committed_fixtures`] pins.
+const PAPER_EXHIBIT_FILES: [&str; 21] = [
+    "fig1",
+    "fig2",
+    "table1",
+    "fig3",
+    "fig4",
+    "table2",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "table3",
+    "fig10",
+    "fig10_raw",
+    "fig11",
+    "ablations",
+    "detail",
+    "kernels_characterization",
+    "kernels_predictors",
+    "fetchsim",
+    "sampling",
+];
+
+/// The exhibits whose numbers depend on the CPI timing backend, dumped
+/// again under `--model ftq` with an `_ftq` suffix.
+const FTQ_EXHIBITS: [&str; 3] = ["fig10", "fig11", "sampling"];
+
+/// The file stems [`FTQ_EXHIBITS`] dump under `--model ftq`.
+const FTQ_EXHIBIT_FILES: [&str; 4] = ["fig10_ftq", "fig10_raw_ftq", "fig11_ftq", "sampling_ftq"];
+
+/// Runs `exhibits` through the exhibit driver on `run`, exactly as
+/// `rebalance paper … --json DIR` does, and returns every JSON dump as
+/// `(<stem><suffix>.json, text)` pairs in name order, each text with a
+/// trailing newline like every other fixture.
+fn dump_exhibits(run: &Run, exhibits: &[&str], suffix: &str) -> Vec<(String, String)> {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "rebalance-golden-exhibits-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
+    let names: Vec<String> = exhibits.iter().map(|e| (*e).to_owned()).collect();
+    let names = driver::resolve_exhibits(&names).expect("known exhibits");
+    driver::run_exhibits(run, &names, GOLDEN_SCALE, Some(&dir), &mut std::io::sink())
+        .expect("exhibits render");
+    let mut dumped: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .expect("dump directory")
+        .map(|entry| {
+            let path = entry.expect("dump entry").path();
+            let stem = path.file_stem().expect("file stem").to_string_lossy();
+            let mut text = std::fs::read_to_string(&path).expect("dump readable");
+            text.push('\n');
+            (format!("{stem}{suffix}.json"), text)
+        })
+        .collect();
+    dumped.sort();
+    let _ = std::fs::remove_dir_all(&dir);
+    dumped
+}
+
+/// Every exhibit of `paper all`, then the timing-backend-dependent ones
+/// again under the FTQ model, all on `run`.
+fn render_paper_exhibits(mut run: Run) -> Vec<(String, String)> {
+    let mut rendered = dump_exhibits(&run, &["all"], "");
+    run.fetch_model = FetchModelKind::Ftq;
+    rendered.extend(dump_exhibits(&run, &FTQ_EXHIBITS, "_ftq"));
+    let _ = std::fs::remove_dir_all(run.sampling_cache().dir());
+    let expected: BTreeSet<String> = PAPER_EXHIBIT_FILES
+        .iter()
+        .chain(&FTQ_EXHIBIT_FILES)
+        .map(|name| format!("{name}.json"))
+        .collect();
+    let names: BTreeSet<String> = rendered.iter().map(|(name, _)| name.clone()).collect();
+    assert_eq!(names, expected, "the exhibit driver's dump set changed");
+    rendered
+}
+
+/// Every exhibit the paper driver renders, pinned whole on a cache-less
+/// run: any change to a figure's or table's numbers fails here with the
+/// first differing line.
+#[test]
+fn paper_exhibits_match_committed_fixtures_without_a_cache() {
+    check_fixtures(
+        &exhibits_dir(),
+        &render_paper_exhibits(Run::default()),
+        "paper exhibit(s)",
+    );
+}
+
+/// The same fixtures through a scratch trace cache: the cold cache
+/// records every trace while the exhibits read it, and the answers must
+/// not change with the replay path.
+#[test]
+fn paper_exhibits_match_committed_fixtures_through_a_cache() {
+    let mut run = Run::default();
+    run.cache = Some(TraceCache::scratch().expect("scratch cache"));
+    check_fixtures(
+        &exhibits_dir(),
+        &render_paper_exhibits(run),
+        "paper exhibit(s)",
     );
 }
 
