@@ -440,6 +440,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         t.render(),
         dir,
     ));
-    crate::metrics::emit(&parsed)?;
+    crate::metrics::emit(&parsed, None)?;
     Ok(ExitCode::SUCCESS)
 }

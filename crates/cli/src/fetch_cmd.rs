@@ -33,7 +33,8 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     let (sweep, report) = {
         let _fetch_span = rebalance_telemetry::span("fetch");
         (
-            fetchsim::sweep_grid(&run, workloads, parsed.scale, &grid),
+            fetchsim::sweep_grid(&run, workloads, parsed.scale, &grid)
+                .map_err(|e| e.to_string())?,
             run.report(),
         )
     };
@@ -100,6 +101,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         designs.render(),
         retention.render(),
     ));
-    crate::metrics::emit(&parsed)?;
+    crate::metrics::emit(&parsed, Some(&report))?;
     Ok(ExitCode::SUCCESS)
 }

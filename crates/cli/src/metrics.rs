@@ -1,29 +1,34 @@
 //! Shared `--metrics` emission: after a subcommand prints its report,
-//! this renders or writes the process-wide telemetry snapshot.
+//! this renders or writes the run's record next to the process-wide
+//! telemetry snapshot.
 
 use rebalance_telemetry as telemetry;
+use rebalance_trace::Report;
 
 use crate::args::{MetricsMode, Parsed};
 
-/// Emits the telemetry snapshot according to `--metrics`: `text`
-/// prints the span tree and top counters to stdout, `json` writes a
-/// versioned `metrics.json` (into the `--json` directory when one was
-/// given, the working directory otherwise, or an explicit
-/// `json=PATH`). A no-op without the flag — the `REBALANCE_METRICS`
-/// env latch alone collects but does not emit, so scripted runs stay
-/// quiet.
+/// Emits the run's `report` (its replay, cache and lane ledger; `None`
+/// for `bench`, which replays in memory outside any run) and the
+/// telemetry snapshot according to `--metrics`: `text` prints the
+/// report line, the span tree and the top counters to stdout, `json`
+/// writes a versioned `metrics.json` with the report under `report`
+/// (into the `--json` directory when one was given, the working
+/// directory otherwise, or an explicit `json=PATH`). A no-op without
+/// the flag — the `REBALANCE_METRICS` env latch alone collects but does
+/// not emit, so scripted runs stay quiet.
 ///
 /// # Errors
 ///
 /// The JSON file could not be created or written.
-pub fn emit(parsed: &Parsed) -> Result<(), String> {
+pub fn emit(parsed: &Parsed, report: Option<&Report>) -> Result<(), String> {
     let Some(mode) = &parsed.metrics else {
         return Ok(());
     };
     let snap = telemetry::snapshot();
     match mode {
         MetricsMode::Text => {
-            crate::print_ignoring_pipe(&format!("{}\n", snap.render_text()));
+            let report = report.map_or_else(|| "none".to_owned(), Report::to_string);
+            crate::print_ignoring_pipe(&format!("{}\n", snap.render_text(&report)));
         }
         MetricsMode::Json(path) => {
             let path = match path {
@@ -39,7 +44,12 @@ pub fn emit(parsed: &Parsed) -> Result<(), String> {
                         .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
                 }
             }
-            std::fs::write(&path, snap.to_json())
+            let report = match report {
+                Some(report) => serde_json::to_string(report)
+                    .map_err(|e| format!("cannot serialize the run report: {e}"))?,
+                None => "null".to_owned(),
+            };
+            std::fs::write(&path, snap.to_json(&report))
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
             crate::print_ignoring_pipe(&format!("metrics written to {}\n", path.display()));
         }

@@ -5,6 +5,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use rebalance_experiments::driver;
+use rebalance_experiments::util::RunError;
 
 use crate::args;
 
@@ -26,18 +27,18 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     {
         let _paper_span = rebalance_telemetry::span("paper");
         let mut out = std::io::stdout().lock();
-        if let Err(e) =
-            driver::run_exhibits(&run, &exhibits, parsed.scale, json_dir.as_deref(), &mut out)
-        {
+        match driver::run_exhibits(&run, &exhibits, parsed.scale, json_dir.as_deref(), &mut out) {
+            Ok(()) => {}
             // A closed pipe (`rebalance paper ... | head`) is a normal way
             // to stop reading, not a failure.
-            if e.kind() == std::io::ErrorKind::BrokenPipe {
+            Err(RunError::Write(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => {
                 return Ok(ExitCode::SUCCESS);
             }
-            return Err(e.to_string());
+            Err(e) => return Err(e.to_string()),
         }
     }
-    crate::print_ignoring_pipe(&format!("{}\n", run.report()));
-    crate::metrics::emit(&parsed)?;
+    let report = run.report();
+    crate::print_ignoring_pipe(&format!("{report}\n"));
+    crate::metrics::emit(&parsed, Some(&report))?;
     Ok(ExitCode::SUCCESS)
 }

@@ -72,7 +72,9 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     let run = args::run(&parsed)?;
     let config = run.sampling.unwrap_or_default();
 
-    let outcomes = run.sweep_sampled(&config, workloads, parsed.scale, |_| Vec::<BbvTool>::new());
+    let outcomes = run
+        .sweep_sampled(&config, workloads, parsed.scale, |_| Vec::<BbvTool>::new())
+        .map_err(|e| e.to_string())?;
 
     let mut text = String::new();
     let mut json = PhasesJson {

@@ -9,7 +9,7 @@
 use std::process::ExitCode;
 
 use rebalance_coresim::{CoreModel, FetchModelKind};
-use rebalance_experiments::util::{self, f2, Run, TextTable};
+use rebalance_experiments::util::{self, f2, Run, RunError, TextTable};
 use rebalance_frontend::{CoreKind, PredictorChoice};
 use rebalance_workloads::{Suite, Workload};
 use serde::Serialize;
@@ -48,7 +48,7 @@ fn compute(
     workloads: &[Workload],
     scale: rebalance_workloads::Scale,
     model: Option<FetchModelKind>,
-) -> SweepRows {
+) -> Result<SweepRows, RunError> {
     let configs = PredictorChoice::figure5_set();
     // Each predictor sim is wrapped in `Timed`, so with telemetry on,
     // every config's `on_batch` time lands on its own
@@ -61,7 +61,7 @@ fn compute(
                 .zip(&configs)
                 .map(|(sim, choice)| rebalance_trace::Timed::new(&choice.label(), sim))
                 .collect()
-        })
+        })?
         .iter()
         .map(|o| SweepJsonRow {
             workload: o.item.name().to_owned(),
@@ -69,10 +69,12 @@ fn compute(
             mpki: o.tools.iter().map(|s| s.report().total().mpki()).collect(),
         })
         .collect();
-    SweepRows {
+    Ok(SweepRows {
         rows,
-        cpi: model.map(|kind| measure_cpi(run, workloads, scale, kind)),
-    }
+        cpi: model
+            .map(|kind| measure_cpi(run, workloads, scale, kind))
+            .transpose()?,
+    })
 }
 
 /// Runs the sweep and prints MPKI plus the shared replay/cache report:
@@ -93,7 +95,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         // before the snapshot `metrics::emit` takes below.
         let _sweep_span = rebalance_telemetry::span("sweep");
         (
-            compute(&run, &workloads, parsed.scale, parsed.model),
+            compute(&run, &workloads, parsed.scale, parsed.model).map_err(|e| e.to_string())?,
             run.report(),
         )
     };
@@ -168,7 +170,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         table.render(),
         cpi.as_ref().map(render_cpi).unwrap_or_default(),
     ));
-    crate::metrics::emit(&parsed)?;
+    crate::metrics::emit(&parsed, Some(&report))?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -199,36 +201,37 @@ fn measure_cpi(
     workloads: &[Workload],
     scale: rebalance_workloads::Scale,
     kind: FetchModelKind,
-) -> Vec<CpiJsonRow> {
+) -> Result<Vec<CpiJsonRow>, RunError> {
     let models = [
         CoreModel::new(CoreKind::Baseline).with_fetch_model(kind),
         CoreModel::new(CoreKind::Tailored).with_fetch_model(kind),
     ];
-    run.sweep_weighted(workloads.to_vec(), scale, |_| {
-        models.iter().map(CoreModel::fetch_tools).collect()
-    })
-    .iter()
-    .map(|o| {
-        let backend = o.item.profile().backend;
-        let section = if o.item.suite().has_parallel_sections() {
-            rebalance_trace::Section::Parallel
-        } else {
-            rebalance_trace::Section::Serial
-        };
-        let cpis: Vec<f64> = models
-            .iter()
-            .zip(&o.tools)
-            .map(|(m, tools)| m.timing_of(tools, &backend).section(section).cpi)
-            .collect();
-        CpiJsonRow {
-            workload: o.item.name().to_owned(),
-            suite: o.item.suite(),
-            section: format!("{section:?}").to_lowercase(),
-            baseline_cpi: cpis[0],
-            tailored_cpi: cpis[1],
-        }
-    })
-    .collect()
+    Ok(run
+        .sweep_weighted(workloads.to_vec(), scale, |_| {
+            models.iter().map(CoreModel::fetch_tools).collect()
+        })?
+        .iter()
+        .map(|o| {
+            let backend = o.item.profile().backend;
+            let section = if o.item.suite().has_parallel_sections() {
+                rebalance_trace::Section::Parallel
+            } else {
+                rebalance_trace::Section::Serial
+            };
+            let cpis: Vec<f64> = models
+                .iter()
+                .zip(&o.tools)
+                .map(|(m, tools)| m.timing_of(tools, &backend).section(section).cpi)
+                .collect();
+            CpiJsonRow {
+                workload: o.item.name().to_owned(),
+                suite: o.item.suite(),
+                section: format!("{section:?}").to_lowercase(),
+                baseline_cpi: cpis[0],
+                tailored_cpi: cpis[1],
+            }
+        })
+        .collect())
 }
 
 /// Renders the CPI addendum as a table.

@@ -1,6 +1,9 @@
-//! A `--cache DIR` that cannot be opened is an error, not a silent
-//! fallback to live generation: every cache-served subcommand exits
-//! non-zero, names the directory, and prints no results.
+//! Trace cache failures are errors, not crashes. A `--cache DIR` that
+//! cannot be opened is an error, not a silent fallback to live
+//! generation: every cache-served subcommand exits non-zero, names the
+//! directory, and prints no results. A snapshot that passes its
+//! checksum but does not decode fails the run with exit 1 and a
+//! message naming the workload.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -41,4 +44,58 @@ fn unusable_cache_dir_fails_every_cached_subcommand() {
         assert!(stdout.is_empty(), "{args:?} printed results:\n{stdout}");
     }
     let _ = std::fs::remove_file(blocker);
+}
+
+#[test]
+fn undecodable_snapshot_fails_the_sweep_with_a_message() {
+    let dir = std::env::temp_dir().join(format!(
+        "rebalance-corrupt-snapshot-test-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = dir.display().to_string();
+    let record = Command::new(BIN)
+        .args([
+            "trace", "record", "CG", "--scale", "smoke", "--cache", &cache,
+        ])
+        .output()
+        .expect("spawn rebalance");
+    assert!(record.status.success(), "trace record failed");
+
+    // Overwrite the first record byte (right after the 24-byte header)
+    // with a tag no record uses, then re-seal the checksum: the file
+    // passes validation and fails to decode.
+    let path = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .map(|e| e.expect("cache entry").path())
+        .find(|p| p.extension().is_some_and(|x| x == "rbts"))
+        .expect("a recorded snapshot");
+    let mut bytes = std::fs::read(&path).expect("read snapshot");
+    bytes[24] = 0xF0;
+    let sealed = bytes.len() - 8;
+    let checksum = rebalance_trace::snapshot::checksum(&bytes[..sealed]);
+    bytes[sealed..].copy_from_slice(&checksum.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("write snapshot");
+    rebalance_trace::Snapshot::parse(&bytes).expect("the checksum was re-sealed");
+
+    let out = Command::new(BIN)
+        .args([
+            "sweep",
+            "--workloads",
+            "CG",
+            "--scale",
+            "smoke",
+            "--cache",
+            &cache,
+        ])
+        .output()
+        .expect("spawn rebalance");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("rebalance: cannot replay CG: trace cache snapshot error"),
+        "stderr:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -1,8 +1,9 @@
 //! End-to-end telemetry: with metrics enabled, a warm `sweep` writes a
-//! versioned `metrics.json` carrying the replay and per-tool counters
-//! and a replay span forest that satisfies the attribution invariant
-//! (a span's children never account for more time than the span
-//! itself), and collecting it does not change the sweep's results.
+//! versioned `metrics.json` carrying the run's report (its replay,
+//! cache and lane ledger), the per-tool counters and a replay span
+//! forest that satisfies the attribution invariant (a span's children
+//! never account for more time than the span itself), and collecting it
+//! does not change the sweep's results.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -130,16 +131,28 @@ fn warm_sweep_metrics_hold_their_invariants_and_leave_results_unchanged() {
     );
 
     let m = load_metrics(&json);
-    assert_eq!(m.get("version").and_then(Value::as_u64), Some(1));
+    assert_eq!(m.get("version").and_then(Value::as_u64), Some(2));
+
+    // The run's one ledger: a warm sweep of three workloads is three
+    // replays, all cache hits, none generated, and its lanes carry
+    // every delivered event.
+    let report = m.get("report").expect("metrics.json: the run report");
+    let field = |path: &[&str]| {
+        path.iter()
+            .try_fold(report, |v, key| v.get(key))
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("report.{} in {report:?}", path.join(".")))
+    };
+    assert_eq!(field(&["replays"]), 3);
+    assert_eq!(field(&["cache", "hits"]), 3);
+    assert_eq!(field(&["cache", "generations"]), 0);
+    assert!(field(&["lanes", "instructions"]) > 0);
+    assert!(field(&["lanes", "branches"]) > 0);
 
     let counters = m
         .get("counters")
         .and_then(Value::as_map)
         .expect("metrics.json: counters map");
-    assert!(
-        counters.iter().any(|(k, _)| k == "replay.events"),
-        "expected replay counters in {counters:?}"
-    );
     assert!(
         counters.iter().any(|(k, _)| k.ends_with(".on_batch_calls")),
         "expected per-tool counters in {counters:?}"
@@ -224,7 +237,8 @@ fn metrics_text_prints_span_tree_and_counters() {
         "text",
     ]);
     assert!(out.contains("telemetry"), "in:\n{out}");
+    assert!(out.contains("run report:\n  replays: 1 | "), "in:\n{out}");
     assert!(out.contains("replay"), "in:\n{out}");
-    assert!(out.contains("replay.events"), "in:\n{out}");
+    assert!(out.contains(".on_batch_calls"), "in:\n{out}");
     let _ = std::fs::remove_dir_all(cache);
 }

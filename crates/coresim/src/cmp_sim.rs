@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use rebalance_frontend::CoreKind;
 use rebalance_mcpat::{ed_product, energy_joules, CmpEstimate, CmpFloorplan, Technology};
-use rebalance_trace::{BySection, Section, TraceCache};
+use rebalance_trace::BySection;
 use rebalance_workloads::{Scale, Workload};
 use serde::{Deserialize, Serialize};
 
@@ -14,13 +14,15 @@ use crate::fetch_model::FetchModelKind;
 
 /// Simulates one workload on many floorplans from a **single** trace
 /// synthesis and a **single** replay: the distinct core designs across
-/// all floorplans are measured together in one fan-out pass
-/// ([`CoreModel::measure_many`]), then each floorplan's schedule/power
-/// arithmetic reuses the shared timings. Results are in `sims` order.
+/// all floorplans ([`floorplan_models`]) are measured together in one
+/// fan-out pass ([`CoreModel::measure_many`]), then each floorplan's
+/// schedule/power arithmetic reuses the shared timings
+/// ([`floorplan_results`]). Results are in `sims` order.
 ///
-/// This is what the figure regenerators use: evaluating the four
-/// Figure 10 CMPs per workload costs one replay, not four. Every core
-/// is timed through `fetch_model`.
+/// This is the live reference: evaluating the four Figure 10 CMPs per
+/// workload costs one replay, not four. Every core is timed through
+/// `fetch_model`. Runs that replay through a sweep engine and a trace
+/// cache build the same two halves around their own replay.
 ///
 /// # Errors
 ///
@@ -32,57 +34,20 @@ pub fn simulate_floorplans(
     fetch_model: FetchModelKind,
 ) -> Result<Vec<CmpResult>, String> {
     let trace = workload.trace(scale)?;
-    let backend = workload.profile().backend;
-    let models = distinct_core_models(sims, fetch_model);
-    let timings: HashMap<CoreKind, CoreTiming> = models
-        .iter()
-        .map(CoreModel::kind)
-        .zip(CoreModel::measure_many(&models, &trace, &backend))
-        .collect();
-    let sections = BySection::new(
-        trace.schedule().section_instructions(Section::Serial),
-        trace.schedule().section_instructions(Section::Parallel),
-    );
-    Ok(sims
-        .iter()
-        .map(|sim| sim.result_from_timings(workload.name(), sections, &timings))
-        .collect())
-}
-
-/// [`simulate_floorplans`] with the trace replay served by an on-disk
-/// [`TraceCache`]: on a warm cache the workload is **never
-/// synthesized** — core timings come from decoding its snapshot, and
-/// the serial/parallel instruction split the scheduling arithmetic
-/// needs comes from the snapshot footer.
-///
-/// # Errors
-///
-/// Propagates workload synthesis errors and cache I/O failures (both
-/// stringified, matching [`simulate_floorplans`]).
-pub fn simulate_floorplans_cached(
-    sims: &[CmpSim],
-    workload: &Workload,
-    scale: Scale,
-    cache: &TraceCache,
-    fetch_model: FetchModelKind,
-) -> Result<Vec<CmpResult>, String> {
-    let backend = workload.profile().backend;
-    let models = distinct_core_models(sims, fetch_model);
-    let key = workload.trace_key(scale);
-    let (measured, replay) =
-        CoreModel::measure_many_cached(&models, cache, &key, || workload.trace(scale), &backend)
-            .map_err(|e| e.to_string())?;
-    let timings: HashMap<CoreKind, CoreTiming> =
-        models.iter().map(CoreModel::kind).zip(measured).collect();
-    Ok(sims
-        .iter()
-        .map(|sim| sim.result_from_timings(workload.name(), replay.sections, &timings))
-        .collect())
+    let models = floorplan_models(sims, fetch_model);
+    let timings = CoreModel::measure_many(&models, &trace, &workload.profile().backend);
+    Ok(floorplan_results(
+        sims,
+        workload.name(),
+        trace.schedule().sections(),
+        &timings,
+    ))
 }
 
 /// One [`CoreModel`] per distinct core kind used across `sims`, in
-/// first-appearance order, each timed through `fetch_model`.
-fn distinct_core_models(sims: &[CmpSim], fetch_model: FetchModelKind) -> Vec<CoreModel> {
+/// first-appearance order, each timed through `fetch_model`: the core
+/// designs one shared replay must measure for [`floorplan_results`].
+pub fn floorplan_models(sims: &[CmpSim], fetch_model: FetchModelKind) -> Vec<CoreModel> {
     let mut kinds: Vec<CoreKind> = Vec::new();
     for sim in sims {
         for &kind in &sim.floorplan.cores {
@@ -94,6 +59,26 @@ fn distinct_core_models(sims: &[CmpSim], fetch_model: FetchModelKind) -> Vec<Cor
     kinds
         .into_iter()
         .map(|kind| CoreModel::new(kind).with_fetch_model(fetch_model))
+        .collect()
+}
+
+/// Every floorplan's result, in `sims` order, from the timings of the
+/// core designs [`floorplan_models`] names and the master thread's
+/// per-section instruction counts (from a live trace's schedule or a
+/// snapshot's footer).
+///
+/// # Panics
+///
+/// Panics if `timings` lacks a core kind one of the floorplans uses.
+pub fn floorplan_results(
+    sims: &[CmpSim],
+    workload_name: &str,
+    sections: BySection<u64>,
+    timings: &[CoreTiming],
+) -> Vec<CmpResult> {
+    let timings: HashMap<CoreKind, CoreTiming> = timings.iter().map(|t| (t.kind, *t)).collect();
+    sims.iter()
+        .map(|sim| sim.result_from_timings(workload_name, sections, &timings))
         .collect()
 }
 
@@ -359,26 +344,6 @@ mod tests {
         assert!((r.energy_j - r.power_w * r.time_s).abs() / r.energy_j < 1e-9);
         assert!((r.ed - r.energy_j * r.time_s).abs() / r.ed < 1e-9);
         assert!((r.time_s - (r.serial_time_s + r.parallel_time_s)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn cached_floorplans_match_uncached() {
-        let w = find("FT").unwrap();
-        let sims = [
-            CmpSim::new(CmpFloorplan::baseline(8)),
-            CmpSim::new(CmpFloorplan::tailored(8)),
-            CmpSim::new(CmpFloorplan::asymmetric(1, 7)),
-        ];
-        let model = FetchModelKind::Penalty;
-        let live = simulate_floorplans(&sims, &w, Scale::Smoke, model).unwrap();
-        let cache = TraceCache::scratch().unwrap();
-        let cold = simulate_floorplans_cached(&sims, &w, Scale::Smoke, &cache, model).unwrap();
-        let warm = simulate_floorplans_cached(&sims, &w, Scale::Smoke, &cache, model).unwrap();
-        assert_eq!(cold, live);
-        assert_eq!(warm, live);
-        let stats = cache.stats();
-        assert_eq!((stats.generations, stats.hits), (1, 1));
-        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]

@@ -4,8 +4,7 @@ use rebalance_fetchsim::{FetchConfig, FetchReport, FetchSim, FtqConfig};
 use rebalance_frontend::predictor::{DirectionPredictor, PredictorSim};
 use rebalance_frontend::{BtbSim, CoreKind, FrontendConfig, ICacheSim};
 use rebalance_trace::{
-    CacheError, CachedReplay, SamplePlan, SampledReplay, Section, Snapshot, SnapshotError,
-    SyntheticTrace, ToolSet, TraceCache, TraceKey,
+    SamplePlan, SampledReplay, Section, Snapshot, SnapshotError, SyntheticTrace, ToolSet,
 };
 use rebalance_workloads::BackendProfile;
 use serde::{Deserialize, Serialize};
@@ -205,38 +204,7 @@ impl CoreModel {
     ) -> Vec<CoreTiming> {
         let mut set: ToolSet<FetchTools> = models.iter().map(CoreModel::fetch_tools).collect();
         trace.replay(&mut set);
-        models
-            .iter()
-            .zip(set.into_inner())
-            .map(|(model, tools)| model.timing_of(&tools, backend))
-            .collect()
-    }
-
-    /// [`CoreModel::measure_many`] with the shared replay served by an
-    /// on-disk [`TraceCache`]: `generate` only runs on a cache miss, so
-    /// a warm cache measures every design without synthesizing or
-    /// interpreting the trace at all. Also returns the replay's
-    /// [`CachedReplay`] accounting (per-section instruction counts,
-    /// hit/miss provenance).
-    ///
-    /// # Errors
-    ///
-    /// Propagates generation and cache failures.
-    pub fn measure_many_cached(
-        models: &[CoreModel],
-        cache: &TraceCache,
-        key: &TraceKey,
-        generate: impl FnOnce() -> Result<SyntheticTrace, String>,
-        backend: &BackendProfile,
-    ) -> Result<(Vec<CoreTiming>, CachedReplay), CacheError> {
-        let mut set: ToolSet<FetchTools> = models.iter().map(CoreModel::fetch_tools).collect();
-        let replay = cache.replay_with(key, generate, &mut set)?;
-        let timings = models
-            .iter()
-            .zip(set.into_inner())
-            .map(|(model, tools)| model.timing_of(&tools, backend))
-            .collect();
-        Ok((timings, replay))
+        CoreModel::timings_of(models, &set.into_inner(), backend)
     }
 
     /// [`CoreModel::measure_many`] over a phase-sampled replay: every
@@ -258,12 +226,25 @@ impl CoreModel {
     ) -> Result<(Vec<CoreTiming>, SampledReplay), SnapshotError> {
         let mut set: ToolSet<FetchTools> = models.iter().map(CoreModel::fetch_tools).collect();
         let replay = snapshot.replay_sampled(&mut set, plan)?;
-        let timings = models
+        Ok((
+            CoreModel::timings_of(models, &set.into_inner(), backend),
+            replay,
+        ))
+    }
+
+    /// Per-design timings from tools that observed one shared replay:
+    /// `tools[i]` is `models[i]`'s [`CoreModel::fetch_tools`], and the
+    /// timings come back in `models` order.
+    pub fn timings_of(
+        models: &[CoreModel],
+        tools: &[FetchTools],
+        backend: &BackendProfile,
+    ) -> Vec<CoreTiming> {
+        models
             .iter()
-            .zip(set.into_inner())
-            .map(|(model, tools)| model.timing_of(&tools, backend))
-            .collect();
-        Ok((timings, replay))
+            .zip(tools)
+            .map(|(model, tools)| model.timing_of(tools, backend))
+            .collect()
     }
 
     /// Derives per-section CPI from already-replayed backend-selected
@@ -452,42 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn measure_many_cached_matches_live_measurement() {
-        let w = find("MG").unwrap();
-        let trace = w.trace(Scale::Smoke).unwrap();
-        let backend = w.profile().backend;
-        let models = [
-            CoreModel::new(CoreKind::Baseline),
-            CoreModel::new(CoreKind::Tailored),
-        ];
-        let live = CoreModel::measure_many(&models, &trace, &backend);
-
-        let cache = TraceCache::scratch().unwrap();
-        let key = w.trace_key(Scale::Smoke);
-        let (cold, rep_cold) = CoreModel::measure_many_cached(
-            &models,
-            &cache,
-            &key,
-            || w.trace(Scale::Smoke),
-            &backend,
-        )
-        .unwrap();
-        let (warm, rep_warm) = CoreModel::measure_many_cached(
-            &models,
-            &cache,
-            &key,
-            || w.trace(Scale::Smoke),
-            &backend,
-        )
-        .unwrap();
-        assert!(!rep_cold.from_cache && rep_warm.from_cache);
-        assert_eq!(cold, live, "recording replay measures identically");
-        assert_eq!(warm, live, "decoded replay measures identically");
-        assert_eq!(cache.stats().generations, 1);
-        let _ = std::fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
     fn sampled_measurement_degenerates_to_full_replay() {
         use rebalance_trace::SamplingConfig;
 
@@ -500,11 +445,7 @@ mod tests {
         let trace = w.trace(Scale::Smoke).unwrap();
         let full = CoreModel::measure_many(&models, &trace, &backend);
 
-        let cache = TraceCache::scratch().unwrap();
-        let key = w.trace_key(Scale::Smoke);
-        let bytes = cache
-            .snapshot_bytes(&key, || w.trace(Scale::Smoke))
-            .unwrap();
+        let (bytes, _) = rebalance_trace::snapshot::snapshot_bytes(&trace, 0).unwrap();
         let snapshot = Snapshot::parse(&bytes).unwrap();
         let total = snapshot.info().summary.instructions;
         let cfg = SamplingConfig::default().with_intervals(10).with_k(32);
@@ -516,7 +457,6 @@ mod tests {
             CoreModel::measure_many_sampled(&models, &snapshot, &plan, &backend).unwrap();
         assert_eq!(timings, full, "degenerate sampling is bit-identical");
         assert_eq!(replay.delivered_instructions, total);
-        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]

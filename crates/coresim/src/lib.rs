@@ -38,7 +38,7 @@ mod fetch_model;
 mod penalties;
 
 pub use cmp_sim::{
-    simulate_floorplans, simulate_floorplans_cached, CmpResult, CmpSim, PARALLEL_THREADS,
+    floorplan_models, floorplan_results, simulate_floorplans, CmpResult, CmpSim, PARALLEL_THREADS,
 };
 pub use core_model::{CoreModel, CoreTiming, FrontendTools, SectionCpi};
 pub use fetch_model::{FetchModelKind, FetchTools};

@@ -10,7 +10,7 @@ use rebalance_mcpat::CmpFloorplan;
 use rebalance_workloads::{Scale, Workload};
 use serde::{Deserialize, Serialize};
 
-use crate::util::{f2, Run, TextTable};
+use crate::util::{f2, Run, RunError, TextTable};
 
 /// One labelled measurement.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -56,7 +56,7 @@ fn workload(name: &str) -> Workload {
 /// Ablation 1: loop-BP entry count (16..256) on a loop-heavy workload,
 /// all variants fanned out over a single replay.
 /// The paper's 64-entry/512 B choice should sit at the knee.
-pub fn lbp_entries(run: &Run, scale: Scale) -> Ablation {
+pub fn lbp_entries(run: &Run, scale: Scale) -> Result<Ablation, RunError> {
     let w = workload("imagick");
     let variants = [0usize, 16, 64, 256];
     let sims: Vec<PredictorSim<Box<dyn DirectionPredictor>>> = variants
@@ -70,7 +70,7 @@ pub fn lbp_entries(run: &Run, scale: Scale) -> Ablation {
             PredictorSim::new(predictor)
         })
         .collect();
-    let (sims, _) = run.fan_out(&w, scale, sims);
+    let (sims, _) = run.fan_out(&w, scale, sims)?;
     let points = variants
         .iter()
         .zip(&sims)
@@ -87,16 +87,16 @@ pub fn lbp_entries(run: &Run, scale: Scale) -> Ablation {
             }
         })
         .collect();
-    Ablation {
+    Ok(Ablation {
         name: "loop-BP entries (imagick, small tournament base)".into(),
         metrics: ("branch MPKI".into(), "budget bytes".into()),
         points,
-    }
+    })
 }
 
 /// Ablation 2: TAGE tagged-table count at fixed per-table size.
 /// The paper's small TAGE keeps only two tables (histories 4 and 16).
-pub fn tage_tables(run: &Run, scale: Scale) -> Ablation {
+pub fn tage_tables(run: &Run, scale: Scale) -> Result<Ablation, RunError> {
     let w = workload("CoEVP");
     let histories: [&[u32]; 4] = [
         &[4, 16],
@@ -115,7 +115,7 @@ pub fn tage_tables(run: &Run, scale: Scale) -> Ablation {
             }))
         })
         .collect();
-    let (sims, _) = run.fan_out(&w, scale, sims);
+    let (sims, _) = run.fan_out(&w, scale, sims)?;
     let points = histories
         .iter()
         .zip(&sims)
@@ -128,16 +128,16 @@ pub fn tage_tables(run: &Run, scale: Scale) -> Ablation {
             }
         })
         .collect();
-    Ablation {
+    Ok(Ablation {
         name: "TAGE tagged-table count (CoEVP)".into(),
         metrics: ("branch MPKI".into(), "budget bytes".into()),
         points,
-    }
+    })
 }
 
 /// Ablation 3: wide lines vs narrow lines + an explicit next-line
 /// prefetcher (the paper argues a wide line *is* a prefetch buffer).
-pub fn line_vs_prefetch(run: &Run, scale: Scale) -> Ablation {
+pub fn line_vs_prefetch(run: &Run, scale: Scale) -> Result<Ablation, RunError> {
     let w = workload("LULESH");
     let configs: [(&str, CacheConfig, bool); 3] = [
         ("16KB/64B", CacheConfig::new(16 * 1024, 64, 8), false),
@@ -159,7 +159,7 @@ pub fn line_vs_prefetch(run: &Run, scale: Scale) -> Ablation {
             }
         })
         .collect();
-    let (sims, _) = run.fan_out(&w, scale, sims);
+    let (sims, _) = run.fan_out(&w, scale, sims)?;
     let points = configs
         .iter()
         .zip(&sims)
@@ -172,23 +172,23 @@ pub fn line_vs_prefetch(run: &Run, scale: Scale) -> Ablation {
             }
         })
         .collect();
-    Ablation {
+    Ok(Ablation {
         name: "wide lines vs next-line prefetch (LULESH)".into(),
         metrics: ("I-cache MPKI".into(), "usefulness".into()),
         points,
-    }
+    })
 }
 
 /// Ablation 4: BTB associativity at 256 entries — the paper notes high
 /// associativity is needed with simple modulo indexing (ExMatEx).
-pub fn btb_associativity(run: &Run, scale: Scale) -> Ablation {
+pub fn btb_associativity(run: &Run, scale: Scale) -> Result<Ablation, RunError> {
     let w = workload("CoEVP");
     let assocs = [1usize, 2, 4, 8];
     let sims: Vec<BtbSim> = assocs
         .iter()
         .map(|&assoc| BtbSim::new(BtbConfig::new(256, assoc)))
         .collect();
-    let (sims, _) = run.fan_out(&w, scale, sims);
+    let (sims, _) = run.fan_out(&w, scale, sims)?;
     let points = assocs
         .iter()
         .zip(&sims)
@@ -201,17 +201,17 @@ pub fn btb_associativity(run: &Run, scale: Scale) -> Ablation {
             }
         })
         .collect();
-    Ablation {
+    Ok(Ablation {
         name: "BTB associativity at 256 entries (CoEVP)".into(),
         metrics: ("BTB MPKI".into(), "miss rate".into()),
         points,
-    }
+    })
 }
 
 /// Section III-D scaling study: as core counts grow, serial sections
 /// dominate and the asymmetric design's advantage over an all-tailored
 /// chip grows with them.
-pub fn thread_scaling(run: &Run, scale: Scale) -> Ablation {
+pub fn thread_scaling(run: &Run, scale: Scale) -> Result<Ablation, RunError> {
     let workload = workload("CoEVP");
     let core_counts = [8usize, 16, 32, 64];
     // All eight floorplans reuse one trace replay: the core designs are
@@ -226,7 +226,7 @@ pub fn thread_scaling(run: &Run, scale: Scale) -> Ablation {
             ]
         })
         .collect();
-    let results = run.floorplans(&sims, &workload, scale);
+    let results = run.floorplans(&sims, &workload, scale)?;
     let points = core_counts
         .iter()
         .zip(results.chunks_exact(2))
@@ -239,25 +239,29 @@ pub fn thread_scaling(run: &Run, scale: Scale) -> Ablation {
             }
         })
         .collect();
-    Ablation {
+    Ok(Ablation {
         name: "asymmetric advantage vs core count (CoEVP, 35% serial)".into(),
         metrics: (
             "tailored/asymmetric time".into(),
             "serial share of time".into(),
         ),
         points,
-    }
+    })
 }
 
 /// Runs every ablation.
-pub fn run_all(run: &Run, scale: Scale) -> Vec<Ablation> {
-    vec![
-        lbp_entries(run, scale),
-        tage_tables(run, scale),
-        line_vs_prefetch(run, scale),
-        btb_associativity(run, scale),
-        thread_scaling(run, scale),
-    ]
+///
+/// # Errors
+///
+/// The first ablation's [`RunError`].
+pub fn run_all(run: &Run, scale: Scale) -> Result<Vec<Ablation>, RunError> {
+    Ok(vec![
+        lbp_entries(run, scale)?,
+        tage_tables(run, scale)?,
+        line_vs_prefetch(run, scale)?,
+        btb_associativity(run, scale)?,
+        thread_scaling(run, scale)?,
+    ])
 }
 
 #[cfg(test)]
@@ -268,7 +272,7 @@ mod tests {
 
     #[test]
     fn lbp_entries_improve_then_saturate() {
-        let a = lbp_entries(&Run::default(), SCALE);
+        let a = lbp_entries(&Run::default(), SCALE).unwrap();
         assert_eq!(a.points.len(), 4);
         let no_lbp = a.points[0].value;
         let with64 = a.points[2].value;
@@ -284,7 +288,7 @@ mod tests {
 
     #[test]
     fn more_tage_tables_never_hurt_much() {
-        let a = tage_tables(&Run::default(), SCALE);
+        let a = tage_tables(&Run::default(), SCALE).unwrap();
         let two = a.points[0].value;
         let twelve = a.points[3].value;
         assert!(twelve <= two * 1.1 + 0.2, "12 tables {twelve} vs 2 {two}");
@@ -294,7 +298,7 @@ mod tests {
 
     #[test]
     fn wide_lines_match_prefetching_on_hpc() {
-        let a = line_vs_prefetch(&Run::default(), SCALE);
+        let a = line_vs_prefetch(&Run::default(), SCALE).unwrap();
         let plain = a.points[0].value;
         let prefetch = a.points[1].value;
         let wide = a.points[2].value;
@@ -305,7 +309,7 @@ mod tests {
 
     #[test]
     fn btb_associativity_monotone_for_exmatex() {
-        let a = btb_associativity(&Run::default(), SCALE);
+        let a = btb_associativity(&Run::default(), SCALE).unwrap();
         let direct = a.points[0].value;
         let eight = a.points[3].value;
         assert!(
@@ -316,7 +320,7 @@ mod tests {
 
     #[test]
     fn asymmetric_advantage_grows_with_cores() {
-        let a = thread_scaling(&Run::default(), Scale::Custom(0.12));
+        let a = thread_scaling(&Run::default(), Scale::Custom(0.12)).unwrap();
         assert_eq!(a.points.len(), 4);
         let at8 = &a.points[0];
         let at64 = &a.points[3];

@@ -4,7 +4,7 @@ use rebalance_frontend::{BtbConfig, BtbSim, CacheConfig, ICacheSim};
 use rebalance_workloads::{Scale, Suite, Workload};
 use serde::{Deserialize, Serialize};
 
-use crate::util::{f2, mean, Run, TextTable};
+use crate::util::{f2, mean, Run, RunError, TextTable};
 
 /// One Figure 7 row: per-suite BTB MPKI for one geometry.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -63,12 +63,12 @@ pub fn fig7_configs() -> Vec<BtbConfig> {
 }
 
 /// Runs Figure 7 (all geometries in one trace pass per workload).
-pub fn fig7(run: &Run, scale: Scale) -> Fig7 {
+pub fn fig7(run: &Run, scale: Scale) -> Result<Fig7, RunError> {
     let configs = fig7_configs();
     let results: Vec<(Workload, Vec<f64>)> = run
         .sweep(run.roster(), scale, |_| {
             configs.iter().map(|c| BtbSim::new(*c)).collect()
-        })
+        })?
         .into_iter()
         .map(|o| {
             let mpki = o.tools.iter().map(|s| s.report().total().mpki()).collect();
@@ -95,7 +95,7 @@ pub fn fig7(run: &Run, scale: Scale) -> Fig7 {
             }
         })
         .collect();
-    Fig7 { rows }
+    Ok(Fig7 { rows })
 }
 
 /// One Figure 8 row: per-suite I-cache MPKI for one geometry (64 B line).
@@ -144,7 +144,7 @@ impl Fig8 {
 }
 
 /// Runs Figure 8.
-pub fn fig8(run: &Run, scale: Scale) -> Fig8 {
+pub fn fig8(run: &Run, scale: Scale) -> Result<Fig8, RunError> {
     let mut configs = Vec::new();
     for size_kb in [8, 16, 32] {
         for assoc in [2, 4, 8] {
@@ -154,7 +154,7 @@ pub fn fig8(run: &Run, scale: Scale) -> Fig8 {
     let results: Vec<(Workload, Vec<f64>)> = run
         .sweep(run.roster(), scale, |_| {
             configs.iter().map(|c| ICacheSim::new(*c)).collect()
-        })
+        })?
         .into_iter()
         .map(|o| {
             let mpki = o.tools.iter().map(|s| s.report().total().mpki()).collect();
@@ -181,7 +181,7 @@ pub fn fig8(run: &Run, scale: Scale) -> Fig8 {
             }
         })
         .collect();
-    Fig8 { rows }
+    Ok(Fig8 { rows })
 }
 
 /// The benchmarks Figure 9 highlights.
@@ -232,7 +232,7 @@ impl Fig9 {
 
 /// Runs Figure 9 over the highlighted subset: all nine line/assoc
 /// geometries share one replay per workload.
-pub fn fig9(run: &Run, scale: Scale) -> Fig9 {
+pub fn fig9(run: &Run, scale: Scale) -> Result<Fig9, RunError> {
     let mut configs = Vec::new();
     for line in [32, 64, 128] {
         for assoc in [2, 4, 8] {
@@ -248,7 +248,7 @@ pub fn fig9(run: &Run, scale: Scale) -> Fig9 {
     let rows = run
         .sweep(subset, scale, |_| {
             configs.iter().map(|c| ICacheSim::new(*c)).collect()
-        })
+        })?
         .into_iter()
         .flat_map(|o| {
             o.tools
@@ -266,7 +266,7 @@ pub fn fig9(run: &Run, scale: Scale) -> Fig9 {
                 .collect::<Vec<_>>()
         })
         .collect();
-    Fig9 { rows }
+    Ok(Fig9 { rows })
 }
 
 #[cfg(test)]
@@ -275,7 +275,7 @@ mod tests {
 
     #[test]
     fn fig7_shapes() {
-        let f = fig7(&Run::default(), Scale::Smoke);
+        let f = fig7(&Run::default(), Scale::Smoke).unwrap();
         assert_eq!(f.rows.len(), 9);
         // HPC is insensitive to BTB size (paper Implication 2): 256 vs
         // 1K entries changes NPB MPKI very little.
@@ -293,7 +293,7 @@ mod tests {
 
     #[test]
     fn fig8_shapes() {
-        let f = fig8(&Run::default(), Scale::Smoke);
+        let f = fig8(&Run::default(), Scale::Smoke).unwrap();
         assert_eq!(f.rows.len(), 9);
         // Sizes matter for desktop: 8KB much worse than 32KB.
         // Smoke-scale traces keep a warmup component, flattening the
@@ -319,7 +319,7 @@ mod tests {
 
     #[test]
     fn fig9_usefulness_contrast() {
-        let f = fig9(&Run::default(), Scale::Smoke);
+        let f = fig9(&Run::default(), Scale::Smoke).unwrap();
         assert_eq!(f.rows.len(), 5 * 9);
         // HPC keeps wide lines useful; desktop wastes them.
         let use_of = |w: &str| {

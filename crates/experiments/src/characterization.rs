@@ -8,7 +8,7 @@ use rebalance_workloads::{KernelSpec, Scale, Suite, Workload};
 use serde::{Deserialize, Serialize};
 
 use crate::paper;
-use crate::util::{f1, mean, pct, Run, TextTable};
+use crate::util::{f1, mean, pct, Run, RunError, TextTable};
 
 /// Which bars a row describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -333,11 +333,13 @@ fn bars_for(suite: Suite) -> Vec<Bars> {
 /// [`Run::characterize_workload`] feeds all five pintools from a
 /// single replay (served from the run's trace cache when it has one),
 /// and workloads run in parallel on the run engine's executor.
-pub fn run(run: &Run, scale: Scale) -> CharacterizationSet {
+pub fn run(run: &Run, scale: Scale) -> Result<CharacterizationSet, RunError> {
     let workloads = run.roster();
     let characterized = run
         .engine
-        .map(&workloads, |w| run.characterize_workload(w, scale));
+        .map(&workloads, |w| run.characterize_workload(w, scale))
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     let results: Vec<(Workload, Characterization)> =
         workloads.into_iter().zip(characterized).collect();
 
@@ -456,13 +458,13 @@ pub fn run(run: &Run, scale: Scale) -> CharacterizationSet {
         });
     }
 
-    CharacterizationSet {
+    Ok(CharacterizationSet {
         fig1: Fig1 { rows: fig1 },
         fig2: Fig2 { rows: fig2 },
         table1: Table1 { rows: table1 },
         fig3: Fig3 { rows: fig3 },
         fig4: Fig4 { rows: fig4 },
-    }
+    })
 }
 
 /// One kernel-archetype row: measured characterization next to the
@@ -538,11 +540,13 @@ impl KernelsSet {
 /// Runs the characterization pass over the kernel-archetype roster
 /// only, one engine item per workload, reporting measured values
 /// against each [`KernelSpec`]'s design targets.
-pub fn kernels(run: &Run, scale: Scale) -> KernelsSet {
+pub fn kernels(run: &Run, scale: Scale) -> Result<KernelsSet, RunError> {
     let workloads = run.filtered(rebalance_workloads::kernels());
     let characterized = run
         .engine
-        .map(&workloads, |w| run.characterize_workload(w, scale));
+        .map(&workloads, |w| run.characterize_workload(w, scale))
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     let rows = workloads
         .iter()
         .zip(characterized)
@@ -569,7 +573,7 @@ pub fn kernels(run: &Run, scale: Scale) -> KernelsSet {
             }
         })
         .collect();
-    KernelsSet { rows }
+    Ok(KernelsSet { rows })
 }
 
 #[cfg(test)]
@@ -577,7 +581,7 @@ mod tests {
     use super::*;
 
     fn smoke_set() -> CharacterizationSet {
-        run(&Run::default(), Scale::Smoke)
+        run(&Run::default(), Scale::Smoke).unwrap()
     }
 
     #[test]
@@ -708,7 +712,7 @@ mod tests {
 
     #[test]
     fn kernels_sweep_reports_measured_vs_targets() {
-        let set = kernels(&Run::default(), Scale::Smoke);
+        let set = kernels(&Run::default(), Scale::Smoke).unwrap();
         assert!(set.rows.len() >= 6, "six archetypes minimum");
         for r in &set.rows {
             assert!(r.branch_fraction > 0.0, "{}", r.workload);

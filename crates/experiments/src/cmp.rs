@@ -7,7 +7,7 @@ use rebalance_workloads::{Scale, Suite, Workload};
 use serde::{Deserialize, Serialize};
 
 use crate::paper;
-use crate::util::{f2, mean, Run, TextTable};
+use crate::util::{f2, mean, Run, RunError, TextTable};
 
 /// The four Figure 10 CMP simulators.
 fn figure10_sims() -> Vec<CmpSim> {
@@ -189,15 +189,19 @@ pub struct CmpRun {
 /// floorplans share one trace replay per workload
 /// ([`Run::floorplans`], cache-served when the run has a cache), and
 /// workloads run in parallel.
-pub fn run_cmps(run: &Run, scale: Scale) -> Vec<CmpRun> {
+pub fn run_cmps(run: &Run, scale: Scale) -> Result<Vec<CmpRun>, RunError> {
     let sims = figure10_sims();
     run.for_all_workloads(|w| run.floorplans(&sims, w, scale))
         .into_iter()
-        .map(|(w, results): (Workload, Vec<CmpResult>)| CmpRun {
-            workload: w.name().to_owned(),
-            suite: w.suite(),
-            results,
-        })
+        .map(
+            |(w, results): (Workload, Result<Vec<CmpResult>, RunError>)| {
+                Ok(CmpRun {
+                    workload: w.name().to_owned(),
+                    suite: w.suite(),
+                    results: results?,
+                })
+            },
+        )
         .collect()
 }
 
@@ -231,8 +235,8 @@ pub fn fig10_from_runs(runs: &[CmpRun]) -> Fig10 {
 }
 
 /// Runs Figure 10 end to end.
-pub fn fig10(run: &Run, scale: Scale) -> Fig10 {
-    fig10_from_runs(&run_cmps(run, scale))
+pub fn fig10(run: &Run, scale: Scale) -> Result<Fig10, RunError> {
+    Ok(fig10_from_runs(&run_cmps(run, scale)?))
 }
 
 /// The benchmarks Figure 11 highlights.
@@ -280,7 +284,7 @@ impl Fig11 {
 
 /// Runs Figure 11 over the highlighted subset (one shared replay per
 /// workload across the four floorplans).
-pub fn fig11(run: &Run, scale: Scale) -> Fig11 {
+pub fn fig11(run: &Run, scale: Scale) -> Result<Fig11, RunError> {
     let sims = figure10_sims();
     let subset = run.filtered(
         FIG11_WORKLOADS
@@ -289,20 +293,21 @@ pub fn fig11(run: &Run, scale: Scale) -> Fig11 {
             .collect(),
     );
     let rows = run.engine.map(&subset, |w| {
-        let results = run.floorplans(&sims, w, scale);
+        let results = run.floorplans(&sims, w, scale)?;
         let base = results[0].time_s;
-        results
+        Ok(results
             .into_iter()
             .map(|r| Fig11Row {
                 workload: w.name().to_owned(),
                 floorplan: r.floorplan,
                 time: r.time_s / base,
             })
-            .collect::<Vec<_>>()
+            .collect::<Vec<_>>())
     });
-    Fig11 {
+    let rows = rows.into_iter().collect::<Result<Vec<_>, RunError>>()?;
+    Ok(Fig11 {
         rows: rows.into_iter().flatten().collect(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -336,7 +341,7 @@ mod tests {
 
     #[test]
     fn fig10_smoke_shape() {
-        let f = fig10(&Run::default(), Scale::Smoke);
+        let f = fig10(&Run::default(), Scale::Smoke).unwrap();
         assert_eq!(f.rows.len(), Suite::COUNT * 4);
         // Baseline rows are exactly 1.0 (self-normalized).
         for suite in Suite::ALL {
@@ -358,7 +363,7 @@ mod tests {
 
     #[test]
     fn fig11_smoke_shape() {
-        let f = fig11(&Run::default(), Scale::Smoke);
+        let f = fig11(&Run::default(), Scale::Smoke).unwrap();
         assert_eq!(f.rows.len(), 6 * 4);
         // FT is a large Asymmetric++ winner.
         let ft = f.time("FT", "1B+8T").unwrap();

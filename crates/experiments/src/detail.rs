@@ -5,7 +5,7 @@
 use rebalance_workloads::{Scale, Suite};
 use serde::{Deserialize, Serialize};
 
-use crate::util::{f1, pct, Run, TextTable};
+use crate::util::{f1, pct, Run, RunError, TextTable};
 
 /// One benchmark's headline characterization numbers.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -81,16 +81,16 @@ impl Detail {
 }
 
 /// Characterizes every roster benchmark individually.
-pub fn run(run: &Run, scale: Scale) -> Detail {
+pub fn run(run: &Run, scale: Scale) -> Result<Detail, RunError> {
     let rows = run
         .for_all_workloads(|w| {
-            let c = run.characterize_workload(w, scale);
+            let c = run.characterize_workload(w, scale)?;
             let mix = c.mix.total();
             let branches = mix.branches().max(1);
             use rebalance_isa::BranchKind;
             let indirect =
                 mix.count(BranchKind::IndirectBranch) + mix.count(BranchKind::IndirectCall);
-            DetailRow {
+            Ok(DetailRow {
                 workload: w.name().to_owned(),
                 suite: w.suite(),
                 branch_fraction: mix.branch_fraction(),
@@ -101,12 +101,12 @@ pub fn run(run: &Run, scale: Scale) -> Detail {
                 dyn99_kb: c.footprint.total.dyn99_kb(),
                 bbl_bytes: c.basic_blocks.total().avg_block_bytes(),
                 serial_share: w.profile().serial_fraction,
-            }
+            })
         })
         .into_iter()
         .map(|(_, row)| row)
-        .collect();
-    Detail { rows }
+        .collect::<Result<_, RunError>>()?;
+    Ok(Detail { rows })
 }
 
 #[cfg(test)]
@@ -115,7 +115,7 @@ mod tests {
 
     #[test]
     fn named_paper_observations_hold_per_benchmark() {
-        let d = run(&Run::default(), Scale::Smoke);
+        let d = run(&Run::default(), Scale::Smoke).unwrap();
         assert_eq!(d.rows.len(), rebalance_workloads::all().len());
 
         // BT has the longest basic blocks of the *study* (~312 B); our
@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_names() {
-        let d = run(&Run::default(), Scale::Smoke);
+        let d = run(&Run::default(), Scale::Smoke).unwrap();
         let text = d.render();
         for w in rebalance_workloads::all() {
             assert!(text.contains(w.name()), "{} missing", w.name());

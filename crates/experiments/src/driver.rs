@@ -1,12 +1,12 @@
 //! The exhibit driver behind the `rebalance paper` subcommand: name →
 //! regenerator dispatch, scale parsing, and optional JSON dumping.
 
-use std::io::{self, Write};
+use std::io::Write;
 use std::path::Path;
 
 use rebalance_workloads::Scale;
 
-use crate::util::Run;
+use crate::util::{Run, RunError};
 use crate::{ablations, caches, characterization, cmp, detail, fetchsim, predictors, sampling};
 
 /// Every exhibit name the driver understands, in paper order (the
@@ -109,21 +109,26 @@ fn dump_json<T: serde::Serialize>(dir: Option<&Path>, name: &str, value: &T) {
 ///
 /// # Errors
 ///
-/// Propagates write failures on `out`.
+/// The first exhibit's replay failure ([`RunError::Replay`]), or a
+/// write failure on `out` ([`RunError::Write`]).
 pub fn run_exhibits(
     run: &Run,
     exhibits: &[String],
     scale: Scale,
     json_dir: Option<&Path>,
     out: &mut dyn Write,
-) -> io::Result<()> {
+) -> Result<(), RunError> {
     let needs_characterization = exhibits
         .iter()
         .any(|e| matches!(e.as_str(), "fig1" | "fig2" | "table1" | "fig3" | "fig4"));
-    let characterization_set = needs_characterization.then(|| characterization::run(run, scale));
+    let characterization_set = needs_characterization
+        .then(|| characterization::run(run, scale))
+        .transpose()?;
 
     let needs_cmp_runs = exhibits.iter().any(|e| e == "fig10");
-    let cmp_runs = needs_cmp_runs.then(|| cmp::run_cmps(run, scale));
+    let cmp_runs = needs_cmp_runs
+        .then(|| cmp::run_cmps(run, scale))
+        .transpose()?;
 
     for exhibit in exhibits {
         let text = match exhibit.as_str() {
@@ -158,27 +163,27 @@ pub fn run_exhibits(
                 t.render()
             }
             "fig5" => {
-                let f = predictors::fig5(run, scale);
+                let f = predictors::fig5(run, scale)?;
                 dump_json(json_dir, "fig5", &f);
                 f.render()
             }
             "fig6" => {
-                let f = predictors::fig6(run, scale);
+                let f = predictors::fig6(run, scale)?;
                 dump_json(json_dir, "fig6", &f);
                 f.render()
             }
             "fig7" => {
-                let f = caches::fig7(run, scale);
+                let f = caches::fig7(run, scale)?;
                 dump_json(json_dir, "fig7", &f);
                 f.render()
             }
             "fig8" => {
-                let f = caches::fig8(run, scale);
+                let f = caches::fig8(run, scale)?;
                 dump_json(json_dir, "fig8", &f);
                 f.render()
             }
             "fig9" => {
-                let f = caches::fig9(run, scale);
+                let f = caches::fig9(run, scale)?;
                 dump_json(json_dir, "fig9", &f);
                 f.render()
             }
@@ -195,34 +200,34 @@ pub fn run_exhibits(
                 f.render()
             }
             "fig11" => {
-                let f = cmp::fig11(run, scale);
+                let f = cmp::fig11(run, scale)?;
                 dump_json(json_dir, "fig11", &f);
                 f.render()
             }
             "detail" => {
-                let d = detail::run(run, scale);
+                let d = detail::run(run, scale)?;
                 dump_json(json_dir, "detail", &d);
                 d.render()
             }
             "kernels" => {
-                let c = characterization::kernels(run, scale);
-                let p = predictors::kernels_sweep(run, scale);
+                let c = characterization::kernels(run, scale)?;
+                let p = predictors::kernels_sweep(run, scale)?;
                 dump_json(json_dir, "kernels_characterization", &c);
                 dump_json(json_dir, "kernels_predictors", &p);
                 format!("{}\n{}", c.render(), p.render())
             }
             "fetchsim" => {
-                let f = fetchsim::run(run, scale);
+                let f = fetchsim::run(run, scale)?;
                 dump_json(json_dir, "fetchsim", &f);
                 f.render()
             }
             "sampling" => {
-                let s = sampling::run(run, scale);
+                let s = sampling::run(run, scale)?;
                 dump_json(json_dir, "sampling", &s);
                 s.render()
             }
             "ablations" => {
-                let all = ablations::run_all(run, scale);
+                let all = ablations::run_all(run, scale)?;
                 dump_json(json_dir, "ablations", &all);
                 all.iter()
                     .map(|a| a.render())
@@ -279,6 +284,53 @@ mod tests {
         assert_eq!(parse_scale("-1"), None);
         assert_eq!(parse_scale("nan"), None);
         assert_eq!(parse_scale("bogus"), None);
+    }
+
+    /// Every replay an exhibit makes is counted by the run's engine: on
+    /// a fresh cached run, the report's replays are exactly the cache's
+    /// hits plus generations, and its lanes are exactly the events the
+    /// exhibit's tools observed — one full replay per roster workload.
+    #[test]
+    fn exhibits_account_for_every_replay_in_the_run_report() {
+        use rebalance_trace::TraceCache;
+        use rebalance_workloads::Suite;
+
+        for exhibit in ["fig1", "fig10", "detail"] {
+            let mut run = Run::default();
+            run.suite = Some(Suite::Npb);
+            run.cache = Some(TraceCache::scratch().unwrap());
+            run_exhibits(
+                &run,
+                &[exhibit.to_owned()],
+                Scale::Smoke,
+                None,
+                &mut std::io::sink(),
+            )
+            .unwrap();
+            let report = run.report();
+            let cache = report.cache.unwrap();
+            let roster = run.roster();
+            let events: u64 = roster
+                .iter()
+                .map(|w| {
+                    let trace = w.trace(Scale::Smoke).unwrap();
+                    trace.schedule().total_instructions()
+                })
+                .sum();
+            assert!(report.replays > 0, "{exhibit}: {report}");
+            assert_eq!(report.replays, roster.len() as u64, "{exhibit}: {report}");
+            assert_eq!(
+                report.replays,
+                cache.hits + cache.generations,
+                "{exhibit}: {report}"
+            );
+            assert_eq!(
+                report.lanes.unwrap().instructions,
+                events,
+                "{exhibit}: {report}"
+            );
+            let _ = std::fs::remove_dir_all(run.cache.as_ref().unwrap().dir());
+        }
     }
 
     #[test]

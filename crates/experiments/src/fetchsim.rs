@@ -16,7 +16,7 @@ use rebalance_frontend::{BtbConfig, FrontendConfig};
 use rebalance_workloads::{Scale, Suite, Workload};
 use serde::{Deserialize, Serialize};
 
-use crate::util::{f2, mean, Run, TextTable};
+use crate::util::{f2, mean, Run, RunError, TextTable};
 
 /// The default design grid: FTQ depth × fetch width × prefetch degree
 /// × BTB size, all on the baseline predictor/I-cache so the BTB axis
@@ -125,10 +125,10 @@ pub fn sweep_grid(
     workloads: Vec<Workload>,
     scale: Scale,
     grid: &[FetchConfig],
-) -> FetchsimSweep {
+) -> Result<FetchsimSweep, RunError> {
     let _fetchsim_span = rebalance_telemetry::span("fetchsim");
     let rows = run
-        .sweep_weighted(workloads, scale, |_| vec![FetchGrid::new(grid)])
+        .sweep_weighted(workloads, scale, |_| vec![FetchGrid::new(grid)])?
         .into_iter()
         .map(|o| FetchsimRow {
             workload: o.item.name().to_owned(),
@@ -140,10 +140,10 @@ pub fn sweep_grid(
                 .collect(),
         })
         .collect();
-    FetchsimSweep {
+    Ok(FetchsimSweep {
         configs: grid.iter().map(FetchConfig::label).collect(),
         rows,
-    }
+    })
 }
 
 /// One exhibit row: per-suite mean fetch bandwidth plus the mean stall
@@ -233,8 +233,13 @@ impl Fetchsim {
 
 /// Runs the exhibit: the default grid over the full roster (paper
 /// suites + kernel archetypes, narrowed by the active suite filter).
-pub fn run(run: &Run, scale: Scale) -> Fetchsim {
-    from_sweep(&sweep_grid(run, run.roster(), scale, &default_grid()))
+pub fn run(run: &Run, scale: Scale) -> Result<Fetchsim, RunError> {
+    Ok(from_sweep(&sweep_grid(
+        run,
+        run.roster(),
+        scale,
+        &default_grid(),
+    )?))
 }
 
 /// Aggregates a raw grid sweep into the per-suite exhibit.
@@ -290,7 +295,7 @@ mod tests {
 
     #[test]
     fn exhibit_reproduces_the_small_btb_claim() {
-        let f = run(&Run::default(), Scale::Smoke);
+        let f = run(&Run::default(), Scale::Smoke).unwrap();
         assert_eq!(f.rows.len(), 16);
         let hpc_kernels: Vec<Suite> = Suite::ALL
             .into_iter()
@@ -319,7 +324,7 @@ mod tests {
             rebalance_workloads::find("CG").unwrap(),
             rebalance_workloads::find("k.triad").unwrap(),
         ];
-        let s = sweep_grid(&Run::default(), ws, Scale::Smoke, &default_grid());
+        let s = sweep_grid(&Run::default(), ws, Scale::Smoke, &default_grid()).unwrap();
         assert_eq!(s.rows.len(), 2);
         assert_eq!(s.configs.len(), 16);
         let cell = s.summary("CG", "ftq16/w4/pf4/btb2048").unwrap();

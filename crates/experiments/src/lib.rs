@@ -32,7 +32,7 @@
 //! use rebalance_experiments::{characterization, util::Run};
 //! use rebalance_workloads::Scale;
 //!
-//! let set = characterization::run(&Run::default(), Scale::Smoke);
+//! let set = characterization::run(&Run::default(), Scale::Smoke).unwrap();
 //! // 3 HPC suites and the kernel archetypes get total/serial/parallel
 //! // bars; the sequentially-run SPEC CPU INT gets totals only.
 //! assert_eq!(set.fig1.rows.len(), 4 * 3 + 1);

@@ -6,7 +6,7 @@ use rebalance_workloads::{Scale, Suite, Workload};
 use serde::{Deserialize, Serialize};
 
 use crate::paper;
-use crate::util::{f2, mean, Run, TextTable};
+use crate::util::{f2, mean, Run, RunError, TextTable};
 
 /// Table II: the evaluated predictor parameterizations and their
 /// realized hardware budgets.
@@ -94,12 +94,12 @@ impl Fig5 {
 
 /// Runs Figure 5: all nine predictor configurations over every workload
 /// in one trace pass per workload.
-pub fn fig5(run: &Run, scale: Scale) -> Fig5 {
+pub fn fig5(run: &Run, scale: Scale) -> Result<Fig5, RunError> {
     let configs = PredictorChoice::figure5_set();
     let results: Vec<(Workload, Vec<PredictorReport>)> = run
         .sweep(run.roster(), scale, |_| {
             PredictorChoice::build_sims(&configs)
-        })
+        })?
         .into_iter()
         .map(|o| (o.item, o.tools.iter().map(PredictorSim::report).collect()))
         .collect();
@@ -123,7 +123,7 @@ pub fn fig5(run: &Run, scale: Scale) -> Fig5 {
             }
         })
         .collect();
-    Fig5 { rows }
+    Ok(Fig5 { rows })
 }
 
 /// One kernels-sweep row: per-configuration branch MPKI for one kernel
@@ -176,22 +176,22 @@ impl KernelsSweep {
 /// Runs the nine-configuration predictor sweep over the kernel
 /// archetypes, per workload instead of per suite (the archetypes are
 /// the point, not their mean).
-pub fn kernels_sweep(run: &Run, scale: Scale) -> KernelsSweep {
+pub fn kernels_sweep(run: &Run, scale: Scale) -> Result<KernelsSweep, RunError> {
     let configs = PredictorChoice::figure5_set();
     let rows = run
         .sweep(run.filtered(rebalance_workloads::kernels()), scale, |_| {
             PredictorChoice::build_sims(&configs)
-        })
+        })?
         .into_iter()
         .map(|o| KernelsSweepRow {
             workload: o.item.name().to_owned(),
             mpki: o.tools.iter().map(|s| s.report().total().mpki()).collect(),
         })
         .collect();
-    KernelsSweep {
+    Ok(KernelsSweep {
         configs: configs.iter().map(|c| c.label()).collect(),
         rows,
-    }
+    })
 }
 
 /// The benchmarks Figure 6 highlights.
@@ -267,7 +267,7 @@ impl Fig6 {
 
 /// Runs Figure 6 over the highlighted subset: all three gshare variants
 /// share one replay per workload.
-pub fn fig6(run: &Run, scale: Scale) -> Fig6 {
+pub fn fig6(run: &Run, scale: Scale) -> Result<Fig6, RunError> {
     let configs = [
         PredictorChoice::new(PredictorClass::Gshare, PredictorSize::Big, false),
         PredictorChoice::new(PredictorClass::Gshare, PredictorSize::Small, false),
@@ -280,7 +280,7 @@ pub fn fig6(run: &Run, scale: Scale) -> Fig6 {
             .collect(),
     );
     let rows = run
-        .sweep(subset, scale, |_| PredictorChoice::build_sims(&configs))
+        .sweep(subset, scale, |_| PredictorChoice::build_sims(&configs))?
         .into_iter()
         .flat_map(|o| {
             configs
@@ -306,7 +306,7 @@ pub fn fig6(run: &Run, scale: Scale) -> Fig6 {
                 .collect::<Vec<_>>()
         })
         .collect();
-    Fig6 { rows }
+    Ok(Fig6 { rows })
 }
 
 #[cfg(test)]
@@ -329,7 +329,7 @@ mod tests {
 
     #[test]
     fn fig5_shape_holds_at_smoke_scale() {
-        let f = fig5(&Run::default(), Scale::Smoke);
+        let f = fig5(&Run::default(), Scale::Smoke).unwrap();
         assert_eq!(f.rows.len(), 9);
         // Desktop worst for every configuration.
         for r in &f.rows {
@@ -349,7 +349,7 @@ mod tests {
 
     #[test]
     fn kernels_sweep_orders_archetypes_by_difficulty() {
-        let k = kernels_sweep(&Run::default(), Scale::Smoke);
+        let k = kernels_sweep(&Run::default(), Scale::Smoke).unwrap();
         assert_eq!(k.configs.len(), 9);
         assert!(k.rows.len() >= 6);
         // The streaming and stencil kernels are nearly perfectly
@@ -371,7 +371,7 @@ mod tests {
     fn fig6_covers_the_paper_subset() {
         // The loop BP needs several completed loop executions per site
         // to become confident; smoke-scale traces are too short.
-        let f = fig6(&Run::default(), Scale::Custom(0.12));
+        let f = fig6(&Run::default(), Scale::Custom(0.12)).unwrap();
         assert_eq!(f.rows.len(), 9 * 3);
         // imagick/botsspar: the loop BP should remove most taken-backward
         // misses (constant trip counts).

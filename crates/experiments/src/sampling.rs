@@ -17,7 +17,7 @@ use rebalance_trace::SamplingConfig;
 use rebalance_workloads::{Scale, Suite, Workload};
 use serde::{Deserialize, Serialize};
 
-use crate::util::{f2, mean, pct, Run, TextTable};
+use crate::util::{f2, mean, pct, Run, RunError, TextTable};
 
 /// Relative CPI error bound the sampled replay must hold (±2%).
 pub const CPI_BAND: f64 = 0.02;
@@ -286,7 +286,7 @@ pub fn run_subset(
     workloads: Vec<Workload>,
     scale: Scale,
     config: &SamplingConfig,
-) -> SamplingExhibit {
+) -> Result<SamplingExhibit, RunError> {
     let models = [
         ("penalty", CoreModel::new(CoreKind::Baseline)),
         (
@@ -301,8 +301,8 @@ pub fn run_subset(
             .collect::<Vec<_>>()
     };
 
-    let full = run.sweep(workloads.clone(), scale, tools_for);
-    let sampled = run.sweep_sampled(config, workloads, scale, tools_for);
+    let full = run.sweep(workloads.clone(), scale, tools_for)?;
+    let sampled = run.sweep_sampled(config, workloads, scale, tools_for)?;
 
     let mut rows = Vec::new();
     for (f, s) in full.iter().zip(&sampled) {
@@ -338,16 +338,16 @@ pub fn run_subset(
             });
         }
     }
-    SamplingExhibit {
+    Ok(SamplingExhibit {
         config: *config,
         rows,
-    }
+    })
 }
 
 /// Runs the exhibit over the full roster (paper suites + kernel
 /// archetypes, narrowed by the run's suite filter) with the run's
 /// sampling configuration (`--sample`/`--sample-k`) or the defaults.
-pub fn run(run: &Run, scale: Scale) -> SamplingExhibit {
+pub fn run(run: &Run, scale: Scale) -> Result<SamplingExhibit, RunError> {
     let config = run.sampling.unwrap_or_default();
     run_subset(run, run.roster(), scale, &config)
 }
@@ -375,7 +375,7 @@ mod tests {
             rebalance_workloads::find("k.triad").unwrap(),
         ];
         let config = SamplingConfig::default();
-        let ex = run_subset(&Run::default(), ws, Scale::Smoke, &config);
+        let ex = run_subset(&Run::default(), ws, Scale::Smoke, &config).unwrap();
         assert_eq!(ex.rows.len(), 6, "two models per workload");
         for r in &ex.rows {
             assert!(

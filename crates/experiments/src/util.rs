@@ -5,24 +5,78 @@
 //! value: its sweep engine (one replay tally, one thread pool), its
 //! optional on-disk [`TraceCache`], the suite filter, the sampling
 //! geometry and the CPI fetch model. The CLI (or a test) builds it once
-//! and passes it by reference; every experiment routes its replays
-//! through its methods, and [`Run::report`] accounts for the whole run
-//! in a single [`Report`].
+//! and passes it by reference; every experiment replays through its
+//! methods, which all reach the engine through [`Run::replay`] (or, for
+//! phase-sampled sweeps, [`Run::sweep_sampled`]), so [`Run::report`]
+//! accounts for every replay of the run in a single [`Report`].
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::io;
 use std::sync::OnceLock;
 
 use rebalance_coresim::{
-    simulate_floorplans, simulate_floorplans_cached, CmpResult, CmpSim, FetchModelKind,
+    floorplan_models, floorplan_results, CmpResult, CmpSim, CoreModel, FetchModelKind,
 };
 use rebalance_pintools::{
     characterization_from_tools, characterization_tools, BbvTool, Characterization,
 };
 use rebalance_trace::{
-    Pintool, Report, RunSummary, SampledOutcome, SamplingConfig, SweepEngine, SweepOutcome,
-    TraceCache,
+    CacheError, CachedReplay, Pintool, Report, RunSummary, SampledOutcome, SamplingConfig,
+    SweepEngine, SweepOutcome, SyntheticTrace, TraceCache,
 };
 use rebalance_workloads::{Scale, Suite, Workload};
+
+/// Why a run stopped: a workload could not be replayed, or an
+/// exhibit's output could not be written.
+#[derive(Debug)]
+pub enum RunError {
+    /// The workload's trace could not be generated (invalid profile or
+    /// scale), or the trace cache could not serve it (for example a
+    /// checksum-valid snapshot whose records do not decode).
+    Replay {
+        /// The workload being replayed.
+        workload: String,
+        /// What went wrong.
+        source: CacheError,
+    },
+    /// Writing an exhibit's rendering failed.
+    Write(io::Error),
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::Replay { workload, source } => {
+                write!(f, "cannot replay {workload}: {source}")
+            }
+            RunError::Write(e) => write!(f, "cannot write exhibit output: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            RunError::Replay { source, .. } => Some(source),
+            RunError::Write(e) => Some(e),
+        }
+    }
+}
+
+impl RunError {
+    fn replay(workload: &Workload, source: CacheError) -> Self {
+        RunError::Replay {
+            workload: workload.name().to_owned(),
+            source,
+        }
+    }
+}
+
+impl From<io::Error> for RunError {
+    fn from(e: io::Error) -> Self {
+        RunError::Write(e)
+    }
+}
 
 /// One run's configuration and accounting.
 ///
@@ -41,7 +95,7 @@ use rebalance_workloads::{Scale, Suite, Workload};
 /// run.suite = Some(Suite::Npb);
 /// assert!(run.roster().iter().all(|w| w.suite() == Suite::Npb));
 /// let w = rebalance_workloads::find("EP").unwrap();
-/// run.fan_out(&w, Scale::Smoke, vec![rebalance_trace::NullTool]);
+/// run.fan_out(&w, Scale::Smoke, vec![rebalance_trace::NullTool]).unwrap();
 /// assert_eq!(run.report().replays, 1);
 /// ```
 #[derive(Debug, Default)]
@@ -107,152 +161,236 @@ impl Run {
         self.filtered(rebalance_workloads::all())
     }
 
-    /// Sweeps `tools_for` over `workloads` at `scale`, one replay per
-    /// workload — served from this run's cache when it has one.
+    /// Replays one workload's trace at `scale` once through all `tools`
+    /// on this run's engine — the one place a run chooses between its
+    /// cache and a live generation. With a cache the stream is decoded
+    /// from the workload's snapshot (recorded on a miss); without one the
+    /// trace is synthesized and interpreted. Either way the engine counts
+    /// the replay and its delivered events.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Replay`] when the trace cannot be generated or the
+    /// cache cannot serve it.
+    pub fn replay<T: Pintool>(
+        &self,
+        workload: &Workload,
+        scale: Scale,
+        tools: Vec<T>,
+    ) -> Result<(Vec<T>, CachedReplay), RunError> {
+        self.replay_generated(workload, scale, || workload.trace(scale), tools)
+    }
+
+    /// [`Run::replay`] with the trace, when one must be generated, taken
+    /// from `generate` — for callers that already synthesized it.
+    fn replay_generated<T: Pintool>(
+        &self,
+        workload: &Workload,
+        scale: Scale,
+        generate: impl FnOnce() -> Result<SyntheticTrace, String>,
+        tools: Vec<T>,
+    ) -> Result<(Vec<T>, CachedReplay), RunError> {
+        let replayed = match &self.cache {
+            Some(cache) => {
+                self.engine
+                    .fan_out_cached(cache, &workload.trace_key(scale), generate, tools)
+            }
+            None => generate().map_err(CacheError::Generate).map(|trace| {
+                let (tools, summary) = self.engine.fan_out(&trace, tools);
+                let replay = CachedReplay {
+                    summary,
+                    sections: trace.schedule().sections(),
+                    from_cache: false,
+                };
+                (tools, replay)
+            }),
+        };
+        replayed.map_err(|source| RunError::replay(workload, source))
+    }
+
+    /// Sweeps `tools_for` over `workloads` at `scale`, one
+    /// [`Run::replay`] per workload, in parallel on the engine's
+    /// executor; outcomes keep workload order.
+    ///
+    /// # Errors
+    ///
+    /// The first workload's [`RunError`], in workload order.
     pub fn sweep<T, ToolsFn>(
         &self,
         workloads: Vec<Workload>,
         scale: Scale,
         tools_for: ToolsFn,
-    ) -> Vec<SweepOutcome<Workload, T>>
+    ) -> Result<Vec<SweepOutcome<Workload, T>>, RunError>
     where
         T: Pintool + Send,
         ToolsFn: Fn(&Workload) -> Vec<T> + Sync,
     {
-        match &self.cache {
-            Some(cache) => self
-                .engine
-                .sweep_cached(
-                    cache,
-                    workloads,
-                    |w| w.trace_key(scale),
-                    |w| w.trace(scale),
-                    tools_for,
-                )
-                .expect("trace cache replay"),
-            None => self.engine.sweep(
-                workloads,
-                |w| w.trace(scale).expect("valid roster profile"),
-                tools_for,
-            ),
-        }
+        let measured = self
+            .engine
+            .map(&workloads, |w| self.replay(w, scale, tools_for(w)));
+        workloads
+            .into_iter()
+            .zip(measured)
+            .map(|(item, measured)| {
+                let (tools, replay) = measured?;
+                Ok(SweepOutcome {
+                    item,
+                    tools,
+                    summary: replay.summary,
+                })
+            })
+            .collect()
     }
 
     /// Sweeps `tools_for` over `workloads` at `scale` replaying only each
     /// trace's weighted representative intervals under `config` — the
-    /// phase-sampled sibling of [`Run::sweep`]. Tools must be
-    /// weight-aware ([`Pintool::supports_sampled_replay`]).
+    /// phase-sampled sibling of [`Run::sweep`], always served from a
+    /// snapshot ([`Run::sampling_cache`]). Tools must be weight-aware
+    /// ([`Pintool::supports_sampled_replay`]).
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Replay`] for the first workload whose snapshot cannot
+    /// be generated or decoded.
     pub fn sweep_sampled<T, ToolsFn>(
         &self,
         config: &SamplingConfig,
         workloads: Vec<Workload>,
         scale: Scale,
         tools_for: ToolsFn,
-    ) -> Vec<SampledOutcome<Workload, T>>
+    ) -> Result<Vec<SampledOutcome<Workload, T>>, RunError>
     where
         T: Pintool + Send,
         ToolsFn: Fn(&Workload) -> Vec<T> + Sync,
     {
         let dims = config.dims;
-        self.engine
-            .sweep_sampled(
-                self.sampling_cache(),
-                config,
-                workloads,
-                |w| w.trace_key(scale),
-                |w| w.trace(scale),
-                tools_for,
-                || BbvTool::new(dims),
-            )
-            .expect("sampled trace replay")
+        // The engine reports the first failure without naming its item,
+        // so replay one workload per call to keep the name.
+        let measured = self.engine.map(&workloads, |w| {
+            self.engine
+                .sweep_sampled(
+                    self.sampling_cache(),
+                    config,
+                    vec![w.clone()],
+                    |w| w.trace_key(scale),
+                    |w| w.trace(scale),
+                    &tools_for,
+                    || BbvTool::new(dims),
+                )
+                .map_err(|source| RunError::replay(w, source))
+        });
+        let mut outcomes = Vec::with_capacity(workloads.len());
+        for one in measured {
+            outcomes.extend(one?);
+        }
+        Ok(outcomes)
     }
 
     /// [`Run::sweep`] that honors this run's sampling geometry: a full
     /// replay per workload when [`Run::sampling`] is `None`, a weighted
     /// representative replay otherwise. Only timing sweeps whose tools
     /// are weight-aware should route through here.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Run::sweep`] and [`Run::sweep_sampled`].
     pub fn sweep_weighted<T, ToolsFn>(
         &self,
         workloads: Vec<Workload>,
         scale: Scale,
         tools_for: ToolsFn,
-    ) -> Vec<SweepOutcome<Workload, T>>
+    ) -> Result<Vec<SweepOutcome<Workload, T>>, RunError>
     where
         T: Pintool + Send,
         ToolsFn: Fn(&Workload) -> Vec<T> + Sync,
     {
         match &self.sampling {
-            Some(config) => self
-                .sweep_sampled(config, workloads, scale, tools_for)
+            Some(config) => Ok(self
+                .sweep_sampled(config, workloads, scale, tools_for)?
                 .into_iter()
                 .map(|o| SweepOutcome {
                     item: o.item,
                     tools: o.tools,
                     summary: o.summary,
                 })
-                .collect(),
+                .collect()),
             None => self.sweep(workloads, scale, tools_for),
         }
     }
 
-    /// Fans `tools` out over one replay of a single workload's trace —
-    /// cached when this run has a cache.
+    /// Fans `tools` out over one [`Run::replay`] of a single workload's
+    /// trace, returning the tools and the replay's summary.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Run::replay`].
     pub fn fan_out<T: Pintool>(
         &self,
         workload: &Workload,
         scale: Scale,
         tools: Vec<T>,
-    ) -> (Vec<T>, RunSummary) {
-        match &self.cache {
-            Some(cache) => {
-                let (tools, replay) = self
-                    .engine
-                    .fan_out_cached(
-                        cache,
-                        &workload.trace_key(scale),
-                        || workload.trace(scale),
-                        tools,
-                    )
-                    .expect("trace cache replay");
-                (tools, replay.summary)
-            }
-            None => {
-                let trace = workload.trace(scale).expect("valid roster profile");
-                self.engine.fan_out(&trace, tools)
-            }
-        }
+    ) -> Result<(Vec<T>, RunSummary), RunError> {
+        let (tools, replay) = self.replay(workload, scale, tools)?;
+        Ok((tools, replay.summary))
     }
 
     /// Simulates `sims` over one workload through this run's fetch
-    /// model — via its cache when it has one.
-    pub fn floorplans(&self, sims: &[CmpSim], workload: &Workload, scale: Scale) -> Vec<CmpResult> {
-        match &self.cache {
-            Some(cache) => {
-                simulate_floorplans_cached(sims, workload, scale, cache, self.fetch_model)
-            }
-            None => simulate_floorplans(sims, workload, scale, self.fetch_model),
-        }
-        .expect("valid roster profile")
+    /// model: every distinct core design observes one [`Run::replay`],
+    /// and each floorplan's schedule and power come from the shared
+    /// timings and the replay's per-section instruction counts.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Run::replay`].
+    pub fn floorplans(
+        &self,
+        sims: &[CmpSim],
+        workload: &Workload,
+        scale: Scale,
+    ) -> Result<Vec<CmpResult>, RunError> {
+        let models = floorplan_models(sims, self.fetch_model);
+        let tools = models.iter().map(CoreModel::fetch_tools).collect();
+        let (tools, replay) = self.replay(workload, scale, tools)?;
+        let timings = CoreModel::timings_of(&models, &tools, &workload.profile().backend);
+        Ok(floorplan_results(
+            sims,
+            workload.name(),
+            replay.sections,
+            &timings,
+        ))
     }
 
-    /// Characterizes one workload, streaming the dynamic events from
-    /// this run's cache when it has one. The program model is still
-    /// synthesized either way (the static footprint is a static property
-    /// a dynamic event stream cannot supply), but synthesis is cheap —
-    /// the cache removes the expensive interpreter pass.
-    pub fn characterize_workload(&self, workload: &Workload, scale: Scale) -> Characterization {
-        let trace = workload.trace(scale).expect("valid roster profile");
-        match &self.cache {
-            Some(cache) => {
-                let static_bytes = trace.program().static_bytes();
-                let mut tools = characterization_tools();
-                let replay = cache
-                    .replay_with(&workload.trace_key(scale), move || Ok(trace), &mut tools)
-                    .expect("trace cache replay");
-                characterization_from_tools(tools, static_bytes, replay.summary)
-            }
-            None => rebalance_pintools::characterize(&trace),
-        }
+    /// Characterizes one workload: the five characterization pintools
+    /// observe one [`Run::replay`] of its trace. The program model is
+    /// synthesized either way, because the static code footprint is a
+    /// property of the program that an event stream cannot supply; on a
+    /// cache miss (or without a cache) that same synthesized trace is
+    /// the one interpreted, so it is never synthesized twice.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Run::replay`].
+    pub fn characterize_workload(
+        &self,
+        workload: &Workload,
+        scale: Scale,
+    ) -> Result<Characterization, RunError> {
+        let trace = workload
+            .trace(scale)
+            .map_err(|e| RunError::replay(workload, CacheError::Generate(e)))?;
+        let static_bytes = trace.program().static_bytes();
+        let (mut tools, replay) = self.replay_generated(
+            workload,
+            scale,
+            move || Ok(trace),
+            vec![characterization_tools()],
+        )?;
+        let tools = tools.pop().expect("one tool set in, one out");
+        Ok(characterization_from_tools(
+            tools,
+            static_bytes,
+            replay.summary,
+        ))
     }
 
     /// Runs `f` over the roster (narrowed by this run's suite filter)
@@ -356,6 +494,7 @@ pub fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rebalance_coresim::simulate_floorplans;
 
     #[test]
     fn table_renders_aligned() {
@@ -420,11 +559,13 @@ mod tests {
         let run = Run::default();
         let w = rebalance_workloads::find("EP").unwrap();
         let before = run.report();
-        let (tools, summary) = run.fan_out(
-            &w,
-            Scale::Smoke,
-            vec![rebalance_trace::NullTool, rebalance_trace::NullTool],
-        );
+        let (tools, summary) = run
+            .fan_out(
+                &w,
+                Scale::Smoke,
+                vec![rebalance_trace::NullTool, rebalance_trace::NullTool],
+            )
+            .unwrap();
         let after = run.report();
         assert_eq!(tools.len(), 2);
         assert!(summary.instructions > 0);
@@ -444,9 +585,11 @@ mod tests {
 
         let w = rebalance_workloads::find("CG").unwrap();
         let config = SamplingConfig::default().with_intervals(40).with_k(4);
-        let out = Run::default().sweep_sampled(&config, vec![w.clone()], Scale::Smoke, |_| {
-            vec![CoreModel::new(CoreKind::Baseline).fetch_tools()]
-        });
+        let out = Run::default()
+            .sweep_sampled(&config, vec![w.clone()], Scale::Smoke, |_| {
+                vec![CoreModel::new(CoreKind::Baseline).fetch_tools()]
+            })
+            .unwrap();
         assert_eq!(out.len(), 1);
         let o = &out[0];
         let total = o.summary.instructions;
@@ -468,27 +611,74 @@ mod tests {
     }
 
     #[test]
+    fn fan_out_on_an_invalid_scale_is_an_error_not_a_panic() {
+        let w = rebalance_workloads::find("EP").unwrap();
+        let run = Run::default();
+        let err = run
+            .fan_out(&w, Scale::Custom(0.0), vec![rebalance_trace::NullTool])
+            .unwrap_err();
+        assert!(
+            matches!(&err, RunError::Replay { workload, source: CacheError::Generate(_) } if workload == "EP"),
+            "{err:?}"
+        );
+        assert!(err.to_string().starts_with("cannot replay EP: "), "{err}");
+        assert_eq!(run.report().replays, 0, "a failed replay is not counted");
+    }
+
+    #[test]
+    fn replay_records_sections_and_where_the_stream_came_from() {
+        let w = rebalance_workloads::find("MG").unwrap();
+        let sections = w.trace(Scale::Smoke).unwrap().schedule().sections();
+        let (_, live) = Run::default()
+            .replay(&w, Scale::Smoke, vec![rebalance_trace::NullTool])
+            .unwrap();
+        assert_eq!((live.sections, live.from_cache), (sections, false));
+
+        let cached = Run {
+            cache: Some(TraceCache::scratch().unwrap()),
+            ..Run::default()
+        };
+        for from_cache in [false, true] {
+            let (_, replay) = cached
+                .replay(&w, Scale::Smoke, vec![rebalance_trace::NullTool])
+                .unwrap();
+            assert_eq!(replay.from_cache, from_cache, "cold, then warm");
+            assert_eq!(replay.sections, sections);
+            assert_eq!(replay.summary, live.summary);
+        }
+        let _ = std::fs::remove_dir_all(cached.cache.as_ref().unwrap().dir());
+    }
+
+    #[test]
     fn characterize_workload_matches_direct_characterization() {
         let w = rebalance_workloads::find("CG").unwrap();
         let direct = rebalance_pintools::characterize(&w.trace(Scale::Smoke).unwrap());
+        let live = Run::default();
         assert_eq!(
-            Run::default().characterize_workload(&w, Scale::Smoke),
+            live.characterize_workload(&w, Scale::Smoke).unwrap(),
             direct,
             "live path"
         );
+        assert_eq!(live.report().replays, 1, "counted by the engine");
         let cached = Run {
             cache: Some(TraceCache::scratch().unwrap()),
             ..Run::default()
         };
         for pass in ["cold", "warm"] {
             assert_eq!(
-                cached.characterize_workload(&w, Scale::Smoke),
+                cached.characterize_workload(&w, Scale::Smoke).unwrap(),
                 direct,
                 "{pass} cached path"
             );
         }
         let cache = cached.cache.as_ref().unwrap();
         assert_eq!((cache.stats().generations, cache.stats().hits), (1, 1));
+        assert_eq!(cached.report().replays, 2);
+        assert_eq!(
+            cached.report().lanes.unwrap().instructions,
+            2 * direct.summary.instructions,
+            "every event the characterization tools saw, counted once"
+        );
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -497,7 +687,7 @@ mod tests {
         use rebalance_mcpat::CmpFloorplan;
         let w = rebalance_workloads::find("MG").unwrap();
         let sims = [CmpSim::new(CmpFloorplan::baseline(8))];
-        let results = Run::default().floorplans(&sims, &w, Scale::Smoke);
+        let results = Run::default().floorplans(&sims, &w, Scale::Smoke).unwrap();
         assert_eq!(results.len(), 1);
         assert!(results[0].time_s > 0.0);
     }
@@ -514,15 +704,46 @@ mod tests {
             fetch_model: FetchModelKind::Ftq,
             ..Run::default()
         };
-        let results = ftq.floorplans(&sims, &w, Scale::Smoke);
+        let results = ftq.floorplans(&sims, &w, Scale::Smoke).unwrap();
         assert_eq!(
             results,
             simulate_floorplans(&sims, &w, Scale::Smoke, FetchModelKind::Ftq).unwrap()
         );
         assert_ne!(
             results,
-            Run::default().floorplans(&sims, &w, Scale::Smoke),
+            Run::default().floorplans(&sims, &w, Scale::Smoke).unwrap(),
             "the penalty default times cores differently"
         );
+    }
+
+    #[test]
+    fn cached_floorplans_match_live_simulation_under_both_fetch_models() {
+        use rebalance_mcpat::CmpFloorplan;
+        let w = rebalance_workloads::find("FT").unwrap();
+        let sims = [
+            CmpSim::new(CmpFloorplan::baseline(8)),
+            CmpSim::new(CmpFloorplan::tailored(8)),
+            CmpSim::new(CmpFloorplan::asymmetric(1, 7)),
+        ];
+        for model in [FetchModelKind::Penalty, FetchModelKind::Ftq] {
+            let live = simulate_floorplans(&sims, &w, Scale::Smoke, model).unwrap();
+            let cached = Run {
+                cache: Some(TraceCache::scratch().unwrap()),
+                fetch_model: model,
+                ..Run::default()
+            };
+            for pass in ["cold", "warm"] {
+                assert_eq!(
+                    cached.floorplans(&sims, &w, Scale::Smoke).unwrap(),
+                    live,
+                    "{model}: {pass} cached run"
+                );
+            }
+            let cache = cached.cache.as_ref().unwrap();
+            let stats = cache.stats();
+            assert_eq!((stats.generations, stats.hits), (1, 1), "{model}");
+            assert_eq!(cached.report().replays, 2, "{model}: both passes counted");
+            let _ = std::fs::remove_dir_all(cache.dir());
+        }
     }
 }

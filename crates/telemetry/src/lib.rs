@@ -1,19 +1,24 @@
-//! Process-wide telemetry: a metrics registry and a hierarchical span
+//! Process-wide telemetry: per-tool counters and a hierarchical span
 //! tree, read out as one [`MetricsSnapshot`] per process.
 //!
 //! The sweep pipeline runs its work on the executor's threads, and a
 //! measurement is only trustworthy if it does not depend on which
 //! thread did the work: every thread's spans fold into one tree
 //! ([`SpanNode::absorb`] adds totals and counts node by node), and
-//! registry metrics are shared atomics.
+//! counters are shared atomics.
+//!
+//! Telemetry says where a run's *time* went. What a run *did* — its
+//! replays, cache hits and generations, delivered events — is counted
+//! once, in the run's own record (the sweep engine's `Report`), which
+//! `--metrics` renders next to the span tree; no metric here mirrors
+//! it.
 //!
 //! Two primitives:
 //!
-//! * **Registry metrics** — [`Counter`], [`Gauge`], and [`Histogram`]
-//!   handles addressable by stable dotted names (`cache.hits`,
-//!   `replay.batches`). Handles are cheap `Arc`s over atomics;
-//!   call sites cache them in `OnceLock` statics so the hot path is a
-//!   single relaxed atomic op.
+//! * **Counters** — [`Counter`] handles addressable by stable dotted
+//!   names (`tool.gshare-big.on_batch_calls`). Handles are cheap `Arc`s
+//!   over atomics; call sites cache them so the hot path is a single
+//!   relaxed atomic op.
 //! * **Spans** — [`span`] returns an RAII guard over a monotonic clock.
 //!   Nested guards build a per-thread timing tree with **no global
 //!   locks on the hot path**: a thread only touches the shared tree
@@ -27,11 +32,9 @@
 //! branch.
 //!
 //! Naming scheme: dotted lowercase segments, most-general first
-//! (`cache.lock_wait_ns`). Metrics whose *value* is a duration carry a
-//! `_ns` suffix; run-to-run comparisons treat those as
+//! (`tool.gshare-big.on_batch_ns`). Metrics whose *value* is a duration
+//! carry a `_ns` suffix; run-to-run comparisons treat those as
 //! machine-dependent and compare them structurally, never by value.
-//! Counters add; gauges record configuration-like values (e.g. batch
-//! capacity); histograms count observations in log2 buckets.
 //!
 //! # Examples
 //!
@@ -58,7 +61,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once, OnceLock};
 use std::time::Instant;
 
@@ -67,10 +70,9 @@ use std::time::Instant;
 pub const METRICS_ENV: &str = "REBALANCE_METRICS";
 
 /// Version stamp written into [`MetricsSnapshot::to_json`] output.
-pub const SNAPSHOT_VERSION: u32 = 1;
-
-/// Number of log2 buckets in every [`Histogram`].
-pub const HIST_BUCKETS: usize = 64;
+/// Version 2 carries the caller's run record under `report` and has no
+/// `gauges` or `histograms`.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static ENABLED_INIT: Once = Once::new();
@@ -104,7 +106,7 @@ pub fn set_enabled(on: bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry metrics
+// Counters
 // ---------------------------------------------------------------------------
 
 /// A monotonically increasing `u64` metric.
@@ -132,82 +134,9 @@ impl Counter {
     }
 }
 
-/// A last-writer-wins `i64` metric for configuration-like values
-/// (thread counts, batch capacity).
-#[derive(Clone, Debug)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// Records `v` (no-op while collection is off).
-    #[inline]
-    pub fn set(&self, v: i64) {
-        if enabled() {
-            self.0.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// The current value.
-    pub fn value(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-#[derive(Debug)]
-struct HistogramInner {
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: [AtomicU64; HIST_BUCKETS],
-}
-
-/// A `u64` histogram with [`HIST_BUCKETS`] fixed log2 buckets: bucket
-/// `i` counts observations whose bit width is `i` (values in
-/// `[2^(i-1), 2^i)`), with zero landing in bucket 0 and anything with
-/// the top bit set clamped into the last bucket.
-#[derive(Clone, Debug)]
-pub struct Histogram(Arc<HistogramInner>);
-
-fn bucket_index(v: u64) -> usize {
-    ((u64::BITS - v.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
-}
-
-impl Histogram {
-    /// Records one observation (no-op while collection is off).
-    #[inline]
-    pub fn observe(&self, v: u64) {
-        if enabled() {
-            self.0.count.fetch_add(1, Ordering::Relaxed);
-            self.0.sum.fetch_add(v, Ordering::Relaxed);
-            self.0.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.0.count.load(Ordering::Relaxed),
-            sum: self.0.sum.load(Ordering::Relaxed),
-            buckets: self
-                .0
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-        }
-    }
-
-    fn reset(&self) {
-        self.0.count.store(0, Ordering::Relaxed);
-        self.0.sum.store(0, Ordering::Relaxed);
-        for b in &self.0.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
 #[derive(Default)]
 struct Registry {
     counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
 fn registry() -> &'static Registry {
@@ -222,30 +151,6 @@ pub fn counter(name: &str) -> Counter {
     let mut map = registry().counters.lock().expect("counter registry");
     map.entry(name.to_string())
         .or_insert_with(|| Counter(Arc::new(AtomicU64::new(0))))
-        .clone()
-}
-
-/// Returns the process-wide gauge registered under `name`, creating it
-/// on first use.
-pub fn gauge(name: &str) -> Gauge {
-    let mut map = registry().gauges.lock().expect("gauge registry");
-    map.entry(name.to_string())
-        .or_insert_with(|| Gauge(Arc::new(AtomicI64::new(0))))
-        .clone()
-}
-
-/// Returns the process-wide histogram registered under `name`,
-/// creating it on first use.
-pub fn histogram(name: &str) -> Histogram {
-    let mut map = registry().histograms.lock().expect("histogram registry");
-    map.entry(name.to_string())
-        .or_insert_with(|| {
-            Histogram(Arc::new(HistogramInner {
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            }))
-        })
         .clone()
 }
 
@@ -370,53 +275,22 @@ pub fn span(name: &'static str) -> SpanGuard {
 // Snapshots
 // ---------------------------------------------------------------------------
 
-/// Point-in-time copy of one histogram: total count, value sum, and
-/// [`HIST_BUCKETS`] log2 bucket counts.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observed values.
-    pub sum: u64,
-    /// Per-bucket observation counts (`buckets[i]` holds values of bit
-    /// width `i`; see [`Histogram`]).
-    pub buckets: Vec<u64>,
-}
-
-impl HistogramSnapshot {
-    /// Upper bound of the highest nonzero bucket (`2^i`), or 0 when
-    /// the histogram is empty. A cheap tail indicator for rendering.
-    pub fn max_bound(&self) -> u64 {
-        match self.buckets.iter().rposition(|&c| c > 0) {
-            Some(0) | None => 0,
-            Some(i) if i >= 63 => u64::MAX,
-            Some(i) => 1u64 << i,
-        }
-    }
-}
-
-/// A point-in-time copy of every metric and the full span tree: what
-/// `--metrics` renders and writes to `metrics.json`.
+/// A point-in-time copy of every counter and the full span tree: what
+/// `--metrics` renders and writes to `metrics.json`, next to the run's
+/// own record.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Counter values by name (zero-valued counters are omitted).
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name (zero-valued gauges are omitted).
-    pub gauges: BTreeMap<String, i64>,
-    /// Histograms by name (empty histograms are omitted).
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Root of the span tree. The root itself is synthetic
     /// (`count == 0`); real spans start at its children.
     pub spans: SpanNode,
 }
 
 impl MetricsSnapshot {
-    /// True when the snapshot holds no metrics and no spans.
+    /// True when the snapshot holds no counters and no spans.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.spans.is_empty()
+        self.counters.is_empty() && self.spans.is_empty()
     }
 
     /// Verifies the attribution invariant on every recorded span: a
@@ -447,8 +321,10 @@ impl MetricsSnapshot {
     }
 
     /// Serializes the snapshot as versioned JSON (the `metrics.json`
-    /// schema). Keys are sorted, output is deterministic.
-    pub fn to_json(&self) -> String {
+    /// schema), with `report` — the caller's run record, already
+    /// serialized as a JSON value — under the `report` key. Keys are
+    /// sorted, output is deterministic.
+    pub fn to_json(&self, report: &str) -> String {
         fn esc(s: &str) -> String {
             let mut out = String::with_capacity(s.len());
             for c in s.chars() {
@@ -484,7 +360,7 @@ impl MetricsSnapshot {
         }
 
         let mut out = String::new();
-        let _ = write!(out, "{{\"version\":{SNAPSHOT_VERSION}");
+        let _ = write!(out, "{{\"version\":{SNAPSHOT_VERSION},\"report\":{report}");
         out.push_str(",\"counters\":{");
         for (i, (name, v)) in self.counters.iter().enumerate() {
             if i > 0 {
@@ -492,42 +368,16 @@ impl MetricsSnapshot {
             }
             let _ = write!(out, "\"{}\":{}", esc(name), v);
         }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", esc(name), v);
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"count\":{},\"sum\":{},\"buckets\":[",
-                esc(name),
-                h.count,
-                h.sum
-            );
-            for (j, b) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{b}");
-            }
-            out.push_str("]}");
-        }
         out.push_str("},\"spans\":");
         span_json(&self.spans, &mut out);
         out.push('}');
         out
     }
 
-    /// Renders the span tree and top counters as an indented text
-    /// block, the `--metrics text` output.
-    pub fn render_text(&self) -> String {
+    /// Renders `report` (the caller's run record, one line), the span
+    /// tree and the top counters as an indented text block, the
+    /// `--metrics text` output.
+    pub fn render_text(&self, report: &str) -> String {
         fn ms(ns: u64) -> String {
             format!("{:.3}ms", ns as f64 / 1e6)
         }
@@ -546,6 +396,7 @@ impl MetricsSnapshot {
 
         let mut out = String::new();
         out.push_str("telemetry\n");
+        let _ = writeln!(out, "run report:\n  {report}");
         if !self.spans.children.is_empty() {
             out.push_str("spans (inclusive time, completions):\n");
             tree(&self.spans, 0, &mut out);
@@ -562,24 +413,6 @@ impl MetricsSnapshot {
                 let _ = writeln!(out, "  ... and {} more", rows.len() - SHOWN);
             }
         }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for (name, v) in &self.gauges {
-                let _ = writeln!(out, "  {name:<32} {v:>14}");
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("histograms:\n");
-            for (name, h) in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "  {name:<32} count={} sum={} max<{}",
-                    h.count,
-                    h.sum,
-                    h.max_bound()
-                );
-            }
-        }
         out
     }
 }
@@ -591,9 +424,9 @@ impl MetricsSnapshot {
 /// Captures everything recorded so far: the live registry and the
 /// process span tree (including this thread's finished spans).
 ///
-/// Zero-valued counters/gauges and empty histograms are omitted so
-/// that which handles happened to be *registered* (vs actually used)
-/// never shows up in run-to-run comparisons.
+/// Zero-valued counters are omitted so that which handles happened to
+/// be *registered* (vs actually used) never shows up in run-to-run
+/// comparisons.
 pub fn snapshot() -> MetricsSnapshot {
     // Flush this thread's finished spans so a snapshot taken right
     // after the top-level span closes sees it.
@@ -610,34 +443,16 @@ pub fn snapshot() -> MetricsSnapshot {
             snap.counters.insert(name.clone(), v);
         }
     }
-    for (name, g) in reg.gauges.lock().expect("gauge registry").iter() {
-        let v = g.value();
-        if v != 0 {
-            snap.gauges.insert(name.clone(), v);
-        }
-    }
-    for (name, h) in reg.histograms.lock().expect("histogram registry").iter() {
-        let hs = h.snapshot();
-        if hs.count > 0 {
-            snap.histograms.insert(name.clone(), hs);
-        }
-    }
     snap.spans = global_spans().lock().expect("span tree").clone();
     snap
 }
 
-/// Clears every counter, gauge, histogram, and the span tree. For
+/// Clears every counter and the span tree. For
 /// benches and tests that measure deltas.
 pub fn reset() {
     let reg = registry();
     for c in reg.counters.lock().expect("counter registry").values() {
         c.0.store(0, Ordering::Relaxed);
-    }
-    for g in reg.gauges.lock().expect("gauge registry").values() {
-        g.0.store(0, Ordering::Relaxed);
-    }
-    for h in reg.histograms.lock().expect("histogram registry").values() {
-        h.reset();
     }
     *global_spans().lock().expect("span tree") = SpanNode::default();
     LOCAL.with(|cell| cell.borrow_mut().root = SpanNode::default());
@@ -667,34 +482,6 @@ mod tests {
         set_enabled(true);
         c.add(2);
         assert_eq!(c.value(), 2);
-        set_enabled(false);
-        reset();
-    }
-
-    #[test]
-    fn histogram_buckets_follow_bit_width() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(u64::MAX), HIST_BUCKETS - 1);
-
-        let _g = test_guard();
-        reset();
-        set_enabled(true);
-        let h = histogram("test.hist");
-        for v in [0, 1, 2, 3, 1024] {
-            h.observe(v);
-        }
-        let hs = h.snapshot();
-        assert_eq!(hs.count, 5);
-        assert_eq!(hs.sum, 1030);
-        assert_eq!(hs.buckets[0], 1);
-        assert_eq!(hs.buckets[1], 1);
-        assert_eq!(hs.buckets[2], 2);
-        assert_eq!(hs.buckets[11], 1);
-        assert_eq!(hs.max_bound(), 2048);
         set_enabled(false);
         reset();
     }
@@ -782,14 +569,6 @@ mod tests {
         let mut snap = MetricsSnapshot::default();
         snap.counters.insert("b.two".into(), 2);
         snap.counters.insert("a.one".into(), 1);
-        snap.histograms.insert(
-            "h".into(),
-            HistogramSnapshot {
-                count: 1,
-                sum: 5,
-                buckets: vec![0, 0, 0, 1],
-            },
-        );
         snap.spans.children.insert(
             "root".into(),
             SpanNode {
@@ -798,18 +577,21 @@ mod tests {
                 children: BTreeMap::new(),
             },
         );
-        let json = snap.to_json();
-        assert!(json.starts_with("{\"version\":1"), "{json}");
+        let json = snap.to_json("{\"replays\":3}");
+        assert!(
+            json.starts_with("{\"version\":2,\"report\":{\"replays\":3},\"counters\""),
+            "{json}"
+        );
         // Sorted keys: a.one before b.two.
         assert!(json.find("a.one").unwrap() < json.find("b.two").unwrap());
         assert!(json.contains("\"spans\":{\"total_ns\":0,\"count\":0,\"children\":{\"root\":{\"total_ns\":42,\"count\":1}}}"));
-        assert_eq!(json, snap.clone().to_json());
+        assert_eq!(json, snap.clone().to_json("{\"replays\":3}"));
     }
 
     #[test]
     fn render_text_lists_spans_and_counters() {
         let mut snap = MetricsSnapshot::default();
-        snap.counters.insert("cache.hits".into(), 9);
+        snap.counters.insert("tool.gshare.on_batch_calls".into(), 9);
         snap.spans.children.insert(
             "sweep".into(),
             SpanNode {
@@ -818,10 +600,14 @@ mod tests {
                 children: BTreeMap::new(),
             },
         );
-        let text = snap.render_text();
+        let text = snap.render_text("replays: 1 | generations: 0");
+        assert!(
+            text.contains("run report:\n  replays: 1 | generations: 0\n"),
+            "{text}"
+        );
         assert!(text.contains("sweep"), "{text}");
         assert!(text.contains("2.000ms"), "{text}");
-        assert!(text.contains("cache.hits"), "{text}");
+        assert!(text.contains("tool.gshare.on_batch_calls"), "{text}");
     }
 }
 

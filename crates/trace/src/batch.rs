@@ -87,19 +87,6 @@ pub fn batch_capacity() -> usize {
     })
 }
 
-/// Cached telemetry counter for flushed batches (`replay.batches`).
-fn flush_tele() -> &'static telemetry::Counter {
-    static BATCHES: OnceLock<telemetry::Counter> = OnceLock::new();
-    BATCHES.get_or_init(|| telemetry::counter("replay.batches"))
-}
-
-/// Cached telemetry counter for events delivered through batch flushes
-/// (`replay.events`).
-fn flush_events_tele() -> &'static telemetry::Counter {
-    static EVENTS: OnceLock<telemetry::Counter> = OnceLock::new();
-    EVENTS.get_or_init(|| telemetry::counter("replay.events"))
-}
-
 /// Where a producer's decode/interpret loop delivers events: directly
 /// into a tool (the per-event baseline) or into an [`EventBatch`]
 /// flushed block-at-a-time. Monomorphized, so neither path pays for the
@@ -366,8 +353,6 @@ impl EventBatch {
             return;
         }
         let _batch_span = telemetry::span("batch");
-        flush_tele().incr();
-        flush_events_tele().add(self.events.len() as u64);
         {
             let _fill_span = telemetry::span("fill");
             self.fill_branches();

@@ -56,7 +56,7 @@ use std::fs;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
 use rebalance_telemetry as telemetry;
@@ -320,7 +320,8 @@ impl From<SnapshotError> for CacheError {
     }
 }
 
-/// Outcome of one cache-mediated replay.
+/// The record of one replay: what a cache-mediated replay returns, and
+/// what a live replay without a cache is described by too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CachedReplay {
     /// Aggregate counters of the delivered stream.
@@ -328,8 +329,8 @@ pub struct CachedReplay {
     /// Instructions per section (what CMP scheduling needs in place of
     /// the schedule it no longer has on hits).
     pub sections: BySection<u64>,
-    /// `true` if the stream came from a snapshot, `false` if this call
-    /// generated (and recorded) it.
+    /// `true` if the stream came from a snapshot, `false` if it was
+    /// generated (and, with a cache, recorded) for this replay.
     pub from_cache: bool,
 }
 
@@ -345,44 +346,6 @@ struct Counters {
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
     lock_wait_ns: AtomicU64,
-}
-
-/// Process-global telemetry handles mirroring the cache counters
-/// (`cache.*` in the registry naming scheme), cached once so the hot
-/// path never touches the registry lock. Shared across all
-/// [`TraceCache`] instances in the process — telemetry names are
-/// process-wide by design.
-struct CacheTele {
-    hits: telemetry::Counter,
-    misses: telemetry::Counter,
-    generations: telemetry::Counter,
-    rejected: telemetry::Counter,
-    write_failures: telemetry::Counter,
-    coalesced: telemetry::Counter,
-    tmp_swept: telemetry::Counter,
-    bytes_read: telemetry::Counter,
-    bytes_written: telemetry::Counter,
-    lock_wait_ns: telemetry::Counter,
-    lock_wait_hist: telemetry::Histogram,
-    generation_hist: telemetry::Histogram,
-}
-
-fn tele() -> &'static CacheTele {
-    static TELE: OnceLock<CacheTele> = OnceLock::new();
-    TELE.get_or_init(|| CacheTele {
-        hits: telemetry::counter("cache.hits"),
-        misses: telemetry::counter("cache.misses"),
-        generations: telemetry::counter("cache.generations"),
-        rejected: telemetry::counter("cache.rejected"),
-        write_failures: telemetry::counter("cache.write_failures"),
-        coalesced: telemetry::counter("cache.coalesced"),
-        tmp_swept: telemetry::counter("cache.tmp_swept"),
-        bytes_read: telemetry::counter("cache.bytes_read"),
-        bytes_written: telemetry::counter("cache.bytes_written"),
-        lock_wait_ns: telemetry::counter("cache.lock_wait_ns"),
-        lock_wait_hist: telemetry::histogram("cache.lock_wait_ns"),
-        generation_hist: telemetry::histogram("cache.generation_ns"),
-    })
 }
 
 /// A directory of content-addressed trace snapshots with hit/miss
@@ -490,15 +453,13 @@ impl TraceCache {
     }
 
     /// Books time spent blocked on a cross-process `.lock` file into
-    /// the counters and the `cache.lock_wait_ns` histogram.
+    /// [`CacheStats::lock_wait_ns`].
     fn note_lock_wait(&self, waited: Duration) {
         if waited.is_zero() {
             return;
         }
         let ns = waited.as_nanos() as u64;
         self.counters.lock_wait_ns.fetch_add(ns, Ordering::Relaxed);
-        tele().lock_wait_ns.add(ns);
-        tele().lock_wait_hist.observe(ns);
     }
 
     /// Unconditionally records `trace` under `key`, replacing any
@@ -563,8 +524,6 @@ impl TraceCache {
                     self.counters
                         .bytes_read
                         .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                    tele().hits.incr();
-                    tele().bytes_read.add(bytes.len() as u64);
                     return Ok(CachedReplay {
                         summary,
                         sections: snapshot.info().sections,
@@ -573,7 +532,6 @@ impl TraceCache {
                 }
                 Err(_) => {
                     self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    tele().rejected.incr();
                 }
             }
         }
@@ -594,9 +552,6 @@ impl TraceCache {
                 self.counters
                     .bytes_read
                     .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                tele().hits.incr();
-                tele().coalesced.incr();
-                tele().bytes_read.add(bytes.len() as u64);
                 return Ok(CachedReplay {
                     summary,
                     sections: snapshot.info().sections,
@@ -608,31 +563,17 @@ impl TraceCache {
         }
 
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        tele().misses.incr();
         let _generate_span = telemetry::span("generate");
-        let generate_start = Instant::now();
         let trace = generate().map_err(CacheError::Generate)?;
         self.counters.generations.fetch_add(1, Ordering::Relaxed);
-        tele().generations.incr();
-        let sections = BySection::new(
-            trace
-                .schedule()
-                .section_instructions(crate::Section::Serial),
-            trace
-                .schedule()
-                .section_instructions(crate::Section::Parallel),
-        );
+        let sections = trace.schedule().sections();
 
         let mut writer = match self.start_recording(key) {
             Ok(writer) => writer,
             Err(_) => {
                 // Unwritable cache: replay live without recording.
                 self.counters.write_failures.fetch_add(1, Ordering::Relaxed);
-                tele().write_failures.incr();
                 let summary = trace.replay(tool);
-                tele()
-                    .generation_hist
-                    .observe(generate_start.elapsed().as_nanos() as u64);
                 return Ok(CachedReplay {
                     summary,
                     sections,
@@ -648,11 +589,7 @@ impl TraceCache {
             // The tool already observed the full live stream; only the
             // persistence failed.
             self.counters.write_failures.fetch_add(1, Ordering::Relaxed);
-            tele().write_failures.incr();
         }
-        tele()
-            .generation_hist
-            .observe(generate_start.elapsed().as_nanos() as u64);
         Ok(CachedReplay {
             summary,
             sections,
@@ -702,12 +639,9 @@ impl TraceCache {
                 self.counters
                     .bytes_read
                     .fetch_add(snapshot.info().total_bytes, Ordering::Relaxed);
-                tele().hits.incr();
-                tele().bytes_read.add(snapshot.info().total_bytes);
                 return Ok(snapshot);
             }
             self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            tele().rejected.incr();
         }
 
         // Single-flight election, as in `replay_with`.
@@ -724,20 +658,14 @@ impl TraceCache {
                 self.counters
                     .bytes_read
                     .fetch_add(snapshot.info().total_bytes, Ordering::Relaxed);
-                tele().hits.incr();
-                tele().coalesced.incr();
-                tele().bytes_read.add(snapshot.info().total_bytes);
                 return Ok(snapshot);
             }
         }
 
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        tele().misses.incr();
         let _generate_span = telemetry::span("generate");
-        let generate_start = Instant::now();
         let trace = generate().map_err(CacheError::Generate)?;
         self.counters.generations.fetch_add(1, Ordering::Relaxed);
-        tele().generations.incr();
         let (bytes, info) = {
             let mut writer = SnapshotWriter::new(Vec::new(), key.seed(), key.fingerprint());
             trace.replay(&mut writer);
@@ -757,17 +685,12 @@ impl TraceCache {
                 self.counters
                     .bytes_written
                     .fetch_add(info.total_bytes, Ordering::Relaxed);
-                tele().bytes_written.add(info.total_bytes);
             }
             Err(_) => {
                 let _ = fs::remove_file(&tmp);
                 self.counters.write_failures.fetch_add(1, Ordering::Relaxed);
-                tele().write_failures.incr();
             }
         }
-        tele()
-            .generation_hist
-            .observe(generate_start.elapsed().as_nanos() as u64);
         Ok(OwnedSnapshot::parse(bytes)?)
     }
 
@@ -823,7 +746,6 @@ impl TraceCache {
             };
             if stale && fs::remove_file(entry.path()).is_ok() {
                 self.counters.tmp_swept.fetch_add(1, Ordering::Relaxed);
-                tele().tmp_swept.incr();
             }
         }
     }
@@ -989,7 +911,6 @@ impl Recording {
             .counters
             .bytes_written
             .fetch_add(info.total_bytes, Ordering::Relaxed);
-        tele().bytes_written.add(info.total_bytes);
         Ok(info)
     }
 }

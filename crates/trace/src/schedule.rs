@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::batch::{batch_capacity, EventBatch};
+use crate::by_section::BySection;
 use crate::exec::RunSummary;
 use crate::observer::Pintool;
 use crate::program::{BlockId, Program};
@@ -83,6 +84,14 @@ impl Schedule {
             .map(|p| p.instructions)
             .sum::<u64>()
             * u64::from(self.repeat)
+    }
+
+    /// Instructions executed in each section across all repetitions.
+    pub fn sections(&self) -> BySection<u64> {
+        BySection::new(
+            self.section_instructions(Section::Serial),
+            self.section_instructions(Section::Parallel),
+        )
     }
 
     /// Fraction of instructions executed serially.

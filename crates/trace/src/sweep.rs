@@ -139,9 +139,13 @@ impl SweepEngine {
         &self.executor
     }
 
-    /// Total trace replays this engine has performed, counted at its
-    /// three replay sites ([`SweepEngine::fan_out`],
-    /// [`SweepEngine::fan_out_cached`] and [`SweepEngine::sweep_sampled`]).
+    /// Total trace replays this engine has performed: live
+    /// ([`SweepEngine::fan_out`]), through a cache
+    /// ([`SweepEngine::fan_out_cached`]) or phase-sampled
+    /// ([`SweepEngine::sweep_sampled`]); the sweep methods count one per
+    /// item. Every cache-mediated replay is one cache hit or one
+    /// generation, so when all of a run's replays go through one engine
+    /// and one cache, this equals the cache's hits plus generations.
     /// Scoped to this engine instance, so replays elsewhere in the
     /// process never pollute it.
     pub fn replays(&self) -> u64 {

@@ -7,8 +7,7 @@
 //! they cannot: what the process-wide latch does with a bad value.
 //!
 //! The capacity latches once per process, so this file holds exactly
-//! one test; `integration_capacity.rs` covers the override order in a
-//! separate process.
+//! one test, which owns its test binary's process.
 
 use rebalance::trace::{batch_capacity, BATCH_ENV, DEFAULT_BATCH_CAPACITY};
 

@@ -246,7 +246,8 @@ fn render_sampling_records() -> Vec<(String, String)> {
         rebalance::workloads::all(),
         GOLDEN_SCALE,
         &config,
-    );
+    )
+    .expect("roster replays");
     let mut records = Vec::new();
     for w in rebalance::workloads::all() {
         let rows = ["penalty", "ftq"]
@@ -309,7 +310,10 @@ fn render_fetchsim_exhibits() -> Vec<(String, String)> {
     sampled.sampling = Some(SamplingConfig::default().with_intervals(160).with_k(8));
     [("fetchsim.json", full), ("fetchsim_sampled.json", sampled)]
         .into_iter()
-        .map(|(name, run)| (name.to_owned(), pretty(&fetchsim::run(&run, GOLDEN_SCALE))))
+        .map(|(name, run)| {
+            let exhibit = fetchsim::run(&run, GOLDEN_SCALE).expect("roster replays");
+            (name.to_owned(), pretty(&exhibit))
+        })
         .collect()
 }
 

@@ -28,6 +28,7 @@ fn exhibit() -> &'static SamplingExhibit {
             Scale::Smoke,
             &SamplingConfig::default(),
         )
+        .expect("roster replays")
     })
 }
 

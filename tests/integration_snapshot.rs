@@ -15,6 +15,7 @@ use rebalance::pintools::{characterization_from_tools, characterization_tools, c
 use rebalance::trace::{FnTool, Report, Snapshot, SweepEngine, TraceCache, TraceEvent};
 use rebalance::workloads::{find, Workload};
 use rebalance::Scale;
+use rebalance_experiments::util::Run;
 
 fn workloads(names: &[&str]) -> Vec<Workload> {
     names.iter().map(|n| find(n).unwrap()).collect()
@@ -186,31 +187,39 @@ fn kernel_archetypes_cached_replay_matches_fresh() {
     let _ = std::fs::remove_dir_all(cache.dir());
 }
 
+/// The CMP path exhibits take: a cached [`Run`]'s floorplans, cold
+/// (recording) and warm (decoding), match the live reference
+/// simulation under both timing backends.
 #[test]
 fn cached_cmp_simulation_matches_live() {
-    use rebalance::coresim::{
-        simulate_floorplans, simulate_floorplans_cached, CmpSim, FetchModelKind,
-    };
+    use rebalance::coresim::{simulate_floorplans, CmpSim, FetchModelKind};
     use rebalance::mcpat::CmpFloorplan;
 
-    let cache = TraceCache::scratch().unwrap();
     let w = find("CoEVP").unwrap();
     let sims: Vec<CmpSim> = CmpFloorplan::figure10_set()
         .into_iter()
         .map(CmpSim::new)
         .collect();
+    let mut run = Run::default();
+    run.cache = Some(TraceCache::scratch().unwrap());
     for model in [FetchModelKind::Penalty, FetchModelKind::Ftq] {
+        run.fetch_model = model;
         let live = simulate_floorplans(&sims, &w, Scale::Smoke, model).unwrap();
-        let cold = simulate_floorplans_cached(&sims, &w, Scale::Smoke, &cache, model).unwrap();
-        let warm = simulate_floorplans_cached(&sims, &w, Scale::Smoke, &cache, model).unwrap();
-        assert_eq!(cold, live, "{model}");
-        assert_eq!(warm, live, "{model}");
+        for pass in ["first", "second"] {
+            assert_eq!(
+                run.floorplans(&sims, &w, Scale::Smoke).unwrap(),
+                live,
+                "{model}: {pass} cached pass"
+            );
+        }
     }
+    let cache = run.cache.as_ref().unwrap();
     assert_eq!(
         cache.stats().generations,
         1,
         "four floorplans under two models, one generation"
     );
+    assert_eq!(run.report().replays, 4, "every pass counted by the engine");
 
     let _ = std::fs::remove_dir_all(cache.dir());
 }
