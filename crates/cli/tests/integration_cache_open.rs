@@ -3,18 +3,26 @@
 //! generation: every cache-served subcommand exits non-zero, names the
 //! directory, and prints no results. A snapshot that passes its
 //! checksum but does not decode fails the run with exit 1 and a
-//! message naming the workload.
+//! message naming the workload. A cache-less sampled run whose temp dir
+//! cannot hold its scratch cache fails the same way, naming the temp
+//! dir.
 
 use std::path::PathBuf;
 use std::process::Command;
 
 const BIN: &str = env!("CARGO_BIN_EXE_rebalance");
 
+/// A regular file named for `test`, so creating a directory under it
+/// must fail.
+fn blocker_file(test: &str) -> PathBuf {
+    let file = std::env::temp_dir().join(format!("rebalance-{test}-test-{}", std::process::id()));
+    std::fs::write(&file, b"a regular file, not a directory").expect("write blocker file");
+    file
+}
+
 /// A cache path under a regular file, so creating it must fail.
 fn unusable_cache_dir() -> (PathBuf, String) {
-    let file =
-        std::env::temp_dir().join(format!("rebalance-cache-open-test-{}", std::process::id()));
-    std::fs::write(&file, b"a regular file, not a directory").expect("write blocker file");
+    let file = blocker_file("cache-open");
     let dir = file.join("cache").display().to_string();
     (file, dir)
 }
@@ -98,4 +106,33 @@ fn undecodable_snapshot_fails_the_sweep_with_a_message() {
     );
     assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn unusable_temp_dir_fails_cache_less_sampled_runs() {
+    // Only the child sees the blocker as its temp dir.
+    let temp_dir = blocker_file("temp-dir");
+    let commands: [&[&str]; 2] = [
+        &["sweep", "--workloads", "CG", "--sample", "160"],
+        &["paper", "sampling", "--suite", "npb"],
+    ];
+    for args in commands {
+        let out = Command::new(BIN)
+            .args(args)
+            .args(["--scale", "smoke", "--no-cache"])
+            .env("TMPDIR", &temp_dir)
+            .output()
+            .expect("spawn rebalance");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?} stderr:\n{stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "rebalance: cannot create a scratch trace cache for sampling under the temp dir {}",
+                temp_dir.display()
+            )),
+            "{args:?} stderr:\n{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?} stderr:\n{stderr}");
+    }
+    let _ = std::fs::remove_file(temp_dir);
 }

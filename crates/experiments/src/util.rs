@@ -12,6 +12,7 @@
 
 use std::fmt::{self, Write as _};
 use std::io;
+use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use rebalance_coresim::{
@@ -39,6 +40,14 @@ pub enum RunError {
         /// What went wrong.
         source: CacheError,
     },
+    /// A phase-sampled sweep on a run without a cache could not create
+    /// its scratch trace cache under the system temp dir.
+    ScratchCache {
+        /// The temp dir the scratch cache was to live under.
+        temp_dir: PathBuf,
+        /// Why creating it failed.
+        source: io::Error,
+    },
     /// Writing an exhibit's rendering failed.
     Write(io::Error),
 }
@@ -49,6 +58,11 @@ impl fmt::Display for RunError {
             RunError::Replay { workload, source } => {
                 write!(f, "cannot replay {workload}: {source}")
             }
+            RunError::ScratchCache { temp_dir, source } => write!(
+                f,
+                "cannot create a scratch trace cache for sampling under the temp dir {}: {source}",
+                temp_dir.display()
+            ),
             RunError::Write(e) => write!(f, "cannot write exhibit output: {e}"),
         }
     }
@@ -58,6 +72,7 @@ impl std::error::Error for RunError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RunError::Replay { source, .. } => Some(source),
+            RunError::ScratchCache { source, .. } => Some(source),
             RunError::Write(e) => Some(e),
         }
     }
@@ -113,8 +128,9 @@ pub struct Run {
     /// The CPI timing backend [`Run::floorplans`] times cores through.
     pub fetch_model: FetchModelKind,
     /// Where sampled sweeps snapshot traces when [`Run::cache`] is
-    /// `None`: a temp-dir cache created on first use.
-    scratch: OnceLock<TraceCache>,
+    /// `None`: a temp-dir cache created on first use, or why it could
+    /// not be.
+    scratch: OnceLock<io::Result<TraceCache>>,
 }
 
 impl Run {
@@ -123,12 +139,23 @@ impl Run {
     /// entirely), else a scratch directory under the system temp dir —
     /// sampling needs a recorded snapshot to slice, so it always
     /// snapshots.
-    pub fn sampling_cache(&self) -> &TraceCache {
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::ScratchCache`] when the run has no cache and the
+    /// scratch directory cannot be created (the first failure is kept,
+    /// so every later call reports it too).
+    pub fn sampling_cache(&self) -> Result<&TraceCache, RunError> {
         match &self.cache {
-            Some(cache) => cache,
+            Some(cache) => Ok(cache),
             None => self
                 .scratch
-                .get_or_init(|| TraceCache::scratch().expect("temp dir must be writable")),
+                .get_or_init(TraceCache::scratch)
+                .as_ref()
+                .map_err(|e| RunError::ScratchCache {
+                    temp_dir: std::env::temp_dir(),
+                    source: io::Error::new(e.kind(), e.to_string()),
+                }),
         }
     }
 
@@ -251,7 +278,8 @@ impl Run {
     /// # Errors
     ///
     /// [`RunError::Replay`] for the first workload whose snapshot cannot
-    /// be generated or decoded.
+    /// be generated or decoded; [`RunError::ScratchCache`] as for
+    /// [`Run::sampling_cache`].
     pub fn sweep_sampled<T, ToolsFn>(
         &self,
         config: &SamplingConfig,
@@ -264,12 +292,13 @@ impl Run {
         ToolsFn: Fn(&Workload) -> Vec<T> + Sync,
     {
         let dims = config.dims;
+        let cache = self.sampling_cache()?;
         // The engine reports the first failure without naming its item,
         // so replay one workload per call to keep the name.
         let measured = self.engine.map(&workloads, |w| {
             self.engine
                 .sweep_sampled(
-                    self.sampling_cache(),
+                    cache,
                     config,
                     vec![w.clone()],
                     |w| w.trace_key(scale),

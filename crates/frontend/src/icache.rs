@@ -97,6 +97,12 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct ICache {
     cfg: CacheConfig,
+    /// `log2(line_bytes)`: the set index starts at this address bit.
+    line_shift: u32,
+    /// `sets - 1`: the set-index bits above `line_shift`.
+    set_mask: u64,
+    /// `log2(line_bytes * sets)`: the tag is every address bit from here.
+    tag_shift: u32,
     lines: Vec<Line>,
     clock: u64,
     evicted_usefulness_sum: f64,
@@ -106,7 +112,14 @@ pub struct ICache {
 impl ICache {
     /// Creates an empty cache.
     pub fn new(cfg: CacheConfig) -> Self {
+        // `CacheConfig::new` asserts every size is a power of two, so the
+        // geometry is exact as shifts and masks.
+        let line_shift = cfg.line_bytes.trailing_zeros();
+        let set_bits = cfg.sets().trailing_zeros();
         ICache {
+            line_shift,
+            set_mask: (1u64 << set_bits) - 1,
+            tag_shift: line_shift + set_bits,
             lines: vec![Line::default(); cfg.lines()],
             cfg,
             clock: 0,
@@ -120,25 +133,33 @@ impl ICache {
         self.cfg
     }
 
+    /// The set holding `addr`'s line (any byte of the line will do).
     #[inline]
-    fn set_of(&self, line_addr: Addr) -> usize {
-        ((line_addr.as_u64() / self.cfg.line_bytes as u64) % self.cfg.sets() as u64) as usize
+    fn set_of(&self, addr: Addr) -> usize {
+        ((addr.as_u64() >> self.line_shift) & self.set_mask) as usize
     }
 
+    /// The tag of `addr`'s line (any byte of the line will do).
     #[inline]
-    fn tag_of(&self, line_addr: Addr) -> u64 {
-        line_addr.as_u64() / self.cfg.line_bytes as u64 / self.cfg.sets() as u64
+    fn tag_of(&self, addr: Addr) -> u64 {
+        addr.as_u64() >> self.tag_shift
     }
 
     /// Accesses the line containing `addr`, marking `len` bytes starting
     /// at line offset `offset` as used. Returns `true` on hit.
     pub fn access(&mut self, addr: Addr, offset: u64, len: u64) -> bool {
-        self.clock += 1;
-        let line_addr = addr.line(self.cfg.line_bytes as u64);
-        let set = self.set_of(line_addr);
-        let tag = self.tag_of(line_addr);
-        let base = set * self.cfg.assoc;
         let used_bits = Self::byte_mask(offset, len, self.cfg.line_bytes as u64);
+        self.access_way(addr, used_bits).0
+    }
+
+    /// [`ICache::access`] with the used bytes as a mask; also returns the
+    /// index into `lines` the line now occupies, for
+    /// [`ICache::mark_used`].
+    #[inline]
+    fn access_way(&mut self, addr: Addr, used_bits: u128) -> (bool, usize) {
+        self.clock += 1;
+        let tag = self.tag_of(addr);
+        let base = self.set_of(addr) * self.cfg.assoc;
 
         let mut victim = base;
         let mut oldest = u64::MAX;
@@ -147,7 +168,7 @@ impl ICache {
             if line.valid && line.tag == tag {
                 line.lru = self.clock;
                 line.used |= used_bits;
-                return true;
+                return (true, i);
             }
             let age = if line.valid { line.lru } else { 0 };
             if age < oldest {
@@ -168,7 +189,21 @@ impl ICache {
             lru: self.clock,
             used: used_bits,
         };
-        false
+        (false, victim)
+    }
+
+    /// Marks `used` bytes of `addr`'s line as used without touching the
+    /// LRU state (line-buffer extraction, not a cache probe), provided
+    /// the line still sits at `way`, the index [`ICache::access_way`]
+    /// returned for it. A line evicted since (by a next-line prefetch)
+    /// is left alone.
+    #[inline]
+    fn mark_used(&mut self, way: usize, addr: Addr, used: u128) {
+        let tag = self.tag_of(addr);
+        let line = &mut self.lines[way];
+        if line.valid && line.tag == tag {
+            line.used |= used;
+        }
     }
 
     #[inline]
@@ -187,10 +222,8 @@ impl ICache {
     /// Returns `true` if the line containing `addr` is resident (no LRU
     /// update, no fill).
     pub fn probe(&self, addr: Addr) -> bool {
-        let line_addr = addr.line(self.cfg.line_bytes as u64);
-        let set = self.set_of(line_addr);
-        let tag = self.tag_of(line_addr);
-        let base = set * self.cfg.assoc;
+        let tag = self.tag_of(addr);
+        let base = self.set_of(addr) * self.cfg.assoc;
         self.lines[base..base + self.cfg.assoc]
             .iter()
             .any(|l| l.valid && l.tag == tag)
@@ -207,22 +240,6 @@ impl ICache {
         // bytes used, so usefulness reflects only demand bytes.
         let _ = self.access(addr, 0, 0);
         true
-    }
-
-    /// Marks bytes of an already-resident line as used without touching
-    /// the LRU state (line-buffer extraction, not a cache probe).
-    pub fn touch(&mut self, addr: Addr, offset: u64, len: u64) {
-        let line_addr = addr.line(self.cfg.line_bytes as u64);
-        let set = self.set_of(line_addr);
-        let tag = self.tag_of(line_addr);
-        let base = set * self.cfg.assoc;
-        let used_bits = Self::byte_mask(offset, len, self.cfg.line_bytes as u64);
-        for line in &mut self.lines[base..base + self.cfg.assoc] {
-            if line.valid && line.tag == tag {
-                line.used |= used_bits;
-                return;
-            }
-        }
     }
 
     /// Mean usefulness over completed residencies plus currently
@@ -352,10 +369,16 @@ pub struct ICacheSim {
     cache: ICache,
     sections: BySection<ICacheStats>,
     current_line: Option<Addr>,
+    /// Where `current_line` sits in the cache (valid while it is `Some`).
+    current_way: usize,
     next_line_prefetch: bool,
     /// Counter snapshot at the last sampled-replay boundary.
     mark: BySection<ICacheStats>,
 }
+
+/// The batched loop's "no current line": never line-aligned, so no pc's
+/// line equals it.
+const NO_LINE: u64 = u64::MAX;
 
 impl ICacheSim {
     /// Creates a measurement harness.
@@ -364,6 +387,7 @@ impl ICacheSim {
             cache: ICache::new(cfg),
             sections: BySection::default(),
             current_line: None,
+            current_way: 0,
             next_line_prefetch: false,
             mark: BySection::default(),
         }
@@ -389,12 +413,13 @@ impl ICacheSim {
 }
 
 impl ICacheSim {
-    /// The fetch-model step shared by per-event and batched delivery;
-    /// `line_bytes` is hoisted out of the batched inner loop.
-    #[inline]
+    /// The per-event fetch model, minus the instruction count: the
+    /// whole of [`Pintool::on_inst`] and the slow path of the batched
+    /// line-buffer loop, so access, miss, prefetch and line-straddle
+    /// logic exist once.
     fn step(&mut self, ev: &TraceEvent, line_bytes: u64) {
         // A taken branch redirects fetch only when it targets a
-        // different line (see `step_core`).
+        // different line (see the end of this function).
         let redirect = if ev.is_taken_branch() {
             ev.branch.and_then(|br| br.target)
         } else {
@@ -402,7 +427,6 @@ impl ICacheSim {
         };
         let (pc, len) = (ev.pc, ev.len);
         let stats = self.sections.get_mut(ev.section);
-        stats.insts += 1;
         // An instruction may span two lines; touch each containing line.
         let first = pc.line(line_bytes);
         let last = (pc + (u64::from(len) - 1)).line(line_bytes);
@@ -418,9 +442,11 @@ impl ICacheSim {
             } else {
                 line_bytes
             };
+            let used = ICache::byte_mask(start, end - start, line_bytes);
             if self.current_line != Some(line) {
                 stats.accesses += 1;
-                if !self.cache.access(line, start, end - start) {
+                let (hit, way) = self.cache.access_way(line, used);
+                if !hit {
                     stats.misses += 1;
                     if self.next_line_prefetch {
                         let next = line + line_bytes;
@@ -430,10 +456,11 @@ impl ICacheSim {
                     }
                 }
                 self.current_line = Some(line);
+                self.current_way = way;
             } else {
                 // Same line: extraction from the line buffer — record
                 // the touched bytes without a cache probe.
-                self.cache.touch(line, start, end - start);
+                self.cache.mark_used(self.current_way, line, used);
             }
             if line == last {
                 break;
@@ -451,22 +478,65 @@ impl ICacheSim {
             }
         }
     }
+
+    /// Writes the bytes the batched loop extracted from the current line
+    /// back to the cache.
+    #[inline]
+    fn flush_line_buffer(&mut self, line: u64, used: u128) {
+        if used != 0 {
+            self.cache
+                .mark_used(self.current_way, Addr::new(line), used);
+        }
+    }
 }
 
 impl Pintool for ICacheSim {
     fn on_inst(&mut self, ev: &TraceEvent) {
+        self.sections.get_mut(ev.section).insts += 1;
         let line_bytes = self.cache.config().line_bytes as u64;
         self.step(ev, line_bytes);
     }
 
-    /// Hot path: one geometry lookup per block, then a tight
-    /// statically-dispatched loop over every event (the fetch model
-    /// needs each pc/len, so there is no slice to skip to).
+    /// Hot path: a line-buffer loop. Instruction counts come from the
+    /// batch's section totals. The current line and the bytes used
+    /// since its access live in locals, so an event wholly inside the
+    /// current line only ORs in its byte mask and checks for a taken
+    /// branch out of the line; the cache sees those bytes once, when
+    /// fetch leaves the line. Every other event takes the same per-event
+    /// fetch step as `on_inst`, the path the equivalence tests compare
+    /// this loop against.
     fn on_batch(&mut self, batch: &EventBatch) {
+        let insts = batch.sections();
+        self.sections.serial.insts += insts.serial;
+        self.sections.parallel.insts += insts.parallel;
         let line_bytes = self.cache.config().line_bytes as u64;
+        let offset_mask = line_bytes - 1;
+        let mut line = self.current_line.map_or(NO_LINE, Addr::as_u64);
+        let mut used = 0u128;
         for ev in batch.events() {
+            let pc = ev.pc.as_u64();
+            let offset = pc & offset_mask;
+            let len = u64::from(ev.len);
+            if pc - offset == line && offset + len <= line_bytes {
+                used |= ICache::byte_mask(offset, len, line_bytes);
+                let leaves = ev.branch.is_some_and(|br| {
+                    br.outcome.is_taken()
+                        && br.target.is_some_and(|t| t.as_u64() & !offset_mask != line)
+                });
+                if leaves {
+                    self.flush_line_buffer(line, used);
+                    used = 0;
+                    line = NO_LINE;
+                    self.current_line = None;
+                }
+                continue;
+            }
+            self.flush_line_buffer(line, used);
+            used = 0;
             self.step(ev, line_bytes);
+            line = self.current_line.map_or(NO_LINE, Addr::as_u64);
         }
+        self.flush_line_buffer(line, used);
     }
 
     /// Scales the window's counter deltas; the line buffer is dropped
@@ -533,6 +603,30 @@ mod tests {
         assert_eq!(c.label(), "16KB/128B/8w");
         let d = CacheConfig::default();
         assert_eq!(d.size_bytes, 32 * 1024);
+    }
+
+    #[test]
+    fn shift_and_mask_geometry_matches_division() {
+        for (size, line, assoc) in [
+            (64, 64, 1),
+            (256, 16, 2),
+            (1024, 64, 4),
+            (16 * 1024, 128, 8),
+            (32 * 1024, 64, 4),
+        ] {
+            let cfg = CacheConfig::new(size, line, assoc);
+            let cache = ICache::new(cfg);
+            let (line, sets) = (line as u64, cfg.sets() as u64);
+            for raw in [0, 1, 63, 64, 0x1234_5678, u64::MAX] {
+                let a = Addr::new(raw);
+                assert_eq!(
+                    cache.set_of(a) as u64,
+                    raw / line % sets,
+                    "{cfg:?} {raw:#x}"
+                );
+                assert_eq!(cache.tag_of(a), raw / line / sets, "{cfg:?} {raw:#x}");
+            }
+        }
     }
 
     #[test]

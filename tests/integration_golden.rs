@@ -400,7 +400,9 @@ fn render_paper_exhibits(mut run: Run) -> Vec<(String, String)> {
     let mut rendered = dump_exhibits(&run, &["all"], "");
     run.fetch_model = FetchModelKind::Ftq;
     rendered.extend(dump_exhibits(&run, &FTQ_EXHIBITS, "_ftq"));
-    let _ = std::fs::remove_dir_all(run.sampling_cache().dir());
+    if let Ok(scratch) = run.sampling_cache() {
+        let _ = std::fs::remove_dir_all(scratch.dir());
+    }
     let expected: BTreeSet<String> = PAPER_EXHIBIT_FILES
         .iter()
         .chain(&FTQ_EXHIBIT_FILES)

@@ -11,7 +11,10 @@
 //! 3. a stateful, section-sensitive tool ([`BasicBlockTool`], which
 //!    relies on the default batch delivery to replay its section
 //!    boundaries in order) accumulates identical statistics either
-//!    way — even when boundaries land exactly on batch edges.
+//!    way — even when boundaries land exactly on batch edges, and
+//! 4. `ICacheSim`'s line-buffer `on_batch` loop matches its per-event
+//!    path on streams with real fetch locality, which arbitrary pcs
+//!    never have.
 
 use proptest::prelude::*;
 
@@ -81,24 +84,33 @@ impl Pintool for CallLog {
     }
 }
 
+/// A stream to deliver: each event, `true` when a section start
+/// precedes it.
+type Stream = Vec<(TraceEvent, bool)>;
+
+/// The stream of drawn raw events.
+fn stream_of(raws: &[RawEvent]) -> Stream {
+    raws.iter()
+        .map(|raw| (build_event(*raw), boundary_here(raw)))
+        .collect()
+}
+
 /// Feeds the stream per event into `tool`, the baseline delivery.
-fn deliver_per_event<T: Pintool>(raws: &[RawEvent], tool: &mut T) {
-    for raw in raws {
-        let ev = build_event(*raw);
-        if boundary_here(raw) {
+fn deliver_per_event<T: Pintool>(stream: &[(TraceEvent, bool)], tool: &mut T) {
+    for (ev, boundary) in stream {
+        if *boundary {
             tool.on_section_start(ev.section);
         }
-        tool.on_inst(&ev);
+        tool.on_inst(ev);
     }
 }
 
 /// Feeds the stream through an [`EventBatch`] of the given capacity,
 /// flushing whenever it fills, exactly as the producers do.
-fn deliver_batched<T: Pintool>(raws: &[RawEvent], capacity: usize, tool: &mut T) {
+fn deliver_batched<T: Pintool>(stream: &[(TraceEvent, bool)], capacity: usize, tool: &mut T) {
     let mut batch = EventBatch::with_capacity(capacity);
-    for raw in raws {
-        let ev = build_event(*raw);
-        if boundary_here(raw) {
+    for &(ev, boundary) in stream {
+        if boundary {
             batch.push_section_start(ev.section);
         }
         batch.push(ev);
@@ -112,7 +124,7 @@ fn deliver_batched<T: Pintool>(raws: &[RawEvent], capacity: usize, tool: &mut T)
 /// Snapshot-encodes the stream the way a live replay would.
 fn encode(raws: &[RawEvent]) -> Vec<u8> {
     let mut writer = SnapshotWriter::new(Vec::new(), 1, 0);
-    deliver_per_event(raws, &mut writer);
+    deliver_per_event(&stream_of(raws), &mut writer);
     writer.finish().expect("Vec sink cannot fail").0
 }
 
@@ -138,6 +150,97 @@ fn raw_events(max: usize) -> impl Strategy<Value = Vec<RawEvent>> {
     )
 }
 
+/// One drawn step of a local stream: `(shape, delta, len, taken,
+/// target, section switch when 0)`.
+type LocalStep = (u8, u8, u8, bool, u8, u8);
+
+fn local_steps(max: usize) -> impl Strategy<Value = Vec<LocalStep>> {
+    proptest::collection::vec(
+        (
+            0u8..32,
+            any::<u8>(),
+            1u8..=15,
+            any::<bool>(),
+            any::<u8>(),
+            0u8..12,
+        ),
+        0..max,
+    )
+}
+
+/// A stream with the locality of real fetch, so consecutive events
+/// share a line: most events start where the previous one ended (its
+/// next pc), some after a short jump of up to two 64 B lines either
+/// way, some just before a 128 B line end so the instruction straddles
+/// lines at every line size, and some are branches. A taken branch with
+/// a target sends the next pc there; targets are missing, inside the
+/// branch's 16 B line (so in its line at every line size), or a few
+/// lines away. Section switches fall anywhere, inside a line included.
+fn local_stream(steps: &[LocalStep]) -> Stream {
+    let mut pc = 1u64 << 32;
+    let mut section = Section::Serial;
+    let mut stream = Vec::with_capacity(steps.len());
+    for &(shape, delta, len, taken, target, switch) in steps {
+        match shape {
+            20..=23 => pc = pc.wrapping_add(u64::from(delta)).wrapping_sub(128),
+            24 | 25 => pc = (pc | 0x7f) - u64::from(delta % 4),
+            _ => {}
+        }
+        let boundary = switch == 0;
+        if boundary {
+            section = match section {
+                Section::Serial => Section::Parallel,
+                Section::Parallel => Section::Serial,
+            };
+        }
+        let mut next = pc + u64::from(len);
+        let (class, branch) = if shape >= 26 {
+            let kind = KIND_TABLE[usize::from(delta) % KIND_TABLE.len()];
+            let target = match target % 4 {
+                0 => None,
+                1 | 2 => Some((pc & !15) | u64::from(target >> 4)),
+                _ => Some(pc.wrapping_add(u64::from(target) * 8).wrapping_sub(1024)),
+            };
+            if let (true, Some(target)) = (taken, target) {
+                next = target;
+            }
+            (
+                InstClass::Branch(kind),
+                Some(BranchEvent {
+                    kind,
+                    outcome: Outcome::from_taken(taken),
+                    target: target.map(Addr::new),
+                }),
+            )
+        } else {
+            (InstClass::Other, None)
+        };
+        let ev = TraceEvent {
+            pc: Addr::new(pc),
+            len,
+            class,
+            branch,
+            section,
+        };
+        stream.push((ev, boundary));
+        pc = next;
+    }
+    stream
+}
+
+/// I-cache geometries for the line-buffer check, `(size, line, assoc,
+/// next-line prefetch)`. The first holds one line, so every prefetch
+/// evicts the line being fetched from.
+const ICACHE_GEOMETRIES: [(usize, usize, usize, bool); 7] = [
+    (64, 64, 1, true),
+    (256, 16, 2, false),
+    (256, 16, 2, true),
+    (1024, 64, 4, false),
+    (1024, 64, 4, true),
+    (2048, 128, 8, false),
+    (2048, 128, 8, true),
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -149,9 +252,9 @@ proptest! {
         capacity in 1usize..10,
     ) {
         let mut baseline = CallLog::default();
-        deliver_per_event(&raws, &mut baseline);
+        deliver_per_event(&stream_of(&raws), &mut baseline);
         let mut batched = CallLog::default();
-        deliver_batched(&raws, capacity, &mut batched);
+        deliver_batched(&stream_of(&raws), capacity, &mut batched);
         prop_assert_eq!(batched, baseline);
     }
 
@@ -169,7 +272,7 @@ proptest! {
         let base_summary = snapshot.replay_per_event(&mut baseline).expect("decodes");
 
         let mut original = CallLog::default();
-        deliver_per_event(&raws, &mut original);
+        deliver_per_event(&stream_of(&raws), &mut original);
         prop_assert_eq!(&baseline, &original, "per-event decode = recorded stream");
 
         let mut batched = CallLog::default();
@@ -210,9 +313,9 @@ proptest! {
                     &mut bbv,
                 );
                 if batched {
-                    deliver_batched(&raws, capacity, &mut tools);
+                    deliver_batched(&stream_of(&raws), capacity, &mut tools);
                 } else {
-                    deliver_per_event(&raws, &mut tools);
+                    deliver_per_event(&stream_of(&raws), &mut tools);
                 }
             }
             (
@@ -243,9 +346,9 @@ proptest! {
         capacity in 1usize..10,
     ) {
         let mut baseline = BasicBlockTool::new();
-        deliver_per_event(&raws, &mut baseline);
+        deliver_per_event(&stream_of(&raws), &mut baseline);
         let mut batched = BasicBlockTool::new();
-        deliver_batched(&raws, capacity, &mut batched);
+        deliver_batched(&stream_of(&raws), capacity, &mut batched);
         prop_assert_eq!(batched.report(), baseline.report());
 
         // And through the snapshot decoder.
@@ -254,5 +357,48 @@ proptest! {
         let mut decoded = BasicBlockTool::new();
         snapshot.replay_batched(&mut decoded, capacity).expect("decodes");
         prop_assert_eq!(decoded.report(), baseline.report());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `ICacheSim`'s batched line-buffer loop reports exactly what its
+    /// per-event path reports (usefulness as `f64` bits) on streams
+    /// with real locality, where most events stay in the current line
+    /// and take the loop's fast path: intra-line taken branches, branches
+    /// out of the line, targetless taken branches, straddling
+    /// instructions and section switches inside a line, at every small
+    /// capacity and over a matrix of geometries with and without
+    /// next-line prefetch.
+    #[test]
+    fn icache_line_buffer_matches_per_event_on_local_streams(
+        steps in local_steps(300),
+        capacity in 1usize..=10,
+    ) {
+        let stream = local_stream(&steps);
+        for (size, line, assoc, prefetch) in ICACHE_GEOMETRIES {
+            let sim = || {
+                let sim = ICacheSim::new(CacheConfig::new(size, line, assoc));
+                if prefetch {
+                    sim.with_next_line_prefetch()
+                } else {
+                    sim
+                }
+            };
+            let mut per_event = sim();
+            deliver_per_event(&stream, &mut per_event);
+            let mut batched = sim();
+            deliver_batched(&stream, capacity, &mut batched);
+            let (expected, got) = (per_event.report(), batched.report());
+            let label = format!("{size}/{line}/{assoc} prefetch {prefetch}");
+            prop_assert_eq!(got.sections, expected.sections, "{}", &label);
+            prop_assert_eq!(
+                got.usefulness.to_bits(),
+                expected.usefulness.to_bits(),
+                "{}",
+                &label
+            );
+        }
     }
 }

@@ -1,11 +1,12 @@
 //! Property-based invariants of the phase-sampling pipeline: random
 //! fingerprint sets through the clusterer, degenerate plans over real
 //! synthesized traces, and the windowed sampled replay against a
-//! decode-everything-and-filter oracle.
+//! decode-everything-and-filter oracle — both its callbacks and what an
+//! `ICacheSim` fed them reports.
 
 use proptest::prelude::*;
 use rebalance::coresim::CoreModel;
-use rebalance::frontend::CoreKind;
+use rebalance::frontend::{CacheConfig, CoreKind, ICacheSim};
 use rebalance::isa::{Addr, InstClass, Outcome};
 use rebalance::pintools::BbvTool;
 use rebalance::trace::snapshot::{self, checksum, KIND_TABLE};
@@ -351,9 +352,82 @@ impl Coverage {
     }
 }
 
+/// Feeds an oracle call log into `tool` one event at a time: each
+/// batch's section starts and events in order, then weights and gaps
+/// where they fell.
+fn feed_per_event<T: Pintool>(calls: &[Call], tool: &mut T) {
+    for call in calls {
+        match call {
+            Call::Inst(ev) => tool.on_inst(ev),
+            Call::SectionStart(section) => tool.on_section_start(*section),
+            Call::Batch { events, starts } => {
+                let mut starts = starts.iter().peekable();
+                for (at, ev) in events.iter().enumerate() {
+                    while let Some(&(_, section)) = starts.next_if(|&&(pos, _)| pos as usize <= at)
+                    {
+                        tool.on_section_start(section);
+                    }
+                    tool.on_inst(ev);
+                }
+                for &(_, section) in starts {
+                    tool.on_section_start(section);
+                }
+            }
+            Call::Weight(weight) => tool.on_sample_weight(*weight),
+            Call::Gap => tool.on_sample_gap(),
+        }
+    }
+}
+
+/// Asserts that a windowed replay into an `ICacheSim` at `capacity`
+/// reports exactly what the same sim reports when fed `oracle_calls`
+/// one event at a time, usefulness compared as `f64` bits. Window
+/// edges and gaps land mid-line, so the sim's batched line buffer must
+/// flush at every batch end and restart after a gap. The sims are
+/// small caches that evict often, with and without next-line prefetch;
+/// in the one-line cache every prefetch evicts the line being fetched
+/// from.
+fn assert_icache_matches_oracle(
+    label: &str,
+    snap: &Snapshot<'_>,
+    plan: &SamplePlan,
+    capacity: usize,
+    oracle_calls: &[Call],
+) {
+    for (size, line, assoc, prefetch) in [
+        (1024, 64, 2, false),
+        (1024, 64, 2, true),
+        (64, 64, 1, false),
+        (64, 64, 1, true),
+    ] {
+        let sim = || {
+            let sim = ICacheSim::new(CacheConfig::new(size, line, assoc));
+            if prefetch {
+                sim.with_next_line_prefetch()
+            } else {
+                sim
+            }
+        };
+        let mut expected = sim();
+        feed_per_event(oracle_calls, &mut expected);
+        let mut windowed = sim();
+        snap.replay_sampled_batched(&mut windowed, plan, capacity)
+            .unwrap_or_else(|e| panic!("{label} cap {capacity}: {e}"));
+        let (expected, got) = (expected.report(), windowed.report());
+        let label = format!("{label} cap {capacity} {size}/{line}/{assoc} prefetch {prefetch}");
+        assert_eq!(got.sections, expected.sections, "{label}: i-cache stats");
+        assert_eq!(
+            got.usefulness.to_bits(),
+            expected.usefulness.to_bits(),
+            "{label}: usefulness"
+        );
+    }
+}
+
 /// Asserts the windowed replay's call log, delivered count and summary
-/// match the oracle's for `plan`, at batch capacities 1, 7 and the
-/// default.
+/// match the oracle's for `plan`, and that an `ICacheSim` reports the
+/// same either way ([`assert_icache_matches_oracle`]), at batch
+/// capacities 1, 7 and the default.
 fn assert_matches_oracle(label: &str, snap: &Snapshot<'_>, plan: &SamplePlan) {
     for capacity in [1usize, 7, batch_capacity()] {
         let (expected, expected_delivered) = oracle(snap, plan, capacity);
@@ -385,6 +459,7 @@ fn assert_matches_oracle(label: &str, snap: &Snapshot<'_>, plan: &SamplePlan) {
             snap.info().summary,
             "{label} cap {capacity}: summary is the validated full-trace one"
         );
+        assert_icache_matches_oracle(label, snap, plan, capacity, &expected);
     }
 }
 
