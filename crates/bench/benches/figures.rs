@@ -3,8 +3,15 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rebalance_bench::BENCH_SCALE;
-use rebalance_experiments::util::Run;
-use rebalance_experiments::{caches, characterization, cmp, predictors};
+use rebalance_experiments::driver;
+use rebalance_experiments::util::{Run, RunError};
+
+/// Renders `exhibits` through the exhibit driver: one fused pass over
+/// the workloads they read, then their aggregations.
+fn render(run: &Run, exhibits: &[&str]) -> Result<(), RunError> {
+    let names: Vec<String> = exhibits.iter().map(|e| (*e).to_owned()).collect();
+    driver::run_exhibits(run, &names, BENCH_SCALE, None, &mut std::io::sink())
+}
 
 fn bench_characterization_set(c: &mut Criterion) {
     let mut g = c.benchmark_group("exhibits");
@@ -12,10 +19,10 @@ fn bench_characterization_set(c: &mut Criterion) {
     let run = Run::default();
     // Figures 1-4 + Table I share one pass.
     g.bench_function("fig1_to_fig4_table1", |b| {
-        b.iter(|| characterization::run(&run, BENCH_SCALE))
+        b.iter(|| render(&run, &["fig1", "fig2", "table1", "fig3", "fig4"]))
     });
-    g.bench_function("table2", |b| b.iter(predictors::table2));
-    g.bench_function("table3", |b| b.iter(cmp::table3));
+    g.bench_function("table2", |b| b.iter(|| render(&run, &["table2"])));
+    g.bench_function("table3", |b| b.iter(|| render(&run, &["table3"])));
     g.finish();
 }
 
@@ -23,9 +30,9 @@ fn bench_subset_figures(c: &mut Criterion) {
     let mut g = c.benchmark_group("exhibits_subset");
     g.sample_size(10);
     let run = Run::default();
-    g.bench_function("fig6", |b| b.iter(|| predictors::fig6(&run, BENCH_SCALE)));
-    g.bench_function("fig9", |b| b.iter(|| caches::fig9(&run, BENCH_SCALE)));
-    g.bench_function("fig11", |b| b.iter(|| cmp::fig11(&run, BENCH_SCALE)));
+    for exhibit in ["fig6", "fig9", "fig11"] {
+        g.bench_function(exhibit, |b| b.iter(|| render(&run, &[exhibit])));
+    }
     g.finish();
 }
 

@@ -29,12 +29,10 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     let run = args::run(&parsed)?;
     args::configure_metrics(&parsed);
 
-    let grid = fetchsim::default_grid();
     let (sweep, report) = {
         let _fetch_span = rebalance_telemetry::span("fetch");
         (
-            fetchsim::sweep_grid(&run, workloads, parsed.scale, &grid)
-                .map_err(|e| e.to_string())?,
+            fetchsim::sweep_grid(&run, workloads, parsed.scale).map_err(|e| e.to_string())?,
             run.report(),
         )
     };

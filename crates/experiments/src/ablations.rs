@@ -7,6 +7,7 @@ use rebalance_frontend::predictor::{
 };
 use rebalance_frontend::{BtbConfig, BtbSim, CacheConfig, ICacheSim};
 use rebalance_mcpat::CmpFloorplan;
+use rebalance_trace::Pintool;
 use rebalance_workloads::{Scale, Workload};
 use serde::{Deserialize, Serialize};
 
@@ -53,159 +54,137 @@ fn workload(name: &str) -> Workload {
     rebalance_workloads::find(name).expect("ablation roster name")
 }
 
+/// One single-workload study: every labelled variant observes one
+/// replay of `workload`, and `point` reads its `(value, aux)` pair.
+fn study<T: Pintool>(
+    (run, scale): (&Run, Scale),
+    (name, workload_name): (&str, &str),
+    metrics: (&str, &str),
+    variants: Vec<(String, T)>,
+    point: impl Fn(&T) -> (f64, f64),
+) -> Result<Ablation, RunError> {
+    let (labels, tools): (Vec<String>, Vec<T>) = variants.into_iter().unzip();
+    let (tools, _) = run.replay(&workload(workload_name), scale, tools)?;
+    let points = labels
+        .into_iter()
+        .zip(&tools)
+        .map(|(label, tool)| {
+            let (value, aux) = point(tool);
+            AblationPoint { label, value, aux }
+        })
+        .collect();
+    Ok(Ablation {
+        name: name.into(),
+        metrics: (metrics.0.into(), metrics.1.into()),
+        points,
+    })
+}
+
 /// Ablation 1: loop-BP entry count (16..256) on a loop-heavy workload,
 /// all variants fanned out over a single replay.
 /// The paper's 64-entry/512 B choice should sit at the knee.
 pub fn lbp_entries(run: &Run, scale: Scale) -> Result<Ablation, RunError> {
-    let w = workload("imagick");
-    let variants = [0usize, 16, 64, 256];
-    let sims: Vec<PredictorSim<Box<dyn DirectionPredictor>>> = variants
-        .iter()
-        .map(|&entries| {
-            let predictor: Box<dyn DirectionPredictor> = if entries == 0 {
-                Box::new(Tournament::new(10, 8))
-            } else {
-                Box::new(WithLoop::with_entries(Tournament::new(10, 8), entries))
-            };
-            PredictorSim::new(predictor)
-        })
-        .collect();
-    let (sims, _) = run.fan_out(&w, scale, sims)?;
-    let points = variants
-        .iter()
-        .zip(&sims)
-        .map(|(&entries, sim)| {
-            let report = sim.report();
-            AblationPoint {
-                label: if entries == 0 {
-                    "no LBP".into()
-                } else {
-                    format!("{entries}-entry LBP")
-                },
-                value: report.total().mpki(),
-                aux: (report.budget_bits / 8) as f64,
-            }
-        })
-        .collect();
-    Ok(Ablation {
-        name: "loop-BP entries (imagick, small tournament base)".into(),
-        metrics: ("branch MPKI".into(), "budget bytes".into()),
-        points,
-    })
+    let variants = [0usize, 16, 64, 256].map(|entries| {
+        let (label, predictor): (String, Box<dyn DirectionPredictor>) = if entries == 0 {
+            ("no LBP".into(), Box::new(Tournament::new(10, 8)))
+        } else {
+            let lbp = WithLoop::with_entries(Tournament::new(10, 8), entries);
+            (format!("{entries}-entry LBP"), Box::new(lbp))
+        };
+        (label, PredictorSim::new(predictor))
+    });
+    study(
+        (run, scale),
+        (
+            "loop-BP entries (imagick, small tournament base)",
+            "imagick",
+        ),
+        ("branch MPKI", "budget bytes"),
+        variants.into(),
+        predictor_point,
+    )
+}
+
+/// A predictor's MPKI and budget in bytes.
+fn predictor_point<P: DirectionPredictor>(sim: &PredictorSim<P>) -> (f64, f64) {
+    let report = sim.report();
+    (report.total().mpki(), (report.budget_bits / 8) as f64)
 }
 
 /// Ablation 2: TAGE tagged-table count at fixed per-table size.
 /// The paper's small TAGE keeps only two tables (histories 4 and 16).
 pub fn tage_tables(run: &Run, scale: Scale) -> Result<Ablation, RunError> {
-    let w = workload("CoEVP");
     let histories: [&[u32]; 4] = [
         &[4, 16],
         &[4, 11, 30, 81],
         &[4, 7, 11, 18, 30, 49, 81, 134],
         &[4, 7, 11, 18, 30, 49, 81, 134, 221, 365, 512, 640],
     ];
-    let sims: Vec<PredictorSim<Tage>> = histories
-        .iter()
-        .map(|hist| {
-            PredictorSim::new(Tage::new(TageConfig {
-                bimodal_bits: 12,
-                table_bits: 7,
-                histories: hist.to_vec(),
-                tag_bits: 9,
-            }))
-        })
-        .collect();
-    let (sims, _) = run.fan_out(&w, scale, sims)?;
-    let points = histories
-        .iter()
-        .zip(&sims)
-        .map(|(hist, sim)| {
-            let r = sim.report();
-            AblationPoint {
-                label: format!("{} tagged tables", hist.len()),
-                value: r.total().mpki(),
-                aux: (r.budget_bits / 8) as f64,
-            }
-        })
-        .collect();
-    Ok(Ablation {
-        name: "TAGE tagged-table count (CoEVP)".into(),
-        metrics: ("branch MPKI".into(), "budget bytes".into()),
-        points,
-    })
+    let variants = histories.map(|hist| {
+        let tage = Tage::new(TageConfig {
+            bimodal_bits: 12,
+            table_bits: 7,
+            histories: hist.to_vec(),
+            tag_bits: 9,
+        });
+        (
+            format!("{} tagged tables", hist.len()),
+            PredictorSim::new(tage),
+        )
+    });
+    study(
+        (run, scale),
+        ("TAGE tagged-table count (CoEVP)", "CoEVP"),
+        ("branch MPKI", "budget bytes"),
+        variants.into(),
+        predictor_point,
+    )
 }
 
 /// Ablation 3: wide lines vs narrow lines + an explicit next-line
 /// prefetcher (the paper argues a wide line *is* a prefetch buffer).
 pub fn line_vs_prefetch(run: &Run, scale: Scale) -> Result<Ablation, RunError> {
-    let w = workload("LULESH");
-    let configs: [(&str, CacheConfig, bool); 3] = [
-        ("16KB/64B", CacheConfig::new(16 * 1024, 64, 8), false),
+    let narrow = CacheConfig::new(16 * 1024, 64, 8);
+    let variants = vec![
+        ("16KB/64B".into(), ICacheSim::new(narrow)),
         (
-            "16KB/64B + next-line PF",
-            CacheConfig::new(16 * 1024, 64, 8),
-            true,
+            "16KB/64B + next-line PF".into(),
+            ICacheSim::new(narrow).with_next_line_prefetch(),
         ),
-        ("16KB/128B", CacheConfig::new(16 * 1024, 128, 8), false),
+        (
+            "16KB/128B".into(),
+            ICacheSim::new(CacheConfig::new(16 * 1024, 128, 8)),
+        ),
     ];
-    let sims: Vec<ICacheSim> = configs
-        .iter()
-        .map(|&(_, cfg, prefetch)| {
-            let sim = ICacheSim::new(cfg);
-            if prefetch {
-                sim.with_next_line_prefetch()
-            } else {
-                sim
-            }
-        })
-        .collect();
-    let (sims, _) = run.fan_out(&w, scale, sims)?;
-    let points = configs
-        .iter()
-        .zip(&sims)
-        .map(|(&(label, _, _), sim)| {
+    study(
+        (run, scale),
+        ("wide lines vs next-line prefetch (LULESH)", "LULESH"),
+        ("I-cache MPKI", "usefulness"),
+        variants,
+        |sim| {
             let r = sim.report();
-            AblationPoint {
-                label: label.into(),
-                value: r.total().mpki(),
-                aux: r.usefulness,
-            }
-        })
-        .collect();
-    Ok(Ablation {
-        name: "wide lines vs next-line prefetch (LULESH)".into(),
-        metrics: ("I-cache MPKI".into(), "usefulness".into()),
-        points,
-    })
+            (r.total().mpki(), r.usefulness)
+        },
+    )
 }
 
 /// Ablation 4: BTB associativity at 256 entries — the paper notes high
 /// associativity is needed with simple modulo indexing (ExMatEx).
 pub fn btb_associativity(run: &Run, scale: Scale) -> Result<Ablation, RunError> {
-    let w = workload("CoEVP");
-    let assocs = [1usize, 2, 4, 8];
-    let sims: Vec<BtbSim> = assocs
-        .iter()
-        .map(|&assoc| BtbSim::new(BtbConfig::new(256, assoc)))
-        .collect();
-    let (sims, _) = run.fan_out(&w, scale, sims)?;
-    let points = assocs
-        .iter()
-        .zip(&sims)
-        .map(|(&assoc, sim)| {
-            let r = sim.report();
-            AblationPoint {
-                label: format!("256-entry {assoc}-way"),
-                value: r.total().mpki(),
-                aux: r.total().miss_rate(),
-            }
-        })
-        .collect();
-    Ok(Ablation {
-        name: "BTB associativity at 256 entries (CoEVP)".into(),
-        metrics: ("BTB MPKI".into(), "miss rate".into()),
-        points,
-    })
+    let variants = [1usize, 2, 4, 8].map(|assoc| {
+        let sim = BtbSim::new(BtbConfig::new(256, assoc));
+        (format!("256-entry {assoc}-way"), sim)
+    });
+    study(
+        (run, scale),
+        ("BTB associativity at 256 entries (CoEVP)", "CoEVP"),
+        ("BTB MPKI", "miss rate"),
+        variants.into(),
+        |sim| {
+            let r = sim.report().total();
+            (r.mpki(), r.miss_rate())
+        },
+    )
 }
 
 /// Section III-D scaling study: as core counts grow, serial sections

@@ -1,10 +1,11 @@
 //! Figures 7–9: BTB and I-cache sensitivity studies.
 
-use rebalance_frontend::{BtbConfig, BtbSim, CacheConfig, ICacheSim};
-use rebalance_workloads::{Scale, Suite, Workload};
+use rebalance_frontend::{BtbConfig, CacheConfig};
+use rebalance_workloads::Suite;
 use serde::{Deserialize, Serialize};
 
-use crate::util::{f2, mean, Run, RunError, TextTable};
+use crate::pass::{suite_means, Record};
+use crate::util::{f2, TextTable};
 
 /// One Figure 7 row: per-suite BTB MPKI for one geometry.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -62,40 +63,18 @@ pub fn fig7_configs() -> Vec<BtbConfig> {
     v
 }
 
-/// Runs Figure 7 (all geometries in one trace pass per workload).
-pub fn fig7(run: &Run, scale: Scale) -> Result<Fig7, RunError> {
-    let configs = fig7_configs();
-    let results: Vec<(Workload, Vec<f64>)> = run
-        .sweep(run.roster(), scale, |_| {
-            configs.iter().map(|c| BtbSim::new(*c)).collect()
-        })?
-        .into_iter()
-        .map(|o| {
-            let mpki = o.tools.iter().map(|s| s.report().total().mpki()).collect();
-            (o.item, mpki)
-        })
-        .collect();
-    let rows = configs
+/// Figure 7: each geometry's mean BTB MPKI per suite.
+pub fn fig7(records: &[&Record]) -> Fig7 {
+    let rows = fig7_configs()
         .iter()
         .enumerate()
-        .map(|(ci, c)| {
-            let mut mpki = [0.0; Suite::COUNT];
-            for (si, suite) in Suite::ALL.iter().enumerate() {
-                mpki[si] = mean(
-                    results
-                        .iter()
-                        .filter(|(w, _)| w.suite() == *suite)
-                        .map(|(_, v)| v[ci]),
-                );
-            }
-            Fig7Row {
-                entries: c.entries,
-                assoc: c.assoc,
-                mpki,
-            }
+        .map(|(ci, c)| Fig7Row {
+            entries: c.entries,
+            assoc: c.assoc,
+            mpki: suite_means(records, |r| r.btbs[ci].total().mpki()),
         })
         .collect();
-    Ok(Fig7 { rows })
+    Fig7 { rows }
 }
 
 /// One Figure 8 row: per-suite I-cache MPKI for one geometry (64 B line).
@@ -143,45 +122,29 @@ impl Fig8 {
     }
 }
 
-/// Runs Figure 8.
-pub fn fig8(run: &Run, scale: Scale) -> Result<Fig8, RunError> {
+/// The Figure 8 geometries: {8, 16, 32 KB} × {2, 4, 8}-way, 64 B
+/// lines.
+pub fn fig8_configs() -> Vec<CacheConfig> {
     let mut configs = Vec::new();
     for size_kb in [8, 16, 32] {
         for assoc in [2, 4, 8] {
             configs.push(CacheConfig::new(size_kb * 1024, 64, assoc));
         }
     }
-    let results: Vec<(Workload, Vec<f64>)> = run
-        .sweep(run.roster(), scale, |_| {
-            configs.iter().map(|c| ICacheSim::new(*c)).collect()
-        })?
+    configs
+}
+
+/// Figure 8: each geometry's mean I-cache MPKI per suite.
+pub fn fig8(records: &[&Record]) -> Fig8 {
+    let rows = fig8_configs()
         .into_iter()
-        .map(|o| {
-            let mpki = o.tools.iter().map(|s| s.report().total().mpki()).collect();
-            (o.item, mpki)
+        .map(|c| Fig8Row {
+            size_kb: c.size_bytes / 1024,
+            assoc: c.assoc,
+            mpki: suite_means(records, |r| r.icache(c).total().mpki()),
         })
         .collect();
-    let rows = configs
-        .iter()
-        .enumerate()
-        .map(|(ci, c)| {
-            let mut mpki = [0.0; Suite::COUNT];
-            for (si, suite) in Suite::ALL.iter().enumerate() {
-                mpki[si] = mean(
-                    results
-                        .iter()
-                        .filter(|(w, _)| w.suite() == *suite)
-                        .map(|(_, v)| v[ci]),
-                );
-            }
-            Fig8Row {
-                size_kb: c.size_bytes / 1024,
-                assoc: c.assoc,
-                mpki,
-            }
-        })
-        .collect();
-    Ok(Fig8 { rows })
+    Fig8 { rows }
 }
 
 /// The benchmarks Figure 9 highlights.
@@ -230,52 +193,52 @@ impl Fig9 {
     }
 }
 
-/// Runs Figure 9 over the highlighted subset: all nine line/assoc
-/// geometries share one replay per workload.
-pub fn fig9(run: &Run, scale: Scale) -> Result<Fig9, RunError> {
+/// The Figure 9 geometries: 16 KB, {32, 64, 128 B} lines ×
+/// {2, 4, 8}-way.
+pub fn fig9_configs() -> Vec<CacheConfig> {
     let mut configs = Vec::new();
     for line in [32, 64, 128] {
         for assoc in [2, 4, 8] {
             configs.push(CacheConfig::new(16 * 1024, line, assoc));
         }
     }
-    let subset = run.filtered(
-        FIG9_WORKLOADS
-            .iter()
-            .map(|n| rebalance_workloads::find(n).expect("figure 9 roster name"))
-            .collect(),
-    );
-    let rows = run
-        .sweep(subset, scale, |_| {
-            configs.iter().map(|c| ICacheSim::new(*c)).collect()
-        })?
-        .into_iter()
-        .flat_map(|o| {
-            o.tools
-                .iter()
-                .map(|sim| {
-                    let rep = sim.report();
-                    Fig9Row {
-                        workload: o.item.name().to_owned(),
-                        line_bytes: rep.config.line_bytes,
-                        assoc: rep.config.assoc,
-                        mpki: rep.total().mpki(),
-                        usefulness: rep.usefulness,
-                    }
-                })
-                .collect::<Vec<_>>()
+    configs
+}
+
+/// Figure 9: every geometry's MPKI and usefulness per highlighted
+/// workload.
+pub fn fig9(records: &[&Record]) -> Fig9 {
+    let rows = records
+        .iter()
+        .flat_map(|r| {
+            fig9_configs().into_iter().map(|c| {
+                let rep = r.icache(c);
+                Fig9Row {
+                    workload: r.workload.name().to_owned(),
+                    line_bytes: rep.config.line_bytes,
+                    assoc: rep.config.assoc,
+                    mpki: rep.total().mpki(),
+                    usefulness: rep.usefulness,
+                }
+            })
         })
         .collect();
-    Ok(Fig9 { rows })
+    Fig9 { rows }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pass::{measured, Need};
+    use rebalance_workloads::Scale;
+
+    fn smoke(need: Need) -> Vec<Record> {
+        measured(rebalance_workloads::all(), Scale::Smoke, &[need])
+    }
 
     #[test]
     fn fig7_shapes() {
-        let f = fig7(&Run::default(), Scale::Smoke).unwrap();
+        let f = fig7(&smoke(Need::Btbs).iter().collect::<Vec<_>>());
         assert_eq!(f.rows.len(), 9);
         // HPC is insensitive to BTB size (paper Implication 2): 256 vs
         // 1K entries changes NPB MPKI very little.
@@ -293,7 +256,7 @@ mod tests {
 
     #[test]
     fn fig8_shapes() {
-        let f = fig8(&Run::default(), Scale::Smoke).unwrap();
+        let f = fig8(&smoke(Need::Fig8Caches).iter().collect::<Vec<_>>());
         assert_eq!(f.rows.len(), 9);
         // Sizes matter for desktop: 8KB much worse than 32KB.
         // Smoke-scale traces keep a warmup component, flattening the
@@ -319,7 +282,10 @@ mod tests {
 
     #[test]
     fn fig9_usefulness_contrast() {
-        let f = fig9(&Run::default(), Scale::Smoke).unwrap();
+        let find = |n: &&str| rebalance_workloads::find(n).unwrap();
+        let highlighted = FIG9_WORKLOADS.iter().map(find).collect();
+        let records = measured(highlighted, Scale::Smoke, &[Need::Fig9Caches]);
+        let f = fig9(&records.iter().collect::<Vec<_>>());
         assert_eq!(f.rows.len(), 5 * 9);
         // HPC keeps wide lines useful; desktop wastes them.
         let use_of = |w: &str| {

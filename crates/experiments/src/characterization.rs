@@ -4,11 +4,12 @@
 use rebalance_isa::BranchKind;
 use rebalance_pintools::{Characterization, NUM_BIAS_BUCKETS};
 use rebalance_trace::Section;
-use rebalance_workloads::{KernelSpec, Scale, Suite, Workload};
+use rebalance_workloads::{KernelSpec, Suite};
 use serde::{Deserialize, Serialize};
 
 use crate::paper;
-use crate::util::{f1, mean, pct, Run, RunError, TextTable};
+use crate::pass::Record;
+use crate::util::{f1, mean, pct, TextTable};
 
 /// Which bars a row describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -328,21 +329,8 @@ fn bars_for(suite: Suite) -> Vec<Bars> {
     }
 }
 
-/// Runs the characterization pass over the whole roster and aggregates
-/// per suite. Each workload is one engine item:
-/// [`Run::characterize_workload`] feeds all five pintools from a
-/// single replay (served from the run's trace cache when it has one),
-/// and workloads run in parallel on the run engine's executor.
-pub fn run(run: &Run, scale: Scale) -> Result<CharacterizationSet, RunError> {
-    let workloads = run.roster();
-    let characterized = run
-        .engine
-        .map(&workloads, |w| run.characterize_workload(w, scale))
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-    let results: Vec<(Workload, Characterization)> =
-        workloads.into_iter().zip(characterized).collect();
-
+/// Aggregates the workloads' characterizations per suite.
+pub fn set(records: &[&Record]) -> CharacterizationSet {
     let mut fig1 = Vec::new();
     let mut fig2 = Vec::new();
     let mut table1 = Vec::new();
@@ -350,10 +338,10 @@ pub fn run(run: &Run, scale: Scale) -> Result<CharacterizationSet, RunError> {
     let mut fig4 = Vec::new();
 
     for suite in Suite::ALL {
-        let in_suite: Vec<&Characterization> = results
+        let in_suite: Vec<&Characterization> = records
             .iter()
-            .filter(|(w, _)| w.suite() == suite)
-            .map(|(_, c)| c)
+            .filter(|r| r.workload.suite() == suite)
+            .map(|r| r.characterization())
             .collect();
 
         for bars in bars_for(suite) {
@@ -458,13 +446,13 @@ pub fn run(run: &Run, scale: Scale) -> Result<CharacterizationSet, RunError> {
         });
     }
 
-    Ok(CharacterizationSet {
+    CharacterizationSet {
         fig1: Fig1 { rows: fig1 },
         fig2: Fig2 { rows: fig2 },
         table1: Table1 { rows: table1 },
         fig3: Fig3 { rows: fig3 },
         fig4: Fig4 { rows: fig4 },
-    })
+    }
 }
 
 /// One kernel-archetype row: measured characterization next to the
@@ -537,20 +525,13 @@ impl KernelsSet {
     }
 }
 
-/// Runs the characterization pass over the kernel-archetype roster
-/// only, one engine item per workload, reporting measured values
-/// against each [`KernelSpec`]'s design targets.
-pub fn kernels(run: &Run, scale: Scale) -> Result<KernelsSet, RunError> {
-    let workloads = run.filtered(rebalance_workloads::kernels());
-    let characterized = run
-        .engine
-        .map(&workloads, |w| run.characterize_workload(w, scale))
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-    let rows = workloads
+/// Reports each kernel archetype's measured characterization against
+/// its [`KernelSpec`]'s design targets.
+pub fn kernels(records: &[&Record]) -> KernelsSet {
+    let rows = records
         .iter()
-        .zip(characterized)
-        .map(|(w, c)| {
+        .map(|r| {
+            let (w, c) = (&r.workload, r.characterization());
             let spec = KernelSpec::find(w.name()).expect("kernel roster name has a spec");
             let serial_only = w.profile().serial_fraction >= 1.0;
             let kernel_fp = if serial_only {
@@ -573,15 +554,22 @@ pub fn kernels(run: &Run, scale: Scale) -> Result<KernelsSet, RunError> {
             }
         })
         .collect();
-    Ok(KernelsSet { rows })
+    KernelsSet { rows }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pass::{measured, Need};
+    use rebalance_workloads::Scale;
 
     fn smoke_set() -> CharacterizationSet {
-        run(&Run::default(), Scale::Smoke).unwrap()
+        let records = measured(
+            rebalance_workloads::all(),
+            Scale::Smoke,
+            &[Need::Characterization],
+        );
+        set(&records.iter().collect::<Vec<_>>())
     }
 
     #[test]
@@ -712,7 +700,12 @@ mod tests {
 
     #[test]
     fn kernels_sweep_reports_measured_vs_targets() {
-        let set = kernels(&Run::default(), Scale::Smoke).unwrap();
+        let records = measured(
+            rebalance_workloads::kernels(),
+            Scale::Smoke,
+            &[Need::Characterization],
+        );
+        let set = kernels(&records.iter().collect::<Vec<_>>());
         assert!(set.rows.len() >= 6, "six archetypes minimum");
         for r in &set.rows {
             assert!(r.branch_fraction > 0.0, "{}", r.workload);

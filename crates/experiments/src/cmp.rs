@@ -3,14 +3,15 @@
 use rebalance_coresim::{CmpResult, CmpSim};
 use rebalance_frontend::CoreKind;
 use rebalance_mcpat::{CmpFloorplan, CoreEstimate};
-use rebalance_workloads::{Scale, Suite, Workload};
+use rebalance_workloads::Suite;
 use serde::{Deserialize, Serialize};
 
 use crate::paper;
-use crate::util::{f2, mean, Run, RunError, TextTable};
+use crate::pass::Record;
+use crate::util::{f2, mean, TextTable};
 
 /// The four Figure 10 CMP simulators.
-fn figure10_sims() -> Vec<CmpSim> {
+pub(crate) fn figure10_sims() -> Vec<CmpSim> {
     CmpFloorplan::figure10_set()
         .into_iter()
         .map(CmpSim::new)
@@ -185,23 +186,15 @@ pub struct CmpRun {
     pub results: Vec<CmpResult>,
 }
 
-/// Simulates every workload on the four Figure 10 floorplans. The
-/// floorplans share one trace replay per workload
-/// ([`Run::floorplans`], cache-served when the run has a cache), and
-/// workloads run in parallel.
-pub fn run_cmps(run: &Run, scale: Scale) -> Result<Vec<CmpRun>, RunError> {
-    let sims = figure10_sims();
-    run.for_all_workloads(|w| run.floorplans(&sims, w, scale))
-        .into_iter()
-        .map(
-            |(w, results): (Workload, Result<Vec<CmpResult>, RunError>)| {
-                Ok(CmpRun {
-                    workload: w.name().to_owned(),
-                    suite: w.suite(),
-                    results: results?,
-                })
-            },
-        )
+/// Every workload's results on the four Figure 10 floorplans.
+pub fn cmp_runs(records: &[&Record]) -> Vec<CmpRun> {
+    records
+        .iter()
+        .map(|r| CmpRun {
+            workload: r.workload.name().to_owned(),
+            suite: r.workload.suite(),
+            results: r.floorplans.clone(),
+        })
         .collect()
 }
 
@@ -232,11 +225,6 @@ pub fn fig10_from_runs(runs: &[CmpRun]) -> Fig10 {
         }
     }
     Fig10 { rows }
-}
-
-/// Runs Figure 10 end to end.
-pub fn fig10(run: &Run, scale: Scale) -> Result<Fig10, RunError> {
-    Ok(fig10_from_runs(&run_cmps(run, scale)?))
 }
 
 /// The benchmarks Figure 11 highlights.
@@ -282,37 +270,32 @@ impl Fig11 {
     }
 }
 
-/// Runs Figure 11 over the highlighted subset (one shared replay per
-/// workload across the four floorplans).
-pub fn fig11(run: &Run, scale: Scale) -> Result<Fig11, RunError> {
-    let sims = figure10_sims();
-    let subset = run.filtered(
-        FIG11_WORKLOADS
-            .iter()
-            .map(|n| rebalance_workloads::find(n).expect("figure 11 roster name"))
-            .collect(),
-    );
-    let rows = run.engine.map(&subset, |w| {
-        let results = run.floorplans(&sims, w, scale)?;
-        let base = results[0].time_s;
-        Ok(results
-            .into_iter()
-            .map(|r| Fig11Row {
-                workload: w.name().to_owned(),
-                floorplan: r.floorplan,
-                time: r.time_s / base,
+/// Figure 11: each highlighted workload's Figure 10 times, normalized
+/// to its Baseline CMP.
+pub fn fig11(records: &[&Record]) -> Fig11 {
+    let rows = records
+        .iter()
+        .flat_map(|r| {
+            let base = r.floorplans[0].time_s;
+            r.floorplans.iter().map(move |f| Fig11Row {
+                workload: r.workload.name().to_owned(),
+                floorplan: f.floorplan.clone(),
+                time: f.time_s / base,
             })
-            .collect::<Vec<_>>())
-    });
-    let rows = rows.into_iter().collect::<Result<Vec<_>, RunError>>()?;
-    Ok(Fig11 {
-        rows: rows.into_iter().flatten().collect(),
-    })
+        })
+        .collect();
+    Fig11 { rows }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pass::{measured, Need};
+    use rebalance_workloads::{Scale, Workload};
+
+    fn floorplans(workloads: Vec<Workload>) -> Vec<Record> {
+        measured(workloads, Scale::Smoke, &[Need::Floorplans])
+    }
 
     #[test]
     fn table3_reproduces_paper_anchors() {
@@ -341,7 +324,8 @@ mod tests {
 
     #[test]
     fn fig10_smoke_shape() {
-        let f = fig10(&Run::default(), Scale::Smoke).unwrap();
+        let records = floorplans(rebalance_workloads::all());
+        let f = fig10_from_runs(&cmp_runs(&records.iter().collect::<Vec<_>>()));
         assert_eq!(f.rows.len(), Suite::COUNT * 4);
         // Baseline rows are exactly 1.0 (self-normalized).
         for suite in Suite::ALL {
@@ -363,7 +347,9 @@ mod tests {
 
     #[test]
     fn fig11_smoke_shape() {
-        let f = fig11(&Run::default(), Scale::Smoke).unwrap();
+        let find = |n: &&str| rebalance_workloads::find(n).unwrap();
+        let records = floorplans(FIG11_WORKLOADS.iter().map(find).collect());
+        let f = fig11(&records.iter().collect::<Vec<_>>());
         assert_eq!(f.rows.len(), 6 * 4);
         // FT is a large Asymmetric++ winner.
         let ft = f.time("FT", "1B+8T").unwrap();

@@ -2,10 +2,12 @@
 //! (BT's 312 B blocks, UA's 252 KB static footprint, CoEVP's 35% serial
 //! share, the indirect-branch outliers, ...).
 
-use rebalance_workloads::{Scale, Suite};
+use rebalance_isa::BranchKind;
+use rebalance_workloads::Suite;
 use serde::{Deserialize, Serialize};
 
-use crate::util::{f1, pct, Run, RunError, TextTable};
+use crate::pass::Record;
+use crate::util::{f1, pct, TextTable};
 
 /// One benchmark's headline characterization numbers.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -80,17 +82,17 @@ impl Detail {
     }
 }
 
-/// Characterizes every roster benchmark individually.
-pub fn run(run: &Run, scale: Scale) -> Result<Detail, RunError> {
-    let rows = run
-        .for_all_workloads(|w| {
-            let c = run.characterize_workload(w, scale)?;
+/// One row per measured benchmark, from its characterization.
+pub fn table(records: &[&Record]) -> Detail {
+    let rows = records
+        .iter()
+        .map(|r| {
+            let (w, c) = (&r.workload, r.characterization());
             let mix = c.mix.total();
             let branches = mix.branches().max(1);
-            use rebalance_isa::BranchKind;
             let indirect =
                 mix.count(BranchKind::IndirectBranch) + mix.count(BranchKind::IndirectCall);
-            Ok(DetailRow {
+            DetailRow {
                 workload: w.name().to_owned(),
                 suite: w.suite(),
                 branch_fraction: mix.branch_fraction(),
@@ -101,21 +103,30 @@ pub fn run(run: &Run, scale: Scale) -> Result<Detail, RunError> {
                 dyn99_kb: c.footprint.total.dyn99_kb(),
                 bbl_bytes: c.basic_blocks.total().avg_block_bytes(),
                 serial_share: w.profile().serial_fraction,
-            })
+            }
         })
-        .into_iter()
-        .map(|(_, row)| row)
-        .collect::<Result<_, RunError>>()?;
-    Ok(Detail { rows })
+        .collect();
+    Detail { rows }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pass::{measured, Need};
+    use rebalance_workloads::Scale;
+
+    fn smoke_detail() -> Detail {
+        let records = measured(
+            rebalance_workloads::all(),
+            Scale::Smoke,
+            &[Need::Characterization],
+        );
+        table(&records.iter().collect::<Vec<_>>())
+    }
 
     #[test]
     fn named_paper_observations_hold_per_benchmark() {
-        let d = run(&Run::default(), Scale::Smoke).unwrap();
+        let d = smoke_detail();
         assert_eq!(d.rows.len(), rebalance_workloads::all().len());
 
         // BT has the longest basic blocks of the *study* (~312 B); our
@@ -162,7 +173,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_names() {
-        let d = run(&Run::default(), Scale::Smoke).unwrap();
+        let d = smoke_detail();
         let text = d.render();
         for w in rebalance_workloads::all() {
             assert!(text.contains(w.name()), "{} missing", w.name());

@@ -1,43 +1,190 @@
-//! The exhibit driver behind the `rebalance paper` subcommand: name →
-//! regenerator dispatch, scale parsing, and optional JSON dumping.
+//! The exhibit driver behind the `rebalance paper` subcommand: one
+//! table of exhibits, each naming the workloads and measurements it
+//! reads and rendering them with a pure aggregation, all fed by one
+//! fused roster pass ([`pass::measure`]). Also scale parsing.
 
 use std::io::Write;
 use std::path::Path;
 
-use rebalance_workloads::Scale;
+use rebalance_trace::SamplingConfig;
+use rebalance_workloads::{Scale, Suite, Workload};
+use serde::Serialize;
 
+use crate::ablations::Ablation;
+use crate::caches::FIG9_WORKLOADS;
+use crate::characterization::CharacterizationSet;
+use crate::cmp::FIG11_WORKLOADS;
+use crate::pass::Need::{self, *};
+use crate::pass::{self, Record};
+use crate::predictors::FIG6_WORKLOADS;
 use crate::util::{Run, RunError};
-use crate::{ablations, caches, characterization, cmp, detail, fetchsim, predictors, sampling};
+use crate::{caches, characterization, cmp, detail, fetchsim, predictors, sampling};
 
-/// Every exhibit name the driver understands, in paper order (the
-/// `kernels` exhibit — archetype characterization + predictor sweep —
-/// the `fetchsim` decoupled-front-end grid, and the `sampling`
-/// phase-sampling validation are ours, appended after the paper's).
-pub const EXHIBITS: [&str; 19] = [
-    "fig1",
-    "fig2",
-    "table1",
-    "fig3",
-    "fig4",
-    "table2",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "table3",
-    "fig10",
-    "fig11",
-    "ablations",
-    "detail",
-    "kernels",
-    "fetchsim",
-    "sampling",
+use Scope::*;
+
+/// The workloads an exhibit reads.
+#[derive(Debug, Clone, Copy)]
+enum Scope {
+    /// None: the exhibit replays nothing, or only its own workloads.
+    Nothing,
+    /// Every roster workload, in roster order.
+    Roster,
+    /// The named workloads the roster holds, in this order.
+    Named(&'static [&'static str]),
+    /// The kernel archetypes the roster holds.
+    Kernels,
+}
+
+impl Scope {
+    fn includes(self, w: &Workload) -> bool {
+        match self {
+            Nothing => false,
+            Roster => true,
+            Named(names) => names.contains(&w.name()),
+            Kernels => w.suite() == Suite::Kernels,
+        }
+    }
+
+    /// The records of this scope's workloads, in its order.
+    fn pick(self, records: &[Record]) -> Vec<&Record> {
+        let find = |name: &&str| records.iter().find(|r| r.workload.name() == *name);
+        match self {
+            Named(names) => names.iter().filter_map(find).collect(),
+            _ => records
+                .iter()
+                .filter(|r| self.includes(&r.workload))
+                .collect(),
+        }
+    }
+}
+
+/// What one exhibit's aggregation reads: its scope's records, the
+/// ablation studies (empty unless it needs them) and the geometry of
+/// the sampled replays.
+struct Measured<'a> {
+    records: Vec<&'a Record>,
+    ablations: &'a [Ablation],
+    sampling: SamplingConfig,
+}
+
+/// An exhibit's text and its pretty JSON dumps by file stem (`None`:
+/// the exhibit's name).
+type Rendered = (String, Vec<(Option<&'static str>, String)>);
+
+fn json<T: Serialize>(stem: Option<&'static str>, value: &T) -> (Option<&'static str>, String) {
+    let text = serde_json::to_string_pretty(value).expect("exhibit results serialize");
+    (stem, text)
+}
+
+/// The rendering of an exhibit with one result, dumped under the
+/// exhibit's name.
+macro_rules! one {
+    ($result:expr) => {{
+        let result = $result;
+        (result.render(), vec![json(None, &result)])
+    }};
+}
+
+/// One exhibit: its name, the workloads and measurements it reads, and
+/// its aggregation, which replays nothing.
+struct Exhibit {
+    name: &'static str,
+    scope: Scope,
+    needs: &'static [Need],
+    render: fn(&Measured<'_>) -> Rendered,
+}
+
+impl Exhibit {
+    const fn new(
+        name: &'static str,
+        scope: Scope,
+        needs: &'static [Need],
+        render: fn(&Measured<'_>) -> Rendered,
+    ) -> Self {
+        Exhibit {
+            name,
+            scope,
+            needs,
+            render,
+        }
+    }
+}
+
+/// Every exhibit in paper order (the `kernels` archetype table, the
+/// `fetchsim` decoupled-front-end grid and the `sampling` validation
+/// are ours, appended after the paper's).
+#[rustfmt::skip]
+const TABLE: [Exhibit; 19] = [
+    Exhibit::new("fig1", Roster, &[Characterization], |m| one!(characterized(m).fig1)),
+    Exhibit::new("fig2", Roster, &[Characterization], |m| one!(characterized(m).fig2)),
+    Exhibit::new("table1", Roster, &[Characterization], |m| one!(characterized(m).table1)),
+    Exhibit::new("fig3", Roster, &[Characterization], |m| one!(characterized(m).fig3)),
+    Exhibit::new("fig4", Roster, &[Characterization], |m| one!(characterized(m).fig4)),
+    Exhibit::new("table2", Nothing, &[], |_| one!(predictors::table2())),
+    Exhibit::new("fig5", Roster, &[Predictors], |m| one!(predictors::fig5(&m.records))),
+    Exhibit::new("fig6", Named(&FIG6_WORKLOADS), &[Predictors], |m| one!(predictors::fig6(&m.records))),
+    Exhibit::new("fig7", Roster, &[Btbs], |m| one!(caches::fig7(&m.records))),
+    Exhibit::new("fig8", Roster, &[Fig8Caches], |m| one!(caches::fig8(&m.records))),
+    Exhibit::new("fig9", Named(&FIG9_WORKLOADS), &[Fig9Caches], |m| one!(caches::fig9(&m.records))),
+    Exhibit::new("table3", Nothing, &[], |_| one!(cmp::table3())),
+    Exhibit::new("fig10", Roster, &[Floorplans], fig10),
+    Exhibit::new("fig11", Named(&FIG11_WORKLOADS), &[Floorplans], |m| one!(cmp::fig11(&m.records))),
+    Exhibit::new("ablations", Nothing, &[Ablations], ablations),
+    Exhibit::new("detail", Roster, &[Characterization], |m| one!(detail::table(&m.records))),
+    Exhibit::new("kernels", Kernels, &[Characterization, Predictors], kernels),
+    Exhibit::new("fetchsim", Roster, &[FetchGrid], |m| one!(fetchsim::exhibit(&m.records))),
+    Exhibit::new("sampling", Roster, &[CoreModels], |m| one!(sampling::exhibit(&m.records, m.sampling))),
 ];
+
+/// Figures 1–4 and Table I, aggregated together.
+fn characterized(m: &Measured<'_>) -> CharacterizationSet {
+    characterization::set(&m.records)
+}
+
+/// Figure 10, plus the per-workload results it averages.
+fn fig10(m: &Measured<'_>) -> Rendered {
+    let runs = cmp::cmp_runs(&m.records);
+    let f = cmp::fig10_from_runs(&runs);
+    let dumps = vec![json(None, &f), json(Some("fig10_raw"), &runs)];
+    (f.render(), dumps)
+}
+
+/// The ablation studies, one table each.
+fn ablations(m: &Measured<'_>) -> Rendered {
+    let texts: Vec<String> = m.ablations.iter().map(Ablation::render).collect();
+    (texts.join("\n"), vec![json(None, &m.ablations)])
+}
+
+/// The kernel archetypes' characterization and predictor tables.
+fn kernels(m: &Measured<'_>) -> Rendered {
+    let c = characterization::kernels(&m.records);
+    let p = predictors::kernels(&m.records);
+    let text = format!("{}\n{}", c.render(), p.render());
+    let dumps = vec![
+        json(Some("kernels_characterization"), &c),
+        json(Some("kernels_predictors"), &p),
+    ];
+    (text, dumps)
+}
+
+/// Every exhibit name, in paper order.
+pub const EXHIBITS: [&str; TABLE.len()] = {
+    let mut names = [""; TABLE.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = TABLE[i].name;
+        i += 1;
+    }
+    names
+};
+
+fn exhibit(name: &str) -> Option<&'static Exhibit> {
+    TABLE.iter().find(|e| e.name == name)
+}
 
 /// `true` if `name` is a known exhibit.
 pub fn is_exhibit(name: &str) -> bool {
-    EXHIBITS.contains(&name)
+    exhibit(name).is_some()
 }
 
 /// Expands an exhibit argument list: `all` expands to every exhibit,
@@ -83,34 +230,19 @@ pub fn parse_scale(arg: &str) -> Option<Scale> {
     }
 }
 
-fn dump_json<T: serde::Serialize>(dir: Option<&Path>, name: &str, value: &T) {
-    let Some(dir) = dir else { return };
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            if let Err(e) = std::fs::write(&path, s) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
-    }
-}
-
 /// Regenerates the given exhibits at `scale` through `run`, writing each
-/// rendering to `out` (and a JSON dump per exhibit into `json_dir` when
-/// given).
-/// Unknown names are skipped with a warning on stderr; exhibits sharing
-/// a sweep (the characterization set, the Figure 10 CMP runs) compute
-/// it once.
+/// rendering to `out` (and its JSON dumps into `json_dir` when given).
+/// Unknown names are skipped with a warning on stderr.
+///
+/// Every roster workload a selected exhibit reads is replayed once, with
+/// the union of the selected exhibits' needs, plus once sampled when
+/// `sampling` (or a sampled `fetchsim`) is selected; the ablations keep
+/// their own replays. The exhibits then render from those records.
 ///
 /// # Errors
 ///
-/// The first exhibit's replay failure ([`RunError::Replay`]), or a
-/// write failure on `out` ([`RunError::Write`]).
+/// The first replay failure ([`RunError::Replay`]), a write failure on
+/// `out` ([`RunError::Write`]) or on a JSON dump ([`RunError::Dump`]).
 pub fn run_exhibits(
     run: &Run,
     exhibits: &[String],
@@ -118,127 +250,53 @@ pub fn run_exhibits(
     json_dir: Option<&Path>,
     out: &mut dyn Write,
 ) -> Result<(), RunError> {
-    let needs_characterization = exhibits
+    let selected: Vec<&Exhibit> = exhibits
         .iter()
-        .any(|e| matches!(e.as_str(), "fig1" | "fig2" | "table1" | "fig3" | "fig4"));
-    let characterization_set = needs_characterization
-        .then(|| characterization::run(run, scale))
-        .transpose()?;
-
-    let needs_cmp_runs = exhibits.iter().any(|e| e == "fig10");
-    let cmp_runs = needs_cmp_runs
-        .then(|| cmp::run_cmps(run, scale))
-        .transpose()?;
-
-    for exhibit in exhibits {
-        let text = match exhibit.as_str() {
-            "fig1" => {
-                let set = characterization_set.as_ref().expect("precomputed");
-                dump_json(json_dir, "fig1", &set.fig1);
-                set.fig1.render()
+        .filter_map(|name| {
+            let found = exhibit(name);
+            if found.is_none() {
+                eprintln!("warning: unknown exhibit `{name}` skipped");
             }
-            "fig2" => {
-                let set = characterization_set.as_ref().expect("precomputed");
-                dump_json(json_dir, "fig2", &set.fig2);
-                set.fig2.render()
+            found
+        })
+        .collect();
+    if let Some(dir) = json_dir {
+        std::fs::create_dir_all(dir).map_err(|source| RunError::Dump {
+            path: dir.to_owned(),
+            source,
+        })?;
+    }
+    // Every roster workload a selected exhibit reads, with the needs of
+    // all the selected exhibits reading it.
+    let items = run
+        .roster()
+        .into_iter()
+        .map(|w| {
+            let reading = selected.iter().filter(|e| e.scope.includes(&w));
+            let needs: Vec<Need> = reading.flat_map(|e| e.needs.iter().copied()).collect();
+            (w, needs)
+        })
+        .filter(|(_, needs)| !needs.is_empty())
+        .collect();
+    let sampling = run.sampling.unwrap_or_default();
+    let records = pass::measure(run, scale, &sampling, items)?;
+    let ablations = if selected.iter().any(|e| e.needs.contains(&Ablations)) {
+        crate::ablations::run_all(run, scale)?
+    } else {
+        Vec::new()
+    };
+    for e in selected {
+        let (text, dumps) = (e.render)(&Measured {
+            records: e.scope.pick(&records),
+            ablations: &ablations,
+            sampling,
+        });
+        if let Some(dir) = json_dir {
+            for (stem, json) in &dumps {
+                let path = dir.join(format!("{}.json", stem.unwrap_or(e.name)));
+                std::fs::write(&path, json).map_err(|source| RunError::Dump { path, source })?;
             }
-            "table1" => {
-                let set = characterization_set.as_ref().expect("precomputed");
-                dump_json(json_dir, "table1", &set.table1);
-                set.table1.render()
-            }
-            "fig3" => {
-                let set = characterization_set.as_ref().expect("precomputed");
-                dump_json(json_dir, "fig3", &set.fig3);
-                set.fig3.render()
-            }
-            "fig4" => {
-                let set = characterization_set.as_ref().expect("precomputed");
-                dump_json(json_dir, "fig4", &set.fig4);
-                set.fig4.render()
-            }
-            "table2" => {
-                let t = predictors::table2();
-                dump_json(json_dir, "table2", &t);
-                t.render()
-            }
-            "fig5" => {
-                let f = predictors::fig5(run, scale)?;
-                dump_json(json_dir, "fig5", &f);
-                f.render()
-            }
-            "fig6" => {
-                let f = predictors::fig6(run, scale)?;
-                dump_json(json_dir, "fig6", &f);
-                f.render()
-            }
-            "fig7" => {
-                let f = caches::fig7(run, scale)?;
-                dump_json(json_dir, "fig7", &f);
-                f.render()
-            }
-            "fig8" => {
-                let f = caches::fig8(run, scale)?;
-                dump_json(json_dir, "fig8", &f);
-                f.render()
-            }
-            "fig9" => {
-                let f = caches::fig9(run, scale)?;
-                dump_json(json_dir, "fig9", &f);
-                f.render()
-            }
-            "table3" => {
-                let t = cmp::table3();
-                dump_json(json_dir, "table3", &t);
-                t.render()
-            }
-            "fig10" => {
-                let runs = cmp_runs.as_ref().expect("precomputed");
-                let f = cmp::fig10_from_runs(runs);
-                dump_json(json_dir, "fig10", &f);
-                dump_json(json_dir, "fig10_raw", runs);
-                f.render()
-            }
-            "fig11" => {
-                let f = cmp::fig11(run, scale)?;
-                dump_json(json_dir, "fig11", &f);
-                f.render()
-            }
-            "detail" => {
-                let d = detail::run(run, scale)?;
-                dump_json(json_dir, "detail", &d);
-                d.render()
-            }
-            "kernels" => {
-                let c = characterization::kernels(run, scale)?;
-                let p = predictors::kernels_sweep(run, scale)?;
-                dump_json(json_dir, "kernels_characterization", &c);
-                dump_json(json_dir, "kernels_predictors", &p);
-                format!("{}\n{}", c.render(), p.render())
-            }
-            "fetchsim" => {
-                let f = fetchsim::run(run, scale)?;
-                dump_json(json_dir, "fetchsim", &f);
-                f.render()
-            }
-            "sampling" => {
-                let s = sampling::run(run, scale)?;
-                dump_json(json_dir, "sampling", &s);
-                s.render()
-            }
-            "ablations" => {
-                let all = ablations::run_all(run, scale)?;
-                dump_json(json_dir, "ablations", &all);
-                all.iter()
-                    .map(|a| a.render())
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            }
-            other => {
-                eprintln!("warning: unknown exhibit `{other}` skipped");
-                continue;
-            }
-        };
+        }
         writeln!(out, "{text}")?;
     }
     Ok(())
@@ -247,6 +305,7 @@ pub fn run_exhibits(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rebalance_trace::TraceCache;
 
     #[test]
     fn exhibit_names_are_known() {
@@ -257,6 +316,8 @@ mod tests {
         assert!(is_exhibit("sampling"));
         assert!(!is_exhibit("fig99"));
         assert_eq!(EXHIBITS.len(), 19);
+        assert_eq!(EXHIBITS[0], "fig1");
+        assert_eq!(EXHIBITS[18], "sampling");
     }
 
     #[test]
@@ -286,27 +347,29 @@ mod tests {
         assert_eq!(parse_scale("bogus"), None);
     }
 
+    /// Runs `exhibits` on a fresh NPB run with a scratch cache, returning
+    /// the run (for its report).
+    fn npb_run(exhibits: &[&str]) -> Run {
+        let mut run = Run::default();
+        run.suite = Some(Suite::Npb);
+        run.cache = Some(TraceCache::scratch().unwrap());
+        let names: Vec<String> = exhibits.iter().map(|e| (*e).to_owned()).collect();
+        let names = resolve_exhibits(&names).unwrap();
+        run_exhibits(&run, &names, Scale::Smoke, None, &mut std::io::sink()).unwrap();
+        let _ = std::fs::remove_dir_all(run.cache.as_ref().unwrap().dir());
+        run
+    }
+
     /// Every replay an exhibit makes is counted by the run's engine: on
     /// a fresh cached run, the report's replays are exactly the cache's
     /// hits plus generations, and its lanes are exactly the events the
     /// exhibit's tools observed — one full replay per roster workload.
+    /// `all` measures each workload once in full and once sampled, plus
+    /// the five ablation replays.
     #[test]
     fn exhibits_account_for_every_replay_in_the_run_report() {
-        use rebalance_trace::TraceCache;
-        use rebalance_workloads::Suite;
-
         for exhibit in ["fig1", "fig10", "detail"] {
-            let mut run = Run::default();
-            run.suite = Some(Suite::Npb);
-            run.cache = Some(TraceCache::scratch().unwrap());
-            run_exhibits(
-                &run,
-                &[exhibit.to_owned()],
-                Scale::Smoke,
-                None,
-                &mut std::io::sink(),
-            )
-            .unwrap();
+            let run = npb_run(&[exhibit]);
             let report = run.report();
             let cache = report.cache.unwrap();
             let roster = run.roster();
@@ -317,7 +380,7 @@ mod tests {
                     trace.schedule().total_instructions()
                 })
                 .sum();
-            assert!(report.replays > 0, "{exhibit}: {report}");
+            assert_eq!(roster.len(), 10);
             assert_eq!(report.replays, roster.len() as u64, "{exhibit}: {report}");
             assert_eq!(
                 report.replays,
@@ -329,8 +392,12 @@ mod tests {
                 events,
                 "{exhibit}: {report}"
             );
-            let _ = std::fs::remove_dir_all(run.cache.as_ref().unwrap().dir());
         }
+        let report = npb_run(&["all"]).report();
+        let cache = report.cache.unwrap();
+        assert_eq!(report.replays, 10 + 10 + 5, "{report}");
+        assert_eq!(report.replays, cache.hits + cache.generations, "{report}");
+        assert_eq!(npb_run(&["table2"]).report().replays, 0);
     }
 
     #[test]

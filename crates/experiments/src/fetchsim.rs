@@ -4,18 +4,20 @@
 //!
 //! This is the cycle-level counterpart of the MPKI exhibits: instead of
 //! pricing miss rates through closed-form penalties, every design point
-//! runs the [`FetchGrid`] pipeline model and reports measured fetch
-//! bandwidth plus the exact stall-cycle breakdown. The headline
-//! directional claim it reproduces: on HPC and kernel workloads, a
-//! BTB an order of magnitude smaller costs almost no fetch bandwidth
-//! once fetch-directed prefetching and the FTQ's run-ahead are in
-//! place — the resteers still happen, but their cycles are hidden.
+//! runs the [`FetchGrid`](rebalance_fetchsim::FetchGrid) pipeline model
+//! and reports measured fetch bandwidth plus the exact stall-cycle
+//! breakdown. The headline directional claim it reproduces: on HPC and
+//! kernel workloads, a BTB an order of magnitude smaller costs almost
+//! no fetch bandwidth once fetch-directed prefetching and the FTQ's
+//! run-ahead are in place — the resteers still happen, but their
+//! cycles are hidden.
 
-use rebalance_fetchsim::{FetchConfig, FetchGrid, FetchReport, FetchStats, FtqConfig};
+use rebalance_fetchsim::{FetchConfig, FetchReport, FetchStats, FtqConfig};
 use rebalance_frontend::{BtbConfig, FrontendConfig};
 use rebalance_workloads::{Scale, Suite, Workload};
 use serde::{Deserialize, Serialize};
 
+use crate::pass::{measure_all, suite_means, Need, Record};
 use crate::util::{f2, mean, Run, RunError, TextTable};
 
 /// The default design grid: FTQ depth × fetch width × prefetch degree
@@ -65,7 +67,7 @@ pub struct FetchSummary {
 }
 
 impl FetchSummary {
-    fn from_report(report: &FetchReport) -> Self {
+    pub(crate) fn from_report(report: &FetchReport) -> Self {
         report
             .check_attribution()
             .expect("fetchsim attribution invariant");
@@ -104,6 +106,22 @@ pub struct FetchsimSweep {
 }
 
 impl FetchsimSweep {
+    /// The grid rows of the measured workloads.
+    pub fn of(records: &[&Record]) -> Self {
+        let rows = records
+            .iter()
+            .map(|r| FetchsimRow {
+                workload: r.workload.name().to_owned(),
+                suite: r.workload.suite(),
+                summaries: r.fetch.clone(),
+            })
+            .collect();
+        FetchsimSweep {
+            configs: default_grid().iter().map(FetchConfig::label).collect(),
+            rows,
+        }
+    }
+
     /// Looks one cell up.
     pub fn summary(&self, workload: &str, config: &str) -> Option<&FetchSummary> {
         let ci = self.configs.iter().position(|c| c == config)?;
@@ -114,36 +132,25 @@ impl FetchsimSweep {
     }
 }
 
-/// Sweeps the design grid over `workloads`: one [`FetchGrid`] per
-/// replay, so the cost is one replay per `(workload, scale)` —
+/// Sweeps the default design grid over `workloads`: one
+/// [`FetchGrid`](rebalance_fetchsim::FetchGrid) per replay of the
+/// fused pass, so the cost is one replay per `(workload, scale)` —
 /// cache-served when the run has a cache — and each timing-free stage
 /// runs once per distinct key rather than once per design point.
 /// Honors the run's sampling geometry ([`Run::sampling`]): when set,
 /// each replay covers only weighted representative intervals.
+///
+/// # Errors
+///
+/// The first workload's [`RunError`].
 pub fn sweep_grid(
     run: &Run,
     workloads: Vec<Workload>,
     scale: Scale,
-    grid: &[FetchConfig],
 ) -> Result<FetchsimSweep, RunError> {
-    let _fetchsim_span = rebalance_telemetry::span("fetchsim");
-    let rows = run
-        .sweep_weighted(workloads, scale, |_| vec![FetchGrid::new(grid)])?
-        .into_iter()
-        .map(|o| FetchsimRow {
-            workload: o.item.name().to_owned(),
-            suite: o.item.suite(),
-            summaries: o.tools[0]
-                .reports()
-                .iter()
-                .map(FetchSummary::from_report)
-                .collect(),
-        })
-        .collect();
-    Ok(FetchsimSweep {
-        configs: grid.iter().map(FetchConfig::label).collect(),
-        rows,
-    })
+    let sampling = run.sampling.unwrap_or_default();
+    let records = measure_all(run, workloads, scale, &sampling, &[Need::FetchGrid])?;
+    Ok(FetchsimSweep::of(&records.iter().collect::<Vec<_>>()))
 }
 
 /// One exhibit row: per-suite mean fetch bandwidth plus the mean stall
@@ -231,39 +238,16 @@ impl Fetchsim {
     }
 }
 
-/// Runs the exhibit: the default grid over the full roster (paper
-/// suites + kernel archetypes, narrowed by the active suite filter).
-pub fn run(run: &Run, scale: Scale) -> Result<Fetchsim, RunError> {
-    Ok(from_sweep(&sweep_grid(
-        run,
-        run.roster(),
-        scale,
-        &default_grid(),
-    )?))
-}
-
-/// Aggregates a raw grid sweep into the per-suite exhibit.
-pub fn from_sweep(sweep: &FetchsimSweep) -> Fetchsim {
-    let rows = sweep
-        .configs
+/// The `fetchsim` exhibit: the measured grid aggregated per suite.
+pub fn exhibit(records: &[&Record]) -> Fetchsim {
+    let rows = default_grid()
         .iter()
         .enumerate()
         .map(|(ci, config)| {
-            let mut bandwidth = [0.0; Suite::COUNT];
-            for (si, suite) in Suite::ALL.iter().enumerate() {
-                bandwidth[si] = mean(
-                    sweep
-                        .rows
-                        .iter()
-                        .filter(|r| r.suite == *suite)
-                        .map(|r| r.summaries[ci].bandwidth),
-                );
-            }
-            let col =
-                |f: fn(&FetchSummary) -> f64| mean(sweep.rows.iter().map(|r| f(&r.summaries[ci])));
+            let col = |f: fn(&FetchSummary) -> f64| mean(records.iter().map(|r| f(&r.fetch[ci])));
             FetchsimExhibitRow {
-                config: config.clone(),
-                bandwidth,
+                config: config.label(),
+                bandwidth: suite_means(records, |r| r.fetch[ci].bandwidth),
                 stalls_cpk: [
                     col(|s| s.mispredict_cpk),
                     col(|s| s.resteer_cpk),
@@ -295,7 +279,9 @@ mod tests {
 
     #[test]
     fn exhibit_reproduces_the_small_btb_claim() {
-        let f = run(&Run::default(), Scale::Smoke).unwrap();
+        let records =
+            crate::pass::measured(rebalance_workloads::all(), Scale::Smoke, &[Need::FetchGrid]);
+        let f = exhibit(&records.iter().collect::<Vec<_>>());
         assert_eq!(f.rows.len(), 16);
         let hpc_kernels: Vec<Suite> = Suite::ALL
             .into_iter()
@@ -324,7 +310,7 @@ mod tests {
             rebalance_workloads::find("CG").unwrap(),
             rebalance_workloads::find("k.triad").unwrap(),
         ];
-        let s = sweep_grid(&Run::default(), ws, Scale::Smoke, &default_grid()).unwrap();
+        let s = sweep_grid(&Run::default(), ws, Scale::Smoke).unwrap();
         assert_eq!(s.rows.len(), 2);
         assert_eq!(s.configs.len(), 16);
         let cell = s.summary("CG", "ftq16/w4/pf4/btb2048").unwrap();

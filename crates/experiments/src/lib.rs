@@ -1,7 +1,7 @@
 //! Regenerators for every table and figure in the paper's evaluation.
 //!
-//! Each exhibit has a `run` function returning a serializable result and
-//! a text rendering that mirrors the paper's rows/series, with the
+//! Each exhibit aggregates measured workloads into a serializable result
+//! with a text rendering that mirrors the paper's rows/series, with the
 //! paper's reported values alongside where the paper gives them:
 //!
 //! | module | exhibits |
@@ -14,12 +14,16 @@
 //! | [`detail`] | per-benchmark characterization rows |
 //! | [`fetchsim`] | decoupled front-end (FTQ + FDIP) design grid |
 //! | [`sampling`] | phase-sampled vs full-replay error validation |
+//! | [`pass`] | the fused per-workload measurement pass they all read |
 //!
-//! Every replaying exhibit takes a [`util::Run`]: the one value that
-//! carries a run's sweep engine, trace cache, suite filter, sampling
-//! geometry and CPI fetch model. The `rebalance paper` subcommand
-//! builds it from its flags and drives the exhibits through
-//! [`driver::run_exhibits`]:
+//! The aggregations read per-workload [`pass::Record`]s and replay
+//! nothing. The driver's exhibit table names, per exhibit, the
+//! workloads and measurements it reads; [`driver::run_exhibits`]
+//! replays each workload the selected exhibits read once through the
+//! union of their tools ([`pass::measure`]), on a [`util::Run`]: the
+//! one value that carries a run's sweep engine, trace cache, suite
+//! filter, sampling geometry and CPI fetch model. The `rebalance paper`
+//! subcommand builds the run from its flags:
 //!
 //! ```text
 //! rebalance paper all --scale quick
@@ -29,10 +33,16 @@
 //! # Examples
 //!
 //! ```
+//! use rebalance_experiments::pass::{measure_all, Need};
 //! use rebalance_experiments::{characterization, util::Run};
+//! use rebalance_trace::SamplingConfig;
 //! use rebalance_workloads::Scale;
 //!
-//! let set = characterization::run(&Run::default(), Scale::Smoke).unwrap();
+//! let (run, roster) = (Run::default(), rebalance_workloads::all());
+//! let sampling = SamplingConfig::default();
+//! let records = measure_all(&run, roster, Scale::Smoke, &sampling, &[Need::Characterization])
+//!     .unwrap();
+//! let set = characterization::set(&records.iter().collect::<Vec<_>>());
 //! // 3 HPC suites and the kernel archetypes get total/serial/parallel
 //! // bars; the sequentially-run SPEC CPU INT gets totals only.
 //! assert_eq!(set.fig1.rows.len(), 4 * 3 + 1);
@@ -50,6 +60,7 @@ pub mod detail;
 pub mod driver;
 pub mod fetchsim;
 pub mod paper;
+pub mod pass;
 pub mod predictors;
 pub mod sampling;
 pub mod util;

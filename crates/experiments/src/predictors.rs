@@ -1,12 +1,13 @@
 //! Table II and Figures 5–6: branch-predictor evaluation.
 
-use rebalance_frontend::predictor::{DirectionPredictor, PredictorReport, PredictorSim};
+use rebalance_frontend::predictor::DirectionPredictor;
 use rebalance_frontend::{PredictorChoice, PredictorClass, PredictorSize};
-use rebalance_workloads::{Scale, Suite, Workload};
+use rebalance_workloads::Suite;
 use serde::{Deserialize, Serialize};
 
 use crate::paper;
-use crate::util::{f2, mean, Run, RunError, TextTable};
+use crate::pass::{suite_means, Record};
+use crate::util::{f2, TextTable};
 
 /// Table II: the evaluated predictor parameterizations and their
 /// realized hardware budgets.
@@ -92,38 +93,18 @@ impl Fig5 {
     }
 }
 
-/// Runs Figure 5: all nine predictor configurations over every workload
-/// in one trace pass per workload.
-pub fn fig5(run: &Run, scale: Scale) -> Result<Fig5, RunError> {
+/// Figure 5: each configuration's mean MPKI per suite.
+pub fn fig5(records: &[&Record]) -> Fig5 {
     let configs = PredictorChoice::figure5_set();
-    let results: Vec<(Workload, Vec<PredictorReport>)> = run
-        .sweep(run.roster(), scale, |_| {
-            PredictorChoice::build_sims(&configs)
-        })?
-        .into_iter()
-        .map(|o| (o.item, o.tools.iter().map(PredictorSim::report).collect()))
-        .collect();
-
     let rows = configs
         .iter()
         .enumerate()
-        .map(|(ci, c)| {
-            let mut mpki = [0.0; Suite::COUNT];
-            for (si, suite) in Suite::ALL.iter().enumerate() {
-                mpki[si] = mean(
-                    results
-                        .iter()
-                        .filter(|(w, _)| w.suite() == *suite)
-                        .map(|(_, reports)| reports[ci].total().mpki()),
-                );
-            }
-            Fig5Row {
-                config: c.label(),
-                mpki,
-            }
+        .map(|(ci, c)| Fig5Row {
+            config: c.label(),
+            mpki: suite_means(records, |r| r.predictors[ci].total().mpki()),
         })
         .collect();
-    Ok(Fig5 { rows })
+    Fig5 { rows }
 }
 
 /// One kernels-sweep row: per-configuration branch MPKI for one kernel
@@ -173,25 +154,24 @@ impl KernelsSweep {
     }
 }
 
-/// Runs the nine-configuration predictor sweep over the kernel
-/// archetypes, per workload instead of per suite (the archetypes are
-/// the point, not their mean).
-pub fn kernels_sweep(run: &Run, scale: Scale) -> Result<KernelsSweep, RunError> {
-    let configs = PredictorChoice::figure5_set();
-    let rows = run
-        .sweep(run.filtered(rebalance_workloads::kernels()), scale, |_| {
-            PredictorChoice::build_sims(&configs)
-        })?
-        .into_iter()
-        .map(|o| KernelsSweepRow {
-            workload: o.item.name().to_owned(),
-            mpki: o.tools.iter().map(|s| s.report().total().mpki()).collect(),
+/// The nine Figure 5 configurations on each kernel archetype, per
+/// workload instead of per suite (the archetypes are the point, not
+/// their mean).
+pub fn kernels(records: &[&Record]) -> KernelsSweep {
+    let rows = records
+        .iter()
+        .map(|r| KernelsSweepRow {
+            workload: r.workload.name().to_owned(),
+            mpki: r.predictors.iter().map(|p| p.total().mpki()).collect(),
         })
         .collect();
-    Ok(KernelsSweep {
-        configs: configs.iter().map(|c| c.label()).collect(),
+    KernelsSweep {
+        configs: PredictorChoice::figure5_set()
+            .iter()
+            .map(|c| c.label())
+            .collect(),
         rows,
-    })
+    }
 }
 
 /// The benchmarks Figure 6 highlights.
@@ -265,53 +245,54 @@ impl Fig6 {
     }
 }
 
-/// Runs Figure 6 over the highlighted subset: all three gshare variants
-/// share one replay per workload.
-pub fn fig6(run: &Run, scale: Scale) -> Result<Fig6, RunError> {
+/// Figure 6 from the three gshare variants among each highlighted
+/// workload's Figure 5 reports.
+pub fn fig6(records: &[&Record]) -> Fig6 {
+    let figure5 = PredictorChoice::figure5_set();
     let configs = [
         PredictorChoice::new(PredictorClass::Gshare, PredictorSize::Big, false),
         PredictorChoice::new(PredictorClass::Gshare, PredictorSize::Small, false),
         PredictorChoice::new(PredictorClass::Gshare, PredictorSize::Small, true),
     ];
-    let subset = run.filtered(
-        FIG6_WORKLOADS
-            .iter()
-            .map(|n| rebalance_workloads::find(n).expect("figure 6 roster name"))
-            .collect(),
-    );
-    let rows = run
-        .sweep(subset, scale, |_| PredictorChoice::build_sims(&configs))?
-        .into_iter()
-        .flat_map(|o| {
-            configs
-                .iter()
-                .zip(&o.tools)
-                .map(|(c, sim)| {
-                    let total = sim.report().total();
-                    let scale_mpki = |n: u64| {
-                        if total.insts == 0 {
-                            0.0
-                        } else {
-                            n as f64 * 1000.0 / total.insts as f64
-                        }
-                    };
-                    Fig6Row {
-                        workload: o.item.name().to_owned(),
-                        config: c.label(),
-                        not_taken: scale_mpki(total.breakdown.not_taken),
-                        taken_backward: scale_mpki(total.breakdown.taken_backward),
-                        taken_forward: scale_mpki(total.breakdown.taken_forward),
+    let rows = records
+        .iter()
+        .flat_map(|r| {
+            configs.iter().map(|c| {
+                let ci = figure5
+                    .iter()
+                    .position(|f| f == c)
+                    .expect("a Figure 5 config");
+                let total = r.predictors[ci].total();
+                let scale_mpki = |n: u64| {
+                    if total.insts == 0 {
+                        0.0
+                    } else {
+                        n as f64 * 1000.0 / total.insts as f64
                     }
-                })
-                .collect::<Vec<_>>()
+                };
+                Fig6Row {
+                    workload: r.workload.name().to_owned(),
+                    config: c.label(),
+                    not_taken: scale_mpki(total.breakdown.not_taken),
+                    taken_backward: scale_mpki(total.breakdown.taken_backward),
+                    taken_forward: scale_mpki(total.breakdown.taken_forward),
+                }
+            })
         })
         .collect();
-    Ok(Fig6 { rows })
+    Fig6 { rows }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pass::{measured, Need};
+    use rebalance_workloads::{Scale, Workload};
+
+    fn named(names: &[&str]) -> Vec<Workload> {
+        let find = |n: &&str| rebalance_workloads::find(n).expect("roster name");
+        names.iter().map(find).collect()
+    }
 
     #[test]
     fn table2_budgets_match_classes() {
@@ -329,7 +310,12 @@ mod tests {
 
     #[test]
     fn fig5_shape_holds_at_smoke_scale() {
-        let f = fig5(&Run::default(), Scale::Smoke).unwrap();
+        let records = measured(
+            rebalance_workloads::all(),
+            Scale::Smoke,
+            &[Need::Predictors],
+        );
+        let f = fig5(&records.iter().collect::<Vec<_>>());
         assert_eq!(f.rows.len(), 9);
         // Desktop worst for every configuration.
         for r in &f.rows {
@@ -349,7 +335,12 @@ mod tests {
 
     #[test]
     fn kernels_sweep_orders_archetypes_by_difficulty() {
-        let k = kernels_sweep(&Run::default(), Scale::Smoke).unwrap();
+        let records = measured(
+            rebalance_workloads::kernels(),
+            Scale::Smoke,
+            &[Need::Predictors],
+        );
+        let k = kernels(&records.iter().collect::<Vec<_>>());
         assert_eq!(k.configs.len(), 9);
         assert!(k.rows.len() >= 6);
         // The streaming and stencil kernels are nearly perfectly
@@ -371,7 +362,9 @@ mod tests {
     fn fig6_covers_the_paper_subset() {
         // The loop BP needs several completed loop executions per site
         // to become confident; smoke-scale traces are too short.
-        let f = fig6(&Run::default(), Scale::Custom(0.12)).unwrap();
+        let scale = Scale::Custom(0.12);
+        let records = measured(named(&FIG6_WORKLOADS), scale, &[Need::Predictors]);
+        let f = fig6(&records.iter().collect::<Vec<_>>());
         assert_eq!(f.rows.len(), 9 * 3);
         // imagick/botsspar: the loop BP should remove most taken-backward
         // misses (constant trip counts).

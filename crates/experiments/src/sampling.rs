@@ -17,6 +17,7 @@ use rebalance_trace::SamplingConfig;
 use rebalance_workloads::{Scale, Suite, Workload};
 use serde::{Deserialize, Serialize};
 
+use crate::pass::{measure_all, Need, Record};
 use crate::util::{f2, mean, pct, Run, RunError, TextTable};
 
 /// Relative CPI error bound the sampled replay must hold (±2%).
@@ -276,44 +277,43 @@ impl SamplingExhibit {
     }
 }
 
+/// The two timing backends the exhibit compares, both on the baseline
+/// core: `(name, model)`.
+pub fn models() -> [(&'static str, CoreModel); 2] {
+    let baseline = CoreModel::new(CoreKind::Baseline);
+    [
+        ("penalty", baseline),
+        ("ftq", baseline.with_fetch_model(FetchModelKind::Ftq)),
+    ]
+}
+
 /// Measures the sampled-vs-full error table for `workloads` under
 /// `config`. Each workload costs one full replay plus one
-/// fingerprinting pass plus one (much shorter) sampled replay; both
-/// timing backends share each of those replays through the usual tool
-/// fan-out.
+/// fingerprinting pass plus one (much shorter) sampled replay of the
+/// fused pass; both timing backends share each of those replays.
+///
+/// # Errors
+///
+/// The first workload's [`RunError`].
 pub fn run_subset(
     run: &Run,
     workloads: Vec<Workload>,
     scale: Scale,
     config: &SamplingConfig,
 ) -> Result<SamplingExhibit, RunError> {
-    let models = [
-        ("penalty", CoreModel::new(CoreKind::Baseline)),
-        (
-            "ftq",
-            CoreModel::new(CoreKind::Baseline).with_fetch_model(FetchModelKind::Ftq),
-        ),
-    ];
-    let tools_for = |_: &Workload| {
-        models
-            .iter()
-            .map(|(_, m)| m.fetch_tools())
-            .collect::<Vec<_>>()
-    };
+    let records = measure_all(run, workloads, scale, config, &[Need::CoreModels])?;
+    Ok(exhibit(&records.iter().collect::<Vec<_>>(), *config))
+}
 
-    let full = run.sweep(workloads.clone(), scale, tools_for)?;
-    let sampled = run.sweep_sampled(config, workloads, scale, tools_for)?;
-
+/// The error table of the measured workloads, whose sampled replays
+/// used `config`.
+pub fn exhibit(records: &[&Record], config: SamplingConfig) -> SamplingExhibit {
     let mut rows = Vec::new();
-    for (f, s) in full.iter().zip(&sampled) {
-        debug_assert_eq!(f.item.name(), s.item.name());
-        let backend = f.item.profile().backend;
-        let fraction = s.plan.replayed_fraction();
-        for (mi, (name, model)) in models.iter().enumerate() {
-            let full_t = model.timing_of(&f.tools[mi], &backend);
-            let sampled_t = model.timing_of(&s.tools[mi], &backend);
-            let full_mpki = overall_mpki(&full_t);
-            let sampled_mpki = overall_mpki(&sampled_t);
+    for r in records {
+        for (mi, (name, _)) in models().iter().enumerate() {
+            let (full_t, sampled_t) = (&r.timings[mi], &r.sampled_timings[mi]);
+            let full_mpki = overall_mpki(full_t);
+            let sampled_mpki = overall_mpki(sampled_t);
             let max_mpki_err = full_mpki
                 .iter()
                 .zip(&sampled_mpki)
@@ -321,12 +321,12 @@ pub fn run_subset(
                 .map(|(f, s)| rel_err(*f, *s))
                 .fold(0.0, f64::max);
             rows.push(SamplingRow {
-                workload: f.item.name().to_owned(),
-                suite: f.item.suite(),
+                workload: r.workload.name().to_owned(),
+                suite: r.workload.suite(),
                 model: (*name).to_owned(),
-                full_cpi: overall_cpi(&full_t),
-                sampled_cpi: overall_cpi(&sampled_t),
-                cpi_err: rel_err(overall_cpi(&full_t), overall_cpi(&sampled_t)),
+                full_cpi: overall_cpi(full_t),
+                sampled_cpi: overall_cpi(sampled_t),
+                cpi_err: rel_err(overall_cpi(full_t), overall_cpi(sampled_t)),
                 full_mpki,
                 sampled_mpki,
                 max_mpki_err,
@@ -334,22 +334,11 @@ pub fn run_subset(
                     .iter()
                     .zip(&sampled_mpki)
                     .all(|(f, s)| mpki_within_band(*f, *s)),
-                replayed_fraction: fraction,
+                replayed_fraction: r.replayed_fraction,
             });
         }
     }
-    Ok(SamplingExhibit {
-        config: *config,
-        rows,
-    })
-}
-
-/// Runs the exhibit over the full roster (paper suites + kernel
-/// archetypes, narrowed by the run's suite filter) with the run's
-/// sampling configuration (`--sample`/`--sample-k`) or the defaults.
-pub fn run(run: &Run, scale: Scale) -> Result<SamplingExhibit, RunError> {
-    let config = run.sampling.unwrap_or_default();
-    run_subset(run, run.roster(), scale, &config)
+    SamplingExhibit { config, rows }
 }
 
 #[cfg(test)]

@@ -18,12 +18,10 @@ use std::sync::OnceLock;
 use rebalance_coresim::{
     floorplan_models, floorplan_results, CmpResult, CmpSim, CoreModel, FetchModelKind,
 };
-use rebalance_pintools::{
-    characterization_from_tools, characterization_tools, BbvTool, Characterization,
-};
+use rebalance_pintools::BbvTool;
 use rebalance_trace::{
-    CacheError, CachedReplay, Pintool, Report, RunSummary, SampledOutcome, SamplingConfig,
-    SweepEngine, SweepOutcome, SyntheticTrace, TraceCache,
+    CacheError, CachedReplay, Pintool, Report, SampledOutcome, SamplingConfig, SweepEngine,
+    SweepOutcome, SyntheticTrace, TraceCache,
 };
 use rebalance_workloads::{Scale, Suite, Workload};
 
@@ -50,6 +48,14 @@ pub enum RunError {
     },
     /// Writing an exhibit's rendering failed.
     Write(io::Error),
+    /// Writing an exhibit's JSON dump (or creating its directory)
+    /// failed.
+    Dump {
+        /// The file or directory that could not be written.
+        path: PathBuf,
+        /// Why writing it failed.
+        source: io::Error,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -64,6 +70,9 @@ impl fmt::Display for RunError {
                 temp_dir.display()
             ),
             RunError::Write(e) => write!(f, "cannot write exhibit output: {e}"),
+            RunError::Dump { path, source } => {
+                write!(f, "cannot write exhibit dump {}: {source}", path.display())
+            }
         }
     }
 }
@@ -74,12 +83,13 @@ impl std::error::Error for RunError {
             RunError::Replay { source, .. } => Some(source),
             RunError::ScratchCache { source, .. } => Some(source),
             RunError::Write(e) => Some(e),
+            RunError::Dump { source, .. } => Some(source),
         }
     }
 }
 
 impl RunError {
-    fn replay(workload: &Workload, source: CacheError) -> Self {
+    pub(crate) fn replay(workload: &Workload, source: CacheError) -> Self {
         RunError::Replay {
             workload: workload.name().to_owned(),
             source,
@@ -110,7 +120,7 @@ impl From<io::Error> for RunError {
 /// run.suite = Some(Suite::Npb);
 /// assert!(run.roster().iter().all(|w| w.suite() == Suite::Npb));
 /// let w = rebalance_workloads::find("EP").unwrap();
-/// run.fan_out(&w, Scale::Smoke, vec![rebalance_trace::NullTool]).unwrap();
+/// run.replay(&w, Scale::Smoke, vec![rebalance_trace::NullTool]).unwrap();
 /// assert_eq!(run.report().replays, 1);
 /// ```
 #[derive(Debug, Default)]
@@ -169,23 +179,12 @@ impl Run {
         }
     }
 
-    /// Drops workloads outside this run's suite filter (identity when no
-    /// filter is set). Exhibits with hand-picked subsets route them
-    /// through here so `--suite` narrows every exhibit consistently.
-    pub fn filtered(&self, workloads: Vec<Workload>) -> Vec<Workload> {
-        match self.suite {
-            Some(suite) => workloads
-                .into_iter()
-                .filter(|w| w.suite() == suite)
-                .collect(),
-            None => workloads,
-        }
-    }
-
     /// The roster exhibits sweep: the full registry, narrowed by this
     /// run's suite filter.
     pub fn roster(&self) -> Vec<Workload> {
-        self.filtered(rebalance_workloads::all())
+        let mut roster = rebalance_workloads::all();
+        roster.retain(|w| self.suite.is_none_or(|suite| w.suite() == suite));
+        roster
     }
 
     /// Replays one workload's trace at `scale` once through all `tools`
@@ -210,7 +209,7 @@ impl Run {
 
     /// [`Run::replay`] with the trace, when one must be generated, taken
     /// from `generate` — for callers that already synthesized it.
-    fn replay_generated<T: Pintool>(
+    pub(crate) fn replay_generated<T: Pintool>(
         &self,
         workload: &Workload,
         scale: Scale,
@@ -235,43 +234,9 @@ impl Run {
         replayed.map_err(|source| RunError::replay(workload, source))
     }
 
-    /// Sweeps `tools_for` over `workloads` at `scale`, one
-    /// [`Run::replay`] per workload, in parallel on the engine's
-    /// executor; outcomes keep workload order.
-    ///
-    /// # Errors
-    ///
-    /// The first workload's [`RunError`], in workload order.
-    pub fn sweep<T, ToolsFn>(
-        &self,
-        workloads: Vec<Workload>,
-        scale: Scale,
-        tools_for: ToolsFn,
-    ) -> Result<Vec<SweepOutcome<Workload, T>>, RunError>
-    where
-        T: Pintool + Send,
-        ToolsFn: Fn(&Workload) -> Vec<T> + Sync,
-    {
-        let measured = self
-            .engine
-            .map(&workloads, |w| self.replay(w, scale, tools_for(w)));
-        workloads
-            .into_iter()
-            .zip(measured)
-            .map(|(item, measured)| {
-                let (tools, replay) = measured?;
-                Ok(SweepOutcome {
-                    item,
-                    tools,
-                    summary: replay.summary,
-                })
-            })
-            .collect()
-    }
-
     /// Sweeps `tools_for` over `workloads` at `scale` replaying only each
     /// trace's weighted representative intervals under `config` — the
-    /// phase-sampled sibling of [`Run::sweep`], always served from a
+    /// phase-sampled sibling of [`Run::sweep_weighted`], always served from a
     /// snapshot ([`Run::sampling_cache`]). Tools must be weight-aware
     /// ([`Pintool::supports_sampled_replay`]).
     ///
@@ -315,14 +280,16 @@ impl Run {
         Ok(outcomes)
     }
 
-    /// [`Run::sweep`] that honors this run's sampling geometry: a full
-    /// replay per workload when [`Run::sampling`] is `None`, a weighted
-    /// representative replay otherwise. Only timing sweeps whose tools
-    /// are weight-aware should route through here.
+    /// Sweeps `tools_for` over `workloads` at `scale` in parallel on the
+    /// engine's executor, outcomes in workload order: one
+    /// [`Run::replay`] per workload when [`Run::sampling`] is `None`, a
+    /// weighted representative replay ([`Run::sweep_sampled`])
+    /// otherwise. Only timing sweeps whose tools are weight-aware should
+    /// route through here.
     ///
     /// # Errors
     ///
-    /// As for [`Run::sweep`] and [`Run::sweep_sampled`].
+    /// The first workload's [`RunError`], in workload order.
     pub fn sweep_weighted<T, ToolsFn>(
         &self,
         workloads: Vec<Workload>,
@@ -333,34 +300,32 @@ impl Run {
         T: Pintool + Send,
         ToolsFn: Fn(&Workload) -> Vec<T> + Sync,
     {
-        match &self.sampling {
-            Some(config) => Ok(self
-                .sweep_sampled(config, workloads, scale, tools_for)?
+        if let Some(config) = &self.sampling {
+            let sampled = self.sweep_sampled(config, workloads, scale, tools_for)?;
+            return Ok(sampled
                 .into_iter()
                 .map(|o| SweepOutcome {
                     item: o.item,
                     tools: o.tools,
                     summary: o.summary,
                 })
-                .collect()),
-            None => self.sweep(workloads, scale, tools_for),
+                .collect());
         }
-    }
-
-    /// Fans `tools` out over one [`Run::replay`] of a single workload's
-    /// trace, returning the tools and the replay's summary.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Run::replay`].
-    pub fn fan_out<T: Pintool>(
-        &self,
-        workload: &Workload,
-        scale: Scale,
-        tools: Vec<T>,
-    ) -> Result<(Vec<T>, RunSummary), RunError> {
-        let (tools, replay) = self.replay(workload, scale, tools)?;
-        Ok((tools, replay.summary))
+        let measured = self
+            .engine
+            .map(&workloads, |w| self.replay(w, scale, tools_for(w)));
+        workloads
+            .into_iter()
+            .zip(measured)
+            .map(|(item, measured)| {
+                let (tools, replay) = measured?;
+                Ok(SweepOutcome {
+                    item,
+                    tools,
+                    summary: replay.summary,
+                })
+            })
+            .collect()
     }
 
     /// Simulates `sims` over one workload through this run's fetch
@@ -387,52 +352,6 @@ impl Run {
             replay.sections,
             &timings,
         ))
-    }
-
-    /// Characterizes one workload: the five characterization pintools
-    /// observe one [`Run::replay`] of its trace. The program model is
-    /// synthesized either way, because the static code footprint is a
-    /// property of the program that an event stream cannot supply; on a
-    /// cache miss (or without a cache) that same synthesized trace is
-    /// the one interpreted, so it is never synthesized twice.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Run::replay`].
-    pub fn characterize_workload(
-        &self,
-        workload: &Workload,
-        scale: Scale,
-    ) -> Result<Characterization, RunError> {
-        let trace = workload
-            .trace(scale)
-            .map_err(|e| RunError::replay(workload, CacheError::Generate(e)))?;
-        let static_bytes = trace.program().static_bytes();
-        let (mut tools, replay) = self.replay_generated(
-            workload,
-            scale,
-            move || Ok(trace),
-            vec![characterization_tools()],
-        )?;
-        let tools = tools.pop().expect("one tool set in, one out");
-        Ok(characterization_from_tools(
-            tools,
-            static_bytes,
-            replay.summary,
-        ))
-    }
-
-    /// Runs `f` over the roster (narrowed by this run's suite filter)
-    /// in parallel, returning `(workload, result)` pairs in roster
-    /// order.
-    pub fn for_all_workloads<U, F>(&self, f: F) -> Vec<(Workload, U)>
-    where
-        U: Send,
-        F: Fn(&Workload) -> U + Sync,
-    {
-        let ws = self.roster();
-        let results = self.engine.map(&ws, f);
-        ws.into_iter().zip(results).collect()
     }
 }
 
@@ -555,14 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn for_all_covers_roster() {
-        let names = Run::default().for_all_workloads(|w| w.name().to_owned());
-        assert_eq!(names.len(), rebalance_workloads::all().len());
-        assert!(names.len() > 41, "kernel archetypes ride along");
-        assert_eq!(names[0].0.name(), names[0].1);
-    }
-
-    #[test]
     fn roster_without_filter_is_the_full_registry() {
         // The filter is a field of one run, so a filtered and an
         // unfiltered run coexist in one process.
@@ -573,14 +484,11 @@ mod tests {
         let everything = Run::default();
         assert_eq!(npb.roster(), rebalance_workloads::by_suite(Suite::Npb));
         assert_eq!(everything.roster(), rebalance_workloads::all());
-        assert_eq!(
-            npb.filtered(rebalance_workloads::kernels()),
-            Vec::<Workload>::new()
-        );
-        assert_eq!(
-            everything.filtered(rebalance_workloads::kernels()),
-            rebalance_workloads::kernels()
-        );
+        let kernels = Run {
+            suite: Some(Suite::Kernels),
+            ..Run::default()
+        };
+        assert_eq!(kernels.roster(), rebalance_workloads::kernels());
     }
 
     #[test]
@@ -588,14 +496,9 @@ mod tests {
         let run = Run::default();
         let w = rebalance_workloads::find("EP").unwrap();
         let before = run.report();
-        let (tools, summary) = run
-            .fan_out(
-                &w,
-                Scale::Smoke,
-                vec![rebalance_trace::NullTool, rebalance_trace::NullTool],
-            )
-            .unwrap();
-        let after = run.report();
+        let tools = vec![rebalance_trace::NullTool, rebalance_trace::NullTool];
+        let (tools, replay) = run.replay(&w, Scale::Smoke, tools).unwrap();
+        let (after, summary) = (run.report(), replay.summary);
         assert_eq!(tools.len(), 2);
         assert!(summary.instructions > 0);
         assert_eq!(after.replays - before.replays, 1, "one fan-out, one replay");
@@ -644,7 +547,7 @@ mod tests {
         let w = rebalance_workloads::find("EP").unwrap();
         let run = Run::default();
         let err = run
-            .fan_out(&w, Scale::Custom(0.0), vec![rebalance_trace::NullTool])
+            .replay(&w, Scale::Custom(0.0), vec![rebalance_trace::NullTool])
             .unwrap_err();
         assert!(
             matches!(&err, RunError::Replay { workload, source: CacheError::Generate(_) } if workload == "EP"),
@@ -676,39 +579,6 @@ mod tests {
             assert_eq!(replay.summary, live.summary);
         }
         let _ = std::fs::remove_dir_all(cached.cache.as_ref().unwrap().dir());
-    }
-
-    #[test]
-    fn characterize_workload_matches_direct_characterization() {
-        let w = rebalance_workloads::find("CG").unwrap();
-        let direct = rebalance_pintools::characterize(&w.trace(Scale::Smoke).unwrap());
-        let live = Run::default();
-        assert_eq!(
-            live.characterize_workload(&w, Scale::Smoke).unwrap(),
-            direct,
-            "live path"
-        );
-        assert_eq!(live.report().replays, 1, "counted by the engine");
-        let cached = Run {
-            cache: Some(TraceCache::scratch().unwrap()),
-            ..Run::default()
-        };
-        for pass in ["cold", "warm"] {
-            assert_eq!(
-                cached.characterize_workload(&w, Scale::Smoke).unwrap(),
-                direct,
-                "{pass} cached path"
-            );
-        }
-        let cache = cached.cache.as_ref().unwrap();
-        assert_eq!((cache.stats().generations, cache.stats().hits), (1, 1));
-        assert_eq!(cached.report().replays, 2);
-        assert_eq!(
-            cached.report().lanes.unwrap().instructions,
-            2 * direct.summary.instructions,
-            "every event the characterization tools saw, counted once"
-        );
-        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]

@@ -26,10 +26,10 @@ use std::path::{Path, PathBuf};
 
 use rebalance::coresim::FetchModelKind;
 use rebalance::pintools::characterize;
-use rebalance::workloads::Workload;
+use rebalance::workloads::{Suite, Workload};
 use rebalance::{Characterization, Scale};
 use rebalance_experiments::util::Run;
-use rebalance_experiments::{driver, fetchsim, sampling};
+use rebalance_experiments::{driver, sampling};
 use rebalance_trace::{SamplingConfig, TraceCache};
 use serde::Serialize;
 
@@ -305,16 +305,21 @@ fn exhibits_dir() -> PathBuf {
 /// grid pass per variant: full replays, then phase-sampled replays
 /// (160 intervals into 8 clusters).
 fn render_fetchsim_exhibits() -> Vec<(String, String)> {
-    let full = Run::default();
     let mut sampled = Run::default();
     sampled.sampling = Some(SamplingConfig::default().with_intervals(160).with_k(8));
-    [("fetchsim.json", full), ("fetchsim_sampled.json", sampled)]
-        .into_iter()
-        .map(|(name, run)| {
-            let exhibit = fetchsim::run(&run, GOLDEN_SCALE).expect("roster replays");
-            (name.to_owned(), pretty(&exhibit))
-        })
-        .collect()
+    let mut rendered = dump_exhibits(&Run::default(), &["fetchsim"], "");
+    rendered.extend(dump_exhibits(&sampled, &["fetchsim"], "_sampled"));
+    remove_scratch_cache(&sampled);
+    rendered
+}
+
+/// Deletes the scratch trace cache a cache-less sampled run created.
+fn remove_scratch_cache(run: &Run) {
+    if run.cache.is_none() {
+        if let Ok(scratch) = run.sampling_cache() {
+            let _ = std::fs::remove_dir_all(scratch.dir());
+        }
+    }
 }
 
 /// The decoupled front-end design grid, pinned whole: every design
@@ -400,9 +405,7 @@ fn render_paper_exhibits(mut run: Run) -> Vec<(String, String)> {
     let mut rendered = dump_exhibits(&run, &["all"], "");
     run.fetch_model = FetchModelKind::Ftq;
     rendered.extend(dump_exhibits(&run, &FTQ_EXHIBITS, "_ftq"));
-    if let Ok(scratch) = run.sampling_cache() {
-        let _ = std::fs::remove_dir_all(scratch.dir());
-    }
+    remove_scratch_cache(&run);
     let expected: BTreeSet<String> = PAPER_EXHIBIT_FILES
         .iter()
         .chain(&FTQ_EXHIBIT_FILES)
@@ -437,6 +440,34 @@ fn paper_exhibits_match_committed_fixtures_through_a_cache() {
         &render_paper_exhibits(run),
         "paper exhibit(s)",
     );
+}
+
+/// Which exhibits share a replay never changes an answer: each exhibit
+/// run alone on a cache-less NPB run dumps exactly the bytes the same
+/// stems hold after one `all` run.
+#[test]
+fn each_exhibit_alone_dumps_what_all_dumps() {
+    let npb = || {
+        let mut run = Run::default();
+        run.suite = Some(Suite::Npb);
+        run
+    };
+    let together = npb();
+    let all = dump_exhibits(&together, &["all"], "");
+    remove_scratch_cache(&together);
+    for exhibit in driver::EXHIBITS {
+        let alone = npb();
+        let dumps = dump_exhibits(&alone, &[exhibit], "");
+        remove_scratch_cache(&alone);
+        assert!(!dumps.is_empty(), "{exhibit} dumped nothing");
+        for (name, text) in dumps {
+            let (_, expected) = all
+                .iter()
+                .find(|(n, _)| *n == name)
+                .unwrap_or_else(|| panic!("`all` dumped no {name}"));
+            assert!(text == *expected, "{exhibit} alone changes {name}");
+        }
+    }
 }
 
 /// The report renderer itself is deterministic — a fixture mismatch
