@@ -1,58 +1,64 @@
-//! `rebalance bench` — replay-throughput measurement per delivery mode,
-//! the CLI mirror of the `warm_replay_six_workloads` criterion group
-//! plus a sampled-sweep row.
+//! `rebalance bench` — the two measurements the repo benchmark
+//! (`rebalance-benchmark/`) does not take, both over pre-validated
+//! in-memory snapshots so the timed region is purely the delivery spine
+//! and the tools:
 //!
-//! Four measurements, all over pre-validated in-memory snapshots so
-//! the timed region is purely the delivery spine and the tools:
-//!
-//! * **warm sweep** — the nine-predictor fan-out replayed per event
-//!   and batched; dominated by TAGE table compute both sides pay, so
-//!   the delivery win shows as a modest ratio here,
-//! * **pintools** — the branch-profiling fan-out (mix, direction,
-//!   bias) composed dynamically as `ToolSet<Box<dyn Pintool>>`, the
-//!   delivery-bound case: batched delivery pays the virtual
-//!   transitions once per block and walks only the dense branch
-//!   subset, while per-event delivery pays three virtual calls on
-//!   every instruction,
-//! * **sampled sweep** — phase-sampled batched replay, reported as
-//!   both delivered and effective (full-trace-equivalent) throughput,
-//! * **telemetry** — the warm batched sweep timed with telemetry
-//!   collection off and on (min-of-passes), the measured overhead
-//!   percentage, and the per-stage span breakdown from the enabled
-//!   passes. The bench *fails* if enabled-mode overhead exceeds
+//! * **the oracle's cost** — per-event delivery, the reference every
+//!   batched loop is checked against, timed against batched delivery
+//!   for two fan-outs: the nine-predictor sweep (`warm_sweep`),
+//!   dominated by TAGE table compute both sides pay, and the
+//!   branch-profiling pintools (mix, direction, bias) composed as
+//!   `ToolSet<Box<dyn Pintool>>` (`pintools`), the delivery-bound case
+//!   where per-event delivery pays three virtual calls per instruction;
+//! * **the telemetry gate** — the batched nine-predictor sweep with
+//!   collection off and on, paired one workload at a time. The command
+//!   fails if the median per-pair overhead exceeds
 //!   [`TELEMETRY_OVERHEAD_BUDGET_PCT`], which bounds disabled-mode
-//!   overhead too (disabled spans are strictly cheaper: one atomic
-//!   load, no clock read).
+//!   overhead too (a disabled span is one atomic load and no clock read).
 //!
-//! Always writes `BENCH_replay.json` — into `--json DIR` when given,
-//! else the current directory.
+//! The two sides of each comparison run as interleaved A/B pairs whose
+//! order alternates from pair to pair, so host drift hits both sides
+//! alike. Every row of `BENCH_replay.json` (written into `--json DIR`,
+//! else the current directory) is the median of its samples with their
+//! quartiles and count. `--metrics` writes the span tree of the passes
+//! that ran with collection on.
 
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rebalance_experiments::util::{f2, TextTable};
 use rebalance_frontend::predictor::{DirectionPredictor, PredictorSim};
 use rebalance_frontend::PredictorChoice;
-use rebalance_pintools::{BbvTool, BranchBiasTool, BranchMixTool, DirectionTool};
-use rebalance_telemetry::{self as telemetry, SpanNode};
-use rebalance_trace::{batch_capacity, snapshot, NullTool, Pintool, SamplePlan, Snapshot, ToolSet};
+use rebalance_pintools::{BranchBiasTool, BranchMixTool, DirectionTool};
+use rebalance_telemetry as telemetry;
+use rebalance_trace::{batch_capacity, snapshot, Pintool, Snapshot, ToolSet};
 use serde::Serialize;
 
 use crate::args;
 
-/// Workloads measured when no selection is given — the same six the
-/// `warm_replay_six_workloads` criterion group replays, so CLI numbers
-/// line up with bench history.
+/// Workloads measured when no selection is given: six spanning the four
+/// paper suites.
 const DEFAULT_ROSTER: [&str; 6] = ["CG", "FT", "MG", "gcc", "CoMD", "swim"];
 
-/// Minimum measured wall time per mode (after one untimed warmup pass).
-const MIN_MEASURE: Duration = Duration::from_millis(300);
+/// Minimum measured seconds per oracle-cost comparison, both sides
+/// together.
+const MIN_MEASURE_S: f64 = 0.6;
 
-/// Iteration cap so tiny traces do not spin for thousands of passes.
-const MAX_ITERS: u32 = 200;
+/// Minimum measured seconds of the telemetry comparison, both sides and
+/// every workload together. Enabled-mode overhead measures near 1% of
+/// the sweep, so the gate needs a median steady to a few tenths of a
+/// percent.
+const GATE_MEASURE_S: f64 = 2.0;
 
-/// Hard ceiling on the telemetry group's measured enabled-mode
-/// overhead; the bench errors beyond it.
+/// Fewest pairs per sampling loop, so the quartiles rest on enough
+/// samples.
+const MIN_PAIRS: usize = 15;
+
+/// Most pairs per sampling loop, so tiny traces do not spin.
+const MAX_PAIRS: usize = 1000;
+
+/// Ceiling on the median per-pair enabled-mode telemetry overhead; the
+/// command fails beyond it.
 const TELEMETRY_OVERHEAD_BUDGET_PCT: f64 = 2.0;
 
 /// The whole dump, `BENCH_replay.json`.
@@ -63,15 +69,8 @@ struct BenchJson {
     batch_capacity: usize,
     workloads: Vec<String>,
     total_instructions: u64,
-    /// Nine-predictor fan-out (the criterion group's tool set).
-    warm_sweep: Vec<ModeRow>,
-    /// Branch-profiling pintool fan-out (mix + direction + bias),
-    /// dynamically composed — the delivery-bound sweep shape.
-    pintools: Vec<ModeRow>,
-    /// Phase-sampled batched replay.
-    sampled_sweep: SampledRow,
-    /// Telemetry on/off timing plus the per-stage span breakdown.
-    telemetry: TelemetryJson,
+    telemetry_budget_pct: f64,
+    rows: Vec<Row>,
 }
 
 /// Where the numbers came from.
@@ -83,69 +82,73 @@ struct HostJson {
     arch: String,
 }
 
-/// One delivery mode's throughput over the full event stream.
+/// One measured quantity: the median of its samples, their quartiles
+/// and their count.
 #[derive(Debug, Serialize)]
-struct ModeRow {
-    mode: String,
-    melem_per_s: f64,
-    speedup_vs_per_event: f64,
+struct Row {
+    group: &'static str,
+    metric: &'static str,
+    unit: &'static str,
+    median: f64,
+    q1: f64,
+    q3: f64,
+    n: usize,
 }
 
-/// Sampled-replay throughput. `delivered` counts only events handed to
-/// the tools; `effective` credits the full trace the sampled totals
-/// reproduce.
-#[derive(Debug, Serialize)]
-struct SampledRow {
-    delivered_fraction: f64,
-    delivered_melem_per_s: f64,
-    effective_melem_per_s: f64,
-}
-
-/// The telemetry group: the warm batched nine-predictor sweep timed
-/// with collection off and on, and where the enabled passes' time
-/// went, stage by stage.
-#[derive(Debug, Serialize)]
-struct TelemetryJson {
-    /// Min seconds per pass, collection off.
-    disabled_secs: f64,
-    /// Min seconds per pass, collection on.
-    enabled_secs: f64,
-    /// `(enabled/disabled - 1) * 100`; negative values are measurement
-    /// noise. Must stay within [`TELEMETRY_OVERHEAD_BUDGET_PCT`].
-    overhead_pct: f64,
-    /// Every span path recorded by the enabled passes, depth-first.
-    breakdown: Vec<BreakdownRow>,
-}
-
-/// One span path of the telemetry breakdown.
-#[derive(Debug, Serialize)]
-struct BreakdownRow {
-    /// Dot-joined path from the root, e.g. `decode.batch.tools`.
-    span: String,
-    /// Inclusive milliseconds across all passes.
-    total_ms: f64,
-    /// Inclusive minus children: this stage's own code.
-    self_ms: f64,
-    /// Completed spans at this path.
-    count: u64,
-}
-
-/// Flattens a span tree into dot-joined-path rows, depth-first.
-fn flatten_spans(node: &SpanNode, prefix: &str, out: &mut Vec<BreakdownRow>) {
-    for (name, child) in &node.children {
-        let span = if prefix.is_empty() {
-            name.clone()
-        } else {
-            format!("{prefix}.{name}")
-        };
-        out.push(BreakdownRow {
-            total_ms: child.total_ns as f64 / 1e6,
-            self_ms: child.self_ns() as f64 / 1e6,
-            count: child.count,
-            span: span.clone(),
-        });
-        flatten_spans(child, &span, out);
+impl Row {
+    fn of(group: &'static str, metric: &'static str, unit: &'static str, samples: &[f64]) -> Row {
+        let [q1, median, q3] = quartiles(samples);
+        Row {
+            group,
+            metric,
+            unit,
+            median,
+            q1,
+            q3,
+            n: samples.len(),
+        }
     }
+}
+
+/// `[q1, median, q3]` of `samples` by the "exclusive" method, the
+/// default of Python's `statistics.quantiles(data, n=4)` and the one the
+/// repo benchmark uses. One sample is its own quartiles; none give NaN.
+fn quartiles(samples: &[f64]) -> [f64; 3] {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let len = sorted.len();
+    if len < 2 {
+        return [sorted.first().copied().unwrap_or(f64::NAN); 3];
+    }
+    let m = len + 1;
+    let cut = |i: usize| {
+        let j = (i * m / 4).clamp(1, len - 1);
+        let delta = (i * m) as f64 - (j * 4) as f64;
+        (sorted[j - 1] * (4.0 - delta) + sorted[j] * delta) / 4.0
+    };
+    [cut(1), cut(2), cut(3)]
+}
+
+/// Per-pair enabled-mode overhead in percent, from `(disabled_secs,
+/// enabled_secs)` pairs.
+fn overheads(pairs: &[(f64, f64)]) -> Vec<f64> {
+    pairs
+        .iter()
+        .map(|(off, on)| (on / off - 1.0) * 100.0)
+        .collect()
+}
+
+/// The telemetry gate: `Err` when the overhead row's median exceeds
+/// [`TELEMETRY_OVERHEAD_BUDGET_PCT`].
+fn gate(overhead: &Row) -> Result<(), String> {
+    if overhead.median > TELEMETRY_OVERHEAD_BUDGET_PCT {
+        return Err(format!(
+            "telemetry overhead {:.2}% (median of {} pairs, quartiles {:.2}%..{:.2}%) exceeds the \
+             {TELEMETRY_OVERHEAD_BUDGET_PCT}% budget",
+            overhead.median, overhead.n, overhead.q1, overhead.q3
+        ));
+    }
+    Ok(())
 }
 
 /// First `model name` from `/proc/cpuinfo`, or a placeholder off Linux.
@@ -170,78 +173,89 @@ fn host() -> HostJson {
     }
 }
 
-/// Times `routine` over fresh `setup()` inputs (setup is untimed, like
-/// criterion's `iter_batched`): one warmup pass, then passes until
-/// [`MIN_MEASURE`] of measured time or [`MAX_ITERS`]. Returns mean
-/// seconds per pass.
-fn measure<T>(mut setup: impl FnMut() -> T, mut routine: impl FnMut(&mut T)) -> f64 {
-    let mut warm = setup();
-    routine(&mut warm);
-    let mut total = Duration::ZERO;
-    let mut iters = 0u32;
-    while (total < MIN_MEASURE || iters < 3) && iters < MAX_ITERS {
-        let mut input = setup();
-        let start = Instant::now();
-        routine(&mut input);
-        total += start.elapsed();
-        iters += 1;
-    }
-    total.as_secs_f64() / f64::from(iters)
+/// Seconds one `routine` pass takes over a fresh, untimed `setup()`.
+fn timed<T>(
+    setup: impl FnOnce() -> T,
+    routine: impl FnOnce(&mut T) -> Result<(), String>,
+) -> Result<f64, String> {
+    let mut input = setup();
+    let start = Instant::now();
+    routine(&mut input)?;
+    Ok(start.elapsed().as_secs_f64())
 }
 
-/// Like [`measure`], but returns the *minimum* pass time: the right
-/// statistic for an A/B overhead comparison, where any single pass's
-/// slowdown is scheduler noise, not the code under test.
-fn measure_min<T>(mut setup: impl FnMut() -> T, mut routine: impl FnMut(&mut T)) -> f64 {
-    let mut warm = setup();
-    routine(&mut warm);
-    let mut total = Duration::ZERO;
-    let mut iters = 0u32;
-    let mut best = f64::INFINITY;
-    while (total < MIN_MEASURE || iters < 5) && iters < MAX_ITERS {
-        let mut input = setup();
-        let start = Instant::now();
-        routine(&mut input);
-        let elapsed = start.elapsed();
-        best = best.min(elapsed.as_secs_f64());
-        total += elapsed;
-        iters += 1;
+/// The sampling loop: one untimed warmup pass of each side, then
+/// `(a_secs, b_secs)` pairs, A first in even pairs and B first in odd
+/// ones, until `min_secs` of measured time and [`MIN_PAIRS`] are both
+/// reached or [`MAX_PAIRS`] is.
+fn pairs(
+    min_secs: f64,
+    mut a: impl FnMut() -> Result<f64, String>,
+    mut b: impl FnMut() -> Result<f64, String>,
+) -> Result<Vec<(f64, f64)>, String> {
+    a()?;
+    b()?;
+    let mut pairs = Vec::new();
+    let mut total = 0.0;
+    while (total < min_secs || pairs.len() < MIN_PAIRS) && pairs.len() < MAX_PAIRS {
+        let pair = if pairs.len() % 2 == 0 {
+            let a_secs = a()?;
+            (a_secs, b()?)
+        } else {
+            let b_secs = b()?;
+            (a()?, b_secs)
+        };
+        total += pair.0 + pair.1;
+        pairs.push(pair);
     }
-    best
+    Ok(pairs)
 }
 
-/// Replays every snapshot into `tool`, batched or per event.
-fn replay_all<T: Pintool>(snaps: &[Snapshot<'_>], tool: &mut [T], batched: bool) {
-    for (snap, tool) in snaps.iter().zip(tool.iter_mut()) {
+/// Replays every snapshot into its tool, batched or per event.
+fn replay_all<T: Pintool>(
+    snaps: &[(String, Snapshot<'_>)],
+    tools: &mut [T],
+    batched: bool,
+) -> Result<(), String> {
+    for ((name, snap), tool) in snaps.iter().zip(tools) {
         let result = if batched {
             snap.replay(tool)
         } else {
             snap.replay_per_event(tool)
         };
-        result.expect("validated snapshot replays");
+        result.map_err(|e| format!("cannot replay {name}: {e}"))?;
     }
+    Ok(())
 }
 
-/// The two delivery modes, with their display/JSON labels (`batched`
-/// flag per mode).
-fn modes() -> [(String, bool); 2] {
-    [
-        ("per_event".to_owned(), false),
-        ("batched".to_owned(), true),
-    ]
-}
-
-/// Seconds-per-pass for each mode → rows with per-event-relative
-/// speedups.
-fn mode_rows(secs: &[(String, f64)], insts: u64) -> Vec<ModeRow> {
-    let per_event_secs = secs[0].1;
-    secs.iter()
-        .map(|(mode, s)| ModeRow {
-            mode: mode.clone(),
-            melem_per_s: insts as f64 / s / 1e6,
-            speedup_vs_per_event: per_event_secs / s,
-        })
-        .collect()
+/// The oracle's cost for one fan-out: per-event (A) against batched (B)
+/// delivery of the `insts` events in `snaps`, each pass over one fresh
+/// tool per snapshot from `fresh`.
+fn oracle_rows<T: Pintool>(
+    group: &'static str,
+    snaps: &[(String, Snapshot<'_>)],
+    insts: u64,
+    fresh: impl Fn(usize) -> Vec<T>,
+) -> Result<[Row; 3], String> {
+    let pass = |batched| {
+        timed(
+            || fresh(snaps.len()),
+            |tools| replay_all(snaps, tools, batched),
+        )
+    };
+    let pairs = pairs(MIN_MEASURE_S, || pass(false), || pass(true))?;
+    let melem_per_s = |side: fn(&(f64, f64)) -> f64| -> Vec<f64> {
+        pairs.iter().map(|p| insts as f64 / side(p) / 1e6).collect()
+    };
+    let speedups: Vec<f64> = pairs
+        .iter()
+        .map(|(per_event, batched)| per_event / batched)
+        .collect();
+    Ok([
+        Row::of(group, "per_event", "Melem/s", &melem_per_s(|p| p.0)),
+        Row::of(group, "batched", "Melem/s", &melem_per_s(|p| p.1)),
+        Row::of(group, "speedup_vs_per_event", "x", &speedups),
+    ])
 }
 
 /// Runs the benchmark and writes `BENCH_replay.json`.
@@ -255,6 +269,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         (parsed.cache_dir.is_some(), "--cache"),
         (parsed.no_cache, "--no-cache"),
     ])?;
+    args::forbid(&args::sampling_flags(&parsed))?;
     args::configure_metrics(&parsed);
 
     let workloads = if parsed.positional.is_empty() && !parsed.all && parsed.suite.is_none() {
@@ -266,48 +281,32 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
 
     // Synthesize + encode once; parse (framing, checksum) once. Every
     // timed pass below replays identical pre-validated snapshots.
-    let mut names = Vec::new();
     let mut encoded = Vec::new();
     for w in &workloads {
         let trace = w.trace(parsed.scale)?;
         let (bytes, _info) = snapshot::snapshot_bytes(&trace, 0).map_err(|e| e.to_string())?;
-        names.push(w.name().to_owned());
-        encoded.push(bytes);
+        encoded.push((w.name().to_owned(), bytes));
     }
-    let snaps: Vec<Snapshot<'_>> = encoded
+    let snaps: Vec<(String, Snapshot<'_>)> = encoded
         .iter()
-        .map(|b| Snapshot::parse(b).map_err(|e| e.to_string()))
-        .collect::<Result<_, _>>()?;
-    let insts: u64 = snaps.iter().map(|s| s.info().summary.instructions).sum();
+        .map(|(name, b)| Ok((name.clone(), Snapshot::parse(b).map_err(|e| e.to_string())?)))
+        .collect::<Result<_, String>>()?;
+    let insts: u64 = snaps
+        .iter()
+        .map(|(_, s)| s.info().summary.instructions)
+        .sum();
     if insts == 0 {
         return Err("selection replays zero instructions".into());
     }
 
     let configs = PredictorChoice::figure5_set();
-    let fresh_sims = || -> Vec<ToolSet<PredictorSim<Box<dyn DirectionPredictor>>>> {
-        snaps
-            .iter()
+    let fresh_sims = |count: usize| -> Vec<ToolSet<PredictorSim<Box<dyn DirectionPredictor>>>> {
+        (0..count)
             .map(|_| ToolSet::from_tools(PredictorChoice::build_sims(&configs)))
             .collect()
     };
-
-    let warm_secs: Vec<(String, f64)> = modes()
-        .into_iter()
-        .map(|(label, mode)| {
-            let s = measure(fresh_sims, |sims| replay_all(&snaps, sims, mode));
-            (label, s)
-        })
-        .collect();
-    let warm_sweep = mode_rows(&warm_secs, insts);
-
-    // The delivery-bound case: a dynamically-composed fan-out (the
-    // sweep-engine / MultiTool shape). Per-event delivery pays one
-    // virtual transition per tool per instruction; batched delivery
-    // pays them once per block, and the branch-profiling tools then
-    // walk only the dense branch subset (~10% of events).
-    let fresh_pintools = || -> Vec<ToolSet<Box<dyn Pintool>>> {
-        snaps
-            .iter()
+    let fresh_pintools = |count: usize| -> Vec<ToolSet<Box<dyn Pintool>>> {
+        (0..count)
             .map(|_| {
                 ToolSet::from_tools(vec![
                     Box::new(BranchMixTool::new()) as Box<dyn Pintool>,
@@ -317,122 +316,55 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
             })
             .collect()
     };
-    let pintool_secs: Vec<(String, f64)> = modes()
-        .into_iter()
-        .map(|(label, mode)| {
-            let s = measure(fresh_pintools, |tools| replay_all(&snaps, tools, mode));
-            (label, s)
+    let mut rows = Vec::new();
+    rows.extend(oracle_rows("warm_sweep", &snaps, insts, fresh_sims)?);
+    rows.extend(oracle_rows("pintools", &snaps, insts, fresh_pintools)?);
+
+    // Telemetry overhead: collection off (A) against on (B) over the
+    // batched sweep, paired one workload at a time so the two sides of a
+    // pair run milliseconds apart.
+    let was_enabled = telemetry::enabled();
+    let min_secs = GATE_MEASURE_S / snaps.len() as f64;
+    let on_off: Result<Vec<Vec<(f64, f64)>>, String> = (snaps.chunks(1))
+        .map(|one| {
+            let pass = |enabled| {
+                telemetry::set_enabled(enabled);
+                timed(|| fresh_sims(1), |sims| replay_all(one, sims, true))
+            };
+            pairs(min_secs, || pass(false), || pass(true))
         })
         .collect();
-    let pintools = mode_rows(&pintool_secs, insts);
-
-    // Sampled sweep: one plan per snapshot (untimed — planning is a
-    // per-roster one-off in real sweeps too), then replay only the
-    // weighted representatives.
-    let config = args::sampling_config(&parsed).unwrap_or_default();
-    let plans: Vec<SamplePlan> = snaps
-        .iter()
-        .map(|s| {
-            SamplePlan::from_snapshot(s, &mut BbvTool::new(config.dims), &config)
-                .map_err(|e| e.to_string())
-        })
-        .collect::<Result<_, _>>()?;
-    let delivered: u64 = snaps
-        .iter()
-        .zip(&plans)
-        .map(|(s, p)| {
-            s.replay_sampled(&mut NullTool, p)
-                .expect("validated snapshot replays")
-                .delivered_instructions
-        })
-        .sum();
-    let sampled_secs = measure(fresh_sims, |sims| {
-        for ((snap, plan), set) in snaps.iter().zip(&plans).zip(sims.iter_mut()) {
-            snap.replay_sampled(set, plan)
-                .expect("validated snapshot replays");
-        }
-    });
-    let sampled_sweep = SampledRow {
-        delivered_fraction: delivered as f64 / insts as f64,
-        delivered_melem_per_s: delivered as f64 / sampled_secs / 1e6,
-        effective_melem_per_s: insts as f64 / sampled_secs / 1e6,
-    };
-
-    // Telemetry overhead: the same warm batched sweep with collection
-    // off, then on, min-of-passes so the delta is instrumentation
-    // cost rather than scheduler noise. The enabled passes also feed
-    // the per-stage breakdown below.
-    let was_enabled = telemetry::enabled();
-    telemetry::set_enabled(false);
-    let disabled_secs = measure_min(fresh_sims, |sims| replay_all(&snaps, sims, true));
-    telemetry::set_enabled(true);
-    let enabled_secs = measure_min(fresh_sims, |sims| replay_all(&snaps, sims, true));
-    let mut breakdown = Vec::new();
-    flatten_spans(&telemetry::snapshot().spans, "", &mut breakdown);
     telemetry::set_enabled(was_enabled);
-    let overhead_pct = (enabled_secs / disabled_secs - 1.0) * 100.0;
-    if overhead_pct > TELEMETRY_OVERHEAD_BUDGET_PCT {
-        return Err(format!(
-            "telemetry overhead {overhead_pct:.2}% exceeds the \
-             {TELEMETRY_OVERHEAD_BUDGET_PCT}% budget \
-             (disabled {disabled_secs:.4}s vs enabled {enabled_secs:.4}s per pass)"
-        ));
-    }
-    let telemetry_group = TelemetryJson {
-        disabled_secs,
-        enabled_secs,
-        overhead_pct,
-        breakdown,
-    };
+    let overhead = Row::of("telemetry", "overhead", "%", &overheads(&on_off?.concat()));
+    let verdict = gate(&overhead);
+    rows.push(overhead);
 
     let json = BenchJson {
         host: host(),
         scale: parsed.scale.to_string(),
         batch_capacity: batch_capacity(),
-        workloads: names,
+        workloads: snaps.iter().map(|(name, _)| name.clone()).collect(),
         total_instructions: insts,
-        warm_sweep,
-        pintools,
-        sampled_sweep,
-        telemetry: telemetry_group,
+        telemetry_budget_pct: TELEMETRY_OVERHEAD_BUDGET_PCT,
+        rows,
     };
     let dir = parsed.json_dir.as_deref().unwrap_or(".");
     crate::write_json(dir, "BENCH_replay", &json)?;
 
-    let mut t = TextTable::new(vec!["group", "mode", "Melem/s", "vs per_event"]);
-    for (group, rows) in [
-        ("warm_sweep", &json.warm_sweep),
-        ("pintools", &json.pintools),
-    ] {
-        for r in rows {
-            t.row(vec![
-                group.to_owned(),
-                r.mode.clone(),
-                f2(r.melem_per_s),
-                format!("{}x", f2(r.speedup_vs_per_event)),
-            ]);
-        }
+    let mut t = TextTable::new(vec!["group", "metric", "median", "q1", "q3", "n", "unit"]);
+    for r in &json.rows {
+        t.row(vec![
+            r.group.to_owned(),
+            r.metric.to_owned(),
+            f2(r.median),
+            f2(r.q1),
+            f2(r.q3),
+            r.n.to_string(),
+            r.unit.to_owned(),
+        ]);
     }
-    t.row(vec![
-        "sampled_sweep".to_owned(),
-        "batched".to_owned(),
-        f2(json.sampled_sweep.delivered_melem_per_s),
-        format!("{} effective", f2(json.sampled_sweep.effective_melem_per_s)),
-    ]);
-    t.row(vec![
-        "telemetry".to_owned(),
-        "disabled".to_owned(),
-        f2(insts as f64 / json.telemetry.disabled_secs / 1e6),
-        "baseline".to_owned(),
-    ]);
-    t.row(vec![
-        "telemetry".to_owned(),
-        "enabled".to_owned(),
-        f2(insts as f64 / json.telemetry.enabled_secs / 1e6),
-        format!("{:+.2}% overhead", json.telemetry.overhead_pct),
-    ]);
     crate::print_ignoring_pipe(&format!(
-        "replay throughput ({} events over {} workload(s), scale {}, batch {})\n{}wrote {}/BENCH_replay.json\n",
+        "replay throughput ({} events over {} workload(s), scale {}, batch {}; A/B pairs, median [q1, q3])\n{}wrote {}/BENCH_replay.json\n",
         insts,
         json.workloads.len(),
         json.scale,
@@ -441,5 +373,54 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         dir,
     ));
     crate::metrics::emit(&parsed, None)?;
+    verdict?;
     Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quartiles_match_the_exclusive_method() {
+        // Reference values from Python 3: statistics.quantiles(data, n=4)
+        // with the median in the middle.
+        let ten: Vec<f64> = (1..=10).rev().map(f64::from).collect();
+        assert_eq!(quartiles(&ten), [2.75, 5.5, 8.25]);
+        let nine: Vec<f64> = (1..=9).map(f64::from).collect();
+        assert_eq!(quartiles(&nine), [2.5, 5.0, 7.5]);
+        assert_eq!(quartiles(&[3.0, 1.0]), [0.5, 2.0, 3.5]);
+        assert_eq!(quartiles(&[4.0]), [4.0; 3]);
+        let row = Row::of("g", "m", "u", &nine);
+        assert_eq!((row.q1, row.median, row.q3, row.n), (2.5, 5.0, 7.5, 9));
+    }
+
+    /// 20 `(disabled, enabled)` pairs with a steady `ratio` between the
+    /// sides and host speed swinging ±40% from one pair to the next.
+    fn drifting_pairs(ratio: f64) -> Vec<(f64, f64)> {
+        (0..20)
+            .map(|i| {
+                let secs = if i % 2 == 0 { 0.014 } else { 0.006 };
+                (secs, secs * ratio)
+            })
+            .collect()
+    }
+
+    fn overhead_row(pairs: &[(f64, f64)]) -> Row {
+        Row::of("telemetry", "overhead", "%", &overheads(pairs))
+    }
+
+    #[test]
+    fn a_steady_three_percent_overhead_fails_the_gate_under_drift() {
+        let row = overhead_row(&drifting_pairs(1.03));
+        assert!((row.median - 3.0).abs() < 1e-9, "{}", row.median);
+        assert!(gate(&row).is_err());
+    }
+
+    #[test]
+    fn no_overhead_passes_the_gate_under_drift() {
+        let row = overhead_row(&drifting_pairs(1.0));
+        assert_eq!((row.q1, row.median, row.q3), (0.0, 0.0, 0.0));
+        assert!(gate(&row).is_ok());
+    }
 }

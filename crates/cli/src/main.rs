@@ -75,8 +75,9 @@ fn usage() -> ExitCode {
          \x20     print each workload's phase-cluster map and per-cluster weights\n\
          \x20 paper [EXHIBIT...|all] [--suite S] [--scale S] [--model M] [--json DIR] [--cache DIR] [--no-cache]\n\
          \x20     regenerate the paper's figures/tables through the cache\n\
-         \x20 bench [--workloads A,B,...] [--suite S] [--scale S] [--json DIR] [--cache DIR] [--no-cache]\n\
-         \x20     measure replay throughput per delivery mode, write BENCH_replay.json with --json\n\
+         \x20 bench [--workloads A,B,...] [--suite S] [--scale S] [--json DIR]\n\
+         \x20     time per-event against batched delivery and telemetry off against on in A/B pairs,\n\
+         \x20     write BENCH_replay.json (into --json DIR, else .); fails past the telemetry budget\n\
          \n\
          scales: smoke | quick | full | <positive factor>   (default: smoke)\n\
          suites: exmatex | specomp | npb | specint | kernels\n\

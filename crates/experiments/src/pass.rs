@@ -114,9 +114,8 @@ pub fn suite_means(records: &[&Record], value: impl Fn(&Record) -> f64) -> [f64;
 }
 
 /// Every tool family one replay feeds, as one fan-out tool:
-/// characterization, predictors, BTBs, I-caches, floorplan cores, fetch
-/// grid and sampling's core models. A family the replay does not need
-/// stays empty.
+/// characterization, predictors, BTBs, I-caches, the [`core_models`]
+/// and the fetch grid. A family the replay does not need stays empty.
 type Tools = (
     ToolSet<CharacterizationTools>,
     ToolSet<PredictorSim<Box<dyn DirectionPredictor>>>,
@@ -124,12 +123,40 @@ type Tools = (
     ToolSet<ICacheSim>,
     ToolSet<FetchTools>,
     ToolSet<FetchGrid>,
-    ToolSet<FetchTools>,
 );
 
 /// `tools()` as a family when `wanted`, else an empty family.
 fn family<T>(wanted: bool, tools: impl FnOnce() -> Vec<T>) -> ToolSet<T> {
     ToolSet::from_tools(if wanted { tools() } else { Vec::new() })
+}
+
+/// The core designs `needs` time on one replay on `run`, each once: the
+/// Figure 10 floorplans' cores under the run's fetch model, then
+/// sampling's two models, one of which is the baseline floorplan core.
+fn core_models(needs: &[Need], run: &Run, sampled: bool) -> Vec<CoreModel> {
+    let on = |need: Need| needs.contains(&need) && need.rides(run, sampled);
+    let mut models = Vec::new();
+    if on(Need::Floorplans) {
+        models = cmp_models(run);
+    }
+    if on(Need::CoreModels) {
+        for model in sampling_models() {
+            if !models.contains(&model) {
+                models.push(model);
+            }
+        }
+    }
+    models
+}
+
+/// The Figure 10 floorplans' core designs under the run's fetch model.
+fn cmp_models(run: &Run) -> Vec<CoreModel> {
+    floorplan_models(&cmp::figure10_sims(), run.fetch_model)
+}
+
+/// Sampling's two core models, in [`sampling::models`] order.
+fn sampling_models() -> Vec<CoreModel> {
+    sampling::models().into_iter().map(|(_, m)| m).collect()
 }
 
 /// The tools `needs` put on one replay on `run` (see [`Need::rides`]).
@@ -146,7 +173,6 @@ fn tools(needs: &[Need], run: &Run, sampled: bool) -> Tools {
             }
         }
     }
-    let cores = floorplan_models(&cmp::figure10_sims(), run.fetch_model);
     (
         family(
             on(Need::Characterization),
@@ -162,15 +188,11 @@ fn tools(needs: &[Need], run: &Run, sampled: bool) -> Tools {
                 .collect()
         }),
         icaches.into_iter().map(ICacheSim::new).collect(),
-        family(on(Need::Floorplans), || {
-            cores.iter().map(CoreModel::fetch_tools).collect()
-        }),
+        (core_models(needs, run, sampled).iter())
+            .map(CoreModel::fetch_tools)
+            .collect(),
         family(on(Need::FetchGrid), || {
             vec![FetchGrid::new(&default_grid())]
-        }),
-        family(on(Need::CoreModels), || {
-            let models = sampling::models();
-            models.iter().map(|(_, m)| m.fetch_tools()).collect()
         }),
     )
 }
@@ -182,12 +204,24 @@ fn fetch(grid: &ToolSet<FetchGrid>) -> Vec<FetchSummary> {
     reports.map(|r| FetchSummary::from_report(&r)).collect()
 }
 
-/// Sampling's core-model timings on `w` (empty without them).
-fn timings(models: &ToolSet<FetchTools>, w: &Workload) -> Vec<CoreTiming> {
+/// The timings on `w` of each of `wanted`, read from the `cores` that
+/// timed `models` on one replay.
+fn timings(
+    wanted: Vec<CoreModel>,
+    models: &[CoreModel],
+    cores: &[FetchTools],
+    w: &Workload,
+) -> Vec<CoreTiming> {
     let backend = w.profile().backend;
-    let models = sampling::models().into_iter().zip(models);
-    models
-        .map(|((_, m), tools)| m.timing_of(tools, &backend))
+    wanted
+        .into_iter()
+        .map(|model| {
+            let i = models
+                .iter()
+                .position(|m| *m == model)
+                .expect("a timed core");
+            model.timing_of(&cores[i], &backend)
+        })
         .collect()
 }
 
@@ -260,7 +294,7 @@ fn measure_one(
         let generate = move || trace.map_or_else(|| w.trace(scale), Ok);
         let full = vec![tools(needs, run, false)];
         let (mut full, replay) = run.replay_generated(w, scale, generate, full)?;
-        let (characterization, predictors, btbs, icaches, cores, grid, models) =
+        let (characterization, predictors, btbs, icaches, cores, grid) =
             full.pop().expect("one tool set in, one out");
         record.characterization = (characterization.into_inner().pop())
             .zip(static_bytes)
@@ -268,24 +302,29 @@ fn measure_one(
         record.predictors = predictors.iter().map(PredictorSim::report).collect();
         record.btbs = btbs.iter().map(BtbSim::report).collect();
         record.icaches = icaches.iter().map(ICacheSim::report).collect();
-        if !cores.is_empty() {
+        let (models, cores) = (core_models(needs, run, false), cores.into_inner());
+        if needs.contains(&Need::Floorplans) {
+            let timings = timings(cmp_models(run), &models, &cores, w);
             let sims = cmp::figure10_sims();
-            let models = floorplan_models(&sims, run.fetch_model);
-            let backend = w.profile().backend;
-            let timings = CoreModel::timings_of(&models, &cores.into_inner(), &backend);
             record.floorplans = floorplan_results(&sims, w.name(), replay.sections, &timings);
         }
         record.fetch = fetch(&grid);
-        record.timings = timings(&models, w);
+        if needs.contains(&Need::CoreModels) {
+            record.timings = timings(sampling_models(), &models, &cores, w);
+        }
     }
     if replays(needs, run, true) {
         let mut outcomes = run.sweep_sampled(sampling, vec![w.clone()], scale, |_| {
             vec![tools(needs, run, true)]
         })?;
         let outcome = outcomes.pop().expect("one workload in, one out");
-        let (.., grid, models) = &outcome.tools[0];
+        let (.., cores, grid) = &outcome.tools[0];
         record.replayed_fraction = outcome.plan.replayed_fraction();
-        record.sampled_timings = timings(models, w);
+        if needs.contains(&Need::CoreModels) {
+            let models = core_models(needs, run, true);
+            let cores = cores.iter().as_slice();
+            record.sampled_timings = timings(sampling_models(), &models, cores, w);
+        }
         if !grid.is_empty() {
             record.fetch = fetch(grid);
         }
@@ -303,6 +342,7 @@ pub(crate) fn measured(workloads: Vec<Workload>, scale: Scale, needs: &[Need]) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rebalance_coresim::FetchModelKind;
     use rebalance_trace::TraceCache;
 
     #[test]
@@ -356,6 +396,19 @@ mod tests {
             if let Ok(scratch) = run.sampling_cache() {
                 let _ = std::fs::remove_dir_all(scratch.dir());
             }
+        }
+    }
+
+    #[test]
+    fn the_baseline_core_is_timed_once_per_replay() {
+        let needs = [Need::Floorplans, Need::CoreModels];
+        for fetch_model in [FetchModelKind::Penalty, FetchModelKind::Ftq] {
+            let mut run = Run::default();
+            run.fetch_model = fetch_model;
+            // Baseline and tailored floorplan cores, plus sampling's
+            // baseline core under the other fetch model.
+            assert_eq!(tools(&needs, &run, false).4.len(), 3, "{fetch_model:?}");
+            assert_eq!(tools(&needs, &run, true).4.len(), 2, "{fetch_model:?}");
         }
     }
 }

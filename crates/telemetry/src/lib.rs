@@ -189,6 +189,15 @@ impl SpanNode {
         }
     }
 
+    /// The child named `name`, created on first use. Finding an existing
+    /// child allocates nothing, which keeps an enabled span cheap.
+    fn child(&mut self, name: &str) -> &mut SpanNode {
+        if !self.children.contains_key(name) {
+            self.children.insert(name.to_owned(), SpanNode::default());
+        }
+        self.children.get_mut(name).expect("inserted above")
+    }
+
     /// True when nothing has been recorded at or below this node.
     pub fn is_empty(&self) -> bool {
         self.total_ns == 0 && self.count == 0 && self.children.is_empty()
@@ -236,9 +245,9 @@ impl Drop for SpanGuard {
             let elapsed = start.elapsed().as_nanos() as u64;
             let mut node = &mut *root;
             for (ancestor, _) in stack.iter() {
-                node = node.children.entry((*ancestor).to_string()).or_default();
+                node = node.child(ancestor);
             }
-            let leaf = node.children.entry(name.to_string()).or_default();
+            let leaf = node.child(name);
             leaf.total_ns += elapsed;
             leaf.count += 1;
             if stack.is_empty() {

@@ -169,7 +169,6 @@ impl_pintool_tuple!(A: 0, B: 1, C: 2);
 impl_pintool_tuple!(A: 0, B: 1, C: 2, D: 3);
 impl_pintool_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4);
 impl_pintool_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
-impl_pintool_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6);
 
 /// A tool that ignores everything; useful to drive the interpreter for
 /// its [`RunSummary`](crate::RunSummary) alone.
