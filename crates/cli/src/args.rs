@@ -178,10 +178,9 @@ pub fn metrics_flag(parsed: &Parsed) -> [(bool, &'static str); 1] {
     [(parsed.metrics.is_some(), "--metrics")]
 }
 
-/// Turns telemetry collection on when `--metrics` was given. The
-/// `REBALANCE_METRICS` env latch is honored independently by the
-/// telemetry crate, so this only ever widens. Must run before the
-/// first replay so every stage is covered.
+/// Turns telemetry collection on when `--metrics` was given, the only
+/// switch for it. Must run before the first replay so every stage is
+/// covered.
 pub fn configure_metrics(parsed: &Parsed) {
     if parsed.metrics.is_some() {
         rebalance_telemetry::set_enabled(true);
@@ -313,8 +312,8 @@ mod tests {
 
     #[test]
     fn rejects_the_removed_block_size_flag() {
-        // The block size comes only from `REBALANCE_BATCH`; the old
-        // flag fails like any other unknown flag.
+        // No flag or environment variable sets the block size; the
+        // old flag fails like any other unknown flag.
         let flag = format!("--{}-size", "batch");
         let err = parse(&[flag.clone(), "512".to_owned()]).unwrap_err();
         assert_eq!(err, format!("unknown flag `{flag}`"));

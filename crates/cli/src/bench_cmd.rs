@@ -31,7 +31,7 @@ use rebalance_frontend::predictor::{DirectionPredictor, PredictorSim};
 use rebalance_frontend::PredictorChoice;
 use rebalance_pintools::{BranchBiasTool, BranchMixTool, DirectionTool};
 use rebalance_telemetry as telemetry;
-use rebalance_trace::{batch_capacity, snapshot, Pintool, Snapshot, ToolSet};
+use rebalance_trace::{snapshot, Pintool, Snapshot, ToolSet, DEFAULT_BATCH_CAPACITY};
 use serde::Serialize;
 
 use crate::args;
@@ -342,7 +342,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     let json = BenchJson {
         host: host(),
         scale: parsed.scale.to_string(),
-        batch_capacity: batch_capacity(),
+        batch_capacity: DEFAULT_BATCH_CAPACITY,
         workloads: snaps.iter().map(|(name, _)| name.clone()).collect(),
         total_instructions: insts,
         telemetry_budget_pct: TELEMETRY_OVERHEAD_BUDGET_PCT,

@@ -84,10 +84,8 @@ fn usage() -> ExitCode {
          --model M: CPI timing backend, penalty (closed form) or ftq (decoupled fetch simulator)\n\
          --sample N [--sample-k K]: phase-sample sweep/fetch/paper replays into N intervals,\n\
          \x20    K clusters, replaying one weighted representative per cluster (default 160/8)\n\
-         env REBALANCE_BATCH=N: events per delivery block (default 4096)\n\
          --metrics [text|json[=PATH]]: emit the telemetry snapshot after the report (sweep/fetch/paper/bench;\n\
-         \x20    text prints the span tree + top counters, json writes metrics.json; env REBALANCE_METRICS=1\n\
-         \x20    turns collection on without emitting)"
+         \x20    text prints the span tree + top counters, json writes metrics.json)"
     );
     ExitCode::from(2)
 }

@@ -14,8 +14,7 @@ use crate::args::{MetricsMode, Parsed};
 /// writes a versioned `metrics.json` with the report under `report`
 /// (into the `--json` directory when one was given, the working
 /// directory otherwise, or an explicit `json=PATH`). A no-op without
-/// the flag — the `REBALANCE_METRICS` env latch alone collects but does
-/// not emit, so scripted runs stay quiet.
+/// the flag, which is also the only switch that turns collection on.
 ///
 /// # Errors
 ///

@@ -28,10 +28,6 @@ fn scratch(tag: &str) -> PathBuf {
 fn run(args: &[&str]) -> String {
     let out = Command::new(BIN)
         .args(args)
-        // REBALANCE_BATCH and REBALANCE_METRICS are deliberately passed
-        // through: CI reruns this test at both block-size extremes with
-        // collection latched on, and the invariants must hold under
-        // all of them.
         .output()
         .expect("spawn rebalance");
     assert!(

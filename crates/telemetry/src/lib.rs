@@ -21,15 +21,15 @@
 //!   relaxed atomic op.
 //! * **Spans** — [`span`] returns an RAII guard over a monotonic clock.
 //!   Nested guards build a per-thread timing tree with **no global
-//!   locks on the hot path**: a thread only touches the shared tree
-//!   when its outermost span closes, merging its whole local subtree
-//!   in one lock acquisition.
+//!   locks on the hot path**: opening a span resolves its node in the
+//!   thread's tree once, closing it adds to that node, and a thread
+//!   only touches the shared tree when its outermost span closes,
+//!   merging its whole local subtree in one lock acquisition.
 //!
-//! Collection is off by default. It latches on when the
-//! [`METRICS_ENV`] environment variable is set (to anything but `0` or
-//! empty) or when [`set_enabled`] is called; while off, every
-//! instrumentation call reduces to one relaxed atomic load and a
-//! branch.
+//! Collection is off by default and only [`set_enabled`] switches it
+//! (the CLI calls it for `--metrics`); no environment variable is
+//! read. While off, every instrumentation call reduces to one
+//! [`enabled`] check (a relaxed atomic load) and a branch.
 //!
 //! Naming scheme: dotted lowercase segments, most-general first
 //! (`tool.gshare-big.on_batch_ns`). Metrics whose *value* is a duration
@@ -62,12 +62,8 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Once, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
-
-/// Environment variable that latches telemetry collection on for the
-/// whole process (any value except empty or `0`).
-pub const METRICS_ENV: &str = "REBALANCE_METRICS";
 
 /// Version stamp written into [`MetricsSnapshot::to_json`] output.
 /// Version 2 carries the caller's run record under `report` and has no
@@ -75,34 +71,31 @@ pub const METRICS_ENV: &str = "REBALANCE_METRICS";
 pub const SNAPSHOT_VERSION: u32 = 2;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static ENABLED_INIT: Once = Once::new();
 
-fn init_enabled() {
-    ENABLED_INIT.call_once(|| {
-        if let Ok(v) = std::env::var(METRICS_ENV) {
-            if !v.is_empty() && v != "0" {
-                ENABLED.store(true, Ordering::Relaxed);
-            }
-        }
-    });
-}
-
-/// Whether telemetry collection is currently on.
+/// Whether telemetry collection is currently on: one relaxed atomic
+/// load.
 ///
-/// The first call consults [`METRICS_ENV`]; afterwards this is a single
-/// relaxed atomic load, cheap enough for per-event call sites.
-#[inline]
+/// Out of line on purpose: callers check once per span or block, where
+/// a call costs nothing, and inlining the load into the delivery loops
+/// slowed the warm nine-predictor sweep by about 2% (2-vCPU x86-64
+/// host), through code layout rather than work.
+#[inline(never)]
 pub fn enabled() -> bool {
-    init_enabled();
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns collection on or off for the whole process, overriding the
-/// environment latch. Typically called once by a CLI front-end after
-/// flag parsing, before any instrumented work runs.
+/// Turns collection on or off for the whole process. Typically called
+/// once by a CLI front-end after flag parsing, before any instrumented
+/// work runs.
 pub fn set_enabled(on: bool) {
-    init_enabled();
     ENABLED.store(on, Ordering::Relaxed);
+}
+
+/// Locks `mutex` even if a panicking thread poisoned it: the shared maps
+/// hold only counter handles and span totals, which stay valid whatever
+/// a panicking holder was doing.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 // ---------------------------------------------------------------------------
@@ -148,7 +141,7 @@ fn registry() -> &'static Registry {
 /// it on first use. The handle is a cheap clone; cache it in a
 /// `OnceLock` at hot call sites to skip the registry lock.
 pub fn counter(name: &str) -> Counter {
-    let mut map = registry().counters.lock().expect("counter registry");
+    let mut map = lock(&registry().counters);
     map.entry(name.to_string())
         .or_insert_with(|| Counter(Arc::new(AtomicU64::new(0))))
         .clone()
@@ -189,15 +182,6 @@ impl SpanNode {
         }
     }
 
-    /// The child named `name`, created on first use. Finding an existing
-    /// child allocates nothing, which keeps an enabled span cheap.
-    fn child(&mut self, name: &str) -> &mut SpanNode {
-        if !self.children.contains_key(name) {
-            self.children.insert(name.to_owned(), SpanNode::default());
-        }
-        self.children.get_mut(name).expect("inserted above")
-    }
-
     /// True when nothing has been recorded at or below this node.
     pub fn is_empty(&self) -> bool {
         self.total_ns == 0 && self.count == 0 && self.children.is_empty()
@@ -211,10 +195,66 @@ impl SpanNode {
     }
 }
 
+/// One node of a thread's private span tree, addressed by its index in
+/// [`LocalSpans::nodes`].
+#[derive(Default)]
+struct LocalNode {
+    name: &'static str,
+    total_ns: u64,
+    count: u64,
+    children: Vec<usize>,
+}
+
+/// A thread's span tree as an arena (index 0 is the synthetic root,
+/// added by the first span) and its open spans, innermost last, each
+/// with the node it adds to when it closes.
 #[derive(Default)]
 struct LocalSpans {
-    stack: Vec<(&'static str, Instant)>,
-    root: SpanNode,
+    nodes: Vec<LocalNode>,
+    stack: Vec<(usize, Instant)>,
+}
+
+impl LocalSpans {
+    /// The node for a span named `name` under the innermost open span,
+    /// created on first use.
+    fn node(&mut self, name: &'static str) -> usize {
+        if self.nodes.is_empty() {
+            self.nodes.push(LocalNode::default());
+        }
+        let parent = self.stack.last().map_or(0, |&(i, _)| i);
+        let children = &self.nodes[parent].children;
+        if let Some(&i) = children.iter().find(|&&c| self.nodes[c].name == name) {
+            return i;
+        }
+        let i = self.nodes.len();
+        self.nodes.push(LocalNode {
+            name,
+            ..LocalNode::default()
+        });
+        self.nodes[parent].children.push(i);
+        i
+    }
+
+    /// Converts the arena below `i` into a [`SpanNode`] tree.
+    fn tree(&self, i: usize) -> SpanNode {
+        let node = &self.nodes[i];
+        SpanNode {
+            total_ns: node.total_ns,
+            count: node.count,
+            children: node
+                .children
+                .iter()
+                .map(|&c| (self.nodes[c].name.to_owned(), self.tree(c)))
+                .collect(),
+        }
+    }
+
+    /// Takes the finished tree, emptying the arena.
+    fn take(&mut self) -> SpanNode {
+        let tree = self.tree(0);
+        self.nodes.clear();
+        tree
+    }
 }
 
 thread_local! {
@@ -240,26 +280,16 @@ impl Drop for SpanGuard {
         }
         let flush = LOCAL.with(|cell| {
             let mut local = cell.borrow_mut();
-            let LocalSpans { stack, root } = &mut *local;
-            let (name, start) = stack.pop()?;
-            let elapsed = start.elapsed().as_nanos() as u64;
-            let mut node = &mut *root;
-            for (ancestor, _) in stack.iter() {
-                node = node.child(ancestor);
-            }
-            let leaf = node.child(name);
-            leaf.total_ns += elapsed;
-            leaf.count += 1;
-            if stack.is_empty() {
-                Some(std::mem::take(root))
-            } else {
-                None
-            }
+            let (i, start) = local.stack.pop()?;
+            let node = &mut local.nodes[i];
+            node.total_ns += start.elapsed().as_nanos() as u64;
+            node.count += 1;
+            local.stack.is_empty().then(|| local.take())
         });
         // Only the outermost span on a thread pays the global lock,
         // and it carries the whole finished subtree in one absorb.
         if let Some(tree) = flush {
-            global_spans().lock().expect("span tree").absorb(&tree);
+            lock(global_spans()).absorb(&tree);
         }
     }
 }
@@ -276,7 +306,11 @@ pub fn span(name: &'static str) -> SpanGuard {
     if !enabled() {
         return SpanGuard { active: false };
     }
-    LOCAL.with(|cell| cell.borrow_mut().stack.push((name, Instant::now())));
+    LOCAL.with(|cell| {
+        let mut local = cell.borrow_mut();
+        let i = local.node(name);
+        local.stack.push((i, Instant::now()));
+    });
     SpanGuard { active: true }
 }
 
@@ -431,40 +465,31 @@ impl MetricsSnapshot {
 // ---------------------------------------------------------------------------
 
 /// Captures everything recorded so far: the live registry and the
-/// process span tree (including this thread's finished spans).
+/// process span tree. A thread's spans join the process tree when its
+/// outermost span closes, so spans still open are not included.
 ///
 /// Zero-valued counters are omitted so that which handles happened to
 /// be *registered* (vs actually used) never shows up in run-to-run
 /// comparisons.
 pub fn snapshot() -> MetricsSnapshot {
-    // Flush this thread's finished spans so a snapshot taken right
-    // after the top-level span closes sees it.
-    let local = LOCAL.with(|cell| std::mem::take(&mut cell.borrow_mut().root));
-    if !local.is_empty() {
-        global_spans().lock().expect("span tree").absorb(&local);
-    }
-
     let mut snap = MetricsSnapshot::default();
-    let reg = registry();
-    for (name, c) in reg.counters.lock().expect("counter registry").iter() {
+    for (name, c) in lock(&registry().counters).iter() {
         let v = c.value();
         if v > 0 {
             snap.counters.insert(name.clone(), v);
         }
     }
-    snap.spans = global_spans().lock().expect("span tree").clone();
+    snap.spans = lock(global_spans()).clone();
     snap
 }
 
 /// Clears every counter and the span tree. For
 /// benches and tests that measure deltas.
 pub fn reset() {
-    let reg = registry();
-    for c in reg.counters.lock().expect("counter registry").values() {
+    for c in lock(&registry().counters).values() {
         c.0.store(0, Ordering::Relaxed);
     }
-    *global_spans().lock().expect("span tree") = SpanNode::default();
-    LOCAL.with(|cell| cell.borrow_mut().root = SpanNode::default());
+    *lock(global_spans()) = SpanNode::default();
 }
 
 #[cfg(test)]
@@ -535,6 +560,61 @@ mod tests {
         assert_eq!(snap.spans.children["worker"].count, 4);
         assert_eq!(snap.spans.children["worker"].children["step"].count, 4);
         assert!(snap.check_attribution().is_ok());
+        set_enabled(false);
+        reset();
+    }
+
+    #[test]
+    fn spans_resolve_by_path_across_flushes() {
+        let _g = test_guard();
+        reset();
+        set_enabled(true);
+        {
+            let _a = span("a");
+            drop(span("x"));
+            {
+                let _b = span("b");
+                let _x = span("x");
+            }
+            drop(span("x"));
+        }
+        {
+            // A second outermost span starts from a fresh local tree.
+            let _a = span("a");
+            let _x = span("x");
+        }
+        let snap = snapshot();
+        assert_eq!(snap.spans.children.len(), 1);
+        let a = &snap.spans.children["a"];
+        assert_eq!(a.count, 2);
+        assert_eq!(a.children["x"].count, 3);
+        assert_eq!(a.children["b"].count, 1);
+        assert_eq!(a.children["b"].children["x"].count, 1);
+        assert!(snap.check_attribution().is_ok());
+        set_enabled(false);
+        reset();
+    }
+
+    #[test]
+    fn poisoned_locks_still_count_and_record() {
+        let _g = test_guard();
+        reset();
+        set_enabled(true);
+        let c = counter("test.poisoned");
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _counters = lock(&registry().counters);
+                let _spans = lock(global_spans());
+                panic!("a thread dies holding both telemetry locks");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        c.incr();
+        counter("test.poisoned").incr();
+        drop(span("after_poison"));
+        let snap = snapshot();
+        assert_eq!(snap.counters["test.poisoned"], 2);
+        assert_eq!(snap.spans.children["after_poison"].count, 1);
         set_enabled(false);
         reset();
     }

@@ -33,8 +33,6 @@
 //! N-tool fan-out performs `N × (events / capacity)` virtual transitions
 //! instead of `N × events`.
 
-use std::sync::OnceLock;
-
 use rebalance_telemetry as telemetry;
 
 use crate::by_section::BySection;
@@ -43,49 +41,18 @@ use crate::exec::RunSummary;
 use crate::observer::Pintool;
 use crate::section::Section;
 
-/// Default number of events per batch when [`BATCH_ENV`] is unset.
+/// Number of events per batch for every entry point that does not take
+/// an explicit capacity.
 ///
 /// 4096 events × ~40 bytes keep a block comfortably inside L2 while
-/// amortizing per-batch bookkeeping to noise.
+/// amortizing per-batch bookkeeping to noise. Another size is chosen
+/// only through the explicit-capacity entry points
+/// ([`EventBatch::with_capacity`] and the `*_batched` replays).
 pub const DEFAULT_BATCH_CAPACITY: usize = 4096;
-
-/// Environment variable overriding the default batch capacity
-/// (`REBALANCE_BATCH=1` degenerates to per-event-sized blocks — useful
-/// for equivalence smoke tests). Values outside
-/// `1..=`[`MAX_BATCH_CAPACITY`] (or unparsable ones) fall back to
-/// [`DEFAULT_BATCH_CAPACITY`]. Read once per process.
-pub const BATCH_ENV: &str = "REBALANCE_BATCH";
 
 /// Largest accepted batch capacity: batch positions are stored as
 /// `u32`, so capacities must stay indexable by one.
 pub const MAX_BATCH_CAPACITY: usize = u32::MAX as usize;
-
-static CAPACITY: OnceLock<usize> = OnceLock::new();
-
-/// Parses a [`BATCH_ENV`]-style capacity spelling: an integer in
-/// `1..=`[`MAX_BATCH_CAPACITY`]. Zero, out-of-range, and unparsable
-/// values yield `None` (the caller falls back to
-/// [`DEFAULT_BATCH_CAPACITY`]).
-pub fn parse_batch_capacity(value: &str) -> Option<usize> {
-    value
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| (1..=MAX_BATCH_CAPACITY).contains(&n))
-}
-
-/// The process-wide batch capacity: [`BATCH_ENV`] when set to an
-/// integer in `1..=`[`MAX_BATCH_CAPACITY`], otherwise
-/// [`DEFAULT_BATCH_CAPACITY`]. The environment is read once, on first
-/// call.
-pub fn batch_capacity() -> usize {
-    *CAPACITY.get_or_init(|| {
-        std::env::var(BATCH_ENV)
-            .ok()
-            .as_deref()
-            .and_then(parse_batch_capacity)
-            .unwrap_or(DEFAULT_BATCH_CAPACITY)
-    })
-}
 
 /// Where a producer's decode/interpret loop delivers events: directly
 /// into a tool (the per-event baseline) or into an [`EventBatch`]
@@ -195,7 +162,7 @@ pub struct EventBatch {
 }
 
 impl Default for EventBatch {
-    /// An empty batch at the process-wide [`batch_capacity`]. Buffers
+    /// An empty batch at [`DEFAULT_BATCH_CAPACITY`]. Buffers
     /// are not pre-allocated; they grow on first use and are retained
     /// across [`EventBatch::clear`], so a reused batch allocates once.
     fn default() -> Self {
@@ -206,14 +173,14 @@ impl Default for EventBatch {
             sections: BySection::default(),
             branch_count: 0,
             taken_branches: 0,
-            capacity: batch_capacity(),
+            capacity: DEFAULT_BATCH_CAPACITY,
         }
     }
 }
 
 impl EventBatch {
-    /// An empty batch at the process-wide [`batch_capacity`], buffers
-    /// allocated lazily on first push.
+    /// An empty batch at [`DEFAULT_BATCH_CAPACITY`], buffers allocated
+    /// lazily on first push.
     pub fn new() -> Self {
         Self::default()
     }
@@ -525,28 +492,7 @@ mod tests {
 
     #[test]
     fn default_capacity_is_positive() {
-        assert!(batch_capacity() > 0);
-        assert_eq!(EventBatch::new().capacity(), batch_capacity());
-    }
-
-    #[test]
-    fn capacity_parsing_edges() {
-        assert_eq!(parse_batch_capacity("0"), None, "zero is rejected");
-        assert_eq!(parse_batch_capacity("1"), Some(1));
-        assert_eq!(parse_batch_capacity("4096"), Some(4096));
-        assert_eq!(
-            parse_batch_capacity(&MAX_BATCH_CAPACITY.to_string()),
-            Some(MAX_BATCH_CAPACITY),
-            "the maximum itself is accepted"
-        );
-        assert_eq!(
-            parse_batch_capacity(&(MAX_BATCH_CAPACITY + 1).to_string()),
-            None,
-            "one past the maximum falls back"
-        );
-        assert_eq!(parse_batch_capacity("banana"), None);
-        assert_eq!(parse_batch_capacity(""), None);
-        assert_eq!(parse_batch_capacity("-1"), None);
-        assert_eq!(parse_batch_capacity("4096.0"), None);
+        const { assert!(DEFAULT_BATCH_CAPACITY > 0) };
+        assert_eq!(EventBatch::new().capacity(), DEFAULT_BATCH_CAPACITY);
     }
 }

@@ -25,7 +25,7 @@
 //!   generated once and replayed from disk forever, with
 //!   [`Report`]-able hit/miss accounting, and
 //! * block-at-a-time event delivery ([`EventBatch`],
-//!   [`Pintool::on_batch`]): producers hand tools ~[`batch_capacity`]
+//!   [`Pintool::on_batch`]): producers hand tools ~[`DEFAULT_BATCH_CAPACITY`]
 //!   events per call instead of one, with a precomputed branch-index
 //!   slice and per-section counts so hot tools skip the events they
 //!   ignore — bit-identical to per-event delivery by construction.
@@ -94,10 +94,7 @@ mod sweep;
 mod timed;
 mod toolset;
 
-pub use batch::{
-    batch_capacity, parse_batch_capacity, EventBatch, BATCH_ENV, DEFAULT_BATCH_CAPACITY,
-    MAX_BATCH_CAPACITY,
-};
+pub use batch::{EventBatch, DEFAULT_BATCH_CAPACITY, MAX_BATCH_CAPACITY};
 pub use builder::ProgramBuilder;
 pub use by_section::BySection;
 pub use cache::{CacheError, CacheStats, CachedReplay, TraceCache, TraceKey, SNAPSHOT_EXT};

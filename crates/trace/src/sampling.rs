@@ -38,7 +38,7 @@ use serde::{Deserialize, Serialize};
 
 use rebalance_telemetry as telemetry;
 
-use crate::batch::{batch_capacity, BatchSink, EventBatch};
+use crate::batch::{BatchSink, EventBatch, DEFAULT_BATCH_CAPACITY};
 use crate::exec::RunSummary;
 use crate::observer::{NullTool, Pintool};
 use crate::snapshot::{CursorTable, Snapshot, SnapshotError};
@@ -534,7 +534,7 @@ impl Snapshot<'_> {
         tool: &mut T,
         plan: &SamplePlan,
     ) -> Result<SampledReplay, SnapshotError> {
-        self.replay_sampled_batched(tool, plan, batch_capacity())
+        self.replay_sampled_batched(tool, plan, DEFAULT_BATCH_CAPACITY)
     }
 
     /// [`Snapshot::replay_sampled`] with an explicit batch capacity

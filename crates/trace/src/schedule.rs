@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::batch::{batch_capacity, EventBatch};
+use crate::batch::{EventBatch, DEFAULT_BATCH_CAPACITY};
 use crate::by_section::BySection;
 use crate::exec::RunSummary;
 use crate::observer::Pintool;
@@ -174,14 +174,14 @@ impl SyntheticTrace {
     }
 
     /// Replays the full schedule into `tool`, block-at-a-time: one
-    /// reusable [`EventBatch`] (at the process-wide
-    /// [`batch_capacity`](crate::batch_capacity)) is threaded through
+    /// reusable [`EventBatch`] (at
+    /// [`DEFAULT_BATCH_CAPACITY`]) is threaded through
     /// every phase, so blocks span phase boundaries and the tool sees
     /// `events / capacity` [`Pintool::on_batch`] calls instead of one
     /// `on_inst` per instruction. Tools without an `on_batch` override
     /// observe the identical per-event call sequence.
     pub fn replay<T: Pintool + ?Sized>(&self, tool: &mut T) -> RunSummary {
-        self.replay_if(tool, batch_capacity(), |_| true)
+        self.replay_if(tool, DEFAULT_BATCH_CAPACITY, |_| true)
     }
 
     /// [`SyntheticTrace::replay`] with an explicit batch capacity
@@ -217,7 +217,7 @@ impl SyntheticTrace {
         section: Section,
         tool: &mut T,
     ) -> RunSummary {
-        self.replay_if(tool, batch_capacity(), |p| p.section == section)
+        self.replay_if(tool, DEFAULT_BATCH_CAPACITY, |p| p.section == section)
     }
 
     fn replay_if<T, F>(&self, tool: &mut T, capacity: usize, mut keep: F) -> RunSummary

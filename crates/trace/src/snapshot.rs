@@ -115,7 +115,7 @@ use std::path::Path;
 use rebalance_isa::{Addr, BranchKind, InstClass, Outcome};
 use serde::{Deserialize, Serialize};
 
-use crate::batch::{batch_capacity, BatchSink, DirectSink, EventBatch, EventSink};
+use crate::batch::{BatchSink, DirectSink, EventBatch, EventSink, DEFAULT_BATCH_CAPACITY};
 use crate::by_section::BySection;
 use crate::event::{BranchEvent, TraceEvent};
 use crate::exec::RunSummary;
@@ -793,8 +793,8 @@ impl<'a> Snapshot<'a> {
     /// replay delivered them — decoded **block-at-a-time**: varint
     /// deltas are expanded directly into a reusable [`EventBatch`] (no
     /// per-event closure or virtual call), and the tool receives whole
-    /// blocks via [`Pintool::on_batch`] at the process-wide
-    /// [`batch_capacity`]. Byte-level validation
+    /// blocks via [`Pintool::on_batch`] at
+    /// [`DEFAULT_BATCH_CAPACITY`]. Byte-level validation
     /// happened once in [`Snapshot::parse`]; the decode loop performs
     /// only structural checks.
     ///
@@ -806,7 +806,7 @@ impl<'a> Snapshot<'a> {
     /// with the footer counters (both indicate a writer bug — byte
     /// corruption is already excluded by [`Snapshot::parse`]).
     pub fn replay<T: Pintool + ?Sized>(&self, tool: &mut T) -> Result<RunSummary, SnapshotError> {
-        self.replay_batched(tool, batch_capacity())
+        self.replay_batched(tool, DEFAULT_BATCH_CAPACITY)
     }
 
     /// [`Snapshot::replay`] with an explicit batch capacity (exercised
@@ -835,7 +835,7 @@ impl<'a> Snapshot<'a> {
             every: every.max(1),
             cursors: vec![Cursor::START],
         };
-        let summary = self.replay_recording(tool, batch_capacity(), Some(&mut table))?;
+        let summary = self.replay_recording(tool, DEFAULT_BATCH_CAPACITY, Some(&mut table))?;
         Ok((summary, table))
     }
 

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use rebalance_telemetry as telemetry;
 
@@ -57,7 +57,9 @@ pub struct SampledOutcome<I, T> {
 }
 
 /// Replays traces once per item through fan-out tool sets, in parallel
-/// across items.
+/// across items: [`SweepEngine::map`] schedules the items and
+/// [`SweepEngine::fan_out`] (live), [`SweepEngine::fan_out_cached`] or
+/// [`SweepEngine::sweep_sampled`] replays each one.
 ///
 /// The engine counts every replay it performs ([`SweepEngine::replays`]),
 /// which is how tests assert the one-replay-per-item guarantee, and
@@ -66,8 +68,8 @@ pub struct SampledOutcome<I, T> {
 ///
 /// # Examples
 ///
-/// Sweep two cache geometries over one synthetic trace in a single
-/// pass (a `Vec` of tools of one concrete type forms the fan-out):
+/// Sweep two tools over one synthetic trace in a single pass (a `Vec`
+/// of tools of one concrete type forms the fan-out):
 ///
 /// ```
 /// use rebalance_trace::{
@@ -98,14 +100,13 @@ pub struct SampledOutcome<I, T> {
 /// let trace = SyntheticTrace::new(program, schedule, 1);
 ///
 /// let engine = SweepEngine::new();
-/// let outcomes = engine.sweep(
-///     vec![trace],
-///     |t| t.clone(),
-///     |_| vec![Counter::default(), Counter::default()],
-/// );
+/// let outcomes = engine.map(&[trace], |t| {
+///     engine.fan_out(t, vec![Counter::default(), Counter::default()])
+/// });
 /// assert_eq!(engine.replays(), 1, "two tools, one replay");
-/// assert_eq!(outcomes[0].tools[0].0, 1_000);
-/// assert_eq!(outcomes[0].tools[1].0, 1_000);
+/// let (tools, _summary) = &outcomes[0];
+/// assert_eq!(tools[0].0, 1_000);
+/// assert_eq!(tools[1].0, 1_000);
 /// ```
 #[derive(Debug, Default)]
 pub struct SweepEngine {
@@ -142,8 +143,7 @@ impl SweepEngine {
     /// Total trace replays this engine has performed: live
     /// ([`SweepEngine::fan_out`]), through a cache
     /// ([`SweepEngine::fan_out_cached`]) or phase-sampled
-    /// ([`SweepEngine::sweep_sampled`]); the sweep methods count one per
-    /// item. Every cache-mediated replay is one cache hit or one
+    /// ([`SweepEngine::sweep_sampled`], one per item). Every cache-mediated replay is one cache hit or one
     /// generation, so when all of a run's replays go through one engine
     /// and one cache, this equals the cache's hits plus generations.
     /// Scoped to this engine instance, so replays elsewhere in the
@@ -173,7 +173,7 @@ impl SweepEngine {
     }
 
     /// Replays `trace` once, feeding all `tools`; returns the tools and
-    /// the replay summary. Every live sweep goes through here, and the
+    /// the replay summary. Every live replay goes through here, and the
     /// replay and its batched events are counted
     /// ([`SweepEngine::replays`], [`SweepEngine::lanes`]).
     pub fn fan_out<T: Pintool>(
@@ -186,36 +186,6 @@ impl SweepEngine {
         let summary = trace.replay(&mut set);
         self.record(&set);
         (set.into_inner(), summary)
-    }
-
-    /// Sweeps every item: builds its trace once, builds its tools, and
-    /// replays the trace exactly once through all of them. Items run in
-    /// parallel on the shared executor; outcomes keep item order.
-    pub fn sweep<I, T, TraceFn, ToolsFn>(
-        &self,
-        items: Vec<I>,
-        trace_of: TraceFn,
-        tools_for: ToolsFn,
-    ) -> Vec<SweepOutcome<I, T>>
-    where
-        I: Send + Sync,
-        T: Pintool + Send,
-        TraceFn: Fn(&I) -> SyntheticTrace + Sync,
-        ToolsFn: Fn(&I) -> Vec<T> + Sync,
-    {
-        let measured = self.executor.map(&items, |item| {
-            let trace = trace_of(item);
-            self.fan_out(&trace, tools_for(item))
-        });
-        items
-            .into_iter()
-            .zip(measured)
-            .map(|(item, (tools, summary))| SweepOutcome {
-                item,
-                tools,
-                summary,
-            })
-            .collect()
     }
 
     /// Replays the trace addressed by `key` once through all `tools`,
@@ -244,46 +214,6 @@ impl SweepEngine {
         Ok((set.into_inner(), replay))
     }
 
-    /// [`SweepEngine::sweep`] with every replay mediated by `cache`:
-    /// items whose trace is already snapshotted are decoded from disk
-    /// and never regenerated. `trace_of` is only invoked on cache
-    /// misses — a fully warm sweep performs **zero** trace generations.
-    ///
-    /// # Errors
-    ///
-    /// The first [`CacheError`] any item hits.
-    pub fn sweep_cached<I, T, KeyFn, TraceFn, ToolsFn>(
-        &self,
-        cache: &TraceCache,
-        items: Vec<I>,
-        key_of: KeyFn,
-        trace_of: TraceFn,
-        tools_for: ToolsFn,
-    ) -> Result<Vec<SweepOutcome<I, T>>, CacheError>
-    where
-        I: Send + Sync,
-        T: Pintool + Send,
-        KeyFn: Fn(&I) -> TraceKey + Sync,
-        TraceFn: Fn(&I) -> Result<SyntheticTrace, String> + Sync,
-        ToolsFn: Fn(&I) -> Vec<T> + Sync,
-    {
-        let measured = self.executor.map(&items, |item| {
-            self.fan_out_cached(cache, &key_of(item), || trace_of(item), tools_for(item))
-        });
-        items
-            .into_iter()
-            .zip(measured)
-            .map(|(item, measured)| {
-                let (tools, replay) = measured?;
-                Ok(SweepOutcome {
-                    item,
-                    tools,
-                    summary: replay.summary,
-                })
-            })
-            .collect()
-    }
-
     /// Returns (building on first use) the sampling plan for `key`'s
     /// snapshot under `config`. Plans are cached per engine, so
     /// re-sweeping the same roster re-pays neither the fingerprinting
@@ -300,7 +230,7 @@ impl SweepEngine {
         FpFn: Fn() -> FP,
     {
         let cache_key = (key.fingerprint(), *config);
-        if let Some(plan) = self.plans.lock().expect("plan cache lock").get(&cache_key) {
+        if let Some(plan) = self.plans().get(&cache_key) {
             return Ok(Arc::clone(plan));
         }
         // Built outside the lock: a concurrent duplicate build is
@@ -308,14 +238,17 @@ impl SweepEngine {
         let _plan_span = telemetry::span("sampling.plan");
         let mut fp = fingerprinter();
         let plan = Arc::new(SamplePlan::from_snapshot(snapshot, &mut fp, config)?);
-        self.plans
-            .lock()
-            .expect("plan cache lock")
-            .insert(cache_key, Arc::clone(&plan));
+        self.plans().insert(cache_key, Arc::clone(&plan));
         Ok(plan)
     }
 
-    /// [`SweepEngine::sweep_cached`]'s phase-sampled sibling: each item
+    /// The plan cache, even if a panicking thread poisoned its lock: it
+    /// maps keys to immutable plans, so every entry stays valid.
+    fn plans(&self) -> MutexGuard<'_, HashMap<(u64, SamplingConfig), Arc<SamplePlan>>> {
+        self.plans.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The phase-sampled sweep: on the engine's executor, each item
     /// obtains its validated snapshot once through `cache`
     /// ([`TraceCache::snapshot`], one checksum per snapshot),
     /// fingerprints it into a [`SamplePlan`] (cached per engine), and
@@ -379,9 +312,11 @@ impl SweepEngine {
         Report::from_engine(self)
     }
 
-    /// Parallel map over independent items on the engine's executor —
-    /// for work that is not a plain fan-out replay (e.g. full CMP
-    /// simulations) but should share the sweep's scheduling.
+    /// Parallel map over independent items on the engine's executor,
+    /// results in item order: how a sweep schedules one
+    /// [`SweepEngine::fan_out`] or [`SweepEngine::fan_out_cached`] per
+    /// item, and how other work (e.g. full CMP simulations) shares the
+    /// sweep's scheduling.
     pub fn map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
     where
         T: Sync,
@@ -453,32 +388,35 @@ mod tests {
     fn sweep_replays_once_per_item_not_per_tool() {
         let engine = SweepEngine::new();
         let items: Vec<u64> = (0..7).collect();
-        let outcomes = engine.sweep(
-            items,
-            |&seed| tiny_trace(500, seed),
-            |_| (0..11).map(|_| PcSum::default()).collect(),
-        );
+        let outcomes = engine.map(&items, |&seed| {
+            engine.fan_out(
+                &tiny_trace(500 + 10 * seed, seed),
+                vec![PcSum::default(); 11],
+            )
+        });
         assert_eq!(outcomes.len(), 7);
         assert_eq!(engine.replays(), 7, "7 items x 11 tools = 7 replays");
-        for (i, o) in outcomes.iter().enumerate() {
-            assert_eq!(o.item, i as u64, "item order preserved");
-            assert_eq!(o.tools.len(), 11);
-            assert_eq!(o.summary.instructions, 500);
+        for (seed, (tools, summary)) in items.iter().zip(&outcomes) {
+            assert_eq!(tools.len(), 11);
+            assert_eq!(
+                summary.instructions,
+                500 + 10 * seed,
+                "item order preserved"
+            );
         }
     }
 
     #[test]
     fn sweep_matches_sequential_single_tool_replays() {
         let engine = SweepEngine::with_executor(Executor::with_threads(1));
-        let outcomes = engine.sweep(
-            vec![1u64, 2],
-            |&seed| tiny_trace(800, seed),
-            |_| vec![PcSum::default(), PcSum::default()],
-        );
-        for (seed, outcome) in [1u64, 2].into_iter().zip(&outcomes) {
+        let seeds = [1u64, 2];
+        let outcomes = engine.map(&seeds, |&seed| {
+            engine.fan_out(&tiny_trace(800, seed), vec![PcSum::default(); 2])
+        });
+        for (&seed, (tools, _)) in seeds.iter().zip(&outcomes) {
             let mut alone = PcSum::default();
             tiny_trace(800, seed).replay(&mut alone);
-            for t in &outcome.tools {
+            for t in tools {
                 assert_eq!(t.0, alone.0, "fan-out must be bit-identical");
             }
         }
@@ -488,16 +426,18 @@ mod tests {
     fn sweep_cached_generates_once_then_serves_hits() {
         let cache = TraceCache::scratch().unwrap();
         let engine = SweepEngine::new();
+        let items: Vec<u64> = (0..3).collect();
         let run = |engine: &SweepEngine| {
-            engine
-                .sweep_cached(
-                    &cache,
-                    (0..3u64).collect(),
-                    |&i| TraceKey::new(format!("w{i}"), "t", i, 0),
-                    |&i| Ok(tiny_trace(300, i)),
-                    |_| vec![PcSum::default(); 2],
-                )
-                .unwrap()
+            engine.map(&items, |&i| {
+                engine
+                    .fan_out_cached(
+                        &cache,
+                        &TraceKey::new(format!("w{i}"), "t", i, 0),
+                        || Ok(tiny_trace(300, i)),
+                        vec![PcSum::default(); 2],
+                    )
+                    .unwrap()
+            })
         };
         let cold = run(&engine);
         assert_eq!(cache.stats().generations, 3, "cold run generates each item");
@@ -510,8 +450,8 @@ mod tests {
             6,
             "replays tick for hits and misses alike"
         );
-        for (a, b) in cold.iter().zip(&warm) {
-            assert_eq!(a.tools[0].0, b.tools[0].0, "cached stream is identical");
+        for ((a_tools, a), (b_tools, b)) in cold.iter().zip(&warm) {
+            assert_eq!(a_tools[0].0, b_tools[0].0, "cached stream is identical");
             assert_eq!(a.summary, b.summary);
         }
         let report = engine.report().with_cache(&cache);
@@ -651,6 +591,45 @@ mod tests {
         assert_eq!(
             out[0].tools[0].weight_calls, 0,
             "degenerate plans take the unsampled path"
+        );
+        std::fs::remove_dir_all(cache.dir()).unwrap();
+    }
+
+    #[test]
+    fn poisoned_plan_cache_still_serves_sampled_sweeps() {
+        let cache = TraceCache::scratch().unwrap();
+        let engine = SweepEngine::new();
+        let config = crate::SamplingConfig::default()
+            .with_intervals(10)
+            .with_k(2);
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _held = engine.plans.lock().unwrap();
+                panic!("a thread dies holding the plan cache");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(engine.plans.is_poisoned());
+        let run = || {
+            engine
+                .sweep_sampled(
+                    &cache,
+                    &config,
+                    vec![1u64],
+                    |&i| TraceKey::new(format!("w{i}"), "t", i, 0),
+                    |&i| Ok(tiny_trace(2_000, i)),
+                    |_| vec![WeightedCount::default()],
+                    ConstFp::default,
+                )
+                .unwrap()
+        };
+        let cold = run();
+        let warm = run();
+        assert_eq!(cold[0].tools[0].insts, 2_000);
+        assert_eq!(warm[0].tools[0].insts, 2_000);
+        assert!(
+            Arc::ptr_eq(&cold[0].plan, &warm[0].plan),
+            "the poisoned cache still stores and serves plans"
         );
         std::fs::remove_dir_all(cache.dir()).unwrap();
     }

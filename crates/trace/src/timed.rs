@@ -81,13 +81,11 @@ impl<T: Pintool> Pintool for Timed<T> {
 
     #[inline]
     fn on_batch(&mut self, batch: &EventBatch) {
-        if telemetry::enabled() {
-            let start = Instant::now();
-            self.inner.on_batch(batch);
+        let start = telemetry::enabled().then(Instant::now);
+        self.inner.on_batch(batch);
+        if let Some(start) = start {
             self.on_batch_ns.add(start.elapsed().as_nanos() as u64);
             self.on_batch_calls.incr();
-        } else {
-            self.inner.on_batch(batch);
         }
     }
 

@@ -9,9 +9,8 @@
 //! 3. every hot tool's `on_batch` override produces exactly the
 //!    results of its per-event path, live and from a snapshot.
 //!
-//! CI runs this file under `REBALANCE_BATCH` ∈ {default, 1}, so the
-//! process-wide capacity is covered at both extremes; the tests below
-//! also pin capacity 1 explicitly, so every CI leg covers it.
+//! Capacity 1 — every position a batch edge — is pinned explicitly in
+//! each check, next to the default.
 
 use rebalance::frontend::predictor::{DirectionPredictor, PredictorSim};
 use rebalance::frontend::{BtbConfig, BtbSim, CacheConfig, ICacheSim, PredictorChoice};
@@ -19,7 +18,7 @@ use rebalance::pintools::{characterization_from_tools, characterization_tools, B
 use rebalance::trace::sampling::Fingerprinter;
 use rebalance::trace::{
     snapshot, EventBatch, Phase, Pintool, ProgramBuilder, Schedule, Section, Snapshot,
-    SyntheticTrace, Terminator, ToolSet, TraceEvent,
+    SyntheticTrace, Terminator, ToolSet, TraceEvent, DEFAULT_BATCH_CAPACITY,
 };
 use rebalance::workloads::find;
 use rebalance::Scale;
@@ -50,7 +49,7 @@ fn batched_live_replay_is_bit_identical_to_per_event() {
     let mut baseline = CallLog::default();
     let base_summary = trace.replay_per_event(&mut baseline);
 
-    // Default capacity (whatever REBALANCE_BATCH says for this run).
+    // Default capacity.
     let mut batched = CallLog::default();
     let summary = trace.replay(&mut batched);
     assert_eq!(summary, base_summary);
@@ -188,7 +187,7 @@ fn hot_tool_on_batch_overrides_match_per_event_results() {
     };
 
     let baseline = measure("per-event", 0);
-    for cap in [1usize, 7, rebalance::trace::batch_capacity()] {
+    for cap in [1usize, 7, DEFAULT_BATCH_CAPACITY] {
         for mode in ["batched", "snapshot"] {
             assert_eq!(
                 measure(mode, cap),
@@ -202,7 +201,7 @@ fn hot_tool_on_batch_overrides_match_per_event_results() {
 /// Roster-wide decode oracle: for **every** registered workload,
 /// batched snapshot decode delivers bit-identical event streams and
 /// section notifications to per-event decode, at capacity 1 and the
-/// process default.
+/// default.
 #[test]
 fn all_workloads_batched_decode_is_bit_identical() {
     for w in rebalance::workloads::all() {
@@ -214,7 +213,7 @@ fn all_workloads_batched_decode_is_bit_identical() {
         let base_summary = snap.replay_per_event(&mut baseline).unwrap();
         assert_eq!(base_summary, info.summary, "{}", w.name());
 
-        for cap in [1usize, rebalance::trace::batch_capacity()] {
+        for cap in [1usize, DEFAULT_BATCH_CAPACITY] {
             let mut got = CallLog::default();
             let summary = snap.replay_batched(&mut got, cap).unwrap();
             assert_eq!(summary, base_summary, "{}: cap {cap}", w.name());
@@ -225,7 +224,7 @@ fn all_workloads_batched_decode_is_bit_identical() {
 
 /// Differential oracle over the kernel-archetype suite: for every new
 /// kernel workload, per-event and batched delivery (capacity 1, 7, and
-/// the process default) produce bit-identical event streams, section
+/// the default) produce bit-identical event streams, section
 /// notifications, summaries, and tool reports — including the
 /// phase-shape paths (drift windows, ramped epochs) the paper roster
 /// never exercises.
@@ -236,7 +235,7 @@ fn kernel_archetypes_batched_delivery_is_bit_identical() {
 
         let mut baseline = CallLog::default();
         let base_summary = trace.replay_per_event(&mut baseline);
-        for cap in [1usize, 7, rebalance::trace::batch_capacity()] {
+        for cap in [1usize, 7, DEFAULT_BATCH_CAPACITY] {
             let mut batched = CallLog::default();
             let summary = trace.replay_batched(&mut batched, cap);
             assert_eq!(summary, base_summary, "{}: capacity {cap}", w.name());
@@ -264,7 +263,7 @@ fn kernel_archetypes_batched_delivery_is_bit_identical() {
             )
         };
         let expected = measure(true, 0);
-        for cap in [1usize, 7, rebalance::trace::batch_capacity()] {
+        for cap in [1usize, 7, DEFAULT_BATCH_CAPACITY] {
             assert_eq!(
                 measure(false, cap),
                 expected,

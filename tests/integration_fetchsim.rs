@@ -25,7 +25,7 @@ use rebalance::frontend::{BtbConfig, CoreKind, FrontendConfig};
 use rebalance::pintools::BbvTool;
 use rebalance::trace::{
     snapshot, Pintool, SamplePlan, SamplingConfig, Snapshot, SweepEngine, SyntheticTrace, ToolSet,
-    TraceCache, TraceEvent,
+    TraceCache, TraceEvent, DEFAULT_BATCH_CAPACITY,
 };
 use rebalance::workloads::find;
 use rebalance::Scale;
@@ -107,11 +107,10 @@ fn grid_sweep_costs_one_replay_per_workload_and_matches_solo_runs() {
     let n_workloads = workloads.len();
 
     let engine = SweepEngine::new();
-    let outcomes = engine.sweep(
-        workloads,
-        |w| w.trace(Scale::Smoke).expect("roster profile"),
-        |_| grid_sims(),
-    );
+    let outcomes = engine.map(&workloads, |w| {
+        let trace = w.trace(Scale::Smoke).expect("roster profile");
+        engine.fan_out(&trace, grid_sims()).0
+    });
     assert_eq!(
         engine.replays(),
         n_workloads as u64,
@@ -120,16 +119,16 @@ fn grid_sweep_costs_one_replay_per_workload_and_matches_solo_runs() {
     );
 
     // Bit-identical to running each design alone.
-    for o in &outcomes {
-        let trace = o.item.trace(Scale::Smoke).unwrap();
-        for (sim, config) in o.tools.iter().zip(grid()) {
+    for (w, tools) in workloads.iter().zip(&outcomes) {
+        let trace = w.trace(Scale::Smoke).unwrap();
+        for (sim, config) in tools.iter().zip(grid()) {
             let mut alone = FetchSim::new(config);
             trace.replay(&mut alone);
             assert_eq!(
                 sim.report(),
                 alone.report(),
                 "{} [{}]",
-                o.item.name(),
+                w.name(),
                 config.label()
             );
         }
@@ -141,17 +140,19 @@ fn warm_cache_grid_sweep_generates_no_traces() {
     let cache = TraceCache::scratch().unwrap();
     let engine = SweepEngine::new();
     let names = ["MG", "k.stencil"];
-    let run = || {
-        let workloads: Vec<_> = names.iter().map(|n| find(n).unwrap()).collect();
-        engine
-            .sweep_cached(
-                &cache,
-                workloads,
-                |w| w.trace_key(Scale::Smoke),
-                |w| w.trace(Scale::Smoke),
-                |_| grid_sims(),
-            )
-            .unwrap()
+    let workloads: Vec<_> = names.iter().map(|n| find(n).unwrap()).collect();
+    let run = || -> Vec<Vec<FetchReport>> {
+        engine.map(&workloads, |w| {
+            let (sims, _) = engine
+                .fan_out_cached(
+                    &cache,
+                    &w.trace_key(Scale::Smoke),
+                    || w.trace(Scale::Smoke),
+                    grid_sims(),
+                )
+                .unwrap();
+            sims.iter().map(FetchSim::report).collect()
+        })
     };
     let cold = run();
     assert_eq!(cache.stats().generations, names.len() as u64);
@@ -163,16 +164,7 @@ fn warm_cache_grid_sweep_generates_no_traces() {
         "a warm grid sweep synthesizes nothing"
     );
     assert_eq!(stats.hits, names.len() as u64);
-    for (a, b) in cold.iter().zip(&warm) {
-        let reports = |o: &rebalance::trace::SweepOutcome<_, FetchSim>| -> Vec<FetchReport> {
-            o.tools.iter().map(FetchSim::report).collect()
-        };
-        assert_eq!(
-            reports(a),
-            reports(b),
-            "decoded stream measures identically"
-        );
-    }
+    assert_eq!(cold, warm, "decoded stream measures identically");
     std::fs::remove_dir_all(cache.dir()).unwrap();
 }
 
@@ -189,7 +181,7 @@ fn batched_delivery_is_bit_identical_for_fetchsim() {
         let expected = baseline.report();
         expected.check_attribution().unwrap();
 
-        for cap in [1usize, 7, rebalance::trace::batch_capacity()] {
+        for cap in [1usize, 7, DEFAULT_BATCH_CAPACITY] {
             let mut live = FetchSim::new(config);
             trace.replay_batched(&mut live, cap);
             assert_eq!(live.report(), expected, "{name}: live capacity {cap}");
@@ -301,15 +293,17 @@ fn fetch_grid_matches_solo_fetchsims_on_the_default_grid_over_the_roster() {
     let workloads = rebalance::workloads::all();
     let engine = SweepEngine::new();
     let trace = |w: &rebalance::workloads::Workload| w.trace(Scale::Smoke).expect("roster profile");
-    let shared = engine.sweep(workloads.clone(), trace, |_| vec![FetchGrid::new(&grid)]);
-    let alone = engine.sweep(workloads, trace, |_| {
-        grid.iter().copied().map(FetchSim::new).collect()
+    let shared = engine.map(&workloads, |w| {
+        engine.fan_out(&trace(w), vec![FetchGrid::new(&grid)]).0
     });
-    assert_eq!(shared.len(), alone.len());
-    for (g, s) in shared.iter().zip(&alone) {
-        assert_eq!(g.item.name(), s.item.name());
-        let reports: Vec<FetchReport> = s.tools.iter().map(FetchSim::report).collect();
-        assert_eq!(g.tools[0].reports(), reports, "{}", g.item.name());
+    let alone = engine.map(&workloads, |w| {
+        engine
+            .fan_out(&trace(w), grid.iter().copied().map(FetchSim::new).collect())
+            .0
+    });
+    for ((w, g), s) in workloads.iter().zip(&shared).zip(&alone) {
+        let reports: Vec<FetchReport> = s.iter().map(FetchSim::report).collect();
+        assert_eq!(g[0].reports(), reports, "{}", w.name());
     }
 }
 
@@ -339,7 +333,7 @@ fn fetch_grid_matches_solo_fetchsims_under_every_delivery_mode() {
             check_delivery(&label("per-event"), &grid, |t| {
                 trace.replay_per_event(t);
             });
-            for cap in [1usize, 7, rebalance::trace::batch_capacity()] {
+            for cap in [1usize, 7, DEFAULT_BATCH_CAPACITY] {
                 check_delivery(&label(&format!("batched {cap}")), &grid, |t| {
                     trace.replay_batched(t, cap);
                 });

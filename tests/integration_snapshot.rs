@@ -5,14 +5,17 @@
 //!    replay it captured,
 //! 2. a cache-warm sweep performs **zero trace generations** (asserted
 //!    via the cache's hit/miss/generation accounting) while producing
-//!    results identical to an uncached sweep, and
+//!    results identical to an uncached sweep, at batch capacities 1, 7
+//!    and the default, and
 //! 3. the cached CMP and characterization paths match their live
 //!    counterparts exactly.
 
 use rebalance::frontend::predictor::{DirectionPredictor, PredictorReport, PredictorSim};
 use rebalance::frontend::PredictorChoice;
 use rebalance::pintools::{characterization_from_tools, characterization_tools, characterize};
-use rebalance::trace::{FnTool, Report, Snapshot, SweepEngine, TraceCache, TraceEvent};
+use rebalance::trace::{
+    FnTool, Report, Snapshot, SweepEngine, ToolSet, TraceCache, TraceEvent, DEFAULT_BATCH_CAPACITY,
+};
 use rebalance::workloads::{find, Workload};
 use rebalance::Scale;
 use rebalance_experiments::util::Run;
@@ -25,16 +28,37 @@ fn predictor_sims() -> Vec<PredictorSim<Box<dyn DirectionPredictor>>> {
     PredictorChoice::build_sims(&PredictorChoice::figure5_set())
 }
 
-fn reports(
-    outcomes: &[rebalance::trace::SweepOutcome<
-        Workload,
-        PredictorSim<Box<dyn DirectionPredictor>>,
-    >],
+fn reports(sims: &[PredictorSim<Box<dyn DirectionPredictor>>]) -> Vec<PredictorReport> {
+    sims.iter().map(PredictorSim::report).collect()
+}
+
+/// Each workload's predictor reports from one live replay apiece.
+fn live_sweep(ws: &[Workload], scale: Scale) -> Vec<Vec<PredictorReport>> {
+    let engine = SweepEngine::new();
+    engine.map(ws, |w| {
+        let trace = w.trace(scale).expect("roster profile");
+        reports(&engine.fan_out(&trace, predictor_sims()).0)
+    })
+}
+
+/// Each workload's predictor reports from one replay through `cache`.
+fn cached_sweep(
+    engine: &SweepEngine,
+    cache: &TraceCache,
+    ws: &[Workload],
+    scale: Scale,
 ) -> Vec<Vec<PredictorReport>> {
-    outcomes
-        .iter()
-        .map(|o| o.tools.iter().map(PredictorSim::report).collect())
-        .collect()
+    engine.map(ws, |w| {
+        let (sims, _) = engine
+            .fan_out_cached(
+                cache,
+                &w.trace_key(scale),
+                || w.trace(scale),
+                predictor_sims(),
+            )
+            .expect("cache replay");
+        reports(&sims)
+    })
 }
 
 #[test]
@@ -75,21 +99,11 @@ fn cache_warm_sweep_performs_zero_generations() {
     let names = ["CG", "FT", "gcc", "swim"];
     let scale = Scale::Smoke;
 
-    let cached_sweep = |engine: &SweepEngine| {
-        engine
-            .sweep_cached(
-                &cache,
-                workloads(&names),
-                |w| w.trace_key(scale),
-                |w| w.trace(scale),
-                |_| predictor_sims(),
-            )
-            .expect("cache replay")
-    };
+    let ws = workloads(&names);
 
     // Cold: every workload is generated once and recorded.
     let cold_engine = SweepEngine::new();
-    let cold = cached_sweep(&cold_engine);
+    let cold = cached_sweep(&cold_engine, &cache, &ws, scale);
     let after_cold = cache.stats();
     assert_eq!(after_cold.generations, names.len() as u64);
     assert_eq!(after_cold.misses, names.len() as u64);
@@ -98,7 +112,7 @@ fn cache_warm_sweep_performs_zero_generations() {
 
     // Warm: zero generations, all hits — the acceptance criterion.
     let warm_engine = SweepEngine::new();
-    let warm = cached_sweep(&warm_engine);
+    let warm = cached_sweep(&warm_engine, &cache, &ws, scale);
     let delta = cache.stats().since(&after_cold);
     assert_eq!(
         delta.generations, 0,
@@ -109,19 +123,42 @@ fn cache_warm_sweep_performs_zero_generations() {
     assert_eq!(warm_engine.replays(), names.len() as u64);
 
     // Both cached runs match an uncached sweep bit-identically.
-    let live = SweepEngine::new().sweep(
-        workloads(&names),
-        |w| w.trace(scale).expect("roster profile"),
-        |_| predictor_sims(),
-    );
-    assert_eq!(reports(&cold), reports(&live), "recording replay != live");
-    assert_eq!(reports(&warm), reports(&live), "decoded replay != live");
+    let live = live_sweep(&ws, scale);
+    assert_eq!(cold, live, "recording replay != live");
+    assert_eq!(warm, live, "decoded replay != live");
 
     // The shared report surfaces the same accounting.
     let report = Report::from_engine(&warm_engine).with_cache(&cache);
     assert_eq!(report.replays, names.len() as u64);
     assert_eq!(report.generations(), names.len() as u64, "cumulative");
     assert!(report.to_string().contains("hits"));
+
+    // Live and cached replays still agree when every event is its own
+    // batch, and at a capacity that puts batch edges mid-block.
+    for cap in [1usize, 7, DEFAULT_BATCH_CAPACITY] {
+        for (w, expected) in ws.iter().zip(&live) {
+            let owned = cache
+                .snapshot(&w.trace_key(scale), || w.trace(scale))
+                .expect("warm snapshot");
+            let mut decoded = ToolSet::from_tools(predictor_sims());
+            owned.snapshot().replay_batched(&mut decoded, cap).unwrap();
+            let mut replayed = ToolSet::from_tools(predictor_sims());
+            w.trace(scale).unwrap().replay_batched(&mut replayed, cap);
+            let (decoded, replayed) = (decoded.into_inner(), replayed.into_inner());
+            assert_eq!(
+                &reports(&decoded),
+                expected,
+                "{}: cached, cap {cap}",
+                w.name()
+            );
+            assert_eq!(
+                &reports(&replayed),
+                expected,
+                "{}: live, cap {cap}",
+                w.name()
+            );
+        }
+    }
 
     let _ = std::fs::remove_dir_all(cache.dir());
 }
@@ -160,29 +197,14 @@ fn kernel_archetypes_cached_replay_matches_fresh() {
     // The full sweep path: cold (recording) and warm (decoding) engine
     // sweeps over the kernels suite match an uncached sweep, and the
     // warm sweep generates nothing.
-    let cached_sweep = |engine: &SweepEngine| {
-        engine
-            .sweep_cached(
-                &cache,
-                rebalance::workloads::kernels(),
-                |w| w.trace_key(scale),
-                |w| w.trace(scale),
-                |_| predictor_sims(),
-            )
-            .expect("cache replay")
-    };
     let before = cache.stats();
-    let cold = cached_sweep(&SweepEngine::new());
-    let warm = cached_sweep(&SweepEngine::new());
+    let cold = cached_sweep(&SweepEngine::new(), &cache, &kernels, scale);
+    let warm = cached_sweep(&SweepEngine::new(), &cache, &kernels, scale);
     let delta = cache.stats().since(&before);
     assert_eq!(delta.generations, 0, "kernels were already recorded");
-    let live = SweepEngine::new().sweep(
-        rebalance::workloads::kernels(),
-        |w| w.trace(scale).expect("kernel profile"),
-        |_| predictor_sims(),
-    );
-    assert_eq!(reports(&cold), reports(&live));
-    assert_eq!(reports(&warm), reports(&live));
+    let live = live_sweep(&kernels, scale);
+    assert_eq!(cold, live);
+    assert_eq!(warm, live);
 
     let _ = std::fs::remove_dir_all(cache.dir());
 }

@@ -3,8 +3,9 @@
 //!
 //! 1. a fan-out [`ToolSet`] replay produces **bit-identical** reports to
 //!    N sequential single-tool replays, and
-//! 2. a sweep performs exactly **one** trace replay per `(workload,
-//!    scale)` item, however many tools are attached.
+//! 2. a sweep ([`SweepEngine::map`] over [`SweepEngine::fan_out`])
+//!    performs exactly **one** trace replay per `(workload, scale)`
+//!    item, however many tools are attached.
 //!
 //! Replays are counted on each test's own [`SweepEngine`]
 //! ([`SweepEngine::replays`]), so the counts are exact while sibling
@@ -85,20 +86,21 @@ fn sweep_replays_each_workload_exactly_once() {
     let n_workloads = workloads.len();
 
     let engine = SweepEngine::new();
-    let outcomes = engine.sweep(
-        workloads,
-        |w| w.trace(Scale::Smoke).expect("roster profile"),
-        |_| predictor_sims(),
-    );
+    let outcomes = engine.map(&workloads, |w| {
+        engine.fan_out(
+            &w.trace(Scale::Smoke).expect("roster profile"),
+            predictor_sims(),
+        )
+    });
 
     assert_eq!(outcomes.len(), n_workloads);
-    assert!(outcomes.iter().all(|o| o.tools.len() == 9));
+    assert!(outcomes.iter().all(|(tools, _)| tools.len() == 9));
     assert_eq!(
         engine.replays(),
         n_workloads as u64,
         "one replay per workload, independent of the nine tools attached"
     );
-    let instructions: u64 = outcomes.iter().map(|o| o.summary.instructions).sum();
+    let instructions: u64 = outcomes.iter().map(|(_, s)| s.instructions).sum();
     assert_eq!(
         engine.lanes().instructions,
         instructions,
@@ -114,15 +116,11 @@ fn parallel_sweep_matches_single_threaded_sweep() {
             .iter()
             .map(|n| rebalance::workloads::find(n).unwrap())
             .collect();
-        engine
-            .sweep(
-                workloads,
-                |w| w.trace(Scale::Smoke).expect("roster profile"),
-                |_| predictor_sims(),
-            )
-            .into_iter()
-            .map(|o| o.tools.iter().map(PredictorSim::report).collect())
-            .collect()
+        engine.map(&workloads, |w| {
+            let trace = w.trace(Scale::Smoke).expect("roster profile");
+            let (sims, _) = engine.fan_out(&trace, predictor_sims());
+            sims.iter().map(PredictorSim::report).collect()
+        })
     };
     let parallel = run(SweepEngine::new());
     let serial = run(SweepEngine::with_executor(Executor::with_threads(1)));

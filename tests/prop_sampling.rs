@@ -11,8 +11,8 @@ use rebalance::isa::{Addr, InstClass, Outcome};
 use rebalance::pintools::BbvTool;
 use rebalance::trace::snapshot::{self, checksum, KIND_TABLE};
 use rebalance::trace::{
-    batch_capacity, BranchEvent, EventBatch, Pintool, SamplePlan, SamplingConfig, Section,
-    Snapshot, SnapshotError, SnapshotWriter, TraceEvent,
+    BranchEvent, EventBatch, Pintool, SamplePlan, SamplingConfig, Section, Snapshot, SnapshotError,
+    SnapshotWriter, TraceEvent, DEFAULT_BATCH_CAPACITY,
 };
 use rebalance::Scale;
 
@@ -429,7 +429,7 @@ fn assert_icache_matches_oracle(
 /// same either way ([`assert_icache_matches_oracle`]), at batch
 /// capacities 1, 7 and the default.
 fn assert_matches_oracle(label: &str, snap: &Snapshot<'_>, plan: &SamplePlan) {
-    for capacity in [1usize, 7, batch_capacity()] {
+    for capacity in [1usize, 7, DEFAULT_BATCH_CAPACITY] {
         let (expected, expected_delivered) = oracle(snap, plan, capacity);
         let mut log = CallLog::default();
         let replay = snap
