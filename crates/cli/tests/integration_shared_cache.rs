@@ -1,8 +1,9 @@
 //! Two `rebalance` processes sharing one cold trace cache: both start
-//! before either finishes, so they race on every key. The cache's
-//! cross-process single-flight (`.lock` files) must still generate
-//! each distinct key exactly once across the pair, leave no lock or
-//! temporary files behind, and hand both runs byte-identical results.
+//! before either finishes, so they race on every key. Single-flight is
+//! per process, so both may generate a key; the atomic tmp+rename
+//! commit must still leave exactly one valid snapshot per key and no
+//! temporary files behind, reject nothing, and hand both runs
+//! byte-identical results.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -75,19 +76,20 @@ fn two_processes_share_one_cold_cache() {
         "sweep.json diverged between the racing processes"
     );
 
-    // Single-flight across processes: the six keys are generated once
-    // in total, split between the two runs however the race fell.
-    assert_eq!(
-        generations(&out1) + generations(&out2),
-        6,
-        "expected one generation per key across both runs:\n{out1}\n{out2}"
+    // Each run generates at most every key once, and every key is
+    // generated by at least one of them; a key both runs missed is
+    // generated twice, and the last rename wins byte-identical bytes.
+    let (g1, g2) = (generations(&out1), generations(&out2));
+    assert!(
+        g1 <= 6 && g2 <= 6 && g1 + g2 >= 6,
+        "expected 0..=6 generations per run and 6 or more in total:\n{out1}\n{out2}"
     );
     for out in [&out1, &out2] {
         assert!(out.contains("0 rejected"), "in:\n{out}");
     }
 
-    // Exactly one snapshot per key, and no lock or temporary file
-    // left behind by either process.
+    // Exactly one snapshot per key, and no temporary file left behind
+    // by either process.
     let names: Vec<String> = std::fs::read_dir(&cache)
         .expect("cache dir")
         .map(|e| {
@@ -100,10 +102,8 @@ fn two_processes_share_one_cold_cache() {
     let snapshots = names.iter().filter(|n| n.ends_with(".rbts")).count();
     assert_eq!(snapshots, 6, "one snapshot per key in {names:?}");
     assert!(
-        !names
-            .iter()
-            .any(|n| n.ends_with(".lock") || n.contains(".tmp-")),
-        "leftover lock or temporary files in {names:?}"
+        !names.iter().any(|n| n.contains(".tmp-")),
+        "leftover temporary files in {names:?}"
     );
 
     // A third, warm run generates nothing.

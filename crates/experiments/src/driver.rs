@@ -350,9 +350,11 @@ mod tests {
     /// Runs `exhibits` on a fresh NPB run with a scratch cache, returning
     /// the run (for its report).
     fn npb_run(exhibits: &[&str]) -> Run {
-        let mut run = Run::default();
-        run.suite = Some(Suite::Npb);
-        run.cache = Some(TraceCache::scratch().unwrap());
+        let run = Run {
+            suite: Some(Suite::Npb),
+            cache: Some(TraceCache::scratch().unwrap()),
+            ..Run::default()
+        };
         let names: Vec<String> = exhibits.iter().map(|e| (*e).to_owned()).collect();
         let names = resolve_exhibits(&names).unwrap();
         run_exhibits(&run, &names, Scale::Smoke, None, &mut std::io::sink()).unwrap();

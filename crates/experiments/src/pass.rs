@@ -358,8 +358,10 @@ mod tests {
         let live = Run::default();
         assert_eq!(characterize(&live), direct, "live path");
         assert_eq!(live.report().replays, 1, "counted by the engine");
-        let mut cached = Run::default();
-        cached.cache = Some(TraceCache::scratch().unwrap());
+        let cached = Run {
+            cache: Some(TraceCache::scratch().unwrap()),
+            ..Run::default()
+        };
         for pass in ["cold", "warm"] {
             assert_eq!(characterize(&cached), direct, "{pass} cached path");
         }
@@ -388,23 +390,22 @@ mod tests {
         assert_eq!(replays(&run, &all), 2, "one full, one sampled");
         assert_eq!(replays(&run, &[Need::Predictors, Need::Btbs]), 1);
         assert_eq!(replays(&run, &[Need::Ablations]), 0);
-        let mut sampled = Run::default();
-        sampled.sampling = Some(sampling);
+        let sampled = Run {
+            sampling: Some(sampling),
+            ..Run::default()
+        };
         assert_eq!(replays(&sampled, &[Need::FetchGrid]), 1, "sampled only");
         assert_eq!(replays(&sampled, &[Need::FetchGrid, Need::CoreModels]), 2);
-        for run in [run, sampled] {
-            if let Ok(scratch) = run.sampling_cache() {
-                let _ = std::fs::remove_dir_all(scratch.dir());
-            }
-        }
     }
 
     #[test]
     fn the_baseline_core_is_timed_once_per_replay() {
         let needs = [Need::Floorplans, Need::CoreModels];
         for fetch_model in [FetchModelKind::Penalty, FetchModelKind::Ftq] {
-            let mut run = Run::default();
-            run.fetch_model = fetch_model;
+            let run = Run {
+                fetch_model,
+                ..Run::default()
+            };
             // Baseline and tailored floorplan cores, plus sampling's
             // baseline core under the other fetch model.
             assert_eq!(tools(&needs, &run, false).4.len(), 3, "{fetch_model:?}");

@@ -13,15 +13,14 @@
 use std::fmt::{self, Write as _};
 use std::io;
 use std::path::PathBuf;
-use std::sync::OnceLock;
 
 use rebalance_coresim::{
     floorplan_models, floorplan_results, CmpResult, CmpSim, CoreModel, FetchModelKind,
 };
 use rebalance_pintools::BbvTool;
 use rebalance_trace::{
-    CacheError, CachedReplay, Pintool, Report, SampledOutcome, SamplingConfig, SweepEngine,
-    SweepOutcome, SyntheticTrace, TraceCache,
+    snapshot, CacheError, CachedReplay, OwnedSnapshot, Pintool, Report, SampledOutcome,
+    SamplingConfig, SweepEngine, SweepOutcome, SyntheticTrace, TraceCache,
 };
 use rebalance_workloads::{Scale, Suite, Workload};
 
@@ -37,14 +36,6 @@ pub enum RunError {
         workload: String,
         /// What went wrong.
         source: CacheError,
-    },
-    /// A phase-sampled sweep on a run without a cache could not create
-    /// its scratch trace cache under the system temp dir.
-    ScratchCache {
-        /// The temp dir the scratch cache was to live under.
-        temp_dir: PathBuf,
-        /// Why creating it failed.
-        source: io::Error,
     },
     /// Writing an exhibit's rendering failed.
     Write(io::Error),
@@ -64,11 +55,6 @@ impl fmt::Display for RunError {
             RunError::Replay { workload, source } => {
                 write!(f, "cannot replay {workload}: {source}")
             }
-            RunError::ScratchCache { temp_dir, source } => write!(
-                f,
-                "cannot create a scratch trace cache for sampling under the temp dir {}: {source}",
-                temp_dir.display()
-            ),
             RunError::Write(e) => write!(f, "cannot write exhibit output: {e}"),
             RunError::Dump { path, source } => {
                 write!(f, "cannot write exhibit dump {}: {source}", path.display())
@@ -81,7 +67,6 @@ impl std::error::Error for RunError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RunError::Replay { source, .. } => Some(source),
-            RunError::ScratchCache { source, .. } => Some(source),
             RunError::Write(e) => Some(e),
             RunError::Dump { source, .. } => Some(source),
         }
@@ -137,36 +122,33 @@ pub struct Run {
     pub sampling: Option<SamplingConfig>,
     /// The CPI timing backend [`Run::floorplans`] times cores through.
     pub fetch_model: FetchModelKind,
-    /// Where sampled sweeps snapshot traces when [`Run::cache`] is
-    /// `None`: a temp-dir cache created on first use, or why it could
-    /// not be.
-    scratch: OnceLock<io::Result<TraceCache>>,
 }
 
 impl Run {
-    /// The cache sampled sweeps draw snapshot bytes from: this run's
-    /// cache when it has one (so warm sampled sweeps skip generation
-    /// entirely), else a scratch directory under the system temp dir —
-    /// sampling needs a recorded snapshot to slice, so it always
-    /// snapshots.
+    /// The validated snapshot of `workload`'s trace at `scale` — the one
+    /// place a run obtains a recorded stream, which phase sampling
+    /// slices. With a cache it is read from the workload's snapshot
+    /// (recorded on a miss, so warm sampled sweeps skip generation
+    /// entirely); without one the trace is generated and encoded in
+    /// memory, and nothing touches the disk.
     ///
     /// # Errors
     ///
-    /// [`RunError::ScratchCache`] when the run has no cache and the
-    /// scratch directory cannot be created (the first failure is kept,
-    /// so every later call reports it too).
-    pub fn sampling_cache(&self) -> Result<&TraceCache, RunError> {
-        match &self.cache {
-            Some(cache) => Ok(cache),
-            None => self
-                .scratch
-                .get_or_init(TraceCache::scratch)
-                .as_ref()
-                .map_err(|e| RunError::ScratchCache {
-                    temp_dir: std::env::temp_dir(),
-                    source: io::Error::new(e.kind(), e.to_string()),
+    /// [`RunError::Replay`] when the trace cannot be generated or the
+    /// cache cannot serve it.
+    pub fn snapshot(&self, workload: &Workload, scale: Scale) -> Result<OwnedSnapshot, RunError> {
+        let key = workload.trace_key(scale);
+        let owned = match &self.cache {
+            Some(cache) => cache.snapshot(&key, || workload.trace(scale)),
+            None => workload
+                .trace(scale)
+                .map_err(CacheError::Generate)
+                .and_then(|trace| {
+                    let (bytes, _) = snapshot::snapshot_bytes(&trace, key.fingerprint())?;
+                    Ok(OwnedSnapshot::parse(bytes)?)
                 }),
-        }
+        };
+        owned.map_err(|source| RunError::replay(workload, source))
     }
 
     /// Replay and cache accounting for everything run through this
@@ -226,7 +208,6 @@ impl Run {
                 let replay = CachedReplay {
                     summary,
                     sections: trace.schedule().sections(),
-                    from_cache: false,
                 };
                 (tools, replay)
             }),
@@ -236,15 +217,15 @@ impl Run {
 
     /// Sweeps `tools_for` over `workloads` at `scale` replaying only each
     /// trace's weighted representative intervals under `config` — the
-    /// phase-sampled sibling of [`Run::sweep_weighted`], always served from a
-    /// snapshot ([`Run::sampling_cache`]). Tools must be weight-aware
+    /// phase-sampled sibling of [`Run::sweep_weighted`]: per workload one
+    /// [`Run::snapshot`] and one [`SweepEngine::replay_sampled`], in
+    /// parallel on the engine's executor. Tools must be weight-aware
     /// ([`Pintool::supports_sampled_replay`]).
     ///
     /// # Errors
     ///
-    /// [`RunError::Replay`] for the first workload whose snapshot cannot
-    /// be generated or decoded; [`RunError::ScratchCache`] as for
-    /// [`Run::sampling_cache`].
+    /// [`RunError::Replay`] for the first workload, in workload order,
+    /// whose snapshot cannot be generated or decoded.
     pub fn sweep_sampled<T, ToolsFn>(
         &self,
         config: &SamplingConfig,
@@ -256,28 +237,28 @@ impl Run {
         T: Pintool + Send,
         ToolsFn: Fn(&Workload) -> Vec<T> + Sync,
     {
-        let dims = config.dims;
-        let cache = self.sampling_cache()?;
-        // The engine reports the first failure without naming its item,
-        // so replay one workload per call to keep the name.
         let measured = self.engine.map(&workloads, |w| {
+            let owned = self.snapshot(w, scale)?;
+            let key = w.trace_key(scale);
+            let fingerprinter = || BbvTool::new(config.dims);
             self.engine
-                .sweep_sampled(
-                    cache,
-                    config,
-                    vec![w.clone()],
-                    |w| w.trace_key(scale),
-                    |w| w.trace(scale),
-                    &tools_for,
-                    || BbvTool::new(dims),
-                )
+                .replay_sampled(&key, &owned.snapshot(), config, tools_for(w), fingerprinter)
                 .map_err(|source| RunError::replay(w, source))
         });
-        let mut outcomes = Vec::with_capacity(workloads.len());
-        for one in measured {
-            outcomes.extend(one?);
-        }
-        Ok(outcomes)
+        workloads
+            .into_iter()
+            .zip(measured)
+            .map(|(item, measured)| {
+                let (tools, replay, plan) = measured?;
+                Ok(SampledOutcome {
+                    item,
+                    tools,
+                    summary: replay.summary,
+                    delivered_instructions: replay.delivered_instructions,
+                    plan,
+                })
+            })
+            .collect()
     }
 
     /// Sweeps `tools_for` over `workloads` at `scale` in parallel on the
@@ -564,21 +545,46 @@ mod tests {
         let (_, live) = Run::default()
             .replay(&w, Scale::Smoke, vec![rebalance_trace::NullTool])
             .unwrap();
-        assert_eq!((live.sections, live.from_cache), (sections, false));
+        assert_eq!(live.sections, sections);
 
         let cached = Run {
             cache: Some(TraceCache::scratch().unwrap()),
             ..Run::default()
         };
-        for from_cache in [false, true] {
+        let cache = cached.cache.as_ref().unwrap();
+        for (pass, hits, generations) in [("cold", 0, 1), ("warm", 1, 0)] {
+            let before = cache.stats();
             let (_, replay) = cached
                 .replay(&w, Scale::Smoke, vec![rebalance_trace::NullTool])
                 .unwrap();
-            assert_eq!(replay.from_cache, from_cache, "cold, then warm");
+            let delta = cache.stats().since(&before);
+            assert_eq!(
+                (delta.hits, delta.generations),
+                (hits, generations),
+                "{pass}"
+            );
             assert_eq!(replay.sections, sections);
             assert_eq!(replay.summary, live.summary);
         }
-        let _ = std::fs::remove_dir_all(cached.cache.as_ref().unwrap().dir());
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn snapshots_are_the_same_bytes_with_or_without_a_cache() {
+        let w = rebalance_workloads::find("EP").unwrap();
+        let live = Run::default().snapshot(&w, Scale::Smoke).unwrap();
+        let cached = Run {
+            cache: Some(TraceCache::scratch().unwrap()),
+            ..Run::default()
+        };
+        let cache = cached.cache.as_ref().unwrap();
+        for pass in ["cold", "warm"] {
+            let owned = cached.snapshot(&w, Scale::Smoke).unwrap();
+            assert!(owned.into_bytes() == live.clone().into_bytes(), "{pass}");
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.generations, stats.hits), (1, 1));
+        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]

@@ -44,29 +44,29 @@
 //! let key = TraceKey::new("doc", "smoke", 1, 0);
 //! let first = cache.replay_with(&key, tiny_trace, &mut NullTool).unwrap();
 //! let second = cache.replay_with(&key, tiny_trace, &mut NullTool).unwrap();
-//! assert!(!first.from_cache && second.from_cache);
 //! assert_eq!(first.summary, second.summary);
-//! assert_eq!(cache.stats().generations, 1, "generated exactly once");
+//! let stats = cache.stats();
+//! assert_eq!((stats.generations, stats.hits), (1, 1), "generated exactly once");
 //! # std::fs::remove_dir_all(cache.dir()).unwrap();
 //! ```
 
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::{self, BufWriter, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant, SystemTime};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, SystemTime};
 
 use rebalance_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 
 use crate::by_section::BySection;
 use crate::exec::RunSummary;
-use crate::observer::Pintool;
+use crate::observer::{NullTool, Pintool};
 use crate::schedule::SyntheticTrace;
-use crate::snapshot::{OwnedSnapshot, Snapshot, SnapshotError, SnapshotInfo, SnapshotWriter};
+use crate::snapshot::{OwnedSnapshot, SnapshotError, SnapshotInfo, SnapshotWriter};
 
 /// File extension of cached snapshots.
 pub const SNAPSHOT_EXT: &str = "rbts";
@@ -200,7 +200,8 @@ pub struct CacheStats {
     /// directory); the replay still ran live, just unrecorded.
     pub write_failures: u64,
     /// Hits served after waiting out another in-flight generator of the
-    /// same key (single-flight coalescing; also counted in `hits`).
+    /// same key in this process (single-flight coalescing; also counted
+    /// in `hits`).
     pub coalesced: u64,
     /// Orphaned temporary files from dead runs removed when the cache
     /// was opened.
@@ -209,11 +210,6 @@ pub struct CacheStats {
     pub bytes_read: u64,
     /// Total snapshot bytes recorded on misses.
     pub bytes_written: u64,
-    /// Nanoseconds spent blocked on another process's `.lock` file
-    /// before generating (0 unless cross-process contention actually
-    /// happened — a stuck lock is visible here long before the
-    /// staleness break fires).
-    pub lock_wait_ns: u64,
 }
 
 impl CacheStats {
@@ -230,7 +226,6 @@ impl CacheStats {
             tmp_swept: self.tmp_swept - earlier.tmp_swept,
             bytes_read: self.bytes_read - earlier.bytes_read,
             bytes_written: self.bytes_written - earlier.bytes_written,
-            lock_wait_ns: self.lock_wait_ns - earlier.lock_wait_ns,
         }
     }
 
@@ -269,9 +264,6 @@ impl fmt::Display for CacheStats {
                 self.coalesced, self.tmp_swept
             )?;
         }
-        if self.lock_wait_ns > 0 {
-            write!(f, " | lock wait: {:.1} ms", self.lock_wait_ns as f64 / 1e6)?;
-        }
         Ok(())
     }
 }
@@ -281,8 +273,8 @@ impl fmt::Display for CacheStats {
 pub enum CacheError {
     /// Filesystem trouble around the cache directory.
     Io(io::Error),
-    /// Snapshot encode/decode trouble that regeneration cannot paper
-    /// over (e.g. a write failure while recording).
+    /// Snapshot trouble that regeneration cannot paper over (e.g. a
+    /// checksum-valid snapshot whose records do not decode).
     Snapshot(SnapshotError),
     /// The generator closure itself failed.
     Generate(String),
@@ -329,9 +321,6 @@ pub struct CachedReplay {
     /// Instructions per section (what CMP scheduling needs in place of
     /// the schedule it no longer has on hits).
     pub sections: BySection<u64>,
-    /// `true` if the stream came from a snapshot, `false` if it was
-    /// generated (and, with a cache, recorded) for this replay.
-    pub from_cache: bool,
 }
 
 #[derive(Debug, Default)]
@@ -345,20 +334,24 @@ struct Counters {
     tmp_swept: AtomicU64,
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
-    lock_wait_ns: AtomicU64,
 }
 
 /// A directory of content-addressed trace snapshots with hit/miss
 /// accounting.
 ///
-/// Safe under concurrent writers, in-process and across processes:
+/// Every lookup goes through one load-or-generate step: a valid stored
+/// snapshot is a hit; otherwise the trace is generated once, encoded in
+/// memory while the caller's tool (if any) observes the same replay, and
+/// committed. Safe under concurrent writers:
 ///
-/// * recording goes through a private temporary file atomically renamed
-///   into place, so readers never observe partial snapshots;
-/// * generation is *single-flight* per key — concurrent misses on one
-///   key elect exactly one generator (per-key mutex within the process,
-///   `<snapshot>.lock` files across processes) while the others wait
-///   and then read the committed snapshot ([`CacheStats::coalesced`]);
+/// * every snapshot is written to a private temporary file and
+///   atomically renamed into place, so readers never observe partial
+///   snapshots — two processes racing on one cold key may both generate
+///   it, and the last rename wins with byte-identical bytes;
+/// * within a process, generation is *single-flight* per key —
+///   concurrent misses on one key elect exactly one generator while the
+///   others wait and then read the committed snapshot
+///   ([`CacheStats::coalesced`]);
 /// * opening the cache sweeps temporary files orphaned by dead runs
 ///   ([`CacheStats::tmp_swept`]), leaving live runs' files alone.
 ///
@@ -382,6 +375,10 @@ pub struct TraceCache {
     /// keyed by [`TraceKey::fingerprint`]. Bounded by the number of
     /// distinct keys ever missed, which a sweep already enumerates.
     inflight: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
+    /// Encode buffers of finished generations whose bytes were not
+    /// handed out, reused so later misses encode into memory that is
+    /// already mapped (at most one per concurrent generator).
+    spare: Mutex<Vec<Vec<u8>>>,
 }
 
 impl TraceCache {
@@ -399,6 +396,7 @@ impl TraceCache {
             dir,
             counters: Counters::default(),
             inflight: Mutex::new(HashMap::new()),
+            spare: Mutex::default(),
         };
         cache.sweep_orphans();
         Ok(cache)
@@ -448,18 +446,7 @@ impl TraceCache {
             tmp_swept: self.counters.tmp_swept.load(Ordering::Relaxed),
             bytes_read: self.counters.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.counters.bytes_written.load(Ordering::Relaxed),
-            lock_wait_ns: self.counters.lock_wait_ns.load(Ordering::Relaxed),
         }
-    }
-
-    /// Books time spent blocked on a cross-process `.lock` file into
-    /// [`CacheStats::lock_wait_ns`].
-    fn note_lock_wait(&self, waited: Duration) {
-        if waited.is_zero() {
-            return;
-        }
-        let ns = waited.as_nanos() as u64;
-        self.counters.lock_wait_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Unconditionally records `trace` under `key`, replacing any
@@ -474,9 +461,10 @@ impl TraceCache {
         key: &TraceKey,
         trace: &SyntheticTrace,
     ) -> Result<SnapshotInfo, CacheError> {
-        let mut writer = self.start_recording(key)?;
-        trace.replay(&mut writer.snapshot);
-        let info = writer.commit(self)?;
+        let (bytes, info, _) = self.encode(key, trace, None::<&mut NullTool>)?;
+        let persisted = self.persist(key, &bytes);
+        self.recycle(bytes);
+        persisted?;
         Ok(info)
     }
 
@@ -515,86 +503,16 @@ impl TraceCache {
         T: Pintool + ?Sized,
         F: FnOnce() -> Result<SyntheticTrace, String>,
     {
-        let path = self.path_for(key);
-        if let Ok(bytes) = fs::read(&path) {
-            match Snapshot::parse(&bytes) {
-                Ok(snapshot) => {
-                    let summary = snapshot.replay(tool)?;
-                    self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                    self.counters
-                        .bytes_read
-                        .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                    return Ok(CachedReplay {
-                        summary,
-                        sections: snapshot.info().sections,
-                        from_cache: true,
-                    });
-                }
-                Err(_) => {
-                    self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                }
+        match self.load_or_generate(key, generate, Some(&mut *tool))? {
+            Entry::Stored(owned) => Ok(CachedReplay {
+                summary: owned.snapshot().replay(tool)?,
+                sections: owned.info().sections,
+            }),
+            Entry::Generated { bytes, replay } => {
+                self.recycle(bytes);
+                Ok(replay)
             }
         }
-
-        // Single-flight: elect one generator per key; everyone else
-        // blocks here, then finds the committed snapshot on re-read.
-        let guard = self.key_guard(key.fingerprint());
-        let _guard = guard
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let lock = KeyLock::acquire(self.lock_path(key));
-        self.note_lock_wait(lock.waited);
-        if let Ok(bytes) = fs::read(&path) {
-            if let Ok(snapshot) = Snapshot::parse(&bytes) {
-                let summary = snapshot.replay(tool)?;
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .bytes_read
-                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                return Ok(CachedReplay {
-                    summary,
-                    sections: snapshot.info().sections,
-                    from_cache: true,
-                });
-            }
-            // Still unreadable: this thread won the election over a
-            // corrupt entry; the rejection was already counted above.
-        }
-
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        let _generate_span = telemetry::span("generate");
-        let trace = generate().map_err(CacheError::Generate)?;
-        self.counters.generations.fetch_add(1, Ordering::Relaxed);
-        let sections = trace.schedule().sections();
-
-        let mut writer = match self.start_recording(key) {
-            Ok(writer) => writer,
-            Err(_) => {
-                // Unwritable cache: replay live without recording.
-                self.counters.write_failures.fetch_add(1, Ordering::Relaxed);
-                let summary = trace.replay(tool);
-                return Ok(CachedReplay {
-                    summary,
-                    sections,
-                    from_cache: false,
-                });
-            }
-        };
-        let summary = {
-            let mut tee = (&mut writer.snapshot, tool);
-            trace.replay(&mut tee)
-        };
-        if writer.commit(self).is_err() {
-            // The tool already observed the full live stream; only the
-            // persistence failed.
-            self.counters.write_failures.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(CachedReplay {
-            summary,
-            sections,
-            from_cache: false,
-        })
     }
 
     /// Returns the raw snapshot bytes for `key`, generating and
@@ -626,117 +544,157 @@ impl TraceCache {
     ///
     /// # Errors
     ///
-    /// Generation failures, or encoding failures while snapshotting the
-    /// generated trace.
+    /// Generation failures.
     pub fn snapshot<F>(&self, key: &TraceKey, generate: F) -> Result<OwnedSnapshot, CacheError>
     where
         F: FnOnce() -> Result<SyntheticTrace, String>,
     {
+        match self.load_or_generate(key, generate, None::<&mut NullTool>)? {
+            Entry::Stored(owned) => Ok(owned),
+            Entry::Generated { bytes, .. } => Ok(OwnedSnapshot::parse(bytes)?),
+        }
+    }
+
+    /// The one way into the cache. Serves `key`'s stored snapshot when it
+    /// validates (a hit; an invalid one is counted as rejected). Otherwise
+    /// it takes the key's single-flight guard and looks again, since
+    /// another thread may have committed it meanwhile (a coalesced hit).
+    /// Failing that, it runs `generate`, encodes the trace in memory while
+    /// `tool`, if any, observes the same replay, and persists the
+    /// snapshot.
+    fn load_or_generate<T, F>(
+        &self,
+        key: &TraceKey,
+        generate: F,
+        tool: Option<&mut T>,
+    ) -> Result<Entry, CacheError>
+    where
+        T: Pintool + ?Sized,
+        F: FnOnce() -> Result<SyntheticTrace, String>,
+    {
         let path = self.path_for(key);
-        if let Ok(bytes) = fs::read(&path) {
-            if let Ok(snapshot) = OwnedSnapshot::parse(bytes) {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .bytes_read
-                    .fetch_add(snapshot.info().total_bytes, Ordering::Relaxed);
-                return Ok(snapshot);
+        match self.load(&path) {
+            Some(Ok(owned)) => return Ok(Entry::Stored(owned)),
+            Some(Err(_)) => {
+                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
             }
-            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+            None => {}
         }
 
-        // Single-flight election, as in `replay_with`.
         let guard = self.key_guard(key.fingerprint());
-        let _guard = guard
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let lock = KeyLock::acquire(self.lock_path(key));
-        self.note_lock_wait(lock.waited);
-        if let Ok(bytes) = fs::read(&path) {
-            if let Ok(snapshot) = OwnedSnapshot::parse(bytes) {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .bytes_read
-                    .fetch_add(snapshot.info().total_bytes, Ordering::Relaxed);
-                return Ok(snapshot);
-            }
+        let _guard = guard.lock().unwrap_or_else(PoisonError::into_inner);
+        // Another thread may have committed the snapshot meanwhile.
+        if let Some(Ok(owned)) = self.load(&path) {
+            self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+            return Ok(Entry::Stored(owned));
         }
 
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
         let _generate_span = telemetry::span("generate");
         let trace = generate().map_err(CacheError::Generate)?;
         self.counters.generations.fetch_add(1, Ordering::Relaxed);
-        let (bytes, info) = {
-            let mut writer = SnapshotWriter::new(Vec::new(), key.seed(), key.fingerprint());
-            trace.replay(&mut writer);
-            writer.finish()?
+        let (bytes, _, summary) = self.encode(key, &trace, tool)?;
+        if self.persist(key, &bytes).is_err() {
+            // Any tool already observed the full live stream; only the
+            // persistence failed.
+            self.counters.write_failures.fetch_add(1, Ordering::Relaxed);
+        }
+        let replay = CachedReplay {
+            summary,
+            sections: trace.schedule().sections(),
         };
+        Ok(Entry::Generated { bytes, replay })
+    }
 
+    /// Reads and validates the snapshot at `path`, counting a hit when it
+    /// is valid; `None` when there is no readable file.
+    fn load(&self, path: &Path) -> Option<Result<OwnedSnapshot, SnapshotError>> {
+        let parsed = OwnedSnapshot::parse(fs::read(path).ok()?);
+        if let Ok(owned) = &parsed {
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .bytes_read
+                .fetch_add(owned.info().total_bytes, Ordering::Relaxed);
+        }
+        Some(parsed)
+    }
+
+    /// Commits `bytes` as `key`'s snapshot: written to a private
+    /// `<name>.tmp-<pid>-<n>` file, then renamed into place, so readers
+    /// only ever see complete snapshots.
+    fn persist(&self, key: &TraceKey, bytes: &[u8]) -> io::Result<()> {
         static TMP_ID: AtomicU64 = AtomicU64::new(0);
         let tmp = self.dir.join(format!(
-            "{}.mem-{}-{}",
+            "{}.tmp-{}-{}",
             key.file_name(),
             std::process::id(),
             TMP_ID.fetch_add(1, Ordering::Relaxed)
         ));
-        let persisted = fs::write(&tmp, &bytes).and_then(|()| fs::rename(&tmp, &path));
-        match persisted {
+        let committed = fs::write(&tmp, bytes).and_then(|()| fs::rename(&tmp, self.path_for(key)));
+        match committed {
             Ok(()) => {
                 self.counters
                     .bytes_written
-                    .fetch_add(info.total_bytes, Ordering::Relaxed);
+                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
             }
             Err(_) => {
                 let _ = fs::remove_file(&tmp);
-                self.counters.write_failures.fetch_add(1, Ordering::Relaxed);
             }
         }
-        Ok(OwnedSnapshot::parse(bytes)?)
+        committed
+    }
+
+    /// Interprets `trace` once into an in-memory snapshot keyed by `key`,
+    /// teed into `tool` when there is one; returns the snapshot bytes,
+    /// their metadata and the interpreter's summary.
+    fn encode<T: Pintool + ?Sized>(
+        &self,
+        key: &TraceKey,
+        trace: &SyntheticTrace,
+        tool: Option<&mut T>,
+    ) -> Result<(Vec<u8>, SnapshotInfo, RunSummary), SnapshotError> {
+        let mut buf = self.spares().pop().unwrap_or_default();
+        buf.clear();
+        let mut writer = SnapshotWriter::new(buf, key.seed(), key.fingerprint());
+        let summary = match tool {
+            Some(tool) => trace.replay(&mut (&mut writer, tool)),
+            None => trace.replay(&mut writer),
+        };
+        let (bytes, info) = writer.finish()?;
+        Ok((bytes, info, summary))
+    }
+
+    /// Keeps `bytes`' buffer for a later [`TraceCache::encode`].
+    fn recycle(&self, bytes: Vec<u8>) {
+        self.spares().push(bytes);
+    }
+
+    /// The spare encode buffers, even if a panicking thread poisoned
+    /// their lock (any buffer is as good as another).
+    fn spares(&self) -> MutexGuard<'_, Vec<Vec<u8>>> {
+        self.spare.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The in-process single-flight guard for one key fingerprint.
     fn key_guard(&self, fingerprint: u64) -> Arc<Mutex<()>> {
-        let mut map = self
-            .inflight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut map = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
         map.entry(fingerprint).or_default().clone()
     }
 
-    /// The cross-process lock file guarding generation of `key`.
-    fn lock_path(&self, key: &TraceKey) -> PathBuf {
-        self.dir.join(format!("{}.lock", key.file_name()))
-    }
-
-    /// Removes temporary files (`*.tmp-<pid>-<n>`, `*.mem-<pid>-<n>`,
-    /// `*.lock`) whose owning process is gone. Files belonging to this
-    /// process or to a live process are kept; when liveness cannot be
-    /// determined the file is kept unless it is over an hour old.
+    /// Removes temporary files (`*.tmp-<pid>-<n>`) whose owning process
+    /// is gone. Files belonging to this process or to a live process are
+    /// kept; when liveness cannot be determined the file is kept unless
+    /// it is over an hour old.
     fn sweep_orphans(&self) {
         let Ok(entries) = fs::read_dir(&self.dir) else {
             return;
         };
         for entry in entries.flatten() {
             let name = entry.file_name();
-            let Some(name) = name.to_str() else {
+            let Some((_, rest)) = name.to_str().and_then(|n| n.split_once(".tmp-")) else {
                 continue;
             };
-            let owner = if name.ends_with(".lock") {
-                // Lock files carry their owner's pid as content.
-                fs::read_to_string(entry.path())
-                    .ok()
-                    .and_then(|s| s.trim().parse::<u32>().ok())
-            } else if let Some(rest) = name
-                .split_once(".tmp-")
-                .or_else(|| name.split_once(".mem-"))
-                .map(|(_, rest)| rest)
-            {
-                // Temporary files carry it in the name: <pid>-<n>.
-                rest.split('-').next().and_then(|p| p.parse::<u32>().ok())
-            } else {
-                continue;
-            };
-            let stale = match owner {
+            let stale = match rest.split('-').next().and_then(|p| p.parse::<u32>().ok()) {
                 Some(pid) if pid == std::process::id() => false,
                 Some(pid) => match pid_alive(pid) {
                     Some(alive) => !alive,
@@ -749,22 +707,18 @@ impl TraceCache {
             }
         }
     }
+}
 
-    fn start_recording(&self, key: &TraceKey) -> Result<Recording, CacheError> {
-        static TMP_ID: AtomicU64 = AtomicU64::new(0);
-        let tmp = self.dir.join(format!(
-            "{}.tmp-{}-{}",
-            key.file_name(),
-            std::process::id(),
-            TMP_ID.fetch_add(1, Ordering::Relaxed)
-        ));
-        let file = BufWriter::new(fs::File::create(&tmp)?);
-        Ok(Recording {
-            snapshot: SnapshotWriter::new(file, key.seed(), key.fingerprint()),
-            tmp,
-            path: self.path_for(key),
-        })
-    }
+/// What [`TraceCache`]'s load-or-generate step found for a key.
+enum Entry {
+    /// A validated snapshot read from the cache directory.
+    Stored(OwnedSnapshot),
+    /// A freshly generated snapshot, already delivered to the caller's
+    /// tool if there was one.
+    Generated {
+        bytes: Vec<u8>,
+        replay: CachedReplay,
+    },
 }
 
 /// Whether the process `pid` is currently running, when the platform
@@ -788,133 +742,6 @@ fn file_is_old(path: &Path) -> bool {
         .is_some_and(|age| age > STALE_AFTER)
 }
 
-/// A held (or degraded) cross-process generation lock.
-///
-/// Acquisition creates `<snapshot>.lock` exclusively with this
-/// process's pid as content; contenders poll until the holder releases
-/// (drops) it, breaking locks whose owner has died. An unwritable
-/// directory or a poll timeout degrades to lockless generation — the
-/// tmp+rename commit keeps that safe, merely duplicating work.
-struct KeyLock {
-    path: PathBuf,
-    held: bool,
-    /// How long acquisition blocked behind another process's live lock
-    /// (zero when the lock was free or the directory unwritable).
-    waited: Duration,
-}
-
-impl KeyLock {
-    const POLL: Duration = Duration::from_millis(5);
-    const TIMEOUT: Duration = Duration::from_secs(300);
-
-    fn acquire(path: PathBuf) -> KeyLock {
-        let start = Instant::now();
-        let deadline = start + Self::TIMEOUT;
-        let mut contended = false;
-        let waited = |contended: bool, start: Instant| {
-            if contended {
-                start.elapsed()
-            } else {
-                Duration::ZERO
-            }
-        };
-        loop {
-            match fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut file) => {
-                    let _ = write!(file, "{}", std::process::id());
-                    return KeyLock {
-                        held: true,
-                        waited: waited(contended, start),
-                        path,
-                    };
-                }
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    contended = true;
-                    if Self::holder_is_dead(&path) {
-                        let _ = fs::remove_file(&path);
-                        continue;
-                    }
-                    if Instant::now() >= deadline {
-                        return KeyLock {
-                            held: false,
-                            waited: waited(contended, start),
-                            path,
-                        };
-                    }
-                    std::thread::sleep(Self::POLL);
-                }
-                // Unwritable cache directory: generate locklessly; the
-                // caller's write path degrades the same way.
-                Err(_) => {
-                    return KeyLock {
-                        held: false,
-                        waited: waited(contended, start),
-                        path,
-                    }
-                }
-            }
-        }
-    }
-
-    fn holder_is_dead(path: &Path) -> bool {
-        let owner = fs::read_to_string(path)
-            .ok()
-            .and_then(|s| s.trim().parse::<u32>().ok());
-        match owner {
-            Some(pid) if pid == std::process::id() => false,
-            Some(pid) => match pid_alive(pid) {
-                Some(alive) => !alive,
-                None => file_is_old(path),
-            },
-            // Content not written yet (the holder is between create and
-            // write) or unreadable: fall back to age.
-            None => file_is_old(path),
-        }
-    }
-}
-
-impl Drop for KeyLock {
-    fn drop(&mut self) {
-        if self.held {
-            let _ = fs::remove_file(&self.path);
-        }
-    }
-}
-
-/// An in-flight snapshot recording: a writer plus the tmp→final rename.
-struct Recording {
-    snapshot: SnapshotWriter<BufWriter<fs::File>>,
-    tmp: PathBuf,
-    path: PathBuf,
-}
-
-impl Recording {
-    fn commit(self, cache: &TraceCache) -> Result<SnapshotInfo, CacheError> {
-        let result = self.snapshot.finish();
-        let (sink, info) = match result {
-            Ok(ok) => ok,
-            Err(e) => {
-                let _ = fs::remove_file(&self.tmp);
-                return Err(e.into());
-            }
-        };
-        drop(sink);
-        if let Err(e) = fs::rename(&self.tmp, &self.path) {
-            let _ = fs::remove_file(&self.tmp);
-            return Err(e.into());
-        }
-        cache
-            .counters
-            .bytes_written
-            .fetch_add(info.total_bytes, Ordering::Relaxed);
-        Ok(info)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -923,7 +750,7 @@ mod tests {
     use crate::program::{CondBehavior, IterCount, Terminator};
     use crate::schedule::{Phase, Schedule};
     use crate::section::Section;
-    use crate::snapshot::{read_info, SNAPSHOT_VERSION};
+    use crate::snapshot::{read_info, Snapshot, SNAPSHOT_VERSION};
     use crate::TraceEvent;
 
     fn make_trace(seed: u64) -> SyntheticTrace {
@@ -997,10 +824,10 @@ mod tests {
             (pcs, rep)
         };
         let (first_pcs, first) = collect(&cache);
-        assert!(!first.from_cache);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.generations), (0, 1, 1));
         assert!(cache.contains(&key));
         let (second_pcs, second) = collect(&cache);
-        assert!(second.from_cache);
         assert_eq!(first_pcs, second_pcs, "hit replays the recorded stream");
         assert_eq!(first.summary, second.summary);
         assert_eq!(first.sections, second.sections);
@@ -1024,18 +851,18 @@ mod tests {
         bytes[mid] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
 
-        let rep = cache
+        cache
             .replay_with(&key, || Ok(make_trace(5)), &mut NullTool)
             .unwrap();
-        assert!(!rep.from_cache, "corrupt snapshot must not be served");
         let stats = cache.stats();
+        assert_eq!(stats.hits, 0, "corrupt snapshot must not be served");
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.generations, 1);
         // The rewritten snapshot is good again.
-        let rep = cache
-            .replay_with(&key, || Ok(make_trace(5)), &mut NullTool)
+        cache
+            .replay_with(&key, || Err("must not regenerate".into()), &mut NullTool)
             .unwrap();
-        assert!(rep.from_cache);
+        assert_eq!(cache.stats().hits, 1);
         cleanup(cache);
     }
 
@@ -1052,7 +879,7 @@ mod tests {
             (pcs, rep)
         };
         let (live_pcs, live) = collect(&cache);
-        assert!(!live.from_cache);
+        assert_eq!(cache.stats().generations, 1);
 
         // Stamp the recorded file as the older format; the version is
         // checked before the checksum, so the stamp alone must do.
@@ -1067,10 +894,10 @@ mod tests {
 
         let before = cache.stats();
         let (pcs, rep) = collect(&cache);
-        assert!(!rep.from_cache, "a version-1 file must not be served");
         assert_eq!(pcs, live_pcs, "the regenerated stream is the live one");
         assert_eq!((rep.summary, rep.sections), (live.summary, live.sections));
         let delta = cache.stats().since(&before);
+        assert_eq!(delta.hits, 0, "a version-1 file must not be served");
         assert_eq!((delta.rejected, delta.generations), (1, 1));
         assert_eq!(
             read_info(&path).unwrap().version,
@@ -1079,8 +906,7 @@ mod tests {
         );
 
         let before = cache.stats();
-        let (pcs, rep) = collect(&cache);
-        assert!(rep.from_cache);
+        let (pcs, _) = collect(&cache);
         assert_eq!(pcs, live_pcs);
         let delta = cache.stats().since(&before);
         assert_eq!((delta.hits, delta.rejected, delta.generations), (1, 0, 0));
@@ -1099,7 +925,6 @@ mod tests {
         let rep = cache
             .replay_with(&key, || Ok(make_trace(11)), &mut tool)
             .unwrap();
-        assert!(!rep.from_cache);
         assert_eq!(rep.summary.instructions, 2_000);
         assert_eq!(rep.sections, BySection::new(400, 1_600));
         assert_eq!(n, 2_000, "the tool observed the full live stream");
@@ -1135,7 +960,7 @@ mod tests {
         let rep = cache
             .replay_with(&key, || Err("cached".into()), &mut NullTool)
             .unwrap();
-        assert!(rep.from_cache);
+        assert_eq!(cache.stats().hits, 2);
         assert_eq!(rep.summary, summary);
         cleanup(cache);
     }
@@ -1281,11 +1106,10 @@ mod tests {
         release_tx.send(()).unwrap();
         let won = winner.join().unwrap();
         let waited = waiter.join().unwrap();
-        assert!(!won.from_cache);
-        assert!(waited.from_cache, "waiter reads the committed snapshot");
         assert_eq!(won.summary, waited.summary);
         let stats = cache.stats();
         assert_eq!((stats.generations, stats.coalesced), (1, 1));
+        assert_eq!(stats.hits, 1, "waiter reads the committed snapshot");
         assert!(
             stats.to_string().contains("1 coalesced"),
             "coalescing must be visible in the report: {stats}"
@@ -1334,49 +1158,24 @@ mod tests {
         // current-pid file stands in for a concurrently live run.
         let dead = [
             dir.join("a.rbts.tmp-999999999-0"),
-            dir.join("b.rbts.mem-999999999-3"),
+            dir.join("b.rbts.tmp-999999999-3"),
         ];
         let live = [
             dir.join(format!("c.rbts.tmp-{}-0", std::process::id())),
-            dir.join(format!("d.rbts.mem-{}-1", std::process::id())),
+            dir.join(format!("d.rbts.tmp-{}-1", std::process::id())),
         ];
         for path in dead.iter().chain(&live) {
             fs::write(path, b"partial").unwrap();
         }
-        let dead_lock = dir.join("e.rbts.lock");
-        fs::write(&dead_lock, "999999999").unwrap();
-        let live_lock = dir.join("f.rbts.lock");
-        fs::write(&live_lock, std::process::id().to_string()).unwrap();
 
         let cache = TraceCache::new(&dir).unwrap();
-        assert_eq!(cache.stats().tmp_swept, 3, "two tmp files + one lock");
+        assert_eq!(cache.stats().tmp_swept, 2, "the two dead runs' files");
         for path in &dead {
             assert!(!path.exists(), "dead orphan kept: {}", path.display());
         }
-        assert!(!dead_lock.exists());
         for path in &live {
             assert!(path.exists(), "live tmp swept: {}", path.display());
         }
-        assert!(live_lock.exists());
-        cleanup(cache);
-    }
-
-    #[test]
-    fn dead_holders_lock_is_broken() {
-        let cache = TraceCache::scratch().unwrap();
-        let key = TraceKey::new("w", "s", 27, 0);
-        // Plant a lock owned by a dead pid *after* open (so GC cannot
-        // have removed it): acquisition must break it, not time out.
-        fs::write(cache.lock_path(&key), "999999999").unwrap();
-        let rep = cache
-            .replay_with(&key, || Ok(make_trace(27)), &mut NullTool)
-            .unwrap();
-        assert!(!rep.from_cache);
-        assert_eq!(cache.stats().generations, 1);
-        assert!(
-            !cache.lock_path(&key).exists(),
-            "lock must be released after generation"
-        );
         cleanup(cache);
     }
 
@@ -1392,7 +1191,6 @@ mod tests {
             tmp_swept: 7,
             bytes_read: 8,
             bytes_written: 9,
-            lock_wait_ns: 10,
         };
         let later = CacheStats {
             hits: 11,
@@ -1404,7 +1202,6 @@ mod tests {
             tmp_swept: 77,
             bytes_read: 88,
             bytes_written: 99,
-            lock_wait_ns: 110,
         };
         let delta = later.since(&earlier);
         assert_eq!(
@@ -1419,82 +1216,10 @@ mod tests {
                 tmp_swept: 70,
                 bytes_read: 80,
                 bytes_written: 90,
-                lock_wait_ns: 100,
             }
         );
         assert_eq!(later.since(&later), CacheStats::default());
         assert_eq!(later.since(&CacheStats::default()), later);
-    }
-
-    #[test]
-    fn lock_wait_shows_in_display_only_when_nonzero() {
-        let quiet = CacheStats::default();
-        assert!(!quiet.to_string().contains("lock wait"));
-        let contended = CacheStats {
-            lock_wait_ns: 2_500_000,
-            ..CacheStats::default()
-        };
-        let text = contended.to_string();
-        assert!(text.contains("lock wait: 2.5 ms"), "{text}");
-    }
-
-    #[test]
-    fn cross_process_lock_wait_is_counted() {
-        // Two caches over one directory model two processes: each has
-        // its own in-process guard, so the loser really parks on the
-        // winner's `.lock` file.
-        let cache_a = std::sync::Arc::new(TraceCache::scratch().unwrap());
-        let cache_b = std::sync::Arc::new(TraceCache::new(cache_a.dir()).unwrap());
-        let key = TraceKey::new("w", "s", 29, 0);
-        let (started_tx, started_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel();
-        let winner = {
-            let cache = cache_a.clone();
-            let key = key.clone();
-            std::thread::spawn(move || {
-                cache
-                    .replay_with(
-                        &key,
-                        move || {
-                            started_tx.send(()).unwrap();
-                            release_rx.recv().unwrap();
-                            Ok(make_trace(29))
-                        },
-                        &mut NullTool,
-                    )
-                    .unwrap()
-            })
-        };
-        started_rx.recv().unwrap();
-        let waiter = {
-            let cache = cache_b.clone();
-            let key = key.clone();
-            std::thread::spawn(move || {
-                cache
-                    .replay_with(
-                        &key,
-                        || Err("loser must not generate".into()),
-                        &mut NullTool,
-                    )
-                    .unwrap()
-            })
-        };
-        std::thread::sleep(Duration::from_millis(100));
-        release_tx.send(()).unwrap();
-        let won = winner.join().unwrap();
-        let waited = waiter.join().unwrap();
-        assert!(!won.from_cache);
-        assert!(waited.from_cache);
-        assert_eq!(cache_a.stats().lock_wait_ns, 0, "winner never waited");
-        let stats = cache_b.stats();
-        assert!(
-            stats.lock_wait_ns > 0,
-            "loser's file-lock wait must be counted: {stats:?}"
-        );
-        assert!(stats.to_string().contains("lock wait"), "{stats}");
-        let cache_a = std::sync::Arc::into_inner(cache_a).unwrap();
-        drop(cache_b);
-        cleanup(cache_a);
     }
 
     #[test]

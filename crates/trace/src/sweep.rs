@@ -19,7 +19,7 @@ use crate::exec::RunSummary;
 use crate::executor::Executor;
 use crate::observer::Pintool;
 use crate::report::{LaneFill, Report};
-use crate::sampling::{Fingerprinter, SamplePlan, SamplingConfig};
+use crate::sampling::{Fingerprinter, SamplePlan, SampledReplay, SamplingConfig};
 use crate::schedule::SyntheticTrace;
 use crate::snapshot::Snapshot;
 use crate::toolset::ToolSet;
@@ -38,7 +38,8 @@ pub struct SweepOutcome<I, T> {
 }
 
 /// The result of sampling one item: like [`SweepOutcome`], plus the
-/// sampling plan and how many instructions were actually delivered.
+/// sampling plan and how many instructions were actually delivered
+/// (one [`SweepEngine::replay_sampled`] with its item).
 #[derive(Debug)]
 pub struct SampledOutcome<I, T> {
     /// The swept item (typically a workload).
@@ -59,7 +60,8 @@ pub struct SampledOutcome<I, T> {
 /// Replays traces once per item through fan-out tool sets, in parallel
 /// across items: [`SweepEngine::map`] schedules the items and
 /// [`SweepEngine::fan_out`] (live), [`SweepEngine::fan_out_cached`] or
-/// [`SweepEngine::sweep_sampled`] replays each one.
+/// [`SweepEngine::replay_sampled`] (a snapshot's weighted
+/// representatives) replays each one.
 ///
 /// The engine counts every replay it performs ([`SweepEngine::replays`]),
 /// which is how tests assert the one-replay-per-item guarantee, and
@@ -143,9 +145,10 @@ impl SweepEngine {
     /// Total trace replays this engine has performed: live
     /// ([`SweepEngine::fan_out`]), through a cache
     /// ([`SweepEngine::fan_out_cached`]) or phase-sampled
-    /// ([`SweepEngine::sweep_sampled`], one per item). Every cache-mediated replay is one cache hit or one
-    /// generation, so when all of a run's replays go through one engine
-    /// and one cache, this equals the cache's hits plus generations.
+    /// ([`SweepEngine::replay_sampled`]). Every cache-mediated replay is
+    /// one cache hit or one generation, so when all of a run's replays go
+    /// through one engine and one cache, this equals the cache's hits
+    /// plus generations.
     /// Scoped to this engine instance, so replays elsewhere in the
     /// process never pollute it.
     pub fn replays(&self) -> u64 {
@@ -218,17 +221,13 @@ impl SweepEngine {
     /// snapshot under `config`. Plans are cached per engine, so
     /// re-sweeping the same roster re-pays neither the fingerprinting
     /// replay nor the clustering.
-    fn plan_for<FP, FpFn>(
+    fn plan_for<FP: Fingerprinter>(
         &self,
         key: &TraceKey,
         config: &SamplingConfig,
         snapshot: &Snapshot<'_>,
-        fingerprinter: &FpFn,
-    ) -> Result<Arc<SamplePlan>, CacheError>
-    where
-        FP: Fingerprinter,
-        FpFn: Fn() -> FP,
-    {
+        fingerprinter: impl FnOnce() -> FP,
+    ) -> Result<Arc<SamplePlan>, CacheError> {
         let cache_key = (key.fingerprint(), *config);
         if let Some(plan) = self.plans().get(&cache_key) {
             return Ok(Arc::clone(plan));
@@ -248,62 +247,32 @@ impl SweepEngine {
         self.plans.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The phase-sampled sweep: on the engine's executor, each item
-    /// obtains its validated snapshot once through `cache`
-    /// ([`TraceCache::snapshot`], one checksum per snapshot),
-    /// fingerprints it into a [`SamplePlan`] (cached per engine), and
-    /// replays only the plan's weighted representatives through the
-    /// tools ([`Snapshot::replay_sampled`]). Tools must be weight-aware
+    /// Replays one item phase-sampled: fingerprints `snapshot` into a
+    /// [`SamplePlan`] under `config` (cached per engine by `key`'s
+    /// fingerprint and the config, so a re-sweep never rebuilds it), then
+    /// replays only the plan's weighted representatives through all
+    /// `tools` ([`Snapshot::replay_sampled`]). The sampled counterpart of
+    /// [`SweepEngine::fan_out_cached`]; tools must be weight-aware
     /// ([`Pintool::supports_sampled_replay`]).
     ///
     /// # Errors
     ///
-    /// The first [`CacheError`] any item hits.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sweep_sampled<I, T, FP, KeyFn, TraceFn, ToolsFn, FpFn>(
+    /// A decode failure while building the plan or replaying its
+    /// windows.
+    pub fn replay_sampled<T: Pintool, FP: Fingerprinter>(
         &self,
-        cache: &TraceCache,
+        key: &TraceKey,
+        snapshot: &Snapshot<'_>,
         config: &SamplingConfig,
-        items: Vec<I>,
-        key_of: KeyFn,
-        trace_of: TraceFn,
-        tools_for: ToolsFn,
-        fingerprinter: FpFn,
-    ) -> Result<Vec<SampledOutcome<I, T>>, CacheError>
-    where
-        I: Send + Sync,
-        T: Pintool + Send,
-        FP: Fingerprinter,
-        KeyFn: Fn(&I) -> TraceKey + Sync,
-        TraceFn: Fn(&I) -> Result<SyntheticTrace, String> + Sync,
-        ToolsFn: Fn(&I) -> Vec<T> + Sync,
-        FpFn: Fn() -> FP + Sync,
-    {
-        let measured = self.executor.map(&items, |item| {
-            let _replay_span = telemetry::span("replay");
-            let key = key_of(item);
-            let owned = cache.snapshot(&key, || trace_of(item))?;
-            let snapshot = owned.snapshot();
-            let plan = self.plan_for(&key, config, &snapshot, &fingerprinter)?;
-            let mut set = ToolSet::from_tools(tools_for(item));
-            let replay = snapshot.replay_sampled(&mut set, &plan)?;
-            self.record(&set);
-            Ok::<_, CacheError>((set.into_inner(), replay, plan))
-        });
-        items
-            .into_iter()
-            .zip(measured)
-            .map(|(item, measured)| {
-                let (tools, replay, plan) = measured?;
-                Ok(SampledOutcome {
-                    item,
-                    tools,
-                    summary: replay.summary,
-                    delivered_instructions: replay.delivered_instructions,
-                    plan,
-                })
-            })
-            .collect()
+        tools: Vec<T>,
+        fingerprinter: impl FnOnce() -> FP,
+    ) -> Result<(Vec<T>, SampledReplay, Arc<SamplePlan>), CacheError> {
+        let _replay_span = telemetry::span("replay");
+        let plan = self.plan_for(key, config, snapshot, fingerprinter)?;
+        let mut set = ToolSet::from_tools(tools);
+        let replay = snapshot.replay_sampled(&mut set, &plan)?;
+        self.record(&set);
+        Ok((set.into_inner(), replay, plan))
     }
 
     /// This engine's replay and lane accounting as a printable
@@ -516,6 +485,23 @@ mod tests {
         }
     }
 
+    /// Samples `tiny_trace(budget, seed)` once through `engine`, its
+    /// snapshot served by `cache`.
+    fn sample(
+        engine: &SweepEngine,
+        cache: &TraceCache,
+        config: &SamplingConfig,
+        (seed, budget): (u64, u64),
+        tools: Vec<WeightedCount>,
+    ) -> (Vec<WeightedCount>, SampledReplay, Arc<SamplePlan>) {
+        let key = TraceKey::new(format!("w{seed}"), "t", seed, 0);
+        let owned = cache.snapshot(&key, || Ok(tiny_trace(budget, seed)));
+        let owned = owned.unwrap();
+        engine
+            .replay_sampled(&key, &owned.snapshot(), config, tools, ConstFp::default)
+            .unwrap()
+    }
+
     #[test]
     fn sweep_sampled_reproduces_totals_from_one_representative() {
         let cache = TraceCache::scratch().unwrap();
@@ -524,29 +510,25 @@ mod tests {
             .with_intervals(10)
             .with_k(2);
         let run = |engine: &SweepEngine| {
-            engine
-                .sweep_sampled(
-                    &cache,
-                    &config,
-                    vec![1u64, 2],
-                    |&i| TraceKey::new(format!("w{i}"), "t", i, 0),
-                    |&i| Ok(tiny_trace(2_000, i)),
-                    |_| vec![WeightedCount::default(); 2],
-                    ConstFp::default,
-                )
-                .unwrap()
+            [1u64, 2].map(|seed| {
+                let tools = vec![WeightedCount::default(); 2];
+                sample(engine, &cache, &config, (seed, 2_000), tools)
+            })
         };
         let cold = run(&engine);
-        for o in &cold {
-            assert_eq!(o.summary.instructions, 2_000, "full stream still decoded");
+        for (tools, replay, plan) in &cold {
+            assert_eq!(
+                replay.summary.instructions, 2_000,
+                "full stream still decoded"
+            );
             // Identical fingerprints: the pinned startup interval
             // (weight 1) plus one weight-9 cluster whose representative
             // is interval 1 — adjacent to the pin, so no warmup window.
-            assert_eq!(o.plan.clusters().len(), 2);
-            assert_eq!(o.plan.clusters()[0].weight, 1);
-            assert_eq!(o.plan.clusters()[1].weight, 9);
-            assert_eq!(o.delivered_instructions, 400);
-            for t in &o.tools {
+            assert_eq!(plan.clusters().len(), 2);
+            assert_eq!(plan.clusters()[0].weight, 1);
+            assert_eq!(plan.clusters()[1].weight, 9);
+            assert_eq!(replay.delivered_instructions, 400);
+            for t in tools {
                 assert_eq!(t.insts, 2_000, "weighted counts match the full replay");
                 assert_eq!(t.weight_calls, 2);
             }
@@ -560,9 +542,10 @@ mod tests {
             2,
             "warm sweep regenerates nothing"
         );
+        assert_eq!(engine.replays(), 4, "one replay per sampled item");
         for (a, b) in cold.iter().zip(&warm) {
-            assert_eq!(a.tools[0].insts, b.tools[0].insts);
-            assert!(Arc::ptr_eq(&a.plan, &b.plan), "plans come from the cache");
+            assert_eq!(a.0[0].insts, b.0[0].insts);
+            assert!(Arc::ptr_eq(&a.2, &b.2), "plans come from the cache");
         }
         std::fs::remove_dir_all(cache.dir()).unwrap();
     }
@@ -574,22 +557,13 @@ mod tests {
         let config = crate::SamplingConfig::default()
             .with_intervals(4)
             .with_k(64);
-        let out = engine
-            .sweep_sampled(
-                &cache,
-                &config,
-                vec![5u64],
-                |&i| TraceKey::new("w", "t", i, 0),
-                |&i| Ok(tiny_trace(1_000, i)),
-                |_| vec![WeightedCount::default()],
-                ConstFp::default,
-            )
-            .unwrap();
-        assert!(out[0].plan.is_full_replay());
-        assert_eq!(out[0].delivered_instructions, 1_000);
-        assert_eq!(out[0].tools[0].insts, 1_000);
+        let tools = vec![WeightedCount::default()];
+        let (tools, replay, plan) = sample(&engine, &cache, &config, (5, 1_000), tools);
+        assert!(plan.is_full_replay());
+        assert_eq!(replay.delivered_instructions, 1_000);
+        assert_eq!(tools[0].insts, 1_000);
         assert_eq!(
-            out[0].tools[0].weight_calls, 0,
+            tools[0].weight_calls, 0,
             "degenerate plans take the unsampled path"
         );
         std::fs::remove_dir_all(cache.dir()).unwrap();
@@ -611,24 +585,15 @@ mod tests {
         });
         assert!(engine.plans.is_poisoned());
         let run = || {
-            engine
-                .sweep_sampled(
-                    &cache,
-                    &config,
-                    vec![1u64],
-                    |&i| TraceKey::new(format!("w{i}"), "t", i, 0),
-                    |&i| Ok(tiny_trace(2_000, i)),
-                    |_| vec![WeightedCount::default()],
-                    ConstFp::default,
-                )
-                .unwrap()
+            let tools = vec![WeightedCount::default()];
+            sample(&engine, &cache, &config, (1, 2_000), tools)
         };
-        let cold = run();
-        let warm = run();
-        assert_eq!(cold[0].tools[0].insts, 2_000);
-        assert_eq!(warm[0].tools[0].insts, 2_000);
+        let (cold_tools, _, cold_plan) = run();
+        let (warm_tools, _, warm_plan) = run();
+        assert_eq!(cold_tools[0].insts, 2_000);
+        assert_eq!(warm_tools[0].insts, 2_000);
         assert!(
-            Arc::ptr_eq(&cold[0].plan, &warm[0].plan),
+            Arc::ptr_eq(&cold_plan, &warm_plan),
             "the poisoned cache still stores and serves plans"
         );
         std::fs::remove_dir_all(cache.dir()).unwrap();

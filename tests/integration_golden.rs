@@ -305,21 +305,13 @@ fn exhibits_dir() -> PathBuf {
 /// grid pass per variant: full replays, then phase-sampled replays
 /// (160 intervals into 8 clusters).
 fn render_fetchsim_exhibits() -> Vec<(String, String)> {
-    let mut sampled = Run::default();
-    sampled.sampling = Some(SamplingConfig::default().with_intervals(160).with_k(8));
+    let sampled = Run {
+        sampling: Some(SamplingConfig::default().with_intervals(160).with_k(8)),
+        ..Run::default()
+    };
     let mut rendered = dump_exhibits(&Run::default(), &["fetchsim"], "");
     rendered.extend(dump_exhibits(&sampled, &["fetchsim"], "_sampled"));
-    remove_scratch_cache(&sampled);
     rendered
-}
-
-/// Deletes the scratch trace cache a cache-less sampled run created.
-fn remove_scratch_cache(run: &Run) {
-    if run.cache.is_none() {
-        if let Ok(scratch) = run.sampling_cache() {
-            let _ = std::fs::remove_dir_all(scratch.dir());
-        }
-    }
 }
 
 /// The decoupled front-end design grid, pinned whole: every design
@@ -405,7 +397,6 @@ fn render_paper_exhibits(mut run: Run) -> Vec<(String, String)> {
     let mut rendered = dump_exhibits(&run, &["all"], "");
     run.fetch_model = FetchModelKind::Ftq;
     rendered.extend(dump_exhibits(&run, &FTQ_EXHIBITS, "_ftq"));
-    remove_scratch_cache(&run);
     let expected: BTreeSet<String> = PAPER_EXHIBIT_FILES
         .iter()
         .chain(&FTQ_EXHIBIT_FILES)
@@ -433,13 +424,15 @@ fn paper_exhibits_match_committed_fixtures_without_a_cache() {
 /// not change with the replay path.
 #[test]
 fn paper_exhibits_match_committed_fixtures_through_a_cache() {
-    let mut run = Run::default();
-    run.cache = Some(TraceCache::scratch().expect("scratch cache"));
-    check_fixtures(
-        &exhibits_dir(),
-        &render_paper_exhibits(run),
-        "paper exhibit(s)",
-    );
+    let cache = TraceCache::scratch().expect("scratch cache");
+    let dir = cache.dir().to_path_buf();
+    let run = Run {
+        cache: Some(cache),
+        ..Run::default()
+    };
+    let rendered = render_paper_exhibits(run);
+    let _ = std::fs::remove_dir_all(dir);
+    check_fixtures(&exhibits_dir(), &rendered, "paper exhibit(s)");
 }
 
 /// Which exhibits share a replay never changes an answer: each exhibit
@@ -447,18 +440,13 @@ fn paper_exhibits_match_committed_fixtures_through_a_cache() {
 /// stems hold after one `all` run.
 #[test]
 fn each_exhibit_alone_dumps_what_all_dumps() {
-    let npb = || {
-        let mut run = Run::default();
-        run.suite = Some(Suite::Npb);
-        run
+    let npb = || Run {
+        suite: Some(Suite::Npb),
+        ..Run::default()
     };
-    let together = npb();
-    let all = dump_exhibits(&together, &["all"], "");
-    remove_scratch_cache(&together);
+    let all = dump_exhibits(&npb(), &["all"], "");
     for exhibit in driver::EXHIBITS {
-        let alone = npb();
-        let dumps = dump_exhibits(&alone, &[exhibit], "");
-        remove_scratch_cache(&alone);
+        let dumps = dump_exhibits(&npb(), &[exhibit], "");
         assert!(!dumps.is_empty(), "{exhibit} dumped nothing");
         for (name, text) in dumps {
             let (_, expected) = all

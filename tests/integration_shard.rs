@@ -2,9 +2,9 @@
 //! threads hammer one cache with overlapping rosters — nothing
 //! corrupts, nothing is rejected, every distinct key is generated
 //! exactly once (single-flight), and the combined analysis results are
-//! byte-identical to a single-threaded pass. The cross-*process* half
-//! of the same guarantee is checked end to end by the CLI's
-//! `integration_shared_cache` test.
+//! byte-identical to a single-threaded pass. Across processes only the
+//! atomic commit holds (racing processes may each generate a key); the
+//! CLI's `integration_shared_cache` test checks that end to end.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier};

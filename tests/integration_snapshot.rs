@@ -222,8 +222,10 @@ fn cached_cmp_simulation_matches_live() {
         .into_iter()
         .map(CmpSim::new)
         .collect();
-    let mut run = Run::default();
-    run.cache = Some(TraceCache::scratch().unwrap());
+    let mut run = Run {
+        cache: Some(TraceCache::scratch().unwrap()),
+        ..Run::default()
+    };
     for model in [FetchModelKind::Penalty, FetchModelKind::Ftq] {
         run.fetch_model = model;
         let live = simulate_floorplans(&sims, &w, Scale::Smoke, model).unwrap();

@@ -303,22 +303,20 @@ proptest! {
         let key = TraceKey::new("phased", "test", 5, 0);
         let config = SamplingConfig::default().with_intervals(20).with_k(4);
         let sweep = || {
-            let outcomes = SweepEngine::new()
-                .sweep_sampled(
-                    &cache,
+            let owned = cache.snapshot(&key, || Ok(phased_trace())).expect("snapshot");
+            let (tools, replay, _) = SweepEngine::new()
+                .replay_sampled(
+                    &key,
+                    &owned.snapshot(),
                     &config,
-                    vec![()],
-                    |_| key.clone(),
-                    |_| Ok(phased_trace()),
-                    |_| vec![SampledLog::default()],
+                    vec![SampledLog::default()],
                     || BbvTool::new(config.dims),
                 )
-                .expect("sampled sweep");
-            let o = outcomes.into_iter().next().expect("one item");
+                .expect("sampled replay");
             (
-                o.tools.into_iter().next().expect("one tool").0,
-                o.summary,
-                o.delivered_instructions,
+                tools.into_iter().next().expect("one tool").0,
+                replay.summary,
+                replay.delivered_instructions,
             )
         };
         let cold = sweep();
