@@ -7,7 +7,7 @@ use rebalance_trace::{EventBatch, Pintool, TraceEvent};
 
 use crate::config::FetchConfig;
 use crate::report::FetchReport;
-use crate::stages::{serve, BlockStream, BranchUnit, LineCache, Redirect, Timing};
+use crate::stages::{serve, BlockStream, BranchUnit, LineCache, Timing};
 
 /// One line cache and the design points it feeds.
 #[derive(Debug, Clone)]
@@ -21,23 +21,24 @@ struct CacheNode {
 /// One block stream and everything downstream of it.
 #[derive(Debug, Clone)]
 struct StreamNode {
-    /// Which of the branch unit's predictors and BTBs cut this stream.
+    /// Which of the branch unit's predictors cuts this stream.
     predictor: usize,
-    btb: usize,
     stream: BlockStream,
     caches: Vec<CacheNode>,
 }
 
 impl StreamNode {
     /// Serves the open block (if any) to every cache and timing model
-    /// below this stream, then closes it.
-    fn close(&mut self, cause: Option<Redirect>) {
+    /// below this stream, then closes it. `branch` is the unit when the
+    /// block closed on a branch, so each timing model can price that
+    /// branch for its own BTB.
+    fn close(&mut self, branch: Option<&BranchUnit>) {
         for node in &mut self.caches {
             serve(
                 self.stream.block(),
                 &mut node.cache,
                 &mut node.timings,
-                cause,
+                branch.map(|unit| (unit, self.predictor)),
             );
         }
         self.stream.clear();
@@ -54,9 +55,14 @@ impl StreamNode {
 /// | stage | one per |
 /// |---|---|
 /// | branch unit | RAS; predictor per `predictor`, BTB per `btb` |
-/// | block stream | (predictor, BTB, `fetch_width`, `line_bytes`) |
+/// | block stream | (predictor, `fetch_width`, `line_bytes`) |
 /// | line cache | (block stream, `icache`, `prefetch_degree`) |
 /// | timing | design point |
+///
+/// The BTB is not part of the block-stream key: a BTB miss only
+/// redirects a taken branch, which closes its block anyway, so block
+/// edges and line-cache contents are the same for every BTB. Each
+/// timing model prices a block-closing branch for its own BTB.
 ///
 /// # Examples
 ///
@@ -118,14 +124,10 @@ impl FetchGrid {
             let predictor = index_of(&mut predictors, frontend.predictor);
             let btb = index_of(&mut btbs, frontend.btb);
             let line_bytes = frontend.icache.line_bytes;
-            let s = index_of(
-                &mut stream_keys,
-                (predictor, btb, ftq.fetch_width, line_bytes),
-            );
+            let s = index_of(&mut stream_keys, (predictor, ftq.fetch_width, line_bytes));
             if s == streams.len() {
                 streams.push(StreamNode {
                     predictor,
-                    btb,
                     stream: BlockStream::new(ftq.fetch_width, line_bytes),
                     caches: Vec::new(),
                 });
@@ -141,7 +143,7 @@ impl FetchGrid {
                 });
             }
             node.caches[c].designs.push(design);
-            node.caches[c].timings.push(Timing::new(ftq));
+            node.caches[c].timings.push(Timing::new(ftq, btb));
         }
         FetchGrid {
             configs: configs.to_vec(),
@@ -183,9 +185,23 @@ impl FetchGrid {
                 node.close(None);
             }
             let full = node.stream.push(ev);
-            let cause = taken.and_then(|_| self.branch.redirect(node.predictor, node.btb));
-            if taken == Some(true) || cause.is_some() || full {
-                node.close(cause);
+            let Some(taken) = taken else {
+                if full {
+                    node.close(None);
+                }
+                continue;
+            };
+            let redirected = taken || self.branch.mispredicted(node.predictor);
+            // The sharing is exact because a branch that neither is
+            // taken nor mispredicted costs nothing under any BTB.
+            debug_assert!(
+                redirected
+                    || (0..self.branch.shape().1)
+                        .all(|b| self.branch.redirect(node.predictor, b).is_none()),
+                "a block edge depends on the BTB"
+            );
+            if redirected || full {
+                node.close(Some(&self.branch));
             }
         }
     }
@@ -257,7 +273,9 @@ mod tests {
             }
         }
         let grid = FetchGrid::new(&configs);
-        assert_eq!(shape(&grid), (1, 2, 4, 8, 16));
+        // One stream per width, one line cache per (width, degree); the
+        // depth and BTB axes only split timing models.
+        assert_eq!(shape(&grid), (1, 2, 2, 4, 16));
         assert_eq!(grid.configs, configs);
     }
 
@@ -276,10 +294,20 @@ mod tests {
             ..base
         };
         let tailored = FetchConfig::for_core(CoreKind::Tailored);
-        let grid = FetchGrid::new(&[base, wide_lines, slow_ras, tailored, base]);
-        assert_eq!(shape(&grid), (2, 2, 3, 3, 5));
+        // The BTB splits neither a stream nor a line cache: only the
+        // timing models below them tell the two BTBs apart.
+        let small_btb = FetchConfig {
+            frontend: FrontendConfig {
+                btb: tailored.frontend.btb,
+                ..base.frontend
+            },
+            ..base
+        };
+        let grid = FetchGrid::new(&[base, wide_lines, slow_ras, tailored, base, small_btb]);
+        assert_eq!(shape(&grid), (2, 2, 3, 3, 6));
         let reports = grid.reports();
-        assert_eq!(reports.len(), 5);
+        assert_eq!(reports.len(), 6);
         assert_eq!(reports[4].config, base);
+        assert_eq!(reports[5].config, small_btb);
     }
 }

@@ -24,14 +24,15 @@
 //! [`Pintool`](rebalance_trace::Pintool). [`FetchGrid`] simulates a
 //! whole design grid (FTQ depth × fetch width × prefetch degree ×
 //! front-end) over **one** trace replay, and builds each stage that
-//! never reads a clock — branch unit, block stream, I-cache — once per
+//! never reads a clock — branch unit, block stream, line cache — once per
 //! distinct configuration rather than once per design point. Its
 //! reports are bit-identical to one `FetchSim` per point.
 //!
 //! # Examples
 //!
-//! Sweep four design points over one replay; the two BTB sizes share a
-//! predictor, and the two prefetch degrees share each block stream:
+//! Sweep four design points over one replay; all four share one block
+//! stream, and the two BTB sizes also share each prefetch degree's
+//! line cache:
 //!
 //! ```
 //! use rebalance_fetchsim::{FetchConfig, FetchGrid, FtqConfig};

@@ -8,7 +8,7 @@ use rebalance_trace::{EventBatch, Pintool, TraceEvent};
 
 use crate::config::FetchConfig;
 use crate::report::FetchReport;
-use crate::stages::{serve, BlockStream, BranchUnit, LineCache, Redirect, Timing};
+use crate::stages::{serve, BlockStream, BranchUnit, LineCache, Timing};
 
 /// The decoupled front-end simulator as a batched
 /// [`Pintool`](rebalance_trace::Pintool): attach it to a trace replay
@@ -56,7 +56,7 @@ impl FetchSim {
             branch: BranchUnit::new(&[frontend.predictor], &[frontend.btb]),
             stream: BlockStream::new(ftq.fetch_width, frontend.icache.line_bytes),
             cache: LineCache::new(frontend.icache, ftq.prefetch_degree),
-            timing: Timing::new(ftq),
+            timing: Timing::new(ftq, 0),
             config,
         }
     }
@@ -85,31 +85,31 @@ impl FetchSim {
     #[inline]
     fn step(&mut self, ev: &TraceEvent) {
         if self.stream.breaks_before(ev.section) {
-            self.close(None);
+            self.close(false);
         }
         let full = self.stream.push(ev);
         let Some(br) = ev.branch else {
             if full {
-                self.close(None);
+                self.close(false);
             }
             return;
         };
         let taken = br.outcome.is_taken();
         self.branch
             .resolve(ev.pc, ev.len, br.kind, taken, br.target);
-        let cause = self.branch.redirect(0, 0);
-        if taken || cause.is_some() || full {
-            self.close(cause);
+        if taken || self.branch.redirect(0, 0).is_some() || full {
+            self.close(true);
         }
     }
 
-    /// Serves the open block (if any) and closes it.
-    fn close(&mut self, cause: Option<Redirect>) {
+    /// Serves the open block (if any) and closes it; `on_branch` when
+    /// the branch just resolved closed it and so prices its redirect.
+    fn close(&mut self, on_branch: bool) {
         serve(
             self.stream.block(),
             &mut self.cache,
             slice::from_mut(&mut self.timing),
-            cause,
+            on_branch.then_some((&self.branch, 0)),
         );
         self.stream.clear();
     }
@@ -133,7 +133,7 @@ impl Pintool for FetchSim {
     /// Settles the open block so the window ends on a block edge, then
     /// scales the window's counters and fetch-clock delta by `weight`.
     fn on_sample_weight(&mut self, weight: u64) {
-        self.close(None);
+        self.close(false);
         self.timing.apply_sample_weight(weight);
     }
 

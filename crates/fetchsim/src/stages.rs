@@ -71,7 +71,6 @@
 //! category of exactly one section, which is the invariant
 //! [`FetchReport::check_attribution`] verifies.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use rebalance_frontend::predictor::DirectionPredictor;
@@ -193,9 +192,17 @@ impl BranchUnit {
     }
 
     /// `(predictors, btbs)` built.
-    #[cfg(test)]
     pub(crate) fn shape(&self) -> (usize, usize) {
         (self.predictors.len(), self.btbs.len())
+    }
+
+    /// Whether the last resolved branch redirects a front-end built
+    /// from predictor `predictor`, whatever its BTB. Only a taken
+    /// branch can miss in a BTB, and a taken branch closes its block
+    /// anyway, so where a block ends never depends on the BTB.
+    #[inline]
+    pub(crate) fn mispredicted(&self, predictor: usize) -> bool {
+        self.ras_miss || self.wrong_direction >> predictor & 1 != 0
     }
 
     /// What the last resolved branch costs a front-end built from
@@ -229,7 +236,9 @@ pub(crate) struct Block {
 }
 
 /// Stage 2: cuts the instruction stream into fetch blocks for one
-/// (predictor, BTB, fetch width, line size) combination.
+/// (predictor, fetch width, line size) combination. Block edges do not
+/// depend on the BTB (see [`BranchUnit::mispredicted`]), so every BTB
+/// shares the stream.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockStream {
     fetch_width: u64,
@@ -377,19 +386,23 @@ impl LineCache {
 }
 
 /// Serves a block through one line cache to every timing model that
-/// cache feeds (nothing when no block is open).
+/// cache feeds (nothing when no block is open). `branch` is the unit
+/// and predictor index when the block closed on a branch: each timing
+/// model prices it for its own BTB. Width-full closes, section switches
+/// and settles pass `None`.
 #[inline]
 pub(crate) fn serve(
     block: &Block,
     cache: &mut LineCache,
     timings: &mut [Timing],
-    cause: Option<Redirect>,
+    branch: Option<(&BranchUnit, usize)>,
 ) {
     if block.insts == 0 {
         return;
     }
     let (prefetches, fetches) = cache.fetch(&block.lines);
     for timing in timings {
+        let cause = branch.and_then(|(unit, predictor)| unit.redirect(predictor, timing.btb));
         timing.retire(block, prefetches, fetches, cause);
     }
 }
@@ -399,14 +412,20 @@ pub(crate) fn serve(
 #[derive(Debug, Clone)]
 pub(crate) struct Timing {
     ftq: FtqConfig,
+    /// The design's BTB: its index in the [`BranchUnit`].
+    btb: usize,
     sections: BySection<FetchStats>,
     /// When the BP unit enqueued the most recent block.
     bp_time: u64,
     /// When the fetch stage finished the most recent block.
     fetch_time: u64,
     /// Dequeue (fetch-start) times of the last `depth` blocks — the
-    /// FTQ occupancy window for back-pressure.
-    ring: VecDeque<u64>,
+    /// FTQ occupancy window for back-pressure — as a ring whose slot
+    /// `head` holds the oldest. Slots no block has filled yet read 0
+    /// (or a sampled-replay shift of it), which never exceeds the next
+    /// enqueue time, so they stand for "no back-pressure".
+    ring: Box<[u64]>,
+    head: usize,
     /// Mispredict-penalty cycles the next block may charge.
     carry_mispredict: u64,
     /// Resteer-penalty cycles the next block may charge.
@@ -422,13 +441,15 @@ pub(crate) struct Timing {
 }
 
 impl Timing {
-    pub(crate) fn new(ftq: FtqConfig) -> Self {
+    pub(crate) fn new(ftq: FtqConfig, btb: usize) -> Self {
         Timing {
             ftq,
+            btb,
             sections: BySection::default(),
             bp_time: 0,
             fetch_time: 0,
-            ring: VecDeque::with_capacity(ftq.depth),
+            ring: vec![0; ftq.depth].into_boxed_slice(),
+            head: 0,
             carry_mispredict: 0,
             carry_resteer: 0,
             mark_sections: BySection::default(),
@@ -461,12 +482,8 @@ impl Timing {
 
         // --- BP unit: enqueue (waits for a free FTQ slot). FDIP issues
         // the block's prefetches now, so they land `miss_latency` later.
-        let mut enq = self.bp_time + 1;
-        if self.ring.len() >= self.ftq.depth {
-            if let Some(&oldest_dequeue) = self.ring.front() {
-                enq = enq.max(oldest_dequeue);
-            }
-        }
+        let oldest_dequeue = self.ring.get(self.head).copied().unwrap_or(0);
+        let enq = (self.bp_time + 1).max(oldest_dequeue);
         self.bp_time = enq;
         let ready = enq + self.ftq.miss_latency;
 
@@ -483,9 +500,12 @@ impl Timing {
         self.carry_mispredict = 0;
         self.carry_resteer = 0;
 
-        self.ring.push_back(start);
-        if self.ring.len() > self.ftq.depth {
-            self.ring.pop_front();
+        if let Some(slot) = self.ring.get_mut(self.head) {
+            *slot = start;
+            self.head += 1;
+            if self.head == self.ring.len() {
+                self.head = 0;
+            }
         }
 
         // --- Service: one busy cycle per line, stall on exposed misses. ---
@@ -559,7 +579,7 @@ impl Timing {
             );
             let shift = self.fetch_time - old;
             self.bp_time += shift;
-            for t in &mut self.ring {
+            for t in self.ring.iter_mut() {
                 *t += shift;
             }
         }

@@ -236,10 +236,12 @@ fn ftq_backend_cross_validates_against_the_penalty_backend() {
 }
 
 /// A grid where every stage has more than one group: two predictors,
-/// two BTBs (crossed, so a predictor feeds both), 64 B and 128 B lines,
-/// two widths, three prefetch degrees, several RAS penalties, and two
-/// design points that differ only in latencies (one line cache, two
-/// timing models).
+/// three BTBs (crossed, so a predictor feeds several), 64 B and 128 B
+/// lines, two widths, three prefetch degrees, several RAS penalties,
+/// and two design points that differ only in latencies (one line
+/// cache, two timing models). The 16-entry direct-mapped BTB misses
+/// often, so resteers and indirect-target misses are frequent on the
+/// block streams every BTB shares.
 fn mixed_grid() -> Vec<FetchConfig> {
     let baseline = FrontendConfig::baseline();
     let tailored = FrontendConfig::tailored();
@@ -247,12 +249,16 @@ fn mixed_grid() -> Vec<FetchConfig> {
         btb: tailored.btb,
         ..baseline
     };
+    let tiny_btb = FrontendConfig {
+        btb: BtbConfig::new(16, 1),
+        ..baseline
+    };
     let wide_lines = FrontendConfig {
         icache: tailored.icache,
         ..baseline
     };
     let mut grid = Vec::new();
-    for frontend in [baseline, tailored, small_btb, wide_lines] {
+    for frontend in [baseline, tailored, small_btb, tiny_btb, wide_lines] {
         for (depth, width, degree, ras) in [(16, 4, 4, 12), (4, 4, 0, 20), (16, 2, 2, 6)] {
             grid.push(FetchConfig::new(
                 frontend,
