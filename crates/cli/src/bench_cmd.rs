@@ -5,12 +5,13 @@
 //!
 //! * **the oracle's cost** — per-event delivery, the reference every
 //!   batched loop is checked against, timed against batched delivery
-//!   for two fan-outs: the nine-predictor sweep (`warm_sweep`),
-//!   dominated by TAGE table compute both sides pay, and the
+//!   for two fan-outs: the nine-predictor sweep (`warm_sweep`: nine solo
+//!   `PredictorSim`s per event against the predictor bank a sweep runs,
+//!   batched), dominated by TAGE table compute, and the
 //!   branch-profiling pintools (mix, direction, bias) composed as
 //!   `ToolSet<Box<dyn Pintool>>` (`pintools`), the delivery-bound case
 //!   where per-event delivery pays three virtual calls per instruction;
-//! * **the telemetry gate** — the batched nine-predictor sweep with
+//! * **the telemetry gate** — the sweep's batched predictor bank with
 //!   collection off and on, paired one workload at a time. The command
 //!   fails if the median per-pair overhead exceeds
 //!   [`TELEMETRY_OVERHEAD_BUDGET_PCT`], which bounds disabled-mode
@@ -27,14 +28,15 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use rebalance_experiments::util::{f2, TextTable};
-use rebalance_frontend::predictor::{DirectionPredictor, PredictorSim};
+use rebalance_frontend::predictor::{DirectionPredictor, PredictorBank, PredictorSim};
 use rebalance_frontend::PredictorChoice;
 use rebalance_pintools::{BranchBiasTool, BranchMixTool, DirectionTool};
 use rebalance_telemetry as telemetry;
-use rebalance_trace::{snapshot, Pintool, Snapshot, ToolSet, DEFAULT_BATCH_CAPACITY};
+use rebalance_trace::{snapshot, Pintool, Snapshot, Timed, ToolSet, DEFAULT_BATCH_CAPACITY};
 use serde::Serialize;
 
 use crate::args;
+use crate::sweep_cmd::predictor_bank;
 
 /// Workloads measured when no selection is given: six spanning the four
 /// paper suites.
@@ -228,22 +230,32 @@ fn replay_all<T: Pintool>(
     Ok(())
 }
 
-/// The oracle's cost for one fan-out: per-event (A) against batched (B)
-/// delivery of the `insts` events in `snaps`, each pass over one fresh
-/// tool per snapshot from `fresh`.
-fn oracle_rows<T: Pintool>(
+/// The oracle's cost for one fan-out: per-event delivery (A) to one
+/// fresh `per_event` tool per snapshot against batched delivery (B) to
+/// one fresh `batched` tool per snapshot, over the `insts` events in
+/// `snaps`.
+fn oracle_rows<A: Pintool, B: Pintool>(
     group: &'static str,
     snaps: &[(String, Snapshot<'_>)],
     insts: u64,
-    fresh: impl Fn(usize) -> Vec<T>,
+    per_event: impl Fn(usize) -> Vec<A>,
+    batched: impl Fn(usize) -> Vec<B>,
 ) -> Result<[Row; 3], String> {
-    let pass = |batched| {
-        timed(
-            || fresh(snaps.len()),
-            |tools| replay_all(snaps, tools, batched),
-        )
-    };
-    let pairs = pairs(MIN_MEASURE_S, || pass(false), || pass(true))?;
+    let pairs = pairs(
+        MIN_MEASURE_S,
+        || {
+            timed(
+                || per_event(snaps.len()),
+                |tools| replay_all(snaps, tools, false),
+            )
+        },
+        || {
+            timed(
+                || batched(snaps.len()),
+                |tools| replay_all(snaps, tools, true),
+            )
+        },
+    )?;
     let melem_per_s = |side: fn(&(f64, f64)) -> f64| -> Vec<f64> {
         pairs.iter().map(|p| insts as f64 / side(p) / 1e6).collect()
     };
@@ -305,6 +317,9 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
             .map(|_| ToolSet::from_tools(PredictorChoice::build_sims(&configs)))
             .collect()
     };
+    let fresh_banks = |count: usize| -> Vec<Timed<PredictorBank>> {
+        (0..count).map(|_| predictor_bank(&configs)).collect()
+    };
     let fresh_pintools = |count: usize| -> Vec<ToolSet<Box<dyn Pintool>>> {
         (0..count)
             .map(|_| {
@@ -317,19 +332,31 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
             .collect()
     };
     let mut rows = Vec::new();
-    rows.extend(oracle_rows("warm_sweep", &snaps, insts, fresh_sims)?);
-    rows.extend(oracle_rows("pintools", &snaps, insts, fresh_pintools)?);
+    rows.extend(oracle_rows(
+        "warm_sweep",
+        &snaps,
+        insts,
+        fresh_sims,
+        fresh_banks,
+    )?);
+    rows.extend(oracle_rows(
+        "pintools",
+        &snaps,
+        insts,
+        fresh_pintools,
+        fresh_pintools,
+    )?);
 
     // Telemetry overhead: collection off (A) against on (B) over the
-    // batched sweep, paired one workload at a time so the two sides of a
-    // pair run milliseconds apart.
+    // sweep's batched predictor bank, paired one workload at a time so
+    // the two sides of a pair run milliseconds apart.
     let was_enabled = telemetry::enabled();
     let min_secs = GATE_MEASURE_S / snaps.len() as f64;
     let on_off: Result<Vec<Vec<(f64, f64)>>, String> = (snaps.chunks(1))
         .map(|one| {
             let pass = |enabled| {
                 telemetry::set_enabled(enabled);
-                timed(|| fresh_sims(1), |sims| replay_all(one, sims, true))
+                timed(|| fresh_banks(1), |banks| replay_all(one, banks, true))
             };
             pairs(min_secs, || pass(false), || pass(true))
         })

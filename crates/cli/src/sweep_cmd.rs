@@ -1,5 +1,6 @@
 //! `rebalance sweep` — the nine-configuration predictor sweep, replays
-//! served from the trace cache.
+//! served from the trace cache, the nine configurations measured by one
+//! predictor bank.
 //!
 //! The command is split into a *compute* half (replay the selection,
 //! reduce to plain per-workload rows) and a *render* half (tables and
@@ -10,7 +11,9 @@ use std::process::ExitCode;
 
 use rebalance_coresim::{CoreModel, FetchModelKind};
 use rebalance_experiments::util::{self, f2, Run, RunError, TextTable};
+use rebalance_frontend::predictor::PredictorBank;
 use rebalance_frontend::{CoreKind, PredictorChoice};
+use rebalance_trace::Timed;
 use rebalance_workloads::{Suite, Workload};
 use serde::Serialize;
 
@@ -40,6 +43,17 @@ struct SweepRows {
     cpi: Option<Vec<CpiJsonRow>>,
 }
 
+/// The predictor tool of one sweep replay: `configs` as one
+/// [`PredictorBank`], which runs each distinct base predictor once per
+/// branch. With telemetry on, its `on_batch` time lands on one counter,
+/// `tool.predictors.on_batch_ns`, not on one per configuration: timing
+/// each base inside the bank would take two clock reads per branch and
+/// base, which costs more than the sharing saves. `Timed` derefs to the
+/// bank, so `.reports()` reads through it.
+pub(crate) fn predictor_bank(configs: &[PredictorChoice]) -> Timed<PredictorBank> {
+    Timed::new("predictors", PredictorBank::new(configs))
+}
+
 /// Replays the selection and reduces it to per-workload rows; with
 /// `model`, a second shared replay per workload measures both paper
 /// cores' CPI through the chosen timing backend.
@@ -50,23 +64,17 @@ fn compute(
     model: Option<FetchModelKind>,
 ) -> Result<SweepRows, RunError> {
     let configs = PredictorChoice::figure5_set();
-    // Each predictor sim is wrapped in `Timed`, so with telemetry on,
-    // every config's `on_batch` time lands on its own
-    // `tool.<label>.on_batch_ns` counter. `Timed` derefs to the sim,
-    // so `.report()` below is unchanged.
     let rows = run
         .sweep_weighted(workloads.to_vec(), scale, |_| {
-            PredictorChoice::build_sims(&configs)
-                .into_iter()
-                .zip(&configs)
-                .map(|(sim, choice)| rebalance_trace::Timed::new(&choice.label(), sim))
-                .collect()
+            vec![predictor_bank(&configs)]
         })?
         .iter()
         .map(|o| SweepJsonRow {
             workload: o.item.name().to_owned(),
             suite: o.item.suite(),
-            mpki: o.tools.iter().map(|s| s.report().total().mpki()).collect(),
+            mpki: (o.tools[0].reports().iter())
+                .map(|r| r.total().mpki())
+                .collect(),
         })
         .collect();
     Ok(SweepRows {

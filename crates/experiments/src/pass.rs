@@ -7,7 +7,7 @@
 use rebalance_coresim::FetchTools;
 use rebalance_coresim::{floorplan_models, floorplan_results, CmpResult, CoreModel, CoreTiming};
 use rebalance_fetchsim::FetchGrid;
-use rebalance_frontend::predictor::{DirectionPredictor, PredictorReport, PredictorSim};
+use rebalance_frontend::predictor::{PredictorBank, PredictorReport};
 use rebalance_frontend::{
     BtbReport, BtbSim, CacheConfig, ICacheReport, ICacheSim, PredictorChoice,
 };
@@ -26,7 +26,7 @@ use crate::{caches, cmp, sampling};
 pub enum Need {
     /// The five characterization pintools and the static footprint.
     Characterization,
-    /// The nine Figure 5 predictor configurations.
+    /// The nine Figure 5 predictor configurations, as one predictor bank.
     Predictors,
     /// The nine Figure 7 BTB geometries.
     Btbs,
@@ -114,11 +114,12 @@ pub fn suite_means(records: &[&Record], value: impl Fn(&Record) -> f64) -> [f64;
 }
 
 /// Every tool family one replay feeds, as one fan-out tool:
-/// characterization, predictors, BTBs, I-caches, the [`core_models`]
-/// and the fetch grid. A family the replay does not need stays empty.
+/// characterization, the predictor bank, BTBs, I-caches, the
+/// [`core_models`] and the fetch grid. A family the replay does not
+/// need stays empty.
 type Tools = (
     ToolSet<CharacterizationTools>,
-    ToolSet<PredictorSim<Box<dyn DirectionPredictor>>>,
+    ToolSet<PredictorBank>,
     ToolSet<BtbSim>,
     ToolSet<ICacheSim>,
     ToolSet<FetchTools>,
@@ -179,7 +180,7 @@ fn tools(needs: &[Need], run: &Run, sampled: bool) -> Tools {
             || vec![characterization_tools()],
         ),
         family(on(Need::Predictors), || {
-            PredictorChoice::build_sims(&PredictorChoice::figure5_set())
+            vec![PredictorBank::new(&PredictorChoice::figure5_set())]
         }),
         family(on(Need::Btbs), || {
             caches::fig7_configs()
@@ -299,7 +300,7 @@ fn measure_one(
         record.characterization = (characterization.into_inner().pop())
             .zip(static_bytes)
             .map(|(tools, bytes)| characterization_from_tools(tools, bytes, replay.summary));
-        record.predictors = predictors.iter().map(PredictorSim::report).collect();
+        record.predictors = predictors.iter().flat_map(PredictorBank::reports).collect();
         record.btbs = btbs.iter().map(BtbSim::report).collect();
         record.icaches = icaches.iter().map(ICacheSim::report).collect();
         let (models, cores) = (core_models(needs, run, false), cores.into_inner());

@@ -125,8 +125,10 @@ impl PredictorChoice {
         }
     }
 
-    /// Fresh measurement sims for a set of configurations — the
-    /// fan-out tool set for a single-pass sweep, in `choices` order.
+    /// Fresh measurement sims for a set of configurations, one of each,
+    /// in `choices` order: the reference that a
+    /// [`PredictorBank`](crate::predictor::PredictorBank) over the same
+    /// choices must match report for report.
     pub fn build_sims(
         choices: &[PredictorChoice],
     ) -> Vec<PredictorSim<Box<dyn DirectionPredictor>>> {

@@ -8,6 +8,19 @@ use super::DirectionPredictor;
 const CONFIDENT: u8 = 3;
 /// Trip counts above this are treated as "not a countable loop".
 const MAX_TRIP: u16 = u16::MAX - 1;
+/// Entries of the paper's loop predictor (Section IV-A).
+pub(crate) const PAPER_LOOP_ENTRIES: usize = 64;
+
+/// Display name of `base` with a loop predictor on top.
+pub(crate) fn with_loop_name(base: &str) -> &'static str {
+    match base {
+        "gshare" => "L-gshare",
+        "tournament" => "L-tournament",
+        "tage" => "L-tage",
+        "bimodal" => "L-bimodal",
+        _ => "L-base",
+    }
+}
 
 #[derive(Debug, Clone, Copy, Default)]
 struct LoopEntry {
@@ -152,7 +165,7 @@ pub struct WithLoop<P> {
 impl<P: DirectionPredictor> WithLoop<P> {
     /// Wraps `base` with the paper's 64-entry LBP.
     pub fn new(base: P) -> Self {
-        Self::with_entries(base, 64)
+        Self::with_entries(base, PAPER_LOOP_ENTRIES)
     }
 
     /// Wraps `base` with an LBP of the given entry count (for the
@@ -207,13 +220,7 @@ impl<P: DirectionPredictor> DirectionPredictor for WithLoop<P> {
     }
 
     fn name(&self) -> &'static str {
-        match self.base.name() {
-            "gshare" => "L-gshare",
-            "tournament" => "L-tournament",
-            "tage" => "L-tage",
-            "bimodal" => "L-bimodal",
-            _ => "L-base",
-        }
+        with_loop_name(self.base.name())
     }
 }
 
@@ -294,6 +301,75 @@ mod tests {
         }
         assert!(plain_miss >= 40, "bimodal misses every exit: {plain_miss}");
         assert_eq!(hybrid_miss, 0, "LBP eliminates exit misses");
+    }
+
+    /// Drives `WithLoop::new(plain)` and `plain` over one loop-heavy
+    /// stream (three counted loops, one loop whose trip count drifts,
+    /// noisy data-dependent branches) and checks that after every step
+    /// both bases predict alike at every probed PC. Returns how many
+    /// steps the loop predictor overrode the base.
+    fn bases_stay_in_lockstep<P: DirectionPredictor + Clone>(plain: P) -> usize {
+        let mut hybrid = WithLoop::new(plain.clone());
+        let mut plain = plain;
+        // Distinct loop-predictor slots, so no entry evicts another.
+        let loops = [(0x402u64, 7usize), (0x486, 12), (0x50a, 3)];
+        let (drifting, noisy) = (0x58eu64, [0x610u64, 0x654, 0x6d8]);
+        let probes: Vec<Addr> = (loops.iter().map(|l| l.0))
+            .chain(std::iter::once(drifting))
+            .chain(noisy)
+            .chain([0x700, 0x1234])
+            .map(Addr::new)
+            .collect();
+        let mut stream = Vec::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for round in 0..60usize {
+            for &(pc, trip) in &loops {
+                for i in 0..=trip {
+                    stream.push((pc, i != trip));
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    stream.push((noisy[(x % 3) as usize], x & 4 != 0));
+                }
+            }
+            for i in 0..=(4 + round % 3) {
+                stream.push((drifting, i != 4 + round % 3));
+            }
+        }
+        let mut overrides = 0;
+        for (step, &(pc, taken)) in stream.iter().enumerate() {
+            let pc = Addr::new(pc);
+            if hybrid.lbp.confident_prediction(pc).is_some() {
+                overrides += 1;
+            }
+            hybrid.observe(pc, taken);
+            plain.observe(pc, taken);
+            for &probe in &probes {
+                assert_eq!(
+                    hybrid.base.predict(probe),
+                    plain.predict(probe),
+                    "{}: step {step}, probe {probe:?}",
+                    plain.name()
+                );
+            }
+        }
+        overrides
+    }
+
+    /// The premise a predictor bank rests on: the base inside `L-X`
+    /// goes through exactly the states of a plain `X`, including on the
+    /// steps where the loop predictor is confident and `observe` trains
+    /// the base through `update` alone.
+    #[test]
+    fn a_loop_predictor_never_changes_its_base_trajectory() {
+        use crate::predictor::{Gshare, Tage, TageConfig, Tournament};
+        for overrides in [
+            bases_stay_in_lockstep(Gshare::new(13)),
+            bases_stay_in_lockstep(Tournament::new(10, 8)),
+            bases_stay_in_lockstep(Tage::new(TageConfig::small())),
+        ] {
+            assert!(overrides > 1000, "the LBP became confident: {overrides}");
+        }
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! All predictors implement [`DirectionPredictor`]; wrap one in
 //! [`PredictorSim`] to measure branch MPKI (Figure 5) and the
 //! not-taken / taken-backward / taken-forward misprediction breakdown
-//! (Figure 6) over a trace.
+//! (Figure 6) over a trace. [`PredictorBank`] measures a whole set of
+//! configurations in one pass, running each distinct base once.
 
+mod bank;
 mod bimodal;
 mod gshare;
 mod loop_pred;
@@ -12,6 +14,7 @@ mod sim;
 mod tage;
 mod tournament;
 
+pub use bank::PredictorBank;
 pub use bimodal::Bimodal;
 pub use gshare::Gshare;
 pub use loop_pred::{LoopPredictor, WithLoop};

@@ -16,7 +16,7 @@
 //! Two primitives:
 //!
 //! * **Counters** — [`Counter`] handles addressable by stable dotted
-//!   names (`tool.gshare-big.on_batch_calls`). Handles are cheap `Arc`s
+//!   names (`tool.predictors.on_batch_calls`). Handles are cheap `Arc`s
 //!   over atomics; call sites cache them so the hot path is a single
 //!   relaxed atomic op.
 //! * **Spans** — [`span`] returns an RAII guard over a monotonic clock.
@@ -32,7 +32,7 @@
 //! [`enabled`] check (a relaxed atomic load) and a branch.
 //!
 //! Naming scheme: dotted lowercase segments, most-general first
-//! (`tool.gshare-big.on_batch_ns`). Metrics whose *value* is a duration
+//! (`tool.predictors.on_batch_ns`). Metrics whose *value* is a duration
 //! carry a `_ns` suffix; run-to-run comparisons treat those as
 //! machine-dependent and compare them structurally, never by value.
 //!

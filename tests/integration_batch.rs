@@ -7,12 +7,13 @@
 //!    batch edges exactly on phase boundaries;
 //! 2. batched snapshot decode is bit-identical to per-event decode;
 //! 3. every hot tool's `on_batch` override produces exactly the
-//!    results of its per-event path, live and from a snapshot.
+//!    results of its per-event path, live and from a snapshot, and the
+//!    predictor bank reports exactly what nine solo predictor sims do.
 //!
 //! Capacity 1 — every position a batch edge — is pinned explicitly in
 //! each check, next to the default.
 
-use rebalance::frontend::predictor::{DirectionPredictor, PredictorSim};
+use rebalance::frontend::predictor::{DirectionPredictor, PredictorBank, PredictorSim};
 use rebalance::frontend::{BtbConfig, BtbSim, CacheConfig, ICacheSim, PredictorChoice};
 use rebalance::pintools::{characterization_from_tools, characterization_tools, BbvTool};
 use rebalance::trace::sampling::Fingerprinter;
@@ -128,7 +129,9 @@ fn batched_snapshot_decode_is_bit_identical_to_per_event_decode() {
 
 /// Every hot front-end tool, the characterization set and the BBV
 /// fingerprint, batched vs per-event, live and snapshot-decoded at
-/// capacities 1, 7 and the default: reports must be equal.
+/// capacities 1, 7 and the default: reports must be equal. The
+/// predictor bank rides along and must match the nine solo sims per
+/// event, so it matches them under every delivery.
 #[test]
 fn hot_tool_on_batch_overrides_match_per_event_results() {
     let trace = smoke_trace("FT");
@@ -143,6 +146,7 @@ fn hot_tool_on_batch_overrides_match_per_event_results() {
     // the requested mode. Returns comparable report values.
     type Measured = (
         Vec<rebalance::frontend::predictor::PredictorReport>,
+        Vec<rebalance::frontend::predictor::PredictorReport>,
         rebalance::frontend::BtbReport,
         rebalance::frontend::ICacheReport,
         rebalance::Characterization,
@@ -150,6 +154,7 @@ fn hot_tool_on_batch_overrides_match_per_event_results() {
     );
     let measure = |mode: &str, cap: usize| -> Measured {
         let mut preds = predictor_sims();
+        let mut bank = PredictorBank::new(&PredictorChoice::figure5_set());
         let mut btb = BtbSim::new(BtbConfig::new(512, 4));
         let mut icache = ICacheSim::new(CacheConfig::new(16 * 1024, 64, 4));
         let mut chars = characterization_tools();
@@ -157,7 +162,13 @@ fn hot_tool_on_batch_overrides_match_per_event_results() {
         let mut bbv = BbvTool::new(32);
         bbv.set_interval_insts(997);
         {
-            let mut tools = (&mut preds, &mut btb, &mut icache, &mut chars, &mut bbv);
+            let mut tools = (
+                (&mut preds, &mut bank),
+                &mut btb,
+                &mut icache,
+                &mut chars,
+                &mut bbv,
+            );
             match mode {
                 "per-event" => {
                     trace.replay_per_event(&mut tools);
@@ -175,6 +186,7 @@ fn hot_tool_on_batch_overrides_match_per_event_results() {
         }
         (
             preds.iter().map(|s| s.report()).collect(),
+            bank.reports(),
             btb.report(),
             icache.report(),
             characterization_from_tools(chars, static_bytes, Default::default()),
@@ -187,6 +199,7 @@ fn hot_tool_on_batch_overrides_match_per_event_results() {
     };
 
     let baseline = measure("per-event", 0);
+    assert_eq!(baseline.1, baseline.0, "bank vs nine solo sims");
     for cap in [1usize, 7, DEFAULT_BATCH_CAPACITY] {
         for mode in ["batched", "snapshot"] {
             assert_eq!(

@@ -6,11 +6,14 @@
 //! 2. a cache-warm sweep performs **zero trace generations** (asserted
 //!    via the cache's hit/miss/generation accounting) while producing
 //!    results identical to an uncached sweep, at batch capacities 1, 7
-//!    and the default, and
+//!    and the default (and a predictor bank fed the cached snapshot
+//!    reports what the nine solo sims report live), and
 //! 3. the cached CMP and characterization paths match their live
 //!    counterparts exactly.
 
-use rebalance::frontend::predictor::{DirectionPredictor, PredictorReport, PredictorSim};
+use rebalance::frontend::predictor::{
+    DirectionPredictor, PredictorBank, PredictorReport, PredictorSim,
+};
 use rebalance::frontend::PredictorChoice;
 use rebalance::pintools::{characterization_from_tools, characterization_tools, characterize};
 use rebalance::trace::{
@@ -134,12 +137,16 @@ fn cache_warm_sweep_performs_zero_generations() {
     assert!(report.to_string().contains("hits"));
 
     // Live and cached replays still agree when every event is its own
-    // batch, and at a capacity that puts batch edges mid-block.
+    // batch, and at a capacity that puts batch edges mid-block; so does
+    // the predictor bank a sweep runs, against the solo sims.
     for cap in [1usize, 7, DEFAULT_BATCH_CAPACITY] {
         for (w, expected) in ws.iter().zip(&live) {
             let owned = cache
                 .snapshot(&w.trace_key(scale), || w.trace(scale))
                 .expect("warm snapshot");
+            let mut bank = PredictorBank::new(&PredictorChoice::figure5_set());
+            owned.snapshot().replay_batched(&mut bank, cap).unwrap();
+            assert_eq!(&bank.reports(), expected, "{}: bank, cap {cap}", w.name());
             let mut decoded = ToolSet::from_tools(predictor_sims());
             owned.snapshot().replay_batched(&mut decoded, cap).unwrap();
             let mut replayed = ToolSet::from_tools(predictor_sims());

@@ -14,12 +14,17 @@
 //!    way — even when boundaries land exactly on batch edges, and
 //! 4. `ICacheSim`'s line-buffer `on_batch` loop matches its per-event
 //!    path on streams with real fetch locality, which arbitrary pcs
-//!    never have.
+//!    never have, and
+//! 5. a `PredictorBank` over the nine Figure 5 configurations reports
+//!    exactly what nine solo `PredictorSim`s report, per event and
+//!    batched, on loop-shaped streams where the loop predictor becomes
+//!    confident and overrides its base.
 
 use proptest::prelude::*;
 
+use rebalance::frontend::predictor::{PredictorBank, PredictorReport};
 use rebalance::frontend::{BtbConfig, BtbSim, CacheConfig, ICacheSim, PredictorChoice};
-use rebalance::isa::{Addr, InstClass, Outcome};
+use rebalance::isa::{Addr, BranchKind, InstClass, Outcome};
 use rebalance::pintools::{BasicBlockTool, BbvTool, BranchBiasTool, BranchMixTool, DirectionTool};
 use rebalance::trace::sampling::Fingerprinter;
 use rebalance::trace::snapshot::KIND_TABLE;
@@ -228,6 +233,83 @@ fn local_stream(steps: &[LocalStep]) -> Stream {
     stream
 }
 
+/// One drawn loop execution: `(loop, trip drift when 0, drawn trip,
+/// body length, noisy branch when nonzero, section switch when 0)`.
+type LoopStep = (u8, u8, u8, u8, u8, u8);
+
+fn loop_steps(max: usize) -> impl Strategy<Value = Vec<LoopStep>> {
+    proptest::collection::vec((0u8..6, 0u8..6, 1u8..12, 0u8..3, 0u8..6, 0u8..10), 0..max)
+}
+
+/// The backward loop branches of a loop-shaped stream and their usual
+/// trip counts, two of them longer than any small base's history. The
+/// last one shares the first one's loop-predictor slot under another
+/// tag, so the two evict each other.
+const LOOPS: [(u64, u8); 6] = [
+    (0x1000, 4),
+    (0x1016, 17),
+    (0x102c, 2),
+    (0x1042, 9),
+    (0x1058, 40),
+    (0x1080, 3),
+];
+
+fn cond(pc: u64, target: u64, taken: bool, section: Section) -> TraceEvent {
+    TraceEvent {
+        pc: Addr::new(pc),
+        len: 4,
+        class: InstClass::Branch(BranchKind::CondDirect),
+        branch: Some(BranchEvent {
+            kind: BranchKind::CondDirect,
+            outcome: Outcome::from_taken(taken),
+            target: Some(Addr::new(target)),
+        }),
+        section,
+    }
+}
+
+/// A loop-heavy stream: each step runs one execution of one of
+/// [`LOOPS`], taken `trip` times and then not taken, where `trip` is
+/// the loop's usual count unless the step drifts it. Each iteration
+/// body holds plain instructions and, when drawn, a forward branch
+/// whose direction flips with the iteration and the step.
+fn loop_stream(steps: &[LoopStep]) -> Stream {
+    let mut section = Section::Serial;
+    let mut stream = Vec::new();
+    for (n, &(which, drift, drawn, body, noisy, switch)) in steps.iter().enumerate() {
+        let (pc, usual) = LOOPS[usize::from(which)];
+        let trip = if drift == 0 { drawn } else { usual };
+        let mut boundary = switch == 0;
+        if boundary {
+            section = match section {
+                Section::Serial => Section::Parallel,
+                Section::Parallel => Section::Serial,
+            };
+        }
+        let top = pc - 0x10;
+        for i in 0..=trip {
+            let mut events = (0..u64::from(body)).map(|j| TraceEvent {
+                pc: Addr::new(top + 4 * j),
+                len: 4,
+                class: InstClass::Other,
+                branch: None,
+                section,
+            });
+            let mut body_events: Vec<TraceEvent> = events.by_ref().collect();
+            if noisy != 0 {
+                let at = 0x4000 + 0x22 * u64::from(noisy);
+                let taken = (usize::from(i) + n) % usize::from(noisy + 1) == 0;
+                body_events.push(cond(at, at + 0x20, taken, section));
+            }
+            body_events.push(cond(pc, top, i < trip, section));
+            for ev in body_events {
+                stream.push((ev, std::mem::take(&mut boundary)));
+            }
+        }
+    }
+    stream
+}
+
 /// I-cache geometries for the line-buffer check, `(size, line, assoc,
 /// next-line prefetch)`. The first holds one line, so every prefetch
 /// evicts the line being fetched from.
@@ -400,5 +482,64 @@ proptest! {
                 &label
             );
         }
+    }
+}
+
+/// The reports of the nine solo Figure 5 sims fed `stream` per event:
+/// the oracle a predictor bank must match.
+fn solo_reports(stream: &[(TraceEvent, bool)]) -> Vec<PredictorReport> {
+    let choices = PredictorChoice::figure5_set();
+    let mut solo = ToolSet::from_tools(PredictorChoice::build_sims(&choices));
+    deliver_per_event(stream, &mut solo);
+    solo.iter().map(|s| s.report()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Bank against solo: a `PredictorBank` runs each small base once
+    /// for both `X-small` and `L-X-small` and lays one loop predictor
+    /// over it, yet every one of its nine reports equals the solo
+    /// `PredictorSim`'s, fed per event or batched at any small
+    /// capacity, with section switches anywhere.
+    #[test]
+    fn predictor_bank_matches_nine_solo_sims_on_loop_streams(
+        steps in loop_steps(40),
+        capacity in 1usize..=10,
+    ) {
+        let stream = loop_stream(&steps);
+        let expected = solo_reports(&stream);
+        let choices = PredictorChoice::figure5_set();
+        let mut per_event = PredictorBank::new(&choices);
+        deliver_per_event(&stream, &mut per_event);
+        prop_assert_eq!(per_event.reports(), expected.clone(), "per event");
+        let mut batched = PredictorBank::new(&choices);
+        deliver_batched(&stream, capacity, &mut batched);
+        prop_assert_eq!(batched.reports(), expected, "batched");
+    }
+}
+
+/// The loop-shaped streams reach the bank's override path: on a stream
+/// of steady loops each `L-X-small` mispredicts less than its
+/// `X-small`, which only the loop predictor's confident predictions
+/// can cause, since the two share one base.
+#[test]
+fn loop_streams_make_the_loop_predictor_override_its_base() {
+    let steps: Vec<LoopStep> = (0..120u8).map(|n| (n % 6, 1, 1, 1, n % 3, 1)).collect();
+    let stream = loop_stream(&steps);
+    let mut bank = PredictorBank::new(&PredictorChoice::figure5_set());
+    deliver_batched(&stream, 7, &mut bank);
+    let reports = bank.reports();
+    assert_eq!(reports, solo_reports(&stream));
+    for (plain, looped) in reports[3..6].iter().zip(&reports[6..]) {
+        let misses = |r: &PredictorReport| r.total().breakdown.total();
+        assert!(
+            misses(looped) < misses(plain),
+            "{}: {} vs {}: {}",
+            looped.name,
+            misses(looped),
+            plain.name,
+            misses(plain)
+        );
     }
 }

@@ -2,17 +2,19 @@
 //! fingerprint sets through the clusterer, degenerate plans over real
 //! synthesized traces, and the windowed sampled replay against a
 //! decode-everything-and-filter oracle — both its callbacks and what an
-//! `ICacheSim` fed them reports.
+//! `ICacheSim` fed them reports, and what a `PredictorBank` reports
+//! against nine solo predictor sims fed them.
 
 use proptest::prelude::*;
 use rebalance::coresim::CoreModel;
-use rebalance::frontend::{CacheConfig, CoreKind, ICacheSim};
+use rebalance::frontend::predictor::PredictorBank;
+use rebalance::frontend::{CacheConfig, CoreKind, ICacheSim, PredictorChoice};
 use rebalance::isa::{Addr, InstClass, Outcome};
 use rebalance::pintools::BbvTool;
 use rebalance::trace::snapshot::{self, checksum, KIND_TABLE};
 use rebalance::trace::{
     BranchEvent, EventBatch, Pintool, SamplePlan, SamplingConfig, Section, Snapshot, SnapshotError,
-    SnapshotWriter, TraceEvent, DEFAULT_BATCH_CAPACITY,
+    SnapshotWriter, ToolSet, TraceEvent, DEFAULT_BATCH_CAPACITY,
 };
 use rebalance::Scale;
 
@@ -333,6 +335,8 @@ struct Coverage {
     short_tail: bool,
     warmup: bool,
     full_replay: bool,
+    /// Some representative stands in for more than one interval.
+    weighted: bool,
 }
 
 impl Coverage {
@@ -349,6 +353,7 @@ impl Coverage {
             .total_instructions()
             .is_multiple_of(plan.interval_insts());
         self.full_replay |= plan.is_full_replay();
+        self.weighted |= plan.clusters().iter().any(|c| c.weight > 1);
     }
 }
 
@@ -424,10 +429,33 @@ fn assert_icache_matches_oracle(
     }
 }
 
+/// Asserts that a windowed replay into a `PredictorBank` over the nine
+/// Figure 5 configurations at `capacity` reports exactly what nine solo
+/// `PredictorSim`s report when fed `oracle_calls` one event at a time:
+/// each member scales its own window counts by the representative's
+/// weight, exactly as its solo sim does.
+fn assert_bank_matches_oracle(
+    label: &str,
+    snap: &Snapshot<'_>,
+    plan: &SamplePlan,
+    capacity: usize,
+    oracle_calls: &[Call],
+) {
+    let choices = PredictorChoice::figure5_set();
+    let mut solo = ToolSet::from_tools(PredictorChoice::build_sims(&choices));
+    feed_per_event(oracle_calls, &mut solo);
+    let expected: Vec<_> = solo.iter().map(|s| s.report()).collect();
+    let mut bank = PredictorBank::new(&choices);
+    snap.replay_sampled_batched(&mut bank, plan, capacity)
+        .unwrap_or_else(|e| panic!("{label} cap {capacity}: {e}"));
+    assert_eq!(bank.reports(), expected, "{label} cap {capacity}: bank");
+}
+
 /// Asserts the windowed replay's call log, delivered count and summary
-/// match the oracle's for `plan`, and that an `ICacheSim` reports the
-/// same either way ([`assert_icache_matches_oracle`]), at batch
-/// capacities 1, 7 and the default.
+/// match the oracle's for `plan`, and that an `ICacheSim` and a
+/// `PredictorBank` report the same either way
+/// ([`assert_icache_matches_oracle`], [`assert_bank_matches_oracle`]),
+/// at batch capacities 1, 7 and the default.
 fn assert_matches_oracle(label: &str, snap: &Snapshot<'_>, plan: &SamplePlan) {
     for capacity in [1usize, 7, DEFAULT_BATCH_CAPACITY] {
         let (expected, expected_delivered) = oracle(snap, plan, capacity);
@@ -460,6 +488,7 @@ fn assert_matches_oracle(label: &str, snap: &Snapshot<'_>, plan: &SamplePlan) {
             "{label} cap {capacity}: summary is the validated full-trace one"
         );
         assert_icache_matches_oracle(label, snap, plan, capacity, &expected);
+        assert_bank_matches_oracle(label, snap, plan, capacity, &expected);
     }
 }
 
@@ -597,7 +626,8 @@ fn windowed_replay_matches_the_filter_oracle_on_real_traces() {
             && coverage.gap
             && coverage.short_tail
             && coverage.warmup
-            && coverage.full_replay,
+            && coverage.full_replay
+            && coverage.weighted,
         "the geometries must exercise every window shape: {coverage:?}"
     );
 }
