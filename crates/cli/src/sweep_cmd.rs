@@ -9,7 +9,7 @@
 
 use std::process::ExitCode;
 
-use rebalance_coresim::{CoreModel, FetchModelKind};
+use rebalance_coresim::{CoreModel, FetchModelKind, FrontendKeys};
 use rebalance_experiments::util::{self, f2, Run, RunError, TextTable};
 use rebalance_frontend::predictor::PredictorBank;
 use rebalance_frontend::{CoreKind, PredictorChoice};
@@ -214,10 +214,9 @@ fn measure_cpi(
         CoreModel::new(CoreKind::Baseline).with_fetch_model(kind),
         CoreModel::new(CoreKind::Tailored).with_fetch_model(kind),
     ];
+    let keys = FrontendKeys::of(&models);
     Ok(run
-        .sweep_weighted(workloads.to_vec(), scale, |_| {
-            models.iter().map(CoreModel::fetch_tools).collect()
-        })?
+        .sweep_weighted(workloads.to_vec(), scale, |_| vec![keys.tools()])?
         .iter()
         .map(|o| {
             let backend = o.item.profile().backend;
@@ -226,10 +225,9 @@ fn measure_cpi(
             } else {
                 rebalance_trace::Section::Serial
             };
-            let cpis: Vec<f64> = models
-                .iter()
-                .zip(&o.tools)
-                .map(|(m, tools)| m.timing_of(tools, &backend).section(section).cpi)
+            let reports = keys.reports(&o.tools[0]);
+            let cpis: Vec<f64> = (reports.timings(&models, &backend).iter())
+                .map(|t| t.section(section).cpi)
                 .collect();
             CpiJsonRow {
                 workload: o.item.name().to_owned(),

@@ -1,21 +1,17 @@
 //! Per-core interval timing: front-end event rates → CPI.
 
-use rebalance_fetchsim::{FetchConfig, FetchReport, FetchSim, FtqConfig};
-use rebalance_frontend::predictor::{DirectionPredictor, PredictorSim};
-use rebalance_frontend::{BtbSim, CoreKind, FrontendConfig, ICacheSim};
+use rebalance_fetchsim::{FetchConfig, FetchReport, FtqConfig};
+use rebalance_frontend::predictor::PredictorReport;
+use rebalance_frontend::{BtbReport, CoreKind, FrontendConfig, ICacheReport};
 use rebalance_trace::{
-    SamplePlan, SampledReplay, Section, Snapshot, SnapshotError, SyntheticTrace, ToolSet,
+    SamplePlan, SampledReplay, Section, Snapshot, SnapshotError, SyntheticTrace,
 };
 use rebalance_workloads::BackendProfile;
 use serde::{Deserialize, Serialize};
 
-use crate::fetch_model::{FetchModelKind, FetchTools};
+use crate::fetch_model::FetchModelKind;
+use crate::frontends::{CoreTools, FrontendKeys};
 use crate::penalties::Penalties;
-
-/// One core design's front-end simulators, bundled as a single
-/// [`Pintool`](rebalance_trace::Pintool) so many designs can share one
-/// trace replay in a [`ToolSet`].
-pub type FrontendTools = (PredictorSim<Box<dyn DirectionPredictor>>, BtbSim, ICacheSim);
 
 /// Measured rates and derived CPI for one code section on one core.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -164,47 +160,33 @@ impl CoreModel {
         )
     }
 
-    /// Builds this core's front-end rate simulators, ready to observe a
-    /// trace (directly or inside a fan-out [`ToolSet`]). This is the
-    /// penalty backend's tool set, independent of
-    /// [`CoreModel::fetch_model`]; use [`CoreModel::fetch_tools`] for
-    /// the backend-selected set.
-    pub fn tools(&self) -> FrontendTools {
-        (
-            PredictorSim::new(self.frontend.predictor.build()),
-            BtbSim::new(self.frontend.btb),
-            ICacheSim::new(self.frontend.icache),
-        )
-    }
-
-    /// Builds the measurement tools of the selected timing backend.
-    pub fn fetch_tools(&self) -> FetchTools {
-        match self.fetch_model {
-            FetchModelKind::Penalty => FetchTools::Penalty(Box::new(self.tools())),
-            FetchModelKind::Ftq => FetchTools::Ftq(Box::new(FetchSim::new(self.fetch_config()))),
-        }
+    /// This design's measurement tools alone: its keyed families of
+    /// one (see [`FrontendKeys`]), so a penalty-model core runs its
+    /// predictor, BTB and I-cache, and an FTQ core its `FetchSim`.
+    pub fn fetch_tools(&self) -> CoreTools {
+        FrontendKeys::of(std::slice::from_ref(self)).tools()
     }
 
     /// Replays `trace` through this core's front-end structures and
     /// derives per-section CPI with the workload's back-end profile.
     pub fn measure(&self, trace: &SyntheticTrace, backend: &BackendProfile) -> CoreTiming {
-        let mut tools = self.fetch_tools();
-        trace.replay(&mut tools);
-        self.timing_of(&tools, backend)
+        CoreModel::measure_many(std::slice::from_ref(self), trace, backend)[0]
     }
 
     /// Measures several core designs over a **single** replay of
-    /// `trace`: every design's front-end tools join one [`ToolSet`], so
-    /// the cost is one trace pass regardless of how many designs are
-    /// compared. Timings are returned in `models` order.
+    /// `trace`: the designs' configurations join one set of keyed
+    /// families ([`FrontendKeys`]), each measured once however many
+    /// designs name it, so the cost is one trace pass. Timings are
+    /// returned in `models` order.
     pub fn measure_many(
         models: &[CoreModel],
         trace: &SyntheticTrace,
         backend: &BackendProfile,
     ) -> Vec<CoreTiming> {
-        let mut set: ToolSet<FetchTools> = models.iter().map(CoreModel::fetch_tools).collect();
-        trace.replay(&mut set);
-        CoreModel::timings_of(models, &set.into_inner(), backend)
+        let keys = FrontendKeys::of(models);
+        let mut tools = keys.tools();
+        trace.replay(&mut tools);
+        keys.reports(&tools).timings(models, backend)
     }
 
     /// [`CoreModel::measure_many`] over a phase-sampled replay: every
@@ -224,36 +206,10 @@ impl CoreModel {
         plan: &SamplePlan,
         backend: &BackendProfile,
     ) -> Result<(Vec<CoreTiming>, SampledReplay), SnapshotError> {
-        let mut set: ToolSet<FetchTools> = models.iter().map(CoreModel::fetch_tools).collect();
-        let replay = snapshot.replay_sampled(&mut set, plan)?;
-        Ok((
-            CoreModel::timings_of(models, &set.into_inner(), backend),
-            replay,
-        ))
-    }
-
-    /// Per-design timings from tools that observed one shared replay:
-    /// `tools[i]` is `models[i]`'s [`CoreModel::fetch_tools`], and the
-    /// timings come back in `models` order.
-    pub fn timings_of(
-        models: &[CoreModel],
-        tools: &[FetchTools],
-        backend: &BackendProfile,
-    ) -> Vec<CoreTiming> {
-        models
-            .iter()
-            .zip(tools)
-            .map(|(model, tools)| model.timing_of(tools, backend))
-            .collect()
-    }
-
-    /// Derives per-section CPI from already-replayed backend-selected
-    /// tools, dispatching to the matching derivation.
-    pub fn timing_of(&self, tools: &FetchTools, backend: &BackendProfile) -> CoreTiming {
-        match tools {
-            FetchTools::Penalty(tools) => self.timing(tools, backend),
-            FetchTools::Ftq(sim) => self.timing_from_fetch(&sim.report(), backend),
-        }
+        let keys = FrontendKeys::of(models);
+        let mut tools = keys.tools();
+        let replay = snapshot.replay_sampled(&mut tools, plan)?;
+        Ok((keys.reports(&tools).timings(models, backend), replay))
     }
 
     /// Derives per-section CPI from a decoupled-front-end
@@ -297,13 +253,19 @@ impl CoreModel {
         }
     }
 
-    /// Derives per-section CPI from already-replayed front-end tools.
-    pub fn timing(&self, tools: &FrontendTools, backend: &BackendProfile) -> CoreTiming {
-        let (bp, btb, ic) = tools;
-        let bp_report = bp.report();
-        let btb_report = btb.report();
-        let ic_report = ic.report();
-
+    /// Derives per-section CPI under the closed-form penalty model. A
+    /// pure function of the three reports of this core's predictor, BTB
+    /// and I-cache configurations, plus the workload's back-end profile:
+    /// the reports may come from solo simulators or from keyed families
+    /// shared with other designs ([`FrontendReports`](crate::FrontendReports)),
+    /// and price the same either way.
+    pub fn timing(
+        &self,
+        bp_report: &PredictorReport,
+        btb_report: &BtbReport,
+        ic_report: &ICacheReport,
+        backend: &BackendProfile,
+    ) -> CoreTiming {
         let section_cpi = |section: Section| -> SectionCpi {
             let bps = bp_report.section(section);
             let btbs = btb_report.section(section);
@@ -429,6 +391,48 @@ mod tests {
         let fanned = CoreModel::measure_many(&models, &trace, &backend);
         for (model, timing) in models.iter().zip(&fanned) {
             assert_eq!(*timing, model.measure(&trace, &backend));
+        }
+    }
+
+    /// The one-of-each reference: a core priced from three solo sims
+    /// (predictor, BTB, I-cache) fed one replay.
+    fn solo_timing(
+        model: &CoreModel,
+        trace: &SyntheticTrace,
+        backend: &BackendProfile,
+    ) -> CoreTiming {
+        use rebalance_frontend::predictor::PredictorSim;
+        use rebalance_frontend::{BtbSim, ICacheSim};
+
+        let f = model.frontend();
+        let mut sims = (
+            PredictorSim::new(f.predictor.build()),
+            BtbSim::new(f.btb),
+            ICacheSim::new(f.icache),
+        );
+        trace.replay(&mut sims);
+        model.timing(
+            &sims.0.report(),
+            &sims.1.report(),
+            &sims.2.report(),
+            backend,
+        )
+    }
+
+    #[test]
+    fn keyed_families_price_like_three_solo_sims() {
+        for name in ["CoMD", "gcc", "k.branchy"] {
+            let w = find(name).unwrap();
+            let trace = w.trace(Scale::Smoke).unwrap();
+            let backend = w.profile().backend;
+            let models = [
+                CoreModel::new(CoreKind::Baseline),
+                CoreModel::new(CoreKind::Tailored),
+            ];
+            let shared = CoreModel::measure_many(&models, &trace, &backend);
+            for (model, timing) in models.iter().zip(&shared) {
+                assert_eq!(*timing, solo_timing(model, &trace, &backend), "{name}");
+            }
         }
     }
 

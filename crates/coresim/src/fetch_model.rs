@@ -11,11 +11,6 @@
 
 use std::fmt;
 
-use rebalance_fetchsim::FetchSim;
-use rebalance_trace::{EventBatch, Pintool, Section, TraceEvent};
-
-use crate::core_model::FrontendTools;
-
 /// Which timing backend a [`CoreModel`](crate::CoreModel) derives its
 /// [`SectionCpi`](crate::SectionCpi) from.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -45,76 +40,6 @@ impl fmt::Display for FetchModelKind {
         match self {
             FetchModelKind::Penalty => f.write_str("penalty"),
             FetchModelKind::Ftq => f.write_str("ftq"),
-        }
-    }
-}
-
-/// One core design's measurement tools under either backend — a single
-/// [`Pintool`] either way, so mixed-model tool sets still share one
-/// trace replay.
-pub enum FetchTools {
-    /// Rate counters for the closed-form model.
-    Penalty(Box<FrontendTools>),
-    /// The decoupled fetch-pipeline simulator.
-    Ftq(Box<FetchSim>),
-}
-
-impl fmt::Debug for FetchTools {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FetchTools::Penalty(_) => f.write_str("FetchTools::Penalty(..)"),
-            FetchTools::Ftq(sim) => f.debug_tuple("FetchTools::Ftq").field(sim).finish(),
-        }
-    }
-}
-
-impl Pintool for FetchTools {
-    #[inline]
-    fn on_inst(&mut self, ev: &TraceEvent) {
-        match self {
-            FetchTools::Penalty(tools) => tools.on_inst(ev),
-            FetchTools::Ftq(sim) => sim.on_inst(ev),
-        }
-    }
-
-    #[inline]
-    fn on_section_start(&mut self, section: Section) {
-        match self {
-            FetchTools::Penalty(tools) => tools.on_section_start(section),
-            FetchTools::Ftq(sim) => sim.on_section_start(section),
-        }
-    }
-
-    /// One dispatch per block, then each backend's own batched loops.
-    #[inline]
-    fn on_batch(&mut self, batch: &EventBatch) {
-        match self {
-            FetchTools::Penalty(tools) => tools.on_batch(batch),
-            FetchTools::Ftq(sim) => sim.on_batch(batch),
-        }
-    }
-
-    #[inline]
-    fn on_sample_weight(&mut self, weight: u64) {
-        match self {
-            FetchTools::Penalty(tools) => tools.on_sample_weight(weight),
-            FetchTools::Ftq(sim) => sim.on_sample_weight(weight),
-        }
-    }
-
-    #[inline]
-    fn on_sample_gap(&mut self) {
-        match self {
-            FetchTools::Penalty(tools) => tools.on_sample_gap(),
-            FetchTools::Ftq(sim) => sim.on_sample_gap(),
-        }
-    }
-
-    #[inline]
-    fn supports_sampled_replay(&self) -> bool {
-        match self {
-            FetchTools::Penalty(tools) => tools.supports_sampled_replay(),
-            FetchTools::Ftq(sim) => sim.supports_sampled_replay(),
         }
     }
 }

@@ -3,10 +3,11 @@
 //!
 //! The model composes three layers:
 //!
-//! 1. **Front-end event rates**: a [`CoreModel`] replays a workload's
-//!    trace through the branch predictor, BTB/RAS, and I-cache of its
+//! 1. **Front-end event rates**: a [`CoreModel`] is priced from the
+//!    reports of the branch predictor, BTB/RAS, and I-cache of its
 //!    [`FrontendConfig`](rebalance_frontend::FrontendConfig), split by
-//!    serial/parallel section.
+//!    serial/parallel section. A replay measures each configuration
+//!    once however many designs name it ([`FrontendKeys`]).
 //! 2. **Interval CPI**: per section, `CPI = base + data stalls +
 //!    Σ (event rate × penalty)` with the paper's 12-cycle branch
 //!    misprediction penalty.
@@ -35,11 +36,13 @@
 mod cmp_sim;
 mod core_model;
 mod fetch_model;
+mod frontends;
 mod penalties;
 
 pub use cmp_sim::{
     floorplan_models, floorplan_results, simulate_floorplans, CmpResult, CmpSim, PARALLEL_THREADS,
 };
-pub use core_model::{CoreModel, CoreTiming, FrontendTools, SectionCpi};
-pub use fetch_model::{FetchModelKind, FetchTools};
+pub use core_model::{CoreModel, CoreTiming, SectionCpi};
+pub use fetch_model::FetchModelKind;
+pub use frontends::{add_keys, CoreTools, FrontendKeys, FrontendReports};
 pub use penalties::Penalties;

@@ -4,16 +4,15 @@
 //! grid ask for it), and each workload's tools are reduced to a small
 //! [`Record`] before its work item ends.
 
-use rebalance_coresim::FetchTools;
-use rebalance_coresim::{floorplan_models, floorplan_results, CmpResult, CoreModel, CoreTiming};
-use rebalance_fetchsim::FetchGrid;
+use rebalance_coresim::{add_keys, floorplan_models, floorplan_results, FrontendKeys};
+use rebalance_coresim::{CmpResult, CoreModel, CoreTiming, FrontendReports};
+use rebalance_fetchsim::{FetchGrid, FetchSim};
 use rebalance_frontend::predictor::{PredictorBank, PredictorReport};
-use rebalance_frontend::{
-    BtbReport, BtbSim, CacheConfig, ICacheReport, ICacheSim, PredictorChoice,
-};
+use rebalance_frontend::PredictorChoice;
+use rebalance_frontend::{BtbReport, BtbSim, CacheConfig, ICacheBank, ICacheReport};
 use rebalance_pintools::{characterization_from_tools, characterization_tools};
 use rebalance_pintools::{Characterization, CharacterizationTools};
-use rebalance_trace::{CacheError, SamplingConfig, ToolSet};
+use rebalance_trace::{CacheError, SamplingConfig, Timed, ToolSet};
 use rebalance_workloads::{Scale, Suite, Workload};
 
 use crate::fetchsim::{default_grid, FetchSummary};
@@ -114,16 +113,19 @@ pub fn suite_means(records: &[&Record], value: impl Fn(&Record) -> f64) -> [f64;
 }
 
 /// Every tool family one replay feeds, as one fan-out tool:
-/// characterization, the predictor bank, BTBs, I-caches, the
-/// [`core_models`] and the fetch grid. A family the replay does not
-/// need stays empty.
+/// characterization, the predictor bank, BTBs, the I-cache bank, the
+/// FTQ cores' fetch simulators and the fetch grid. A family the replay
+/// does not need stays empty. The middle four are built from one
+/// [`FrontendKeys`], so a penalty-model core adds its configurations to
+/// them and no tool of its own. Each family charges its `on_batch` time
+/// to `tool.<family>.on_batch_ns` while telemetry is on.
 type Tools = (
-    ToolSet<CharacterizationTools>,
-    ToolSet<PredictorBank>,
-    ToolSet<BtbSim>,
-    ToolSet<ICacheSim>,
-    ToolSet<FetchTools>,
-    ToolSet<FetchGrid>,
+    Timed<ToolSet<CharacterizationTools>>,
+    Timed<PredictorBank>,
+    Timed<ToolSet<BtbSim>>,
+    Timed<ICacheBank>,
+    Timed<ToolSet<FetchSim>>,
+    Timed<ToolSet<FetchGrid>>,
 );
 
 /// `tools()` as a family when `wanted`, else an empty family.
@@ -141,11 +143,7 @@ fn core_models(needs: &[Need], run: &Run, sampled: bool) -> Vec<CoreModel> {
         models = cmp_models(run);
     }
     if on(Need::CoreModels) {
-        for model in sampling_models() {
-            if !models.contains(&model) {
-                models.push(model);
-            }
-        }
+        add_keys(&mut models, sampling_models());
     }
     models
 }
@@ -160,42 +158,69 @@ fn sampling_models() -> Vec<CoreModel> {
     sampling::models().into_iter().map(|(_, m)| m).collect()
 }
 
-/// The tools `needs` put on one replay on `run` (see [`Need::rides`]).
-fn tools(needs: &[Need], run: &Run, sampled: bool) -> Tools {
+/// The predictor, BTB and I-cache configurations the exhibits of
+/// `needs` read on one replay on `run`.
+fn exhibit_keys(needs: &[Need], run: &Run, sampled: bool) -> FrontendKeys {
     let on = |need: Need| needs.contains(&need) && need.rides(run, sampled);
-    let mut icaches = Vec::new();
+    let mut keys = FrontendKeys::default();
+    if on(Need::Predictors) {
+        keys.predictors = PredictorChoice::figure5_set();
+    }
+    if on(Need::Btbs) {
+        keys.btbs = caches::fig7_configs();
+    }
     for (need, configs) in [
         (Need::Fig8Caches, caches::fig8_configs()),
         (Need::Fig9Caches, caches::fig9_configs()),
     ] {
-        for config in configs.into_iter().filter(|_| on(need)) {
-            if !icaches.contains(&config) {
-                icaches.push(config);
-            }
+        if on(need) {
+            add_keys(&mut keys.icaches, configs);
         }
     }
+    keys
+}
+
+/// [`exhibit_keys`] plus what each of the [`core_models`] is priced
+/// from.
+fn keys(needs: &[Need], run: &Run, sampled: bool) -> FrontendKeys {
+    let mut keys = exhibit_keys(needs, run, sampled);
+    for model in core_models(needs, run, sampled) {
+        keys.add_core(&model);
+    }
+    keys
+}
+
+/// The tools `needs` put on one replay on `run` (see [`Need::rides`]),
+/// with `keys` from [`keys`].
+fn tools(needs: &[Need], run: &Run, sampled: bool, keys: &FrontendKeys) -> Tools {
+    let on = |need: Need| needs.contains(&need) && need.rides(run, sampled);
+    let (predictors, btbs, icaches, cores) = keys.tools();
     (
-        family(
-            on(Need::Characterization),
-            || vec![characterization_tools()],
+        Timed::new(
+            "characterization",
+            family(
+                on(Need::Characterization),
+                || vec![characterization_tools()],
+            ),
         ),
-        family(on(Need::Predictors), || {
-            vec![PredictorBank::new(&PredictorChoice::figure5_set())]
-        }),
-        family(on(Need::Btbs), || {
-            caches::fig7_configs()
-                .into_iter()
-                .map(BtbSim::new)
-                .collect()
-        }),
-        icaches.into_iter().map(ICacheSim::new).collect(),
-        (core_models(needs, run, sampled).iter())
-            .map(CoreModel::fetch_tools)
-            .collect(),
-        family(on(Need::FetchGrid), || {
-            vec![FetchGrid::new(&default_grid())]
-        }),
+        Timed::new("predictors", predictors),
+        Timed::new("btbs", btbs),
+        Timed::new("icaches", icaches),
+        Timed::new("cores", cores),
+        Timed::new(
+            "grid",
+            family(on(Need::FetchGrid), || {
+                vec![FetchGrid::new(&default_grid())]
+            }),
+        ),
     )
+}
+
+/// The reports of the keyed families of `tools`, built from `keys`.
+fn reports(keys: &FrontendKeys, tools: &Tools) -> FrontendReports {
+    let (_, predictors, btbs, icaches, cores, _) = tools;
+    let (btbs, cores) = (btbs.iter().as_slice(), cores.iter().as_slice());
+    keys.reports_of(predictors, btbs, icaches, cores)
 }
 
 /// The fetch grid's per-design summaries (empty without a grid); every
@@ -203,27 +228,6 @@ fn tools(needs: &[Need], run: &Run, sampled: bool) -> Tools {
 fn fetch(grid: &ToolSet<FetchGrid>) -> Vec<FetchSummary> {
     let reports = grid.iter().flat_map(FetchGrid::reports);
     reports.map(|r| FetchSummary::from_report(&r)).collect()
-}
-
-/// The timings on `w` of each of `wanted`, read from the `cores` that
-/// timed `models` on one replay.
-fn timings(
-    wanted: Vec<CoreModel>,
-    models: &[CoreModel],
-    cores: &[FetchTools],
-    w: &Workload,
-) -> Vec<CoreTiming> {
-    let backend = w.profile().backend;
-    wanted
-        .into_iter()
-        .map(|model| {
-            let i = models
-                .iter()
-                .position(|m| *m == model)
-                .expect("a timed core");
-            model.timing_of(&cores[i], &backend)
-        })
-        .collect()
 }
 
 /// Measures each `(workload, needs)` item at `scale` on `run`: one full
@@ -293,39 +297,47 @@ fn measure_one(
             .map_err(|e| RunError::replay(w, CacheError::Generate(e)))?;
         let static_bytes = trace.as_ref().map(|t| t.program().static_bytes());
         let generate = move || trace.map_or_else(|| w.trace(scale), Ok);
-        let full = vec![tools(needs, run, false)];
+        let keys = keys(needs, run, false);
+        let full = vec![tools(needs, run, false, &keys)];
         let (mut full, replay) = run.replay_generated(w, scale, generate, full)?;
-        let (characterization, predictors, btbs, icaches, cores, grid) =
-            full.pop().expect("one tool set in, one out");
-        record.characterization = (characterization.into_inner().pop())
+        let tools = full.pop().expect("one tool set in, one out");
+        let reports = reports(&keys, &tools);
+        let (characterization, .., grid) = tools;
+        record.characterization = (characterization.into_inner().into_inner().pop())
             .zip(static_bytes)
             .map(|(tools, bytes)| characterization_from_tools(tools, bytes, replay.summary));
-        record.predictors = predictors.iter().flat_map(PredictorBank::reports).collect();
-        record.btbs = btbs.iter().map(BtbSim::report).collect();
-        record.icaches = icaches.iter().map(ICacheSim::report).collect();
-        let (models, cores) = (core_models(needs, run, false), cores.into_inner());
+        let exhibits = exhibit_keys(needs, run, false);
+        record.predictors = (exhibits.predictors.into_iter())
+            .map(|choice| reports.predictor(choice).clone())
+            .collect();
+        record.btbs = exhibits.btbs.into_iter().map(|c| *reports.btb(c)).collect();
+        record.icaches = (exhibits.icaches.into_iter())
+            .map(|c| *reports.icache(c))
+            .collect();
+        let backend = w.profile().backend;
         if needs.contains(&Need::Floorplans) {
-            let timings = timings(cmp_models(run), &models, &cores, w);
+            let timings = reports.timings(&cmp_models(run), &backend);
             let sims = cmp::figure10_sims();
             record.floorplans = floorplan_results(&sims, w.name(), replay.sections, &timings);
         }
         record.fetch = fetch(&grid);
         if needs.contains(&Need::CoreModels) {
-            record.timings = timings(sampling_models(), &models, &cores, w);
+            record.timings = reports.timings(&sampling_models(), &backend);
         }
     }
     if replays(needs, run, true) {
+        let keys = keys(needs, run, true);
         let mut outcomes = run.sweep_sampled(sampling, vec![w.clone()], scale, |_| {
-            vec![tools(needs, run, true)]
+            vec![tools(needs, run, true, &keys)]
         })?;
         let outcome = outcomes.pop().expect("one workload in, one out");
-        let (.., cores, grid) = &outcome.tools[0];
+        let tools = &outcome.tools[0];
         record.replayed_fraction = outcome.plan.replayed_fraction();
         if needs.contains(&Need::CoreModels) {
-            let models = core_models(needs, run, true);
-            let cores = cores.iter().as_slice();
-            record.sampled_timings = timings(sampling_models(), &models, cores, w);
+            let backend = w.profile().backend;
+            record.sampled_timings = reports(&keys, tools).timings(&sampling_models(), &backend);
         }
+        let (.., grid) = tools;
         if !grid.is_empty() {
             record.fetch = fetch(grid);
         }
@@ -400,17 +412,74 @@ mod tests {
     }
 
     #[test]
-    fn the_baseline_core_is_timed_once_per_replay() {
-        let needs = [Need::Floorplans, Need::CoreModels];
-        for fetch_model in [FetchModelKind::Penalty, FetchModelKind::Ftq] {
-            let run = Run {
-                fetch_model,
-                ..Run::default()
-            };
-            // Baseline and tailored floorplan cores, plus sampling's
-            // baseline core under the other fetch model.
-            assert_eq!(tools(&needs, &run, false).4.len(), 3, "{fetch_model:?}");
-            assert_eq!(tools(&needs, &run, true).4.len(), 2, "{fetch_model:?}");
-        }
+    fn each_configuration_is_simulated_once_per_replay() {
+        use Need::*;
+        // Every need `paper all` puts on one workload's replays.
+        let needs = |fig9: bool| {
+            let mut needs = vec![Characterization, Predictors, Btbs, Fig8Caches];
+            needs.extend([Floorplans, FetchGrid, CoreModels]);
+            needs.extend(fig9.then_some(Fig9Caches));
+            needs
+        };
+        // (predictor bases, BTBs, (line walks, I-caches), fetch sims)
+        let shape = |needs: &[Need], run: &Run, sampled: bool| {
+            let t = tools(needs, run, sampled, &keys(needs, run, sampled));
+            (t.1.shape().0, t.2.len(), t.3.shape(), t.4.len())
+        };
+        // The penalty cores' predictors are Figure 5 bases, the tailored
+        // BTB is a Figure 7 member and the baseline I-cache a Figure 8
+        // one: only the 2048×8 BTB and the 128 B I-cache (a Figure 9
+        // member) are new. Sampling's FTQ core is the one fetch sim.
+        let penalty = Run::default();
+        assert_eq!(shape(&needs(false), &penalty, false), (6, 10, (2, 10), 1));
+        assert_eq!(shape(&needs(true), &penalty, false), (6, 10, (3, 15), 1));
+        assert_eq!(shape(&needs(true), &penalty, true), (1, 1, (1, 1), 1));
+        // Under FTQ the floorplan cores are fetch sims, and sampling's
+        // FTQ core is the baseline one.
+        let ftq = Run {
+            fetch_model: FetchModelKind::Ftq,
+            ..Run::default()
+        };
+        assert_eq!(shape(&needs(false), &ftq, false), (6, 10, (1, 9), 2));
+        assert_eq!(shape(&needs(true), &ftq, false), (6, 10, (3, 15), 2));
+        assert_eq!(shape(&needs(true), &ftq, true), (1, 1, (1, 1), 1));
+    }
+
+    #[test]
+    fn shared_families_price_cores_like_three_solo_sims() {
+        use rebalance_frontend::predictor::PredictorSim;
+        use rebalance_frontend::{BtbSim, CoreKind, ICacheSim};
+
+        let w = rebalance_workloads::find("CoEVP").unwrap();
+        let needs = [Need::Predictors, Need::Btbs, Need::Fig8Caches];
+        let needs = [
+            &needs[..],
+            &[Need::Fig9Caches, Need::Floorplans, Need::CoreModels],
+        ]
+        .concat();
+        let record = measured(vec![w.clone()], Scale::Smoke, &needs)
+            .pop()
+            .unwrap();
+
+        let trace = w.trace(Scale::Smoke).unwrap();
+        let backend = w.profile().backend;
+        let solo = |kind: CoreKind| {
+            let model = CoreModel::new(kind);
+            let f = model.frontend();
+            let mut sims = (
+                PredictorSim::new(f.predictor.build()),
+                BtbSim::new(f.btb),
+                ICacheSim::new(f.icache),
+            );
+            trace.replay(&mut sims);
+            let (bp, btb, ic) = (sims.0.report(), sims.1.report(), sims.2.report());
+            model.timing(&bp, &btb, &ic, &backend)
+        };
+        let timings = [solo(CoreKind::Baseline), solo(CoreKind::Tailored)];
+        assert_eq!(record.timings[0], timings[0], "sampling's penalty core");
+        let sims = cmp::figure10_sims();
+        let sections = trace.schedule().sections();
+        let expected = floorplan_results(&sims, w.name(), sections, &timings);
+        assert_eq!(record.floorplans, expected, "the Figure 10 floorplans");
     }
 }

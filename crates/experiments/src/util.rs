@@ -15,7 +15,7 @@ use std::io;
 use std::path::PathBuf;
 
 use rebalance_coresim::{
-    floorplan_models, floorplan_results, CmpResult, CmpSim, CoreModel, FetchModelKind,
+    floorplan_models, floorplan_results, CmpResult, CmpSim, FetchModelKind, FrontendKeys,
 };
 use rebalance_pintools::BbvTool;
 use rebalance_trace::{
@@ -324,9 +324,10 @@ impl Run {
         scale: Scale,
     ) -> Result<Vec<CmpResult>, RunError> {
         let models = floorplan_models(sims, self.fetch_model);
-        let tools = models.iter().map(CoreModel::fetch_tools).collect();
-        let (tools, replay) = self.replay(workload, scale, tools)?;
-        let timings = CoreModel::timings_of(&models, &tools, &workload.profile().backend);
+        let keys = FrontendKeys::of(&models);
+        let (tools, replay) = self.replay(workload, scale, vec![keys.tools()])?;
+        let reports = keys.reports(&tools[0]);
+        let timings = reports.timings(&models, &workload.profile().backend);
         Ok(floorplan_results(
             sims,
             workload.name(),
@@ -496,11 +497,12 @@ mod tests {
         use rebalance_coresim::CoreModel;
         use rebalance_frontend::CoreKind;
 
+        let baseline = CoreModel::new(CoreKind::Baseline);
         let w = rebalance_workloads::find("CG").unwrap();
         let config = SamplingConfig::default().with_intervals(40).with_k(4);
         let out = Run::default()
             .sweep_sampled(&config, vec![w.clone()], Scale::Smoke, |_| {
-                vec![CoreModel::new(CoreKind::Baseline).fetch_tools()]
+                vec![FrontendKeys::of(&[baseline]).tools()]
             })
             .unwrap();
         assert_eq!(out.len(), 1);
@@ -516,8 +518,8 @@ mod tests {
         assert_eq!(weights as usize, o.plan.num_intervals());
         // The weighted tools still account for roughly every
         // instruction.
-        let timing =
-            CoreModel::new(CoreKind::Baseline).timing_of(&o.tools[0], &w.profile().backend);
+        let reports = FrontendKeys::of(&[baseline]).reports(&o.tools[0]);
+        let timing = reports.timing(&baseline, &w.profile().backend);
         let counted = timing.serial.insts + timing.parallel.insts;
         let err = (counted as f64 - total as f64).abs() / total as f64;
         assert!(err < 0.02, "weighted inst count {counted} vs {total}");

@@ -346,10 +346,238 @@ impl ICacheReport {
     }
 }
 
+/// The line walk's "no current line": never line-aligned, so no pc's
+/// line equals it.
+const NO_LINE: u64 = u64::MAX;
+
+/// One exit of the fetch stream from a line: what the line-buffer walk
+/// hands to every cache of its line size.
+#[derive(Debug, Clone, Copy)]
+struct LineExit {
+    /// The line's address.
+    line: u64,
+    /// The bytes the access that opened the line marks used.
+    access_mask: u128,
+    /// The bytes extracted from the line buffer after that access. Kept
+    /// apart from `access_mask` because a next-line prefetch between
+    /// the two may evict the line (in a one-set cache).
+    rest_mask: u128,
+    /// The section of the event that opened the line.
+    section: Section,
+    /// `false` for a line carried over from the previous batch: it was
+    /// accessed there, and only gets bytes marked here.
+    access: bool,
+}
+
+/// The paper's fetch model for one line size: once a line is fetched,
+/// instructions are extracted sequentially without re-accessing the
+/// cache until the fetch stream leaves the line (sequential crossing or
+/// taken branch). Per batch it lists the stream's line exits; the
+/// caches it feeds replay that list.
+#[derive(Debug)]
+struct LineWalk {
+    line_bytes: u64,
+    /// The line fetch is on, or [`NO_LINE`].
+    line: u64,
+    /// The last batch's exits, in stream order.
+    exits: Vec<LineExit>,
+}
+
+impl LineWalk {
+    fn new(line_bytes: usize) -> Self {
+        LineWalk {
+            line_bytes: line_bytes as u64,
+            line: NO_LINE,
+            exits: Vec::new(),
+        }
+    }
+
+    /// Walks one batch into `exits`. The current line and the bytes used
+    /// since its exit was last written live in locals, so an event wholly
+    /// inside the current line only ORs in its byte mask and checks for a
+    /// taken branch out of the line; every other event takes
+    /// [`LineWalk::enter`].
+    fn walk(&mut self, events: &[TraceEvent]) {
+        self.exits.clear();
+        let line_bytes = self.line_bytes;
+        let offset_mask = line_bytes - 1;
+        let mut line = self.line;
+        if line != NO_LINE {
+            self.exits.push(LineExit {
+                line,
+                access_mask: 0,
+                rest_mask: 0,
+                section: Section::Serial,
+                access: false,
+            });
+        }
+        let mut used = 0u128;
+        for ev in events {
+            let pc = ev.pc.as_u64();
+            let offset = pc & offset_mask;
+            let len = u64::from(ev.len);
+            if pc - offset == line && offset + len <= line_bytes {
+                used |= ICache::byte_mask(offset, len, line_bytes);
+                let leaves = ev.branch.is_some_and(|br| {
+                    br.outcome.is_taken()
+                        && br.target.is_some_and(|t| t.as_u64() & !offset_mask != line)
+                });
+                if leaves {
+                    self.write_back(used);
+                    used = 0;
+                    line = NO_LINE;
+                }
+                continue;
+            }
+            self.write_back(used);
+            used = 0;
+            line = Self::enter(&mut self.exits, ev, line_bytes, line);
+        }
+        self.write_back(used);
+        self.line = line;
+    }
+
+    /// Adds `used` to the open exit's extracted bytes.
+    #[inline]
+    fn write_back(&mut self, used: u128) {
+        if used != 0 {
+            let open = self.exits.last_mut().expect("an open line has an exit");
+            open.rest_mask |= used;
+        }
+    }
+
+    /// One event that is not wholly inside the `current` line: each line
+    /// it touches opens an exit unless fetch is already on it, and a
+    /// taken branch to another line leaves it. Returns the line fetch is
+    /// on afterwards.
+    fn enter(exits: &mut Vec<LineExit>, ev: &TraceEvent, line_bytes: u64, current: u64) -> u64 {
+        let offset_mask = line_bytes - 1;
+        let pc = ev.pc.as_u64();
+        let end = pc + (u64::from(ev.len) - 1);
+        let (first, last) = (pc & !offset_mask, end & !offset_mask);
+        let mut current = current;
+        let mut line = first;
+        loop {
+            let start = if line == first { pc & offset_mask } else { 0 };
+            let stop = if line == last {
+                (end & offset_mask) + 1
+            } else {
+                line_bytes
+            };
+            let used = ICache::byte_mask(start, stop - start, line_bytes);
+            if line == current {
+                let open = exits.last_mut().expect("an open line has an exit");
+                open.rest_mask |= used;
+            } else {
+                exits.push(LineExit {
+                    line,
+                    access_mask: used,
+                    rest_mask: 0,
+                    section: ev.section,
+                    access: true,
+                });
+                current = line;
+            }
+            if line == last {
+                break;
+            }
+            line += line_bytes;
+        }
+        let target = ev.branch.filter(|br| br.outcome.is_taken());
+        if target
+            .and_then(|br| br.target)
+            .is_some_and(|t| t.as_u64() & !offset_mask != last)
+        {
+            current = NO_LINE;
+        }
+        current
+    }
+}
+
+/// One cache a line walk feeds: its state and counters.
+#[derive(Debug)]
+struct Member {
+    cache: ICache,
+    sections: BySection<ICacheStats>,
+    /// Where the walk's current line sits in `cache`.
+    way: usize,
+    next_line_prefetch: bool,
+    /// Counter snapshot at the last sampled-replay boundary.
+    mark: BySection<ICacheStats>,
+}
+
+impl Member {
+    fn new(cfg: CacheConfig, next_line_prefetch: bool) -> Self {
+        Member {
+            cache: ICache::new(cfg),
+            sections: BySection::default(),
+            way: 0,
+            next_line_prefetch,
+            mark: BySection::default(),
+        }
+    }
+
+    /// `(config, next_line_prefetch)`: what makes two members the same.
+    fn key(&self) -> (CacheConfig, bool) {
+        (self.cache.config(), self.next_line_prefetch)
+    }
+
+    fn report(&self) -> ICacheReport {
+        ICacheReport {
+            config: self.cache.config(),
+            sections: self.sections,
+            usefulness: self.cache.mean_usefulness(),
+        }
+    }
+
+    /// Replays one batch's line exits, with the batch's instruction
+    /// counts: an access exit is one cache access (plus a next-line
+    /// prefetch on a miss, when enabled) and then the extracted bytes; a
+    /// carried-over line only gets its bytes marked.
+    fn consume(&mut self, walk: &LineWalk, insts: BySection<u64>) {
+        self.sections.serial.insts += insts.serial;
+        self.sections.parallel.insts += insts.parallel;
+        for exit in &walk.exits {
+            let line = Addr::new(exit.line);
+            if exit.access {
+                let stats = self.sections.get_mut(exit.section);
+                stats.accesses += 1;
+                let (hit, way) = self.cache.access_way(line, exit.access_mask);
+                if !hit {
+                    stats.misses += 1;
+                    if self.next_line_prefetch && self.cache.prefetch(line + walk.line_bytes) {
+                        stats.prefetches += 1;
+                    }
+                }
+                self.way = way;
+            }
+            if exit.rest_mask != 0 {
+                self.cache.mark_used(self.way, line, exit.rest_mask);
+            }
+        }
+    }
+
+    /// Scales the window's counter deltas (line usefulness, derived from
+    /// live cache state, stays unweighted).
+    fn on_sample_weight(&mut self, weight: u64) {
+        if weight != 1 {
+            self.sections.serial.scale_from(&self.mark.serial, weight);
+            self.sections
+                .parallel
+                .scale_from(&self.mark.parallel, weight);
+        }
+        self.mark = self.sections;
+    }
+}
+
 /// Drives an [`ICache`] with the paper's fetch model: once a line is
 /// fetched, instructions are extracted sequentially without re-accessing
 /// the cache until the fetch stream leaves the line (sequential
 /// crossing or taken branch).
+///
+/// [`Pintool::on_inst`] is the per-event oracle; [`Pintool::on_batch`]
+/// is an [`ICacheBank`] of one, the same line walk and the same
+/// consumer.
 ///
 /// # Examples
 ///
@@ -366,30 +594,16 @@ impl ICacheReport {
 /// ```
 #[derive(Debug)]
 pub struct ICacheSim {
-    cache: ICache,
-    sections: BySection<ICacheStats>,
-    current_line: Option<Addr>,
-    /// Where `current_line` sits in the cache (valid while it is `Some`).
-    current_way: usize,
-    next_line_prefetch: bool,
-    /// Counter snapshot at the last sampled-replay boundary.
-    mark: BySection<ICacheStats>,
+    walk: LineWalk,
+    member: Member,
 }
-
-/// The batched loop's "no current line": never line-aligned, so no pc's
-/// line equals it.
-const NO_LINE: u64 = u64::MAX;
 
 impl ICacheSim {
     /// Creates a measurement harness.
     pub fn new(cfg: CacheConfig) -> Self {
         ICacheSim {
-            cache: ICache::new(cfg),
-            sections: BySection::default(),
-            current_line: None,
-            current_way: 0,
-            next_line_prefetch: false,
-            mark: BySection::default(),
+            walk: LineWalk::new(cfg.line_bytes),
+            member: Member::new(cfg, false),
         }
     }
 
@@ -398,26 +612,20 @@ impl ICacheSim {
     /// lines act as a prefetch buffer (the paper cites Reinman et al.); this option lets narrow
     /// lines compete with explicit prefetching.
     pub fn with_next_line_prefetch(mut self) -> Self {
-        self.next_line_prefetch = true;
+        self.member.next_line_prefetch = true;
         self
     }
 
     /// Snapshot of the accumulated stats.
     pub fn report(&self) -> ICacheReport {
-        ICacheReport {
-            config: self.cache.config(),
-            sections: self.sections,
-            usefulness: self.cache.mean_usefulness(),
-        }
+        self.member.report()
     }
-}
 
-impl ICacheSim {
-    /// The per-event fetch model, minus the instruction count: the
-    /// whole of [`Pintool::on_inst`] and the slow path of the batched
-    /// line-buffer loop, so access, miss, prefetch and line-straddle
-    /// logic exist once.
-    fn step(&mut self, ev: &TraceEvent, line_bytes: u64) {
+    /// The per-event fetch model, minus the instruction count: access,
+    /// miss, prefetch and line-straddle logic, written out per event so
+    /// the batched walk has an independent reference.
+    fn step(&mut self, ev: &TraceEvent) {
+        let line_bytes = self.walk.line_bytes;
         // A taken branch redirects fetch only when it targets a
         // different line (see the end of this function).
         let redirect = if ev.is_taken_branch() {
@@ -426,7 +634,8 @@ impl ICacheSim {
             None
         };
         let (pc, len) = (ev.pc, ev.len);
-        let stats = self.sections.get_mut(ev.section);
+        let m = &mut self.member;
+        let stats = m.sections.get_mut(ev.section);
         // An instruction may span two lines; touch each containing line.
         let first = pc.line(line_bytes);
         let last = (pc + (u64::from(len) - 1)).line(line_bytes);
@@ -443,24 +652,24 @@ impl ICacheSim {
                 line_bytes
             };
             let used = ICache::byte_mask(start, end - start, line_bytes);
-            if self.current_line != Some(line) {
+            if self.walk.line != line.as_u64() {
                 stats.accesses += 1;
-                let (hit, way) = self.cache.access_way(line, used);
+                let (hit, way) = m.cache.access_way(line, used);
                 if !hit {
                     stats.misses += 1;
-                    if self.next_line_prefetch {
+                    if m.next_line_prefetch {
                         let next = line + line_bytes;
-                        if self.cache.prefetch(next) {
+                        if m.cache.prefetch(next) {
                             stats.prefetches += 1;
                         }
                     }
                 }
-                self.current_line = Some(line);
-                self.current_way = way;
+                self.walk.line = line.as_u64();
+                m.way = way;
             } else {
                 // Same line: extraction from the line buffer — record
                 // the touched bytes without a cache probe.
-                self.cache.mark_used(self.current_way, line, used);
+                m.cache.mark_used(m.way, line, used);
             }
             if line == last {
                 break;
@@ -474,82 +683,30 @@ impl ICacheSim {
         // jumps inside the line.
         if let Some(target) = redirect {
             if target.line(line_bytes) != last {
-                self.current_line = None;
+                self.walk.line = NO_LINE;
             }
-        }
-    }
-
-    /// Writes the bytes the batched loop extracted from the current line
-    /// back to the cache.
-    #[inline]
-    fn flush_line_buffer(&mut self, line: u64, used: u128) {
-        if used != 0 {
-            self.cache
-                .mark_used(self.current_way, Addr::new(line), used);
         }
     }
 }
 
 impl Pintool for ICacheSim {
     fn on_inst(&mut self, ev: &TraceEvent) {
-        self.sections.get_mut(ev.section).insts += 1;
-        let line_bytes = self.cache.config().line_bytes as u64;
-        self.step(ev, line_bytes);
+        self.member.sections.get_mut(ev.section).insts += 1;
+        self.step(ev);
     }
 
-    /// Hot path: a line-buffer loop. Instruction counts come from the
-    /// batch's section totals. The current line and the bytes used
-    /// since its access live in locals, so an event wholly inside the
-    /// current line only ORs in its byte mask and checks for a taken
-    /// branch out of the line; the cache sees those bytes once, when
-    /// fetch leaves the line. Every other event takes the same per-event
-    /// fetch step as `on_inst`, the path the equivalence tests compare
-    /// this loop against.
+    /// Hot path: the line walk over the batch, then one pass over its
+    /// exits; instruction counts come from the batch's section totals.
     fn on_batch(&mut self, batch: &EventBatch) {
-        let insts = batch.sections();
-        self.sections.serial.insts += insts.serial;
-        self.sections.parallel.insts += insts.parallel;
-        let line_bytes = self.cache.config().line_bytes as u64;
-        let offset_mask = line_bytes - 1;
-        let mut line = self.current_line.map_or(NO_LINE, Addr::as_u64);
-        let mut used = 0u128;
-        for ev in batch.events() {
-            let pc = ev.pc.as_u64();
-            let offset = pc & offset_mask;
-            let len = u64::from(ev.len);
-            if pc - offset == line && offset + len <= line_bytes {
-                used |= ICache::byte_mask(offset, len, line_bytes);
-                let leaves = ev.branch.is_some_and(|br| {
-                    br.outcome.is_taken()
-                        && br.target.is_some_and(|t| t.as_u64() & !offset_mask != line)
-                });
-                if leaves {
-                    self.flush_line_buffer(line, used);
-                    used = 0;
-                    line = NO_LINE;
-                    self.current_line = None;
-                }
-                continue;
-            }
-            self.flush_line_buffer(line, used);
-            used = 0;
-            self.step(ev, line_bytes);
-            line = self.current_line.map_or(NO_LINE, Addr::as_u64);
-        }
-        self.flush_line_buffer(line, used);
+        self.walk.walk(batch.events());
+        self.member.consume(&self.walk, batch.sections());
     }
 
     /// Scales the window's counter deltas; the line buffer is dropped
-    /// because the next representative is generally discontiguous (line
-    /// usefulness, derived from live cache state, stays unweighted).
+    /// at the gap that follows (line usefulness, derived from live cache
+    /// state, stays unweighted).
     fn on_sample_weight(&mut self, weight: u64) {
-        if weight != 1 {
-            self.sections.serial.scale_from(&self.mark.serial, weight);
-            self.sections
-                .parallel
-                .scale_from(&self.mark.parallel, weight);
-        }
-        self.mark = self.sections;
+        self.member.on_sample_weight(weight);
     }
 
     fn on_sample_gap(&mut self) {
@@ -557,7 +714,162 @@ impl Pintool for ICacheSim {
         // forget the line the sequential-fetch tracker was on, so the
         // jump charges (at most) one honest cold fetch instead of
         // pretending the stream never moved.
-        self.current_line = None;
+        self.walk.line = NO_LINE;
+    }
+
+    fn supports_sampled_replay(&self) -> bool {
+        true
+    }
+}
+
+/// A set of I-cache geometries over one replay, walking each distinct
+/// line size once per batch: every configuration's [`ICacheReport`] from
+/// one pass, bit-identical to a solo [`ICacheSim`] per configuration.
+///
+/// The line-buffer walk (the in-line check, the byte-mask OR and the
+/// taken-branch-out check per event) depends only on the line size, and
+/// it is most of an [`ICacheSim`]'s cost. So the bank builds each stage
+/// once per distinct key, the rule `PredictorBank` and
+/// `rebalance-fetchsim`'s `FetchGrid` follow:
+///
+/// | stage | one per |
+/// |---|---|
+/// | line walk | `line_bytes` |
+/// | cache and counters | (`CacheConfig`, next-line prefetch) |
+///
+/// Per batch each walk lists its line exits (about one per seven events
+/// on the roster), and each cache of that line size replays the list:
+/// an access with the bytes the opening event used, the optional
+/// next-line prefetch, then the bytes extracted afterwards.
+///
+/// # Examples
+///
+/// ```
+/// use rebalance_frontend::{CacheConfig, ICacheBank, ICacheSim};
+/// use rebalance_workloads::{find, Scale};
+///
+/// let configs = [
+///     CacheConfig::new(16 * 1024, 64, 4),
+///     CacheConfig::new(32 * 1024, 64, 4),
+///     CacheConfig::new(16 * 1024, 128, 8),
+/// ];
+/// let mut bank = ICacheBank::new(&configs); // 2 line walks, 3 caches
+/// let trace = find("CG").unwrap().trace(Scale::Smoke).unwrap();
+/// trace.replay(&mut bank);
+/// let mut solo = ICacheSim::new(configs[2]);
+/// trace.replay(&mut solo);
+/// assert_eq!(bank.reports()[2], solo.report());
+/// ```
+#[derive(Debug)]
+pub struct ICacheBank {
+    /// One line walk per distinct line size, with the caches it feeds.
+    groups: Vec<(LineWalk, Vec<Member>)>,
+    /// Each construction key's `(group, member)`.
+    slots: Vec<(usize, usize)>,
+}
+
+impl ICacheBank {
+    /// Groups `configs` by line size (configurations may repeat; a
+    /// repeat shares its first appearance's cache and report).
+    pub fn new(configs: &[CacheConfig]) -> Self {
+        let mut bank = ICacheBank {
+            groups: Vec::new(),
+            slots: Vec::new(),
+        };
+        for &config in configs {
+            bank.add(config, false);
+        }
+        bank
+    }
+
+    /// Adds `configs` with a next-line prefetcher each (see
+    /// [`ICacheSim::with_next_line_prefetch`]); their reports follow the
+    /// earlier ones.
+    pub fn with_next_line_prefetch(mut self, configs: &[CacheConfig]) -> Self {
+        for &config in configs {
+            self.add(config, true);
+        }
+        self
+    }
+
+    fn add(&mut self, config: CacheConfig, next_line_prefetch: bool) {
+        let line_bytes = config.line_bytes as u64;
+        let group = match self
+            .groups
+            .iter()
+            .position(|(w, _)| w.line_bytes == line_bytes)
+        {
+            Some(group) => group,
+            None => {
+                self.groups
+                    .push((LineWalk::new(config.line_bytes), Vec::new()));
+                self.groups.len() - 1
+            }
+        };
+        let members = &mut self.groups[group].1;
+        let key = (config, next_line_prefetch);
+        let member = match members.iter().position(|m| m.key() == key) {
+            Some(member) => member,
+            None => {
+                members.push(Member::new(config, next_line_prefetch));
+                members.len() - 1
+            }
+        };
+        self.slots.push((group, member));
+    }
+
+    /// `(line walks, caches)` the bank runs.
+    pub fn shape(&self) -> (usize, usize) {
+        let caches = self.groups.iter().map(|(_, members)| members.len()).sum();
+        (self.groups.len(), caches)
+    }
+
+    /// One report per configuration, in construction order.
+    pub fn reports(&self) -> Vec<ICacheReport> {
+        (self.slots.iter())
+            .map(|&(group, member)| self.groups[group].1[member].report())
+            .collect()
+    }
+}
+
+impl Pintool for ICacheBank {
+    /// A batch of one event through every walk: the same code as
+    /// [`Pintool::on_batch`].
+    fn on_inst(&mut self, ev: &TraceEvent) {
+        let mut insts = BySection::<u64>::default();
+        *insts.get_mut(ev.section) += 1;
+        for (walk, members) in &mut self.groups {
+            walk.walk(std::slice::from_ref(ev));
+            for member in members {
+                member.consume(walk, insts);
+            }
+        }
+    }
+
+    /// Hot path: each line size's walk once, then every cache of that
+    /// size over its exits.
+    fn on_batch(&mut self, batch: &EventBatch) {
+        for (walk, members) in &mut self.groups {
+            walk.walk(batch.events());
+            for member in members {
+                member.consume(walk, batch.sections());
+            }
+        }
+    }
+
+    /// As [`ICacheSim`]: each cache scales the counts since its mark.
+    fn on_sample_weight(&mut self, weight: u64) {
+        for (_, members) in &mut self.groups {
+            for member in members {
+                member.on_sample_weight(weight);
+            }
+        }
+    }
+
+    fn on_sample_gap(&mut self) {
+        for (walk, _) in &mut self.groups {
+            walk.line = NO_LINE;
+        }
     }
 
     fn supports_sampled_replay(&self) -> bool {

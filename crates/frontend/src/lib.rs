@@ -39,5 +39,5 @@ mod ras;
 
 pub use btb::{Btb, BtbConfig, BtbReport, BtbSim, BtbStats};
 pub use config::{CoreKind, FrontendConfig, PredictorChoice, PredictorClass, PredictorSize};
-pub use icache::{CacheConfig, ICache, ICacheReport, ICacheSim, ICacheStats};
+pub use icache::{CacheConfig, ICache, ICacheBank, ICacheReport, ICacheSim, ICacheStats};
 pub use ras::ReturnAddressStack;

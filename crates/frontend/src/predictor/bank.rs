@@ -107,6 +107,11 @@ impl PredictorBank {
         }
     }
 
+    /// `(base predictors, loop predictors)` the bank runs.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.bases.len(), usize::from(self.lbp.is_some()))
+    }
+
     /// One report per choice, in construction order, named and budgeted
     /// as the solo predictor would be.
     pub fn reports(&self) -> Vec<PredictorReport> {
@@ -217,15 +222,10 @@ mod tests {
     use crate::predictor::PredictorSim;
     use crate::{PredictorClass, PredictorSize};
 
-    /// `(base predictors, loop predictors)` the bank runs.
-    fn shape(bank: &PredictorBank) -> (usize, usize) {
-        (bank.bases.len(), usize::from(bank.lbp.is_some()))
-    }
-
     #[test]
     fn figure5_set_runs_six_bases_and_one_loop_predictor() {
         let bank = PredictorBank::new(&PredictorChoice::figure5_set());
-        assert_eq!(shape(&bank), (6, 1));
+        assert_eq!(bank.shape(), (6, 1));
         let bases: Vec<usize> = bank.members.iter().map(|m| m.base).collect();
         assert_eq!(bases, [0, 1, 2, 3, 4, 5, 3, 4, 5], "L-X shares X's base");
     }
@@ -233,8 +233,8 @@ mod tests {
     #[test]
     fn no_looped_choice_builds_no_loop_predictor() {
         let plain = PredictorChoice::new(PredictorClass::Tage, PredictorSize::Small, false);
-        assert_eq!(shape(&PredictorBank::new(&[plain, plain])), (1, 0));
-        assert_eq!(shape(&PredictorBank::new(&[])), (0, 0));
+        assert_eq!(PredictorBank::new(&[plain, plain]).shape(), (1, 0));
+        assert_eq!(PredictorBank::new(&[]).shape(), (0, 0));
     }
 
     #[test]

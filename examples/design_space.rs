@@ -7,7 +7,7 @@
 //! ```
 
 use rebalance::frontend::predictor::{DirectionPredictor, PredictorSim};
-use rebalance::frontend::{BtbConfig, BtbSim, CacheConfig, ICacheSim, PredictorChoice};
+use rebalance::frontend::{BtbConfig, BtbSim, CacheConfig, ICacheBank, PredictorChoice};
 use rebalance::mcpat::{btb_estimate, icache_estimate, predictor_estimate};
 use rebalance::trace::MultiTool;
 use rebalance::Scale;
@@ -60,19 +60,22 @@ fn main() -> Result<(), String> {
         );
     }
 
-    // --- I-cache geometries. ---
+    // --- I-cache geometries: one bank, one line walk per line size, in
+    // one trace pass. ---
+    let configs: Vec<CacheConfig> = [(32, 64), (16, 64), (16, 128), (8, 64)]
+        .into_iter()
+        .map(|(size_kb, line)| CacheConfig::new(size_kb * 1024, line, 8))
+        .collect();
+    let mut bank = ICacheBank::new(&configs);
+    trace.replay(&mut bank);
     println!("\nI-cache             MPKI    useful  area mm2");
-    for (size_kb, line) in [(32, 64), (16, 64), (16, 128), (8, 64)] {
-        let cfg = CacheConfig::new(size_kb * 1024, line, 8);
-        let mut sim = ICacheSim::new(cfg);
-        trace.replay(&mut sim);
-        let rep = sim.report();
+    for (cfg, rep) in configs.iter().zip(bank.reports()) {
         println!(
             "{:<18} {:>6.2}  {:>6.2}  {:>8.3}",
             cfg.label(),
             rep.total().mpki(),
             rep.usefulness,
-            icache_estimate(&cfg).area_mm2
+            icache_estimate(cfg).area_mm2
         );
     }
 

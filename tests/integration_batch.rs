@@ -14,7 +14,7 @@
 //! each check, next to the default.
 
 use rebalance::frontend::predictor::{DirectionPredictor, PredictorBank, PredictorSim};
-use rebalance::frontend::{BtbConfig, BtbSim, CacheConfig, ICacheSim, PredictorChoice};
+use rebalance::frontend::{BtbConfig, BtbSim, CacheConfig, ICacheBank, ICacheSim, PredictorChoice};
 use rebalance::pintools::{characterization_from_tools, characterization_tools, BbvTool};
 use rebalance::trace::sampling::Fingerprinter;
 use rebalance::trace::{
@@ -130,8 +130,9 @@ fn batched_snapshot_decode_is_bit_identical_to_per_event_decode() {
 /// Every hot front-end tool, the characterization set and the BBV
 /// fingerprint, batched vs per-event, live and snapshot-decoded at
 /// capacities 1, 7 and the default: reports must be equal. The
-/// predictor bank rides along and must match the nine solo sims per
-/// event, so it matches them under every delivery.
+/// predictor bank and an I-cache bank (32, 64 and 128 B lines) ride
+/// along and must match their solo sims per event, so they match them
+/// under every delivery.
 #[test]
 fn hot_tool_on_batch_overrides_match_per_event_results() {
     let trace = smoke_trace("FT");
@@ -141,6 +142,12 @@ fn hot_tool_on_batch_overrides_match_per_event_results() {
     }
 
     let static_bytes = trace.program().static_bytes();
+    let bank_configs = [
+        CacheConfig::new(16 * 1024, 64, 4),
+        CacheConfig::new(8 * 1024, 32, 2),
+        CacheConfig::new(16 * 1024, 128, 8),
+        CacheConfig::new(32 * 1024, 64, 8),
+    ];
 
     // One measurement = all tools over one shared replay, delivered by
     // the requested mode. Returns comparable report values.
@@ -149,6 +156,7 @@ fn hot_tool_on_batch_overrides_match_per_event_results() {
         Vec<rebalance::frontend::predictor::PredictorReport>,
         rebalance::frontend::BtbReport,
         rebalance::frontend::ICacheReport,
+        Vec<rebalance::frontend::ICacheReport>,
         rebalance::Characterization,
         Vec<Vec<u64>>,
     );
@@ -157,6 +165,7 @@ fn hot_tool_on_batch_overrides_match_per_event_results() {
         let mut bank = PredictorBank::new(&PredictorChoice::figure5_set());
         let mut btb = BtbSim::new(BtbConfig::new(512, 4));
         let mut icache = ICacheSim::new(CacheConfig::new(16 * 1024, 64, 4));
+        let mut icache_bank = ICacheBank::new(&bank_configs);
         let mut chars = characterization_tools();
         // A prime interval ends mid-batch at every capacity but 1.
         let mut bbv = BbvTool::new(32);
@@ -165,7 +174,7 @@ fn hot_tool_on_batch_overrides_match_per_event_results() {
             let mut tools = (
                 (&mut preds, &mut bank),
                 &mut btb,
-                &mut icache,
+                (&mut icache, &mut icache_bank),
                 &mut chars,
                 &mut bbv,
             );
@@ -189,6 +198,7 @@ fn hot_tool_on_batch_overrides_match_per_event_results() {
             bank.reports(),
             btb.report(),
             icache.report(),
+            icache_bank.reports(),
             characterization_from_tools(chars, static_bytes, Default::default()),
             // The fingerprints as raw bits: equality is bit-identity.
             bbv.finish()
@@ -200,6 +210,18 @@ fn hot_tool_on_batch_overrides_match_per_event_results() {
 
     let baseline = measure("per-event", 0);
     assert_eq!(baseline.1, baseline.0, "bank vs nine solo sims");
+    for (got, &config) in baseline.4.iter().zip(&bank_configs) {
+        let mut solo = ICacheSim::new(config);
+        trace.replay_per_event(&mut solo);
+        let expected = solo.report();
+        assert_eq!(got.sections, expected.sections, "{}", config.label());
+        assert_eq!(
+            got.usefulness.to_bits(),
+            expected.usefulness.to_bits(),
+            "{}",
+            config.label()
+        );
+    }
     for cap in [1usize, 7, DEFAULT_BATCH_CAPACITY] {
         for mode in ["batched", "snapshot"] {
             assert_eq!(

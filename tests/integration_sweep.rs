@@ -12,7 +12,7 @@
 //! tests replay concurrently.
 
 use rebalance::frontend::predictor::{DirectionPredictor, PredictorReport, PredictorSim};
-use rebalance::frontend::{BtbConfig, BtbSim, CacheConfig, ICacheSim, PredictorChoice};
+use rebalance::frontend::{BtbConfig, BtbSim, CacheConfig, ICacheBank, ICacheSim, PredictorChoice};
 use rebalance::trace::{Executor, SweepEngine, SyntheticTrace, ToolSet};
 use rebalance::Scale;
 
@@ -52,18 +52,20 @@ fn fan_out_replay_is_bit_identical_to_sequential_replays() {
     assert_eq!(engine.replays(), 9, "the baseline costs nine");
     assert_eq!(fanned_reports, sequential_reports, "bit-identical reports");
 
-    // --- I-cache geometries. ---
+    // --- I-cache geometries: one bank, one line walk per line size. ---
     let cache_configs = [
         CacheConfig::new(8 * 1024, 64, 2),
         CacheConfig::new(16 * 1024, 128, 8),
         CacheConfig::new(32 * 1024, 64, 4),
+        CacheConfig::new(16 * 1024, 32, 4),
     ];
-    let mut fanned: ToolSet<ICacheSim> = cache_configs.iter().map(|&c| ICacheSim::new(c)).collect();
-    trace.replay(&mut fanned);
-    for (sim, &config) in fanned.iter().zip(&cache_configs) {
+    let mut bank = ICacheBank::new(&cache_configs);
+    assert_eq!(bank.shape(), (3, 4), "3 line walks feed 4 caches");
+    trace.replay(&mut bank);
+    for (report, &config) in bank.reports().iter().zip(&cache_configs) {
         let mut alone = ICacheSim::new(config);
         trace.replay(&mut alone);
-        assert_eq!(sim.report(), alone.report(), "{}", config.label());
+        assert_eq!(*report, alone.report(), "{}", config.label());
     }
 
     // --- BTB geometries. ---

@@ -14,7 +14,8 @@
 //!    way — even when boundaries land exactly on batch edges, and
 //! 4. `ICacheSim`'s line-buffer `on_batch` loop matches its per-event
 //!    path on streams with real fetch locality, which arbitrary pcs
-//!    never have, and
+//!    never have, and so does an `ICacheBank` that walks each line
+//!    size once for many geometries, and
 //! 5. a `PredictorBank` over the nine Figure 5 configurations reports
 //!    exactly what nine solo `PredictorSim`s report, per event and
 //!    batched, on loop-shaped streams where the loop predictor becomes
@@ -23,7 +24,7 @@
 use proptest::prelude::*;
 
 use rebalance::frontend::predictor::{PredictorBank, PredictorReport};
-use rebalance::frontend::{BtbConfig, BtbSim, CacheConfig, ICacheSim, PredictorChoice};
+use rebalance::frontend::{BtbConfig, BtbSim, CacheConfig, ICacheBank, ICacheSim, PredictorChoice};
 use rebalance::isa::{Addr, BranchKind, InstClass, Outcome};
 use rebalance::pintools::{BasicBlockTool, BbvTool, BranchBiasTool, BranchMixTool, DirectionTool};
 use rebalance::trace::sampling::Fingerprinter;
@@ -481,6 +482,73 @@ proptest! {
                 "{}",
                 &label
             );
+        }
+    }
+}
+
+/// An I-cache bank's members: 32, 64 and 128 B lines, two of them
+/// repeated, plus the prefetching geometries, the one-set one among
+/// them.
+const BANK_PLAIN: [(usize, usize, usize); 7] = [
+    (512, 32, 2),
+    (1024, 64, 4),
+    (2048, 128, 8),
+    (64, 64, 1),
+    (1024, 64, 4),
+    (4096, 64, 2),
+    (2048, 128, 8),
+];
+const BANK_PREFETCH: [(usize, usize, usize); 3] = [(64, 64, 1), (1024, 64, 4), (2048, 128, 8)];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Bank against solo: one `ICacheBank` walks each line size once
+    /// and feeds every geometry of that size, yet each of its reports
+    /// equals a solo `ICacheSim`'s fed per event (usefulness as `f64`
+    /// bits), whether the bank is fed per event or batched at any small
+    /// capacity. Repeated geometries share one cache and report alike;
+    /// in the one-set prefetching cache every prefetch evicts the line
+    /// being fetched from.
+    #[test]
+    fn icache_bank_matches_solo_sims_on_local_streams(
+        steps in local_steps(300),
+        capacity in 1usize..=10,
+    ) {
+        let stream = local_stream(&steps);
+        let config = |(size, line, assoc)| CacheConfig::new(size, line, assoc);
+        let solo = |key, prefetch: bool| {
+            let mut sim = ICacheSim::new(config(key));
+            if prefetch {
+                sim = sim.with_next_line_prefetch();
+            }
+            deliver_per_event(&stream, &mut sim);
+            sim.report()
+        };
+        let expected: Vec<_> = (BANK_PLAIN.iter().map(|&k| solo(k, false)))
+            .chain(BANK_PREFETCH.iter().map(|&k| solo(k, true)))
+            .collect();
+        let bank = || {
+            let plain: Vec<_> = BANK_PLAIN.iter().map(|&k| config(k)).collect();
+            let prefetch: Vec<_> = BANK_PREFETCH.iter().map(|&k| config(k)).collect();
+            ICacheBank::new(&plain).with_next_line_prefetch(&prefetch)
+        };
+        let mut per_event = bank();
+        deliver_per_event(&stream, &mut per_event);
+        let mut batched = bank();
+        deliver_batched(&stream, capacity, &mut batched);
+        prop_assert_eq!(batched.shape(), (3, 8), "3 walks, 8 distinct caches");
+        for (label, bank) in [("per event", &per_event), ("batched", &batched)] {
+            for (i, (got, expected)) in bank.reports().iter().zip(&expected).enumerate() {
+                prop_assert_eq!(got.sections, expected.sections, "{} member {}", label, i);
+                prop_assert_eq!(
+                    got.usefulness.to_bits(),
+                    expected.usefulness.to_bits(),
+                    "{} member {}",
+                    label,
+                    i
+                );
+            }
         }
     }
 }

@@ -2,13 +2,13 @@
 //! fingerprint sets through the clusterer, degenerate plans over real
 //! synthesized traces, and the windowed sampled replay against a
 //! decode-everything-and-filter oracle — both its callbacks and what an
-//! `ICacheSim` fed them reports, and what a `PredictorBank` reports
-//! against nine solo predictor sims fed them.
+//! `ICacheSim` fed them reports, and what a `PredictorBank` and an
+//! `ICacheBank` report against solo sims fed them.
 
 use proptest::prelude::*;
-use rebalance::coresim::CoreModel;
-use rebalance::frontend::predictor::PredictorBank;
-use rebalance::frontend::{CacheConfig, CoreKind, ICacheSim, PredictorChoice};
+use rebalance::coresim::{CoreModel, FrontendKeys};
+use rebalance::frontend::predictor::{DirectionPredictor, PredictorBank, PredictorSim};
+use rebalance::frontend::{BtbSim, CacheConfig, CoreKind, ICacheBank, ICacheSim, PredictorChoice};
 use rebalance::isa::{Addr, InstClass, Outcome};
 use rebalance::pintools::BbvTool;
 use rebalance::trace::snapshot::{self, checksum, KIND_TABLE};
@@ -96,8 +96,21 @@ proptest! {
     }
 }
 
+/// One solo sim per front-end structure of `model`: the one-of-each
+/// reference its keyed families are checked against.
+fn solo_sims(model: &CoreModel) -> (PredictorSim<Box<dyn DirectionPredictor>>, BtbSim, ICacheSim) {
+    let frontend = model.frontend();
+    (
+        PredictorSim::new(frontend.predictor.build()),
+        BtbSim::new(frontend.btb),
+        ICacheSim::new(frontend.icache),
+    )
+}
+
 /// A degenerate plan over a real trace is *bit-identical* to the full
-/// replay: same tool reports, every instruction delivered.
+/// replay: same tool reports, every instruction delivered. The keyed
+/// families the core is priced from read the same as its solo sims,
+/// sampled or not.
 #[test]
 fn degenerate_plan_replays_real_traces_bit_identically() {
     for name in ["CG", "k.branchy"] {
@@ -114,12 +127,27 @@ fn degenerate_plan_replays_real_traces_bit_identically() {
         );
 
         let model = CoreModel::new(CoreKind::Baseline);
-        let mut full = model.tools();
+        let mut full = solo_sims(&model);
         snap.replay(&mut full).expect("full replay");
-        let mut sampled = model.tools();
+        let mut sampled = solo_sims(&model);
         let replay = snap
             .replay_sampled(&mut sampled, &plan)
             .expect("sampled replay");
+        let keys = FrontendKeys::of(&[model]);
+        let mut families = keys.tools();
+        snap.replay_sampled(&mut families, &plan)
+            .expect("sampled replay");
+        let backend = rebalance::workloads::find(name).unwrap().profile().backend;
+        assert_eq!(
+            keys.reports(&families).timing(&model, &backend),
+            model.timing(
+                &sampled.0.report(),
+                &sampled.1.report(),
+                &sampled.2.report(),
+                &backend
+            ),
+            "{name}: the families price like the solo sims"
+        );
 
         assert_eq!(
             replay.delivered_instructions, total,
@@ -163,7 +191,7 @@ fn interval_size_one_loses_no_events() {
     assert_eq!(weights, total, "every instruction is weighted exactly once");
 
     let model = CoreModel::new(CoreKind::Baseline);
-    let mut tools = model.tools();
+    let mut tools = solo_sims(&model);
     let replay = snap
         .replay_sampled(&mut tools, &plan)
         .expect("sampled replay");
@@ -391,7 +419,9 @@ fn feed_per_event<T: Pintool>(calls: &[Call], tool: &mut T) {
 /// flush at every batch end and restart after a gap. The sims are
 /// small caches that evict often, with and without next-line prefetch;
 /// in the one-line cache every prefetch evicts the line being fetched
-/// from.
+/// from. One `ICacheBank` over every geometry (32, 64 and 128 B lines,
+/// one of them twice) must report the same as the per-event solo sims,
+/// its members scaled by each representative's weight.
 fn assert_icache_matches_oracle(
     label: &str,
     snap: &Snapshot<'_>,
@@ -399,14 +429,22 @@ fn assert_icache_matches_oracle(
     capacity: usize,
     oracle_calls: &[Call],
 ) {
-    for (size, line, assoc, prefetch) in [
+    let keys = [
         (1024, 64, 2, false),
         (1024, 64, 2, true),
         (64, 64, 1, false),
         (64, 64, 1, true),
-    ] {
+        (512, 32, 2, false),
+        (1024, 128, 2, false),
+        (1024, 64, 2, false),
+    ];
+    let config =
+        |(size, line, assoc, _): (usize, usize, usize, bool)| CacheConfig::new(size, line, assoc);
+    let mut expected_all = Vec::new();
+    for key in keys {
+        let (size, line, assoc, prefetch) = key;
         let sim = || {
-            let sim = ICacheSim::new(CacheConfig::new(size, line, assoc));
+            let sim = ICacheSim::new(config(key));
             if prefetch {
                 sim.with_next_line_prefetch()
             } else {
@@ -420,6 +458,26 @@ fn assert_icache_matches_oracle(
             .unwrap_or_else(|e| panic!("{label} cap {capacity}: {e}"));
         let (expected, got) = (expected.report(), windowed.report());
         let label = format!("{label} cap {capacity} {size}/{line}/{assoc} prefetch {prefetch}");
+        assert_eq!(got.sections, expected.sections, "{label}: i-cache stats");
+        assert_eq!(
+            got.usefulness.to_bits(),
+            expected.usefulness.to_bits(),
+            "{label}: usefulness"
+        );
+        expected_all.push((key, expected));
+    }
+    let configs_where = |prefetch: bool| -> Vec<CacheConfig> {
+        let keys = keys.iter().filter(|k| k.3 == prefetch);
+        keys.map(|&k| config(k)).collect()
+    };
+    let mut bank =
+        ICacheBank::new(&configs_where(false)).with_next_line_prefetch(&configs_where(true));
+    snap.replay_sampled_batched(&mut bank, plan, capacity)
+        .unwrap_or_else(|e| panic!("{label} cap {capacity}: {e}"));
+    let bank_keys = (keys.iter().filter(|k| !k.3)).chain(keys.iter().filter(|k| k.3));
+    for (key, got) in bank_keys.zip(bank.reports()) {
+        let expected = &expected_all.iter().find(|(k, _)| k == key).unwrap().1;
+        let label = format!("{label} cap {capacity} bank {key:?}");
         assert_eq!(got.sections, expected.sections, "{label}: i-cache stats");
         assert_eq!(
             got.usefulness.to_bits(),
@@ -452,8 +510,8 @@ fn assert_bank_matches_oracle(
 }
 
 /// Asserts the windowed replay's call log, delivered count and summary
-/// match the oracle's for `plan`, and that an `ICacheSim` and a
-/// `PredictorBank` report the same either way
+/// match the oracle's for `plan`, and that `ICacheSim`s, an `ICacheBank`
+/// and a `PredictorBank` report the same either way
 /// ([`assert_icache_matches_oracle`], [`assert_bank_matches_oracle`]),
 /// at batch capacities 1, 7 and the default.
 fn assert_matches_oracle(label: &str, snap: &Snapshot<'_>, plan: &SamplePlan) {
