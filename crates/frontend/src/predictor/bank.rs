@@ -63,8 +63,6 @@ pub struct PredictorBank {
     bases: Vec<Box<dyn DirectionPredictor>>,
     lbp: Option<LoopPredictor>,
     members: Vec<Member>,
-    /// Each base's prediction for the branch in flight.
-    predictions: Vec<bool>,
 }
 
 impl fmt::Debug for PredictorBank {
@@ -80,6 +78,11 @@ impl fmt::Debug for PredictorBank {
 impl PredictorBank {
     /// Groups `choices` by base key (choices may repeat; each still
     /// gets its own counters and report).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `choices` name more than 64 distinct bases (one bit
+    /// each in the per-branch miss mask).
     pub fn new(choices: &[PredictorChoice]) -> Self {
         let mut keys = Vec::new();
         let mut bases = Vec::new();
@@ -98,9 +101,9 @@ impl PredictorBank {
                 mark: BySection::default(),
             });
         }
+        assert!(bases.len() <= 64, "at most 64 distinct base predictors");
         let looped = members.iter().any(|m| m.looped);
         PredictorBank {
-            predictions: vec![false; bases.len()],
             bases,
             lbp: looped.then(|| LoopPredictor::new(PAPER_LOOP_ENTRIES)),
             members,
@@ -134,28 +137,34 @@ impl PredictorBank {
     }
 
     /// One conditional branch through every base once, then every
-    /// member's miss count. The trajectory is computed only when some
-    /// member mispredicts.
+    /// member's miss count. The members are walked, and the trajectory
+    /// computed, only when some base or the loop predictor's confident
+    /// prediction missed.
     #[inline]
     fn step(&mut self, pc: Addr, br: BranchEvent, section: Section) {
         let taken = br.outcome.is_taken();
-        for (base, predicted) in self.bases.iter_mut().zip(&mut self.predictions) {
-            *predicted = base.observe(pc, taken);
+        // Bit b: base b mispredicted.
+        let mut missed = 0u64;
+        for (b, base) in self.bases.iter_mut().enumerate() {
+            missed |= u64::from(base.observe(pc, taken) != taken) << b;
         }
         let confident = self.lbp.as_mut().and_then(|lbp| {
             let confident = lbp.confident_prediction(pc);
             lbp.update(pc, taken);
             confident
         });
-        let mut trajectory = None;
+        if missed == 0 && confident.is_none_or(|predicted| predicted == taken) {
+            return;
+        }
+        let trajectory = br.trajectory(pc);
         for m in &mut self.members {
-            let predicted = match confident {
-                Some(predicted) if m.looped => predicted,
-                _ => self.predictions[m.base],
+            let miss = match confident {
+                Some(predicted) if m.looped => predicted != taken,
+                _ => missed >> m.base & 1 == 1,
             };
-            if predicted != taken {
+            if miss {
                 let b = &mut m.sections.get_mut(section).breakdown;
-                match *trajectory.get_or_insert_with(|| br.trajectory(pc)) {
+                match trajectory {
                     BranchTrajectory::NotTaken => b.not_taken += 1,
                     BranchTrajectory::TakenBackward => b.taken_backward += 1,
                     BranchTrajectory::TakenForward => b.taken_forward += 1,

@@ -48,11 +48,18 @@ impl Bimodal {
         // branches never start on consecutive bytes in practice.
         ((pc.as_u64() >> 1) & self.index_mask) as usize
     }
+
+    /// The prediction for `pc`, read without a mutable borrow (TAGE's
+    /// shared lookup falls back to it).
+    #[inline]
+    pub(super) fn peek(&self, pc: Addr) -> bool {
+        self.table[self.index(pc)].predict()
+    }
 }
 
 impl DirectionPredictor for Bimodal {
     fn predict(&mut self, pc: Addr) -> bool {
-        self.table[self.index(pc)].predict()
+        self.peek(pc)
     }
 
     fn update(&mut self, pc: Addr, taken: bool) {

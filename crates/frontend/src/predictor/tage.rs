@@ -13,6 +13,12 @@ use super::{Bimodal, DirectionPredictor};
 /// * [`TageConfig::big`] — 12 tagged tables, ~14 KB;
 /// * [`TageConfig::small`] — 2 tagged tables (history lengths 4 and 16),
 ///   ~1.5 KB.
+///
+/// [`Tage::new`] accepts `bimodal_bits` 1–20, `table_bits` 1–15,
+/// `tag_bits` 4–14 and 1–16 strictly ascending `histories` of at most
+/// 1024 outcomes. `table_bits` stops at 15 because each table's folded
+/// histories live in `u16` lanes, which must hold a fold shifted left
+/// by one bit; the in-tree configurations use 9 or fewer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TageConfig {
     /// log2 of bimodal (base predictor) entries.
@@ -55,7 +61,7 @@ impl TageConfig {
             "bimodal_bits out of range"
         );
         assert!(
-            (1..=16).contains(&self.table_bits),
+            (1..=15).contains(&self.table_bits),
             "table_bits out of range"
         );
         assert!(!self.histories.is_empty(), "need at least one tagged table");
@@ -76,51 +82,61 @@ impl TageConfig {
 }
 
 const MAX_HISTORY: usize = 1024;
-/// Most tagged tables any configuration may use (sizes the fused
-/// `observe` path's stack-allocated index/tag caches).
+/// Most tagged tables any configuration may use: the width of the
+/// lane arrays.
 const MAX_TABLES: usize = 16;
+/// Tables per step of the lane loops: eight `u16` lanes fill one
+/// 128-bit vector, the baseline x86-64 (SSE2) width.
+const LANES: usize = 8;
 /// Useful-bit aging period (updates between `u` clears).
 const U_RESET_PERIOD: u64 = 256 * 1024;
 
-/// Folded (compressed) history register — incrementally maintains
-/// `fold(history[0..orig_len], out_len)` as bits shift in and out.
+/// One `u16` per tagged table; lanes past the last table are padding
+/// that the lane loops compute and nothing reads.
+type Lanes = [u16; MAX_TABLES];
+
+/// Each lane's table number, XORed into its index.
+const TABLE_IDS: Lanes = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
+
+/// One folded (compressed) history per tagged table: lane `t`
+/// incrementally maintains `fold(history[0..histories[t]], width)` as
+/// outcomes shift in and out.
 #[derive(Debug, Clone)]
-struct Folded {
-    comp: u64,
-    orig_len: u32,
-    out_len: u32,
-    outpoint: u32,
+struct FoldLanes {
+    comp: Lanes,
+    /// `1 << (histories[t] % width)`: where the bit leaving lane `t`'s
+    /// history is folded back out (0 in padding lanes).
+    out: Lanes,
+    width: u32,
 }
 
-impl Folded {
-    fn new(orig_len: u32, out_len: u32) -> Self {
-        Folded {
-            comp: 0,
-            orig_len,
-            out_len,
-            outpoint: orig_len % out_len,
+impl FoldLanes {
+    fn new(histories: &[u32], width: u32) -> Self {
+        let mut out = [0; MAX_TABLES];
+        for (o, &h) in out.iter_mut().zip(histories) {
+            *o = 1 << (h % width);
+        }
+        FoldLanes {
+            comp: [0; MAX_TABLES],
+            out,
+            width,
         }
     }
 
-    #[inline]
-    fn update(&mut self, new_bit: u64, old_bit: u64) {
-        self.comp = (self.comp << 1) | new_bit;
-        self.comp ^= old_bit << self.outpoint;
-        self.comp ^= self.comp >> self.out_len;
-        self.comp &= (1u64 << self.out_len) - 1;
-        let _ = self.orig_len;
+    /// Shifts chunk `c`'s lanes by one outcome: `new` (0 or 1) enters
+    /// at bit 0, and `old` (per lane, all ones when the bit leaving that
+    /// lane's history is set, else 0) leaves at the lane's outpoint.
+    #[inline(always)]
+    fn shift(&mut self, c: usize, new: u16, old: &[u16; LANES]) {
+        let width = self.width;
+        let mask = (1u16 << width) - 1;
+        let comp = &mut self.comp.as_chunks_mut::<LANES>().0[c];
+        let out = &self.out.as_chunks::<LANES>().0[c];
+        for l in 0..LANES {
+            let v = ((comp[l] << 1) | new) ^ (old[l] & out[l]);
+            comp[l] = (v ^ (v >> width)) & mask;
+        }
     }
-}
-
-/// One tagged table's three folded-history registers, stored together
-/// so the per-update shift streams one array instead of three.
-#[derive(Debug, Clone)]
-struct TableFolds {
-    /// History length of this table, cached next to its folds.
-    history: u32,
-    idx: Folded,
-    tag0: Folded,
-    tag1: Folded,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -132,10 +148,30 @@ struct TageEntry {
     useful: u8,
 }
 
+/// What one branch reads from the predictor, shared by `predict` and
+/// `observe`.
+struct Lookup {
+    /// Each table's entry (its position in the flat array) and tag for
+    /// this branch.
+    slot: [u32; MAX_TABLES],
+    tag: Lanes,
+    /// The longest table whose entry carries the branch's tag.
+    provider: Option<usize>,
+    /// The next-longest match's prediction, else the base predictor's.
+    alt_pred: bool,
+    /// The final prediction.
+    pred: bool,
+}
+
 /// The TAGE predictor: a bimodal base plus tagged tables indexed with
 /// geometrically increasing global-history lengths. The longest matching
 /// table provides the prediction; allocation on mispredictions steals
 /// entries whose useful bits have decayed.
+///
+/// The tagged tables share one flat array (table `t` at
+/// `t << table_bits`), and every table's folded histories sit in `u16`
+/// lanes, so the per-branch index, tag and history-shift loops run over
+/// whole 8-lane chunks that the compiler vectorizes.
 ///
 /// # Examples
 ///
@@ -149,14 +185,21 @@ struct TageEntry {
 pub struct Tage {
     cfg: TageConfig,
     base: Bimodal,
-    tables: Vec<Vec<TageEntry>>,
+    /// The tagged tables, table `t` at `t << table_bits`.
+    entries: Box<[TageEntry]>,
     // Global history ring (power-of-two array: masked indexing needs no
     // bounds checks).
     ghist: Box<[u8; MAX_HISTORY]>,
     ghist_pos: usize,
-    // Per-table folded histories (index fold + two tag folds) packed
-    // together: the per-update shift walks one contiguous array.
-    folds: Vec<TableFolds>,
+    /// Each lane's history length (0 in padding lanes).
+    history: Lanes,
+    idx_fold: FoldLanes,
+    tag0_fold: FoldLanes,
+    tag1_fold: FoldLanes,
+    /// 8-lane chunks covering the tables.
+    chunks: usize,
+    /// Lane `t`: `t << table_bits`, where table `t` starts.
+    table_base: [u32; MAX_TABLES],
     updates: u64,
 }
 
@@ -168,24 +211,22 @@ impl Tage {
     /// Panics if the configuration is out of range (see [`TageConfig`]).
     pub fn new(cfg: TageConfig) -> Self {
         cfg.check();
-        let entries = 1usize << cfg.table_bits;
-        let tables = vec![vec![TageEntry::default(); entries]; cfg.histories.len()];
-        let folds = cfg
-            .histories
-            .iter()
-            .map(|&h| TableFolds {
-                history: h,
-                idx: Folded::new(h, cfg.table_bits),
-                tag0: Folded::new(h, cfg.tag_bits),
-                tag1: Folded::new(h, cfg.tag_bits - 1),
-            })
-            .collect();
+        let tables = cfg.histories.len();
+        let mut history = [0; MAX_TABLES];
+        for (lane, &h) in history.iter_mut().zip(&cfg.histories) {
+            *lane = h as u16;
+        }
         Tage {
             base: Bimodal::new(cfg.bimodal_bits),
-            tables,
+            entries: vec![TageEntry::default(); tables << cfg.table_bits].into_boxed_slice(),
             ghist: Box::new([0; MAX_HISTORY]),
             ghist_pos: 0,
-            folds,
+            history,
+            idx_fold: FoldLanes::new(&cfg.histories, cfg.table_bits),
+            tag0_fold: FoldLanes::new(&cfg.histories, cfg.tag_bits),
+            tag1_fold: FoldLanes::new(&cfg.histories, cfg.tag_bits - 1),
+            chunks: tables.div_ceil(LANES),
+            table_base: std::array::from_fn(|t| (t as u32) << cfg.table_bits),
             updates: 0,
             cfg,
         }
@@ -196,62 +237,93 @@ impl Tage {
         &self.cfg
     }
 
-    #[inline]
-    fn table_index(&self, t: usize, pc: Addr) -> usize {
-        let pc = pc.as_u64() >> 1;
-        let idx = pc ^ (pc >> self.cfg.table_bits) ^ self.folds[t].idx.comp ^ (t as u64);
-        (idx & ((1u64 << self.cfg.table_bits) - 1)) as usize
-    }
-
-    #[inline]
-    fn table_tag(&self, t: usize, pc: Addr) -> u16 {
-        let pc = pc.as_u64() >> 1;
-        let tag = pc ^ self.folds[t].tag0.comp ^ (self.folds[t].tag1.comp << 1);
-        (tag & ((1u64 << self.cfg.tag_bits) - 1)) as u16
-    }
-
-    /// Finds (provider, alternate) matching table indices, longest first.
-    fn find_matches(&self, pc: Addr) -> (Option<usize>, Option<usize>) {
-        let mut provider = None;
-        let mut alt = None;
-        for t in (0..self.tables.len()).rev() {
-            let e = &self.tables[t][self.table_index(t, pc)];
-            if e.tag == self.table_tag(t, pc) {
-                if provider.is_none() {
-                    provider = Some(t);
-                } else {
-                    alt = Some(t);
-                    break;
-                }
+    /// Every table's entry and tag, the provider and the predictions,
+    /// without changing any state. Inlined into both callers: as a
+    /// separate call it made `observe` about 5% slower.
+    #[inline(always)]
+    fn lookup(&self, pc: Addr) -> Lookup {
+        let pcs = pc.as_u64() >> 1;
+        // Only the low 16 bits survive the masks below.
+        let pc_idx = (pcs ^ (pcs >> self.cfg.table_bits)) as u16;
+        let pc_tag = pcs as u16;
+        let idx_mask = (1u16 << self.cfg.table_bits) - 1;
+        let tag_mask = (1u16 << self.cfg.tag_bits) - 1;
+        let mut slot = [0; MAX_TABLES];
+        let mut tag = [0; MAX_TABLES];
+        for c in 0..self.chunks {
+            let slot = &mut slot.as_chunks_mut::<LANES>().0[c];
+            let tag = &mut tag.as_chunks_mut::<LANES>().0[c];
+            let base = &self.table_base.as_chunks::<LANES>().0[c];
+            let fi = &self.idx_fold.comp.as_chunks::<LANES>().0[c];
+            let f0 = &self.tag0_fold.comp.as_chunks::<LANES>().0[c];
+            let f1 = &self.tag1_fold.comp.as_chunks::<LANES>().0[c];
+            let ids = &TABLE_IDS.as_chunks::<LANES>().0[c];
+            for l in 0..LANES {
+                slot[l] = base[l] | u32::from((pc_idx ^ fi[l] ^ ids[l]) & idx_mask);
+                tag[l] = (pc_tag ^ f0[l] ^ (f1[l] << 1)) & tag_mask;
             }
         }
-        (provider, alt)
+
+        // Bit t: table t's entry carries the branch's tag.
+        let mut hits = 0u32;
+        for t in 0..self.cfg.histories.len() {
+            hits |= u32::from(self.entries[slot[t] as usize].tag == tag[t]) << t;
+        }
+        let provider = hits.checked_ilog2().map(|t| t as usize);
+        let (alt_pred, pred) = match provider {
+            Some(t) => {
+                let alt = (hits & !(1 << t)).checked_ilog2().map(|a| a as usize);
+                let alt_pred = match alt {
+                    Some(a) => self.entries[slot[a] as usize].ctr >= 0,
+                    None => self.base.peek(pc),
+                };
+                let e = self.entries[slot[t] as usize];
+                // Weak, never-useful entries defer to the alternate.
+                let pred = if (e.ctr == 0 || e.ctr == -1) && e.useful == 0 {
+                    alt_pred
+                } else {
+                    e.ctr >= 0
+                };
+                (alt_pred, pred)
+            }
+            None => {
+                let base = self.base.peek(pc);
+                (base, base)
+            }
+        };
+        Lookup {
+            slot,
+            tag,
+            provider,
+            alt_pred,
+            pred,
+        }
     }
 
-    fn component_prediction(&mut self, pc: Addr, t: Option<usize>) -> bool {
-        match t {
-            Some(t) => self.tables[t][self.table_index(t, pc)].ctr >= 0,
-            None => self.base.predict(pc),
+    /// Shifts the outcome into the global history and folded registers.
+    fn shift_history(&mut self, taken: bool) {
+        let pos = (self.ghist_pos + 1) & (MAX_HISTORY - 1);
+        self.ghist_pos = pos;
+        self.ghist[pos] = u8::from(taken);
+        let new = u16::from(taken);
+        for (c, history) in self.history.as_chunks::<LANES>().0[..self.chunks]
+            .iter()
+            .enumerate()
+        {
+            let old: [u16; LANES] = std::array::from_fn(|l| {
+                let old_pos = pos.wrapping_sub(usize::from(history[l])) & (MAX_HISTORY - 1);
+                0u16.wrapping_sub(u16::from(self.ghist[old_pos]))
+            });
+            self.idx_fold.shift(c, new, &old);
+            self.tag0_fold.shift(c, new, &old);
+            self.tag1_fold.shift(c, new, &old);
         }
     }
 }
 
 impl DirectionPredictor for Tage {
     fn predict(&mut self, pc: Addr) -> bool {
-        let (provider, alt) = self.find_matches(pc);
-        match provider {
-            Some(t) => {
-                let idx = self.table_index(t, pc);
-                let e = self.tables[t][idx];
-                // Weak, never-useful entries defer to the alternate.
-                if (e.ctr == 0 || e.ctr == -1) && e.useful == 0 {
-                    self.component_prediction(pc, alt)
-                } else {
-                    e.ctr >= 0
-                }
-            }
-            None => self.base.predict(pc),
-        }
+        self.lookup(pc).pred
     }
 
     fn update(&mut self, pc: Addr, taken: bool) {
@@ -262,142 +334,72 @@ impl DirectionPredictor for Tage {
         let _ = self.observe(pc, taken);
     }
 
-    /// Fused predict + update: the separate calls walk the tagged
-    /// tables three times (`predict`, `update`'s internal re-predict,
-    /// and its `find_matches`), and each walk recomputes every table's
-    /// index and tag. This computes each table's (index, tag) pair
-    /// **once**, runs the match pipeline once, and feeds both halves —
-    /// bit-identical because no state changes between the reads.
+    /// Fused predict + update: one `lookup` computes each table's
+    /// (index, tag) pair and the matches once, returns the prediction
+    /// `predict` would make from it, and trains from the same reads.
     fn observe(&mut self, pc: Addr, taken: bool) -> bool {
         self.updates += 1;
-        let n = self.tables.len();
-        debug_assert!(n <= MAX_TABLES, "checked at construction");
-        let mut idx = [0usize; MAX_TABLES];
-        let mut tag = [0u16; MAX_TABLES];
-        let pcs = pc.as_u64() >> 1;
-        let idx_mask = (1u64 << self.cfg.table_bits) - 1;
-        let tag_mask = (1u64 << self.cfg.tag_bits) - 1;
-        let pc_idx = pcs ^ (pcs >> self.cfg.table_bits);
+        let look = self.lookup(pc);
+        let n = self.cfg.histories.len();
 
-        // One longest-first pass computes every table's (index, tag)
-        // pair — cached for the update half below — and finds the
-        // provider/alternate matches along the way.
-        let mut provider = None;
-        let mut alt = None;
-        for t in (0..n.min(MAX_TABLES)).rev() {
-            let f = &self.folds[t];
-            let i = ((pc_idx ^ f.idx.comp ^ (t as u64)) & idx_mask) as usize;
-            let g = ((pcs ^ f.tag0.comp ^ (f.tag1.comp << 1)) & tag_mask) as u16;
-            idx[t] = i;
-            tag[t] = g;
-            if alt.is_none() && self.tables[t][i].tag == g {
-                if provider.is_none() {
-                    provider = Some(t);
-                } else {
-                    alt = Some(t);
-                }
-            }
-        }
-
-        // Prediction and training off the single match pass. When no
-        // table matched, the component predictions `update` would have
-        // computed are never consumed, so they are skipped outright.
-        let final_pred = match provider {
+        match look.provider {
             Some(t) => {
-                let e = self.tables[t][idx[t]];
+                let e = &mut self.entries[look.slot[t] as usize];
                 let provider_pred = e.ctr >= 0;
-                let alt_pred = match alt {
-                    Some(a) => self.tables[a][idx[a]].ctr >= 0,
-                    None => self.base.predict(pc),
-                };
-                // Weak, never-useful entries defer to the alternate.
-                let final_pred = if (e.ctr == 0 || e.ctr == -1) && e.useful == 0 {
-                    alt_pred
-                } else {
-                    provider_pred
-                };
-                let e = &mut self.tables[t][idx[t]];
                 e.ctr = if taken {
                     (e.ctr + 1).min(3)
                 } else {
                     (e.ctr - 1).max(-4)
                 };
-                if provider_pred != alt_pred {
+                if provider_pred != look.alt_pred {
                     if provider_pred == taken {
                         e.useful = (e.useful + 1).min(3);
                     } else {
                         e.useful = e.useful.saturating_sub(1);
                     }
                 }
-                final_pred
             }
-            None => {
-                let final_pred = self.base.predict(pc);
-                self.base.update(pc, taken);
-                final_pred
-            }
-        };
+            // No table matched: the base predictor provided, and trains.
+            None => self.base.update(pc, taken),
+        }
 
-        if final_pred != taken {
-            let start = provider.map_or(0, |t| t + 1);
-            let mut allocated = false;
-            for (t, (&i, &g)) in idx[..n].iter().zip(&tag[..n]).enumerate().skip(start) {
-                if self.tables[t][i].useful == 0 {
-                    self.tables[t][i] = TageEntry {
-                        tag: g,
+        if look.pred != taken {
+            let start = look.provider.map_or(0, |t| t + 1);
+            let free = (start..n).find(|&t| self.entries[look.slot[t] as usize].useful == 0);
+            match free {
+                Some(t) => {
+                    self.entries[look.slot[t] as usize] = TageEntry {
+                        tag: look.tag[t],
                         ctr: if taken { 0 } else { -1 },
                         useful: 0,
                     };
-                    allocated = true;
-                    break;
                 }
-            }
-            if !allocated {
-                for (t, &i) in idx[..n].iter().enumerate().skip(start) {
-                    let e = &mut self.tables[t][i];
-                    e.useful = e.useful.saturating_sub(1);
+                None => {
+                    for &slot in &look.slot[start..n] {
+                        let e = &mut self.entries[slot as usize];
+                        e.useful = e.useful.saturating_sub(1);
+                    }
                 }
             }
         }
 
         if self.updates.is_multiple_of(U_RESET_PERIOD) {
-            for table in &mut self.tables {
-                for e in table.iter_mut() {
-                    e.useful >>= 1;
-                }
+            for e in self.entries.iter_mut() {
+                e.useful >>= 1;
             }
         }
 
         self.shift_history(taken);
-        final_pred
+        look.pred
     }
 
     fn budget_bits(&self) -> u64 {
         let entry_bits = u64::from(self.cfg.tag_bits) + 3 + 2;
-        let tagged: u64 = self.tables.len() as u64 * (1u64 << self.cfg.table_bits) * entry_bits;
-        self.base.budget_bits() + tagged
+        self.base.budget_bits() + self.entries.len() as u64 * entry_bits
     }
 
     fn name(&self) -> &'static str {
         "tage"
-    }
-}
-
-impl Tage {
-    /// Shifts the outcome into the global history and folded registers.
-    fn shift_history(&mut self, taken: bool) {
-        let new_bit = u64::from(taken);
-        let pos = (self.ghist_pos + 1) & (MAX_HISTORY - 1);
-        self.ghist_pos = pos;
-        self.ghist[pos] = taken as u8;
-        let ghist = &*self.ghist;
-        for f in &mut self.folds {
-            let old_pos = (pos + MAX_HISTORY - f.history as usize) & (MAX_HISTORY - 1);
-            let old_bit = u64::from(ghist[old_pos]);
-            f.idx.update(new_bit, old_bit);
-            f.tag0.update(new_bit, old_bit);
-            f.tag1.update(new_bit, old_bit);
-        }
     }
 }
 
@@ -499,10 +501,16 @@ mod tests {
 
     #[test]
     fn folded_history_stays_in_range() {
-        let mut f = Folded::new(100, 9);
-        for i in 0..1000u64 {
-            f.update(i & 1, (i >> 1) & 1);
-            assert!(f.comp < (1 << 9));
+        let mut t = Tage::new(TageConfig::big());
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..4000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            t.update(Addr::new(x & 0xfff0), x & 1 == 1);
+            for f in [&t.idx_fold, &t.tag0_fold, &t.tag1_fold] {
+                assert!(f.comp.iter().all(|&c| c < 1 << f.width), "{f:?}");
+            }
         }
     }
 
