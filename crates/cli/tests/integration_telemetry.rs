@@ -8,6 +8,8 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use rebalance_trace::snapshot::read_info;
+use rebalance_trace::SNAPSHOT_EXT;
 use serde::Value;
 
 const BIN: &str = env!("CARGO_BIN_EXE_rebalance");
@@ -81,6 +83,22 @@ fn check_attribution(path: &str, node: &Value) {
     }
 }
 
+/// Instructions and branches over every snapshot in a cache directory,
+/// read from their footers.
+fn footer_totals(cache: &Path) -> (u64, u64) {
+    let mut totals = (0, 0);
+    let entries = std::fs::read_dir(cache).unwrap_or_else(|e| panic!("{}: {e}", cache.display()));
+    for entry in entries {
+        let path = entry.expect("cache entry").path();
+        if path.extension().is_some_and(|ext| ext == SNAPSHOT_EXT) {
+            let info = read_info(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            totals.0 += info.summary.instructions;
+            totals.1 += info.summary.branches;
+        }
+    }
+    totals
+}
+
 #[test]
 fn warm_sweep_metrics_hold_their_invariants_and_leave_results_unchanged() {
     let cache = scratch("cache");
@@ -131,7 +149,9 @@ fn warm_sweep_metrics_hold_their_invariants_and_leave_results_unchanged() {
 
     // The run's one ledger: a warm sweep of three workloads is three
     // replays, all cache hits, none generated, and its lanes carry
-    // every delivered event.
+    // every delivered event: the three snapshots' footer instruction
+    // totals, though the sweep's branch-only batches store no plain
+    // events.
     let report = m.get("report").expect("metrics.json: the run report");
     let field = |path: &[&str]| {
         path.iter()
@@ -142,8 +162,9 @@ fn warm_sweep_metrics_hold_their_invariants_and_leave_results_unchanged() {
     assert_eq!(field(&["replays"]), 3);
     assert_eq!(field(&["cache", "hits"]), 3);
     assert_eq!(field(&["cache", "generations"]), 0);
-    assert!(field(&["lanes", "instructions"]) > 0);
-    assert!(field(&["lanes", "branches"]) > 0);
+    let (instructions, branches) = footer_totals(&cache);
+    assert_eq!(field(&["lanes", "instructions"]), instructions);
+    assert_eq!(field(&["lanes", "branches"]), branches);
 
     let counters = m
         .get("counters")

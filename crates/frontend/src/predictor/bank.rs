@@ -223,6 +223,12 @@ impl Pintool for PredictorBank {
     fn supports_sampled_replay(&self) -> bool {
         true
     }
+
+    /// `on_batch` reads only the branch slice and the batch's section
+    /// counts.
+    fn needs_every_event(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

@@ -243,6 +243,12 @@ impl<P: DirectionPredictor> Pintool for PredictorSim<P> {
     fn supports_sampled_replay(&self) -> bool {
         true
     }
+
+    /// `on_batch` reads only the branch slice and the batch's section
+    /// counts.
+    fn needs_every_event(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

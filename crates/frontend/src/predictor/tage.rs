@@ -16,9 +16,13 @@ use super::{Bimodal, DirectionPredictor};
 ///
 /// [`Tage::new`] accepts `bimodal_bits` 1–20, `table_bits` 1–15,
 /// `tag_bits` 4–14 and 1–16 strictly ascending `histories` of at most
-/// 1024 outcomes. `table_bits` stops at 15 because each table's folded
-/// histories live in `u16` lanes, which must hold a fold shifted left
-/// by one bit; the in-tree configurations use 9 or fewer.
+/// 1023 outcomes. Histories stay below the 1024-slot global history
+/// ring: a history as long as the ring would read the bit leaving it
+/// from the slot the new outcome was just written to. `table_bits`
+/// stops at 15 because each table's folded histories live in `u16`
+/// lanes, which must hold a fold shifted left by one bit; the in-tree
+/// configurations use 9 or fewer table bits and histories of at most
+/// 640.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TageConfig {
     /// log2 of bimodal (base predictor) entries.
@@ -74,13 +78,14 @@ impl TageConfig {
             "histories must ascend"
         );
         assert!(
-            *self.histories.last().unwrap() <= MAX_HISTORY as u32,
-            "history exceeds ring capacity"
+            *self.histories.last().unwrap() < MAX_HISTORY as u32,
+            "histories must be shorter than the {MAX_HISTORY}-outcome history ring"
         );
         assert!((4..=14).contains(&self.tag_bits), "tag_bits out of range");
     }
 }
 
+/// Slots in the global history ring; histories are strictly shorter.
 const MAX_HISTORY: usize = 1024;
 /// Most tagged tables any configuration may use: the width of the
 /// lane arrays.
@@ -519,6 +524,23 @@ mod tests {
     fn rejects_unordered_histories() {
         let mut cfg = TageConfig::small();
         cfg.histories = vec![16, 4];
+        let _ = Tage::new(cfg);
+    }
+
+    /// A history as long as the ring would read its leaving bit from
+    /// the slot `shift_history` just wrote, so 1024 is rejected.
+    #[test]
+    #[should_panic(expected = "shorter than the 1024-outcome history ring")]
+    fn rejects_a_history_as_long_as_the_ring() {
+        let mut cfg = TageConfig::small();
+        cfg.histories = vec![4, 1024];
+        let _ = Tage::new(cfg);
+    }
+
+    #[test]
+    fn accepts_the_longest_history_below_the_ring() {
+        let mut cfg = TageConfig::small();
+        cfg.histories = vec![4, 1023];
         let _ = Tage::new(cfg);
     }
 

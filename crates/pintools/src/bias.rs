@@ -157,6 +157,11 @@ impl Pintool for BranchBiasTool {
             }
         }
     }
+
+    /// `on_batch` reads only the branch slice.
+    fn needs_every_event(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

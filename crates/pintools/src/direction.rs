@@ -138,6 +138,11 @@ impl Pintool for DirectionTool {
             self.step_branch(ev, &br);
         }
     }
+
+    /// `on_batch` reads only the branch slice.
+    fn needs_every_event(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

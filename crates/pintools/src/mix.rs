@@ -150,6 +150,12 @@ impl Pintool for BranchMixTool {
             self.sections.get_mut(ev.section).by_kind[kind_index(br.kind)] += 1;
         }
     }
+
+    /// `on_batch` reads only the branch slice and the batch's section
+    /// counts.
+    fn needs_every_event(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

@@ -28,7 +28,10 @@
 //! Producers ([`Interpreter`](crate::Interpreter),
 //! [`Snapshot`](crate::Snapshot) decode) fill a reusable batch and hand
 //! it to [`Pintool::on_batch`](crate::Pintool::on_batch) whenever it
-//! reaches capacity; combinators ([`ToolSet`](crate::ToolSet),
+//! reaches capacity. A snapshot decode into a tool set that does not
+//! [`Pintool::needs_every_event`](crate::Pintool::needs_every_event)
+//! fills a branch-only batch, which stores the branch slice alone and
+//! counts the rest. Combinators ([`ToolSet`](crate::ToolSet),
 //! [`MultiTool`](crate::MultiTool), tuples) forward whole batches, so an
 //! N-tool fan-out performs `N × (events / capacity)` virtual transitions
 //! instead of `N × events`.
@@ -44,8 +47,9 @@ use crate::section::Section;
 /// Number of events per batch for every entry point that does not take
 /// an explicit capacity.
 ///
-/// 4096 events × ~40 bytes keep a block comfortably inside L2 while
-/// amortizing per-batch bookkeeping to noise. Another size is chosen
+/// A full batch of 4096 events × ~40 bytes stays comfortably inside L2
+/// while amortizing per-batch bookkeeping to noise; a branch-only batch
+/// stores just its ~10% of branch events. Another size is chosen
 /// only through the explicit-capacity entry points
 /// ([`EventBatch::with_capacity`] and the `*_batched` replays).
 pub const DEFAULT_BATCH_CAPACITY: usize = 4096;
@@ -54,13 +58,38 @@ pub const DEFAULT_BATCH_CAPACITY: usize = 4096;
 /// `u32`, so capacities must stay indexable by one.
 pub const MAX_BATCH_CAPACITY: usize = u32::MAX as usize;
 
+fn check_capacity(capacity: usize) {
+    assert!(
+        capacity > 0 && capacity <= MAX_BATCH_CAPACITY,
+        "batch capacity must be in 1..={MAX_BATCH_CAPACITY}, got {capacity}"
+    );
+}
+
 /// Where a producer's decode/interpret loop delivers events: directly
 /// into a tool (the per-event baseline) or into an [`EventBatch`]
 /// flushed block-at-a-time. Monomorphized, so neither path pays for the
 /// other.
 pub(crate) trait EventSink {
+    /// `true` for a sink that only counts plain (non-branch) events:
+    /// the decoder may then hand it whole runs of sequential plain
+    /// records through [`EventSink::plain_run`].
+    const COUNTS_PLAIN: bool = false;
+
     fn section_start(&mut self, section: Section);
     fn event(&mut self, ev: TraceEvent);
+
+    /// Plain events the sink takes before its next flush (a
+    /// [`EventSink::COUNTS_PLAIN`] sink only).
+    fn plain_room(&self) -> usize {
+        0
+    }
+
+    /// Counts `n` plain events of `section`; `n` stays below
+    /// [`EventSink::plain_room`], so no flush falls inside the run.
+    fn plain_run(&mut self, n: usize, section: Section) {
+        let _ = (n, section);
+        unreachable!("only a plain-counting sink takes runs");
+    }
 }
 
 /// Per-event delivery: one `on_inst` call per instruction — the
@@ -103,11 +132,62 @@ impl<T: Pintool + ?Sized> EventSink for BatchSink<'_, '_, T> {
     }
 }
 
+/// Block-at-a-time delivery into a branch-only batch
+/// ([`EventBatch::for_tool`] of a tool that does not
+/// [`Pintool::needs_every_event`]): branch events go straight into the
+/// dense branch slice and plain events are only counted, so the batch
+/// fills, and flushes, at the same event positions a full batch does.
+pub(crate) struct BranchSink<'a, 'b, T: Pintool + ?Sized> {
+    pub batch: &'a mut EventBatch,
+    pub tool: &'b mut T,
+}
+
+impl<T: Pintool + ?Sized> EventSink for BranchSink<'_, '_, T> {
+    const COUNTS_PLAIN: bool = true;
+
+    #[inline]
+    fn section_start(&mut self, section: Section) {
+        self.batch.push_section_start(section);
+    }
+
+    #[inline]
+    fn event(&mut self, ev: TraceEvent) {
+        if ev.branch.is_some() {
+            self.batch.push_branch(ev);
+        } else {
+            self.batch.count_plain(1, ev.section);
+        }
+        if self.batch.is_full() {
+            self.batch.flush_into(self.tool);
+        }
+    }
+
+    #[inline]
+    fn plain_room(&self) -> usize {
+        self.batch.capacity - self.batch.len()
+    }
+
+    #[inline]
+    fn plain_run(&mut self, n: usize, section: Section) {
+        self.batch.count_plain(n, section);
+        debug_assert!(!self.batch.is_full(), "a run must not reach a flush");
+    }
+}
+
 /// A fixed-capacity block of trace events with a dense branch slice,
 /// section counts, and interleaved section-start notifications. The
 /// branch slice is built right before delivery — inside
 /// [`Pintool::on_batch`] it is always consistent with
 /// [`EventBatch::events`], but between pushes it is empty.
+///
+/// A snapshot replay into a tool set that does not
+/// [`Pintool::needs_every_event`] fills a **branch-only** batch
+/// instead: branch events go straight into the branch slice (no gather
+/// at flush time), and plain events are only counted into
+/// [`EventBatch::len`], [`EventBatch::sections`] and the
+/// [`EventBatch::section_starts`] positions. Everything but
+/// [`EventBatch::events`] reads the same as for a full batch; debug
+/// builds panic when a branch-only batch's plain events are read.
 ///
 /// # Examples
 ///
@@ -158,6 +238,11 @@ pub struct EventBatch {
     /// exists.
     branch_count: u64,
     taken_branches: u64,
+    /// Events counted without a slot in `events`: every event of a
+    /// branch-only batch, none of a full one.
+    counted: usize,
+    /// `false` for a branch-only batch, whose `events` stays empty.
+    stores_plain: bool,
     capacity: usize,
 }
 
@@ -173,6 +258,8 @@ impl Default for EventBatch {
             sections: BySection::default(),
             branch_count: 0,
             taken_branches: 0,
+            counted: 0,
+            stores_plain: true,
             capacity: DEFAULT_BATCH_CAPACITY,
         }
     }
@@ -193,15 +280,37 @@ impl EventBatch {
     /// Panics if `capacity` is zero or exceeds [`MAX_BATCH_CAPACITY`]
     /// (positions are stored as `u32`).
     pub fn with_capacity(capacity: usize) -> Self {
-        assert!(
-            capacity > 0 && capacity <= MAX_BATCH_CAPACITY,
-            "batch capacity must be in 1..={MAX_BATCH_CAPACITY}, got {capacity}"
-        );
+        check_capacity(capacity);
         EventBatch {
             events: Vec::with_capacity(capacity),
             capacity,
             ..EventBatch::default()
         }
+    }
+
+    /// The batch a replay into `tool` fills: a full one at `capacity`
+    /// when the tool [`Pintool::needs_every_event`], else a branch-only
+    /// one.
+    ///
+    /// # Panics
+    ///
+    /// As for [`EventBatch::with_capacity`].
+    pub(crate) fn for_tool<T: Pintool + ?Sized>(capacity: usize, tool: &T) -> Self {
+        if tool.needs_every_event() {
+            return EventBatch::with_capacity(capacity);
+        }
+        check_capacity(capacity);
+        EventBatch {
+            stores_plain: false,
+            capacity,
+            ..EventBatch::default()
+        }
+    }
+
+    /// `false` for a branch-only batch, which counts its plain events
+    /// without storing them.
+    pub(crate) fn stores_plain(&self) -> bool {
+        self.stores_plain
     }
 
     /// Maximum events the batch holds before it reports
@@ -210,31 +319,43 @@ impl EventBatch {
         self.capacity
     }
 
-    /// Events currently buffered.
+    /// Events currently buffered (for a branch-only batch: counted).
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.events.len() + self.counted
     }
 
     /// `true` when the batch carries neither events nor pending
     /// section-start notifications.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.starts.is_empty()
+        self.len() == 0 && self.starts.is_empty()
     }
 
     /// `true` once the batch holds `capacity` events (time to flush).
     pub fn is_full(&self) -> bool {
-        self.events.len() >= self.capacity
+        self.len() >= self.capacity
     }
 
     /// The buffered events, in delivery order.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, on a branch-only batch (one delivered to a tool
+    /// set that does not [`Pintool::needs_every_event`]): it stores no
+    /// plain events, so a tool reading them would under-count.
     pub fn events(&self) -> &[TraceEvent] {
+        debug_assert!(
+            self.stores_plain,
+            "a branch-only batch stores no plain events: a tool that reads them must leave \
+             Pintool::needs_every_event at true"
+        );
         &self.events
     }
 
     /// The branch-payload events, densely packed in delivery order —
     /// the precomputed slice branch-only tools stream instead of
-    /// filtering the full block. Built at flush time: populated inside
-    /// [`Pintool::on_batch`], empty between pushes.
+    /// filtering the full block. A full batch builds it at flush time
+    /// (populated inside [`Pintool::on_batch`], empty between pushes); a
+    /// branch-only batch appends each branch as it arrives.
     pub fn branch_events(&self) -> &[TraceEvent] {
         &self.branches
     }
@@ -255,7 +376,7 @@ impl EventBatch {
     /// Aggregate counters over the buffered events.
     pub fn summary(&self) -> RunSummary {
         RunSummary {
-            instructions: self.events.len() as u64,
+            instructions: self.len() as u64,
             branches: self.branch_count,
             taken_branches: self.taken_branches,
         }
@@ -272,6 +393,7 @@ impl EventBatch {
     /// an error.
     #[inline]
     pub fn push(&mut self, ev: TraceEvent) {
+        debug_assert!(self.stores_plain, "push into a branch-only batch");
         if let Some(branch) = &ev.branch {
             self.branch_count += 1;
             if branch.outcome.is_taken() {
@@ -280,6 +402,26 @@ impl EventBatch {
         }
         *self.sections.get_mut(ev.section) += 1;
         self.events.push(ev);
+    }
+
+    /// Appends a branch event to a branch-only batch, straight into the
+    /// dense branch slice.
+    #[inline]
+    fn push_branch(&mut self, ev: TraceEvent) {
+        debug_assert!(!self.stores_plain && ev.branch.is_some());
+        self.branch_count += 1;
+        self.taken_branches += u64::from(ev.is_taken_branch());
+        *self.sections.get_mut(ev.section) += 1;
+        self.counted += 1;
+        self.branches.push(ev);
+    }
+
+    /// Counts `n` plain events of `section` into a branch-only batch.
+    #[inline]
+    fn count_plain(&mut self, n: usize, section: Section) {
+        debug_assert!(!self.stores_plain);
+        *self.sections.get_mut(section) += n as u64;
+        self.counted += n;
     }
 
     /// Gathers the dense branch slice from the buffered events in one
@@ -298,7 +440,7 @@ impl EventBatch {
     /// Records an `on_section_start` notification at the current
     /// position.
     pub fn push_section_start(&mut self, section: Section) {
-        self.starts.push((self.events.len() as u32, section));
+        self.starts.push((self.len() as u32, section));
     }
 
     /// Empties the batch, retaining buffer allocations for reuse.
@@ -309,18 +451,20 @@ impl EventBatch {
         self.sections = BySection::default();
         self.branch_count = 0;
         self.taken_branches = 0;
+        self.counted = 0;
     }
 
     /// Delivers the batch to `tool` via
     /// [`Pintool::on_batch`](crate::Pintool::on_batch) and clears it.
-    /// A no-op on an empty batch. Builds the branch slice first, so
-    /// consumers always see it populated.
+    /// A no-op on an empty batch. A full batch builds its branch slice
+    /// first, so consumers always see it populated; a branch-only batch
+    /// filled it while it was pushed.
     pub fn flush_into<T: Pintool + ?Sized>(&mut self, tool: &mut T) {
         if self.is_empty() {
             return;
         }
         let _batch_span = telemetry::span("batch");
-        {
+        if self.stores_plain {
             let _fill_span = telemetry::span("fill");
             self.fill_branches();
         }
@@ -336,10 +480,15 @@ impl EventBatch {
     /// This is the default [`Pintool::on_batch`] implementation, which
     /// is what makes batched delivery bit-identical for every tool that
     /// only implements `on_inst`.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, on a branch-only batch, as for
+    /// [`EventBatch::events`].
     pub fn replay_into<T: Pintool + ?Sized>(&self, tool: &mut T) {
         let mut starts = self.starts.iter();
         let mut next_start = starts.next();
-        for (i, ev) in self.events.iter().enumerate() {
+        for (i, ev) in self.events().iter().enumerate() {
             while let Some(&(pos, section)) = next_start {
                 if pos as usize > i {
                     break;
@@ -482,6 +631,147 @@ mod tests {
         assert_eq!(b.sections(), BySection::default());
         assert_eq!(b.capacity(), 2);
         assert!(b.branch_events().is_empty());
+    }
+
+    /// Says it reads only branches, but keeps the default `on_batch`,
+    /// which replays plain events too.
+    #[derive(Default)]
+    struct ClaimsBranchOnly(Recorder);
+
+    impl Pintool for ClaimsBranchOnly {
+        fn on_inst(&mut self, ev: &TraceEvent) {
+            self.0.on_inst(ev);
+        }
+
+        fn needs_every_event(&self) -> bool {
+            false
+        }
+    }
+
+    /// Pushes `stream` (an event, and whether a section start precedes
+    /// it) through `sink`.
+    fn feed<S: EventSink>(sink: &mut S, stream: &[(TraceEvent, bool)]) {
+        for &(ev, start) in stream {
+            if start {
+                sink.section_start(ev.section);
+            }
+            sink.event(ev);
+        }
+    }
+
+    /// What a branch-only tool reads of one batch: its length, branch
+    /// slice, section starts, section counts and summary.
+    type BranchRead = (
+        usize,
+        Vec<TraceEvent>,
+        Vec<(u32, Section)>,
+        BySection<u64>,
+        RunSummary,
+    );
+
+    /// What a branch-only tool reads of each batch it is handed.
+    #[derive(Default, Debug, PartialEq)]
+    struct BranchView {
+        batches: Vec<BranchRead>,
+    }
+
+    impl Pintool for BranchView {
+        fn on_inst(&mut self, _ev: &TraceEvent) {
+            unreachable!("batches only");
+        }
+
+        fn on_batch(&mut self, batch: &EventBatch) {
+            self.batches.push((
+                batch.len(),
+                batch.branch_events().to_vec(),
+                batch.section_starts().to_vec(),
+                batch.sections(),
+                batch.summary(),
+            ));
+        }
+
+        fn needs_every_event(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn branch_only_batches_read_like_full_ones() {
+        let stream: Vec<(TraceEvent, bool)> = (0..23u64)
+            .map(|i| {
+                let section = Section::ALL[(i / 5 % 2) as usize];
+                let ev = if i % 3 == 1 {
+                    branch(0x100 + i * 8, i % 2 == 0, section)
+                } else {
+                    other(0x100 + i * 8, section)
+                };
+                (ev, i % 5 == 0 || i == 6)
+            })
+            .collect();
+        for capacity in [1, 3, 4, 5, 64] {
+            let mut full_view = BranchView::default();
+            let mut full = EventBatch::with_capacity(capacity);
+            feed(
+                &mut BatchSink {
+                    batch: &mut full,
+                    tool: &mut full_view,
+                },
+                &stream,
+            );
+            full.push_section_start(Section::Serial); // trailing
+            full.flush_into(&mut full_view);
+
+            let mut view = BranchView::default();
+            let mut batch = EventBatch::for_tool(capacity, &view);
+            assert!(!batch.stores_plain());
+            feed(
+                &mut BranchSink {
+                    batch: &mut batch,
+                    tool: &mut view,
+                },
+                &stream,
+            );
+            batch.push_section_start(Section::Serial);
+            batch.flush_into(&mut view);
+            assert_eq!(view, full_view, "capacity {capacity}");
+            // A trailing start past a full last batch rides alone.
+            let trailing = usize::from(23 % capacity == 0);
+            assert_eq!(view.batches.len(), 23usize.div_ceil(capacity) + trailing);
+        }
+    }
+
+    #[test]
+    fn a_plain_run_counts_into_the_open_section() {
+        let mut view = BranchView::default();
+        let mut batch = EventBatch::for_tool(16, &view);
+        let mut sink = BranchSink {
+            batch: &mut batch,
+            tool: &mut view,
+        };
+        assert_eq!(sink.plain_room(), 16);
+        sink.plain_run(5, Section::Parallel);
+        sink.section_start(Section::Serial);
+        sink.event(branch(0x200, true, Section::Serial));
+        sink.plain_run(3, Section::Serial);
+        assert_eq!(sink.plain_room(), 7);
+        assert_eq!(batch.len(), 9);
+        assert_eq!(batch.sections(), BySection::new(4, 5));
+        assert_eq!(batch.section_starts(), &[(5, Section::Serial)]);
+        let s = batch.summary();
+        assert_eq!((s.instructions, s.branches, s.taken_branches), (9, 1, 1));
+    }
+
+    /// A tool that claims to read only branches but reads plain events
+    /// fails loudly in debug builds instead of under-counting.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "branch-only batch stores no plain events")]
+    fn a_branch_only_batch_refuses_to_replay_plain_events() {
+        let mut tool = ClaimsBranchOnly::default();
+        let mut batch = EventBatch::for_tool(4, &tool);
+        batch.count_plain(1, Section::Serial);
+        batch.push_branch(branch(0x104, true, Section::Serial));
+        batch.flush_into(&mut tool);
     }
 
     #[test]

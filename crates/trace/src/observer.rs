@@ -90,6 +90,26 @@ pub trait Pintool {
     fn supports_sampled_replay(&self) -> bool {
         false
     }
+
+    /// `true` (the default) if this tool's [`Pintool::on_batch`] reads
+    /// plain (non-branch) events: [`EventBatch::events`], or the
+    /// per-event [`EventBatch::replay_into`] the default `on_batch`
+    /// runs.
+    ///
+    /// A tool whose `on_batch` reads only [`EventBatch::branch_events`],
+    /// [`EventBatch::sections`], [`EventBatch::section_starts`],
+    /// [`EventBatch::len`] and [`EventBatch::summary`] returns `false`.
+    /// A snapshot replay whose whole tool set says so decodes into
+    /// branch-only batches: branch records go straight into the dense
+    /// branch slice, plain records are only counted, and runs of
+    /// sequential plain records are skipped several at a time. Batch
+    /// edges, section-start positions and every counter stay where a
+    /// full batch puts them. Such a tool must override `on_batch`:
+    /// debug builds panic when a branch-only batch's plain events are
+    /// read.
+    fn needs_every_event(&self) -> bool {
+        true
+    }
 }
 
 /// Forwards the full `Pintool` surface through a pointer-like wrapper,
@@ -127,6 +147,11 @@ macro_rules! impl_pintool_forward {
             fn supports_sampled_replay(&self) -> bool {
                 (**self).supports_sampled_replay()
             }
+
+            #[inline]
+            fn needs_every_event(&self) -> bool {
+                (**self).needs_every_event()
+            }
         }
     )+};
 }
@@ -159,6 +184,10 @@ macro_rules! impl_pintool_tuple {
             fn supports_sampled_replay(&self) -> bool {
                 true $(&& self.$idx.supports_sampled_replay())+
             }
+
+            fn needs_every_event(&self) -> bool {
+                false $(|| self.$idx.needs_every_event())+
+            }
         }
     };
 }
@@ -185,6 +214,11 @@ impl Pintool for NullTool {
     #[inline]
     fn supports_sampled_replay(&self) -> bool {
         true
+    }
+
+    #[inline]
+    fn needs_every_event(&self) -> bool {
+        false
     }
 }
 
@@ -300,6 +334,10 @@ impl Pintool for MultiTool<'_> {
 
     fn supports_sampled_replay(&self) -> bool {
         self.tools.iter().all(|t| t.supports_sampled_replay())
+    }
+
+    fn needs_every_event(&self) -> bool {
+        self.tools.iter().any(|t| t.needs_every_event())
     }
 }
 
@@ -458,6 +496,23 @@ mod tests {
         assert_eq!(a.batches, 1);
         assert_eq!(a.insts, 2);
         assert_eq!(b.insts, 2);
+    }
+
+    #[test]
+    fn needs_every_event_holds_if_any_member_needs_it() {
+        assert!(Recorder::default().needs_every_event(), "the default");
+        assert!(!NullTool.needs_every_event());
+        assert!(!(NullTool, NullTool).needs_every_event());
+        assert!((NullTool, Recorder::default()).needs_every_event());
+        assert!(!Box::new(NullTool).needs_every_event());
+        let mut null = NullTool;
+        assert!(!<&mut NullTool as Pintool>::needs_every_event(&&mut null));
+        let mut a = NullTool;
+        let mut b = Recorder::default();
+        let mut multi = MultiTool::new().with(&mut a);
+        assert!(!multi.needs_every_event());
+        multi.push(&mut b);
+        assert!(multi.needs_every_event());
     }
 
     #[test]

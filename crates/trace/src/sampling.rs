@@ -38,7 +38,7 @@ use serde::{Deserialize, Serialize};
 
 use rebalance_telemetry as telemetry;
 
-use crate::batch::{BatchSink, EventBatch, DEFAULT_BATCH_CAPACITY};
+use crate::batch::{EventBatch, DEFAULT_BATCH_CAPACITY};
 use crate::exec::RunSummary;
 use crate::observer::{NullTool, Pintool};
 use crate::snapshot::{CursorTable, Snapshot, SnapshotError};
@@ -590,7 +590,7 @@ impl Snapshot<'_> {
         }
 
         let _decode_span = telemetry::span("decode");
-        let mut batch = EventBatch::with_capacity(capacity);
+        let mut batch = EventBatch::for_tool(capacity, tool);
         let delivered = self.deliver_windows(tool, plan, cursors, &mut batch);
         // A failed window still hands over what it decoded.
         batch.flush_into(tool);
@@ -623,11 +623,7 @@ impl Snapshot<'_> {
                     // No warmup before this representative.
                     continue;
                 }
-                let mut sink = BatchSink {
-                    batch: &mut *batch,
-                    tool: &mut *tool,
-                };
-                at = self.decode_into(&mut sink, at, Some(until), None)?.end;
+                at = self.decode_batched(batch, tool, at, Some(until), None)?.end;
                 batch.flush_into(tool);
                 tool.on_sample_weight(weight);
             }

@@ -115,7 +115,9 @@ use std::path::Path;
 use rebalance_isa::{Addr, BranchKind, InstClass, Outcome};
 use serde::{Deserialize, Serialize};
 
-use crate::batch::{BatchSink, DirectSink, EventBatch, EventSink, DEFAULT_BATCH_CAPACITY};
+use crate::batch::{
+    BatchSink, BranchSink, DirectSink, EventBatch, EventSink, DEFAULT_BATCH_CAPACITY,
+};
 use crate::by_section::BySection;
 use crate::event::{BranchEvent, TraceEvent};
 use crate::exec::RunSummary;
@@ -155,6 +157,13 @@ const TAG_SECTION_SET: u8 = 0xFC;
 const EVT_TAKEN: u8 = 0x08;
 const EVT_HAS_TARGET: u8 = 0x10;
 const EVT_SEQUENTIAL: u8 = 0x20;
+
+/// The tag bytes of four 2-byte records read as one little-endian word.
+const RUN_TAG_MASK: u64 = 0x00FF_00FF_00FF_00FF;
+/// Four sequential plain records' tags, under [`RUN_TAG_MASK`].
+const RUN_TAGS: u64 = 0x0020_0020_0020_0020;
+/// Sums the four 16-bit lanes of a word into its top lane.
+const RUN_LANE_SUM: u64 = 0x0001_0001_0001_0001;
 
 /// Everything that can go wrong while writing or reading a snapshot.
 #[derive(Debug)]
@@ -685,7 +694,7 @@ impl CursorTable {
 }
 
 /// Where one decode call stopped, and what it counted on the way.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Decoded {
     /// The position right after the last decoded record.
     pub end: Cursor,
@@ -798,6 +807,13 @@ impl<'a> Snapshot<'a> {
     /// happened once in [`Snapshot::parse`]; the decode loop performs
     /// only structural checks.
     ///
+    /// When `tool` does not [`Pintool::needs_every_event`], the batches
+    /// are branch-only: branch records are decoded straight into the
+    /// dense branch slice, plain records are only counted, and runs of
+    /// sequential plain records are skipped up to four to a word. The
+    /// batches end at the same events, and the same checks run, either
+    /// way.
+    ///
     /// # Errors
     ///
     /// [`SnapshotError::Malformed`]/[`SnapshotError::Truncated`] on a
@@ -848,18 +864,31 @@ impl<'a> Snapshot<'a> {
         // Batch spans nest under this one, so decode self-time is the
         // tree's record-walk remainder.
         let _decode_span = rebalance_telemetry::span("decode");
-        let mut batch = EventBatch::with_capacity(capacity);
-        let result = self.decode_all(
-            &mut BatchSink {
-                batch: &mut batch,
-                tool,
-            },
-            table,
-        );
+        let mut batch = EventBatch::for_tool(capacity, tool);
+        let decoded = self.decode_batched(&mut batch, tool, Cursor::START, None, table);
         // Deliver the buffered tail (also on error, so the tool observes
         // the same prefix a per-event decode would have delivered).
         batch.flush_into(tool);
-        result
+        self.check_footer(decoded?)
+    }
+
+    /// [`Snapshot::decode_into`] through the sink `batch` calls for: a
+    /// full batch takes every event, a branch-only one
+    /// ([`EventBatch::for_tool`]) counts plain events and lets the
+    /// decoder skip runs of them.
+    pub(crate) fn decode_batched<T: Pintool + ?Sized>(
+        &self,
+        batch: &mut EventBatch,
+        tool: &mut T,
+        from: Cursor,
+        until: Option<u64>,
+        table: Option<&mut CursorTable>,
+    ) -> Result<Decoded, SnapshotError> {
+        if batch.stores_plain() {
+            self.decode_into(&mut BatchSink { batch, tool }, from, until, table)
+        } else {
+            self.decode_into(&mut BranchSink { batch, tool }, from, until, table)
+        }
     }
 
     /// [`Snapshot::replay`] with strict per-event delivery — the
@@ -873,17 +902,13 @@ impl<'a> Snapshot<'a> {
         &self,
         tool: &mut T,
     ) -> Result<RunSummary, SnapshotError> {
-        self.decode_all(&mut DirectSink(tool), None)
+        let decoded = self.decode_into(&mut DirectSink(tool), Cursor::START, None, None)?;
+        self.check_footer(decoded)
     }
 
-    /// Decodes the whole record stream (recording cursors into `table`
-    /// when given), then checks the footer counters against it.
-    fn decode_all<S: EventSink>(
-        &self,
-        sink: &mut S,
-        table: Option<&mut CursorTable>,
-    ) -> Result<RunSummary, SnapshotError> {
-        let decoded = self.decode_into(sink, Cursor::START, None, table)?;
+    /// Checks the footer counters against a decode of the whole record
+    /// stream.
+    fn check_footer(&self, decoded: Decoded) -> Result<RunSummary, SnapshotError> {
         for (field, stored, decoded) in [
             (
                 "instruction",
@@ -932,6 +957,16 @@ impl<'a> Snapshot<'a> {
     /// in five) takes a fast path at the top of the loop. No event is
     /// counted into a section one at a time: each run of events is
     /// credited to its section at the marker that ends it and at exit.
+    ///
+    /// A sink that only counts plain events ([`EventSink::COUNTS_PLAIN`])
+    /// gets runs of sequential records a `u64` word, up to four 2-byte
+    /// records, at a time: the records leading a word up to its first
+    /// other tag (all four when every tag is `0x20`) are counted at
+    /// once, their lengths summed with one multiply, and the run stops
+    /// short of the stream end (a word must fit), the sink's next flush
+    /// and `check_at`. So every other record, every truncation, flush,
+    /// mark and stop is met one record at a time, exactly where the
+    /// full sinks meet it.
     pub(crate) fn decode_into<S: EventSink>(
         &self,
         sink: &mut S,
@@ -968,6 +1003,37 @@ impl<'a> Snapshot<'a> {
         debug_assert!(stop > events, "a decode must reach past its start");
 
         while pos < data.len() {
+            if S::COUNTS_PLAIN && data[pos] == EVT_SEQUENTIAL {
+                // The run leaves room for one more event before the
+                // sink's flush and before `check_at`.
+                let mut budget = (sink.plain_room() as u64).min(check_at - events) - 1;
+                let start = events;
+                while budget > 0 && data.len() - pos >= 8 {
+                    let word = u64::from_le_bytes(
+                        data[pos..pos + 8].try_into().expect("sliced to length"),
+                    );
+                    // Sequential records leading the word, within budget.
+                    let lead = ((word & RUN_TAG_MASK) ^ RUN_TAGS).trailing_zeros() / 16;
+                    let n = u64::from(lead).min(budget);
+                    if n == 0 {
+                        break;
+                    }
+                    let lens = (word >> 8) & RUN_TAG_MASK & (u64::MAX >> (64 - 16 * n));
+                    expected_pc = expected_pc.wrapping_add(lens.wrapping_mul(RUN_LANE_SUM) >> 48);
+                    pos += 2 * n as usize;
+                    events += n;
+                    budget -= n;
+                    if n < 4 {
+                        break;
+                    }
+                }
+                if events != start {
+                    sink.plain_run((events - start) as usize, section);
+                    if pos == data.len() {
+                        break;
+                    }
+                }
+            }
             let at = self.base + pos;
             let tag = data[pos];
             // Every record is at least a tag and one more byte: the
@@ -1417,6 +1483,13 @@ mod tests {
         let (summary, table) = snapshot
             .replay_indexed(&mut crate::NullTool, every)
             .unwrap();
+        let (_, full_table) = snapshot
+            .replay_indexed(&mut FnTool::new(|_: &TraceEvent| {}), every)
+            .unwrap();
+        assert_eq!(
+            table, full_table,
+            "branch-only and full sinks record one table"
+        );
         assert_eq!(summary.instructions, total);
         assert_eq!(table.checksum(), snapshot.checksum());
         assert_eq!(table.cursors.len() as u64, total / every + 1);
@@ -1463,6 +1536,32 @@ mod tests {
             )
             .expect_err("the window runs into the cut record");
         assert!(matches!(err, SnapshotError::Truncated { .. }), "{err}");
+        for capacity in [1, 3, DEFAULT_BATCH_CAPACITY] {
+            let mut batch = EventBatch::for_tool(capacity, &crate::NullTool);
+            let branch_only = cut
+                .decode_batched(
+                    &mut batch,
+                    &mut crate::NullTool,
+                    last,
+                    Some(info.summary.instructions),
+                    None,
+                )
+                .expect_err("the branch-only window runs into it too");
+            assert_eq!(format!("{branch_only:?}"), format!("{err:?}"));
+        }
+    }
+
+    /// Decodes `from..until` through a branch-only batch of `capacity`
+    /// into a tool that reads only branches.
+    fn decode_branch_only(
+        snapshot: &Snapshot<'_>,
+        capacity: usize,
+        from: Cursor,
+        until: Option<u64>,
+    ) -> Result<Decoded, SnapshotError> {
+        let mut batch = EventBatch::for_tool(capacity, &crate::NullTool);
+        assert!(!batch.stores_plain());
+        snapshot.decode_batched(&mut batch, &mut crate::NullTool, from, until, None)
     }
 
     #[test]
@@ -1556,6 +1655,13 @@ mod tests {
         let (_, table) = snapshot
             .replay_indexed(&mut crate::NullTool, every)
             .unwrap();
+        let (_, full_table) = snapshot
+            .replay_indexed(&mut FnTool::new(|_: &TraceEvent| {}), every)
+            .unwrap();
+        assert_eq!(
+            table, full_table,
+            "branch-only and full sinks record one table"
+        );
         let per_event = |from: u64, until: u64| {
             let mut sections = BySection::<u64>::default();
             let mut summary = RunSummary::default();
@@ -1589,6 +1695,16 @@ mod tests {
                         None,
                     )
                     .unwrap();
+                for capacity in [1, 3, 5, DEFAULT_BATCH_CAPACITY] {
+                    let branch_only =
+                        decode_branch_only(&snapshot, capacity, *cursor, Some(until)).unwrap();
+                    assert_eq!(
+                        branch_only,
+                        decoded,
+                        "branch-only window {}..{until} at capacity {capacity}",
+                        cursor.events()
+                    );
+                }
                 let (sections, summary) = per_event(cursor.events(), until);
                 assert_eq!(
                     decoded.sections,

@@ -103,6 +103,11 @@ impl<T: Pintool> Pintool for Timed<T> {
     fn supports_sampled_replay(&self) -> bool {
         self.inner.supports_sampled_replay()
     }
+
+    #[inline]
+    fn needs_every_event(&self) -> bool {
+        self.inner.needs_every_event()
+    }
 }
 
 #[cfg(test)]
@@ -165,6 +170,8 @@ mod tests {
         tool.on_sample_weight(7);
         tool.on_sample_gap();
         assert!(tool.supports_sampled_replay());
+        assert!(tool.needs_every_event());
+        assert!(!Timed::new("test_forward_null", crate::NullTool).needs_every_event());
 
         let inner = tool.into_inner();
         assert_eq!(inner.batches, 1, "wrapper must reach the override");

@@ -167,6 +167,10 @@ impl<T: Pintool> Pintool for ToolSet<T> {
     fn supports_sampled_replay(&self) -> bool {
         self.tools.iter().all(Pintool::supports_sampled_replay)
     }
+
+    fn needs_every_event(&self) -> bool {
+        self.tools.iter().any(Pintool::needs_every_event)
+    }
 }
 
 #[cfg(test)]
@@ -243,6 +247,14 @@ mod tests {
         }
         let owned: Vec<u64> = set.into_iter().map(|r| r.insts).collect();
         assert_eq!(owned, vec![10, 11, 12]);
+    }
+
+    #[test]
+    fn needs_every_event_holds_if_any_tool_needs_it() {
+        let nulls: ToolSet<crate::NullTool> = vec![crate::NullTool; 3].into();
+        assert!(!nulls.needs_every_event());
+        let recorders: ToolSet<Recorder> = vec![Recorder::default()].into();
+        assert!(recorders.needs_every_event());
     }
 
     #[test]

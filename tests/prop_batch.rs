@@ -19,18 +19,31 @@
 //! 5. a `PredictorBank` over the nine Figure 5 configurations reports
 //!    exactly what nine solo `PredictorSim`s report, per event and
 //!    batched, on loop-shaped streams where the loop predictor becomes
-//!    confident and overrides its base.
+//!    confident and overrides its base, and
+//! 6. the tools that read only branches (`PredictorBank`, solo
+//!    `PredictorSim`s, `BtbSim` and the mix/direction/bias pintools),
+//!    replayed from a snapshot through branch-only batches, report what
+//!    per-event delivery reports, and their `ToolSet` lanes and
+//!    `on_batch` calls match a replay through full batches.
 
 use proptest::prelude::*;
 
-use rebalance::frontend::predictor::{PredictorBank, PredictorReport};
-use rebalance::frontend::{BtbConfig, BtbSim, CacheConfig, ICacheBank, ICacheSim, PredictorChoice};
+use rebalance::frontend::predictor::{
+    DirectionPredictor, PredictorBank, PredictorReport, PredictorSim,
+};
+use rebalance::frontend::{
+    BtbConfig, BtbReport, BtbSim, CacheConfig, ICacheBank, ICacheSim, PredictorChoice,
+};
 use rebalance::isa::{Addr, BranchKind, InstClass, Outcome};
-use rebalance::pintools::{BasicBlockTool, BbvTool, BranchBiasTool, BranchMixTool, DirectionTool};
+use rebalance::pintools::{
+    BasicBlockTool, BbvTool, BiasReport, BranchBiasTool, BranchMixReport, BranchMixTool,
+    DirectionReport, DirectionTool,
+};
 use rebalance::trace::sampling::Fingerprinter;
 use rebalance::trace::snapshot::KIND_TABLE;
 use rebalance::trace::{
-    BranchEvent, EventBatch, Pintool, Section, Snapshot, SnapshotWriter, ToolSet, TraceEvent,
+    BranchEvent, EventBatch, FnTool, LaneFill, Pintool, Section, Snapshot, SnapshotWriter, ToolSet,
+    TraceEvent, DEFAULT_BATCH_CAPACITY,
 };
 
 /// One drawn raw event: `(class selector, pc, len, taken, target,
@@ -609,5 +622,144 @@ fn loop_streams_make_the_loop_predictor_override_its_base() {
             plain.name,
             misses(plain)
         );
+    }
+}
+
+/// Counts the batches a tool set receives; reads nothing plain.
+#[derive(Default)]
+struct BatchCount(u64);
+
+impl Pintool for BatchCount {
+    fn on_inst(&mut self, _ev: &TraceEvent) {}
+
+    fn on_batch(&mut self, _batch: &EventBatch) {
+        self.0 += 1;
+    }
+
+    fn needs_every_event(&self) -> bool {
+        false
+    }
+}
+
+/// One of each tool that reads only branches, the bank and the solo
+/// sims both in a `ToolSet` for their lanes.
+type BranchTools = (
+    (
+        ToolSet<PredictorBank>,
+        ToolSet<PredictorSim<Box<dyn DirectionPredictor>>>,
+        BtbSim,
+    ),
+    (BranchMixTool, DirectionTool, BranchBiasTool),
+    BatchCount,
+);
+
+fn branch_tools() -> BranchTools {
+    let choices = PredictorChoice::figure5_set();
+    (
+        (
+            ToolSet::from_tools(vec![PredictorBank::new(&choices)]),
+            ToolSet::from_tools(PredictorChoice::build_sims(&choices)),
+            BtbSim::new(BtbConfig::new(64, 2)),
+        ),
+        (
+            BranchMixTool::new(),
+            DirectionTool::new(),
+            BranchBiasTool::new(),
+        ),
+        BatchCount::default(),
+    )
+}
+
+/// Everything the branch-only tools report, their lanes and the number
+/// of `on_batch` calls.
+type BranchReadout = (
+    Vec<PredictorReport>,
+    Vec<PredictorReport>,
+    BtbReport,
+    BranchMixReport,
+    DirectionReport,
+    BiasReport,
+    (LaneFill, LaneFill, u64),
+);
+
+fn readout(tools: &BranchTools) -> BranchReadout {
+    let ((bank, solo, btb), (mix, dir, bias), batches) = tools;
+    (
+        bank.iter().flat_map(PredictorBank::reports).collect(),
+        solo.iter().map(|s| s.report()).collect(),
+        btb.report(),
+        mix.report(),
+        dir.report(),
+        bias.report(),
+        (bank.lanes(), solo.lanes(), batches.0),
+    )
+}
+
+/// Replays `stream`, snapshot-encoded, into the branch-only tools at
+/// each capacity, and asserts that they report what per-event delivery
+/// of the stream reports, and that lanes and `on_batch` calls match a
+/// replay through full batches.
+fn assert_branch_only_replay_matches(stream: &[(TraceEvent, bool)]) {
+    let mut writer = SnapshotWriter::new(Vec::new(), 1, 0);
+    deliver_per_event(stream, &mut writer);
+    let bytes = writer.finish().expect("Vec sink cannot fail").0;
+    let snapshot = Snapshot::parse(&bytes).expect("writer output parses");
+
+    let mut oracle = branch_tools();
+    deliver_per_event(stream, &mut oracle);
+    let (bank, solo, btb, mix, dir, bias, _) = readout(&oracle);
+    assert_eq!(&bank, &solo, "the bank matches the solo sims");
+    // At 5 and 9 the four-record skip runs up to batch edges.
+    for capacity in [1, 3, 5, 9, DEFAULT_BATCH_CAPACITY] {
+        let mut branch_only = branch_tools();
+        assert!(!branch_only.needs_every_event());
+        let summary = snapshot
+            .replay_batched(&mut branch_only, capacity)
+            .expect("decodes");
+        let got = readout(&branch_only);
+        assert_eq!(&got.0, &bank, "bank at capacity {}", capacity);
+        assert_eq!(&got.1, &solo, "solo sims at capacity {}", capacity);
+        assert_eq!(got.2, btb, "BTB at capacity {}", capacity);
+        assert_eq!(&got.3, &mix, "mix at capacity {}", capacity);
+        assert_eq!(&got.4, &dir, "direction at capacity {}", capacity);
+        assert_eq!(&got.5, &bias, "bias at capacity {}", capacity);
+
+        // The same tools through full batches: one tool that reads
+        // every event makes the whole set take them.
+        let mut full = branch_tools();
+        let mut every = (&mut full, FnTool::new(|_: &TraceEvent| {}));
+        assert!(every.needs_every_event());
+        assert_eq!(
+            snapshot
+                .replay_batched(&mut every, capacity)
+                .expect("decodes"),
+            summary
+        );
+        let lanes = readout(&full).6;
+        assert_eq!(
+            got.6, lanes,
+            "lanes and on_batch calls at capacity {}",
+            capacity
+        );
+        assert_eq!(lanes.0.instructions, stream.len() as u64);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Branch-only batches on loop-shaped streams (long sequential
+    /// runs the decoder skips a word at a time, a section switch per
+    /// few loops), on local streams (short jumps, so non-sequential
+    /// plain records) and on arbitrary ones.
+    #[test]
+    fn branch_only_replay_matches_per_event_reports(
+        loops in loop_steps(24),
+        local in local_steps(200),
+        raws in raw_events(80),
+    ) {
+        assert_branch_only_replay_matches(&loop_stream(&loops));
+        assert_branch_only_replay_matches(&local_stream(&local));
+        assert_branch_only_replay_matches(&stream_of(&raws));
     }
 }

@@ -3,12 +3,17 @@
 //! synthesized traces, and the windowed sampled replay against a
 //! decode-everything-and-filter oracle — both its callbacks and what an
 //! `ICacheSim` fed them reports, and what a `PredictorBank` and an
-//! `ICacheBank` report against solo sims fed them.
+//! `ICacheBank` report against solo sims fed them. The predictor bank,
+//! solo predictor sims and a `BtbSim` read only branches, so their
+//! windows decode into branch-only batches: they too must report what
+//! the oracle's per-event feed makes them report.
 
 use proptest::prelude::*;
 use rebalance::coresim::{CoreModel, FrontendKeys};
 use rebalance::frontend::predictor::{DirectionPredictor, PredictorBank, PredictorSim};
-use rebalance::frontend::{BtbSim, CacheConfig, CoreKind, ICacheBank, ICacheSim, PredictorChoice};
+use rebalance::frontend::{
+    BtbConfig, BtbSim, CacheConfig, CoreKind, ICacheBank, ICacheSim, PredictorChoice,
+};
 use rebalance::isa::{Addr, InstClass, Outcome};
 use rebalance::pintools::BbvTool;
 use rebalance::trace::snapshot::{self, checksum, KIND_TABLE};
@@ -491,7 +496,10 @@ fn assert_icache_matches_oracle(
 /// Figure 5 configurations at `capacity` reports exactly what nine solo
 /// `PredictorSim`s report when fed `oracle_calls` one event at a time:
 /// each member scales its own window counts by the representative's
-/// weight, exactly as its solo sim does.
+/// weight, exactly as its solo sim does. The nine solo sims and a small
+/// `BtbSim`, replayed windowed, report what they report fed the oracle.
+/// All of these read only branches, so the windowed replays decode
+/// into branch-only batches.
 fn assert_bank_matches_oracle(
     label: &str,
     snap: &Snapshot<'_>,
@@ -500,13 +508,29 @@ fn assert_bank_matches_oracle(
     oracle_calls: &[Call],
 ) {
     let choices = PredictorChoice::figure5_set();
+    let btb = || BtbSim::new(BtbConfig::new(16, 2));
     let mut solo = ToolSet::from_tools(PredictorChoice::build_sims(&choices));
-    feed_per_event(oracle_calls, &mut solo);
+    let mut oracle_btb = btb();
+    feed_per_event(oracle_calls, &mut (&mut solo, &mut oracle_btb));
     let expected: Vec<_> = solo.iter().map(|s| s.report()).collect();
     let mut bank = PredictorBank::new(&choices);
-    snap.replay_sampled_batched(&mut bank, plan, capacity)
-        .unwrap_or_else(|e| panic!("{label} cap {capacity}: {e}"));
+    let mut windowed = (
+        ToolSet::from_tools(PredictorChoice::build_sims(&choices)),
+        btb(),
+    );
+    for tools in [&mut bank as &mut dyn Pintool, &mut windowed] {
+        assert!(!tools.needs_every_event(), "{label}: branch-only tools");
+        snap.replay_sampled_batched(tools, plan, capacity)
+            .unwrap_or_else(|e| panic!("{label} cap {capacity}: {e}"));
+    }
     assert_eq!(bank.reports(), expected, "{label} cap {capacity}: bank");
+    let solo_windowed: Vec<_> = windowed.0.iter().map(|s| s.report()).collect();
+    assert_eq!(solo_windowed, expected, "{label} cap {capacity}: solo sims");
+    assert_eq!(
+        windowed.1.report(),
+        oracle_btb.report(),
+        "{label} cap {capacity}: BTB"
+    );
 }
 
 /// Asserts the windowed replay's call log, delivered count and summary

@@ -9,17 +9,26 @@
 //!    8 are checked exhaustively, every bit of every byte, and
 //! 3. a sampled sweep, which reads each cached snapshot once and
 //!    decodes only its sampled windows, still rejects a cached snapshot
-//!    with one flipped bit and regenerates it, with unchanged results.
+//!    with one flipped bit and regenerates it, with unchanged results,
+//!    and
+//! 4. a tool set that reads only branches, replayed through branch-only
+//!    batches (which skip runs of sequential records a word at a time),
+//!    sees what it sees through full batches on any record stream, a
+//!    truncated or malformed one included: the same batches, the same
+//!    summary or the same error at the same byte, and a sampling plan
+//!    pass records the same cursor table.
 
 use proptest::prelude::*;
 
 use rebalance::isa::{Addr, InstClass, Outcome};
 use rebalance::pintools::BbvTool;
+use rebalance::trace::sampling::Fingerprinter;
 use rebalance::trace::snapshot::{checksum, KIND_TABLE};
 use rebalance::trace::{
-    BranchEvent, CondBehavior, IterCount, Phase, Pintool, ProgramBuilder, SamplingConfig, Schedule,
-    Section, Snapshot, SnapshotError, SnapshotWriter, SweepEngine, SyntheticTrace, Terminator,
-    TraceCache, TraceEvent, TraceKey,
+    BranchEvent, BySection, CondBehavior, EventBatch, FnTool, IterCount, Phase, Pintool,
+    ProgramBuilder, SamplePlan, SamplingConfig, Schedule, Section, Snapshot, SnapshotError,
+    SnapshotWriter, SweepEngine, SyntheticTrace, Terminator, TraceCache, TraceEvent, TraceKey,
+    DEFAULT_BATCH_CAPACITY,
 };
 
 /// One drawn raw event: `(class selector, pc, len, taken, target,
@@ -340,5 +349,292 @@ proptest! {
             "the regenerated snapshot is the pristine one"
         );
         std::fs::remove_dir_all(cache.dir()).expect("remove scratch cache");
+    }
+}
+
+/// Encodes drawn events as mostly straight-line code: long runs of
+/// sequential plain records, broken by jumps (non-sequential records),
+/// branches of every kind and section starts.
+fn encode_runs(raws: &[RunEvent]) -> Vec<u8> {
+    let mut writer = SnapshotWriter::new(Vec::new(), 3, 0);
+    let mut pc = 0x40_0000u64;
+    let mut section = Section::Serial;
+    for &(class_sel, step, len, taken, target, start) in raws {
+        if start == 0 {
+            section = match section {
+                Section::Serial => Section::Parallel,
+                Section::Parallel => Section::Serial,
+            };
+            writer.on_section_start(section);
+        }
+        if step % 13 == 0 {
+            pc = pc.wrapping_add(step % 4096);
+        }
+        // One event in eight is a branch.
+        let ev = build_event((
+            u8::from(class_sel >= 56) * (class_sel % 8),
+            pc,
+            len,
+            taken,
+            target,
+            false,
+        ));
+        writer.on_inst(&TraceEvent { section, ..ev });
+        pc = ev.next_pc().as_u64();
+    }
+    writer.finish().expect("Vec sink cannot fail").0
+}
+
+/// One drawn event of a run-heavy stream: `(branch when 56 or more,
+/// pc step, len, taken, target, section start when 0)`.
+type RunEvent = (u8, u64, u8, bool, u64, u8);
+
+fn run_events(max: usize) -> impl Strategy<Value = Vec<RunEvent>> {
+    proptest::collection::vec(
+        (
+            0u8..64,
+            any::<u64>(),
+            1u8..=15,
+            any::<bool>(),
+            any::<u64>(),
+            // A section start before one event in 32.
+            0u8..32,
+        ),
+        0..max,
+    )
+}
+
+/// What a branch-only tool reads of one batch: length, branch slice,
+/// section starts and section counts.
+type BranchRead = (usize, Vec<TraceEvent>, Vec<(u32, Section)>, BySection<u64>);
+
+/// Every batch a branch-only tool was handed.
+#[derive(Default, Debug, PartialEq)]
+struct BranchLog(Vec<BranchRead>);
+
+impl Pintool for BranchLog {
+    fn on_inst(&mut self, _ev: &TraceEvent) {
+        unreachable!("delivered in batches only");
+    }
+
+    fn on_batch(&mut self, batch: &EventBatch) {
+        self.0.push((
+            batch.len(),
+            batch.branch_events().to_vec(),
+            batch.section_starts().to_vec(),
+            batch.sections(),
+        ));
+    }
+
+    fn needs_every_event(&self) -> bool {
+        false
+    }
+}
+
+/// Replays `bytes` into a [`BranchLog`] through branch-only batches and
+/// through full ones, at `capacity`, and asserts both saw the same
+/// batches and ended as the per-event decode ends (the same summary, or
+/// the same error at the same byte). Returns that outcome.
+fn assert_sinks_agree(bytes: &[u8], capacity: usize) -> Result<(), String> {
+    let snapshot = Snapshot::parse(bytes).expect("sealed bytes parse");
+    let mut branch_only = BranchLog::default();
+    let fast = snapshot.replay_batched(&mut branch_only, capacity);
+    let mut full = BranchLog::default();
+    let slow =
+        snapshot.replay_batched(&mut (&mut full, FnTool::new(|_: &TraceEvent| {})), capacity);
+    assert_eq!(branch_only, full, "capacity {capacity}: delivered batches");
+    let oracle = snapshot.replay_per_event(&mut rebalance::trace::NullTool);
+    let (fast, slow, expected) = (
+        format!("{fast:?}"),
+        format!("{slow:?}"),
+        format!("{oracle:?}"),
+    );
+    assert_eq!(fast, expected, "capacity {capacity}: branch-only outcome");
+    assert_eq!(slow, expected, "capacity {capacity}: full outcome");
+    oracle.map(|_| ()).map_err(|e| format!("{e:?}"))
+}
+
+/// Re-seals `bytes` after `edit` changes its record region (header and
+/// end tag/footer kept), so the checksum passes and the decoder meets
+/// the damage.
+fn reseal(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    const HEADER: usize = 24;
+    const TAIL: usize = 1 + 40; // end tag + footer counters
+    let sealed_end = bytes.len() - 8;
+    let mut records = bytes[HEADER..sealed_end - TAIL].to_vec();
+    edit(&mut records);
+    let mut out = bytes[..HEADER].to_vec();
+    out.extend_from_slice(&records);
+    out.extend_from_slice(&bytes[sealed_end - TAIL..sealed_end]);
+    let sum = checksum(&out);
+    out.extend_from_slice(&sum.to_le_bytes());
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Pristine, truncated anywhere, or with any record byte replaced:
+    /// both sinks deliver the same batches and end with the same result
+    /// at capacities 1, 3 and the default.
+    #[test]
+    fn branch_only_and_full_batches_agree_on_any_record_stream(
+        raws in run_events(400),
+        cut in any::<u64>(),
+        at in any::<u64>(),
+        byte in any::<u8>(),
+    ) {
+        let bytes = encode_runs(&raws);
+        let truncated = reseal(&bytes, |r| r.truncate((cut % (r.len() as u64 + 1)) as usize));
+        let replaced = reseal(&bytes, |r| {
+            if !r.is_empty() {
+                let i = (at % r.len() as u64) as usize;
+                r[i] = byte;
+            }
+        });
+        for capacity in [1, 3, DEFAULT_BATCH_CAPACITY] {
+            prop_assert_eq!(assert_sinks_agree(&bytes, capacity), Ok(()));
+            assert_sinks_agree(&truncated, capacity).ok();
+            assert_sinks_agree(&replaced, capacity).ok();
+        }
+    }
+}
+
+/// Damage at known places: a record cut short at the stream end, an
+/// unknown tag in the middle of a sequential run, and a cut that drops
+/// whole records; both sinks report the same typed error at the same
+/// byte at capacities around the four-record skip.
+#[test]
+fn both_sinks_report_truncated_and_malformed_streams_at_the_same_byte() {
+    // Branches only in the first half, so the last 150 records are all
+    // two bytes long and sit at known offsets from the end.
+    let raws: Vec<RunEvent> = (0..300u64)
+        .map(|i| {
+            let branch = i < 150 && i % 40 == 39;
+            (
+                u8::from(branch) * 57,
+                1,
+                4,
+                i % 3 == 0,
+                0x40,
+                (i % 97) as u8,
+            )
+        })
+        .collect();
+    let bytes = encode_runs(&raws);
+    let cut_byte = reseal(&bytes, |r| {
+        r.pop();
+    });
+    let bad_tag = reseal(&bytes, |r| {
+        let at = r.len() - 2 * 61;
+        r[at] = 0x77;
+    });
+    let dropped = reseal(&bytes, |r| r.truncate(r.len() - 2 * 50));
+    for (label, damaged, kind) in [
+        ("cut byte", &cut_byte, "Truncated"),
+        ("bad tag", &bad_tag, "Malformed"),
+        ("dropped", &dropped, "CountMismatch"),
+    ] {
+        for capacity in [1, 3, 4, 5, 9, DEFAULT_BATCH_CAPACITY] {
+            let err = assert_sinks_agree(damaged, capacity).expect_err(label);
+            assert!(err.starts_with(kind), "{label}: {err}");
+        }
+    }
+}
+
+/// Counts events per interval from batch lengths alone, so a plan pass
+/// over it runs through branch-only batches; its vectors are the
+/// interval's branch share.
+#[derive(Default)]
+struct BranchShare {
+    interval: u64,
+    seen: u64,
+    vectors: Vec<Vec<f64>>,
+}
+
+impl Pintool for BranchShare {
+    fn on_inst(&mut self, _ev: &TraceEvent) {
+        unreachable!("delivered in batches only");
+    }
+
+    fn on_batch(&mut self, batch: &EventBatch) {
+        // Credit whole batches to the interval they end in: coarse, but
+        // a function of the batch edges alone.
+        let end = self.seen + batch.len() as u64;
+        let slot = (end.max(1) - 1) / self.interval;
+        while self.vectors.len() as u64 <= slot {
+            self.vectors.push(vec![0.0]);
+        }
+        self.vectors[slot as usize][0] += batch.branch_events().len() as f64;
+        self.seen = end;
+    }
+
+    fn needs_every_event(&self) -> bool {
+        false
+    }
+}
+
+impl Fingerprinter for BranchShare {
+    fn set_interval_insts(&mut self, insts: u64) {
+        self.interval = insts;
+    }
+
+    fn finish(&mut self) -> Vec<Vec<f64>> {
+        let mut vectors = std::mem::take(&mut self.vectors);
+        let n = self.seen.div_ceil(self.interval).max(1) as usize;
+        vectors.resize(n, vec![0.0]);
+        vectors
+    }
+}
+
+/// Forces full batches on a fingerprinter by never declaring itself
+/// branch-only.
+struct Full<F>(F);
+
+impl<F: Fingerprinter> Pintool for Full<F> {
+    fn on_inst(&mut self, ev: &TraceEvent) {
+        self.0.on_inst(ev);
+    }
+
+    fn on_batch(&mut self, batch: &EventBatch) {
+        self.0.on_batch(batch);
+    }
+}
+
+impl<F: Fingerprinter> Fingerprinter for Full<F> {
+    fn set_interval_insts(&mut self, insts: u64) {
+        self.0.set_interval_insts(insts);
+    }
+
+    fn finish(&mut self) -> Vec<Vec<f64>> {
+        self.0.finish()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A plan pass through branch-only batches records the cursor table
+    /// (and so the plan) a full-batch pass records, on run-heavy
+    /// streams whose interval marks fall inside skippable runs.
+    #[test]
+    fn a_branch_only_plan_pass_records_the_same_cursor_table(
+        raws in run_events(600),
+        intervals in 1usize..200,
+        k in 1usize..8,
+    ) {
+        let bytes = encode_runs(&raws);
+        let snapshot = Snapshot::parse(&bytes).expect("writer output parses");
+        let total = snapshot.info().summary.instructions;
+        prop_assume!(total > 0);
+        let cfg = SamplingConfig::default()
+            .with_intervals(intervals.min(total as usize))
+            .with_k(k);
+        let mut branch_only = BranchShare::default();
+        prop_assert!(!branch_only.needs_every_event());
+        let fast = SamplePlan::from_snapshot(&snapshot, &mut branch_only, &cfg).expect("plan");
+        let slow = SamplePlan::from_snapshot(&snapshot, &mut Full(BranchShare::default()), &cfg)
+            .expect("plan");
+        prop_assert_eq!(fast, slow);
     }
 }

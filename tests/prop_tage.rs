@@ -4,10 +4,11 @@
 //!
 //! The geometries cover the 8-lane chunk edges (1, 2, 7, 8, 9, 12 and
 //! 16 tables), every `table_bits` from 1 to 15, every `tag_bits` from 4
-//! to 14 and ascending histories up to 1024; one stream runs past the
-//! useful-bit aging period. The tests also check the contract the
-//! per-event oracle relies on: `predict` changes no state, and
-//! `observe` equals `predict` followed by `update`.
+//! to 14 and ascending histories up to 1023, the longest a 1024-slot
+//! history ring accepts; one stream runs past the useful-bit aging
+//! period. The tests also check the contract the per-event oracle
+//! relies on: `predict` changes no state, and `observe` equals
+//! `predict` followed by `update`.
 
 use proptest::prelude::*;
 
@@ -223,11 +224,12 @@ impl Mix {
 }
 
 /// A geometry with `tables` tagged tables and distinct ascending
-/// histories drawn from 1..=1024.
+/// histories drawn from 1..=1023: `TageConfig` rejects a history as
+/// long as its 1024-slot ring.
 fn geometry(mix: &mut Mix, tables: usize, table_bits: u32, tag_bits: u32) -> TageConfig {
     let mut histories: Vec<u32> = Vec::with_capacity(tables);
     while histories.len() < tables {
-        let h = 1 + mix.below(1024) as u32;
+        let h = 1 + mix.below(1023) as u32;
         if !histories.contains(&h) {
             histories.push(h);
         }
