@@ -28,15 +28,15 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use rebalance_experiments::util::{f2, TextTable};
-use rebalance_frontend::predictor::{DirectionPredictor, PredictorBank, PredictorSim};
+use rebalance_frontend::predictor::{DirectionPredictor, PredictorSim};
 use rebalance_frontend::PredictorChoice;
 use rebalance_pintools::{BranchBiasTool, BranchMixTool, DirectionTool};
 use rebalance_telemetry as telemetry;
-use rebalance_trace::{snapshot, Pintool, Snapshot, Timed, ToolSet, DEFAULT_BATCH_CAPACITY};
+use rebalance_trace::{snapshot, Pintool, Snapshot, ToolSet, DEFAULT_BATCH_CAPACITY};
 use serde::Serialize;
 
 use crate::args;
-use crate::sweep_cmd::predictor_bank;
+use crate::sweep_cmd::{sweep_keys, sweep_tools};
 
 /// Workloads measured when no selection is given: six spanning the four
 /// paper suites.
@@ -317,9 +317,8 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
             .map(|_| ToolSet::from_tools(PredictorChoice::build_sims(&configs)))
             .collect()
     };
-    let fresh_banks = |count: usize| -> Vec<Timed<PredictorBank>> {
-        (0..count).map(|_| predictor_bank(&configs)).collect()
-    };
+    let keys = sweep_keys(&[]);
+    let fresh_banks = |count: usize| -> Vec<_> { (0..count).map(|_| sweep_tools(&keys)).collect() };
     let fresh_pintools = |count: usize| -> Vec<ToolSet<Box<dyn Pintool>>> {
         (0..count)
             .map(|_| {

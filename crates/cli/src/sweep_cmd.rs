@@ -1,6 +1,7 @@
 //! `rebalance sweep` — the nine-configuration predictor sweep, replays
 //! served from the trace cache, the nine configurations measured by one
-//! predictor bank.
+//! predictor bank. With `--model`, both paper cores ride the same
+//! replay: their configurations join the bank's keys.
 //!
 //! The command is split into a *compute* half (replay the selection,
 //! reduce to plain per-workload rows) and a *render* half (tables and
@@ -9,11 +10,12 @@
 
 use std::process::ExitCode;
 
-use rebalance_coresim::{CoreModel, FetchModelKind, FrontendKeys};
+use rebalance_coresim::{add_keys, CoreModel, CoreTiming, FetchModelKind, FrontendKeys};
 use rebalance_experiments::util::{self, f2, Run, RunError, TextTable};
+use rebalance_fetchsim::FetchGrid;
 use rebalance_frontend::predictor::PredictorBank;
-use rebalance_frontend::{CoreKind, PredictorChoice};
-use rebalance_trace::Timed;
+use rebalance_frontend::{BtbSim, CoreKind, ICacheBank, PredictorChoice};
+use rebalance_trace::{Section, Timed, ToolSet};
 use rebalance_workloads::{Suite, Workload};
 use serde::Serialize;
 
@@ -43,45 +45,64 @@ struct SweepRows {
     cpi: Option<Vec<CpiJsonRow>>,
 }
 
-/// The predictor tool of one sweep replay: `configs` as one
-/// [`PredictorBank`], which runs each distinct base predictor once per
-/// branch. With telemetry on, its `on_batch` time lands on one counter,
-/// `tool.predictors.on_batch_ns`, not on one per configuration: timing
-/// each base inside the bank would take two clock reads per branch and
-/// base, which costs more than the sharing saves. `Timed` derefs to the
-/// bank, so `.reports()` reads through it.
-pub(crate) fn predictor_bank(configs: &[PredictorChoice]) -> Timed<PredictorBank> {
-    Timed::new("predictors", PredictorBank::new(configs))
+/// The keys one sweep replay measures: what each of `models` is priced
+/// from, and the nine Figure 5 choices. The paper cores' predictors are
+/// Figure 5 choices, so they add no predictor.
+pub(crate) fn sweep_keys(models: &[CoreModel]) -> FrontendKeys {
+    let mut keys = FrontendKeys::of(models);
+    add_keys(&mut keys.predictors, PredictorChoice::figure5_set());
+    keys
 }
 
-/// Replays the selection and reduces it to per-workload rows; with
-/// `model`, a second shared replay per workload measures both paper
-/// cores' CPI through the chosen timing backend.
+/// Fresh tools for `keys`. The predictor bank runs each distinct base
+/// predictor once per branch, and it is the one timed family: with
+/// telemetry on, its `on_batch` time lands on one counter,
+/// `tool.predictors.on_batch_ns`, not on one per configuration (timing
+/// each base inside the bank would take two clock reads per branch and
+/// base, which costs more than the sharing saves). Without `--model`
+/// the other families are empty, cost nothing and read no plain event.
+pub(crate) fn sweep_tools(
+    keys: &FrontendKeys,
+) -> (Timed<PredictorBank>, ToolSet<BtbSim>, ICacheBank, FetchGrid) {
+    let (predictors, btbs, icaches, fetch) = keys.tools();
+    (Timed::new("predictors", predictors), btbs, icaches, fetch)
+}
+
+/// Replays the selection once per workload and reduces it to
+/// per-workload rows; with `model`, both paper cores' CPI through the
+/// chosen timing backend, from the same replay.
 fn compute(
     run: &Run,
     workloads: &[Workload],
     scale: rebalance_workloads::Scale,
     model: Option<FetchModelKind>,
 ) -> Result<SweepRows, RunError> {
+    let models = model.map(|kind| {
+        [CoreKind::Baseline, CoreKind::Tailored].map(|k| CoreModel::new(k).with_fetch_model(kind))
+    });
+    let keys = sweep_keys(models.as_ref().map_or(&[], |m| &m[..]));
+    let outcomes = run.sweep_weighted(workloads.to_vec(), scale, |_| vec![sweep_tools(&keys)])?;
     let configs = PredictorChoice::figure5_set();
-    let rows = run
-        .sweep_weighted(workloads.to_vec(), scale, |_| {
-            vec![predictor_bank(&configs)]
-        })?
-        .iter()
-        .map(|o| SweepJsonRow {
+    let mut rows = Vec::new();
+    let mut cpi = Vec::new();
+    for o in &outcomes {
+        let (predictors, btbs, icaches, fetch) = &o.tools[0];
+        let reports = keys.reports_of(predictors, btbs.iter().as_slice(), icaches, fetch);
+        rows.push(SweepJsonRow {
             workload: o.item.name().to_owned(),
             suite: o.item.suite(),
-            mpki: (o.tools[0].reports().iter())
-                .map(|r| r.total().mpki())
+            mpki: (configs.iter())
+                .map(|&c| reports.predictor(c).total().mpki())
                 .collect(),
-        })
-        .collect();
+        });
+        if let Some(models) = &models {
+            let timings = reports.timings(models, &o.item.profile().backend);
+            cpi.push(cpi_row(&o.item, &timings));
+        }
+    }
     Ok(SweepRows {
         rows,
-        cpi: model
-            .map(|kind| measure_cpi(run, workloads, scale, kind))
-            .transpose()?,
+        cpi: models.map(|_| cpi),
     })
 }
 
@@ -201,43 +222,21 @@ struct CpiJsonRow {
     tailored_cpi: f64,
 }
 
-/// Measures both paper cores over the selection through the chosen
-/// timing backend (one additional cache-served replay per workload —
-/// both cores share it).
-fn measure_cpi(
-    run: &Run,
-    workloads: &[Workload],
-    scale: rebalance_workloads::Scale,
-    kind: FetchModelKind,
-) -> Result<Vec<CpiJsonRow>, RunError> {
-    let models = [
-        CoreModel::new(CoreKind::Baseline).with_fetch_model(kind),
-        CoreModel::new(CoreKind::Tailored).with_fetch_model(kind),
-    ];
-    let keys = FrontendKeys::of(&models);
-    Ok(run
-        .sweep_weighted(workloads.to_vec(), scale, |_| vec![keys.tools()])?
-        .iter()
-        .map(|o| {
-            let backend = o.item.profile().backend;
-            let section = if o.item.suite().has_parallel_sections() {
-                rebalance_trace::Section::Parallel
-            } else {
-                rebalance_trace::Section::Serial
-            };
-            let reports = keys.reports(&o.tools[0]);
-            let cpis: Vec<f64> = (reports.timings(&models, &backend).iter())
-                .map(|t| t.section(section).cpi)
-                .collect();
-            CpiJsonRow {
-                workload: o.item.name().to_owned(),
-                suite: o.item.suite(),
-                section: format!("{section:?}").to_lowercase(),
-                baseline_cpi: cpis[0],
-                tailored_cpi: cpis[1],
-            }
-        })
-        .collect())
+/// The CPI row of `workload` from the baseline and tailored `timings`,
+/// on its dominant section.
+fn cpi_row(workload: &Workload, timings: &[CoreTiming]) -> CpiJsonRow {
+    let section = if workload.suite().has_parallel_sections() {
+        Section::Parallel
+    } else {
+        Section::Serial
+    };
+    CpiJsonRow {
+        workload: workload.name().to_owned(),
+        suite: workload.suite(),
+        section: format!("{section:?}").to_lowercase(),
+        baseline_cpi: timings[0].section(section).cpi,
+        tailored_cpi: timings[1].section(section).cpi,
+    }
 }
 
 /// Renders the CPI addendum as a table.

@@ -21,8 +21,9 @@ const BIN: &str = env!("CARGO_BIN_EXE_rebalance");
 /// The selection under test.
 const WORKLOADS: &str = "CG,FT,gcc,k.bfs";
 
-/// Replays one `sweep --model` run makes for [`WORKLOADS`].
-const REPLAYS: &str = "replays: 8 |";
+/// Replays one `sweep --model` run makes for [`WORKLOADS`]: one per
+/// workload, which the predictor bank and both cores share.
+const REPLAYS: &str = "replays: 4 |";
 
 fn fixtures() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sweep_model")

@@ -259,3 +259,37 @@ fn metrics_text_prints_span_tree_and_counters() {
     assert!(out.contains(".on_batch_calls"), "in:\n{out}");
     let _ = std::fs::remove_dir_all(cache);
 }
+
+/// A warm replay gathers a branch slice out of full batches (the `fill`
+/// span) only when one of its tools reads every event. `paper fig5`
+/// measures predictors alone: its empty I-cache bank and fetch grid
+/// read nothing, so it decodes into branch-only batches. `sweep
+/// --model` puts the cores' I-caches and fetch grid on the same replay
+/// as the bank, so it fills full batches.
+#[test]
+fn only_replays_with_an_every_event_tool_fill_full_batches() {
+    let cache = scratch("fill-cache");
+    let json = scratch("fill-json");
+    let cache_arg = cache.to_str().unwrap();
+    let metrics_arg = format!("json={}", json.join("metrics.json").display());
+    let fills = |args: &[&str]| {
+        let mut argv = args.to_vec();
+        argv.extend(["--cache", cache_arg]);
+        run(&argv);
+        argv.extend(["--metrics", metrics_arg.as_str()]);
+        run(&argv);
+        let m = load_metrics(&json);
+        let spans = m.get("spans").expect("spans");
+        check_attribution("", spans);
+        let roots = spans.get("children").expect("span roots");
+        let decode = find_span("decode", roots).expect("a warm replay decodes");
+        child(decode, "tools").expect("decode/tools");
+        child(decode, "fill").is_some()
+    };
+    assert!(!fills(&["paper", "fig5", "--suite", "npb"]));
+    assert!(fills(&["sweep", "--workloads", "CG", "--model", "penalty"]));
+
+    for dir in [cache, json] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}

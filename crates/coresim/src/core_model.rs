@@ -162,7 +162,8 @@ impl CoreModel {
 
     /// This design's measurement tools alone: its keyed families of
     /// one (see [`FrontendKeys`]), so a penalty-model core runs its
-    /// predictor, BTB and I-cache, and an FTQ core its `FetchSim`.
+    /// predictor, BTB and I-cache, and an FTQ core a fetch grid of its
+    /// one design point.
     pub fn fetch_tools(&self) -> CoreTools {
         FrontendKeys::of(std::slice::from_ref(self)).tools()
     }

@@ -4,10 +4,11 @@
 //! A penalty-model core is a pure function of three reports (see
 //! [`CoreModel::timing`]), so it needs no tool of its own: it adds its
 //! predictor, BTB and I-cache to the replay's families, and reads their
-//! reports back by configuration. Two cores, or a core and an exhibit,
-//! that name the same configuration share one simulation of it.
+//! reports back by configuration. An FTQ core adds its fetch design
+//! point the same way. Two cores, or a core and an exhibit, that name
+//! the same configuration share one simulation of it.
 
-use rebalance_fetchsim::{FetchConfig, FetchReport, FetchSim};
+use rebalance_fetchsim::{FetchConfig, FetchGrid, FetchReport};
 use rebalance_frontend::predictor::{PredictorBank, PredictorReport};
 use rebalance_frontend::{
     BtbConfig, BtbReport, BtbSim, CacheConfig, ICacheBank, ICacheReport, PredictorChoice,
@@ -56,17 +57,12 @@ pub struct FrontendKeys {
     pub btbs: Vec<BtbConfig>,
     /// I-cache geometries, measured as one [`ICacheBank`].
     pub icaches: Vec<CacheConfig>,
-    /// Decoupled-front-end design points, one [`FetchSim`] each.
+    /// Decoupled-front-end design points, measured as one [`FetchGrid`].
     pub fetch: Vec<FetchConfig>,
 }
 
 /// The tools that measure one [`FrontendKeys`], in its field order.
-pub type CoreTools = (
-    PredictorBank,
-    ToolSet<BtbSim>,
-    ICacheBank,
-    ToolSet<FetchSim>,
-);
+pub type CoreTools = (PredictorBank, ToolSet<BtbSim>, ICacheBank, FetchGrid);
 
 impl FrontendKeys {
     /// The keys that time `models`.
@@ -99,7 +95,7 @@ impl FrontendKeys {
             PredictorBank::new(&self.predictors),
             self.btbs.iter().copied().map(BtbSim::new).collect(),
             ICacheBank::new(&self.icaches),
-            self.fetch.iter().copied().map(FetchSim::new).collect(),
+            FetchGrid::new(&self.fetch),
         )
     }
 
@@ -107,8 +103,7 @@ impl FrontendKeys {
     /// replay.
     pub fn reports(&self, tools: &CoreTools) -> FrontendReports {
         let (predictors, btbs, icaches, fetch) = tools;
-        let (btbs, fetch) = (btbs.iter().as_slice(), fetch.iter().as_slice());
-        self.reports_of(predictors, btbs, icaches, fetch)
+        self.reports_of(predictors, btbs.iter().as_slice(), icaches, fetch)
     }
 
     /// [`FrontendKeys::reports`] from the four families held apart.
@@ -117,7 +112,7 @@ impl FrontendKeys {
         predictors: &PredictorBank,
         btbs: &[BtbSim],
         icaches: &ICacheBank,
-        fetch: &[FetchSim],
+        fetch: &FetchGrid,
     ) -> FrontendReports {
         FrontendReports {
             predictors: self
@@ -128,7 +123,7 @@ impl FrontendKeys {
                 .collect(),
             btbs: btbs.iter().map(BtbSim::report).collect(),
             icaches: icaches.reports(),
-            fetch: fetch.iter().map(FetchSim::report).collect(),
+            fetch: fetch.reports(),
         }
     }
 }
@@ -167,6 +162,13 @@ impl FrontendReports {
         found.expect("a measured I-cache geometry")
     }
 
+    /// The report of fetch design point `config`; panics if it was not
+    /// measured.
+    pub fn fetch(&self, config: FetchConfig) -> &FetchReport {
+        let found = self.fetch.iter().find(|r| r.config == config);
+        found.expect("a measured fetch design point")
+    }
+
     /// `model`'s timing with `backend`, priced from the reports of its
     /// configurations; panics if one was not measured.
     pub fn timing(&self, model: &CoreModel, backend: &BackendProfile) -> CoreTiming {
@@ -179,9 +181,7 @@ impl FrontendReports {
                 backend,
             ),
             FetchModelKind::Ftq => {
-                let config = model.fetch_config();
-                let found = self.fetch.iter().find(|r| r.config == config);
-                model.timing_from_fetch(found.expect("a measured fetch design"), backend)
+                model.timing_from_fetch(self.fetch(model.fetch_config()), backend)
             }
         }
     }
@@ -214,5 +214,20 @@ mod tests {
         let mut more = keys.clone();
         more.add_core(&CoreModel::new(CoreKind::Tailored));
         assert_eq!(counts(&more), (2, 2, 2, 1));
+    }
+
+    #[test]
+    fn empty_families_read_no_plain_event() {
+        use rebalance_trace::Pintool;
+        let predictors_only = FrontendKeys {
+            predictors: PredictorChoice::figure5_set(),
+            ..FrontendKeys::default()
+        };
+        assert!(!predictors_only.tools().needs_every_event());
+        let ftq = CoreModel::new(CoreKind::Tailored).with_fetch_model(FetchModelKind::Ftq);
+        assert!(
+            ftq.fetch_tools().needs_every_event(),
+            "a fetch grid reads every event"
+        );
     }
 }

@@ -6,7 +6,7 @@
 
 use rebalance_coresim::{add_keys, floorplan_models, floorplan_results, FrontendKeys};
 use rebalance_coresim::{CmpResult, CoreModel, CoreTiming, FrontendReports};
-use rebalance_fetchsim::{FetchGrid, FetchSim};
+use rebalance_fetchsim::FetchGrid;
 use rebalance_frontend::predictor::{PredictorBank, PredictorReport};
 use rebalance_frontend::PredictorChoice;
 use rebalance_frontend::{BtbReport, BtbSim, CacheConfig, ICacheBank, ICacheReport};
@@ -113,25 +113,20 @@ pub fn suite_means(records: &[&Record], value: impl Fn(&Record) -> f64) -> [f64;
 }
 
 /// Every tool family one replay feeds, as one fan-out tool:
-/// characterization, the predictor bank, BTBs, the I-cache bank, the
-/// FTQ cores' fetch simulators and the fetch grid. A family the replay
-/// does not need stays empty. The middle four are built from one
-/// [`FrontendKeys`], so a penalty-model core adds its configurations to
-/// them and no tool of its own. Each family charges its `on_batch` time
-/// to `tool.<family>.on_batch_ns` while telemetry is on.
+/// characterization, then the four keyed families of one
+/// [`FrontendKeys`]: the predictor bank, BTBs, the I-cache bank and the
+/// fetch grid. Exhibits and core designs add their configurations to
+/// the keys, so a core owns no tool and a configuration two of them
+/// name is simulated once. A family the replay does not need stays
+/// empty. Each family charges its `on_batch` time to
+/// `tool.<family>.on_batch_ns` while telemetry is on.
 type Tools = (
     Timed<ToolSet<CharacterizationTools>>,
     Timed<PredictorBank>,
     Timed<ToolSet<BtbSim>>,
     Timed<ICacheBank>,
-    Timed<ToolSet<FetchSim>>,
-    Timed<ToolSet<FetchGrid>>,
+    Timed<FetchGrid>,
 );
-
-/// `tools()` as a family when `wanted`, else an empty family.
-fn family<T>(wanted: bool, tools: impl FnOnce() -> Vec<T>) -> ToolSet<T> {
-    ToolSet::from_tools(if wanted { tools() } else { Vec::new() })
-}
 
 /// The core designs `needs` time on one replay on `run`, each once: the
 /// Figure 10 floorplans' cores under the run's fetch model, then
@@ -158,8 +153,8 @@ fn sampling_models() -> Vec<CoreModel> {
     sampling::models().into_iter().map(|(_, m)| m).collect()
 }
 
-/// The predictor, BTB and I-cache configurations the exhibits of
-/// `needs` read on one replay on `run`.
+/// The configurations the exhibits of `needs` read on one replay on
+/// `run`.
 fn exhibit_keys(needs: &[Need], run: &Run, sampled: bool) -> FrontendKeys {
     let on = |need: Need| needs.contains(&need) && need.rides(run, sampled);
     let mut keys = FrontendKeys::default();
@@ -176,6 +171,9 @@ fn exhibit_keys(needs: &[Need], run: &Run, sampled: bool) -> FrontendKeys {
         if on(need) {
             add_keys(&mut keys.icaches, configs);
         }
+    }
+    if on(Need::FetchGrid) {
+        keys.fetch = default_grid();
     }
     keys
 }
@@ -194,40 +192,36 @@ fn keys(needs: &[Need], run: &Run, sampled: bool) -> FrontendKeys {
 /// with `keys` from [`keys`].
 fn tools(needs: &[Need], run: &Run, sampled: bool, keys: &FrontendKeys) -> Tools {
     let on = |need: Need| needs.contains(&need) && need.rides(run, sampled);
-    let (predictors, btbs, icaches, cores) = keys.tools();
+    let (predictors, btbs, icaches, fetch) = keys.tools();
+    let characterization = on(Need::Characterization).then(characterization_tools);
     (
-        Timed::new(
-            "characterization",
-            family(
-                on(Need::Characterization),
-                || vec![characterization_tools()],
-            ),
-        ),
+        Timed::new("characterization", characterization.into_iter().collect()),
         Timed::new("predictors", predictors),
         Timed::new("btbs", btbs),
         Timed::new("icaches", icaches),
-        Timed::new("cores", cores),
-        Timed::new(
-            "grid",
-            family(on(Need::FetchGrid), || {
-                vec![FetchGrid::new(&default_grid())]
-            }),
-        ),
+        Timed::new("fetch", fetch),
     )
 }
 
 /// The reports of the keyed families of `tools`, built from `keys`.
 fn reports(keys: &FrontendKeys, tools: &Tools) -> FrontendReports {
-    let (_, predictors, btbs, icaches, cores, _) = tools;
-    let (btbs, cores) = (btbs.iter().as_slice(), cores.iter().as_slice());
-    keys.reports_of(predictors, btbs, icaches, cores)
+    let (_, predictors, btbs, icaches, fetch) = tools;
+    keys.reports_of(predictors, btbs.iter().as_slice(), icaches, fetch)
 }
 
-/// The fetch grid's per-design summaries (empty without a grid); every
-/// cell's stall attribution is checked on the way.
-fn fetch(grid: &ToolSet<FetchGrid>) -> Vec<FetchSummary> {
-    let reports = grid.iter().flat_map(FetchGrid::reports);
-    reports.map(|r| FetchSummary::from_report(&r)).collect()
+impl Record {
+    /// Appends the reports of `exhibits`, the exhibit keys of one
+    /// replay, read back by configuration. Each need rides one replay,
+    /// so the full and the sampled replay fill disjoint families. Every
+    /// fetch design point's stall attribution is checked on the way.
+    fn read_exhibits(&mut self, exhibits: &FrontendKeys, reports: &FrontendReports) {
+        let predictors = exhibits.predictors.iter();
+        (self.predictors).extend(predictors.map(|&c| reports.predictor(c).clone()));
+        (self.btbs).extend(exhibits.btbs.iter().map(|&c| *reports.btb(c)));
+        (self.icaches).extend(exhibits.icaches.iter().map(|&c| *reports.icache(c)));
+        let fetch = exhibits.fetch.iter().map(|&c| reports.fetch(c));
+        self.fetch.extend(fetch.map(FetchSummary::from_report));
+    }
 }
 
 /// Measures each `(workload, needs)` item at `scale` on `run`: one full
@@ -286,6 +280,7 @@ fn measure_one(
         sampled_timings: Vec::new(),
         replayed_fraction: 0.0,
     };
+    let backend = w.profile().backend;
     if replays(needs, run, false) {
         // The static footprint is a property of the program, not of the
         // event stream, so characterization synthesizes it; a replay
@@ -302,25 +297,16 @@ fn measure_one(
         let (mut full, replay) = run.replay_generated(w, scale, generate, full)?;
         let tools = full.pop().expect("one tool set in, one out");
         let reports = reports(&keys, &tools);
-        let (characterization, .., grid) = tools;
+        record.read_exhibits(&exhibit_keys(needs, run, false), &reports);
+        let (characterization, ..) = tools;
         record.characterization = (characterization.into_inner().into_inner().pop())
             .zip(static_bytes)
             .map(|(tools, bytes)| characterization_from_tools(tools, bytes, replay.summary));
-        let exhibits = exhibit_keys(needs, run, false);
-        record.predictors = (exhibits.predictors.into_iter())
-            .map(|choice| reports.predictor(choice).clone())
-            .collect();
-        record.btbs = exhibits.btbs.into_iter().map(|c| *reports.btb(c)).collect();
-        record.icaches = (exhibits.icaches.into_iter())
-            .map(|c| *reports.icache(c))
-            .collect();
-        let backend = w.profile().backend;
         if needs.contains(&Need::Floorplans) {
             let timings = reports.timings(&cmp_models(run), &backend);
             let sims = cmp::figure10_sims();
             record.floorplans = floorplan_results(&sims, w.name(), replay.sections, &timings);
         }
-        record.fetch = fetch(&grid);
         if needs.contains(&Need::CoreModels) {
             record.timings = reports.timings(&sampling_models(), &backend);
         }
@@ -331,15 +317,11 @@ fn measure_one(
             vec![tools(needs, run, true, &keys)]
         })?;
         let outcome = outcomes.pop().expect("one workload in, one out");
-        let tools = &outcome.tools[0];
+        let reports = reports(&keys, &outcome.tools[0]);
+        record.read_exhibits(&exhibit_keys(needs, run, true), &reports);
         record.replayed_fraction = outcome.plan.replayed_fraction();
         if needs.contains(&Need::CoreModels) {
-            let backend = w.profile().backend;
-            record.sampled_timings = reports(&keys, tools).timings(&sampling_models(), &backend);
-        }
-        let (.., grid) = tools;
-        if !grid.is_empty() {
-            record.fetch = fetch(grid);
+            record.sampled_timings = reports.timings(&sampling_models(), &backend);
         }
     }
     Ok(record)
@@ -421,27 +403,33 @@ mod tests {
             needs.extend(fig9.then_some(Fig9Caches));
             needs
         };
-        // (predictor bases, BTBs, (line walks, I-caches), fetch sims)
+        // (predictor bases, BTBs, (line walks, I-caches), fetch design
+        // points)
         let shape = |needs: &[Need], run: &Run, sampled: bool| {
             let t = tools(needs, run, sampled, &keys(needs, run, sampled));
-            (t.1.shape().0, t.2.len(), t.3.shape(), t.4.len())
+            (t.1.shape().0, t.2.len(), t.3.shape(), t.4.reports().len())
         };
         // The penalty cores' predictors are Figure 5 bases, the tailored
         // BTB is a Figure 7 member and the baseline I-cache a Figure 8
         // one: only the 2048×8 BTB and the 128 B I-cache (a Figure 9
-        // member) are new. Sampling's FTQ core is the one fetch sim.
+        // member) are new. Sampling's FTQ core is the grid's
+        // ftq16/w4/pf4/btb2048 point, so the full replay times the 16
+        // grid points alone and the sampled one the FTQ core alone.
+        let baseline_ftq = sampling_models()[1];
+        assert_eq!(baseline_ftq.fetch_model(), FetchModelKind::Ftq);
+        assert!(default_grid().contains(&baseline_ftq.fetch_config()));
         let penalty = Run::default();
-        assert_eq!(shape(&needs(false), &penalty, false), (6, 10, (2, 10), 1));
-        assert_eq!(shape(&needs(true), &penalty, false), (6, 10, (3, 15), 1));
+        assert_eq!(shape(&needs(false), &penalty, false), (6, 10, (2, 10), 16));
+        assert_eq!(shape(&needs(true), &penalty, false), (6, 10, (3, 15), 16));
         assert_eq!(shape(&needs(true), &penalty, true), (1, 1, (1, 1), 1));
-        // Under FTQ the floorplan cores are fetch sims, and sampling's
-        // FTQ core is the baseline one.
+        // Under FTQ the floorplan cores are fetch design points: the
+        // baseline one is sampling's FTQ core, the tailored one is new.
         let ftq = Run {
             fetch_model: FetchModelKind::Ftq,
             ..Run::default()
         };
-        assert_eq!(shape(&needs(false), &ftq, false), (6, 10, (1, 9), 2));
-        assert_eq!(shape(&needs(true), &ftq, false), (6, 10, (3, 15), 2));
+        assert_eq!(shape(&needs(false), &ftq, false), (6, 10, (1, 9), 17));
+        assert_eq!(shape(&needs(true), &ftq, false), (6, 10, (3, 15), 17));
         assert_eq!(shape(&needs(true), &ftq, true), (1, 1, (1, 1), 1));
     }
 

@@ -207,12 +207,20 @@ impl FetchGrid {
     }
 }
 
+/// A grid with no design points costs nothing: it returns at once and
+/// reads no plain event, so a replay it rides keeps branch-only
+/// batches.
 impl Pintool for FetchGrid {
     fn on_inst(&mut self, ev: &TraceEvent) {
-        self.step(ev);
+        if !self.streams.is_empty() {
+            self.step(ev);
+        }
     }
 
     fn on_batch(&mut self, batch: &EventBatch) {
+        if self.streams.is_empty() {
+            return;
+        }
         for ev in batch.events() {
             self.step(ev);
         }
@@ -232,6 +240,10 @@ impl Pintool for FetchGrid {
 
     fn supports_sampled_replay(&self) -> bool {
         true
+    }
+
+    fn needs_every_event(&self) -> bool {
+        !self.streams.is_empty()
     }
 }
 
@@ -277,6 +289,13 @@ mod tests {
         // depth and BTB axes only split timing models.
         assert_eq!(shape(&grid), (1, 2, 2, 4, 16));
         assert_eq!(grid.configs, configs);
+    }
+
+    #[test]
+    fn only_a_grid_with_design_points_reads_every_event() {
+        assert!(!FetchGrid::new(&[]).needs_every_event());
+        let tailored = FetchConfig::for_core(CoreKind::Tailored);
+        assert!(FetchGrid::new(&[tailored]).needs_every_event());
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //! front-end) over **one** trace replay, and builds each stage that
 //! never reads a clock — branch unit, block stream, line cache — once per
 //! distinct configuration rather than once per design point. Its
-//! reports are bit-identical to one `FetchSim` per point.
+//! reports are bit-identical to one `FetchSim` per point. Every
+//! production replay times its design points with a `FetchGrid`;
+//! `FetchSim` is the reference the grid is tested against.
 //!
 //! # Examples
 //!

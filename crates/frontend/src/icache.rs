@@ -875,6 +875,11 @@ impl Pintool for ICacheBank {
     fn supports_sampled_replay(&self) -> bool {
         true
     }
+
+    /// A bank with no cache walks no line, so it reads no plain event.
+    fn needs_every_event(&self) -> bool {
+        !self.groups.is_empty()
+    }
 }
 
 #[cfg(test)]
@@ -1099,6 +1104,12 @@ mod tests {
         assert_eq!(ICache::byte_mask(0, 1, 64), 1);
         assert_eq!(ICache::byte_mask(63, 4, 64), 1 << 63);
         assert_eq!(ICache::byte_mask(0, 128, 128), u128::MAX);
+    }
+
+    #[test]
+    fn only_a_bank_with_caches_reads_every_event() {
+        assert!(!ICacheBank::new(&[]).needs_every_event());
+        assert!(ICacheBank::new(&[CacheConfig::default()]).needs_every_event());
     }
 
     #[test]

@@ -463,7 +463,6 @@ impl EventBatch {
         if self.is_empty() {
             return;
         }
-        let _batch_span = telemetry::span("batch");
         if self.stores_plain {
             let _fill_span = telemetry::span("fill");
             self.fill_branches();

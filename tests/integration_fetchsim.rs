@@ -17,11 +17,12 @@
 //!    timing-free stage across its design points, reports bit for bit
 //!    what one solo [`FetchSim`] per point reports — over the whole
 //!    roster, under every delivery mode, sampled replay included, and
-//!    when read mid-replay.
+//!    when read mid-replay. A grid with no design points reports
+//!    nothing and leaves the tools beside it as they are alone.
 
 use rebalance::coresim::{CoreModel, FetchModelKind};
 use rebalance::fetchsim::{FetchConfig, FetchGrid, FetchReport, FetchSim, FtqConfig};
-use rebalance::frontend::{BtbConfig, CoreKind, FrontendConfig};
+use rebalance::frontend::{BtbConfig, BtbSim, CoreKind, FrontendConfig};
 use rebalance::pintools::BbvTool;
 use rebalance::trace::{
     snapshot, Pintool, SamplePlan, SamplingConfig, Snapshot, SweepEngine, SyntheticTrace, ToolSet,
@@ -313,14 +314,20 @@ fn fetch_grid_matches_solo_fetchsims_on_the_default_grid_over_the_roster() {
     }
 }
 
-/// Replays `trace` into a fresh grid and a fresh solo set through
-/// `deliver`, and asserts they agree.
+/// Replays into a fresh grid beside a BTB, a fresh solo set and a BTB
+/// alone through `deliver`, and asserts that the grid agrees with the
+/// solo set and leaves its sibling BTB bit-identical. The BTB reads
+/// only branches, so beside an empty grid it gets branch-only batches.
 fn check_delivery(label: &str, grid: &[FetchConfig], mut deliver: impl FnMut(&mut dyn Pintool)) {
-    let mut shared = FetchGrid::new(grid);
+    let btb = || BtbSim::new(FrontendConfig::tailored().btb);
+    let mut shared = (FetchGrid::new(grid), btb());
     deliver(&mut shared);
     let mut alone = solos(grid);
     deliver(&mut alone);
-    assert_grid_matches(label, &shared, &alone);
+    let mut sibling = btb();
+    deliver(&mut sibling);
+    assert_grid_matches(label, &shared.0, &alone);
+    assert_eq!(shared.1.report(), sibling.report(), "{label}: sibling BTB");
 }
 
 #[test]
@@ -334,7 +341,12 @@ fn fetch_grid_matches_solo_fetchsims_under_every_delivery_mode() {
             .expect("sampling plan");
         assert!(!plan.is_full_replay(), "{name}: the plan must skip");
 
-        for (grid_name, grid) in [("default", default_grid()), ("mixed", mixed_grid())] {
+        let grids = [
+            ("default", default_grid()),
+            ("mixed", mixed_grid()),
+            ("empty", Vec::new()),
+        ];
+        for (grid_name, grid) in grids {
             let label = |mode: &str| format!("{name} {grid_name} grid, {mode}");
             check_delivery(&label("per-event"), &grid, |t| {
                 trace.replay_per_event(t);
