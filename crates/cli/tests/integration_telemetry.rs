@@ -261,35 +261,67 @@ fn metrics_text_prints_span_tree_and_counters() {
 }
 
 /// A warm replay gathers a branch slice out of full batches (the `fill`
-/// span) only when one of its tools reads every event. `paper fig5`
-/// measures predictors alone: its empty I-cache bank and fetch grid
-/// read nothing, so it decodes into branch-only batches. `sweep
-/// --model` puts the cores' I-caches and fetch grid on the same replay
-/// as the bank, so it fills full batches.
+/// span) only when one of its tools reads every event, and no tool a
+/// command runs does. `paper fig5` measures predictors alone: its empty
+/// I-cache bank and fetch grid read nothing, so it decodes into
+/// branch-only batches. `sweep --model` puts the cores' I-caches and
+/// fetch grid on the same replay as the bank; they read plain runs, so
+/// it decodes into run batches, whose lanes still carry every event.
+/// And a warm `paper` synthesizes no program: the static footprint
+/// Figure 3 needs comes from the snapshot footer.
 #[test]
 fn only_replays_with_an_every_event_tool_fill_full_batches() {
-    let cache = scratch("fill-cache");
     let json = scratch("fill-json");
-    let cache_arg = cache.to_str().unwrap();
     let metrics_arg = format!("json={}", json.join("metrics.json").display());
-    let fills = |args: &[&str]| {
+    let warm_metrics = |tag: &str, args: &[&str]| {
+        let cache = scratch(&format!("fill-cache-{tag}"));
         let mut argv = args.to_vec();
-        argv.extend(["--cache", cache_arg]);
+        argv.extend(["--cache", cache.to_str().unwrap()]);
         run(&argv);
         argv.extend(["--metrics", metrics_arg.as_str()]);
         run(&argv);
         let m = load_metrics(&json);
-        let spans = m.get("spans").expect("spans");
-        check_attribution("", spans);
-        let roots = spans.get("children").expect("span roots");
-        let decode = find_span("decode", roots).expect("a warm replay decodes");
+        check_attribution("", m.get("spans").expect("spans"));
+        (m, cache)
+    };
+    let roots = |m: &Value| m.get("spans").and_then(|s| s.get("children")).cloned();
+    let fills = |m: &Value| {
+        let roots = roots(m).expect("span roots");
+        let decode = find_span("decode", &roots).expect("a warm replay decodes");
         child(decode, "tools").expect("decode/tools");
         child(decode, "fill").is_some()
     };
-    assert!(!fills(&["paper", "fig5", "--suite", "npb"]));
-    assert!(fills(&["sweep", "--workloads", "CG", "--model", "penalty"]));
 
-    for dir in [cache, json] {
-        let _ = std::fs::remove_dir_all(dir);
-    }
+    let (fig5, cache) = warm_metrics("fig5", &["paper", "fig5", "--suite", "npb"]);
+    assert!(!fills(&fig5), "paper fig5 decodes branch-only batches");
+    let _ = std::fs::remove_dir_all(cache);
+
+    let (model, cache) = warm_metrics(
+        "model",
+        &["sweep", "--workloads", "CG", "--model", "penalty"],
+    );
+    assert!(!fills(&model), "sweep --model decodes run batches");
+    let lanes = |key: &str| {
+        model
+            .get("report")
+            .and_then(|r| r.get("lanes"))
+            .and_then(|l| l.get(key))
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("report.lanes.{key}"))
+    };
+    let (instructions, branches) = footer_totals(&cache);
+    assert_eq!(lanes("instructions"), instructions);
+    assert_eq!(lanes("branches"), branches);
+    let _ = std::fs::remove_dir_all(cache);
+
+    let (paper, cache) = warm_metrics("paper", &["paper", "fig3", "fig8", "--suite", "npb"]);
+    let roots = roots(&paper).expect("span roots");
+    assert!(find_span("replay", &roots).is_some(), "paper replays");
+    assert!(
+        find_span("synth", &roots).is_none(),
+        "a warm paper synthesizes nothing: {roots:?}"
+    );
+    assert!(!fills(&paper), "paper decodes run batches");
+    let _ = std::fs::remove_dir_all(cache);
+    let _ = std::fs::remove_dir_all(json);
 }

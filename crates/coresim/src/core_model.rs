@@ -3,9 +3,7 @@
 use rebalance_fetchsim::{FetchConfig, FetchReport, FtqConfig};
 use rebalance_frontend::predictor::PredictorReport;
 use rebalance_frontend::{BtbReport, CoreKind, FrontendConfig, ICacheReport};
-use rebalance_trace::{
-    SamplePlan, SampledReplay, Section, Snapshot, SnapshotError, SyntheticTrace,
-};
+use rebalance_trace::{Section, SyntheticTrace};
 use rebalance_workloads::BackendProfile;
 use serde::{Deserialize, Serialize};
 
@@ -188,29 +186,6 @@ impl CoreModel {
         let mut tools = keys.tools();
         trace.replay(&mut tools);
         keys.reports(&tools).timings(models, backend)
-    }
-
-    /// [`CoreModel::measure_many`] over a phase-sampled replay: every
-    /// design's tools observe only `plan`'s weighted representative
-    /// intervals of `snapshot` (see
-    /// [`Snapshot::replay_sampled`]), and per-section CPI is derived
-    /// from the weight-scaled counters. Also returns the
-    /// [`SampledReplay`] accounting (full-stream summary plus delivered
-    /// instruction count).
-    ///
-    /// # Errors
-    ///
-    /// Propagates snapshot decode failures.
-    pub fn measure_many_sampled(
-        models: &[CoreModel],
-        snapshot: &Snapshot<'_>,
-        plan: &SamplePlan,
-        backend: &BackendProfile,
-    ) -> Result<(Vec<CoreTiming>, SampledReplay), SnapshotError> {
-        let keys = FrontendKeys::of(models);
-        let mut tools = keys.tools();
-        let replay = snapshot.replay_sampled(&mut tools, plan)?;
-        Ok((keys.reports(&tools).timings(models, backend), replay))
     }
 
     /// Derives per-section CPI from a decoupled-front-end
@@ -435,33 +410,6 @@ mod tests {
                 assert_eq!(*timing, solo_timing(model, &trace, &backend), "{name}");
             }
         }
-    }
-
-    #[test]
-    fn sampled_measurement_degenerates_to_full_replay() {
-        use rebalance_trace::SamplingConfig;
-
-        let w = find("CG").unwrap();
-        let backend = w.profile().backend;
-        let models = [
-            CoreModel::new(CoreKind::Baseline),
-            CoreModel::new(CoreKind::Baseline).with_fetch_model(FetchModelKind::Ftq),
-        ];
-        let trace = w.trace(Scale::Smoke).unwrap();
-        let full = CoreModel::measure_many(&models, &trace, &backend);
-
-        let (bytes, _) = rebalance_trace::snapshot::snapshot_bytes(&trace, 0).unwrap();
-        let snapshot = Snapshot::parse(&bytes).unwrap();
-        let total = snapshot.info().summary.instructions;
-        let cfg = SamplingConfig::default().with_intervals(10).with_k(32);
-        let vectors = vec![vec![1.0]; 10];
-        let plan = SamplePlan::from_vectors(&vectors, cfg.interval_insts(total), total, &cfg);
-        assert!(plan.is_full_replay(), "k >= intervals degenerates");
-
-        let (timings, replay) =
-            CoreModel::measure_many_sampled(&models, &snapshot, &plan, &backend).unwrap();
-        assert_eq!(timings, full, "degenerate sampling is bit-identical");
-        assert_eq!(replay.delivered_instructions, total);
     }
 
     #[test]

@@ -218,16 +218,17 @@ mod tests {
 
     #[test]
     fn empty_families_read_no_plain_event() {
-        use rebalance_trace::Pintool;
+        use rebalance_trace::{Need, Pintool};
         let predictors_only = FrontendKeys {
             predictors: PredictorChoice::figure5_set(),
             ..FrontendKeys::default()
         };
-        assert!(!predictors_only.tools().needs_every_event());
+        assert_eq!(predictors_only.tools().need(), Need::Branches);
         let ftq = CoreModel::new(CoreKind::Tailored).with_fetch_model(FetchModelKind::Ftq);
-        assert!(
-            ftq.fetch_tools().needs_every_event(),
-            "a fetch grid reads every event"
+        assert_eq!(
+            ftq.fetch_tools().need(),
+            Need::Runs,
+            "a fetch grid reads runs"
         );
     }
 }

@@ -12,7 +12,7 @@ use rebalance_frontend::PredictorChoice;
 use rebalance_frontend::{BtbReport, BtbSim, CacheConfig, ICacheBank, ICacheReport};
 use rebalance_pintools::{characterization_from_tools, characterization_tools};
 use rebalance_pintools::{Characterization, CharacterizationTools};
-use rebalance_trace::{CacheError, SamplingConfig, Timed, ToolSet};
+use rebalance_trace::{SamplingConfig, Timed, ToolSet};
 use rebalance_workloads::{Scale, Suite, Workload};
 
 use crate::fetchsim::{default_grid, FetchSummary};
@@ -282,26 +282,15 @@ fn measure_one(
     };
     let backend = w.profile().backend;
     if replays(needs, run, false) {
-        // The static footprint is a property of the program, not of the
-        // event stream, so characterization synthesizes it; a replay
-        // that must generate the trace then interprets that same one.
-        let trace = needs
-            .contains(&Need::Characterization)
-            .then(|| w.trace(scale))
-            .transpose()
-            .map_err(|e| RunError::replay(w, CacheError::Generate(e)))?;
-        let static_bytes = trace.as_ref().map(|t| t.program().static_bytes());
-        let generate = move || trace.map_or_else(|| w.trace(scale), Ok);
         let keys = keys(needs, run, false);
         let full = vec![tools(needs, run, false, &keys)];
-        let (mut full, replay) = run.replay_generated(w, scale, generate, full)?;
+        let (mut full, replay) = run.replay(w, scale, full)?;
         let tools = full.pop().expect("one tool set in, one out");
         let reports = reports(&keys, &tools);
         record.read_exhibits(&exhibit_keys(needs, run, false), &reports);
         let (characterization, ..) = tools;
         record.characterization = (characterization.into_inner().into_inner().pop())
-            .zip(static_bytes)
-            .map(|(tools, bytes)| characterization_from_tools(tools, bytes, replay.summary));
+            .map(|tools| characterization_from_tools(tools, replay.static_bytes, replay.summary));
         if needs.contains(&Need::Floorplans) {
             let timings = reports.timings(&cmp_models(run), &backend);
             let sims = cmp::figure10_sims();

@@ -20,7 +20,7 @@ use rebalance_coresim::{
 use rebalance_pintools::BbvTool;
 use rebalance_trace::{
     snapshot, CacheError, CachedReplay, OwnedSnapshot, Pintool, Report, SampledOutcome,
-    SamplingConfig, SweepEngine, SweepOutcome, SyntheticTrace, TraceCache,
+    SamplingConfig, SweepEngine, SweepOutcome, TraceCache,
 };
 use rebalance_workloads::{Scale, Suite, Workload};
 
@@ -186,18 +186,7 @@ impl Run {
         scale: Scale,
         tools: Vec<T>,
     ) -> Result<(Vec<T>, CachedReplay), RunError> {
-        self.replay_generated(workload, scale, || workload.trace(scale), tools)
-    }
-
-    /// [`Run::replay`] with the trace, when one must be generated, taken
-    /// from `generate` — for callers that already synthesized it.
-    pub(crate) fn replay_generated<T: Pintool>(
-        &self,
-        workload: &Workload,
-        scale: Scale,
-        generate: impl FnOnce() -> Result<SyntheticTrace, String>,
-        tools: Vec<T>,
-    ) -> Result<(Vec<T>, CachedReplay), RunError> {
+        let generate = || workload.trace(scale);
         let replayed = match &self.cache {
             Some(cache) => {
                 self.engine
@@ -208,6 +197,7 @@ impl Run {
                 let replay = CachedReplay {
                     summary,
                     sections: trace.schedule().sections(),
+                    static_bytes: trace.program().static_bytes(),
                 };
                 (tools, replay)
             }),

@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use rebalance_trace::{EventBatch, Pintool, TraceEvent};
+use rebalance_trace::{EventBatch, Need, Piece, Pintool, PlainRun, TraceEvent};
 
 use crate::config::FetchConfig;
 use crate::report::FetchReport;
@@ -171,26 +171,27 @@ impl FetchGrid {
             .collect()
     }
 
-    /// One event through the branch unit once, then every block stream.
+    /// One piece of the stream: a branch through the branch unit once,
+    /// then every block stream; a plain run through every block stream.
     #[inline]
-    fn step(&mut self, ev: &TraceEvent) {
-        let taken = ev.branch.map(|br| {
-            let taken = br.outcome.is_taken();
-            self.branch
-                .resolve(ev.pc, ev.len, br.kind, taken, br.target);
-            taken
-        });
+    fn piece(&mut self, piece: Piece<'_>) {
+        match piece {
+            Piece::Start(_) => {}
+            Piece::Branch(ev) => self.branch(ev),
+            Piece::Run(run) => self.run(&run),
+        }
+    }
+
+    fn branch(&mut self, ev: &TraceEvent) {
+        let br = ev.branch.expect("a branch piece carries its branch");
+        let taken = br.outcome.is_taken();
+        self.branch
+            .resolve(ev.pc, ev.len, br.kind, taken, br.target);
         for node in &mut self.streams {
             if node.stream.breaks_before(ev.section) {
                 node.close(None);
             }
             let full = node.stream.push(ev);
-            let Some(taken) = taken else {
-                if full {
-                    node.close(None);
-                }
-                continue;
-            };
             let redirected = taken || self.branch.mispredicted(node.predictor);
             // The sharing is exact because a branch that neither is
             // taken nor mispredicted costs nothing under any BTB.
@@ -205,15 +206,46 @@ impl FetchGrid {
             }
         }
     }
+
+    /// A plain run through every block stream: cut where the open block
+    /// reaches the fetch width, each piece joins the block whole. Plain
+    /// instructions never touch the branch unit.
+    fn run(&mut self, run: &PlainRun<'_>) {
+        for node in &mut self.streams {
+            if node.stream.breaks_before(run.section) {
+                node.close(None);
+            }
+            let mut pc = run.pc.as_u64();
+            let mut lens = run.lens;
+            while !lens.is_empty() {
+                let n = node.stream.room().min(lens.len() as u64);
+                let (chunk, rest) = lens.split_at(n as usize);
+                let bytes = if chunk.len() == run.lens.len() {
+                    run.bytes
+                } else {
+                    chunk.iter().map(|&len| u64::from(len)).sum()
+                };
+                if node.stream.push_range(pc, bytes, n, run.section) {
+                    node.close(None);
+                }
+                pc = pc.wrapping_add(bytes);
+                lens = rest;
+            }
+        }
+    }
 }
 
-/// A grid with no design points costs nothing: it returns at once and
-/// reads no plain event, so a replay it rides keeps branch-only
-/// batches.
+/// The grid reads a batch as pieces ([`Need::Runs`]), and an event
+/// delivered alone as a piece of one: a branch goes through the branch
+/// unit and every block stream, and a plain run joins each stream a
+/// fetch-width piece at a time, its instruction lengths read only where
+/// the width cuts it. A grid with no design points
+/// costs nothing: it returns at once and reads no plain instruction, so
+/// a replay it rides keeps branch-only batches.
 impl Pintool for FetchGrid {
     fn on_inst(&mut self, ev: &TraceEvent) {
         if !self.streams.is_empty() {
-            self.step(ev);
+            self.piece(Piece::of(ev));
         }
     }
 
@@ -221,8 +253,8 @@ impl Pintool for FetchGrid {
         if self.streams.is_empty() {
             return;
         }
-        for ev in batch.events() {
-            self.step(ev);
+        for piece in batch.pieces() {
+            self.piece(piece);
         }
     }
 
@@ -242,8 +274,12 @@ impl Pintool for FetchGrid {
         true
     }
 
-    fn needs_every_event(&self) -> bool {
-        !self.streams.is_empty()
+    fn need(&self) -> Need {
+        if self.streams.is_empty() {
+            Need::Branches
+        } else {
+            Need::Runs
+        }
     }
 }
 
@@ -293,9 +329,9 @@ mod tests {
 
     #[test]
     fn only_a_grid_with_design_points_reads_every_event() {
-        assert!(!FetchGrid::new(&[]).needs_every_event());
+        assert_eq!(FetchGrid::new(&[]).need(), Need::Branches);
         let tailored = FetchConfig::for_core(CoreKind::Tailored);
-        assert!(FetchGrid::new(&[tailored]).needs_every_event());
+        assert_eq!(FetchGrid::new(&[tailored]).need(), Need::Runs);
     }
 
     #[test]

@@ -307,6 +307,42 @@ impl BlockStream {
         block.insts >= self.fetch_width
     }
 
+    /// Appends `insts` sequential plain instructions of `section` that
+    /// fill `bytes` from `pc`, and the lines they span; returns `true`
+    /// when the block has reached the fetch width. The same as pushing
+    /// them one at a time, provided they fit in the block's room
+    /// ([`BlockStream::room`]): contiguous bytes touch every line from
+    /// the first to the last.
+    #[inline]
+    pub(crate) fn push_range(&mut self, pc: u64, bytes: u64, insts: u64, section: Section) -> bool {
+        debug_assert!(insts >= 1 && insts <= self.room());
+        let block = &mut self.block;
+        if block.insts == 0 {
+            block.section = section;
+        }
+        block.insts += insts;
+        let last = (pc + (bytes - 1)) & self.line_mask;
+        let mut line = pc & self.line_mask;
+        loop {
+            if block.lines.last() != Some(&Addr::new(line)) {
+                block.lines.push(Addr::new(line));
+            }
+            if line == last {
+                break;
+            }
+            line += self.line_bytes;
+        }
+        block.insts >= self.fetch_width
+    }
+
+    /// Instructions the open block takes before it reaches the fetch
+    /// width.
+    #[inline]
+    pub(crate) fn room(&self) -> u64 {
+        // A zero width closes every block at its first instruction.
+        self.fetch_width.saturating_sub(self.block.insts).max(1)
+    }
+
     /// Closes the block (after stages 3 and 4 consumed it).
     #[inline]
     pub(crate) fn clear(&mut self) {

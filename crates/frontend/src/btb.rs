@@ -1,7 +1,7 @@
 //! Branch target buffer (Figure 7) with a return-address stack.
 
 use rebalance_isa::Addr;
-use rebalance_trace::{weighted_add, BySection, EventBatch, Pintool, Section, TraceEvent};
+use rebalance_trace::{weighted_add, BySection, EventBatch, Need, Pintool, Section, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 use crate::ras::ReturnAddressStack;
@@ -346,8 +346,8 @@ impl Pintool for BtbSim {
 
     /// `on_batch` reads only the branch slice and the batch's section
     /// counts.
-    fn needs_every_event(&self) -> bool {
-        false
+    fn need(&self) -> Need {
+        Need::Branches
     }
 }
 

@@ -2,7 +2,9 @@
 //! accounting.
 
 use rebalance_isa::Addr;
-use rebalance_trace::{weighted_add, BySection, EventBatch, Pintool, Section, TraceEvent};
+use rebalance_trace::{
+    weighted_add, BySection, EventBatch, Need, Piece, Pintool, PlainRun, Section, TraceEvent,
+};
 use serde::{Deserialize, Serialize};
 
 /// Cache geometry.
@@ -374,6 +376,12 @@ struct LineExit {
 /// cache until the fetch stream leaves the line (sequential crossing or
 /// taken branch). Per batch it lists the stream's line exits; the
 /// caches it feeds replay that list.
+///
+/// It reads a batch as [`Piece`]s: a plain run is one address range, so
+/// the walk steps once per line the run touches, not once per
+/// instruction, and reads instruction lengths only to find the
+/// instruction that opens each line after the first (the one holding
+/// the line's first byte), whose bytes are the access's mask.
 #[derive(Debug)]
 struct LineWalk {
     line_bytes: u64,
@@ -392,12 +400,13 @@ impl LineWalk {
         }
     }
 
-    /// Walks one batch into `exits`. The current line and the bytes used
-    /// since its exit was last written live in locals, so an event wholly
-    /// inside the current line only ORs in its byte mask and checks for a
-    /// taken branch out of the line; every other event takes
-    /// [`LineWalk::enter`].
-    fn walk(&mut self, events: &[TraceEvent]) {
+    /// Walks one batch's pieces into `exits`. The current line and the
+    /// bytes used since its exit was last written live in locals, so a
+    /// branch wholly inside the current line only ORs in its byte mask
+    /// and checks for a taken branch out of the line, and so does a run
+    /// wholly inside it; every other branch takes [`LineWalk::enter`],
+    /// every other run [`LineWalk::run`].
+    fn walk<'a>(&mut self, pieces: impl IntoIterator<Item = Piece<'a>>) {
         self.exits.clear();
         let line_bytes = self.line_bytes;
         let offset_mask = line_bytes - 1;
@@ -412,29 +421,107 @@ impl LineWalk {
             });
         }
         let mut used = 0u128;
-        for ev in events {
-            let pc = ev.pc.as_u64();
-            let offset = pc & offset_mask;
-            let len = u64::from(ev.len);
-            if pc - offset == line && offset + len <= line_bytes {
-                used |= ICache::byte_mask(offset, len, line_bytes);
-                let leaves = ev.branch.is_some_and(|br| {
-                    br.outcome.is_taken()
-                        && br.target.is_some_and(|t| t.as_u64() & !offset_mask != line)
-                });
-                if leaves {
+        for piece in pieces {
+            match piece {
+                Piece::Start(_) => {}
+                Piece::Run(run) => {
+                    let pc = run.pc.as_u64();
+                    let offset = pc & offset_mask;
+                    if pc - offset == line && offset + run.bytes <= line_bytes {
+                        used |= ICache::byte_mask(offset, run.bytes, line_bytes);
+                    } else {
+                        line = self.run(&run, line, &mut used);
+                    }
+                }
+                Piece::Branch(ev) => {
+                    let pc = ev.pc.as_u64();
+                    let offset = pc & offset_mask;
+                    let len = u64::from(ev.len);
+                    if pc - offset == line && offset + len <= line_bytes {
+                        used |= ICache::byte_mask(offset, len, line_bytes);
+                        let leaves = ev.branch.is_some_and(|br| {
+                            br.outcome.is_taken()
+                                && br.target.is_some_and(|t| t.as_u64() & !offset_mask != line)
+                        });
+                        if leaves {
+                            self.write_back(used);
+                            used = 0;
+                            line = NO_LINE;
+                        }
+                        continue;
+                    }
                     self.write_back(used);
                     used = 0;
-                    line = NO_LINE;
+                    line = Self::enter(&mut self.exits, ev, line_bytes, line);
                 }
-                continue;
             }
-            self.write_back(used);
-            used = 0;
-            line = Self::enter(&mut self.exits, ev, line_bytes, line);
         }
         self.write_back(used);
         self.line = line;
+    }
+
+    /// A run that is not wholly inside the `current` line, the way its
+    /// instructions would walk one by one: its bytes in `current` join
+    /// `used`; each other line it touches opens an exit whose access
+    /// marks the bytes of the instruction holding the line's first byte
+    /// (or, for the run's first line, of its first instruction), and
+    /// the run's later bytes in that line become the new `used`.
+    /// Returns the line fetch is on afterwards: the run's last.
+    fn run(&mut self, run: &PlainRun<'_>, current: u64, used: &mut u128) -> u64 {
+        let line_bytes = self.line_bytes;
+        let pc = run.pc.as_u64();
+        let end = pc + run.bytes;
+        let first = pc & !(line_bytes - 1);
+        let last = (end - 1) & !(line_bytes - 1);
+        let mut lens = run.lens.iter().map(|&len| u64::from(len));
+        // End of the last instruction whose length was read.
+        let mut opener_end = pc;
+        if first == current {
+            *used |= ICache::byte_mask(pc - first, (end - pc).min(line_bytes), line_bytes);
+        } else {
+            opener_end += lens.next().expect("a run has an instruction");
+            self.open(first, pc - first, opener_end, end, run.section, used);
+        }
+        let mut line = first;
+        while line != last {
+            line += line_bytes;
+            while opener_end <= line {
+                opener_end += lens.next().expect("the run's lengths cover its bytes");
+            }
+            self.open(line, 0, opener_end, end, run.section, used);
+        }
+        last
+    }
+
+    /// Opens an exit for `line`: its access marks the bytes from line
+    /// offset `from` to `opener_end`, and the bytes after them up to
+    /// `run_end` become the line's pending `used`, after the old one
+    /// was written back.
+    #[inline]
+    fn open(
+        &mut self,
+        line: u64,
+        from: u64,
+        opener_end: u64,
+        run_end: u64,
+        section: Section,
+        used: &mut u128,
+    ) {
+        let line_bytes = self.line_bytes;
+        self.write_back(*used);
+        let opened = (opener_end - line).min(line_bytes);
+        self.exits.push(LineExit {
+            line,
+            access_mask: ICache::byte_mask(from, opened - from, line_bytes),
+            rest_mask: 0,
+            section,
+            access: true,
+        });
+        *used = ICache::byte_mask(
+            opened,
+            (run_end - line).min(line_bytes) - opened,
+            line_bytes,
+        );
     }
 
     /// Adds `used` to the open exit's extracted bytes.
@@ -576,8 +663,8 @@ impl Member {
 /// crossing or taken branch).
 ///
 /// [`Pintool::on_inst`] is the per-event oracle; [`Pintool::on_batch`]
-/// is an [`ICacheBank`] of one, the same line walk and the same
-/// consumer.
+/// is an [`ICacheBank`] of one, the same line walk over the batch's
+/// runs and branches ([`Need::Runs`]) and the same consumer.
 ///
 /// # Examples
 ///
@@ -695,10 +782,11 @@ impl Pintool for ICacheSim {
         self.step(ev);
     }
 
-    /// Hot path: the line walk over the batch, then one pass over its
-    /// exits; instruction counts come from the batch's section totals.
+    /// Hot path: the line walk over the batch's pieces, then one pass
+    /// over its exits; instruction counts come from the batch's section
+    /// totals.
     fn on_batch(&mut self, batch: &EventBatch) {
-        self.walk.walk(batch.events());
+        self.walk.walk(batch.pieces());
         self.member.consume(&self.walk, batch.sections());
     }
 
@@ -720,6 +808,11 @@ impl Pintool for ICacheSim {
     fn supports_sampled_replay(&self) -> bool {
         true
     }
+
+    /// `on_batch` reads the batch's pieces and section counts.
+    fn need(&self) -> Need {
+        Need::Runs
+    }
 }
 
 /// A set of I-cache geometries over one replay, walking each distinct
@@ -727,8 +820,9 @@ impl Pintool for ICacheSim {
 /// one pass, bit-identical to a solo [`ICacheSim`] per configuration.
 ///
 /// The line-buffer walk (the in-line check, the byte-mask OR and the
-/// taken-branch-out check per event) depends only on the line size, and
-/// it is most of an [`ICacheSim`]'s cost. So the bank builds each stage
+/// taken-branch-out check per branch and per sequential run of plain
+/// instructions, [`Need::Runs`]) depends only on the line size, and it
+/// is most of an [`ICacheSim`]'s cost. So the bank builds each stage
 /// once per distinct key, the rule `PredictorBank` and
 /// `rebalance-fetchsim`'s `FetchGrid` follow:
 ///
@@ -739,7 +833,7 @@ impl Pintool for ICacheSim {
 ///
 /// Per batch each walk lists its line exits (about one per seven events
 /// on the roster), and each cache of that line size replays the list:
-/// an access with the bytes the opening event used, the optional
+/// an access with the bytes the opening instruction used, the optional
 /// next-line prefetch, then the bytes extracted afterwards.
 ///
 /// # Examples
@@ -839,7 +933,7 @@ impl Pintool for ICacheBank {
         let mut insts = BySection::<u64>::default();
         *insts.get_mut(ev.section) += 1;
         for (walk, members) in &mut self.groups {
-            walk.walk(std::slice::from_ref(ev));
+            walk.walk([Piece::of(ev)]);
             for member in members {
                 member.consume(walk, insts);
             }
@@ -850,7 +944,7 @@ impl Pintool for ICacheBank {
     /// size over its exits.
     fn on_batch(&mut self, batch: &EventBatch) {
         for (walk, members) in &mut self.groups {
-            walk.walk(batch.events());
+            walk.walk(batch.pieces());
             for member in members {
                 member.consume(walk, batch.sections());
             }
@@ -876,9 +970,14 @@ impl Pintool for ICacheBank {
         true
     }
 
-    /// A bank with no cache walks no line, so it reads no plain event.
-    fn needs_every_event(&self) -> bool {
-        !self.groups.is_empty()
+    /// A bank reads runs; one with no cache walks no line, so it reads
+    /// no plain instruction.
+    fn need(&self) -> Need {
+        if self.groups.is_empty() {
+            Need::Branches
+        } else {
+            Need::Runs
+        }
     }
 }
 
@@ -1108,8 +1207,12 @@ mod tests {
 
     #[test]
     fn only_a_bank_with_caches_reads_every_event() {
-        assert!(!ICacheBank::new(&[]).needs_every_event());
-        assert!(ICacheBank::new(&[CacheConfig::default()]).needs_every_event());
+        assert_eq!(ICacheBank::new(&[]).need(), Need::Branches);
+        assert_eq!(
+            ICacheBank::new(&[CacheConfig::default()]).need(),
+            Need::Runs
+        );
+        assert_eq!(ICacheSim::new(CacheConfig::default()).need(), Need::Runs);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::fmt;
 
 use rebalance_isa::{Addr, BranchTrajectory};
-use rebalance_trace::{BranchEvent, BySection, EventBatch, Pintool, Section, TraceEvent};
+use rebalance_trace::{BranchEvent, BySection, EventBatch, Need, Pintool, Section, TraceEvent};
 
 use super::loop_pred::{with_loop_name, PAPER_LOOP_ENTRIES};
 use super::{DirectionPredictor, LoopPredictor, PredictorReport, PredictorStats};
@@ -226,8 +226,8 @@ impl Pintool for PredictorBank {
 
     /// `on_batch` reads only the branch slice and the batch's section
     /// counts.
-    fn needs_every_event(&self) -> bool {
-        false
+    fn need(&self) -> Need {
+        Need::Branches
     }
 }
 

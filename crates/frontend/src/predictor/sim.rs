@@ -1,7 +1,7 @@
 //! The branch-MPKI measurement harness (Figures 5 and 6).
 
 use rebalance_isa::BranchTrajectory;
-use rebalance_trace::{weighted_add, BySection, EventBatch, Pintool, Section, TraceEvent};
+use rebalance_trace::{weighted_add, BySection, EventBatch, Need, Pintool, Section, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 use super::DirectionPredictor;
@@ -246,8 +246,8 @@ impl<P: DirectionPredictor> Pintool for PredictorSim<P> {
 
     /// `on_batch` reads only the branch slice and the batch's section
     /// counts.
-    fn needs_every_event(&self) -> bool {
-        false
+    fn need(&self) -> Need {
+        Need::Branches
     }
 }
 

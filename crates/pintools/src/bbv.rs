@@ -17,12 +17,11 @@
 //! consumed by
 //! [`SamplePlan::from_vectors`](rebalance_trace::SamplePlan::from_vectors).
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use rebalance_isa::{Addr, Outcome};
 use rebalance_trace::sampling::Fingerprinter;
-use rebalance_trace::{EventBatch, Pintool, Section, TraceEvent};
+use rebalance_trace::{EventBatch, Need, Piece, Pintool, PlainRun, Section, TraceEvent};
+
+use crate::pc_hash::PcMap;
 
 /// Hashes a block-start PC into a bucket (FNV-1a over the address
 /// bytes, stable across runs and platforms).
@@ -35,35 +34,10 @@ fn bucket_of(pc: Addr, dims: usize) -> usize {
     (h % dims as u64) as usize
 }
 
-/// A fixed multiplicative hasher for block-start PCs: the 128-bit
-/// product with an odd constant, folded to 64 bits, so both the low
-/// bits (table index) and the high bits (control tag) depend on every
-/// address bit. The map is only looked up, never iterated, so the
-/// hasher cannot change a fingerprint.
-#[derive(Debug, Default, Clone, Copy)]
-struct PcHasher(u64);
-
-impl Hasher for PcHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        let product = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
-        self.0 = (product as u64) ^ ((product >> 64) as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Block-start PC → its bucket, for every block seen so far.
-type BlockMap = HashMap<u64, usize, BuildHasherDefault<PcHasher>>;
+/// Block-start PC → its bucket, for every block seen so far. The map is
+/// only looked up, never iterated, so its hasher cannot change a
+/// fingerprint.
+type BlockMap = PcMap<u64, usize>;
 
 /// Behavior features appended after the `dims` hashed buckets, each in
 /// `[0, 1]`: novel-block instruction share, branch density, taken
@@ -73,13 +47,13 @@ pub const BBV_FEATURES: usize = 4;
 /// The interval-fingerprinting pintool: one hashed, L1-normalized
 /// basic-block vector per instruction interval.
 ///
-/// Batched delivery runs a segment loop ([`Pintool::on_batch`]): each
-/// block of events is cut into segments at every section start and
-/// interval end, and inside a segment the tool only counts parallel
-/// instructions, branches and taken branches and closes a basic block
-/// at each branch, with no per-event interval or block-start checks. A
-/// closed block costs one map lookup, which yields both its novelty and
-/// its bucket. The vectors are bit-identical to per-event delivery.
+/// Batched delivery reads runs ([`Pintool::on_batch`], [`Need::Runs`]):
+/// a sequential run of plain instructions joins the open block in one
+/// step, cut only where it completes an interval, so the tool does no
+/// per-instruction work; branches and section starts close blocks as
+/// they do per event. A closed block costs one map lookup, which yields
+/// both its novelty and its bucket. The vectors are bit-identical to
+/// per-event delivery.
 ///
 /// # Examples
 ///
@@ -167,35 +141,31 @@ impl BbvTool {
         self.block_insts = 0;
     }
 
-    /// Delivers events that hold no section start after their first
-    /// and end no interval before their last: the batch loop's unit.
-    fn segment(&mut self, events: &[TraceEvent]) {
-        let Some(first) = events.first() else {
-            return;
-        };
-        if self.block_start.is_none() {
-            self.block_start = Some(first.pc);
-        }
-        // Index of the open block's first event not yet counted into
-        // `block_insts`.
-        let mut open = 0;
-        for (i, ev) in events.iter().enumerate() {
-            self.parallel_insts += u64::from(ev.section == Section::Parallel);
-            if let Some(br) = &ev.branch {
-                self.branches += 1;
-                self.taken += u64::from(br.outcome == Outcome::Taken);
-                self.block_insts += (i + 1 - open) as u64;
-                self.close_block();
-                open = i + 1;
-                if let Some(next) = events.get(open) {
-                    self.block_start = Some(next.pc);
-                }
+    /// Counts a plain run into the open block, cutting it only where it
+    /// completes an interval: after a cut the next block starts at the
+    /// instruction the run's lengths put there.
+    fn run(&mut self, run: &PlainRun<'_>) {
+        let parallel = run.section == Section::Parallel;
+        let mut pc = run.pc.as_u64();
+        let mut lens = run.lens;
+        while !lens.is_empty() {
+            if self.block_start.is_none() {
+                self.block_start = Some(Addr::new(pc));
             }
-        }
-        self.block_insts += (events.len() - open) as u64;
-        self.seen += events.len() as u64;
-        if self.seen >= self.interval_insts {
-            self.close_interval();
+            // `seen` stays below the interval between calls.
+            let n = (lens.len() as u64).min(self.interval_insts - self.seen);
+            self.block_insts += n;
+            self.parallel_insts += if parallel { n } else { 0 };
+            self.seen += n;
+            if self.seen >= self.interval_insts {
+                self.close_interval();
+            }
+            let (done, rest) = lens.split_at(n as usize);
+            if !rest.is_empty() {
+                let bytes: u64 = done.iter().map(|&len| u64::from(len)).sum();
+                pc = pc.wrapping_add(bytes);
+            }
+            lens = rest;
         }
     }
 
@@ -257,28 +227,21 @@ impl Pintool for BbvTool {
         self.close_block();
     }
 
+    /// Reads the batch as pieces: a branch or section start does what
+    /// it does per event, and a plain run is counted whole, cut only at
+    /// interval ends.
     fn on_batch(&mut self, batch: &EventBatch) {
-        let events = batch.events();
-        let mut starts = batch.section_starts().iter().peekable();
-        let mut at = 0;
-        loop {
-            while starts.next_if(|&&(pos, _)| pos as usize <= at).is_some() {
-                self.close_block();
+        for piece in batch.pieces() {
+            match piece {
+                Piece::Start(section) => self.on_section_start(section),
+                Piece::Branch(ev) => self.on_inst(ev),
+                Piece::Run(run) => self.run(&run),
             }
-            if at == events.len() {
-                return;
-            }
-            // The segment ends at the next section start or right after
-            // the event that completes the interval, whichever is first.
-            let next_start = starts
-                .peek()
-                .map_or(events.len(), |&&(pos, _)| pos as usize);
-            let interval_left = self.interval_insts.saturating_sub(self.seen).max(1);
-            let end = usize::try_from(interval_left)
-                .map_or(next_start, |left| next_start.min(at.saturating_add(left)));
-            self.segment(&events[at..end]);
-            at = end;
         }
+    }
+
+    fn need(&self) -> Need {
+        Need::Runs
     }
 }
 

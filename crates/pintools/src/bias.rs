@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use rebalance_trace::{EventBatch, Pintool, Section, TraceEvent};
+use rebalance_trace::{EventBatch, Need, Pintool, Section, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 use rebalance_trace::BySection;
@@ -159,8 +159,8 @@ impl Pintool for BranchBiasTool {
     }
 
     /// `on_batch` reads only the branch slice.
-    fn needs_every_event(&self) -> bool {
-        false
+    fn need(&self) -> Need {
+        Need::Branches
     }
 }
 

@@ -1,7 +1,7 @@
 //! Table I: backward vs forward taken branches.
 
 use rebalance_isa::BranchTrajectory;
-use rebalance_trace::{EventBatch, Pintool, Section, TraceEvent};
+use rebalance_trace::{EventBatch, Need, Pintool, Section, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 use rebalance_trace::BySection;
@@ -140,8 +140,8 @@ impl Pintool for DirectionTool {
     }
 
     /// `on_batch` reads only the branch slice.
-    fn needs_every_event(&self) -> bool {
-        false
+    fn need(&self) -> Need {
+        Need::Branches
     }
 }
 

@@ -1,12 +1,12 @@
 //! Figure 3: static instruction footprint and the memory needed to hold
 //! 99% of dynamic instructions.
 
-use std::collections::HashMap;
-
-use rebalance_trace::{Pintool, Program, Section, TraceEvent};
+use rebalance_trace::{EventBatch, Need, Piece, Pintool, Program, Section, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 use rebalance_trace::BySection;
+
+use crate::pc_hash::PcMap;
 
 /// Footprint numbers for one section (or the total).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -56,6 +56,15 @@ impl FootprintReport {
 /// instructions are sorted by execution count and accumulated until the
 /// requested coverage is reached.
 ///
+/// It counts executions per distinct run, not per instruction: a
+/// sequential run of plain instructions (a [`Piece::Run`], [`Need::Runs`])
+/// costs one map lookup however long it is, and so does a branch. At
+/// report time each distinct run expands to its instructions' counts.
+/// A PC keeps the length and section of its first execution: runs are
+/// expanded in the order they were first seen, so the earliest-seen run
+/// covering a PC owns it. Reports are the same however the stream is
+/// cut into runs, and the same as per-event delivery.
+///
 /// # Examples
 ///
 /// ```
@@ -66,14 +75,81 @@ impl FootprintReport {
 /// ```
 #[derive(Debug, Default)]
 pub struct FootprintTool {
-    /// pc -> (count, len, section of first execution).
-    counts: HashMap<u64, (u64, u8, Section)>,
+    /// Distinct runs in the order they were first seen.
+    runs: Vec<RunCount>,
+    /// Start PC → the first run seen from it; runs from the same PC
+    /// with other lengths follow through [`RunCount::next`].
+    index: PcMap<u64, usize>,
+    /// Every distinct run's instruction lengths, back to back.
+    lens: Vec<u8>,
+}
+
+/// One distinct run: where it starts, its lengths, the section of its
+/// first execution and how often it ran.
+#[derive(Debug, Clone, Copy)]
+struct RunCount {
+    pc: u64,
+    /// Its lengths: `lens[at..at + insts]` of the tool.
+    at: usize,
+    insts: usize,
+    section: Section,
+    count: u64,
+    /// The next run from the same PC.
+    next: Option<usize>,
 }
 
 impl FootprintTool {
     /// Creates an empty tool.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Counts one execution of the instructions at `pc` with lengths
+    /// `lens`, in `section`.
+    #[inline]
+    fn count(&mut self, pc: u64, lens: &[u8], section: Section) {
+        let new = self.runs.len();
+        let mut slot = self.index.get(&pc).copied();
+        while let Some(i) = slot {
+            let run = &mut self.runs[i];
+            // Runs are short: a byte loop beats a `memcmp` call.
+            let same = run.insts == lens.len()
+                && (self.lens[run.at..run.at + lens.len()].iter())
+                    .zip(lens)
+                    .all(|(a, b)| a == b);
+            if same {
+                run.count += 1;
+                return;
+            }
+            slot = run.next;
+            if slot.is_none() {
+                run.next = Some(new);
+            }
+        }
+        self.index.entry(pc).or_insert(new);
+        self.runs.push(RunCount {
+            pc,
+            at: self.lens.len(),
+            insts: lens.len(),
+            section,
+            count: 1,
+            next: None,
+        });
+        self.lens.extend_from_slice(lens);
+    }
+
+    /// Every executed PC with its execution count, and the length and
+    /// section of its first execution.
+    fn per_pc(&self) -> PcMap<u64, (u64, u8, Section)> {
+        let mut pcs = PcMap::default();
+        for run in &self.runs {
+            let mut pc = run.pc;
+            for &len in &self.lens[run.at..run.at + run.insts] {
+                pcs.entry(pc).or_insert((0, len, run.section)).0 += run.count;
+                pc = pc.wrapping_add(u64::from(len));
+            }
+        }
+        pcs
     }
 
     /// Computes footprints at the given dynamic coverage (the paper uses
@@ -87,9 +163,10 @@ impl FootprintTool {
             coverage > 0.0 && coverage <= 1.0,
             "coverage must be in (0,1], got {coverage}"
         );
+        let pcs = self.per_pc();
         let mut per_section: BySection<Vec<(u64, u8)>> = BySection::default();
-        let mut all: Vec<(u64, u8)> = Vec::with_capacity(self.counts.len());
-        for &(count, len, section) in self.counts.values() {
+        let mut all: Vec<(u64, u8)> = Vec::with_capacity(pcs.len());
+        for &(count, len, section) in pcs.values() {
             per_section.get_mut(section).push((count, len));
             all.push((count, len));
         }
@@ -109,7 +186,8 @@ impl FootprintTool {
 
     /// Like [`FootprintTool::report`], from a pre-computed static code
     /// size — for callers replaying a cached snapshot, which carries
-    /// the dynamic stream but not the static program model.
+    /// the dynamic stream and the static code size but not the program
+    /// model.
     pub fn report_with_static(&self, static_bytes: u64, coverage: f64) -> FootprintReport {
         let mut r = self.dynamic_footprint(coverage);
         r.static_bytes = static_bytes;
@@ -118,7 +196,7 @@ impl FootprintTool {
 
     /// Number of distinct instructions observed.
     pub fn distinct_instructions(&self) -> usize {
-        self.counts.len()
+        self.per_pc().len()
     }
 }
 
@@ -147,16 +225,23 @@ fn summarize(mut entries: Vec<(u64, u8)>, coverage: f64) -> FootprintNumbers {
 
 impl Pintool for FootprintTool {
     fn on_inst(&mut self, ev: &TraceEvent) {
-        let entry = self
-            .counts
-            .entry(ev.pc.as_u64())
-            .or_insert((0, ev.len, ev.section));
-        entry.0 += 1;
+        self.count(ev.pc.as_u64(), std::slice::from_ref(&ev.len), ev.section);
     }
 
-    // No `on_batch` override: per-PC counting touches every event and
-    // has no work to hoist, and the default batch delivery is already a
-    // statically-dispatched loop over the block.
+    /// One count per branch and per plain run.
+    fn on_batch(&mut self, batch: &EventBatch) {
+        for piece in batch.pieces() {
+            match piece {
+                Piece::Start(_) => {}
+                Piece::Branch(ev) => self.on_inst(ev),
+                Piece::Run(run) => self.count(run.pc.as_u64(), run.lens, run.section),
+            }
+        }
+    }
+
+    fn need(&self) -> Need {
+        Need::Runs
+    }
 }
 
 #[cfg(test)]
@@ -219,6 +304,42 @@ mod tests {
         assert_eq!(r.total.touched_bytes, 10);
         assert_eq!(r.total.instructions, 20);
         assert_eq!(t.distinct_instructions(), 2);
+    }
+
+    /// Runs that overlap and recur in another section: each PC keeps the
+    /// section of its first execution, through run batches as per event.
+    #[test]
+    fn the_earliest_run_covering_a_pc_owns_it() {
+        use rebalance_trace::{Snapshot, SnapshotWriter};
+        let mut writer = SnapshotWriter::new(Vec::new(), 0, 0);
+        let run = |writer: &mut SnapshotWriter<Vec<u8>>, pcs: &[u64], section| {
+            writer.on_section_start(section);
+            for &pc in pcs {
+                writer.on_inst(&ev(pc, 4, section));
+            }
+        };
+        run(&mut writer, &[0x104, 0x108], Section::Serial);
+        run(
+            &mut writer,
+            &[0x100, 0x104, 0x108, 0x10C],
+            Section::Parallel,
+        );
+        run(&mut writer, &[0x104, 0x108], Section::Parallel);
+        let bytes = writer.finish().unwrap().0;
+        let snapshot = Snapshot::parse(&bytes).unwrap();
+        let mut by_runs = FootprintTool::new();
+        snapshot.replay(&mut by_runs).unwrap();
+        assert_eq!(by_runs.need(), Need::Runs);
+        let mut per_event = FootprintTool::new();
+        snapshot.replay_per_event(&mut per_event).unwrap();
+        for t in [&by_runs, &per_event] {
+            let r = t.dynamic_footprint(1.0);
+            assert_eq!(r.sections.serial.instructions, 6, "0x104 and 0x108, thrice");
+            assert_eq!(r.sections.serial.touched_bytes, 8);
+            assert_eq!(r.sections.parallel.instructions, 2, "0x100 and 0x10C, once");
+            assert_eq!(r.sections.parallel.touched_bytes, 8);
+            assert_eq!(t.distinct_instructions(), 4);
+        }
     }
 
     #[test]

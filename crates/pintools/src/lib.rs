@@ -36,6 +36,7 @@ mod bias;
 mod direction;
 mod footprint;
 mod mix;
+mod pc_hash;
 mod runner;
 
 pub use basic_block::{BasicBlockReport, BasicBlockStats, BasicBlockTool};

@@ -1,7 +1,7 @@
 //! Figure 1: dynamic branch-instruction breakdown.
 
 use rebalance_isa::BranchKind;
-use rebalance_trace::{EventBatch, Pintool, Section, TraceEvent};
+use rebalance_trace::{EventBatch, Need, Pintool, Section, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 use rebalance_trace::BySection;
@@ -153,8 +153,8 @@ impl Pintool for BranchMixTool {
 
     /// `on_batch` reads only the branch slice and the batch's section
     /// counts.
-    fn needs_every_event(&self) -> bool {
-        false
+    fn need(&self) -> Need {
+        Need::Branches
     }
 }
 

@@ -75,8 +75,8 @@ pub fn characterization_tools() -> CharacterizationTools {
 /// Assembles the [`Characterization`] from already-replayed tools.
 ///
 /// `static_bytes` is the program's static code size — the one input a
-/// dynamic event stream cannot supply, so cached replays pass it from
-/// the (cheaply re-synthesized) program model.
+/// dynamic event stream cannot supply, so cached replays read it from
+/// the snapshot footer (`CachedReplay::static_bytes`).
 pub fn characterization_from_tools(
     tools: CharacterizationTools,
     static_bytes: u64,

@@ -321,6 +321,10 @@ pub struct CachedReplay {
     /// Instructions per section (what CMP scheduling needs in place of
     /// the schedule it no longer has on hits).
     pub sections: BySection<u64>,
+    /// Static code bytes of the replayed program (the footprint
+    /// characterization needs in place of the program it no longer has
+    /// on hits).
+    pub static_bytes: u64,
 }
 
 #[derive(Debug, Default)]
@@ -507,6 +511,7 @@ impl TraceCache {
             Entry::Stored(owned) => Ok(CachedReplay {
                 summary: owned.snapshot().replay(tool)?,
                 sections: owned.info().sections,
+                static_bytes: owned.info().static_bytes,
             }),
             Entry::Generated { bytes, replay } => {
                 self.recycle(bytes);
@@ -602,6 +607,7 @@ impl TraceCache {
         let replay = CachedReplay {
             summary,
             sections: trace.schedule().sections(),
+            static_bytes: trace.program().static_bytes(),
         };
         Ok(Entry::Generated { bytes, replay })
     }
@@ -655,7 +661,8 @@ impl TraceCache {
     ) -> Result<(Vec<u8>, SnapshotInfo, RunSummary), SnapshotError> {
         let mut buf = self.spares().pop().unwrap_or_default();
         buf.clear();
-        let mut writer = SnapshotWriter::new(buf, key.seed(), key.fingerprint());
+        let mut writer = SnapshotWriter::new(buf, key.seed(), key.fingerprint())
+            .with_static_bytes(trace.program().static_bytes());
         let summary = match tool {
             Some(tool) => trace.replay(&mut (&mut writer, tool)),
             None => trace.replay(&mut writer),
@@ -910,6 +917,46 @@ mod tests {
         assert_eq!(pcs, live_pcs);
         let delta = cache.stats().since(&before);
         assert_eq!((delta.hits, delta.rejected, delta.generations), (1, 0, 0));
+        cleanup(cache);
+    }
+
+    /// A well-formed version-2 file (the footer without the static code
+    /// size, checksum valid) is regenerated, never read with its
+    /// checksum taken for the static size.
+    #[test]
+    fn version_2_snapshot_is_regenerated_not_misread() {
+        let cache = TraceCache::scratch().unwrap();
+        let key = TraceKey::new("w", "s", 7, 0);
+        let static_bytes = make_trace(7).program().static_bytes();
+        let replay = |cache: &TraceCache| {
+            cache
+                .replay_with(&key, || Ok(make_trace(7)), &mut NullTool)
+                .unwrap()
+        };
+        let live = replay(&cache);
+        assert_eq!(live.static_bytes, static_bytes);
+        assert_eq!(replay(&cache), live, "a hit reads the size from the footer");
+
+        // Rewrite the file as version 2: drop the static size from the
+        // footer and re-seal the checksum.
+        let path = cache.path_for(&key);
+        let v3 = fs::read(&path).unwrap();
+        let mut v2 = v3[..v3.len() - 16].to_vec();
+        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
+        let sealed = crate::snapshot::checksum(&v2);
+        v2.extend_from_slice(&sealed.to_le_bytes());
+        fs::write(&path, &v2).unwrap();
+        assert!(matches!(
+            Snapshot::parse(&v2),
+            Err(SnapshotError::UnsupportedVersion(2))
+        ));
+
+        let before = cache.stats();
+        assert_eq!(replay(&cache), live);
+        let delta = cache.stats().since(&before);
+        assert_eq!((delta.hits, delta.rejected, delta.generations), (0, 1, 1));
+        assert_eq!(fs::read(&path).unwrap(), v3, "regenerated in place");
+        assert_eq!(read_info(&path).unwrap().static_bytes, static_bytes);
         cleanup(cache);
     }
 

@@ -6,9 +6,9 @@ use rand::{Rng, SeedableRng as _};
 use rebalance_isa::{Addr, InstClass, Outcome};
 use serde::{Deserialize, Serialize};
 
-use crate::batch::{BatchSink, DirectSink, EventBatch, EventSink};
+use crate::batch::{BatchSink, BranchSink, DirectSink, EventBatch, EventSink, RunSink};
 use crate::event::{BranchEvent, TraceEvent};
-use crate::observer::Pintool;
+use crate::observer::{Need, Pintool};
 use crate::program::{BlockId, CondBehavior, IterCount, Program, Terminator};
 use crate::section::Section;
 
@@ -87,9 +87,10 @@ impl<'p> Interpreter<'p> {
     /// delivering every instruction to `tool` tagged with `section`.
     ///
     /// Delivery is block-at-a-time through a reusable internal
-    /// [`EventBatch`] (flushed before returning); tools that only
-    /// implement [`Pintool::on_inst`] observe the identical per-event
-    /// call sequence via the default [`Pintool::on_batch`].
+    /// [`EventBatch`] of the shape `tool` [`Pintool::need`]s (flushed
+    /// before returning); tools that only implement
+    /// [`Pintool::on_inst`] observe the identical per-event call
+    /// sequence via the default [`Pintool::on_batch`].
     ///
     /// Reaching an [`Terminator::Exit`] block restarts execution at
     /// `entry` with a cleared call stack — modelling the application's
@@ -108,6 +109,9 @@ impl<'p> Interpreter<'p> {
         tool: &mut T,
     ) -> RunSummary {
         let mut batch = std::mem::take(&mut self.scratch);
+        if batch.holds() != tool.need() {
+            batch = EventBatch::for_tool(batch.capacity(), tool);
+        }
         let summary = self.run_batched(entry, section, max_insts, &mut batch, tool);
         batch.flush_into(tool);
         self.scratch = batch;
@@ -119,7 +123,9 @@ impl<'p> Interpreter<'p> {
     /// remains buffered at return is **left in the batch**, so a
     /// [`Schedule`](crate::Schedule) can thread one buffer through many
     /// phases and let blocks span phase boundaries. The caller owns the
-    /// final [`EventBatch::flush_into`].
+    /// final [`EventBatch::flush_into`]. Events go in the way the
+    /// batch's shape takes them: a run batch extends its runs from the
+    /// pushed plain events, a branch-only batch counts them.
     pub fn run_batched<T: Pintool + ?Sized>(
         &mut self,
         entry: BlockId,
@@ -128,7 +134,15 @@ impl<'p> Interpreter<'p> {
         batch: &mut EventBatch,
         tool: &mut T,
     ) -> RunSummary {
-        self.run_core(entry, section, max_insts, &mut BatchSink { batch, tool })
+        match batch.holds() {
+            Need::Events => {
+                self.run_core(entry, section, max_insts, &mut BatchSink { batch, tool })
+            }
+            Need::Runs => self.run_core(entry, section, max_insts, &mut RunSink { batch, tool }),
+            Need::Branches => {
+                self.run_core(entry, section, max_insts, &mut BranchSink { batch, tool })
+            }
+        }
     }
 
     /// [`Interpreter::run`] with strict per-event delivery (one

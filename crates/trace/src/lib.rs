@@ -28,7 +28,9 @@
 //!   [`Pintool::on_batch`]): producers hand tools ~[`DEFAULT_BATCH_CAPACITY`]
 //!   events per call instead of one, with a precomputed branch-index
 //!   slice and per-section counts so hot tools skip the events they
-//!   ignore — bit-identical to per-event delivery by construction.
+//!   ignore — bit-identical to per-event delivery by construction. A
+//!   tool set that [`Need`]s less than every event gets batches of
+//!   sequential plain runs ([`Piece`]) or of branches alone.
 //!
 //! # Examples
 //!
@@ -94,7 +96,7 @@ mod sweep;
 mod timed;
 mod toolset;
 
-pub use batch::{EventBatch, DEFAULT_BATCH_CAPACITY, MAX_BATCH_CAPACITY};
+pub use batch::{EventBatch, Piece, Pieces, PlainRun, DEFAULT_BATCH_CAPACITY, MAX_BATCH_CAPACITY};
 pub use builder::ProgramBuilder;
 pub use by_section::BySection;
 pub use cache::{CacheError, CacheStats, CachedReplay, TraceCache, TraceKey, SNAPSHOT_EXT};
@@ -102,7 +104,7 @@ pub use error::{BuildError, BuildErrorKind};
 pub use event::{BranchEvent, TraceEvent};
 pub use exec::{Interpreter, RunSummary};
 pub use executor::Executor;
-pub use observer::{FnTool, MultiTool, NullTool, Pintool};
+pub use observer::{FnTool, MultiTool, Need, NullTool, Pintool};
 pub use program::{BasicBlock, BlockId, CondBehavior, IterCount, Program, RegionId, Terminator};
 pub use report::{LaneFill, Report};
 pub use sampling::{

@@ -16,8 +16,10 @@ use crate::section::Section;
 /// into `on_inst`/`on_section_start` in the exact per-event order, so a
 /// tool that only implements `on_inst` observes an identical call
 /// sequence either way. Hot tools override `on_batch` with a tight loop
-/// over [`EventBatch::events`] or the precomputed dense
-/// [`EventBatch::branch_events`] slice.
+/// over the precomputed dense [`EventBatch::branch_events`] slice or the
+/// batch's [`EventBatch::pieces`] (branches and sequential runs of plain
+/// instructions), and say so with a lower [`Pintool::need`], so a replay
+/// builds only what they read.
 ///
 /// # Examples
 ///
@@ -91,25 +93,40 @@ pub trait Pintool {
         false
     }
 
-    /// `true` (the default) if this tool's [`Pintool::on_batch`] reads
-    /// plain (non-branch) events: [`EventBatch::events`], or the
-    /// per-event [`EventBatch::replay_into`] the default `on_batch`
-    /// runs.
-    ///
-    /// A tool whose `on_batch` reads only [`EventBatch::branch_events`],
-    /// [`EventBatch::sections`], [`EventBatch::section_starts`],
-    /// [`EventBatch::len`] and [`EventBatch::summary`] returns `false`.
-    /// A snapshot replay whose whole tool set says so decodes into
-    /// branch-only batches: branch records go straight into the dense
-    /// branch slice, plain records are only counted, and runs of
-    /// sequential plain records are skipped several at a time. Batch
-    /// edges, section-start positions and every counter stay where a
-    /// full batch puts them. Such a tool must override `on_batch`:
-    /// debug builds panic when a branch-only batch's plain events are
-    /// read.
-    fn needs_every_event(&self) -> bool {
-        true
+    /// What this tool's [`Pintool::on_batch`] reads of a batch, which
+    /// picks the batch a snapshot or live replay fills for it. The
+    /// default, [`Need::Events`], is right for every tool; a tool that
+    /// overrides `on_batch` to read less returns a lower need, and a
+    /// replay whose whole tool set needs less decodes less. Debug builds
+    /// panic when a tool reads more than its batch holds.
+    fn need(&self) -> Need {
+        Need::Events
     }
+}
+
+/// What a tool reads of each [`EventBatch`], in increasing order; a tool
+/// set needs the maximum of its members.
+///
+/// | need | batch | a tool reads |
+/// |---|---|---|
+/// | [`Need::Branches`] | branch-only | [`EventBatch::branch_events`], [`EventBatch::sections`], [`EventBatch::section_starts`], [`EventBatch::len`], [`EventBatch::summary`] |
+/// | [`Need::Runs`] | run | the above and [`EventBatch::pieces`]: the plain runs between branches |
+/// | [`Need::Events`] | full | the above and [`EventBatch::events`], or the per-event [`EventBatch::replay_into`] the default `on_batch` runs |
+///
+/// A snapshot decode into a branch-only batch counts plain records and
+/// skips runs of sequential ones several at a time; into a run batch it
+/// keeps each run's start, length in instructions and bytes, and its
+/// instruction lengths, but builds no [`TraceEvent`] for it. Batch
+/// edges, section-start positions and every counter stay where a full
+/// batch puts them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Need {
+    /// Branch events, section counts and section starts.
+    Branches,
+    /// Also the plain instructions, as sequential runs.
+    Runs,
+    /// Every event as a [`TraceEvent`].
+    Events,
 }
 
 /// Forwards the full `Pintool` surface through a pointer-like wrapper,
@@ -149,8 +166,8 @@ macro_rules! impl_pintool_forward {
             }
 
             #[inline]
-            fn needs_every_event(&self) -> bool {
-                (**self).needs_every_event()
+            fn need(&self) -> Need {
+                (**self).need()
             }
         }
     )+};
@@ -185,8 +202,8 @@ macro_rules! impl_pintool_tuple {
                 true $(&& self.$idx.supports_sampled_replay())+
             }
 
-            fn needs_every_event(&self) -> bool {
-                false $(|| self.$idx.needs_every_event())+
+            fn need(&self) -> Need {
+                Need::Branches $(.max(self.$idx.need()))+
             }
         }
     };
@@ -217,8 +234,8 @@ impl Pintool for NullTool {
     }
 
     #[inline]
-    fn needs_every_event(&self) -> bool {
-        false
+    fn need(&self) -> Need {
+        Need::Branches
     }
 }
 
@@ -336,8 +353,12 @@ impl Pintool for MultiTool<'_> {
         self.tools.iter().all(|t| t.supports_sampled_replay())
     }
 
-    fn needs_every_event(&self) -> bool {
-        self.tools.iter().any(|t| t.needs_every_event())
+    fn need(&self) -> Need {
+        self.tools
+            .iter()
+            .map(|t| t.need())
+            .max()
+            .unwrap_or(Need::Branches)
     }
 }
 
@@ -498,21 +519,39 @@ mod tests {
         assert_eq!(b.insts, 2);
     }
 
+    /// Reads runs: the need between the two defaults.
+    struct RunReader;
+
+    impl Pintool for RunReader {
+        fn on_inst(&mut self, _ev: &TraceEvent) {}
+
+        fn need(&self) -> Need {
+            Need::Runs
+        }
+    }
+
     #[test]
-    fn needs_every_event_holds_if_any_member_needs_it() {
-        assert!(Recorder::default().needs_every_event(), "the default");
-        assert!(!NullTool.needs_every_event());
-        assert!(!(NullTool, NullTool).needs_every_event());
-        assert!((NullTool, Recorder::default()).needs_every_event());
-        assert!(!Box::new(NullTool).needs_every_event());
+    fn a_set_needs_the_most_any_member_needs() {
+        assert_eq!(Recorder::default().need(), Need::Events, "the default");
+        assert_eq!(NullTool.need(), Need::Branches);
+        assert_eq!((NullTool, NullTool).need(), Need::Branches);
+        assert_eq!((NullTool, RunReader).need(), Need::Runs);
+        assert_eq!(
+            (RunReader, Recorder::default(), NullTool).need(),
+            Need::Events
+        );
+        assert_eq!(Box::new(RunReader).need(), Need::Runs);
         let mut null = NullTool;
-        assert!(!<&mut NullTool as Pintool>::needs_every_event(&&mut null));
-        let mut a = NullTool;
-        let mut b = Recorder::default();
-        let mut multi = MultiTool::new().with(&mut a);
-        assert!(!multi.needs_every_event());
+        assert_eq!(<&mut NullTool as Pintool>::need(&&mut null), Need::Branches);
+        let (mut a, mut b, mut c) = (NullTool, RunReader, Recorder::default());
+        let mut multi = MultiTool::new();
+        assert_eq!(multi.need(), Need::Branches, "an empty set reads nothing");
+        multi.push(&mut a);
+        assert_eq!(multi.need(), Need::Branches);
         multi.push(&mut b);
-        assert!(multi.needs_every_event());
+        assert_eq!(multi.need(), Need::Runs);
+        multi.push(&mut c);
+        assert_eq!(multi.need(), Need::Events);
     }
 
     #[test]

@@ -174,7 +174,7 @@ impl SyntheticTrace {
     }
 
     /// Replays the full schedule into `tool`, block-at-a-time: one
-    /// reusable [`EventBatch`] (at
+    /// reusable [`EventBatch`] of the shape `tool` [`Pintool::need`]s (at
     /// [`DEFAULT_BATCH_CAPACITY`]) is threaded through
     /// every phase, so blocks span phase boundaries and the tool sees
     /// `events / capacity` [`Pintool::on_batch`] calls instead of one
@@ -226,7 +226,7 @@ impl SyntheticTrace {
         F: FnMut(&Phase) -> bool,
     {
         let mut interp = self.program.interpreter(self.seed);
-        let mut batch = EventBatch::with_capacity(capacity);
+        let mut batch = EventBatch::for_tool(capacity, tool);
         let mut summary = RunSummary::default();
         for _ in 0..self.schedule.repeat() {
             for phase in self.schedule.phases() {

@@ -10,7 +10,7 @@
 //! That is what makes the on-disk [`TraceCache`](crate::TraceCache)
 //! transparent: generate once, replay forever.
 //!
-//! # Format (version 2)
+//! # Format (version 3)
 //!
 //! All multi-byte integers are little-endian; `varint` is LEB128 and
 //! `zigzag` maps signed deltas onto it. The full byte layout:
@@ -18,7 +18,7 @@
 //! ```text
 //! header (24 bytes)
 //!   0   4  magic  "RBTS"
-//!   4   2  format version (= 2)
+//!   4   2  format version (= 3)
 //!   6   2  reserved (= 0)
 //!   8   8  replay seed
 //!   16  8  cache-key fingerprint (0 when unkeyed)
@@ -34,10 +34,11 @@
 //!         to the tool as `on_section_start`
 //!   0xFC  section-set   (1 byte), silent decoder state change only
 //!   0xFD  end of records
-//! footer (48 bytes)
+//! footer (56 bytes)
 //!   0  40  instructions, branches, taken branches,
 //!          serial instructions, parallel instructions (5 × u64)
-//!   40  8  checksum over every preceding byte of the file
+//!   40  8  static code bytes of the recorded program (0 when unknown)
+//!   48  8  checksum over every preceding byte of the file
 //! ```
 //!
 //! The checksum ([`checksum`]) is FNV-1a 64 taken over the
@@ -46,9 +47,12 @@
 //! is a bijection in both `h` and `w`, so a corruption confined to one
 //! word always changes the result — every single-bit flip included —
 //! while the serial multiply chain runs once per word instead of once
-//! per byte. Version 1 files (the byte-wise FNV-1a) are not read: they
+//! per byte. Files of other versions are not read: version 1 (the
+//! byte-wise FNV-1a) and version 2 (no static code size in the footer)
 //! fail [`Snapshot::parse`] with [`SnapshotError::UnsupportedVersion`],
-//! and the trace cache regenerates them in place.
+//! and the trace cache regenerates them in place. The static code size
+//! lets a cached replay report a program's static footprint without
+//! synthesizing the program again.
 //!
 //! Branch kinds 1–7 follow [`BranchKind::ALL`] order as listed in
 //! [`KIND_TABLE`]. Event PCs are delta-encoded against the previous
@@ -116,19 +120,20 @@ use rebalance_isa::{Addr, BranchKind, InstClass, Outcome};
 use serde::{Deserialize, Serialize};
 
 use crate::batch::{
-    BatchSink, BranchSink, DirectSink, EventBatch, EventSink, DEFAULT_BATCH_CAPACITY,
+    BatchSink, BranchSink, DirectSink, EventBatch, EventSink, Piece, PlainRun, RunSink,
+    DEFAULT_BATCH_CAPACITY,
 };
 use crate::by_section::BySection;
 use crate::event::{BranchEvent, TraceEvent};
 use crate::exec::RunSummary;
-use crate::observer::Pintool;
+use crate::observer::{Need, Pintool};
 use crate::section::Section;
 
 /// The four magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"RBTS";
 
 /// Format version this build writes and the only one it reads.
-pub const SNAPSHOT_VERSION: u16 = 2;
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 /// Branch-kind wire codes: index+1 in this table is the on-disk class
 /// code (0 is reserved for non-branch instructions).
@@ -143,7 +148,7 @@ pub const KIND_TABLE: [BranchKind; 7] = [
 ];
 
 const HEADER_BYTES: usize = 24;
-const FOOTER_BYTES: usize = 48; // 5 counters + checksum
+const FOOTER_BYTES: usize = 56; // 6 counters + checksum
 const MIN_BYTES: usize = HEADER_BYTES + 1 + FOOTER_BYTES; // + end tag
 
 /// Bytes [`SnapshotWriter`] stages before checksumming and writing them
@@ -284,6 +289,9 @@ pub struct SnapshotInfo {
     pub summary: RunSummary,
     /// Instructions per section.
     pub sections: BySection<u64>,
+    /// Static code bytes of the recorded program (0 when the writer was
+    /// not told; see [`SnapshotWriter::with_static_bytes`]).
+    pub static_bytes: u64,
     /// Total encoded size in bytes, header and footer included.
     pub total_bytes: u64,
 }
@@ -440,6 +448,7 @@ pub struct SnapshotWriter<W: Write> {
     section: Option<Section>,
     summary: RunSummary,
     sections: BySection<u64>,
+    static_bytes: u64,
     error: Option<io::Error>,
 }
 
@@ -468,6 +477,7 @@ impl<W: Write> SnapshotWriter<W> {
             section: None,
             summary: RunSummary::default(),
             sections: BySection::default(),
+            static_bytes: 0,
             error: None,
         };
         let mut header = [0u8; HEADER_BYTES];
@@ -477,6 +487,13 @@ impl<W: Write> SnapshotWriter<W> {
         header[16..24].copy_from_slice(&fingerprint.to_le_bytes());
         w.emit(&header);
         w
+    }
+
+    /// Records `static_bytes`, the recorded program's static code size,
+    /// in the footer ([`SnapshotInfo::static_bytes`]).
+    pub fn with_static_bytes(mut self, static_bytes: u64) -> Self {
+        self.static_bytes = static_bytes;
+        self
     }
 
     /// Events recorded so far.
@@ -516,13 +533,14 @@ impl<W: Write> SnapshotWriter<W> {
     /// Returns the first I/O error hit at any point of the recording.
     pub fn finish(mut self) -> Result<(W, SnapshotInfo), SnapshotError> {
         self.emit(&[TAG_END]);
-        let mut footer = [0u8; 40];
+        let mut footer = [0u8; FOOTER_BYTES - 8];
         for (slot, value) in footer.chunks_exact_mut(8).zip([
             self.summary.instructions,
             self.summary.branches,
             self.summary.taken_branches,
             self.sections.serial,
             self.sections.parallel,
+            self.static_bytes,
         ]) {
             slot.copy_from_slice(&value.to_le_bytes());
         }
@@ -551,17 +569,42 @@ impl<W: Write> SnapshotWriter<W> {
             fingerprint: self.fingerprint,
             summary: self.summary,
             sections: self.sections,
+            static_bytes: self.static_bytes,
             total_bytes: self.bytes,
         };
         Ok((self.sink, info))
     }
 }
 
+impl<W: Write> SnapshotWriter<W> {
+    /// Encodes a plain run: its first instruction as [`Pintool::on_inst`]
+    /// encodes it, then one two-byte sequential record per further
+    /// instruction, which is what `on_inst` writes for an instruction
+    /// that starts where the one before it ended.
+    fn run(&mut self, run: &PlainRun<'_>) {
+        let (&first, rest) = run.lens.split_first().expect("a run has an instruction");
+        self.on_inst(&TraceEvent {
+            pc: run.pc,
+            len: first,
+            class: InstClass::Other,
+            branch: None,
+            section: run.section,
+        });
+        for &len in rest {
+            self.emit(&[EVT_SEQUENTIAL, len]);
+        }
+        self.expected_pc = run.pc.as_u64().wrapping_add(run.bytes);
+        self.summary.instructions += rest.len() as u64;
+        *self.sections.get_mut(run.section) += rest.len() as u64;
+    }
+}
+
 /// The writer records through the standard observer interface, so it
 /// tees **whole batches** when attached alongside analysis tools (the
-/// tuple/`ToolSet` combinators forward one `on_batch` per block; the
-/// default implementation then drives `on_inst` per event, which is
-/// inherent — the wire format is a per-event encoding).
+/// tuple/`ToolSet` combinators forward one `on_batch` per block). It
+/// reads a batch as pieces ([`Need::Runs`]), so a replay that records a
+/// snapshot fills run batches, not full ones, and its tools that read
+/// runs get them.
 impl<W: Write> Pintool for SnapshotWriter<W> {
     fn on_inst(&mut self, ev: &TraceEvent) {
         // A section switch without an explicit marker (a tool fed by
@@ -625,6 +668,20 @@ impl<W: Write> Pintool for SnapshotWriter<W> {
     fn on_section_start(&mut self, section: Section) {
         self.emit(&[TAG_SECTION_START, section_code(section)]);
         self.section = Some(section);
+    }
+
+    fn on_batch(&mut self, batch: &EventBatch) {
+        for piece in batch.pieces() {
+            match piece {
+                Piece::Start(section) => self.on_section_start(section),
+                Piece::Branch(ev) => self.on_inst(ev),
+                Piece::Run(run) => self.run(&run),
+            }
+        }
+    }
+
+    fn need(&self) -> Need {
+        Need::Runs
     }
 }
 
@@ -771,6 +828,7 @@ impl<'a> Snapshot<'a> {
                 taken_branches: counter(2),
             },
             sections: BySection::new(counter(3), counter(4)),
+            static_bytes: counter(5),
             total_bytes: data.len() as u64,
         };
         Ok(Snapshot::framed(data, info, stored))
@@ -807,12 +865,13 @@ impl<'a> Snapshot<'a> {
     /// happened once in [`Snapshot::parse`]; the decode loop performs
     /// only structural checks.
     ///
-    /// When `tool` does not [`Pintool::needs_every_event`], the batches
-    /// are branch-only: branch records are decoded straight into the
-    /// dense branch slice, plain records are only counted, and runs of
-    /// sequential plain records are skipped up to four to a word. The
-    /// batches end at the same events, and the same checks run, either
-    /// way.
+    /// The batches take the shape `tool` [`Pintool::need`]s. Below
+    /// [`Need::Events`], branch records are decoded straight into the
+    /// dense branch slice and runs of sequential plain records are read
+    /// up to four to a word: a run batch keeps each run's start, size,
+    /// section and instruction lengths, a branch-only batch only counts
+    /// them. The batches end at the same events, and the same checks
+    /// run, whatever the shape.
     ///
     /// # Errors
     ///
@@ -873,9 +932,9 @@ impl<'a> Snapshot<'a> {
     }
 
     /// [`Snapshot::decode_into`] through the sink `batch` calls for: a
-    /// full batch takes every event, a branch-only one
-    /// ([`EventBatch::for_tool`]) counts plain events and lets the
-    /// decoder skip runs of them.
+    /// full batch takes every event; a run batch ([`EventBatch::for_tool`])
+    /// takes branch events and runs of plain records, and a branch-only
+    /// one counts plain records, so the decoder skips runs of them.
     pub(crate) fn decode_batched<T: Pintool + ?Sized>(
         &self,
         batch: &mut EventBatch,
@@ -884,10 +943,10 @@ impl<'a> Snapshot<'a> {
         until: Option<u64>,
         table: Option<&mut CursorTable>,
     ) -> Result<Decoded, SnapshotError> {
-        if batch.stores_plain() {
-            self.decode_into(&mut BatchSink { batch, tool }, from, until, table)
-        } else {
-            self.decode_into(&mut BranchSink { batch, tool }, from, until, table)
+        match batch.holds() {
+            Need::Events => self.decode_into(&mut BatchSink { batch, tool }, from, until, table),
+            Need::Runs => self.decode_into(&mut RunSink { batch, tool }, from, until, table),
+            Need::Branches => self.decode_into(&mut BranchSink { batch, tool }, from, until, table),
         }
     }
 
@@ -958,15 +1017,15 @@ impl<'a> Snapshot<'a> {
     /// counted into a section one at a time: each run of events is
     /// credited to its section at the marker that ends it and at exit.
     ///
-    /// A sink that only counts plain events ([`EventSink::COUNTS_PLAIN`])
-    /// gets runs of sequential records a `u64` word, up to four 2-byte
-    /// records, at a time: the records leading a word up to its first
-    /// other tag (all four when every tag is `0x20`) are counted at
-    /// once, their lengths summed with one multiply, and the run stops
-    /// short of the stream end (a word must fit), the sink's next flush
-    /// and `check_at`. So every other record, every truncation, flush,
-    /// mark and stop is met one record at a time, exactly where the
-    /// full sinks meet it.
+    /// A sink that takes runs ([`EventSink::TAKES_RUNS`]) gets runs of
+    /// sequential records a `u64` word, up to four 2-byte records, at a
+    /// time: the records leading a word up to its first other tag (all
+    /// four when every tag is `0x20`) are taken at once, their lengths
+    /// summed with one multiply, and the run stops short of the stream
+    /// end (a word must fit), the sink's next flush and `check_at`. The
+    /// sink gets the run's records as one slice. So every other record,
+    /// every truncation, flush, mark and stop is met one record at a
+    /// time, exactly where the full sinks meet it.
     pub(crate) fn decode_into<S: EventSink>(
         &self,
         sink: &mut S,
@@ -1003,11 +1062,11 @@ impl<'a> Snapshot<'a> {
         debug_assert!(stop > events, "a decode must reach past its start");
 
         while pos < data.len() {
-            if S::COUNTS_PLAIN && data[pos] == EVT_SEQUENTIAL {
+            if S::TAKES_RUNS && data[pos] == EVT_SEQUENTIAL {
                 // The run leaves room for one more event before the
                 // sink's flush and before `check_at`.
                 let mut budget = (sink.plain_room() as u64).min(check_at - events) - 1;
-                let start = events;
+                let (start, start_pos, start_pc) = (events, pos, expected_pc);
                 while budget > 0 && data.len() - pos >= 8 {
                     let word = u64::from_le_bytes(
                         data[pos..pos + 8].try_into().expect("sliced to length"),
@@ -1028,7 +1087,8 @@ impl<'a> Snapshot<'a> {
                     }
                 }
                 if events != start {
-                    sink.plain_run((events - start) as usize, section);
+                    let bytes = expected_pc.wrapping_sub(start_pc);
+                    sink.plain_run(start_pc, &data[start_pos..pos], bytes, section);
                     if pos == data.len() {
                         break;
                     }
@@ -1186,7 +1246,8 @@ impl OwnedSnapshot {
     }
 }
 
-/// Encodes one full replay of `trace` into an in-memory snapshot.
+/// Encodes one full replay of `trace` into an in-memory snapshot, with
+/// its program's static code size in the footer.
 ///
 /// # Errors
 ///
@@ -1196,7 +1257,8 @@ pub fn snapshot_bytes(
     trace: &crate::SyntheticTrace,
     fingerprint: u64,
 ) -> Result<(Vec<u8>, SnapshotInfo), SnapshotError> {
-    let mut writer = SnapshotWriter::new(Vec::new(), trace.seed(), fingerprint);
+    let mut writer = SnapshotWriter::new(Vec::new(), trace.seed(), fingerprint)
+        .with_static_bytes(trace.program().static_bytes());
     trace.replay(&mut writer);
     writer.finish()
 }
@@ -1560,7 +1622,7 @@ mod tests {
         until: Option<u64>,
     ) -> Result<Decoded, SnapshotError> {
         let mut batch = EventBatch::for_tool(capacity, &crate::NullTool);
-        assert!(!batch.stores_plain());
+        assert_eq!(batch.holds(), Need::Branches);
         snapshot.decode_batched(&mut batch, &mut crate::NullTool, from, until, None)
     }
 

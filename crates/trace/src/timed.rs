@@ -8,7 +8,7 @@ use rebalance_telemetry as telemetry;
 
 use crate::batch::EventBatch;
 use crate::event::TraceEvent;
-use crate::observer::Pintool;
+use crate::observer::{Need, Pintool};
 use crate::section::Section;
 
 /// Wraps a tool and charges the wall-clock time its [`Pintool::on_batch`]
@@ -105,8 +105,8 @@ impl<T: Pintool> Pintool for Timed<T> {
     }
 
     #[inline]
-    fn needs_every_event(&self) -> bool {
-        self.inner.needs_every_event()
+    fn need(&self) -> Need {
+        self.inner.need()
     }
 }
 
@@ -170,8 +170,11 @@ mod tests {
         tool.on_sample_weight(7);
         tool.on_sample_gap();
         assert!(tool.supports_sampled_replay());
-        assert!(tool.needs_every_event());
-        assert!(!Timed::new("test_forward_null", crate::NullTool).needs_every_event());
+        assert_eq!(tool.need(), Need::Events);
+        assert_eq!(
+            Timed::new("test_forward_null", crate::NullTool).need(),
+            Need::Branches
+        );
 
         let inner = tool.into_inner();
         assert_eq!(inner.batches, 1, "wrapper must reach the override");

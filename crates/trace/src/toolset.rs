@@ -3,7 +3,7 @@
 
 use crate::batch::EventBatch;
 use crate::event::TraceEvent;
-use crate::observer::Pintool;
+use crate::observer::{Need, Pintool};
 use crate::report::LaneFill;
 use crate::section::Section;
 
@@ -168,8 +168,12 @@ impl<T: Pintool> Pintool for ToolSet<T> {
         self.tools.iter().all(Pintool::supports_sampled_replay)
     }
 
-    fn needs_every_event(&self) -> bool {
-        self.tools.iter().any(Pintool::needs_every_event)
+    fn need(&self) -> Need {
+        self.tools
+            .iter()
+            .map(Pintool::need)
+            .max()
+            .unwrap_or(Need::Branches)
     }
 }
 
@@ -250,11 +254,12 @@ mod tests {
     }
 
     #[test]
-    fn needs_every_event_holds_if_any_tool_needs_it() {
+    fn a_set_needs_the_most_any_tool_needs() {
         let nulls: ToolSet<crate::NullTool> = vec![crate::NullTool; 3].into();
-        assert!(!nulls.needs_every_event());
+        assert_eq!(nulls.need(), Need::Branches);
         let recorders: ToolSet<Recorder> = vec![Recorder::default()].into();
-        assert!(recorders.needs_every_event());
+        assert_eq!(recorders.need(), Need::Events);
+        assert_eq!(ToolSet::<Recorder>::new().need(), Need::Branches);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! synthesized workloads:
 //!
 //! 1. a recorded snapshot replays **bit-identically** to the live
-//!    replay it captured,
+//!    replay it captured, and recording it through run batches of any
+//!    capacity writes the bytes per-event recording writes,
 //! 2. a cache-warm sweep performs **zero trace generations** (asserted
 //!    via the cache's hit/miss/generation accounting) while producing
 //!    results identical to an uncached sweep, at batch capacities 1, 7
@@ -17,7 +18,8 @@ use rebalance::frontend::predictor::{
 use rebalance::frontend::PredictorChoice;
 use rebalance::pintools::{characterization_from_tools, characterization_tools, characterize};
 use rebalance::trace::{
-    FnTool, Report, Snapshot, SweepEngine, ToolSet, TraceCache, TraceEvent, DEFAULT_BATCH_CAPACITY,
+    FnTool, Need, Pintool, Report, Snapshot, SnapshotWriter, SweepEngine, ToolSet, TraceCache,
+    TraceEvent, DEFAULT_BATCH_CAPACITY,
 };
 use rebalance::workloads::{find, Workload};
 use rebalance::Scale;
@@ -78,6 +80,27 @@ fn recorded_snapshot_replays_bit_identically() {
     let (bytes, info) = rebalance::trace::snapshot::snapshot_bytes(&trace, 0).unwrap();
     assert_eq!(info.summary, live_summary);
     assert_eq!(info.seed, trace.seed());
+    assert_eq!(info.static_bytes, trace.program().static_bytes());
+
+    // The writer reads runs: recorded through run batches of any
+    // capacity it writes what per-event recording writes.
+    let record = |deliver: &dyn Fn(&mut SnapshotWriter<Vec<u8>>)| {
+        let mut writer = SnapshotWriter::new(Vec::new(), trace.seed(), 0)
+            .with_static_bytes(trace.program().static_bytes());
+        deliver(&mut writer);
+        writer.finish().unwrap().0
+    };
+    assert_eq!(SnapshotWriter::new(Vec::new(), 0, 0).need(), Need::Runs);
+    let per_event = record(&|w| {
+        trace.replay_per_event(w);
+    });
+    assert_eq!(per_event, bytes);
+    for cap in [1, 7] {
+        let batched = record(&|w| {
+            trace.replay_batched(w, cap);
+        });
+        assert_eq!(batched, bytes, "capacity {cap}");
+    }
 
     let snapshot = Snapshot::parse(&bytes).unwrap();
     let mut decoded_events = Vec::new();

@@ -24,26 +24,34 @@
 //!    `PredictorSim`s, `BtbSim` and the mix/direction/bias pintools),
 //!    replayed from a snapshot through branch-only batches, report what
 //!    per-event delivery reports, and their `ToolSet` lanes and
-//!    `on_batch` calls match a replay through full batches.
+//!    `on_batch` calls match a replay through full batches, and
+//! 7. the tools that read runs (`BasicBlockTool`, `FootprintTool`,
+//!    `ICacheSim`, `ICacheBank`, `BbvTool` and a `FetchGrid` over a
+//!    mixed design grid), replayed from a snapshot through run batches,
+//!    report what per-event delivery and full batches report, over
+//!    whole streams and sampled windows, and `FootprintTool` keeps each
+//!    PC's first-seen length and section.
 
 use proptest::prelude::*;
 
+use rebalance::fetchsim::{FetchConfig, FetchGrid, FetchReport, FtqConfig};
 use rebalance::frontend::predictor::{
     DirectionPredictor, PredictorBank, PredictorReport, PredictorSim,
 };
 use rebalance::frontend::{
-    BtbConfig, BtbReport, BtbSim, CacheConfig, ICacheBank, ICacheSim, PredictorChoice,
+    BtbConfig, BtbReport, BtbSim, CacheConfig, FrontendConfig, ICacheBank, ICacheReport, ICacheSim,
+    PredictorChoice,
 };
 use rebalance::isa::{Addr, BranchKind, InstClass, Outcome};
 use rebalance::pintools::{
-    BasicBlockTool, BbvTool, BiasReport, BranchBiasTool, BranchMixReport, BranchMixTool,
-    DirectionReport, DirectionTool,
+    BasicBlockReport, BasicBlockTool, BbvTool, BiasReport, BranchBiasTool, BranchMixReport,
+    BranchMixTool, DirectionReport, DirectionTool, FootprintReport, FootprintTool,
 };
 use rebalance::trace::sampling::Fingerprinter;
 use rebalance::trace::snapshot::KIND_TABLE;
 use rebalance::trace::{
-    BranchEvent, EventBatch, FnTool, LaneFill, Pintool, Section, Snapshot, SnapshotWriter, ToolSet,
-    TraceEvent, DEFAULT_BATCH_CAPACITY,
+    BranchEvent, BySection, EventBatch, FnTool, LaneFill, Need, Pintool, SamplePlan,
+    SamplingConfig, Section, Snapshot, SnapshotWriter, ToolSet, TraceEvent, DEFAULT_BATCH_CAPACITY,
 };
 
 /// One drawn raw event: `(class selector, pc, len, taken, target,
@@ -636,8 +644,8 @@ impl Pintool for BatchCount {
         self.0 += 1;
     }
 
-    fn needs_every_event(&self) -> bool {
-        false
+    fn need(&self) -> Need {
+        Need::Branches
     }
 }
 
@@ -712,7 +720,7 @@ fn assert_branch_only_replay_matches(stream: &[(TraceEvent, bool)]) {
     // At 5 and 9 the four-record skip runs up to batch edges.
     for capacity in [1, 3, 5, 9, DEFAULT_BATCH_CAPACITY] {
         let mut branch_only = branch_tools();
-        assert!(!branch_only.needs_every_event());
+        assert_eq!(branch_only.need(), Need::Branches);
         let summary = snapshot
             .replay_batched(&mut branch_only, capacity)
             .expect("decodes");
@@ -728,7 +736,7 @@ fn assert_branch_only_replay_matches(stream: &[(TraceEvent, bool)]) {
         // every event makes the whole set take them.
         let mut full = branch_tools();
         let mut every = (&mut full, FnTool::new(|_: &TraceEvent| {}));
-        assert!(every.needs_every_event());
+        assert_eq!(every.need(), Need::Events);
         assert_eq!(
             snapshot
                 .replay_batched(&mut every, capacity)
@@ -761,5 +769,247 @@ proptest! {
         assert_branch_only_replay_matches(&loop_stream(&loops));
         assert_branch_only_replay_matches(&local_stream(&local));
         assert_branch_only_replay_matches(&stream_of(&raws));
+    }
+}
+
+/// A fetch design grid in the shape of `integration_fetchsim`'s mixed
+/// grid: both line sizes, three BTBs, fetch widths 2 and 4, with and
+/// without prefetch, so width cuts fall inside runs and streams share
+/// nothing but the branch unit.
+fn mixed_grid() -> Vec<FetchConfig> {
+    let baseline = FrontendConfig::baseline();
+    let tailored = FrontendConfig::tailored();
+    let tiny_btb = FrontendConfig {
+        btb: BtbConfig::new(16, 1),
+        ..baseline
+    };
+    let mut grid = Vec::new();
+    for frontend in [baseline, tailored, tiny_btb] {
+        for (depth, width, degree) in [(16, 4, 4), (4, 4, 0), (16, 2, 2)] {
+            grid.push(FetchConfig::new(
+                frontend,
+                FtqConfig::new(depth, width, degree),
+            ));
+        }
+    }
+    grid
+}
+
+/// One of each tool that reads runs.
+type RunTools = (
+    BasicBlockTool,
+    FootprintTool,
+    ICacheBank,
+    ICacheSim,
+    BbvTool,
+    FetchGrid,
+);
+
+fn run_tools(interval: u64) -> RunTools {
+    use rebalance::trace::sampling::Fingerprinter as _;
+    let plain: Vec<_> = BANK_PLAIN
+        .iter()
+        .map(|&(s, l, a)| CacheConfig::new(s, l, a))
+        .collect();
+    let prefetch: Vec<_> = (BANK_PREFETCH.iter())
+        .map(|&(s, l, a)| CacheConfig::new(s, l, a))
+        .collect();
+    let mut bbv = BbvTool::new(16);
+    bbv.set_interval_insts(interval);
+    (
+        BasicBlockTool::new(),
+        FootprintTool::new(),
+        ICacheBank::new(&plain).with_next_line_prefetch(&prefetch),
+        ICacheSim::new(CacheConfig::new(256, 16, 2)).with_next_line_prefetch(),
+        bbv,
+        FetchGrid::new(&mixed_grid()),
+    )
+}
+
+/// An I-cache report with its usefulness as bits.
+type ICacheBits = (BySection<rebalance::frontend::ICacheStats>, u64);
+
+fn icache_bits(report: &ICacheReport) -> ICacheBits {
+    (report.sections, report.usefulness.to_bits())
+}
+
+/// Everything the run readers report (floats as bits).
+type RunReadout = (
+    BasicBlockReport,
+    FootprintReport,
+    usize,
+    Vec<ICacheBits>,
+    Vec<Vec<u64>>,
+    Vec<FetchReport>,
+);
+
+fn run_readout(tools: RunTools) -> RunReadout {
+    let (bb, footprint, bank, icache, mut bbv, grid) = tools;
+    let mut icaches: Vec<_> = bank.reports().iter().map(icache_bits).collect();
+    icaches.push(icache_bits(&icache.report()));
+    (
+        bb.report(),
+        footprint.dynamic_footprint(0.99),
+        footprint.distinct_instructions(),
+        icaches,
+        vector_bits(bbv.finish()),
+        grid.reports(),
+    )
+}
+
+/// Forwards everything to `T` but its need, so a replay into it takes
+/// full batches: the run readers then see each plain event as a run of
+/// one.
+struct EveryEvent<T>(T);
+
+impl<T: Pintool> Pintool for EveryEvent<T> {
+    fn on_inst(&mut self, ev: &TraceEvent) {
+        self.0.on_inst(ev);
+    }
+
+    fn on_section_start(&mut self, section: Section) {
+        self.0.on_section_start(section);
+    }
+
+    fn on_batch(&mut self, batch: &EventBatch) {
+        self.0.on_batch(batch);
+    }
+
+    fn on_sample_weight(&mut self, weight: u64) {
+        self.0.on_sample_weight(weight);
+    }
+
+    fn on_sample_gap(&mut self) {
+        self.0.on_sample_gap();
+    }
+
+    fn supports_sampled_replay(&self) -> bool {
+        self.0.supports_sampled_replay()
+    }
+}
+
+/// The footprint a per-PC count gives at full coverage: per section,
+/// the instructions and the first-seen length of each PC, credited to
+/// its first-seen section.
+fn per_pc_footprint(stream: &[(TraceEvent, bool)]) -> (BySection<(u64, u64)>, usize) {
+    let mut first: std::collections::HashMap<u64, (u64, u8, Section)> = Default::default();
+    for (ev, _) in stream {
+        first
+            .entry(ev.pc.as_u64())
+            .or_insert((0, ev.len, ev.section))
+            .0 += 1;
+    }
+    let mut sections = BySection::<(u64, u64)>::default();
+    for &(count, len, section) in first.values() {
+        let s = sections.get_mut(section);
+        s.0 += count;
+        s.1 += u64::from(len);
+    }
+    (sections, first.len())
+}
+
+/// Replays `stream`, snapshot-encoded, into the run readers through
+/// run batches and through full batches at capacities 1, 7 and the
+/// default, and asserts both report what per-event delivery reports;
+/// then does the same for the weight-aware ones over sampled windows.
+fn assert_run_replay_matches(stream: &[(TraceEvent, bool)], interval: u64) {
+    let mut writer = SnapshotWriter::new(Vec::new(), 1, 0);
+    deliver_per_event(stream, &mut writer);
+    let bytes = writer.finish().expect("Vec sink cannot fail").0;
+    let snapshot = Snapshot::parse(&bytes).expect("writer output parses");
+
+    let mut oracle = run_tools(interval);
+    deliver_per_event(stream, &mut oracle);
+    let (sections, distinct) = per_pc_footprint(stream);
+    let full = oracle.1.dynamic_footprint(1.0);
+    for section in Section::ALL {
+        let got = full.sections.get(section);
+        assert_eq!(
+            (got.instructions, got.touched_bytes),
+            *sections.get(section),
+            "first-seen footprint, {section:?}"
+        );
+    }
+    assert_eq!(oracle.1.distinct_instructions(), distinct);
+    let expected = run_readout(oracle);
+
+    for capacity in [1, 7, DEFAULT_BATCH_CAPACITY] {
+        let mut runs = run_tools(interval);
+        assert_eq!(runs.need(), Need::Runs);
+        snapshot
+            .replay_batched(&mut runs, capacity)
+            .expect("decodes");
+        assert!(
+            run_readout(runs) == expected,
+            "run batches at capacity {capacity}"
+        );
+
+        let mut every = EveryEvent(run_tools(interval));
+        assert_eq!(every.need(), Need::Events);
+        snapshot
+            .replay_batched(&mut every, capacity)
+            .expect("decodes");
+        assert!(
+            run_readout(every.0) == expected,
+            "full batches at capacity {capacity}"
+        );
+    }
+
+    // Sampled windows: the weight-aware readers through run batches
+    // and through full ones.
+    let total = snapshot.info().summary.instructions;
+    if total < 8 {
+        return;
+    }
+    let cfg = SamplingConfig::default().with_intervals(8).with_k(3);
+    let interval_insts = cfg.interval_insts(total);
+    let n = total.div_ceil(interval_insts) as usize;
+    let vectors: Vec<Vec<f64>> = (0..n)
+        .map(|i| vec![(i % 3) as f64, (i % 2) as f64])
+        .collect();
+    let plan = SamplePlan::from_vectors(&vectors, interval_insts, total, &cfg);
+    let sampled_tools = || {
+        let (_, _, bank, icache, _, grid) = run_tools(interval);
+        (bank, icache, grid)
+    };
+    let read = |(bank, icache, grid): (ICacheBank, ICacheSim, FetchGrid)| {
+        let mut icaches: Vec<_> = bank.reports().iter().map(icache_bits).collect();
+        icaches.push(icache_bits(&icache.report()));
+        (icaches, grid.reports())
+    };
+    for capacity in [1, 7, DEFAULT_BATCH_CAPACITY] {
+        let mut runs = sampled_tools();
+        snapshot
+            .replay_sampled_batched(&mut runs, &plan, capacity)
+            .expect("sampled replay");
+        let mut every = EveryEvent(sampled_tools());
+        snapshot
+            .replay_sampled_batched(&mut every, &plan, capacity)
+            .expect("sampled replay");
+        assert!(
+            read(runs) == read(every.0),
+            "sampled windows at capacity {capacity}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Run batches on loop-shaped streams (long sequential runs cut by
+    /// branches and section switches), on local streams (runs that
+    /// straddle lines, short jumps that make non-sequential plain
+    /// records, section switches inside a line) and on arbitrary ones,
+    /// with intervals ending inside runs.
+    #[test]
+    fn run_replay_matches_per_event_reports(
+        loops in loop_steps(16),
+        local in local_steps(200),
+        raws in raw_events(80),
+        interval in 1u64..40,
+    ) {
+        assert_run_replay_matches(&loop_stream(&loops), interval);
+        assert_run_replay_matches(&local_stream(&local), interval);
+        assert_run_replay_matches(&stream_of(&raws), interval);
     }
 }

@@ -18,8 +18,8 @@ use rebalance::isa::{Addr, InstClass, Outcome};
 use rebalance::pintools::BbvTool;
 use rebalance::trace::snapshot::{self, checksum, KIND_TABLE};
 use rebalance::trace::{
-    BranchEvent, EventBatch, Pintool, SamplePlan, SamplingConfig, Section, Snapshot, SnapshotError,
-    SnapshotWriter, ToolSet, TraceEvent, DEFAULT_BATCH_CAPACITY,
+    BranchEvent, EventBatch, Need, Pintool, SamplePlan, SamplingConfig, Section, Snapshot,
+    SnapshotError, SnapshotWriter, ToolSet, TraceEvent, DEFAULT_BATCH_CAPACITY,
 };
 use rebalance::Scale;
 
@@ -519,7 +519,7 @@ fn assert_bank_matches_oracle(
         btb(),
     );
     for tools in [&mut bank as &mut dyn Pintool, &mut windowed] {
-        assert!(!tools.needs_every_event(), "{label}: branch-only tools");
+        assert_eq!(tools.need(), Need::Branches, "{label}: branch-only tools");
         snap.replay_sampled_batched(tools, plan, capacity)
             .unwrap_or_else(|e| panic!("{label} cap {capacity}: {e}"));
     }
@@ -770,9 +770,9 @@ fn a_plan_applied_to_another_snapshot_is_a_typed_error() {
 #[test]
 fn records_truncated_inside_a_window_fail_the_sampled_replay() {
     let good = snapshot_of("k.bfs");
-    // Layout: records | end tag | 40 footer bytes | 8 checksum bytes.
+    // Layout: records | end tag | 48 footer bytes | 8 checksum bytes.
     // Drop the last record byte and re-seal.
-    let end_tag_at = good.len() - 49;
+    let end_tag_at = good.len() - 57;
     let mut bad = good[..end_tag_at - 1].to_vec();
     bad.extend_from_slice(&good[end_tag_at..good.len() - 8]);
     let sealed = checksum(&bad);

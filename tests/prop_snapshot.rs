@@ -13,10 +13,12 @@
 //!    and
 //! 4. a tool set that reads only branches, replayed through branch-only
 //!    batches (which skip runs of sequential records a word at a time),
-//!    sees what it sees through full batches on any record stream, a
-//!    truncated or malformed one included: the same batches, the same
-//!    summary or the same error at the same byte, and a sampling plan
-//!    pass records the same cursor table.
+//!    and one that reads runs, replayed through run batches (which keep
+//!    those runs without building events), see what they see through
+//!    full batches on any record stream, a truncated or malformed one
+//!    included: the same batches, the same summary or the same error at
+//!    the same byte, and a sampling plan pass records the same cursor
+//!    table and plan.
 
 use proptest::prelude::*;
 
@@ -25,10 +27,10 @@ use rebalance::pintools::BbvTool;
 use rebalance::trace::sampling::Fingerprinter;
 use rebalance::trace::snapshot::{checksum, KIND_TABLE};
 use rebalance::trace::{
-    BranchEvent, BySection, CondBehavior, EventBatch, FnTool, IterCount, Phase, Pintool,
-    ProgramBuilder, SamplePlan, SamplingConfig, Schedule, Section, Snapshot, SnapshotError,
-    SnapshotWriter, SweepEngine, SyntheticTrace, Terminator, TraceCache, TraceEvent, TraceKey,
-    DEFAULT_BATCH_CAPACITY,
+    BranchEvent, BySection, CondBehavior, EventBatch, FnTool, IterCount, Need, Phase, Piece,
+    Pintool, ProgramBuilder, SamplePlan, SamplingConfig, Schedule, Section, Snapshot,
+    SnapshotError, SnapshotWriter, SweepEngine, SyntheticTrace, Terminator, TraceCache, TraceEvent,
+    TraceKey, DEFAULT_BATCH_CAPACITY,
 };
 
 /// One drawn raw event: `(class selector, pc, len, taken, target,
@@ -135,6 +137,31 @@ proptest! {
         );
     }
 
+    /// The writer reads runs: re-encoding a snapshot's decode through
+    /// run batches, at capacities 1, 7 and the default, writes the
+    /// snapshot's own bytes, on arbitrary and on run-heavy streams.
+    #[test]
+    fn re_encoding_a_decode_through_run_batches_writes_the_same_bytes(
+        raws in proptest::collection::vec(
+            (0u8..8, any::<u64>(), 1u8..=15, any::<bool>(), any::<u64>(), any::<bool>()),
+            0..120,
+        ),
+        runs in run_events(300),
+    ) {
+        for bytes in [encode(&raws, 11).0, encode_runs(&runs)] {
+            let snapshot = Snapshot::parse(&bytes).expect("writer output parses");
+            let info = *snapshot.info();
+            for capacity in [1, 7, DEFAULT_BATCH_CAPACITY] {
+                let mut writer = SnapshotWriter::new(Vec::new(), info.seed, info.fingerprint)
+                    .with_static_bytes(info.static_bytes);
+                prop_assert_eq!(writer.need(), Need::Runs);
+                snapshot.replay_batched(&mut writer, capacity).expect("decodes");
+                let again = writer.finish().expect("Vec sink cannot fail").0;
+                prop_assert!(again == bytes, "capacity {}", capacity);
+            }
+        }
+    }
+
     #[test]
     fn any_flipped_bit_is_rejected_with_a_typed_error(
         raws in proptest::collection::vec(
@@ -180,7 +207,8 @@ proptest! {
 
 /// Every bit of every byte of small snapshots, one per length residue
 /// mod 8, flipped one at a time: each flip is rejected, by the check
-/// that owns the flipped field.
+/// that owns the flipped field. The footer's static code size is one
+/// of those fields.
 #[test]
 fn every_single_bit_flip_of_small_snapshots_is_rejected() {
     let mut residues = [false; 8];
@@ -188,7 +216,11 @@ fn every_single_bit_flip_of_small_snapshots_is_rejected() {
     // pc delta) reach every length residue.
     for sequential in 0..4u64 {
         for jumps in 0..4u64 {
-            let mut writer = SnapshotWriter::new(Vec::new(), 9, 0x5eed);
+            // A nonzero static code size, so the footer field it fills
+            // holds set bits to flip as well as clear ones.
+            let static_bytes = 0x0123_4567_89ab_cdef ^ (sequential << 8 | jumps);
+            let mut writer =
+                SnapshotWriter::new(Vec::new(), 9, 0x5eed).with_static_bytes(static_bytes);
             let mut pc = 0u64;
             for i in 0..sequential + jumps {
                 if i >= sequential {
@@ -200,8 +232,9 @@ fn every_single_bit_flip_of_small_snapshots_is_rejected() {
             }
             let (bytes, _) = writer.finish().expect("Vec sink cannot fail");
             residues[bytes.len() % 8] = true;
-            Snapshot::parse(&bytes)
-                .expect("pristine parse")
+            let pristine = Snapshot::parse(&bytes).expect("pristine parse");
+            assert_eq!(pristine.info().static_bytes, static_bytes);
+            pristine
                 .replay(&mut rebalance::trace::NullTool)
                 .expect("pristine decode");
             for at in 0..bytes.len() {
@@ -426,31 +459,78 @@ impl Pintool for BranchLog {
         ));
     }
 
-    fn needs_every_event(&self) -> bool {
-        false
+    fn need(&self) -> Need {
+        Need::Branches
+    }
+}
+
+/// What a run reader reads of one batch beyond the branch view: the
+/// stream through `pieces`, runs expanded to `(pc, len, section)` per
+/// instruction and section starts as `Err`.
+type RunRead = Vec<Result<(u64, u8, Section), Section>>;
+
+/// Every batch a run reader was handed.
+#[derive(Default, Debug, PartialEq)]
+struct RunLog(BranchLog, Vec<RunRead>);
+
+impl Pintool for RunLog {
+    fn on_inst(&mut self, _ev: &TraceEvent) {
+        unreachable!("delivered in batches only");
+    }
+
+    fn on_batch(&mut self, batch: &EventBatch) {
+        self.0.on_batch(batch);
+        let mut read = Vec::new();
+        for piece in batch.pieces() {
+            match piece {
+                Piece::Start(section) => read.push(Err(section)),
+                Piece::Branch(ev) => read.push(Ok((ev.pc.as_u64(), ev.len, ev.section))),
+                Piece::Run(run) => {
+                    let mut pc = run.pc.as_u64();
+                    for &len in run.lens {
+                        read.push(Ok((pc, len, run.section)));
+                        pc = pc.wrapping_add(u64::from(len));
+                    }
+                }
+            }
+        }
+        self.1.push(read);
+    }
+
+    fn need(&self) -> Need {
+        Need::Runs
     }
 }
 
 /// Replays `bytes` into a [`BranchLog`] through branch-only batches and
-/// through full ones, at `capacity`, and asserts both saw the same
-/// batches and ended as the per-event decode ends (the same summary, or
-/// the same error at the same byte). Returns that outcome.
+/// into a [`RunLog`] through run batches, and into both through full
+/// ones, at `capacity`, and asserts each saw what it sees through full
+/// batches and every replay ended as the per-event decode ends (the
+/// same summary, or the same error at the same byte). Returns that
+/// outcome.
 fn assert_sinks_agree(bytes: &[u8], capacity: usize) -> Result<(), String> {
     let snapshot = Snapshot::parse(bytes).expect("sealed bytes parse");
     let mut branch_only = BranchLog::default();
     let fast = snapshot.replay_batched(&mut branch_only, capacity);
-    let mut full = BranchLog::default();
+    let mut runs = RunLog::default();
+    let by_runs = snapshot.replay_batched(&mut runs, capacity);
+    let mut full = RunLog::default();
     let slow =
         snapshot.replay_batched(&mut (&mut full, FnTool::new(|_: &TraceEvent| {})), capacity);
-    assert_eq!(branch_only, full, "capacity {capacity}: delivered batches");
-    let oracle = snapshot.replay_per_event(&mut rebalance::trace::NullTool);
-    let (fast, slow, expected) = (
-        format!("{fast:?}"),
-        format!("{slow:?}"),
-        format!("{oracle:?}"),
+    assert_eq!(
+        branch_only, full.0,
+        "capacity {capacity}: delivered batches"
     );
-    assert_eq!(fast, expected, "capacity {capacity}: branch-only outcome");
-    assert_eq!(slow, expected, "capacity {capacity}: full outcome");
+    assert_eq!(runs, full, "capacity {capacity}: delivered runs");
+    let oracle = snapshot.replay_per_event(&mut rebalance::trace::NullTool);
+    let expected = format!("{oracle:?}");
+    for (sink, outcome) in [("branch-only", fast), ("run", by_runs), ("full", slow)] {
+        assert_eq!(
+            format!("{outcome:?}"),
+            expected,
+            "capacity {capacity}: {sink} outcome"
+        );
+    }
     oracle.map(|_| ()).map_err(|e| format!("{e:?}"))
 }
 
@@ -459,7 +539,7 @@ fn assert_sinks_agree(bytes: &[u8], capacity: usize) -> Result<(), String> {
 /// the damage.
 fn reseal(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     const HEADER: usize = 24;
-    const TAIL: usize = 1 + 40; // end tag + footer counters
+    const TAIL: usize = 1 + 48; // end tag + footer counters
     let sealed_end = bytes.len() - 8;
     let mut records = bytes[HEADER..sealed_end - TAIL].to_vec();
     edit(&mut records);
@@ -475,8 +555,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Pristine, truncated anywhere, or with any record byte replaced:
-    /// both sinks deliver the same batches and end with the same result
-    /// at capacities 1, 3 and the default.
+    /// every sink delivers the same batches and ends with the same
+    /// result at capacities 1, 3 and the default.
     #[test]
     fn branch_only_and_full_batches_agree_on_any_record_stream(
         raws in run_events(400),
@@ -502,7 +582,7 @@ proptest! {
 
 /// Damage at known places: a record cut short at the stream end, an
 /// unknown tag in the middle of a sequential run, and a cut that drops
-/// whole records; both sinks report the same typed error at the same
+/// whole records; every sink reports the same typed error at the same
 /// byte at capacities around the four-record skip.
 #[test]
 fn both_sinks_report_truncated_and_malformed_streams_at_the_same_byte() {
@@ -569,8 +649,8 @@ impl Pintool for BranchShare {
         self.seen = end;
     }
 
-    fn needs_every_event(&self) -> bool {
-        false
+    fn need(&self) -> Need {
+        Need::Branches
     }
 }
 
@@ -587,8 +667,8 @@ impl Fingerprinter for BranchShare {
     }
 }
 
-/// Forces full batches on a fingerprinter by never declaring itself
-/// branch-only.
+/// Forces full batches on a fingerprinter by keeping the default need,
+/// every event.
 struct Full<F>(F);
 
 impl<F: Fingerprinter> Pintool for Full<F> {
@@ -614,9 +694,10 @@ impl<F: Fingerprinter> Fingerprinter for Full<F> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A plan pass through branch-only batches records the cursor table
-    /// (and so the plan) a full-batch pass records, on run-heavy
-    /// streams whose interval marks fall inside skippable runs.
+    /// A plan pass through branch-only batches, and one through run
+    /// batches, record the cursor table (and so the plan) a full-batch
+    /// pass records, on run-heavy streams whose interval marks fall
+    /// inside skippable runs.
     #[test]
     fn a_branch_only_plan_pass_records_the_same_cursor_table(
         raws in run_events(600),
@@ -631,10 +712,19 @@ proptest! {
             .with_intervals(intervals.min(total as usize))
             .with_k(k);
         let mut branch_only = BranchShare::default();
-        prop_assert!(!branch_only.needs_every_event());
+        prop_assert_eq!(branch_only.need(), Need::Branches);
         let fast = SamplePlan::from_snapshot(&snapshot, &mut branch_only, &cfg).expect("plan");
         let slow = SamplePlan::from_snapshot(&snapshot, &mut Full(BranchShare::default()), &cfg)
             .expect("plan");
         prop_assert_eq!(fast, slow);
+
+        // The BBV fingerprinter reads runs: its plan through run
+        // batches is the one full batches give, cursor table included.
+        let mut bbv = BbvTool::new(cfg.dims);
+        prop_assert_eq!(bbv.need(), Need::Runs);
+        let by_runs = SamplePlan::from_snapshot(&snapshot, &mut bbv, &cfg).expect("plan");
+        let full = SamplePlan::from_snapshot(&snapshot, &mut Full(BbvTool::new(cfg.dims)), &cfg)
+            .expect("plan");
+        prop_assert_eq!(by_runs, full);
     }
 }
