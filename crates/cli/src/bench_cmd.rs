@@ -5,12 +5,15 @@
 //!
 //! * **the oracle's cost** — per-event delivery, the reference every
 //!   batched loop is checked against, timed against batched delivery
-//!   for two fan-outs: the nine-predictor sweep (`warm_sweep`: nine solo
+//!   for three fan-outs: the nine-predictor sweep (`warm_sweep`: nine solo
 //!   `PredictorSim`s per event against the predictor bank a sweep runs,
-//!   batched), dominated by TAGE table compute, and the
+//!   batched), dominated by TAGE table compute, the
 //!   branch-profiling pintools (mix, direction, bias) composed as
 //!   `ToolSet<Box<dyn Pintool>>` (`pintools`), the delivery-bound case
-//!   where per-event delivery pays three virtual calls per instruction;
+//!   where per-event delivery pays three virtual calls per instruction,
+//!   and the fetch design grid (`fetch_grid`: one
+//!   `FetchGrid::new(&default_grid())` per workload, both sides), the
+//!   fetchsim pricing a `paper` replay runs;
 //! * **the telemetry gate** — the sweep's batched predictor bank with
 //!   collection off and on, paired one workload at a time. The command
 //!   fails if the median per-pair overhead exceeds
@@ -27,7 +30,9 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use rebalance_experiments::fetchsim::default_grid;
 use rebalance_experiments::util::{f2, TextTable};
+use rebalance_fetchsim::FetchGrid;
 use rebalance_frontend::predictor::{DirectionPredictor, PredictorSim};
 use rebalance_frontend::PredictorChoice;
 use rebalance_pintools::{BranchBiasTool, BranchMixTool, DirectionTool};
@@ -330,6 +335,9 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
             })
             .collect()
     };
+    let grid = default_grid();
+    let fresh_grids =
+        |count: usize| -> Vec<FetchGrid> { (0..count).map(|_| FetchGrid::new(&grid)).collect() };
     let mut rows = Vec::new();
     rows.extend(oracle_rows(
         "warm_sweep",
@@ -344,6 +352,13 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         insts,
         fresh_pintools,
         fresh_pintools,
+    )?);
+    rows.extend(oracle_rows(
+        "fetch_grid",
+        &snaps,
+        insts,
+        fresh_grids,
+        fresh_grids,
     )?);
 
     // Telemetry overhead: collection off (A) against on (B) over the

@@ -281,10 +281,21 @@ fn measure_one(
         replayed_fraction: 0.0,
     };
     let backend = w.profile().backend;
-    if replays(needs, run, false) {
+    let (full, sampled) = (replays(needs, run, false), replays(needs, run, true));
+    // Without a cache, one in-memory snapshot serves both replays, so
+    // the workload is synthesized once.
+    let shared = if full && sampled && run.cache.is_none() {
+        Some(run.snapshot(w, scale)?)
+    } else {
+        None
+    };
+    if full {
         let keys = keys(needs, run, false);
         let full = vec![tools(needs, run, false, &keys)];
-        let (mut full, replay) = run.replay(w, scale, full)?;
+        let (mut full, replay) = match &shared {
+            Some(owned) => run.replay_snapshot(w, owned, full)?,
+            None => run.replay(w, scale, full)?,
+        };
         let tools = full.pop().expect("one tool set in, one out");
         let reports = reports(&keys, &tools);
         record.read_exhibits(&exhibit_keys(needs, run, false), &reports);
@@ -300,12 +311,14 @@ fn measure_one(
             record.timings = reports.timings(&sampling_models(), &backend);
         }
     }
-    if replays(needs, run, true) {
+    if sampled {
         let keys = keys(needs, run, true);
-        let mut outcomes = run.sweep_sampled(sampling, vec![w.clone()], scale, |_| {
-            vec![tools(needs, run, true, &keys)]
-        })?;
-        let outcome = outcomes.pop().expect("one workload in, one out");
+        let owned = match shared {
+            Some(owned) => owned,
+            None => run.snapshot(w, scale)?,
+        };
+        let sampled = vec![tools(needs, run, true, &keys)];
+        let outcome = run.replay_sampled(sampling, w, scale, &owned, sampled)?;
         let reports = reports(&keys, &outcome.tools[0]);
         record.read_exhibits(&exhibit_keys(needs, run, true), &reports);
         record.replayed_fraction = outcome.plan.replayed_fraction();

@@ -140,8 +140,9 @@ impl Run {
         let key = workload.trace_key(scale);
         let owned = match &self.cache {
             Some(cache) => cache.snapshot(&key, || workload.trace(scale)),
-            None => workload
-                .trace(scale)
+            None => self
+                .engine
+                .generate(|| workload.trace(scale))
                 .map_err(CacheError::Generate)
                 .and_then(|trace| {
                     let (bytes, _) = snapshot::snapshot_bytes(&trace, key.fingerprint())?;
@@ -192,23 +193,86 @@ impl Run {
                 self.engine
                     .fan_out_cached(cache, &workload.trace_key(scale), generate, tools)
             }
-            None => generate().map_err(CacheError::Generate).map(|trace| {
-                let (tools, summary) = self.engine.fan_out(&trace, tools);
-                let replay = CachedReplay {
-                    summary,
-                    sections: trace.schedule().sections(),
-                    static_bytes: trace.program().static_bytes(),
-                };
-                (tools, replay)
-            }),
+            None => self
+                .engine
+                .generate(generate)
+                .map_err(CacheError::Generate)
+                .map(|trace| {
+                    let (tools, summary) = self.engine.fan_out(&trace, tools);
+                    let replay = CachedReplay {
+                        summary,
+                        sections: trace.schedule().sections(),
+                        static_bytes: trace.program().static_bytes(),
+                    };
+                    (tools, replay)
+                }),
         };
         replayed.map_err(|source| RunError::replay(workload, source))
+    }
+
+    /// Replays the whole of `workload`'s snapshot `owned` (from
+    /// [`Run::snapshot`]) once through all `tools` on this run's engine:
+    /// [`Run::replay`] on a snapshot the run already holds, so a
+    /// cache-less run that also samples the workload synthesizes it
+    /// once.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Replay`] when the snapshot does not decode.
+    pub fn replay_snapshot<T: Pintool>(
+        &self,
+        workload: &Workload,
+        owned: &OwnedSnapshot,
+        tools: Vec<T>,
+    ) -> Result<(Vec<T>, CachedReplay), RunError> {
+        let (tools, summary) = self
+            .engine
+            .replay_snapshot(&owned.snapshot(), tools)
+            .map_err(|e| RunError::replay(workload, e.into()))?;
+        let info = owned.info();
+        let replay = CachedReplay {
+            summary,
+            sections: info.sections,
+            static_bytes: info.static_bytes,
+        };
+        Ok((tools, replay))
+    }
+
+    /// Replays only the weighted representative intervals of
+    /// `workload`'s snapshot `owned` under `config` through all
+    /// `tools`: one [`SweepEngine::replay_sampled`]. Tools must be
+    /// weight-aware ([`Pintool::supports_sampled_replay`]).
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Replay`] when the snapshot does not decode.
+    pub fn replay_sampled<T: Pintool>(
+        &self,
+        config: &SamplingConfig,
+        workload: &Workload,
+        scale: Scale,
+        owned: &OwnedSnapshot,
+        tools: Vec<T>,
+    ) -> Result<SampledOutcome<Workload, T>, RunError> {
+        let key = workload.trace_key(scale);
+        let fingerprinter = || BbvTool::new(config.dims);
+        let (tools, replay, plan) = self
+            .engine
+            .replay_sampled(&key, &owned.snapshot(), config, tools, fingerprinter)
+            .map_err(|source| RunError::replay(workload, source))?;
+        Ok(SampledOutcome {
+            item: workload.clone(),
+            tools,
+            summary: replay.summary,
+            delivered_instructions: replay.delivered_instructions,
+            plan,
+        })
     }
 
     /// Sweeps `tools_for` over `workloads` at `scale` replaying only each
     /// trace's weighted representative intervals under `config` — the
     /// phase-sampled sibling of [`Run::sweep_weighted`]: per workload one
-    /// [`Run::snapshot`] and one [`SweepEngine::replay_sampled`], in
+    /// [`Run::snapshot`] and one [`Run::replay_sampled`], in
     /// parallel on the engine's executor. Tools must be weight-aware
     /// ([`Pintool::supports_sampled_replay`]).
     ///
@@ -229,26 +293,9 @@ impl Run {
     {
         let measured = self.engine.map(&workloads, |w| {
             let owned = self.snapshot(w, scale)?;
-            let key = w.trace_key(scale);
-            let fingerprinter = || BbvTool::new(config.dims);
-            self.engine
-                .replay_sampled(&key, &owned.snapshot(), config, tools_for(w), fingerprinter)
-                .map_err(|source| RunError::replay(w, source))
+            self.replay_sampled(config, w, scale, &owned, tools_for(w))
         });
-        workloads
-            .into_iter()
-            .zip(measured)
-            .map(|(item, measured)| {
-                let (tools, replay, plan) = measured?;
-                Ok(SampledOutcome {
-                    item,
-                    tools,
-                    summary: replay.summary,
-                    delivered_instructions: replay.delivered_instructions,
-                    plan,
-                })
-            })
-            .collect()
+        measured.into_iter().collect()
     }
 
     /// Sweeps `tools_for` over `workloads` at `scale` in parallel on the

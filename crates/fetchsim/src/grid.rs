@@ -3,19 +3,115 @@
 
 use std::fmt;
 
+use rebalance_frontend::CacheConfig;
 use rebalance_trace::{EventBatch, Need, Piece, Pintool, PlainRun, TraceEvent};
 
 use crate::config::FetchConfig;
 use crate::report::FetchReport;
-use crate::stages::{serve, BlockStream, BranchUnit, LineCache, Timing};
+use crate::stages::{Block, BlockStream, BranchUnit, Ledger, LineCache, LineWalk, Service, Timing};
 
-/// One line cache and the design points it feeds.
+/// Design points with one [`FtqConfig`](crate::FtqConfig) under one
+/// prefetch degree whose BTBs have priced every block-closing branch
+/// alike so far: they share one timing model.
 #[derive(Debug, Clone)]
-struct CacheNode {
-    cache: LineCache,
-    /// Grid index of each timing model's design point.
-    designs: Vec<usize>,
-    timings: Vec<Timing>,
+struct Group {
+    /// The group's BTBs, one bit per branch-unit index.
+    btbs: u64,
+    /// Grid index and BTB index of each design point.
+    designs: Vec<(usize, usize)>,
+    timing: Timing,
+}
+
+impl Group {
+    /// Moves the design points whose BTB is in `btbs` to a new group
+    /// with a copy of this one's timing model.
+    fn split_off(&mut self, btbs: u64) -> Group {
+        let (moved, kept) = self
+            .designs
+            .iter()
+            .partition(|&&(_, btb)| btbs >> btb & 1 != 0);
+        self.designs = kept;
+        self.btbs &= !btbs;
+        Group {
+            btbs,
+            designs: moved,
+            timing: self.timing.clone(),
+        }
+    }
+}
+
+/// One prefetch degree under a line walk: the timing-free counts every
+/// design point of that degree shares, and its timing groups.
+#[derive(Debug, Clone)]
+struct View {
+    degree: usize,
+    ledger: Ledger,
+    groups: Vec<Group>,
+}
+
+impl View {
+    /// Counts the block once, then retires it through every group. On a
+    /// block that closed on a branch (`branch`, with the stream's
+    /// predictor index), a group whose BTBs price the branch apart
+    /// splits first; groups never merge again.
+    #[inline]
+    fn retire(&mut self, block: &Block, service: &Service, branch: Option<(&BranchUnit, usize)>) {
+        self.ledger.record(block, service);
+        let mut g = 0;
+        while g < self.groups.len() {
+            if let Some((unit, predictor)) = branch {
+                if let Some(missed) = unit.btb_split(predictor, self.groups[g].btbs) {
+                    let split = self.groups[g].split_off(missed);
+                    self.groups.push(split);
+                }
+            }
+            let group = &mut self.groups[g];
+            let btb = group.btbs.trailing_zeros() as usize;
+            let cause = branch.and_then(|(unit, predictor)| unit.redirect(predictor, btb));
+            group.timing.retire(block.section(), service, cause);
+            g += 1;
+        }
+    }
+}
+
+/// One I-cache under a block stream and every prefetch degree it
+/// serves.
+#[derive(Debug, Clone)]
+struct Walk {
+    icache: CacheConfig,
+    /// The shared no-prefetch walk, until the first block whose
+    /// distinct lines share a set; then `None`, and `caches` holds one
+    /// exact line cache per view, for good.
+    shared: Option<LineWalk>,
+    caches: Vec<LineCache>,
+    views: Vec<View>,
+}
+
+impl Walk {
+    /// Serves a block to every view (nothing when no block is open).
+    #[inline]
+    fn serve(&mut self, block: &Block, branch: Option<(&BranchUnit, usize)>) {
+        if block.is_empty() {
+            return;
+        }
+        if let Some(walk) = &mut self.shared {
+            if let Some(demand) = walk.fetch(block.lines()) {
+                for view in &mut self.views {
+                    view.retire(block, &demand.service(view.degree), branch);
+                }
+                return;
+            }
+            self.caches = self
+                .views
+                .iter()
+                .map(|view| walk.line_cache(view.degree))
+                .collect();
+            self.shared = None;
+        }
+        for (view, cache) in self.views.iter_mut().zip(&mut self.caches) {
+            view.retire(block, &cache.fetch(block.lines()), branch);
+        }
+    }
 }
 
 /// One block stream and everything downstream of it.
@@ -24,24 +120,31 @@ struct StreamNode {
     /// Which of the branch unit's predictors cuts this stream.
     predictor: usize,
     stream: BlockStream,
-    caches: Vec<CacheNode>,
+    walks: Vec<Walk>,
 }
 
 impl StreamNode {
-    /// Serves the open block (if any) to every cache and timing model
-    /// below this stream, then closes it. `branch` is the unit when the
-    /// block closed on a branch, so each timing model can price that
-    /// branch for its own BTB.
+    /// Serves the open block (if any) to every walk below this stream,
+    /// then closes it. `branch` is the unit when the block closed on a
+    /// branch, so each timing group can price that branch for its own
+    /// BTBs.
     fn close(&mut self, branch: Option<&BranchUnit>) {
-        for node in &mut self.caches {
-            serve(
+        for walk in &mut self.walks {
+            walk.serve(
                 self.stream.block(),
-                &mut node.cache,
-                &mut node.timings,
                 branch.map(|unit| (unit, self.predictor)),
             );
         }
         self.stream.clear();
+    }
+
+    /// Every timing group below this stream, with the ledger of its
+    /// degree view.
+    fn groups(&self) -> impl Iterator<Item = (&Ledger, &Group)> {
+        self.walks
+            .iter()
+            .flat_map(|walk| &walk.views)
+            .flat_map(|view| view.groups.iter().map(move |group| (&view.ledger, group)))
     }
 }
 
@@ -56,13 +159,28 @@ impl StreamNode {
 /// |---|---|
 /// | branch unit | RAS; predictor per `predictor`, BTB per `btb` |
 /// | block stream | (predictor, `fetch_width`, `line_bytes`) |
-/// | line cache | (block stream, `icache`, `prefetch_degree`) |
-/// | timing | design point |
+/// | line walk | (block stream, `icache`) |
+/// | degree view | (line walk, `prefetch_degree`) |
+/// | timing group | (degree view, [`FtqConfig`](crate::FtqConfig)), split by BTB on demand |
 ///
 /// The BTB is not part of the block-stream key: a BTB miss only
 /// redirects a taken branch, which closes its block anyway, so block
-/// edges and line-cache contents are the same for every BTB. Each
-/// timing model prices a block-closing branch for its own BTB.
+/// edges and line-cache contents are the same for every BTB.
+///
+/// A line walk demand-fetches each block's lines once with no
+/// prefetch, and each degree view reads its outcome: the first
+/// `min(degree, misses)` missing lines count as prefetched. That is
+/// exact while a block's distinct lines sit in distinct sets; on the
+/// first block where two share one, the walk hands each view an exact
+/// line cache of its own (the one [`FetchSim`](crate::FetchSim) runs)
+/// and stops. A view counts the timing-free half of its reports once
+/// (instructions, blocks, busy cycles, prefetches, full misses).
+///
+/// Design points of one view with one FTQ configuration share a timing
+/// model while their BTBs agree on every block-closing branch: all hit,
+/// all miss, or the branch was mispredicted anyway. On the first branch
+/// they disagree on, the group splits in two by BTB outcome, each half
+/// with a copy of the timing model.
 ///
 /// # Examples
 ///
@@ -108,9 +226,19 @@ fn index_of<K: PartialEq>(keys: &mut Vec<K>, key: K) -> usize {
     })
 }
 
+/// The node in `nodes` that `matches`, appended from `make` first if
+/// none does.
+fn node<T>(nodes: &mut Vec<T>, matches: impl Fn(&T) -> bool, make: impl FnOnce() -> T) -> &mut T {
+    let at = nodes.iter().position(matches).unwrap_or_else(|| {
+        nodes.push(make());
+        nodes.len() - 1
+    });
+    &mut nodes[at]
+}
+
 impl FetchGrid {
     /// Groups `configs` by stage key (design points may repeat; each
-    /// still gets its own timing model and report).
+    /// still gets its own report).
     ///
     /// # Panics
     ///
@@ -118,7 +246,6 @@ impl FetchGrid {
     /// distinct BTB geometries.
     pub fn new(configs: &[FetchConfig]) -> Self {
         let (mut predictors, mut btbs, mut stream_keys) = (Vec::new(), Vec::new(), Vec::new());
-        let mut cache_keys: Vec<Vec<_>> = Vec::new();
         let mut streams: Vec<StreamNode> = Vec::new();
         for (design, &FetchConfig { frontend, ftq }) in configs.iter().enumerate() {
             let predictor = index_of(&mut predictors, frontend.predictor);
@@ -129,21 +256,39 @@ impl FetchGrid {
                 streams.push(StreamNode {
                     predictor,
                     stream: BlockStream::new(ftq.fetch_width, line_bytes),
+                    walks: Vec::new(),
+                });
+            }
+            let walk = node(
+                &mut streams[s].walks,
+                |w| w.icache == frontend.icache,
+                || Walk {
+                    icache: frontend.icache,
+                    shared: Some(LineWalk::new(frontend.icache)),
                     caches: Vec::new(),
-                });
-                cache_keys.push(Vec::new());
-            }
-            let node = &mut streams[s];
-            let c = index_of(&mut cache_keys[s], (frontend.icache, ftq.prefetch_degree));
-            if c == node.caches.len() {
-                node.caches.push(CacheNode {
-                    cache: LineCache::new(frontend.icache, ftq.prefetch_degree),
+                    views: Vec::new(),
+                },
+            );
+            let view = node(
+                &mut walk.views,
+                |v| v.degree == ftq.prefetch_degree,
+                || View {
+                    degree: ftq.prefetch_degree,
+                    ledger: Ledger::default(),
+                    groups: Vec::new(),
+                },
+            );
+            let group = node(
+                &mut view.groups,
+                |g| g.timing.ftq() == ftq,
+                || Group {
+                    btbs: 0,
                     designs: Vec::new(),
-                    timings: Vec::new(),
-                });
-            }
-            node.caches[c].designs.push(design);
-            node.caches[c].timings.push(Timing::new(ftq, btb));
+                    timing: Timing::new(ftq),
+                },
+            );
+            group.btbs |= 1 << btb;
+            group.designs.push((design, btb));
         }
         FetchGrid {
             configs: configs.to_vec(),
@@ -159,15 +304,15 @@ impl FetchGrid {
         for node in &self.streams {
             let mut node = node.clone();
             node.close(None);
-            for cache in &node.caches {
-                for (&design, timing) in cache.designs.iter().zip(&cache.timings) {
-                    reports[design] = Some(timing.report(self.configs[design]));
+            for (ledger, group) in node.groups() {
+                for &(design, _) in &group.designs {
+                    reports[design] = Some(group.timing.report(self.configs[design], ledger));
                 }
             }
         }
         reports
             .into_iter()
-            .map(|r| r.expect("every design point has a timing model"))
+            .map(|r| r.expect("every design point has a timing group"))
             .collect()
     }
 
@@ -262,9 +407,10 @@ impl Pintool for FetchGrid {
     fn on_sample_weight(&mut self, weight: u64) {
         for node in &mut self.streams {
             node.close(None);
-            for cache in &mut node.caches {
-                for timing in &mut cache.timings {
-                    timing.apply_sample_weight(weight);
+            for view in node.walks.iter_mut().flat_map(|walk| &mut walk.views) {
+                view.ledger.apply_sample_weight(weight);
+                for group in &mut view.groups {
+                    group.timing.apply_sample_weight(weight);
                 }
             }
         }
@@ -286,20 +432,37 @@ impl Pintool for FetchGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FtqConfig;
-    use rebalance_frontend::{BtbConfig, CacheConfig, CoreKind, FrontendConfig};
+    use crate::{FetchSim, FtqConfig};
+    use rebalance_frontend::{BtbConfig, CoreKind, FrontendConfig};
+    use rebalance_isa::{Addr, BranchKind, InstClass, Outcome};
+    use rebalance_trace::{BranchEvent, Section};
 
-    /// `(predictors, btbs, streams, caches, timings)`.
-    fn shape(grid: &FetchGrid) -> (usize, usize, usize, usize, usize) {
-        let caches = grid.streams.iter().map(|s| s.caches.len()).sum();
-        let timings = grid
-            .streams
-            .iter()
-            .flat_map(|s| &s.caches)
-            .map(|c| c.timings.len())
-            .sum();
+    /// How many of each stage a grid built.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Shape {
+        predictors: usize,
+        btbs: usize,
+        streams: usize,
+        walks: usize,
+        views: usize,
+        groups: usize,
+        designs: usize,
+    }
+
+    fn shape(grid: &FetchGrid) -> Shape {
+        let walks = grid.streams.iter().flat_map(|s| &s.walks);
+        let views = walks.clone().flat_map(|w| &w.views);
+        let groups: Vec<_> = grid.streams.iter().flat_map(StreamNode::groups).collect();
         let (predictors, btbs) = grid.branch.shape();
-        (predictors, btbs, grid.streams.len(), caches, timings)
+        Shape {
+            predictors,
+            btbs,
+            streams: grid.streams.len(),
+            walks: walks.count(),
+            views: views.count(),
+            groups: groups.len(),
+            designs: groups.iter().map(|(_, g)| g.designs.len()).sum(),
+        }
     }
 
     #[test]
@@ -321,9 +484,19 @@ mod tests {
             }
         }
         let grid = FetchGrid::new(&configs);
-        // One stream per width, one line cache per (width, degree); the
-        // depth and BTB axes only split timing models.
-        assert_eq!(shape(&grid), (1, 2, 2, 4, 16));
+        // One stream and one walk per width, one view per (width,
+        // degree), one timing group per (width, degree, depth): the BTB
+        // axis splits nothing until the BTBs disagree.
+        let expected = Shape {
+            predictors: 1,
+            btbs: 2,
+            streams: 2,
+            walks: 2,
+            views: 4,
+            groups: 8,
+            designs: 16,
+        };
+        assert_eq!(shape(&grid), expected);
         assert_eq!(grid.configs, configs);
     }
 
@@ -349,8 +522,8 @@ mod tests {
             ..base
         };
         let tailored = FetchConfig::for_core(CoreKind::Tailored);
-        // The BTB splits neither a stream nor a line cache: only the
-        // timing models below them tell the two BTBs apart.
+        // The BTB splits neither a stream nor a walk nor, until the
+        // BTBs disagree, a timing group.
         let small_btb = FetchConfig {
             frontend: FrontendConfig {
                 btb: tailored.frontend.btb,
@@ -359,10 +532,110 @@ mod tests {
             ..base
         };
         let grid = FetchGrid::new(&[base, wide_lines, slow_ras, tailored, base, small_btb]);
-        assert_eq!(shape(&grid), (2, 2, 3, 3, 6));
+        let expected = Shape {
+            predictors: 2,
+            btbs: 2,
+            streams: 3,
+            walks: 3,
+            views: 3,
+            groups: 4,
+            designs: 6,
+        };
+        assert_eq!(shape(&grid), expected);
         let reports = grid.reports();
         assert_eq!(reports.len(), 6);
         assert_eq!(reports[4].config, base);
         assert_eq!(reports[5].config, small_btb);
+    }
+
+    fn inst(pc: u64) -> TraceEvent {
+        TraceEvent {
+            pc: Addr::new(pc),
+            len: 4,
+            class: InstClass::Other,
+            branch: None,
+            section: Section::Parallel,
+        }
+    }
+
+    fn jump(pc: u64, target: u64) -> TraceEvent {
+        let kind = BranchKind::UncondDirect;
+        TraceEvent {
+            pc: Addr::new(pc),
+            len: 4,
+            class: InstClass::Branch(kind),
+            branch: Some(BranchEvent {
+                kind,
+                outcome: Outcome::from_taken(true),
+                target: Some(Addr::new(target)),
+            }),
+            section: Section::Parallel,
+        }
+    }
+
+    /// Two blocks that jump to each other: a 1-entry BTB holds only the
+    /// last jump, so from the second round on it misses where the
+    /// baseline BTB hits.
+    fn ping_pong() -> Vec<TraceEvent> {
+        vec![
+            inst(0x1000),
+            inst(0x1004),
+            jump(0x1008, 0x2000),
+            inst(0x2000),
+            jump(0x2004, 0x1000),
+        ]
+    }
+
+    #[test]
+    fn a_btb_that_disagrees_splits_its_timing_group() {
+        let base = FetchConfig::for_core(CoreKind::Baseline);
+        let tiny = FetchConfig {
+            frontend: FrontendConfig {
+                btb: BtbConfig::new(1, 1),
+                ..base.frontend
+            },
+            ..base
+        };
+        let configs = [base, tiny];
+        let mut grid = FetchGrid::new(&configs);
+        let mut solo = configs.map(FetchSim::new);
+        let groups = |grid: &FetchGrid| shape(grid).groups;
+        for round in 0..4 {
+            for ev in ping_pong() {
+                grid.on_inst(&ev);
+                solo.iter_mut().for_each(|sim| sim.on_inst(&ev));
+            }
+            // Round 0 misses in both BTBs (cold), so they agree.
+            assert_eq!(groups(&grid), if round == 0 { 1 } else { 2 });
+            let reports = grid.reports();
+            assert_eq!(reports[0], solo[0].report(), "round {round}");
+            assert_eq!(reports[1], solo[1].report(), "round {round}");
+        }
+        let [base_report, tiny_report] = [0, 1].map(|d| grid.reports()[d].total());
+        assert_eq!(base_report.resteers, 2, "the baseline BTB misses cold only");
+        assert_eq!(tiny_report.resteers, 8, "the 1-entry BTB misses every jump");
+    }
+
+    #[test]
+    fn icache_misses_saturate_under_an_extreme_sample_weight() {
+        // Width 32 from a cold cache: the first block spans two lines.
+        // Degree 1 prefetches the first, which the fetch stage reaches
+        // before its fill lands (a late prefetch); the second is a full
+        // miss. The report adds the two parts.
+        let config = FetchConfig::new(FrontendConfig::baseline(), FtqConfig::new(16, 32, 1));
+        let mut grid = FetchGrid::new(&[config]);
+        let mut solo = FetchSim::new(config);
+        for pc in (0..128).step_by(4) {
+            grid.on_inst(&inst(pc));
+            solo.on_inst(&inst(pc));
+        }
+        let window = grid.reports()[0].sections.parallel;
+        assert_eq!((window.prefetch_late, window.icache_misses), (1, 2));
+        grid.on_sample_weight(u64::MAX - 1);
+        solo.on_sample_weight(u64::MAX - 1);
+        let report = grid.reports()[0];
+        assert_eq!(report, solo.report());
+        assert_eq!(report.sections.parallel.prefetch_late, u64::MAX - 1);
+        assert_eq!(report.sections.parallel.icache_misses, u64::MAX);
     }
 }

@@ -24,17 +24,20 @@
 //! [`Pintool`](rebalance_trace::Pintool). [`FetchGrid`] simulates a
 //! whole design grid (FTQ depth × fetch width × prefetch degree ×
 //! front-end) over **one** trace replay, and builds each stage that
-//! never reads a clock — branch unit, block stream, line cache — once per
-//! distinct configuration rather than once per design point. Its
-//! reports are bit-identical to one `FetchSim` per point. Every
+//! never reads a clock — branch unit, block stream, I-cache walk — once
+//! per distinct configuration rather than once per design point; design
+//! points that differ only in BTB share one timing model until their
+//! BTBs disagree. Its reports are bit-identical to one `FetchSim` per
+//! point. Every
 //! production replay times its design points with a `FetchGrid`;
 //! `FetchSim` is the reference the grid is tested against.
 //!
 //! # Examples
 //!
 //! Sweep four design points over one replay; all four share one block
-//! stream, and the two BTB sizes also share each prefetch degree's
-//! line cache:
+//! stream and one I-cache walk, which serves both prefetch degrees, and
+//! the two BTB sizes share each degree's timing model until they first
+//! price a branch differently:
 //!
 //! ```
 //! use rebalance_fetchsim::{FetchConfig, FetchGrid, FtqConfig};

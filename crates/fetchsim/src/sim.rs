@@ -2,13 +2,13 @@
 //! chained. It is the reference the shared
 //! [`FetchGrid`](crate::FetchGrid) is tested against.
 
-use std::{fmt, slice};
+use std::fmt;
 
 use rebalance_trace::{EventBatch, Pintool, TraceEvent};
 
 use crate::config::FetchConfig;
 use crate::report::FetchReport;
-use crate::stages::{serve, BlockStream, BranchUnit, LineCache, Timing};
+use crate::stages::{Block, BlockStream, BranchUnit, Ledger, LineCache, Redirect, Timing};
 
 /// The decoupled front-end simulator as a batched
 /// [`Pintool`](rebalance_trace::Pintool): attach it to a trace replay
@@ -35,6 +35,7 @@ pub struct FetchSim {
     branch: BranchUnit,
     stream: BlockStream,
     cache: LineCache,
+    ledger: Ledger,
     timing: Timing,
 }
 
@@ -56,7 +57,8 @@ impl FetchSim {
             branch: BranchUnit::new(&[frontend.predictor], &[frontend.btb]),
             stream: BlockStream::new(ftq.fetch_width, frontend.icache.line_bytes),
             cache: LineCache::new(frontend.icache, ftq.prefetch_degree),
-            timing: Timing::new(ftq, 0),
+            ledger: Ledger::default(),
+            timing: Timing::new(ftq),
             config,
         }
     }
@@ -70,14 +72,16 @@ impl FetchSim {
     /// fetch block settled on a copy of the model (the live simulation
     /// is not disturbed, so reports mid-replay are safe).
     pub fn report(&self) -> FetchReport {
-        let (mut cache, mut timing) = (self.cache.clone(), self.timing.clone());
+        let (mut cache, mut ledger, mut timing) =
+            (self.cache.clone(), self.ledger.clone(), self.timing.clone());
         serve(
             self.stream.block(),
             &mut cache,
-            slice::from_mut(&mut timing),
+            &mut ledger,
+            &mut timing,
             None,
         );
-        timing.report(self.config)
+        timing.report(self.config, &ledger)
     }
 
     /// The per-event step shared verbatim by per-event and batched
@@ -105,14 +109,37 @@ impl FetchSim {
     /// Serves the open block (if any) and closes it; `on_branch` when
     /// the branch just resolved closed it and so prices its redirect.
     fn close(&mut self, on_branch: bool) {
+        let cause = if on_branch {
+            self.branch.redirect(0, 0)
+        } else {
+            None
+        };
         serve(
             self.stream.block(),
             &mut self.cache,
-            slice::from_mut(&mut self.timing),
-            on_branch.then_some((&self.branch, 0)),
+            &mut self.ledger,
+            &mut self.timing,
+            cause,
         );
         self.stream.clear();
     }
+}
+
+/// Serves a block through one of each stage (nothing when no block is
+/// open).
+fn serve(
+    block: &Block,
+    cache: &mut LineCache,
+    ledger: &mut Ledger,
+    timing: &mut Timing,
+    cause: Option<Redirect>,
+) {
+    if block.is_empty() {
+        return;
+    }
+    let service = cache.fetch(block.lines());
+    ledger.record(block, &service);
+    timing.retire(block.section(), &service, cause);
 }
 
 impl Pintool for FetchSim {
@@ -134,6 +161,7 @@ impl Pintool for FetchSim {
     /// scales the window's counters and fetch-clock delta by `weight`.
     fn on_sample_weight(&mut self, weight: u64) {
         self.close(false);
+        self.ledger.apply_sample_weight(weight);
         self.timing.apply_sample_weight(weight);
     }
 

@@ -38,8 +38,11 @@
 //! 2. [`BlockStream`] — cuts the instruction stream into fetch blocks
 //!    (width, taken branches, redirects, section switches) and lists
 //!    the I-cache lines each block touches.
-//! 3. [`LineCache`] — the I-cache plus FDIP issue: which of a block's
-//!    lines hit, miss, or were prefetched for it.
+//! 3. The I-cache plus FDIP issue: how each block's lines were served
+//!    ([`Service`]), and the timing-free counts ([`Ledger::record`]).
+//!    [`LineCache`] runs it exactly for one prefetch degree;
+//!    [`LineWalk`] runs it once for every degree while a block's
+//!    distinct lines sit in distinct sets ([`LineWalk::fetch`]).
 //! 4. [`Timing`] — the two clocks, the FTQ ring, redirect carries,
 //!    latencies and the stall ledger.
 //!
@@ -49,7 +52,10 @@
 //! LRU runs on its own access clock. So cache contents never depend on
 //! FTQ timing, and every prefetch of a block is ready exactly
 //! `miss_latency` cycles after the block's enqueue — which [`Timing`]
-//! alone knows.
+//! alone knows. It follows that stage 3's output, and the instruction,
+//! block, busy-cycle, prefetch and full-miss counts, are the same for
+//! every design point that reads the same block stream, I-cache and
+//! prefetch degree; a [`Ledger`] counts them once for all of them.
 //!
 //! # Cycle accounting
 //!
@@ -205,6 +211,22 @@ impl BranchUnit {
         self.ras_miss || self.wrong_direction >> predictor & 1 != 0
     }
 
+    /// The BTBs of `btbs` (one bit per BTB index) that price the last
+    /// resolved branch apart from the rest, for a front-end built from
+    /// predictor `predictor`: `None` when all of them price it alike.
+    /// They do when the branch was mispredicted (which outranks a BTB
+    /// miss), or when every one of them hit or every one missed.
+    /// Otherwise the answer is the BTBs that missed.
+    #[inline]
+    pub(crate) fn btb_split(&self, predictor: usize, btbs: u64) -> Option<u64> {
+        let missed = self.btb_miss & btbs;
+        if missed == 0 || missed == btbs || self.mispredicted(predictor) {
+            None
+        } else {
+            Some(missed)
+        }
+    }
+
     /// What the last resolved branch costs a front-end built from
     /// predictor `predictor` and BTB `btb`. A wrong direction outranks
     /// a BTB miss on the same branch.
@@ -233,6 +255,26 @@ pub(crate) struct Block {
     /// Line-aligned addresses the block touches, in fetch order
     /// (consecutive duplicates merged).
     lines: Vec<Addr>,
+}
+
+impl Block {
+    /// The section every instruction of the block runs in.
+    #[inline]
+    pub(crate) fn section(&self) -> Section {
+        self.section
+    }
+
+    /// Whether no block is open.
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.insts == 0
+    }
+
+    /// The lines the block touches, in fetch order.
+    #[inline]
+    pub(crate) fn lines(&self) -> &[Addr] {
+        &self.lines
+    }
 }
 
 /// Stage 2: cuts the instruction stream into fetch blocks for one
@@ -351,47 +393,57 @@ impl BlockStream {
     }
 }
 
-/// What a block's demand fetch found for one of its lines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LineFetch {
-    /// Resident and not prefetched for this block.
-    Hit,
-    /// Absent (or prefetched but evicted before use): a full miss.
-    Miss,
-    /// Prefetched for this block and still resident: hidden if the
-    /// prefetch is ready by the time the fetch stage gets there.
-    Prefetched,
+/// How a block's lines were served, in the terms [`Timing`] prices in
+/// O(1): one busy cycle per line, `miss_latency` per full miss, and at
+/// most one wait on a prefetch. Only the first prefetched line can
+/// catch its fill in flight: every later one is reached after it, so
+/// after the fill has landed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Service {
+    /// Lines the block touches.
+    lines: u64,
+    /// Lines absent at demand (never prefetched, or prefetched and
+    /// evicted before use).
+    misses: u64,
+    /// Lines prefetched for this block and still resident at demand.
+    prefetched: u64,
+    /// Position of the first prefetched line in the block.
+    first_prefetched: u64,
+    /// Full misses served before the first prefetched line.
+    misses_before: u64,
+    /// FDIP fills issued for the block.
+    prefetches: u64,
 }
 
-/// Stage 3: the I-cache plus FDIP issue for one (block stream,
-/// [`CacheConfig`], prefetch degree) combination.
+/// Stage 3, one exact copy: the I-cache plus FDIP issue for one (block
+/// stream, [`CacheConfig`], prefetch degree) combination.
+/// [`FetchSim`](crate::FetchSim) runs one; a [`LineWalk`] hands one to
+/// each of its degrees when it can no longer serve them all.
 #[derive(Debug, Clone)]
 pub(crate) struct LineCache {
     icache: ICache,
-    line_bytes: u64,
     prefetch_degree: usize,
     /// Lines FDIP prefetched for the current block, in issue order.
     prefetched: Vec<Addr>,
-    /// The current block's per-line outcomes.
-    fetches: Vec<LineFetch>,
 }
 
 impl LineCache {
     pub(crate) fn new(cache: CacheConfig, prefetch_degree: usize) -> Self {
+        LineCache::from_icache(ICache::new(cache), prefetch_degree)
+    }
+
+    fn from_icache(icache: ICache, prefetch_degree: usize) -> Self {
         LineCache {
-            icache: ICache::new(cache),
-            line_bytes: cache.line_bytes as u64,
+            icache,
             prefetch_degree,
             prefetched: Vec::with_capacity(prefetch_degree),
-            fetches: Vec::with_capacity(4),
         }
     }
 
     /// Probes and prefetches `lines` at enqueue (up to the degree), then
-    /// demand-fetches them in order. Returns the prefetch count and the
-    /// per-line outcomes.
+    /// demand-fetches them in order.
     #[inline]
-    pub(crate) fn fetch(&mut self, lines: &[Addr]) -> (u64, &[LineFetch]) {
+    pub(crate) fn fetch(&mut self, lines: &[Addr]) -> Service {
         if self.prefetch_degree > 0 {
             for &line in lines {
                 if self.prefetched.len() < self.prefetch_degree && !self.icache.probe(line) {
@@ -400,57 +452,170 @@ impl LineCache {
                 }
             }
         }
-        let prefetches = self.prefetched.len() as u64;
-        self.fetches.clear();
-        for &line in lines {
+        let mut service = Service {
+            lines: lines.len() as u64,
+            prefetches: self.prefetched.len() as u64,
+            ..Service::default()
+        };
+        for (at, &line) in lines.iter().enumerate() {
             let in_flight = self.prefetched.iter().position(|&l| l == line);
             if let Some(idx) = in_flight {
                 self.prefetched.remove(idx);
             }
-            let hit = self.icache.access(line, 0, self.line_bytes);
-            self.fetches.push(match (hit, in_flight) {
-                (false, _) => LineFetch::Miss,
-                (true, Some(_)) => LineFetch::Prefetched,
-                (true, None) => LineFetch::Hit,
-            });
+            match (self.icache.access_line(line), in_flight) {
+                (false, _) => service.misses += 1,
+                (true, Some(_)) => {
+                    if service.prefetched == 0 {
+                        service.first_prefetched = at as u64;
+                        service.misses_before = service.misses;
+                    }
+                    service.prefetched += 1;
+                }
+                (true, None) => {}
+            }
         }
         // Every prefetched line is one of the block's own lines, so its
         // service drained them all.
         debug_assert!(self.prefetched.is_empty());
-        (prefetches, &self.fetches)
+        service
     }
 }
 
-/// Serves a block through one line cache to every timing model that
-/// cache feeds (nothing when no block is open). `branch` is the unit
-/// and predictor index when the block closed on a branch: each timing
-/// model prices it for its own BTB. Width-full closes, section switches
-/// and settles pass `None`.
-#[inline]
-pub(crate) fn serve(
-    block: &Block,
-    cache: &mut LineCache,
-    timings: &mut [Timing],
-    branch: Option<(&BranchUnit, usize)>,
-) {
-    if block.insts == 0 {
-        return;
-    }
-    let (prefetches, fetches) = cache.fetch(&block.lines);
-    for timing in timings {
-        let cause = branch.and_then(|(unit, predictor)| unit.redirect(predictor, timing.btb));
-        timing.retire(block, prefetches, fetches, cause);
+/// What one block's demand fetch found with no prefetch: its line
+/// count, its misses, and where the first miss sits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Demand {
+    lines: u64,
+    misses: u64,
+    first_miss: u64,
+}
+
+impl Demand {
+    /// The block's service under FDIP of degree `degree`, exact while
+    /// the block's distinct lines sit in distinct sets (see
+    /// [`LineWalk::fetch`]): the prefetcher fills the first
+    /// `min(degree, misses)` missing lines, and the rest stay full
+    /// misses, all served after the first prefetched line.
+    #[inline]
+    pub(crate) fn service(self, degree: usize) -> Service {
+        let prefetched = self.misses.min(degree as u64);
+        Service {
+            lines: self.lines,
+            misses: self.misses - prefetched,
+            prefetched,
+            first_prefetched: self.first_miss,
+            misses_before: 0,
+            prefetches: prefetched,
+        }
     }
 }
 
-/// Stage 4: one design point's clocks, FTQ occupancy, redirect carries
-/// and stall ledger.
+/// Stage 3, shared: one I-cache per (block stream, [`CacheConfig`]),
+/// demand-fetched with no prefetch, whose outcome every prefetch degree
+/// reads through [`Demand::service`].
+#[derive(Debug, Clone)]
+pub(crate) struct LineWalk {
+    icache: ICache,
+}
+
+impl LineWalk {
+    pub(crate) fn new(cache: CacheConfig) -> Self {
+        LineWalk {
+            icache: ICache::new(cache),
+        }
+    }
+
+    /// Demand-fetches `lines` in order, or returns `None` and touches
+    /// nothing when two distinct lines share a set.
+    ///
+    /// While they do not, a degree's prefetch fill of a line finds its
+    /// set as the block found it, so it evicts the victim the demand
+    /// miss would have, and it never evicts another of the block's
+    /// lines. The line is demand-fetched later in the same block, so
+    /// every set ends the block in the same LRU order as here. Cache
+    /// contents, and so every later block, are then the same for every
+    /// degree.
+    #[inline]
+    pub(crate) fn fetch(&mut self, lines: &[Addr]) -> Option<Demand> {
+        let conflict = lines.iter().enumerate().skip(1).any(|(at, &line)| {
+            let set = self.icache.set_index(line);
+            lines[..at]
+                .iter()
+                .any(|&other| other != line && self.icache.set_index(other) == set)
+        });
+        if conflict {
+            return None;
+        }
+        let mut demand = Demand {
+            lines: lines.len() as u64,
+            misses: 0,
+            first_miss: 0,
+        };
+        for (at, &line) in lines.iter().enumerate() {
+            if !self.icache.access_line(line) {
+                if demand.misses == 0 {
+                    demand.first_miss = at as u64;
+                }
+                demand.misses += 1;
+            }
+        }
+        Some(demand)
+    }
+
+    /// An exact line cache for prefetch degree `degree`, starting from
+    /// this walk's cache contents.
+    pub(crate) fn line_cache(&self, degree: usize) -> LineCache {
+        LineCache::from_icache(self.icache.clone(), degree)
+    }
+}
+
+/// Per-section counters and their copy at the last sampled-replay
+/// boundary.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Ledger {
+    sections: BySection<FetchStats>,
+    mark: BySection<FetchStats>,
+}
+
+impl Ledger {
+    /// Counts a served block's timing-free half: instructions, one
+    /// block, one busy cycle per line, prefetch fills and full misses.
+    /// Every design point reading the same [`Service`] counts the same.
+    #[inline]
+    pub(crate) fn record(&mut self, block: &Block, service: &Service) {
+        let stats = self.sections.get_mut(block.section);
+        stats.insts += block.insts;
+        stats.blocks += 1;
+        stats.busy += service.lines;
+        stats.prefetches += service.prefetches;
+        stats.icache_misses += service.misses;
+    }
+
+    /// Closes a sampled-replay window: weight 0 reverts the window's
+    /// counts to the mark, a weight above 1 scales them; either way the
+    /// result becomes the new mark.
+    pub(crate) fn apply_sample_weight(&mut self, weight: u64) {
+        if weight == 0 {
+            self.sections = self.mark;
+        } else if weight > 1 {
+            self.sections.serial.scale_from(&self.mark.serial, weight);
+            self.sections
+                .parallel
+                .scale_from(&self.mark.parallel, weight);
+        }
+        self.mark = self.sections;
+    }
+}
+
+/// Stage 4: the clocks, FTQ occupancy, redirect carries and stall
+/// ledger of every design point with one [`FtqConfig`] that sees the
+/// same line-cache outcomes and redirects. The timing-free counters
+/// live in the [`Ledger`] beside it.
 #[derive(Debug, Clone)]
 pub(crate) struct Timing {
     ftq: FtqConfig,
-    /// The design's BTB: its index in the [`BranchUnit`].
-    btb: usize,
-    sections: BySection<FetchStats>,
+    /// Stalls, redirects and prefetch hits and late prefetches.
+    stats: Ledger,
     /// When the BP unit enqueued the most recent block.
     bp_time: u64,
     /// When the fetch stage finished the most recent block.
@@ -466,8 +631,6 @@ pub(crate) struct Timing {
     carry_mispredict: u64,
     /// Resteer-penalty cycles the next block may charge.
     carry_resteer: u64,
-    /// Counter snapshot at the last sampled-replay boundary.
-    mark_sections: BySection<FetchStats>,
     /// Fetch-clock reading at the last sampled-replay boundary.
     mark_fetch_time: u64,
     /// Fetch cycles spent in weight-0 (warmup) windows of a sampled
@@ -477,44 +640,37 @@ pub(crate) struct Timing {
 }
 
 impl Timing {
-    pub(crate) fn new(ftq: FtqConfig, btb: usize) -> Self {
+    pub(crate) fn new(ftq: FtqConfig) -> Self {
         Timing {
             ftq,
-            btb,
-            sections: BySection::default(),
+            stats: Ledger::default(),
             bp_time: 0,
             fetch_time: 0,
             ring: vec![0; ftq.depth].into_boxed_slice(),
             head: 0,
             carry_mispredict: 0,
             carry_resteer: 0,
-            mark_sections: BySection::default(),
             mark_fetch_time: 0,
             discarded: 0,
         }
     }
 
-    /// Runs one closed block through enqueue, fetch and service, then
-    /// applies its redirect (if any) to the BP clock. `fetches` and
-    /// `prefetches` come from the block's [`LineCache`].
+    /// The FTQ geometry and latencies this model times.
+    pub(crate) fn ftq(&self) -> FtqConfig {
+        self.ftq
+    }
+
+    /// Runs one closed block of `section` through enqueue, fetch and
+    /// service, then applies its redirect (if any) to the BP clock.
     #[inline]
-    pub(crate) fn retire(
-        &mut self,
-        block: &Block,
-        prefetches: u64,
-        fetches: &[LineFetch],
-        cause: Option<Redirect>,
-    ) {
-        let stats = self.sections.get_mut(block.section);
+    pub(crate) fn retire(&mut self, section: Section, service: &Service, cause: Option<Redirect>) {
+        let stats = self.stats.sections.get_mut(section);
         match cause {
             Some(Redirect::Ras) => stats.ras_misses += 1,
             Some(Redirect::Direction | Redirect::IndirectTarget) => stats.mispredicts += 1,
             Some(Redirect::Resteer) => stats.resteers += 1,
             None => {}
         }
-        stats.insts += block.insts;
-        stats.blocks += 1;
-        stats.prefetches += prefetches;
 
         // --- BP unit: enqueue (waits for a free FTQ slot). FDIP issues
         // the block's prefetches now, so they land `miss_latency` later.
@@ -544,27 +700,22 @@ impl Timing {
             }
         }
 
-        // --- Service: one busy cycle per line, stall on exposed misses. ---
-        let mut now = start;
-        for &fetch in fetches {
-            now += 1;
-            stats.busy += 1;
-            match fetch {
-                LineFetch::Hit => {}
-                LineFetch::Prefetched if ready <= now => stats.prefetch_hits += 1,
-                LineFetch::Prefetched => {
-                    // Prefetch still in flight: only the remainder of
-                    // the miss latency is exposed.
-                    stats.icache_misses += 1;
-                    stats.prefetch_late += 1;
-                    stats.stalls.icache += ready - now;
-                    now = ready;
-                }
-                LineFetch::Miss => {
-                    stats.icache_misses += 1;
-                    stats.stalls.icache += self.ftq.miss_latency;
-                    now += self.ftq.miss_latency;
-                }
+        // --- Service: one busy cycle per line, the full miss latency
+        // per full miss, and the rest of its fill's latency if the
+        // first prefetched line is reached before the fill lands.
+        let mut now = start + service.lines + service.misses * self.ftq.miss_latency;
+        stats.stalls.icache += service.misses * self.ftq.miss_latency;
+        if service.prefetched > 0 {
+            let reached = start
+                + service.first_prefetched
+                + 1
+                + service.misses_before * self.ftq.miss_latency;
+            stats.prefetch_hits += service.prefetched;
+            if reached < ready {
+                stats.prefetch_hits -= 1;
+                stats.prefetch_late += 1;
+                stats.stalls.icache += ready - reached;
+                now += ready - reached;
             }
         }
         self.fetch_time = now;
@@ -597,16 +748,10 @@ impl Timing {
     /// report's total) — the clocks themselves keep running forward, so
     /// no monotonic state has to be rewound.
     pub(crate) fn apply_sample_weight(&mut self, weight: u64) {
+        self.stats.apply_sample_weight(weight);
         if weight == 0 {
-            self.sections = self.mark_sections;
             self.discarded += self.fetch_time - self.mark_fetch_time;
         } else if weight > 1 {
-            self.sections
-                .serial
-                .scale_from(&self.mark_sections.serial, weight);
-            self.sections
-                .parallel
-                .scale_from(&self.mark_sections.parallel, weight);
             let old = self.fetch_time;
             self.fetch_time = rebalance_trace::weighted_add(
                 self.mark_fetch_time,
@@ -619,15 +764,30 @@ impl Timing {
                 *t += shift;
             }
         }
-        self.mark_sections = self.sections;
         self.mark_fetch_time = self.fetch_time;
     }
 
-    /// The accumulated timing as a report for `config`.
-    pub(crate) fn report(&self, config: FetchConfig) -> FetchReport {
+    /// The accumulated timing, with the timing-free counts from
+    /// `ledger`, as a report for `config`. `icache_misses` is the one
+    /// field with a part on each side: full misses in the ledger, late
+    /// prefetches here. Both parts saturate under sampled-replay
+    /// weights, so their sum saturates too.
+    pub(crate) fn report(&self, config: FetchConfig, ledger: &Ledger) -> FetchReport {
+        let join = |timed: &FetchStats, counted: &FetchStats| FetchStats {
+            insts: counted.insts,
+            blocks: counted.blocks,
+            busy: counted.busy,
+            prefetches: counted.prefetches,
+            icache_misses: counted.icache_misses.saturating_add(timed.prefetch_late),
+            ..*timed
+        };
+        let (timed, counted) = (&self.stats.sections, &ledger.sections);
         FetchReport {
             config,
-            sections: self.sections,
+            sections: BySection::new(
+                join(&timed.serial, &counted.serial),
+                join(&timed.parallel, &counted.parallel),
+            ),
             total_cycles: self.fetch_time - self.discarded,
         }
     }

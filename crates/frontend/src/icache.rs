@@ -105,6 +105,8 @@ pub struct ICache {
     set_mask: u64,
     /// `log2(line_bytes * sets)`: the tag is every address bit from here.
     tag_shift: u32,
+    /// Every byte of a line as a used mask, for [`ICache::access_line`].
+    line_used: u128,
     lines: Vec<Line>,
     clock: u64,
     evicted_usefulness_sum: f64,
@@ -122,6 +124,7 @@ impl ICache {
             line_shift,
             set_mask: (1u64 << set_bits) - 1,
             tag_shift: line_shift + set_bits,
+            line_used: Self::byte_mask(0, cfg.line_bytes as u64, cfg.line_bytes as u64),
             lines: vec![Line::default(); cfg.lines()],
             cfg,
             clock: 0,
@@ -147,11 +150,26 @@ impl ICache {
         addr.as_u64() >> self.tag_shift
     }
 
+    /// The set index of `addr`'s line (any byte of the line will do):
+    /// two lines conflict for a way only when their indices are equal.
+    #[inline]
+    pub fn set_index(&self, addr: Addr) -> usize {
+        self.set_of(addr)
+    }
+
     /// Accesses the line containing `addr`, marking `len` bytes starting
     /// at line offset `offset` as used. Returns `true` on hit.
     pub fn access(&mut self, addr: Addr, offset: u64, len: u64) -> bool {
         let used_bits = Self::byte_mask(offset, len, self.cfg.line_bytes as u64);
         self.access_way(addr, used_bits).0
+    }
+
+    /// Accesses the line containing `addr` and marks all of its bytes
+    /// used: [`ICache::access`] over the whole line, without building
+    /// the byte mask on every call. Returns `true` on hit.
+    #[inline]
+    pub fn access_line(&mut self, addr: Addr) -> bool {
+        self.access_way(addr, self.line_used).0
     }
 
     /// [`ICache::access`] with the used bytes as a mask; also returns the
@@ -1157,6 +1175,24 @@ mod tests {
         assert_eq!(t.accesses, 3, "redirects to other lines probe again");
         // Second visit to 0x1000 hits.
         assert_eq!(t.misses, 2);
+    }
+
+    #[test]
+    fn access_line_is_a_whole_line_access() {
+        let config = CacheConfig::new(256, 64, 2);
+        let (mut whole, mut by_bytes) = (ICache::new(config), ICache::new(config));
+        for pc in [0, 128, 0, 256, 64, 128, 0] {
+            let a = Addr::new(pc);
+            assert_eq!(whole.access_line(a), by_bytes.access(a, 0, 64), "{pc:#x}");
+        }
+        assert_eq!(whole.mean_usefulness(), by_bytes.mean_usefulness());
+        // Two sets: lines 128 bytes apart share one.
+        assert_eq!(whole.set_index(Addr::new(0x40)), 1);
+        assert_eq!(whole.set_index(Addr::new(0x7f)), 1);
+        assert_eq!(
+            whole.set_index(Addr::new(0x100)),
+            whole.set_index(Addr::new(0))
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::cache::{CacheStats, TraceCache};
 use crate::sweep::SweepEngine;
@@ -47,11 +47,13 @@ impl LaneFill {
 /// assert_eq!(report.replays, engine.replays());
 /// println!("{report}");
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Deserialize)]
 pub struct Report {
     /// Fan-out replays performed (one per `(workload, scale)` item,
     /// regardless of tool count — live and cached alike).
     pub replays: u64,
+    /// Traces synthesized outside a cache ([`SweepEngine::generations`]).
+    pub generated: u64,
     /// Cache accounting, when a [`TraceCache`] mediated the replays.
     pub cache: Option<CacheStats>,
     /// Batch-delivered events over the sweep, when an engine tallied
@@ -59,11 +61,26 @@ pub struct Report {
     pub lanes: Option<LaneFill>,
 }
 
+/// Field by field, except that `generated` is left out when zero (on
+/// every cached run), so a cached run's JSON reads as it always has.
+impl Serialize for Report {
+    fn to_value(&self) -> Value {
+        let mut fields = vec![("replays".to_owned(), self.replays.to_value())];
+        if self.generated > 0 {
+            fields.push(("generated".to_owned(), self.generated.to_value()));
+        }
+        fields.push(("cache".to_owned(), self.cache.to_value()));
+        fields.push(("lanes".to_owned(), self.lanes.to_value()));
+        Value::Map(fields)
+    }
+}
+
 impl Report {
     /// A report over an engine's replay and lane counters, cache-less.
     pub fn from_engine(engine: &SweepEngine) -> Self {
         Report {
             replays: engine.replays(),
+            generated: engine.generations(),
             cache: None,
             lanes: Some(engine.lanes()),
         }
@@ -75,13 +92,10 @@ impl Report {
         self
     }
 
-    /// Trace generations performed: with a cache this is the cache's
-    /// generation counter; without one every replay generated.
+    /// Trace generations performed: the engine's own plus, with a
+    /// cache, the cache's.
     pub fn generations(&self) -> u64 {
-        match &self.cache {
-            Some(stats) => stats.generations,
-            None => self.replays,
-        }
+        self.generated + self.cache.map_or(0, |stats| stats.generations)
     }
 }
 
@@ -113,13 +127,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cacheless_report_counts_every_replay_as_a_generation() {
+    fn cacheless_report_counts_the_engines_generations() {
         let engine = SweepEngine::new();
         let r = Report::from_engine(&engine);
         assert_eq!(r.replays, 0);
         assert_eq!(r.generations(), 0);
         assert!(r.cache.is_none());
         assert!(r.to_string().starts_with("replays: 0"));
+        let trace = engine.generate(|| Err("no trace".into()));
+        assert!(trace.is_err());
+        let r = Report {
+            replays: 2,
+            ..Report::from_engine(&engine)
+        };
+        assert_eq!(r.generations(), 1, "one synthesis can serve two replays");
+        assert!(r.to_string().starts_with("replays: 2 | generations: 1"));
+        assert_eq!(r.to_value().get("generated"), Some(&Value::UInt(1)));
+        let cached = Report::default().to_value();
+        assert_eq!(cached.get("generated"), None, "left out when zero");
+        assert!(cached.get("cache").is_some());
     }
 
     #[test]
@@ -128,7 +154,7 @@ mod tests {
             replays: 41,
             ..Report::default()
         };
-        assert_eq!(r.generations(), 41);
+        assert_eq!(r.generations(), 0);
         let r = Report {
             cache: Some(CacheStats {
                 hits: 38,

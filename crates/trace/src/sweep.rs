@@ -21,7 +21,7 @@ use crate::observer::Pintool;
 use crate::report::{LaneFill, Report};
 use crate::sampling::{Fingerprinter, SamplePlan, SampledReplay, SamplingConfig};
 use crate::schedule::SyntheticTrace;
-use crate::snapshot::Snapshot;
+use crate::snapshot::{Snapshot, SnapshotError};
 use crate::toolset::ToolSet;
 
 /// The result of sweeping one item: the item itself, its tools (now
@@ -114,6 +114,7 @@ pub struct SampledOutcome<I, T> {
 pub struct SweepEngine {
     executor: Executor,
     replays: AtomicU64,
+    generations: AtomicU64,
     lane_instructions: AtomicU64,
     lane_branches: AtomicU64,
     /// Sampled-replay plans, keyed by `(trace fingerprint, sampling
@@ -153,6 +154,26 @@ impl SweepEngine {
     /// process never pollute it.
     pub fn replays(&self) -> u64 {
         self.replays.load(Ordering::Relaxed)
+    }
+
+    /// Traces this engine synthesized outside a cache
+    /// ([`SweepEngine::generate`]); a [`TraceCache`] counts its own.
+    pub fn generations(&self) -> u64 {
+        self.generations.load(Ordering::Relaxed)
+    }
+
+    /// Synthesizes one trace through `make_trace` for replays outside
+    /// a cache, counting it in [`SweepEngine::generations`].
+    ///
+    /// # Errors
+    ///
+    /// Whatever `make_trace` returns.
+    pub fn generate(
+        &self,
+        make_trace: impl FnOnce() -> Result<SyntheticTrace, String>,
+    ) -> Result<SyntheticTrace, String> {
+        self.generations.fetch_add(1, Ordering::Relaxed);
+        make_trace()
     }
 
     /// Events this engine's replays delivered in batches, and how many
@@ -215,6 +236,25 @@ impl SweepEngine {
         let replay = cache.replay_with(key, make_trace, &mut set)?;
         self.record(&set);
         Ok((set.into_inner(), replay))
+    }
+
+    /// Replays the whole of an in-memory `snapshot` once through all
+    /// `tools`: the full counterpart of [`SweepEngine::replay_sampled`],
+    /// so one snapshot can serve a full and a sampled replay.
+    ///
+    /// # Errors
+    ///
+    /// A decode failure.
+    pub fn replay_snapshot<T: Pintool>(
+        &self,
+        snapshot: &Snapshot<'_>,
+        tools: Vec<T>,
+    ) -> Result<(Vec<T>, RunSummary), SnapshotError> {
+        let _replay_span = telemetry::span("replay");
+        let mut set = ToolSet::from_tools(tools);
+        let summary = snapshot.replay(&mut set)?;
+        self.record(&set);
+        Ok((set.into_inner(), summary))
     }
 
     /// Returns (building on first use) the sampling plan for `key`'s

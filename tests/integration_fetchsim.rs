@@ -17,16 +17,19 @@
 //!    timing-free stage across its design points, reports bit for bit
 //!    what one solo [`FetchSim`] per point reports — over the whole
 //!    roster, under every delivery mode, sampled replay included, and
-//!    when read mid-replay. A grid with no design points reports
-//!    nothing and leaves the tools beside it as they are alone.
+//!    when read mid-replay, and on a hand-built stream whose blocks
+//!    put two lines in one I-cache set, where prefetch changes what
+//!    the cache holds. A grid with no design points reports nothing
+//!    and leaves the tools beside it as they are alone.
 
 use rebalance::coresim::{CoreModel, FetchModelKind};
 use rebalance::fetchsim::{FetchConfig, FetchGrid, FetchReport, FetchSim, FtqConfig};
-use rebalance::frontend::{BtbConfig, BtbSim, CoreKind, FrontendConfig};
+use rebalance::frontend::{BtbConfig, BtbSim, CacheConfig, CoreKind, FrontendConfig};
+use rebalance::isa::{Addr, BranchKind, InstClass, Outcome};
 use rebalance::pintools::BbvTool;
 use rebalance::trace::{
-    snapshot, Pintool, SamplePlan, SamplingConfig, Snapshot, SweepEngine, SyntheticTrace, ToolSet,
-    TraceCache, TraceEvent, DEFAULT_BATCH_CAPACITY,
+    snapshot, BranchEvent, Pintool, SamplePlan, SamplingConfig, Section, Snapshot, SnapshotWriter,
+    SweepEngine, SyntheticTrace, ToolSet, TraceCache, TraceEvent, DEFAULT_BATCH_CAPACITY,
 };
 use rebalance::workloads::find;
 use rebalance::Scale;
@@ -417,4 +420,99 @@ fn fetch_grid_reports_mid_replay_without_disturbing_the_live_grid() {
         );
         assert_grid_matches(name, &probe.grid, &probe.solo);
     }
+}
+
+/// A 1-set, 2-way I-cache: every line conflicts with every other.
+fn one_set_grid() -> Vec<FetchConfig> {
+    [0, 2]
+        .map(|degree| {
+            FetchConfig::new(
+                FrontendConfig {
+                    icache: CacheConfig::new(128, 64, 2),
+                    ..FrontendConfig::baseline()
+                },
+                FtqConfig::new(16, 4, degree),
+            )
+        })
+        .into()
+}
+
+/// `rounds` rounds of three blocks over lines `A` (0x2000), `B`
+/// (0x2040) and `X` (0x1000) of a one-set cache: a block on `A`, a
+/// block on `X`, then a block spanning `A` and `B`. When the third
+/// block starts, `A` is resident but least recent and `B` is absent.
+/// Without prefetch `A` hits; a prefetch of `B` evicts `A` first, so
+/// `A` misses.
+fn conflicting_blocks(rounds: usize) -> Vec<TraceEvent> {
+    let inst = |pc: u64| TraceEvent {
+        pc: Addr::new(pc),
+        len: 4,
+        class: InstClass::Other,
+        branch: None,
+        section: Section::Parallel,
+    };
+    let jump = |pc: u64, target: u64| TraceEvent {
+        class: InstClass::Branch(BranchKind::UncondDirect),
+        branch: Some(BranchEvent {
+            kind: BranchKind::UncondDirect,
+            outcome: Outcome::from_taken(true),
+            target: Some(Addr::new(target)),
+        }),
+        ..inst(pc)
+    };
+    let round = [
+        inst(0x2000),
+        jump(0x2004, 0x1000),
+        inst(0x1000),
+        jump(0x1004, 0x203c),
+        inst(0x203c),
+        inst(0x2040),
+        jump(0x2044, 0x2000),
+    ];
+    round
+        .iter()
+        .copied()
+        .cycle()
+        .take(rounds * round.len())
+        .collect()
+}
+
+#[test]
+fn fetch_grid_matches_solo_fetchsims_when_a_block_puts_two_lines_in_one_set() {
+    let rounds = 200;
+    let events = conflicting_blocks(rounds);
+    let mut writer = SnapshotWriter::new(Vec::new(), 1, 0);
+    events.iter().for_each(|ev| writer.on_inst(ev));
+    let bytes = writer.finish().expect("a Vec sink cannot fail").0;
+    let snap = Snapshot::parse(&bytes).unwrap();
+    let config = SamplingConfig::default().with_intervals(40).with_k(4);
+    let plan = SamplePlan::from_snapshot(&snap, &mut BbvTool::new(config.dims), &config)
+        .expect("sampling plan");
+    assert!(!plan.is_full_replay(), "the plan must skip");
+
+    let grid = one_set_grid();
+    check_delivery("one set, per-event", &grid, |t| {
+        events.iter().for_each(|ev| t.on_inst(ev));
+    });
+    for cap in [1usize, 7, DEFAULT_BATCH_CAPACITY] {
+        check_delivery(&format!("one set, batched {cap}"), &grid, |t| {
+            snap.replay_batched(t, cap).expect("snapshot replay");
+        });
+    }
+    check_delivery("one set, snapshot-decoded", &grid, |t| {
+        snap.replay(t).expect("snapshot replay");
+    });
+    check_delivery("one set, sampled", &grid, |t| {
+        snap.replay_sampled(t, &plan).expect("sampled replay");
+    });
+
+    // The stream does what it is built for: with prefetch, `A` misses
+    // in every round, which a no-prefetch walk would call a hit.
+    let mut solo = solos(&grid);
+    events.iter().for_each(|ev| solo.on_inst(ev));
+    let [plain, prefetching] = [0, 1].map(|d| solo_reports(&solo)[d].total());
+    // Without prefetch, `X` and `B` evict each other: two misses a
+    // round, plus the cold miss on `A`.
+    assert_eq!(plain.icache_misses, 2 * rounds as u64 + 1);
+    assert!(prefetching.icache_misses - prefetching.prefetch_late >= rounds as u64);
 }
