@@ -160,9 +160,20 @@ fn golden_reports_match_committed_fixtures() {
     check_fixtures(&golden_dir(), &render_all(), "golden report(s)");
 }
 
+/// The example runs pinned under `tests/golden/examples/`: `quickstart`,
+/// `asymmetric_cmp` (default and `--suite`) and `cmp_designer`, each
+/// with its default arguments.
+const EXAMPLE_FIXTURES: [&str; 4] = [
+    "quickstart",
+    "asymmetric_cmp",
+    "asymmetric_cmp_suite",
+    "cmp_designer",
+];
+
 /// Every committed fixture must belong to a registered workload (or,
-/// under `exhibits/`, to a rendered exhibit), so renames/removals
-/// cannot leave stale expectations behind.
+/// under `exhibits/`, to a rendered exhibit, and under `examples/`, to
+/// a pinned example run), so renames/removals cannot leave stale
+/// expectations behind.
 #[test]
 fn no_orphan_fixtures() {
     let workloads: BTreeSet<String> = rebalance::workloads::all()
@@ -175,10 +186,17 @@ fn no_orphan_fixtures() {
         .map(|name| format!("{name}.json"))
         .chain(["fetchsim_sampled.json".to_owned()])
         .collect();
+    // The facade examples' stdout, diffed by the CI step "Facade
+    // examples" (the examples run as their own binaries).
+    let examples: BTreeSet<String> = EXAMPLE_FIXTURES
+        .iter()
+        .map(|name| format!("{name}.txt"))
+        .collect();
     for (dir, label, names) in [
         (golden_dir(), "golden", &workloads),
         (sampling_dir(), "golden/sampling", &workloads),
         (exhibits_dir(), "golden/exhibits", &exhibits),
+        (golden_dir().join("examples"), "golden/examples", &examples),
     ] {
         let entries = match std::fs::read_dir(&dir) {
             Ok(e) => e,
@@ -191,7 +209,8 @@ fn no_orphan_fixtures() {
             let name = entry.file_name().to_string_lossy().into_owned();
             if entry.file_type().expect("file type").is_dir() {
                 assert!(
-                    label == "golden" && ["sampling", "exhibits"].contains(&name.as_str()),
+                    label == "golden"
+                        && ["sampling", "exhibits", "examples"].contains(&name.as_str()),
                     "unexpected directory tests/{label}/{name} among fixtures"
                 );
                 continue;
