@@ -2,7 +2,7 @@
 //! best baseline/tailored core combination — the paper's Asymmetric++
 //! conclusion generalized into an optimizer.
 
-use rebalance_coresim::CmpSim;
+use rebalance_coresim::{simulate_floorplans, CmpSim, FetchModelKind};
 use rebalance_mcpat::CmpFloorplan;
 use rebalance_workloads::{Scale, Workload};
 use serde::{Deserialize, Serialize};
@@ -60,11 +60,18 @@ impl CmpDesign {
     }
 }
 
+/// Most baseline (master-class) cores a candidate has.
+const MAX_BASELINE: usize = 2;
+
+/// Most cores a candidate has.
+const MAX_CORES: usize = 16;
+
 /// Searches baseline/tailored core mixes under a core-area budget.
 ///
 /// The reference chip (for normalization and the default budget) is the
 /// paper's eight-baseline-core CMP. Candidates enumerate 0–2 baseline
-/// cores with as many tailored cores as the budget allows.
+/// cores with as many tailored cores as the budget allows, up to 16
+/// cores.
 ///
 /// # Examples
 ///
@@ -82,8 +89,6 @@ impl CmpDesign {
 #[derive(Debug, Clone)]
 pub struct CmpDesigner {
     budget_mm2: f64,
-    max_baseline: usize,
-    max_cores: usize,
 }
 
 impl CmpDesigner {
@@ -98,11 +103,7 @@ impl CmpDesigner {
             budget_mm2 >= one_core,
             "budget {budget_mm2} mm² below a single tailored core ({one_core:.2})"
         );
-        CmpDesigner {
-            budget_mm2,
-            max_baseline: 2,
-            max_cores: 16,
-        }
+        CmpDesigner { budget_mm2 }
     }
 
     /// The paper's budget: eight baseline cores.
@@ -110,18 +111,12 @@ impl CmpDesigner {
         Self::new(CmpFloorplan::baseline(8).estimate().core_area_mm2())
     }
 
-    /// Caps the number of baseline (master-class) cores considered.
-    pub fn with_max_baseline(mut self, n: usize) -> Self {
-        self.max_baseline = n;
-        self
-    }
-
     /// The candidate floorplans fitting the budget.
     pub fn candidates(&self) -> Vec<CmpFloorplan> {
         let mut v = Vec::new();
-        for nb in 0..=self.max_baseline {
-            for nt in 0..=self.max_cores {
-                if nb + nt < 2 || nb + nt > self.max_cores {
+        for nb in 0..=MAX_BASELINE {
+            for nt in 0..=MAX_CORES {
+                if nb + nt < 2 || nb + nt > MAX_CORES {
                     continue;
                 }
                 let fp = if nt == 0 {
@@ -141,7 +136,8 @@ impl CmpDesigner {
 
     /// Evaluates every candidate on the workload mix and ranks by the
     /// objective. Metrics are normalized to the paper's 8-baseline-core
-    /// reference chip.
+    /// reference chip. Each workload is replayed once: the reference and
+    /// every candidate are priced from that one replay.
     ///
     /// # Errors
     ///
@@ -155,31 +151,31 @@ impl CmpDesigner {
         if mix.is_empty() {
             return Err("workload mix is empty".into());
         }
-        let reference = CmpSim::new(CmpFloorplan::baseline(8));
-        let ref_results: Vec<_> = mix
-            .iter()
-            .map(|w| reference.simulate(w, scale))
-            .collect::<Result<_, _>>()?;
-
-        let mut ranked = Vec::new();
-        for fp in self.candidates() {
-            let sim = CmpSim::new(fp.clone());
-            let mut time = 0.0;
-            let mut energy = 0.0;
-            let mut ed = 0.0;
-            for (w, base) in mix.iter().zip(&ref_results) {
-                let r = sim.simulate(w, scale)?;
-                time += r.time_s / base.time_s / mix.len() as f64;
-                energy += r.energy_j / base.energy_j / mix.len() as f64;
-                ed += r.ed / base.ed / mix.len() as f64;
-            }
-            ranked.push(DesignPoint {
+        // Means over the mix, summed in mix order.
+        let mut ranked: Vec<DesignPoint> = self
+            .candidates()
+            .into_iter()
+            .map(|fp| DesignPoint {
                 core_area_mm2: fp.estimate().core_area_mm2(),
                 floorplan: fp,
-                time,
-                energy,
-                ed,
-            });
+                time: 0.0,
+                energy: 0.0,
+                ed: 0.0,
+            })
+            .collect();
+        let sims: Vec<CmpSim> = std::iter::once(CmpFloorplan::baseline(8))
+            .chain(ranked.iter().map(|p| p.floorplan.clone()))
+            .map(CmpSim::new)
+            .collect();
+        let n = mix.len() as f64;
+        for w in mix {
+            let results = simulate_floorplans(&sims, w, scale, FetchModelKind::Penalty)?;
+            let (base, priced) = results.split_first().expect("the reference is priced");
+            for (p, r) in ranked.iter_mut().zip(priced) {
+                p.time += r.time_s / base.time_s / n;
+                p.energy += r.energy_j / base.energy_j / n;
+                p.ed += r.ed / base.ed / n;
+            }
         }
         ranked.sort_by(|a, b| {
             a.score(objective)
@@ -251,6 +247,63 @@ mod tests {
             .unwrap();
         for pair in design.ranked.windows(2) {
             assert!(pair[0].ed <= pair[1].ed + 1e-12);
+        }
+    }
+
+    /// The one-of-each reference: the reference chip and each candidate
+    /// priced from a replay of their own, summed candidate by candidate
+    /// in mix order. Candidates stay in enumeration order.
+    fn one_of_each(mix: &[Workload], scale: Scale) -> Vec<DesignPoint> {
+        let alone = |fp: &CmpFloorplan, w: &Workload| {
+            let sims = [CmpSim::new(fp.clone())];
+            simulate_floorplans(&sims, w, scale, FetchModelKind::Penalty)
+                .unwrap()
+                .remove(0)
+        };
+        let reference = CmpFloorplan::baseline(8);
+        let ref_results: Vec<_> = mix.iter().map(|w| alone(&reference, w)).collect();
+        let mut points = Vec::new();
+        for fp in CmpDesigner::paper_budget().candidates() {
+            let (mut time, mut energy, mut ed) = (0.0, 0.0, 0.0);
+            for (w, base) in mix.iter().zip(&ref_results) {
+                let r = alone(&fp, w);
+                time += r.time_s / base.time_s / mix.len() as f64;
+                energy += r.energy_j / base.energy_j / mix.len() as f64;
+                ed += r.ed / base.ed / mix.len() as f64;
+            }
+            points.push(DesignPoint {
+                core_area_mm2: fp.estimate().core_area_mm2(),
+                floorplan: fp,
+                time,
+                energy,
+                ed,
+            });
+        }
+        points
+    }
+
+    #[test]
+    fn one_replay_per_workload_prices_like_one_replay_per_floorplan() {
+        let mix = vec![find("FT").unwrap(), find("CoEVP").unwrap()];
+        let reference = one_of_each(&mix, Scale::Smoke);
+        for objective in [Objective::Time, Objective::Energy, Objective::EnergyDelay] {
+            let design = CmpDesigner::paper_budget()
+                .design(&mix, objective, Scale::Smoke)
+                .unwrap();
+            // Ranked by the same stable sort.
+            let mut expected = reference.clone();
+            expected.sort_by(|a, b| a.score(objective).partial_cmp(&b.score(objective)).unwrap());
+            assert_eq!(design.ranked.len(), expected.len());
+            for (got, want) in design.ranked.iter().zip(&expected) {
+                let name = &want.floorplan.name;
+                assert_eq!(
+                    got.floorplan, want.floorplan,
+                    "{objective:?}: rank of {name}"
+                );
+                let bits =
+                    |p: &DesignPoint| [p.core_area_mm2, p.time, p.energy, p.ed].map(f64::to_bits);
+                assert_eq!(bits(got), bits(want), "{objective:?}: {name}");
+            }
         }
     }
 

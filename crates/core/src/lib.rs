@@ -10,7 +10,8 @@
 //!    I-cache with wider lines, small predictor plus loop BP, small BTB);
 //! 3. **Evaluate** the tailored design's area/power savings and
 //!    performance cost ([`evaluate_tailoring`], [`TailoringReport`])
-//!    and whole-CMP designs ([`CmpSim`], [`CmpFloorplan`]).
+//!    and whole-CMP designs ([`CmpFloorplan`]s priced on a workload
+//!    from one replay by [`simulate_floorplans`]).
 //!
 //! # Quickstart
 //!
@@ -75,7 +76,7 @@ pub mod fetchsim {
     pub use rebalance_fetchsim::*;
 }
 
-pub use rebalance_coresim::{CmpResult, CmpSim, CoreModel};
+pub use rebalance_coresim::{simulate_floorplans, CmpResult, CmpSim, CoreModel, FetchModelKind};
 pub use rebalance_frontend::{CoreKind, FrontendConfig};
 pub use rebalance_mcpat::{CmpFloorplan, CoreEstimate};
 pub use rebalance_pintools::{characterize, Characterization};
@@ -86,7 +87,7 @@ pub mod prelude {
     pub use crate::designer::{CmpDesign, CmpDesigner, Objective};
     pub use crate::recommend::{Recommendation, Recommender};
     pub use crate::tailor::{evaluate_tailoring, TailoringReport};
-    pub use rebalance_coresim::{CmpSim, CoreModel};
+    pub use rebalance_coresim::{simulate_floorplans, CmpSim, CoreModel, FetchModelKind};
     pub use rebalance_frontend::{CoreKind, FrontendConfig};
     pub use rebalance_mcpat::{CmpFloorplan, CoreEstimate};
     pub use rebalance_pintools::{characterize, Characterization};

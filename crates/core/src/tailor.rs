@@ -34,7 +34,7 @@ impl TailoringReport {
 
 /// Evaluates a candidate front-end against the baseline core on one
 /// workload: silicon savings from the McPAT-lite models, performance from
-/// the interval core model.
+/// the interval core model (both cores priced from one replay).
 ///
 /// # Errors
 ///
@@ -58,9 +58,13 @@ pub fn evaluate_tailoring(
     let trace = workload.trace(scale)?;
     let backend = workload.profile().backend;
 
-    let baseline = CoreModel::new(CoreKind::Baseline).measure(&trace, &backend);
-    let tailored =
-        CoreModel::with_frontend(CoreKind::Tailored, *frontend).measure(&trace, &backend);
+    let models = [
+        CoreModel::new(CoreKind::Baseline),
+        CoreModel::with_frontend(CoreKind::Tailored, *frontend),
+    ];
+    let [baseline, tailored] = CoreModel::measure_many(&models, &trace, &backend)
+        .try_into()
+        .expect("one timing per model");
 
     let base_est = CoreEstimate::for_core(CoreKind::Baseline);
     let tail_est = CoreEstimate::for_frontend(frontend);

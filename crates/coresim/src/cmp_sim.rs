@@ -78,7 +78,7 @@ pub fn floorplan_results(
 ) -> Vec<CmpResult> {
     let timings: HashMap<CoreKind, CoreTiming> = timings.iter().map(|t| (t.kind, *t)).collect();
     sims.iter()
-        .map(|sim| sim.result_from_timings(workload_name, sections, &timings))
+        .map(|sim| sim.result(workload_name, sections, &timings))
         .collect()
 }
 
@@ -108,19 +108,22 @@ pub struct CmpResult {
     pub ed: f64,
 }
 
-/// Simulates workloads on one CMP floorplan.
+/// One CMP floorplan to simulate workloads on. A workload is priced on
+/// every floorplan of interest at once, from one replay
+/// ([`simulate_floorplans`]).
 ///
 /// # Examples
 ///
 /// ```
-/// use rebalance_coresim::CmpSim;
+/// use rebalance_coresim::{simulate_floorplans, CmpSim, FetchModelKind};
 /// use rebalance_mcpat::CmpFloorplan;
 /// use rebalance_workloads::{find, Scale};
 ///
-/// let sim = CmpSim::new(CmpFloorplan::tailored(8));
-/// let r = sim.simulate(&find("LU").unwrap(), Scale::Smoke).unwrap();
-/// assert!(r.time_s > 0.0);
-/// assert!(r.energy_j > 0.0);
+/// let sims = [CmpFloorplan::baseline(8), CmpFloorplan::tailored(8)].map(CmpSim::new);
+/// let lu = find("LU").unwrap();
+/// let r = simulate_floorplans(&sims, &lu, Scale::Smoke, FetchModelKind::Penalty).unwrap();
+/// assert!(r[1].time_s > 0.0);
+/// assert!(r[1].power_w < r[0].power_w, "the tailored chip draws less");
 /// ```
 #[derive(Debug, Clone)]
 pub struct CmpSim {
@@ -156,35 +159,10 @@ impl CmpSim {
             .unwrap_or(0)
     }
 
-    /// Simulates one workload end to end.
-    ///
-    /// For several floorplans over the same workload, prefer
-    /// [`simulate_floorplans`] directly — it measures all core designs
-    /// in one shared replay. This is that path for a single floorplan,
-    /// on the default [`FetchModelKind::Penalty`] timing backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates workload synthesis errors (invalid profile or scale).
-    pub fn simulate(&self, workload: &Workload, scale: Scale) -> Result<CmpResult, String> {
-        let mut results = simulate_floorplans(
-            std::slice::from_ref(self),
-            workload,
-            scale,
-            FetchModelKind::Penalty,
-        )?;
-        Ok(results.remove(0))
-    }
-
-    /// Computes this floorplan's result from per-core-kind timings that
-    /// were measured elsewhere (typically shared across floorplans) and
-    /// the master thread's per-section instruction counts (from a live
-    /// trace's schedule or a snapshot's footer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `timings` lacks a core kind this floorplan uses.
-    pub fn result_from_timings(
+    /// This floorplan's result from per-core-kind timings measured
+    /// once for every floorplan of the replay, and the master thread's
+    /// per-section instruction counts.
+    fn result(
         &self,
         workload_name: &str,
         sections: BySection<u64>,
@@ -262,14 +240,21 @@ mod tests {
     use super::*;
     use rebalance_workloads::find;
 
-    fn sim_on(workload: &str, floorplan: CmpFloorplan) -> CmpResult {
-        sim_on_at(workload, floorplan, Scale::Smoke)
-    }
-
-    fn sim_on_at(workload: &str, floorplan: CmpFloorplan, scale: Scale) -> CmpResult {
-        CmpSim::new(floorplan)
-            .simulate(&find(workload).unwrap(), scale)
-            .unwrap()
+    /// `workload` on every floorplan of `floorplans`, from one replay.
+    fn sims_on<const N: usize>(
+        workload: &str,
+        floorplans: [CmpFloorplan; N],
+        scale: Scale,
+    ) -> [CmpResult; N] {
+        let sims = floorplans.map(CmpSim::new);
+        let results = simulate_floorplans(
+            &sims,
+            &find(workload).unwrap(),
+            scale,
+            FetchModelKind::Penalty,
+        )
+        .unwrap();
+        results.try_into().expect("one result per floorplan")
     }
 
     #[test]
@@ -281,8 +266,11 @@ mod tests {
 
     #[test]
     fn extra_core_speeds_up_parallel_workloads() {
-        let base = sim_on("FT", CmpFloorplan::baseline(8));
-        let aspp = sim_on("FT", CmpFloorplan::asymmetric(1, 8));
+        let [base, aspp] = sims_on(
+            "FT",
+            [CmpFloorplan::baseline(8), CmpFloorplan::asymmetric(1, 8)],
+            Scale::Smoke,
+        );
         assert!(
             aspp.time_s < base.time_s,
             "asym++ {} vs baseline {}",
@@ -298,8 +286,11 @@ mod tests {
     fn serial_heavy_workload_prefers_a_baseline_master() {
         // CoEVP (35% serial): tailored CMP pays on the serial section;
         // the asymmetric CMP recovers it. Needs a warmed-up trace.
-        let tailored = sim_on_at("CoEVP", CmpFloorplan::tailored(8), Scale::Quick);
-        let asym = sim_on_at("CoEVP", CmpFloorplan::asymmetric(1, 7), Scale::Quick);
+        let [tailored, asym] = sims_on(
+            "CoEVP",
+            [CmpFloorplan::tailored(8), CmpFloorplan::asymmetric(1, 7)],
+            Scale::Quick,
+        );
         assert!(
             asym.serial_time_s < tailored.serial_time_s,
             "asym serial {} vs tailored serial {}",
@@ -310,7 +301,7 @@ mod tests {
 
     #[test]
     fn spec_int_runs_serial_only() {
-        let r = sim_on("gcc", CmpFloorplan::baseline(8));
+        let [r] = sims_on("gcc", [CmpFloorplan::baseline(8)], Scale::Smoke);
         assert_eq!(r.parallel_time_s, 0.0);
         assert!(r.serial_time_s > 0.0);
         assert_eq!(r.time_s, r.serial_time_s);
@@ -320,16 +311,22 @@ mod tests {
     fn spec_int_unaffected_by_extra_tailored_cores() {
         // The serial job stays on the baseline master; more tailored
         // cores only add leakage.
-        let base = sim_on("astar", CmpFloorplan::baseline(8));
-        let asym = sim_on("astar", CmpFloorplan::asymmetric(1, 8));
+        let [base, asym] = sims_on(
+            "astar",
+            [CmpFloorplan::baseline(8), CmpFloorplan::asymmetric(1, 8)],
+            Scale::Smoke,
+        );
         assert!((asym.time_s - base.time_s).abs() / base.time_s < 1e-9);
         assert!(asym.power_w > 0.0);
     }
 
     #[test]
     fn tailored_cmp_saves_power_on_hpc() {
-        let base = sim_on("MG", CmpFloorplan::baseline(8));
-        let tail = sim_on("MG", CmpFloorplan::tailored(8));
+        let [base, tail] = sims_on(
+            "MG",
+            [CmpFloorplan::baseline(8), CmpFloorplan::tailored(8)],
+            Scale::Smoke,
+        );
         assert!(
             tail.power_w < base.power_w,
             "tailored {} vs baseline {}",
@@ -340,7 +337,7 @@ mod tests {
 
     #[test]
     fn energy_consistency() {
-        let r = sim_on("LU", CmpFloorplan::asymmetric(1, 7));
+        let [r] = sims_on("LU", [CmpFloorplan::asymmetric(1, 7)], Scale::Smoke);
         assert!((r.energy_j - r.power_w * r.time_s).abs() / r.energy_j < 1e-9);
         assert!((r.ed - r.energy_j * r.time_s).abs() / r.ed < 1e-9);
         assert!((r.time_s - (r.serial_time_s + r.parallel_time_s)).abs() < 1e-15);
@@ -348,7 +345,7 @@ mod tests {
 
     #[test]
     fn result_names() {
-        let r = sim_on("CG", CmpFloorplan::baseline(8));
+        let [r] = sims_on("CG", [CmpFloorplan::baseline(8)], Scale::Smoke);
         assert_eq!(r.workload, "CG");
         assert!(r.floorplan.contains("Baseline"));
     }

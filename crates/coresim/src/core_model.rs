@@ -77,8 +77,12 @@ impl CoreTiming {
 ///
 /// let cg = find("CG").unwrap();
 /// let trace = cg.trace(Scale::Smoke).unwrap();
-/// let timing = CoreModel::new(CoreKind::Tailored).measure(&trace, &cg.profile().backend);
-/// assert!(timing.parallel.cpi >= cg.profile().backend.base_cpi);
+/// let models = [CoreKind::Baseline, CoreKind::Tailored].map(CoreModel::new);
+/// let [baseline, tailored] = CoreModel::measure_many(&models, &trace, &cg.profile().backend)
+///     .try_into()
+///     .unwrap();
+/// assert!(tailored.parallel.cpi >= cg.profile().backend.base_cpi);
+/// assert!(tailored.parallel.cpi < baseline.parallel.cpi * 1.05, "CG loses little");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreModel {
@@ -166,17 +170,12 @@ impl CoreModel {
         FrontendKeys::of(std::slice::from_ref(self)).tools()
     }
 
-    /// Replays `trace` through this core's front-end structures and
-    /// derives per-section CPI with the workload's back-end profile.
-    pub fn measure(&self, trace: &SyntheticTrace, backend: &BackendProfile) -> CoreTiming {
-        CoreModel::measure_many(std::slice::from_ref(self), trace, backend)[0]
-    }
-
-    /// Measures several core designs over a **single** replay of
-    /// `trace`: the designs' configurations join one set of keyed
-    /// families ([`FrontendKeys`]), each measured once however many
-    /// designs name it, so the cost is one trace pass. Timings are
-    /// returned in `models` order.
+    /// Measures core designs over a **single** replay of `trace`: the
+    /// designs' configurations join one set of keyed families
+    /// ([`FrontendKeys`]), each measured once however many designs name
+    /// it, so the cost is one trace pass. Per-section CPI comes from
+    /// the workload's back-end profile. Timings are returned in
+    /// `models` order.
     pub fn measure_many(
         models: &[CoreModel],
         trace: &SyntheticTrace,
@@ -284,21 +283,30 @@ mod tests {
     use super::*;
     use rebalance_workloads::{find, Scale};
 
-    fn measure(workload: &str, kind: CoreKind) -> CoreTiming {
-        measure_at(workload, kind, Scale::Smoke)
-    }
-
-    /// Structure-warmup-sensitive comparisons need longer traces.
-    fn measure_at(workload: &str, kind: CoreKind, scale: Scale) -> CoreTiming {
+    /// `workload` at `scale` on every core of `kinds`, from one replay.
+    /// Structure-warmup-sensitive comparisons need longer traces than
+    /// smoke.
+    fn timings<const N: usize>(
+        workload: &str,
+        kinds: [CoreKind; N],
+        scale: Scale,
+    ) -> [CoreTiming; N] {
         let w = find(workload).unwrap();
         let trace = w.trace(scale).unwrap();
-        CoreModel::new(kind).measure(&trace, &w.profile().backend)
+        let models = kinds.map(CoreModel::new);
+        let timings = CoreModel::measure_many(&models, &trace, &w.profile().backend);
+        timings.try_into().expect("one timing per model")
+    }
+
+    /// The one-model call: `model` priced from a replay of its own.
+    fn alone(model: CoreModel, trace: &SyntheticTrace, backend: &BackendProfile) -> CoreTiming {
+        CoreModel::measure_many(&[model], trace, backend)[0]
     }
 
     #[test]
     fn cpi_includes_backend_floor() {
         let w = find("swim").unwrap();
-        let t = measure("swim", CoreKind::Baseline);
+        let [t] = timings("swim", [CoreKind::Baseline], Scale::Smoke);
         let floor = w.profile().backend.base_cpi + w.profile().backend.data_stall_cpi;
         assert!(t.parallel.cpi >= floor);
         assert!(t.parallel.cpi < floor + 1.0, "front-end stalls are modest");
@@ -309,8 +317,8 @@ mod tests {
         // The paper's core claim: SPEC OMP/NPB lose <1% on the tailored
         // core. Allow a few percent at smoke scale.
         for name in ["swim", "ilbdc", "CG", "FT"] {
-            let base = measure(name, CoreKind::Baseline);
-            let tail = measure(name, CoreKind::Tailored);
+            let [base, tail] =
+                timings(name, [CoreKind::Baseline, CoreKind::Tailored], Scale::Smoke);
             let ratio = tail.parallel.cpi / base.parallel.cpi;
             assert!(
                 ratio < 1.04,
@@ -326,8 +334,11 @@ mod tests {
         // magnitude here is smaller than the paper's ~8% because our
         // synthetic desktop code retains more spatial locality than
         // real binaries (see EXPERIMENTS.md, known deviations).
-        let base = measure_at("gcc", CoreKind::Baseline, Scale::Quick);
-        let tail = measure_at("gcc", CoreKind::Tailored, Scale::Quick);
+        let [base, tail] = timings(
+            "gcc",
+            [CoreKind::Baseline, CoreKind::Tailored],
+            Scale::Quick,
+        );
         assert!(
             tail.serial.cpi > base.serial.cpi * 1.005,
             "gcc: {} vs {}",
@@ -338,7 +349,7 @@ mod tests {
 
     #[test]
     fn sections_are_measured_separately() {
-        let t = measure("CoEVP", CoreKind::Baseline);
+        let [t] = timings("CoEVP", [CoreKind::Baseline], Scale::Smoke);
         assert!(t.serial.insts > 0);
         assert!(t.parallel.insts > 0);
         assert_eq!(t.section(Section::Serial).insts, t.serial.insts);
@@ -347,7 +358,7 @@ mod tests {
 
     #[test]
     fn activity_is_bounded() {
-        let t = measure("mcf", CoreKind::Baseline);
+        let [t] = timings("mcf", [CoreKind::Baseline], Scale::Smoke);
         assert!(t.serial.activity() > 0.0);
         assert!(t.serial.activity() <= 1.25);
         assert!(t.serial.ipc() < 1.0, "mcf is memory bound");
@@ -366,7 +377,7 @@ mod tests {
         ];
         let fanned = CoreModel::measure_many(&models, &trace, &backend);
         for (model, timing) in models.iter().zip(&fanned) {
-            assert_eq!(*timing, model.measure(&trace, &backend));
+            assert_eq!(*timing, alone(*model, &trace, &backend));
         }
     }
 
@@ -416,15 +427,16 @@ mod tests {
     fn custom_penalties_shift_cpi() {
         let w = find("gobmk").unwrap();
         let trace = w.trace(Scale::Smoke).unwrap();
-        let cheap = CoreModel::new(CoreKind::Tailored)
-            .with_penalties(Penalties {
-                branch_mispredict: 1.0,
-                btb_miss: 1.0,
-                ras_miss: 1.0,
-                icache_miss: 1.0,
-            })
-            .measure(&trace, &w.profile().backend);
-        let dear = CoreModel::new(CoreKind::Tailored).measure(&trace, &w.profile().backend);
+        let cheap = CoreModel::new(CoreKind::Tailored).with_penalties(Penalties {
+            branch_mispredict: 1.0,
+            btb_miss: 1.0,
+            ras_miss: 1.0,
+            icache_miss: 1.0,
+        });
+        let dear = CoreModel::new(CoreKind::Tailored);
+        let [cheap, dear] = CoreModel::measure_many(&[cheap, dear], &trace, &w.profile().backend)
+            .try_into()
+            .unwrap();
         assert!(dear.serial.cpi > cheap.serial.cpi);
     }
 
@@ -461,9 +473,11 @@ mod tests {
         let w = find("swim").unwrap();
         let trace = w.trace(Scale::Smoke).unwrap();
         let backend = w.profile().backend;
-        let t = CoreModel::new(CoreKind::Baseline)
-            .with_penalties(Penalties::zero())
-            .measure(&trace, &backend);
+        let t = alone(
+            CoreModel::new(CoreKind::Baseline).with_penalties(Penalties::zero()),
+            &trace,
+            &backend,
+        );
         let floor = backend.base_cpi + backend.data_stall_cpi;
         for section in [Section::Serial, Section::Parallel] {
             let s = t.section(section);
@@ -483,11 +497,11 @@ mod tests {
         let w = find("gcc").unwrap();
         let trace = w.trace(Scale::Smoke).unwrap();
         let backend = w.profile().backend;
-        for model in [
+        let models = [
             CoreModel::new(CoreKind::Baseline),
             CoreModel::new(CoreKind::Baseline).with_fetch_model(FetchModelKind::Ftq),
-        ] {
-            let t = model.measure(&trace, &backend);
+        ];
+        for t in CoreModel::measure_many(&models, &trace, &backend) {
             let p = t.parallel;
             assert_eq!(p.insts, 0, "gcc never enters a parallel section");
             assert_eq!(p.bp_mpki, 0.0);
@@ -510,10 +524,13 @@ mod tests {
             let w = find(name).unwrap();
             let trace = w.trace(Scale::Smoke).unwrap();
             let backend = w.profile().backend;
-            let penalty = CoreModel::new(CoreKind::Baseline).measure(&trace, &backend);
-            let ftq = CoreModel::new(CoreKind::Baseline)
-                .with_fetch_model(FetchModelKind::Ftq)
-                .measure(&trace, &backend);
+            let models = [
+                CoreModel::new(CoreKind::Baseline),
+                CoreModel::new(CoreKind::Baseline).with_fetch_model(FetchModelKind::Ftq),
+            ];
+            let [penalty, ftq] = CoreModel::measure_many(&models, &trace, &backend)
+                .try_into()
+                .unwrap();
             let floor = backend.base_cpi + backend.data_stall_cpi;
             assert!(ftq.parallel.cpi >= floor, "{name}");
             assert!(
@@ -541,7 +558,7 @@ mod tests {
         ];
         let fanned = CoreModel::measure_many(&models, &trace, &backend);
         for (model, timing) in models.iter().zip(&fanned) {
-            assert_eq!(*timing, model.measure(&trace, &backend));
+            assert_eq!(*timing, alone(*model, &trace, &backend));
         }
     }
 }

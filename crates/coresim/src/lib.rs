@@ -17,16 +17,24 @@
 //!    Amdahl composition over heterogeneous cores. Power integrates
 //!    per-core activity over both phases (idle cores still leak).
 //!
+//! A live trace is priced from one replay however many designs ask:
+//! [`CoreModel::measure_many`] times several cores, and
+//! [`simulate_floorplans`] prices several floorplans.
+//!
 //! # Examples
 //!
 //! ```
-//! use rebalance_coresim::CmpSim;
+//! use rebalance_coresim::{simulate_floorplans, CmpSim, FetchModelKind};
 //! use rebalance_mcpat::CmpFloorplan;
 //! use rebalance_workloads::{find, Scale};
 //!
+//! // Both chips are priced from one replay of FT.
+//! let sims = [CmpFloorplan::baseline(8), CmpFloorplan::asymmetric(1, 8)].map(CmpSim::new);
 //! let ft = find("FT").unwrap();
-//! let baseline = CmpSim::new(CmpFloorplan::baseline(8)).simulate(&ft, Scale::Smoke).unwrap();
-//! let asym_pp = CmpSim::new(CmpFloorplan::asymmetric(1, 8)).simulate(&ft, Scale::Smoke).unwrap();
+//! let [baseline, asym_pp] = simulate_floorplans(&sims, &ft, Scale::Smoke, FetchModelKind::Penalty)
+//!     .unwrap()
+//!     .try_into()
+//!     .unwrap();
 //! assert!(asym_pp.time_s < baseline.time_s, "an extra core buys time");
 //! ```
 

@@ -1,7 +1,7 @@
 //! The exhibit driver behind the `rebalance paper` subcommand: one
 //! table of exhibits, each naming the workloads and measurements it
 //! reads and rendering them with a pure aggregation, all fed by one
-//! fused roster pass ([`pass::measure`]). Also scale parsing.
+//! fused roster pass ([`pass::measure_items`]). Also scale parsing.
 
 use std::io::Write;
 use std::path::Path;
@@ -279,7 +279,7 @@ pub fn run_exhibits(
         .filter(|(_, needs)| !needs.is_empty())
         .collect();
     let sampling = run.sampling.unwrap_or_default();
-    let records = pass::measure(run, scale, &sampling, items)?;
+    let records = pass::measure_items(run, scale, &sampling, items)?;
     let ablations = if selected.iter().any(|e| e.needs.contains(&Ablations)) {
         crate::ablations::run_all(run, scale)?
     } else {

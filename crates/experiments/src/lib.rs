@@ -20,7 +20,7 @@
 //! nothing. The driver's exhibit table names, per exhibit, the
 //! workloads and measurements it reads; [`driver::run_exhibits`]
 //! replays each workload the selected exhibits read once through the
-//! union of their tools ([`pass::measure`]), on a [`util::Run`]: the
+//! union of their tools ([`pass::measure_items`]), on a [`util::Run`]: the
 //! one value that carries a run's sweep engine, trace cache, suite
 //! filter, sampling geometry and CPI fetch model. The `rebalance paper`
 //! subcommand builds the run from its flags:

@@ -233,7 +233,7 @@ impl Record {
 /// # Errors
 ///
 /// The first item's [`RunError`], in item order.
-pub fn measure(
+pub fn measure_items(
     run: &Run,
     scale: Scale,
     sampling: &SamplingConfig,
@@ -245,11 +245,11 @@ pub fn measure(
     measured.into_iter().collect()
 }
 
-/// [`measure`] with the same `needs` for every workload.
+/// [`measure_items`] with the same `needs` for every workload.
 ///
 /// # Errors
 ///
-/// As for [`measure`].
+/// As for [`measure_items`].
 pub fn measure_all(
     run: &Run,
     workloads: Vec<Workload>,
@@ -258,7 +258,7 @@ pub fn measure_all(
     needs: &[Need],
 ) -> Result<Vec<Record>, RunError> {
     let items = workloads.into_iter().map(|w| (w, needs.to_vec())).collect();
-    measure(run, scale, sampling, items)
+    measure_items(run, scale, sampling, items)
 }
 
 fn measure_one(

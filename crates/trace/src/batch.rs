@@ -893,10 +893,12 @@ mod tests {
     }
 
     /// Says it reads only branches, but keeps the default `on_batch`,
-    /// which replays plain events too.
+    /// which replays plain events too. Only debug builds catch it.
+    #[cfg(debug_assertions)]
     #[derive(Default)]
     struct ClaimsBranchOnly(Recorder);
 
+    #[cfg(debug_assertions)]
     impl Pintool for ClaimsBranchOnly {
         fn on_inst(&mut self, ev: &TraceEvent) {
             self.0.on_inst(ev);

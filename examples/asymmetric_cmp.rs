@@ -27,12 +27,9 @@ fn main() -> Result<(), String> {
             let workloads = rebalance::workloads::by_suite(suite);
             let mut norm = [0.0f64; 4];
             for w in &workloads {
-                let times: Vec<f64> = sims
-                    .iter()
-                    .map(|s| s.simulate(w, scale).expect("valid roster").time_s)
-                    .collect();
-                for (i, t) in times.iter().enumerate() {
-                    norm[i] += t / times[0] / workloads.len() as f64;
+                let results = simulate_floorplans(&sims, w, scale, FetchModelKind::Penalty)?;
+                for (i, r) in results.iter().enumerate() {
+                    norm[i] += r.time_s / results[0].time_s / workloads.len() as f64;
                 }
             }
             println!(
@@ -58,10 +55,9 @@ fn main() -> Result<(), String> {
         "{:<28} {:>9} {:>8} {:>8} {:>9} {:>8}",
         "CMP", "time", "serial", "parallel", "power W", "ED"
     );
-    let mut baseline_time = None;
-    for sim in &sims {
-        let r = sim.simulate(&workload, scale)?;
-        let base = *baseline_time.get_or_insert(r.time_s);
+    let results = simulate_floorplans(&sims, &workload, scale, FetchModelKind::Penalty)?;
+    let base = results[0].time_s;
+    for r in &results {
         println!(
             "{:<28} {:>8.3}x {:>7.1}% {:>7.1}% {:>9.2} {:>8.3}x",
             r.floorplan,

@@ -3,9 +3,18 @@
 
 use rebalance::prelude::*;
 
-fn simulate(name: &str, floorplan: CmpFloorplan, scale: Scale) -> rebalance::CmpResult {
+/// `name` on every floorplan of `floorplans`, from one replay.
+fn price<const N: usize>(
+    name: &str,
+    floorplans: [CmpFloorplan; N],
+    scale: Scale,
+) -> [rebalance::CmpResult; N] {
     let w = rebalance::workloads::find(name).unwrap();
-    CmpSim::new(floorplan).simulate(&w, scale).unwrap()
+    let sims = floorplans.map(CmpSim::new);
+    simulate_floorplans(&sims, &w, scale, FetchModelKind::Penalty)
+        .unwrap()
+        .try_into()
+        .expect("one result per floorplan")
 }
 
 #[test]
@@ -36,8 +45,11 @@ fn headline_savings_from_the_abstract() {
 fn asymmetric_pp_beats_baseline_on_npb() {
     // Paper: ~12% average speedup, up to 20% (FT).
     for name in ["FT", "LU", "MG"] {
-        let base = simulate(name, CmpFloorplan::baseline(8), Scale::Smoke);
-        let aspp = simulate(name, CmpFloorplan::asymmetric(1, 8), Scale::Smoke);
+        let [base, aspp] = price(
+            name,
+            [CmpFloorplan::baseline(8), CmpFloorplan::asymmetric(1, 8)],
+            Scale::Smoke,
+        );
         let speedup = 1.0 - aspp.time_s / base.time_s;
         assert!(
             (0.05..=0.20).contains(&speedup),
@@ -50,10 +62,15 @@ fn asymmetric_pp_beats_baseline_on_npb() {
 fn coevp_recovers_with_an_asymmetric_master() {
     // Paper Figure 11: CoEVP suffers on the all-tailored CMP but the
     // asymmetric design restores baseline-level performance.
-    let scale = Scale::Quick;
-    let base = simulate("CoEVP", CmpFloorplan::baseline(8), scale);
-    let tailored = simulate("CoEVP", CmpFloorplan::tailored(8), scale);
-    let asym = simulate("CoEVP", CmpFloorplan::asymmetric(1, 7), scale);
+    let [base, tailored, asym] = price(
+        "CoEVP",
+        [
+            CmpFloorplan::baseline(8),
+            CmpFloorplan::tailored(8),
+            CmpFloorplan::asymmetric(1, 7),
+        ],
+        Scale::Quick,
+    );
     assert!(
         tailored.time_s > base.time_s,
         "tailored {} vs baseline {}",
@@ -70,8 +87,11 @@ fn coevp_recovers_with_an_asymmetric_master() {
 
 #[test]
 fn tailored_cmp_saves_energy_on_regular_hpc() {
-    let base = simulate("ilbdc", CmpFloorplan::baseline(8), Scale::Smoke);
-    let tailored = simulate("ilbdc", CmpFloorplan::tailored(8), Scale::Smoke);
+    let [base, tailored] = price(
+        "ilbdc",
+        [CmpFloorplan::baseline(8), CmpFloorplan::tailored(8)],
+        Scale::Smoke,
+    );
     assert!(tailored.energy_j < base.energy_j);
     assert!(tailored.power_w < base.power_w);
     // Time within 3% (paper: <1% for SPEC OMP/NPB at full scale).
@@ -80,8 +100,11 @@ fn tailored_cmp_saves_energy_on_regular_hpc() {
 
 #[test]
 fn ed_product_favours_asymmetric_pp() {
-    let base = simulate("SP", CmpFloorplan::baseline(8), Scale::Smoke);
-    let aspp = simulate("SP", CmpFloorplan::asymmetric(1, 8), Scale::Smoke);
+    let [base, aspp] = price(
+        "SP",
+        [CmpFloorplan::baseline(8), CmpFloorplan::asymmetric(1, 8)],
+        Scale::Smoke,
+    );
     assert!(
         aspp.ed < base.ed,
         "asym++ ED {} vs baseline {}",
@@ -92,7 +115,7 @@ fn ed_product_favours_asymmetric_pp() {
 
 #[test]
 fn results_are_deterministic() {
-    let a = simulate("CG", CmpFloorplan::asymmetric(1, 7), Scale::Smoke);
-    let b = simulate("CG", CmpFloorplan::asymmetric(1, 7), Scale::Smoke);
+    let [a] = price("CG", [CmpFloorplan::asymmetric(1, 7)], Scale::Smoke);
+    let [b] = price("CG", [CmpFloorplan::asymmetric(1, 7)], Scale::Smoke);
     assert_eq!(a, b);
 }

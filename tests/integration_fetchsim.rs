@@ -212,10 +212,13 @@ fn ftq_backend_cross_validates_against_the_penalty_backend() {
         let trace = w.trace(Scale::Smoke).unwrap();
         let backend = w.profile().backend;
         let floor = backend.base_cpi + backend.data_stall_cpi;
-        let penalty = CoreModel::new(CoreKind::Baseline).measure(&trace, &backend);
-        let ftq = CoreModel::new(CoreKind::Baseline)
-            .with_fetch_model(FetchModelKind::Ftq)
-            .measure(&trace, &backend);
+        let models = [
+            CoreModel::new(CoreKind::Baseline),
+            CoreModel::new(CoreKind::Baseline).with_fetch_model(FetchModelKind::Ftq),
+        ];
+        let [penalty, ftq] = CoreModel::measure_many(&models, &trace, &backend)
+            .try_into()
+            .expect("one timing per model");
         let section = if w.suite().has_parallel_sections() {
             rebalance::trace::Section::Parallel
         } else {
