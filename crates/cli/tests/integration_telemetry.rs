@@ -260,21 +260,21 @@ fn metrics_text_prints_span_tree_and_counters() {
     let _ = std::fs::remove_dir_all(cache);
 }
 
-/// A warm replay gathers a branch slice out of full batches (the `fill`
-/// span) only when one of its tools reads every event, and no tool a
-/// command runs does. `paper fig5` measures predictors alone: its empty
-/// I-cache bank and fetch grid read nothing, so it decodes into
-/// branch-only batches. `sweep --model` puts the cores' I-caches and
+/// Every warm replay decodes into batches of one of two shapes, and
+/// both carry every event into the run's lanes. `paper fig5` measures
+/// predictors alone: its empty I-cache bank and fetch grid read
+/// nothing, so it decodes into branch-only batches, which only count
+/// plain instructions. `sweep --model` puts the cores' I-caches and
 /// fetch grid on the same replay as the bank; they read plain runs, so
-/// it decodes into run batches, whose lanes still carry every event.
-/// And a warm `paper` synthesizes no program: the static footprint
-/// Figure 3 needs comes from the snapshot footer.
+/// it decodes into run batches. Either way the lanes hold the snapshot
+/// footers' totals. And a warm `paper` synthesizes no program: the
+/// static footprint Figure 3 needs comes from the snapshot footer.
 #[test]
-fn only_replays_with_an_every_event_tool_fill_full_batches() {
-    let json = scratch("fill-json");
+fn warm_replays_count_every_event_in_their_lanes_and_synthesize_nothing() {
+    let json = scratch("lanes-json");
     let metrics_arg = format!("json={}", json.join("metrics.json").display());
     let warm_metrics = |tag: &str, args: &[&str]| {
-        let cache = scratch(&format!("fill-cache-{tag}"));
+        let cache = scratch(&format!("lanes-cache-{tag}"));
         let mut argv = args.to_vec();
         argv.extend(["--cache", cache.to_str().unwrap()]);
         run(&argv);
@@ -285,33 +285,31 @@ fn only_replays_with_an_every_event_tool_fill_full_batches() {
         (m, cache)
     };
     let roots = |m: &Value| m.get("spans").and_then(|s| s.get("children")).cloned();
-    let fills = |m: &Value| {
+    let assert_lanes_hold_the_footers = |label: &str, m: &Value, cache: &Path| {
         let roots = roots(m).expect("span roots");
         let decode = find_span("decode", &roots).expect("a warm replay decodes");
         child(decode, "tools").expect("decode/tools");
-        child(decode, "fill").is_some()
+        let lanes = |key: &str| {
+            m.get("report")
+                .and_then(|r| r.get("lanes"))
+                .and_then(|l| l.get(key))
+                .and_then(Value::as_u64)
+                .unwrap_or_else(|| panic!("report.lanes.{key}"))
+        };
+        let (instructions, branches) = footer_totals(cache);
+        assert_eq!(lanes("instructions"), instructions, "{label}");
+        assert_eq!(lanes("branches"), branches, "{label}");
     };
 
     let (fig5, cache) = warm_metrics("fig5", &["paper", "fig5", "--suite", "npb"]);
-    assert!(!fills(&fig5), "paper fig5 decodes branch-only batches");
+    assert_lanes_hold_the_footers("paper fig5: branch-only batches", &fig5, &cache);
     let _ = std::fs::remove_dir_all(cache);
 
     let (model, cache) = warm_metrics(
         "model",
         &["sweep", "--workloads", "CG", "--model", "penalty"],
     );
-    assert!(!fills(&model), "sweep --model decodes run batches");
-    let lanes = |key: &str| {
-        model
-            .get("report")
-            .and_then(|r| r.get("lanes"))
-            .and_then(|l| l.get(key))
-            .and_then(Value::as_u64)
-            .unwrap_or_else(|| panic!("report.lanes.{key}"))
-    };
-    let (instructions, branches) = footer_totals(&cache);
-    assert_eq!(lanes("instructions"), instructions);
-    assert_eq!(lanes("branches"), branches);
+    assert_lanes_hold_the_footers("sweep --model: run batches", &model, &cache);
     let _ = std::fs::remove_dir_all(cache);
 
     let (paper, cache) = warm_metrics("paper", &["paper", "fig3", "fig8", "--suite", "npb"]);
@@ -321,7 +319,6 @@ fn only_replays_with_an_every_event_tool_fill_full_batches() {
         find_span("synth", &roots).is_none(),
         "a warm paper synthesizes nothing: {roots:?}"
     );
-    assert!(!fills(&paper), "paper decodes run batches");
     let _ = std::fs::remove_dir_all(cache);
     let _ = std::fs::remove_dir_all(json);
 }

@@ -227,7 +227,7 @@ mod tests {
         let ftq = CoreModel::new(CoreKind::Tailored).with_fetch_model(FetchModelKind::Ftq);
         assert_eq!(
             ftq.fetch_tools().need(),
-            Need::Runs,
+            Need::Events,
             "a fetch grid reads runs"
         );
     }

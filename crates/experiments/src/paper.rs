@@ -118,22 +118,6 @@ pub fn fig10_time(suite: Suite) -> (f64, f64, f64) {
     }
 }
 
-/// Headline claims from the abstract.
-pub mod headline {
-    /// Tailored core area saving.
-    pub const AREA_SAVING: f64 = 0.16;
-    /// Tailored core power saving.
-    pub const POWER_SAVING: f64 = 0.07;
-    /// Asymmetric++ average execution-time reduction on HPC.
-    pub const ASYM_PP_SPEEDUP: f64 = 0.12;
-    /// Asymmetric++ power increase vs the baseline CMP.
-    pub const ASYM_PP_POWER: f64 = 0.04;
-    /// Asymmetric++ energy saving.
-    pub const ASYM_PP_ENERGY: f64 = 0.08;
-    /// Asymmetric++ ED-product reduction.
-    pub const ASYM_PP_ED: f64 = 0.18;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -318,7 +318,7 @@ fn measure_one(
             None => run.snapshot(w, scale)?,
         };
         let sampled = vec![tools(needs, run, true, &keys)];
-        let outcome = run.replay_sampled(sampling, w, scale, &owned, sampled)?;
+        let outcome = run.replay_sampled(sampling, w, &owned, sampled)?;
         let reports = reports(&keys, &outcome.tools[0]);
         record.read_exhibits(&exhibit_keys(needs, run, true), &reports);
         record.replayed_fraction = outcome.plan.replayed_fraction();

@@ -250,16 +250,14 @@ impl Run {
         &self,
         config: &SamplingConfig,
         workload: &Workload,
-        scale: Scale,
         owned: &OwnedSnapshot,
         tools: Vec<T>,
     ) -> Result<SampledOutcome<Workload, T>, RunError> {
-        let key = workload.trace_key(scale);
         let fingerprinter = || BbvTool::new(config.dims);
         let (tools, replay, plan) = self
             .engine
-            .replay_sampled(&key, &owned.snapshot(), config, tools, fingerprinter)
-            .map_err(|source| RunError::replay(workload, source))?;
+            .replay_sampled(&owned.snapshot(), config, tools, fingerprinter)
+            .map_err(|e| RunError::replay(workload, e.into()))?;
         Ok(SampledOutcome {
             item: workload.clone(),
             tools,
@@ -293,7 +291,7 @@ impl Run {
     {
         let measured = self.engine.map(&workloads, |w| {
             let owned = self.snapshot(w, scale)?;
-            self.replay_sampled(config, w, scale, &owned, tools_for(w))
+            self.replay_sampled(config, w, &owned, tools_for(w))
         });
         measured.into_iter().collect()
     }

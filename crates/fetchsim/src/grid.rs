@@ -380,7 +380,7 @@ impl FetchGrid {
     }
 }
 
-/// The grid reads a batch as pieces ([`Need::Runs`]), and an event
+/// The grid reads a batch as pieces ([`EventBatch::pieces`]), and an event
 /// delivered alone as a piece of one: a branch goes through the branch
 /// unit and every block stream, and a plain run joins each stream a
 /// fetch-width piece at a time, its instruction lengths read only where
@@ -424,7 +424,7 @@ impl Pintool for FetchGrid {
         if self.streams.is_empty() {
             Need::Branches
         } else {
-            Need::Runs
+            Need::Events
         }
     }
 }
@@ -504,7 +504,7 @@ mod tests {
     fn only_a_grid_with_design_points_reads_every_event() {
         assert_eq!(FetchGrid::new(&[]).need(), Need::Branches);
         let tailored = FetchConfig::for_core(CoreKind::Tailored);
-        assert_eq!(FetchGrid::new(&[tailored]).need(), Need::Runs);
+        assert_eq!(FetchGrid::new(&[tailored]).need(), Need::Events);
     }
 
     #[test]

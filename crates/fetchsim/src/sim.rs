@@ -4,17 +4,20 @@
 
 use std::fmt;
 
-use rebalance_trace::{EventBatch, Pintool, TraceEvent};
+use rebalance_trace::{Pintool, TraceEvent};
 
 use crate::config::FetchConfig;
 use crate::report::FetchReport;
 use crate::stages::{Block, BlockStream, BranchUnit, Ledger, LineCache, Redirect, Timing};
 
-/// The decoupled front-end simulator as a batched
+/// The decoupled front-end simulator as a
 /// [`Pintool`](rebalance_trace::Pintool): attach it to a trace replay
-/// and read the [`FetchReport`] afterwards. To time many design points
-/// over one replay, use a [`FetchGrid`](crate::FetchGrid), which shares
-/// the stages the points have in common.
+/// and read the [`FetchReport`] afterwards. It steps one event at a
+/// time: batched delivery reaches it through the default
+/// [`Pintool::on_batch`], which expands each run batch into its events.
+/// To time many design points over one replay, use a
+/// [`FetchGrid`](crate::FetchGrid), which shares the stages the points
+/// have in common and reads the runs directly.
 ///
 /// # Examples
 ///
@@ -145,16 +148,6 @@ fn serve(
 impl Pintool for FetchSim {
     fn on_inst(&mut self, ev: &TraceEvent) {
         self.step(ev);
-    }
-
-    /// Hot path: a tight statically-dispatched loop over every event
-    /// (block assembly needs each pc/len, so there is no slice to skip
-    /// to — the same situation as
-    /// [`ICacheSim`](rebalance_frontend::ICacheSim)).
-    fn on_batch(&mut self, batch: &EventBatch) {
-        for ev in batch.events() {
-            self.step(ev);
-        }
     }
 
     /// Settles the open block so the window ends on a block edge, then

@@ -682,7 +682,7 @@ impl Member {
 ///
 /// [`Pintool::on_inst`] is the per-event oracle; [`Pintool::on_batch`]
 /// is an [`ICacheBank`] of one, the same line walk over the batch's
-/// runs and branches ([`Need::Runs`]) and the same consumer.
+/// runs and branches ([`EventBatch::pieces`]) and the same consumer.
 ///
 /// # Examples
 ///
@@ -826,11 +826,6 @@ impl Pintool for ICacheSim {
     fn supports_sampled_replay(&self) -> bool {
         true
     }
-
-    /// `on_batch` reads the batch's pieces and section counts.
-    fn need(&self) -> Need {
-        Need::Runs
-    }
 }
 
 /// A set of I-cache geometries over one replay, walking each distinct
@@ -839,7 +834,7 @@ impl Pintool for ICacheSim {
 ///
 /// The line-buffer walk (the in-line check, the byte-mask OR and the
 /// taken-branch-out check per branch and per sequential run of plain
-/// instructions, [`Need::Runs`]) depends only on the line size, and it
+/// instructions, [`EventBatch::pieces`]) depends only on the line size, and it
 /// is most of an [`ICacheSim`]'s cost. So the bank builds each stage
 /// once per distinct key, the rule `PredictorBank` and
 /// `rebalance-fetchsim`'s `FetchGrid` follow:
@@ -994,7 +989,7 @@ impl Pintool for ICacheBank {
         if self.groups.is_empty() {
             Need::Branches
         } else {
-            Need::Runs
+            Need::Events
         }
     }
 }
@@ -1246,9 +1241,9 @@ mod tests {
         assert_eq!(ICacheBank::new(&[]).need(), Need::Branches);
         assert_eq!(
             ICacheBank::new(&[CacheConfig::default()]).need(),
-            Need::Runs
+            Need::Events
         );
-        assert_eq!(ICacheSim::new(CacheConfig::default()).need(), Need::Runs);
+        assert_eq!(ICacheSim::new(CacheConfig::default()).need(), Need::Events);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Figure 4: average basic-block length and distance between taken
 //! branches, in bytes.
 
-use rebalance_trace::{EventBatch, Need, Piece, Pintool, Section, TraceEvent};
+use rebalance_trace::{EventBatch, Piece, Pintool, Section, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 use rebalance_trace::BySection;
@@ -75,7 +75,7 @@ impl BasicBlockReport {
 
 /// The Figure 4 pintool.
 ///
-/// Batched delivery reads runs ([`Need::Runs`]): a sequential run of
+/// Batched delivery reads runs ([`EventBatch::pieces`]): a sequential run of
 /// plain instructions only lengthens the open block and taken run by
 /// its bytes, so the tool does no per-instruction work.
 ///
@@ -148,10 +148,6 @@ impl Pintool for BasicBlockTool {
                 }
             }
         }
-    }
-
-    fn need(&self) -> Need {
-        Need::Runs
     }
 }
 

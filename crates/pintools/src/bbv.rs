@@ -19,7 +19,7 @@
 
 use rebalance_isa::{Addr, Outcome};
 use rebalance_trace::sampling::Fingerprinter;
-use rebalance_trace::{EventBatch, Need, Piece, Pintool, PlainRun, Section, TraceEvent};
+use rebalance_trace::{EventBatch, Piece, Pintool, PlainRun, Section, TraceEvent};
 
 use crate::pc_hash::PcMap;
 
@@ -47,7 +47,7 @@ pub const BBV_FEATURES: usize = 4;
 /// The interval-fingerprinting pintool: one hashed, L1-normalized
 /// basic-block vector per instruction interval.
 ///
-/// Batched delivery reads runs ([`Pintool::on_batch`], [`Need::Runs`]):
+/// Batched delivery reads runs ([`Pintool::on_batch`], [`EventBatch::pieces`]):
 /// a sequential run of plain instructions joins the open block in one
 /// step, cut only where it completes an interval, so the tool does no
 /// per-instruction work; branches and section starts close blocks as
@@ -238,10 +238,6 @@ impl Pintool for BbvTool {
                 Piece::Run(run) => self.run(&run),
             }
         }
-    }
-
-    fn need(&self) -> Need {
-        Need::Runs
     }
 }
 

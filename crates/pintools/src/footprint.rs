@@ -1,7 +1,7 @@
 //! Figure 3: static instruction footprint and the memory needed to hold
 //! 99% of dynamic instructions.
 
-use rebalance_trace::{EventBatch, Need, Piece, Pintool, Program, Section, TraceEvent};
+use rebalance_trace::{EventBatch, Piece, Pintool, Program, Section, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 use rebalance_trace::BySection;
@@ -24,11 +24,6 @@ impl FootprintNumbers {
     /// `dyn99` in KB.
     pub fn dyn99_kb(&self) -> f64 {
         self.dyn99_bytes as f64 / 1024.0
-    }
-
-    /// Touched footprint in KB.
-    pub fn touched_kb(&self) -> f64 {
-        self.touched_bytes as f64 / 1024.0
     }
 }
 
@@ -57,7 +52,7 @@ impl FootprintReport {
 /// requested coverage is reached.
 ///
 /// It counts executions per distinct run, not per instruction: a
-/// sequential run of plain instructions (a [`Piece::Run`], [`Need::Runs`])
+/// sequential run of plain instructions (a [`Piece::Run`])
 /// costs one map lookup however long it is, and so does a branch. At
 /// report time each distinct run expands to its instructions' counts.
 /// A PC keeps the length and section of its first execution: runs are
@@ -238,10 +233,6 @@ impl Pintool for FootprintTool {
             }
         }
     }
-
-    fn need(&self) -> Need {
-        Need::Runs
-    }
 }
 
 #[cfg(test)]
@@ -329,7 +320,7 @@ mod tests {
         let snapshot = Snapshot::parse(&bytes).unwrap();
         let mut by_runs = FootprintTool::new();
         snapshot.replay(&mut by_runs).unwrap();
-        assert_eq!(by_runs.need(), Need::Runs);
+        assert_eq!(by_runs.need(), rebalance_trace::Need::Events);
         let mut per_event = FootprintTool::new();
         snapshot.replay_per_event(&mut per_event).unwrap();
         for t in [&by_runs, &per_event] {

@@ -1,46 +1,44 @@
 //! [`EventBatch`]: block-at-a-time event delivery.
 //!
-//! PR 1 made a sweep cost one replay per `(workload, scale)` and PR 2
-//! made that replay come from a cached snapshot. What remains on the
-//! hot path is the per-event plumbing itself: every instruction used to
-//! cross `Interpreter::run` → `Pintool::on_inst` → each tool as one
-//! 40-byte struct, for billions of events per paper run. The
-//! HPM-engineering literature is unambiguous that analysis pipelines at
-//! this scale must be block-structured to amortize dispatch and stay in
-//! cache; an `EventBatch` is that block.
+//! One replay per `(workload, scale)` feeds every tool, and that replay
+//! comes from a cached snapshot. What remains on the hot path is the
+//! per-event plumbing itself: every instruction used to cross
+//! `Interpreter::run` → `Pintool::on_inst` → each tool as one 40-byte
+//! struct, for billions of events per paper run. The HPM-engineering
+//! literature is unambiguous that analysis pipelines at this scale must
+//! be block-structured to amortize dispatch and stay in cache; an
+//! `EventBatch` is that block.
 //!
-//! A batch is a fixed-capacity run of [`TraceEvent`]s plus everything a
-//! tool needs to skip work it does not care about:
+//! A batch is a fixed-capacity stretch of the stream, kept in the form
+//! tools read it:
 //!
 //! * the **branch slice** ([`EventBatch::branch_events`]): most tools
 //!   only touch events with `ev.branch.is_some()`, so they stream the
-//!   (typically ~15%) branch subset as its own dense slice instead of
-//!   filtering the full block;
+//!   (typically ~10%) branch subset as its own dense slice;
 //! * **per-section instruction counts** ([`EventBatch::sections`]): a
 //!   tool that only needs its MPKI denominator adds two integers per
 //!   batch instead of one per event;
 //! * the interleaved **section-start notifications**
-//!   ([`EventBatch::section_starts`]), so replaying a batch through
-//!   [`EventBatch::replay_into`] reproduces the exact per-event call
-//!   sequence — batched and per-event delivery are bit-identical by
-//!   construction;
+//!   ([`EventBatch::section_starts`]);
 //! * the **pieces** ([`EventBatch::pieces`]): the stream in order as
 //!   section starts, branches and sequential runs of plain
-//!   instructions, for tools that read address ranges rather than
-//!   instructions.
+//!   instructions. A plain instruction is its pc, its length and its
+//!   section, so a run loses nothing: [`EventBatch::replay_into`]
+//!   expands the pieces into the exact per-event call sequence, and
+//!   batched and per-event delivery are bit-identical by construction.
 //!
 //! Producers ([`Interpreter`](crate::Interpreter),
 //! [`Snapshot`](crate::Snapshot) decode) fill a reusable batch and hand
 //! it to [`Pintool::on_batch`](crate::Pintool::on_batch) whenever it
 //! reaches capacity. The batch holds what the tool set
-//! [`Pintool::need`](crate::Pintool::need)s: every event, the branches
-//! and the plain runs between them, or the branches alone with the rest
-//! counted. Combinators ([`ToolSet`](crate::ToolSet),
+//! [`Pintool::need`](crate::Pintool::need)s: the branches and the plain
+//! runs between them, or the branches alone with the rest counted.
+//! Combinators ([`ToolSet`](crate::ToolSet),
 //! [`MultiTool`](crate::MultiTool), tuples) forward whole batches, so an
 //! N-tool fan-out performs `N × (events / capacity)` virtual transitions
 //! instead of `N × events`.
 
-use rebalance_isa::Addr;
+use rebalance_isa::{Addr, InstClass};
 use rebalance_telemetry as telemetry;
 
 use crate::by_section::BySection;
@@ -52,12 +50,12 @@ use crate::section::Section;
 /// Number of events per batch for every entry point that does not take
 /// an explicit capacity.
 ///
-/// A full batch of 4096 events × ~40 bytes stays comfortably inside L2
-/// while amortizing per-batch bookkeeping to noise; a run batch stores
-/// its ~10% of branch events, about as many runs and one length byte per
-/// event, and a branch-only batch just the branches. Another size is
-/// chosen only through the explicit-capacity entry points
-/// ([`EventBatch::with_capacity`] and the `*_batched` replays).
+/// A run batch of 4096 events stores its ~10% of branch events, about
+/// as many runs and one length byte per event, and a branch-only batch
+/// just the branches, so either stays well inside L2 while amortizing
+/// per-batch bookkeeping to noise. Another size is chosen only through
+/// the explicit-capacity entry points ([`EventBatch::with_capacity`]
+/// and the `*_batched` replays).
 pub const DEFAULT_BATCH_CAPACITY: usize = 4096;
 
 /// Largest accepted batch capacity: batch positions are stored as
@@ -116,35 +114,12 @@ impl<T: Pintool + ?Sized> EventSink for DirectSink<'_, T> {
     }
 }
 
-/// Block-at-a-time delivery: events accumulate in the batch, and every
-/// time it reaches capacity the whole block goes to the tool's
-/// [`Pintool::on_batch`] in one call. The tail stays buffered — the
-/// producer owns the final [`EventBatch::flush_into`].
-pub(crate) struct BatchSink<'a, 'b, T: Pintool + ?Sized> {
-    pub batch: &'a mut EventBatch,
-    pub tool: &'b mut T,
-}
-
-impl<T: Pintool + ?Sized> EventSink for BatchSink<'_, '_, T> {
-    #[inline]
-    fn section_start(&mut self, section: Section) {
-        self.batch.push_section_start(section);
-    }
-
-    #[inline]
-    fn event(&mut self, ev: TraceEvent) {
-        self.batch.push(ev);
-        if self.batch.is_full() {
-            self.batch.flush_into(self.tool);
-        }
-    }
-}
-
 /// Block-at-a-time delivery into a run batch ([`EventBatch::for_tool`]
-/// of a tool set that needs [`Need::Runs`]): branch events go straight
-/// into the dense branch slice, and plain events extend the open run or
-/// start one, so the batch fills, and flushes, at the same event
-/// positions a full batch does.
+/// of a tool set that needs [`Need::Events`]): events go in through
+/// [`EventBatch::push`], runs of plain records extend the open run or
+/// start one, and every time the batch reaches capacity the whole block
+/// goes to the tool's [`Pintool::on_batch`] in one call. The tail stays
+/// buffered — the producer owns the final [`EventBatch::flush_into`].
 pub(crate) struct RunSink<'a, 'b, T: Pintool + ?Sized> {
     pub batch: &'a mut EventBatch,
     pub tool: &'b mut T,
@@ -160,13 +135,7 @@ impl<T: Pintool + ?Sized> EventSink for RunSink<'_, '_, T> {
 
     #[inline]
     fn event(&mut self, ev: TraceEvent) {
-        if ev.branch.is_some() {
-            self.batch.push_branch(ev);
-        } else {
-            let (pc, len) = (ev.pc.as_u64(), u64::from(ev.len));
-            self.batch
-                .push_run(pc, std::iter::once(ev.len), len, ev.section);
-        }
+        self.batch.push(ev);
         if self.batch.is_full() {
             self.batch.flush_into(self.tool);
         }
@@ -189,7 +158,7 @@ impl<T: Pintool + ?Sized> EventSink for RunSink<'_, '_, T> {
 /// ([`EventBatch::for_tool`] of a tool set that needs only
 /// [`Need::Branches`]): branch events go straight into the dense branch
 /// slice and plain events are only counted, so the batch fills, and
-/// flushes, at the same event positions a full batch does.
+/// flushes, at the same event positions a run batch does.
 pub(crate) struct BranchSink<'a, 'b, T: Pintool + ?Sized> {
     pub batch: &'a mut EventBatch,
     pub tool: &'b mut T,
@@ -242,11 +211,11 @@ struct Run {
 /// starts where the one before it ends. [`EventBatch::pieces`] yields
 /// them.
 ///
-/// A run batch keeps its runs as long as the stream allows (until a
+/// A run batch keeps its runs as long as the stream allows: until a
 /// branch, a section start, a section change, a non-sequential
-/// instruction or the batch edge); a full batch yields each plain event
-/// as a run of one. A tool that reads runs must report the same however
-/// the stream is cut into them.
+/// instruction or the batch edge. A batch of capacity 1 yields each
+/// plain event as a run of one. A tool that reads runs must report the
+/// same however the stream is cut into them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlainRun<'a> {
     /// Address of the first instruction.
@@ -316,10 +285,6 @@ impl<'a> Iterator for Pieces<'a> {
         if self.pos == batch.len() {
             return None;
         }
-        if batch.holds == Need::Events {
-            self.pos += 1;
-            return Some(Piece::of(&batch.events[self.pos - 1]));
-        }
         match batch.runs.get(self.run) {
             Some(run) if run.at as usize == self.pos => {
                 self.run += 1;
@@ -341,30 +306,27 @@ impl<'a> Iterator for Pieces<'a> {
     }
 }
 
-/// A fixed-capacity block of trace events with a dense branch slice,
-/// section counts, and interleaved section-start notifications. The
-/// branch slice of a full batch is built right before delivery — inside
-/// [`Pintool::on_batch`] it is always consistent with
-/// [`EventBatch::events`], but between pushes it is empty.
+/// A fixed-capacity block of the trace: a dense branch slice, the plain
+/// runs between branches, section counts, and interleaved section-start
+/// notifications.
 ///
 /// A replay fills the batch its tool set [`Pintool::need`]s:
 ///
-/// * a **full** batch ([`Need::Events`]) stores every event;
-/// * a **run** batch ([`Need::Runs`]) stores the branch events straight
-///   into the branch slice and, between them, the plain runs: start
-///   address, instruction count, byte length and section, plus one
-///   length byte per instruction. A snapshot decode builds no
-///   [`TraceEvent`] for a plain instruction;
+/// * a **run** batch ([`Need::Events`], the default) stores the branch
+///   events in the branch slice and, between them, the plain runs:
+///   start address, instruction count, byte length and section, plus
+///   one length byte per instruction. It builds no [`TraceEvent`] for a
+///   plain instruction, yet carries every event:
+///   [`EventBatch::replay_into`] rebuilds each one;
 /// * a **branch-only** batch ([`Need::Branches`]) stores the branch
 ///   events and only counts the rest.
 ///
-/// Every shape reads the same through [`EventBatch::len`],
+/// Both shapes read the same through [`EventBatch::len`],
 /// [`EventBatch::sections`], [`EventBatch::section_starts`],
-/// [`EventBatch::summary`] and [`EventBatch::branch_events`], and run
-/// and full batches the same through [`EventBatch::pieces`]. Debug
-/// builds panic when a batch is read beyond its shape:
-/// [`EventBatch::events`] of a run or branch-only batch, or
-/// [`EventBatch::pieces`] of a branch-only one.
+/// [`EventBatch::summary`] and [`EventBatch::branch_events`]. Debug
+/// builds panic when [`EventBatch::pieces`] (or the
+/// [`EventBatch::replay_into`] built on it) is read of a branch-only
+/// batch.
 ///
 /// # Examples
 ///
@@ -401,47 +363,38 @@ impl<'a> Iterator for Pieces<'a> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventBatch {
-    events: Vec<TraceEvent>,
-    /// The branch events again, densely packed — branch-only tools
-    /// stream this contiguous ~15% instead of filtering `events` (one
-    /// copy per block at flush time buys N tools a dense walk).
+    /// The branch events, densely packed — branch-only tools stream
+    /// this contiguous ~10% of the block.
     branches: Vec<TraceEvent>,
     /// The plain runs of a run batch, in stream order.
     runs: Vec<Run>,
     /// One instruction length per position of a run batch.
     lens: Vec<u8>,
     /// `(position, section)` pairs: the notification fires before the
-    /// event at `position` (== `events.len()` for a trailing start).
+    /// event at `position` (== `len` for a trailing start).
     starts: Vec<(u32, Section)>,
     sections: BySection<u64>,
-    /// Branches buffered so far — maintained in `push` so
-    /// [`EventBatch::summary`] is exact even before the branch slice
-    /// exists.
-    branch_count: u64,
     taken_branches: u64,
-    /// Events counted without a slot in `events`: every event of a run
-    /// or branch-only batch, none of a full one.
-    counted: usize,
+    /// Events buffered, branches and plain instructions together.
+    len: usize,
     /// What the batch stores: its shape.
     holds: Need,
     capacity: usize,
 }
 
 impl Default for EventBatch {
-    /// An empty full batch at [`DEFAULT_BATCH_CAPACITY`]. Buffers
+    /// An empty run batch at [`DEFAULT_BATCH_CAPACITY`]. Buffers
     /// are not pre-allocated; they grow on first use and are retained
     /// across [`EventBatch::clear`], so a reused batch allocates once.
     fn default() -> Self {
         EventBatch {
-            events: Vec::new(),
             branches: Vec::new(),
             runs: Vec::new(),
             lens: Vec::new(),
             starts: Vec::new(),
             sections: BySection::default(),
-            branch_count: 0,
             taken_branches: 0,
-            counted: 0,
+            len: 0,
             holds: Need::Events,
             capacity: DEFAULT_BATCH_CAPACITY,
         }
@@ -449,14 +402,14 @@ impl Default for EventBatch {
 }
 
 impl EventBatch {
-    /// An empty full batch at [`DEFAULT_BATCH_CAPACITY`], buffers
+    /// An empty run batch at [`DEFAULT_BATCH_CAPACITY`], buffers
     /// allocated lazily on first push.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty full batch holding at most `capacity` events, with the
-    /// event buffer pre-allocated to that capacity.
+    /// An empty run batch holding at most `capacity` events, buffers
+    /// allocated lazily on first push.
     ///
     /// # Panics
     ///
@@ -465,7 +418,6 @@ impl EventBatch {
     pub fn with_capacity(capacity: usize) -> Self {
         check_capacity(capacity);
         EventBatch {
-            events: Vec::with_capacity(capacity),
             capacity,
             ..EventBatch::default()
         }
@@ -478,22 +430,14 @@ impl EventBatch {
     ///
     /// As for [`EventBatch::with_capacity`].
     pub(crate) fn for_tool<T: Pintool + ?Sized>(capacity: usize, tool: &T) -> Self {
-        match tool.need() {
-            Need::Events => EventBatch::with_capacity(capacity),
-            holds => {
-                check_capacity(capacity);
-                EventBatch {
-                    holds,
-                    capacity,
-                    ..EventBatch::default()
-                }
-            }
+        EventBatch {
+            holds: tool.need(),
+            ..EventBatch::with_capacity(capacity)
         }
     }
 
-    /// What the batch stores: [`Need::Events`] for a full batch,
-    /// [`Need::Runs`] for a run batch, [`Need::Branches`] for a
-    /// branch-only one.
+    /// What the batch stores: [`Need::Events`] for a run batch,
+    /// [`Need::Branches`] for a branch-only one.
     pub(crate) fn holds(&self) -> Need {
         self.holds
     }
@@ -504,62 +448,43 @@ impl EventBatch {
         self.capacity
     }
 
-    /// Events currently buffered (for a run or branch-only batch:
-    /// counted).
+    /// Events currently buffered, branches and plain instructions.
     pub fn len(&self) -> usize {
-        self.events.len() + self.counted
+        self.len
     }
 
     /// `true` when the batch carries neither events nor pending
     /// section-start notifications.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0 && self.starts.is_empty()
+        self.len == 0 && self.starts.is_empty()
     }
 
     /// `true` once the batch holds `capacity` events (time to flush).
     pub fn is_full(&self) -> bool {
-        self.len() >= self.capacity
-    }
-
-    /// The buffered events, in delivery order.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, on a run or branch-only batch (one delivered to
-    /// a tool set that does not need [`Need::Events`]): it stores no
-    /// plain event, so a tool reading them would under-count.
-    pub fn events(&self) -> &[TraceEvent] {
-        debug_assert!(
-            self.holds == Need::Events,
-            "a run or branch-only batch stores no plain events: a tool that reads them must \
-             leave Pintool::need at Need::Events"
-        );
-        &self.events
+        self.len >= self.capacity
     }
 
     /// The branch-payload events, densely packed in delivery order —
-    /// the precomputed slice branch-only tools stream instead of
-    /// filtering the full block. A full batch builds it at flush time
-    /// (populated inside [`Pintool::on_batch`], empty between pushes); a
-    /// run or branch-only batch appends each branch as it arrives.
+    /// the slice branch-only tools stream. Each branch lands here as it
+    /// is pushed.
     pub fn branch_events(&self) -> &[TraceEvent] {
         &self.branches
     }
 
     /// The batch's stream in order: each section start where it fires,
     /// each branch event, and the plain instructions between them as
-    /// [`PlainRun`]s. A run batch yields its runs; a full batch yields
-    /// each plain event as a run of one.
+    /// [`PlainRun`]s.
     ///
     /// # Panics
     ///
     /// In debug builds, on a branch-only batch, which keeps no plain
-    /// instruction: a tool that reads runs must need [`Need::Runs`].
+    /// instruction: a tool that reads runs must leave [`Pintool::need`]
+    /// at [`Need::Events`].
     pub fn pieces(&self) -> Pieces<'_> {
         debug_assert!(
             self.holds != Need::Branches,
-            "a branch-only batch keeps no runs: a tool that reads them must return Need::Runs \
-             from Pintool::need"
+            "a branch-only batch keeps no runs: a tool that reads plain instructions must leave \
+             Pintool::need at Need::Events"
         );
         Pieces {
             batch: self,
@@ -586,49 +511,38 @@ impl EventBatch {
     /// Aggregate counters over the buffered events.
     pub fn summary(&self) -> RunSummary {
         RunSummary {
-            instructions: self.len() as u64,
-            branches: self.branch_count,
+            instructions: self.len as u64,
+            branches: self.branches.len() as u64,
             taken_branches: self.taken_branches,
         }
     }
 
-    /// Appends an event to a full batch, maintaining the counters. The
-    /// dense branch slice is **not** built here — it is gathered in one
-    /// pass per block by [`EventBatch::flush_into`] right before
-    /// delivery, which keeps this producer-side hot loop down to a
-    /// single buffer append.
+    /// Appends one event to a run batch: a branch goes to the dense
+    /// branch slice, and a plain event extends the open run when it
+    /// continues it ([`PlainRun`]) or opens a run.
     ///
     /// Producers should check [`EventBatch::is_full`] (and flush) after
     /// each push; pushing past capacity only grows the block, it is not
     /// an error.
     #[inline]
     pub fn push(&mut self, ev: TraceEvent) {
-        debug_assert!(
-            self.holds == Need::Events,
-            "push into a run or branch-only batch"
-        );
-        if let Some(branch) = &ev.branch {
-            self.branch_count += 1;
-            if branch.outcome.is_taken() {
-                self.taken_branches += 1;
-            }
+        if ev.branch.is_some() {
+            self.push_branch(ev);
+        } else {
+            let (pc, len) = (ev.pc.as_u64(), u64::from(ev.len));
+            self.push_run(pc, std::iter::once(ev.len), len, ev.section);
         }
-        *self.sections.get_mut(ev.section) += 1;
-        self.events.push(ev);
     }
 
-    /// Appends a branch event to a run or branch-only batch, straight
-    /// into the dense branch slice.
+    /// Appends a branch event straight into the dense branch slice.
     #[inline]
     fn push_branch(&mut self, ev: TraceEvent) {
-        debug_assert!(self.holds != Need::Events && ev.branch.is_some());
-        if self.holds == Need::Runs {
+        if self.holds == Need::Events {
             self.lens.push(ev.len);
         }
-        self.branch_count += 1;
         self.taken_branches += u64::from(ev.is_taken_branch());
         *self.sections.get_mut(ev.section) += 1;
-        self.counted += 1;
+        self.len += 1;
         self.branches.push(ev);
     }
 
@@ -637,7 +551,7 @@ impl EventBatch {
     fn count_plain(&mut self, n: usize, section: Section) {
         debug_assert!(self.holds == Need::Branches);
         *self.sections.get_mut(section) += n as u64;
-        self.counted += n;
+        self.len += n;
     }
 
     /// Appends sequential plain instructions with lengths `lens`,
@@ -653,8 +567,8 @@ impl EventBatch {
         bytes: u64,
         section: Section,
     ) {
-        debug_assert!(self.holds == Need::Runs);
-        let at = self.len();
+        debug_assert!(self.holds == Need::Events);
+        let at = self.len;
         let n = lens.len();
         let continues = self.runs.last().is_some_and(|run| {
             run.at as usize + run.insts as usize == at
@@ -678,54 +592,33 @@ impl EventBatch {
         run.bytes += bytes;
         self.lens.extend(lens);
         *self.sections.get_mut(section) += n as u64;
-        self.counted += n;
-        debug_assert_eq!(self.lens.len(), self.counted);
-    }
-
-    /// Gathers the dense branch slice from the buffered events in one
-    /// pass. Runs once per delivered block from
-    /// [`EventBatch::flush_into`]; gathering here instead of in
-    /// [`EventBatch::push`] keeps the producer's append loop minimal
-    /// and sweeps the block while it is cache-warm. Rebuilds from
-    /// scratch, so it is idempotent.
-    fn fill_branches(&mut self) {
-        self.branches.clear();
-        self.branches.reserve(self.branch_count as usize);
-        self.branches
-            .extend(self.events.iter().filter(|ev| ev.branch.is_some()));
+        self.len += n;
+        debug_assert_eq!(self.lens.len(), self.len);
     }
 
     /// Records an `on_section_start` notification at the current
     /// position.
     pub fn push_section_start(&mut self, section: Section) {
-        self.starts.push((self.len() as u32, section));
+        self.starts.push((self.len as u32, section));
     }
 
     /// Empties the batch, retaining buffer allocations for reuse.
     pub fn clear(&mut self) {
-        self.events.clear();
         self.branches.clear();
         self.runs.clear();
         self.lens.clear();
         self.starts.clear();
         self.sections = BySection::default();
-        self.branch_count = 0;
         self.taken_branches = 0;
-        self.counted = 0;
+        self.len = 0;
     }
 
     /// Delivers the batch to `tool` via
     /// [`Pintool::on_batch`](crate::Pintool::on_batch) and clears it.
-    /// A no-op on an empty batch. A full batch builds its branch slice
-    /// first (the `fill` span), so consumers always see it populated; a
-    /// run or branch-only batch filled it while it was pushed.
+    /// A no-op on an empty batch.
     pub fn flush_into<T: Pintool + ?Sized>(&mut self, tool: &mut T) {
         if self.is_empty() {
             return;
-        }
-        if self.holds == Need::Events {
-            let _fill_span = telemetry::span("fill");
-            self.fill_branches();
         }
         {
             let _tools_span = telemetry::span("tools");
@@ -735,31 +628,36 @@ impl EventBatch {
     }
 
     /// Replays the buffered notifications and events **per event**, in
-    /// the exact order a per-event producer would have delivered them.
-    /// This is the default [`Pintool::on_batch`] implementation, which
-    /// is what makes batched delivery bit-identical for every tool that
-    /// only implements `on_inst`.
+    /// the exact order a per-event producer would have delivered them:
+    /// each run expands into one [`TraceEvent`] per instruction, of
+    /// class [`InstClass::Other`], each starting where the one before it
+    /// ends. This is the default [`Pintool::on_batch`] implementation,
+    /// which is what makes batched delivery bit-identical for every tool
+    /// that only implements `on_inst`.
     ///
     /// # Panics
     ///
-    /// In debug builds, on a run or branch-only batch, as for
-    /// [`EventBatch::events`].
+    /// In debug builds, on a branch-only batch, as for
+    /// [`EventBatch::pieces`].
     pub fn replay_into<T: Pintool + ?Sized>(&self, tool: &mut T) {
-        let mut starts = self.starts.iter();
-        let mut next_start = starts.next();
-        for (i, ev) in self.events().iter().enumerate() {
-            while let Some(&(pos, section)) = next_start {
-                if pos as usize > i {
-                    break;
+        for piece in self.pieces() {
+            match piece {
+                Piece::Start(section) => tool.on_section_start(section),
+                Piece::Branch(ev) => tool.on_inst(ev),
+                Piece::Run(run) => {
+                    let mut pc = run.pc.as_u64();
+                    for &len in run.lens {
+                        tool.on_inst(&TraceEvent {
+                            pc: Addr::new(pc),
+                            len,
+                            class: InstClass::Other,
+                            branch: None,
+                            section: run.section,
+                        });
+                        pc = pc.wrapping_add(u64::from(len));
+                    }
                 }
-                tool.on_section_start(section);
-                next_start = starts.next();
             }
-            tool.on_inst(ev);
-        }
-        while let Some(&(_, section)) = next_start {
-            tool.on_section_start(section);
-            next_start = starts.next();
         }
     }
 }
@@ -767,7 +665,7 @@ impl EventBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rebalance_isa::{Addr, BranchKind, InstClass, Outcome};
+    use rebalance_isa::{BranchKind, Outcome};
 
     use crate::event::BranchEvent;
 
@@ -819,9 +717,6 @@ mod tests {
         b.push(branch(0x10A, false, Section::Parallel));
         b.push(other(0x110, Section::Parallel));
         assert_eq!(b.len(), 4);
-        b.fill_branches(); // flush_into does this before delivery
-        b.fill_branches(); // and rebuilding does not duplicate
-        assert_eq!(b.branch_events().len(), 2);
         assert_eq!(
             b.branch_events()
                 .iter()
@@ -838,6 +733,8 @@ mod tests {
             b.push(other(0x200 + i * 4, Section::Serial));
         }
         assert!(b.is_full());
+        let runs = b.pieces().filter(|p| matches!(p, Piece::Run(_))).count();
+        assert_eq!(runs, 3, "the four sequential pushes make one run");
     }
 
     #[test]
@@ -883,6 +780,7 @@ mod tests {
     fn clear_retains_capacity_and_resets_counters() {
         let mut b = EventBatch::with_capacity(2);
         b.push(branch(0x100, true, Section::Serial));
+        b.push(other(0x106, Section::Serial));
         b.push_section_start(Section::Parallel);
         b.clear();
         assert!(b.is_empty());
@@ -890,6 +788,7 @@ mod tests {
         assert_eq!(b.sections(), BySection::default());
         assert_eq!(b.capacity(), 2);
         assert!(b.branch_events().is_empty());
+        assert_eq!(b.pieces().count(), 0);
     }
 
     /// Says it reads only branches, but keeps the default `on_batch`,
@@ -930,6 +829,16 @@ mod tests {
         RunSummary,
     );
 
+    fn branch_read(batch: &EventBatch) -> BranchRead {
+        (
+            batch.len(),
+            batch.branch_events().to_vec(),
+            batch.section_starts().to_vec(),
+            batch.sections(),
+            batch.summary(),
+        )
+    }
+
     /// What a branch-only tool reads of each batch it is handed.
     #[derive(Default, Debug, PartialEq)]
     struct BranchView {
@@ -942,84 +851,12 @@ mod tests {
         }
 
         fn on_batch(&mut self, batch: &EventBatch) {
-            self.batches.push((
-                batch.len(),
-                batch.branch_events().to_vec(),
-                batch.section_starts().to_vec(),
-                batch.sections(),
-                batch.summary(),
-            ));
+            self.batches.push(branch_read(batch));
         }
 
         fn need(&self) -> Need {
             Need::Branches
         }
-    }
-
-    #[test]
-    fn branch_only_batches_read_like_full_ones() {
-        let stream: Vec<(TraceEvent, bool)> = (0..23u64)
-            .map(|i| {
-                let section = Section::ALL[(i / 5 % 2) as usize];
-                let ev = if i % 3 == 1 {
-                    branch(0x100 + i * 8, i % 2 == 0, section)
-                } else {
-                    other(0x100 + i * 8, section)
-                };
-                (ev, i % 5 == 0 || i == 6)
-            })
-            .collect();
-        for capacity in [1, 3, 4, 5, 64] {
-            let mut full_view = BranchView::default();
-            let mut full = EventBatch::with_capacity(capacity);
-            feed(
-                &mut BatchSink {
-                    batch: &mut full,
-                    tool: &mut full_view,
-                },
-                &stream,
-            );
-            full.push_section_start(Section::Serial); // trailing
-            full.flush_into(&mut full_view);
-
-            let mut view = BranchView::default();
-            let mut batch = EventBatch::for_tool(capacity, &view);
-            assert_eq!(batch.holds(), Need::Branches);
-            feed(
-                &mut BranchSink {
-                    batch: &mut batch,
-                    tool: &mut view,
-                },
-                &stream,
-            );
-            batch.push_section_start(Section::Serial);
-            batch.flush_into(&mut view);
-            assert_eq!(view, full_view, "capacity {capacity}");
-            // A trailing start past a full last batch rides alone.
-            let trailing = usize::from(23 % capacity == 0);
-            assert_eq!(view.batches.len(), 23usize.div_ceil(capacity) + trailing);
-        }
-    }
-
-    #[test]
-    fn a_plain_run_counts_into_the_open_section() {
-        let mut view = BranchView::default();
-        let mut batch = EventBatch::for_tool(16, &view);
-        let mut sink = BranchSink {
-            batch: &mut batch,
-            tool: &mut view,
-        };
-        assert_eq!(sink.plain_room(), 16);
-        sink.plain_run(0x100, &[0x20, 4].repeat(5), 20, Section::Parallel);
-        sink.section_start(Section::Serial);
-        sink.event(branch(0x200, true, Section::Serial));
-        sink.plain_run(0x40, &[0x20, 4].repeat(3), 12, Section::Serial);
-        assert_eq!(sink.plain_room(), 7);
-        assert_eq!(batch.len(), 9);
-        assert_eq!(batch.sections(), BySection::new(4, 5));
-        assert_eq!(batch.section_starts(), &[(5, Section::Serial)]);
-        let s = batch.summary();
-        assert_eq!((s.instructions, s.branches, s.taken_branches), (9, 1, 1));
     }
 
     /// One step of a batch as a run reader sees it, runs expanded to
@@ -1057,27 +894,15 @@ mod tests {
                     }
                 }
             }
-            let read = (
-                batch.len(),
-                batch.branch_events().to_vec(),
-                batch.section_starts().to_vec(),
-                batch.sections(),
-                batch.summary(),
-            );
-            self.batches.push((read, steps));
-        }
-
-        fn need(&self) -> Need {
-            Need::Runs
+            self.batches.push((branch_read(batch), steps));
         }
     }
 
-    #[test]
-    fn run_batches_read_like_full_ones() {
-        // Sequential stretches cut by branches, jumps (a non-sequential
-        // plain event), section switches and starts that change nothing.
+    /// Sequential stretches cut by branches, jumps (a non-sequential
+    /// plain event), section switches and starts that change nothing.
+    fn mixed_stream() -> Vec<(TraceEvent, bool)> {
         let mut pc = 0x100u64;
-        let stream: Vec<(TraceEvent, bool)> = (0..60u64)
+        (0..60u64)
             .map(|i| {
                 let section = Section::ALL[(i / 17 % 2) as usize];
                 if i % 13 == 5 {
@@ -1092,25 +917,83 @@ mod tests {
                 pc += u64::from(ev.len);
                 (ev, i % 17 == 0 || i == 30)
             })
-            .collect();
-        let plain = stream.iter().filter(|(ev, _)| ev.branch.is_none()).count();
+            .collect()
+    }
+
+    #[test]
+    fn branch_only_batches_read_like_full_ones() {
+        let stream = mixed_stream();
         for capacity in [1, 3, 4, 5, 64] {
-            let mut full_view = PieceView::default();
-            let mut full = EventBatch::with_capacity(capacity);
+            let mut run_view = PieceView::default();
+            let mut runs = EventBatch::with_capacity(capacity);
             feed(
-                &mut BatchSink {
-                    batch: &mut full,
-                    tool: &mut full_view,
+                &mut RunSink {
+                    batch: &mut runs,
+                    tool: &mut run_view,
                 },
                 &stream,
             );
-            full.push_section_start(Section::Serial); // trailing
-            full.flush_into(&mut full_view);
-            assert_eq!(full_view.runs, plain, "a full batch yields runs of one");
+            runs.push_section_start(Section::Serial); // trailing
+            runs.flush_into(&mut run_view);
 
+            let mut view = BranchView::default();
+            let mut batch = EventBatch::for_tool(capacity, &view);
+            assert_eq!(batch.holds(), Need::Branches);
+            feed(
+                &mut BranchSink {
+                    batch: &mut batch,
+                    tool: &mut view,
+                },
+                &stream,
+            );
+            batch.push_section_start(Section::Serial);
+            batch.flush_into(&mut view);
+            let reads: Vec<_> = run_view.batches.into_iter().map(|(read, _)| read).collect();
+            assert_eq!(view.batches, reads, "capacity {capacity}");
+            // A trailing start past a full last batch rides alone.
+            let trailing = usize::from(60 % capacity == 0);
+            assert_eq!(view.batches.len(), 60usize.div_ceil(capacity) + trailing);
+        }
+    }
+
+    #[test]
+    fn a_plain_run_counts_into_the_open_section() {
+        let mut view = BranchView::default();
+        let mut batch = EventBatch::for_tool(16, &view);
+        let mut sink = BranchSink {
+            batch: &mut batch,
+            tool: &mut view,
+        };
+        assert_eq!(sink.plain_room(), 16);
+        sink.plain_run(0x100, &[0x20, 4].repeat(5), 20, Section::Parallel);
+        sink.section_start(Section::Serial);
+        sink.event(branch(0x200, true, Section::Serial));
+        sink.plain_run(0x40, &[0x20, 4].repeat(3), 12, Section::Serial);
+        assert_eq!(sink.plain_room(), 7);
+        assert_eq!(batch.len(), 9);
+        assert_eq!(batch.sections(), BySection::new(4, 5));
+        assert_eq!(batch.section_starts(), &[(5, Section::Serial)]);
+        let s = batch.summary();
+        assert_eq!((s.instructions, s.branches, s.taken_branches), (9, 1, 1));
+    }
+
+    #[test]
+    fn run_batches_read_like_full_ones() {
+        let stream = mixed_stream();
+        let mut expected = Vec::new();
+        for &(ev, start) in &stream {
+            if start {
+                expected.push(Err(ev.section));
+            }
+            let step = (ev.pc.as_u64(), ev.len, ev.section, ev.branch.is_some());
+            expected.push(Ok(step));
+        }
+        expected.push(Err(Section::Serial));
+        let plain = stream.iter().filter(|(ev, _)| ev.branch.is_none()).count();
+        for capacity in [1, 3, 4, 5, 64] {
             let mut view = PieceView::default();
             let mut batch = EventBatch::for_tool(capacity, &view);
-            assert_eq!(batch.holds(), Need::Runs);
+            assert_eq!(batch.holds(), Need::Events);
             feed(
                 &mut RunSink {
                     batch: &mut batch,
@@ -1120,9 +1003,14 @@ mod tests {
             );
             batch.push_section_start(Section::Serial);
             batch.flush_into(&mut view);
-            assert_eq!(view.batches, full_view.batches, "capacity {capacity}");
-            if capacity == 64 {
-                assert_eq!(view.runs, 17, "runs end at branches, jumps and starts");
+            let steps: Vec<Step> = (view.batches.iter())
+                .flat_map(|(_, steps)| steps.iter().copied())
+                .collect();
+            assert_eq!(steps, expected, "capacity {capacity}");
+            match capacity {
+                1 => assert_eq!(view.runs, plain, "capacity 1 cuts runs of one"),
+                64 => assert_eq!(view.runs, 17, "runs end at branches, jumps and starts"),
+                _ => {}
             }
         }
     }
@@ -1165,17 +1053,6 @@ mod tests {
         );
     }
 
-    /// A tool that reads runs cannot read events: debug builds stop it.
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "run or branch-only batch stores no plain events")]
-    fn a_run_batch_refuses_to_hand_out_events() {
-        let view = PieceView::default();
-        let mut batch = EventBatch::for_tool(4, &view);
-        batch.push_run(0x100, std::iter::once(4), 4, Section::Serial);
-        let _ = batch.events();
-    }
-
     /// A tool that claims to read only branches cannot read runs.
     #[cfg(debug_assertions)]
     #[test]
@@ -1189,7 +1066,7 @@ mod tests {
     /// fails loudly in debug builds instead of under-counting.
     #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "run or branch-only batch stores no plain events")]
+    #[should_panic(expected = "a branch-only batch keeps no runs")]
     fn a_branch_only_batch_refuses_to_replay_plain_events() {
         let mut tool = ClaimsBranchOnly::default();
         let mut batch = EventBatch::for_tool(4, &tool);

@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng as _};
 use rebalance_isa::{Addr, InstClass, Outcome};
 use serde::{Deserialize, Serialize};
 
-use crate::batch::{BatchSink, BranchSink, DirectSink, EventBatch, EventSink, RunSink};
+use crate::batch::{BranchSink, DirectSink, EventBatch, EventSink, RunSink};
 use crate::event::{BranchEvent, TraceEvent};
 use crate::observer::{Need, Pintool};
 use crate::program::{BlockId, CondBehavior, IterCount, Program, Terminator};
@@ -135,10 +135,7 @@ impl<'p> Interpreter<'p> {
         tool: &mut T,
     ) -> RunSummary {
         match batch.holds() {
-            Need::Events => {
-                self.run_core(entry, section, max_insts, &mut BatchSink { batch, tool })
-            }
-            Need::Runs => self.run_core(entry, section, max_insts, &mut RunSink { batch, tool }),
+            Need::Events => self.run_core(entry, section, max_insts, &mut RunSink { batch, tool }),
             Need::Branches => {
                 self.run_core(entry, section, max_insts, &mut BranchSink { batch, tool })
             }

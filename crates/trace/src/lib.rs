@@ -26,11 +26,11 @@
 //!   [`Report`]-able hit/miss accounting, and
 //! * block-at-a-time event delivery ([`EventBatch`],
 //!   [`Pintool::on_batch`]): producers hand tools ~[`DEFAULT_BATCH_CAPACITY`]
-//!   events per call instead of one, with a precomputed branch-index
-//!   slice and per-section counts so hot tools skip the events they
-//!   ignore — bit-identical to per-event delivery by construction. A
-//!   tool set that [`Need`]s less than every event gets batches of
-//!   sequential plain runs ([`Piece`]) or of branches alone.
+//!   events per call instead of one, as a dense branch slice, the
+//!   sequential plain runs between branches ([`Piece`]) and
+//!   per-section counts, so hot tools skip the events they ignore —
+//!   bit-identical to per-event delivery by construction. A tool set
+//!   that [`Need`]s only branches gets batches of branches alone.
 //!
 //! # Examples
 //!

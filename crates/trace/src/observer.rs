@@ -16,10 +16,10 @@ use crate::section::Section;
 /// into `on_inst`/`on_section_start` in the exact per-event order, so a
 /// tool that only implements `on_inst` observes an identical call
 /// sequence either way. Hot tools override `on_batch` with a tight loop
-/// over the precomputed dense [`EventBatch::branch_events`] slice or the
-/// batch's [`EventBatch::pieces`] (branches and sequential runs of plain
-/// instructions), and say so with a lower [`Pintool::need`], so a replay
-/// builds only what they read.
+/// over the batch's [`EventBatch::pieces`] (branches and sequential runs
+/// of plain instructions) or its dense [`EventBatch::branch_events`]
+/// slice; a tool that reads only branches says so with
+/// [`Need::Branches`], so a replay skips the plain instructions.
 ///
 /// # Examples
 ///
@@ -54,8 +54,11 @@ pub trait Pintool {
     }
 
     /// Called with each block of events (and interleaved section
-    /// starts). The default forwards per event, preserving the exact
-    /// per-event call order — override with a tight loop in hot tools.
+    /// starts). The default, [`EventBatch::replay_into`], expands the
+    /// batch's runs and forwards per event, preserving the exact
+    /// per-event call order — override with a tight loop over
+    /// [`EventBatch::pieces`] or [`EventBatch::branch_events`] in hot
+    /// tools.
     fn on_batch(&mut self, batch: &EventBatch) {
         batch.replay_into(self);
     }
@@ -96,9 +99,10 @@ pub trait Pintool {
     /// What this tool's [`Pintool::on_batch`] reads of a batch, which
     /// picks the batch a snapshot or live replay fills for it. The
     /// default, [`Need::Events`], is right for every tool; a tool that
-    /// overrides `on_batch` to read less returns a lower need, and a
-    /// replay whose whole tool set needs less decodes less. Debug builds
-    /// panic when a tool reads more than its batch holds.
+    /// overrides `on_batch` to read only branches returns
+    /// [`Need::Branches`], and a replay whose whole tool set needs only
+    /// branches decodes less. Debug builds panic when a tool reads plain
+    /// instructions of a branch-only batch.
     fn need(&self) -> Need {
         Need::Events
     }
@@ -110,22 +114,20 @@ pub trait Pintool {
 /// | need | batch | a tool reads |
 /// |---|---|---|
 /// | [`Need::Branches`] | branch-only | [`EventBatch::branch_events`], [`EventBatch::sections`], [`EventBatch::section_starts`], [`EventBatch::len`], [`EventBatch::summary`] |
-/// | [`Need::Runs`] | run | the above and [`EventBatch::pieces`]: the plain runs between branches |
-/// | [`Need::Events`] | full | the above and [`EventBatch::events`], or the per-event [`EventBatch::replay_into`] the default `on_batch` runs |
+/// | [`Need::Events`] | run | the above and [`EventBatch::pieces`], the plain runs between branches, or the per-event [`EventBatch::replay_into`] the default `on_batch` runs |
 ///
 /// A snapshot decode into a branch-only batch counts plain records and
 /// skips runs of sequential ones several at a time; into a run batch it
 /// keeps each run's start, length in instructions and bytes, and its
 /// instruction lengths, but builds no [`TraceEvent`] for it. Batch
-/// edges, section-start positions and every counter stay where a full
-/// batch puts them.
+/// edges, section-start positions and every counter are the same in
+/// both shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Need {
     /// Branch events, section counts and section starts.
     Branches,
-    /// Also the plain instructions, as sequential runs.
-    Runs,
-    /// Every event as a [`TraceEvent`].
+    /// Every event: the branches and, between them, the plain
+    /// instructions as sequential runs.
     Events,
 }
 
@@ -519,37 +521,25 @@ mod tests {
         assert_eq!(b.insts, 2);
     }
 
-    /// Reads runs: the need between the two defaults.
-    struct RunReader;
-
-    impl Pintool for RunReader {
-        fn on_inst(&mut self, _ev: &TraceEvent) {}
-
-        fn need(&self) -> Need {
-            Need::Runs
-        }
-    }
-
     #[test]
     fn a_set_needs_the_most_any_member_needs() {
         assert_eq!(Recorder::default().need(), Need::Events, "the default");
         assert_eq!(NullTool.need(), Need::Branches);
         assert_eq!((NullTool, NullTool).need(), Need::Branches);
-        assert_eq!((NullTool, RunReader).need(), Need::Runs);
+        assert_eq!((NullTool, Recorder::default()).need(), Need::Events);
         assert_eq!(
-            (RunReader, Recorder::default(), NullTool).need(),
+            (Recorder::default(), NullTool, NullTool).need(),
             Need::Events
         );
-        assert_eq!(Box::new(RunReader).need(), Need::Runs);
+        assert_eq!(Box::new(Recorder::default()).need(), Need::Events);
         let mut null = NullTool;
         assert_eq!(<&mut NullTool as Pintool>::need(&&mut null), Need::Branches);
-        let (mut a, mut b, mut c) = (NullTool, RunReader, Recorder::default());
+        let (mut a, mut b, mut c) = (NullTool, NullTool, Recorder::default());
         let mut multi = MultiTool::new();
         assert_eq!(multi.need(), Need::Branches, "an empty set reads nothing");
         multi.push(&mut a);
-        assert_eq!(multi.need(), Need::Branches);
         multi.push(&mut b);
-        assert_eq!(multi.need(), Need::Runs);
+        assert_eq!(multi.need(), Need::Branches);
         multi.push(&mut c);
         assert_eq!(multi.need(), Need::Events);
     }

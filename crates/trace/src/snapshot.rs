@@ -120,8 +120,7 @@ use rebalance_isa::{Addr, BranchKind, InstClass, Outcome};
 use serde::{Deserialize, Serialize};
 
 use crate::batch::{
-    BatchSink, BranchSink, DirectSink, EventBatch, EventSink, Piece, PlainRun, RunSink,
-    DEFAULT_BATCH_CAPACITY,
+    BranchSink, DirectSink, EventBatch, EventSink, Piece, PlainRun, RunSink, DEFAULT_BATCH_CAPACITY,
 };
 use crate::by_section::BySection;
 use crate::event::{BranchEvent, TraceEvent};
@@ -602,9 +601,8 @@ impl<W: Write> SnapshotWriter<W> {
 /// The writer records through the standard observer interface, so it
 /// tees **whole batches** when attached alongside analysis tools (the
 /// tuple/`ToolSet` combinators forward one `on_batch` per block). It
-/// reads a batch as pieces ([`Need::Runs`]), so a replay that records a
-/// snapshot fills run batches, not full ones, and its tools that read
-/// runs get them.
+/// reads a batch as pieces, the default [`Pintool::need`], so a replay
+/// that records a snapshot builds no event per plain instruction.
 impl<W: Write> Pintool for SnapshotWriter<W> {
     fn on_inst(&mut self, ev: &TraceEvent) {
         // A section switch without an explicit marker (a tool fed by
@@ -678,10 +676,6 @@ impl<W: Write> Pintool for SnapshotWriter<W> {
                 Piece::Run(run) => self.run(&run),
             }
         }
-    }
-
-    fn need(&self) -> Need {
-        Need::Runs
     }
 }
 
@@ -865,13 +859,13 @@ impl<'a> Snapshot<'a> {
     /// happened once in [`Snapshot::parse`]; the decode loop performs
     /// only structural checks.
     ///
-    /// The batches take the shape `tool` [`Pintool::need`]s. Below
-    /// [`Need::Events`], branch records are decoded straight into the
-    /// dense branch slice and runs of sequential plain records are read
-    /// up to four to a word: a run batch keeps each run's start, size,
-    /// section and instruction lengths, a branch-only batch only counts
-    /// them. The batches end at the same events, and the same checks
-    /// run, whatever the shape.
+    /// The batches take the shape `tool` [`Pintool::need`]s. Branch
+    /// records are decoded straight into the dense branch slice and runs
+    /// of sequential plain records are read up to four to a word: a run
+    /// batch ([`Need::Events`]) keeps each run's start, size, section and
+    /// instruction lengths, a branch-only batch ([`Need::Branches`]) only
+    /// counts them. The batches end at the same events, and the same
+    /// checks run, whatever the shape.
     ///
     /// # Errors
     ///
@@ -932,9 +926,9 @@ impl<'a> Snapshot<'a> {
     }
 
     /// [`Snapshot::decode_into`] through the sink `batch` calls for: a
-    /// full batch takes every event; a run batch ([`EventBatch::for_tool`])
-    /// takes branch events and runs of plain records, and a branch-only
-    /// one counts plain records, so the decoder skips runs of them.
+    /// run batch ([`EventBatch::for_tool`]) takes branch events and runs
+    /// of plain records, and a branch-only one counts plain records, so
+    /// the decoder skips runs of them.
     pub(crate) fn decode_batched<T: Pintool + ?Sized>(
         &self,
         batch: &mut EventBatch,
@@ -944,8 +938,7 @@ impl<'a> Snapshot<'a> {
         table: Option<&mut CursorTable>,
     ) -> Result<Decoded, SnapshotError> {
         match batch.holds() {
-            Need::Events => self.decode_into(&mut BatchSink { batch, tool }, from, until, table),
-            Need::Runs => self.decode_into(&mut RunSink { batch, tool }, from, until, table),
+            Need::Events => self.decode_into(&mut RunSink { batch, tool }, from, until, table),
             Need::Branches => self.decode_into(&mut BranchSink { batch, tool }, from, until, table),
         }
     }
@@ -1025,7 +1018,7 @@ impl<'a> Snapshot<'a> {
     /// end (a word must fit), the sink's next flush and `check_at`. The
     /// sink gets the run's records as one slice. So every other record,
     /// every truncation, flush, mark and stop is met one record at a
-    /// time, exactly where the full sinks meet it.
+    /// time, exactly where the per-event sink meets it.
     pub(crate) fn decode_into<S: EventSink>(
         &self,
         sink: &mut S,

@@ -8,9 +8,7 @@
 //! a shared [`Executor`]. Sweep cost drops from
 //! `O(tools × replays)` to `O(replays)`.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use rebalance_telemetry as telemetry;
 
@@ -52,9 +50,8 @@ pub struct SampledOutcome<I, T> {
     pub summary: RunSummary,
     /// Instructions delivered to the tools (representatives only).
     pub delivered_instructions: u64,
-    /// The plan the replay followed (shared via the engine's plan
-    /// cache).
-    pub plan: Arc<SamplePlan>,
+    /// The plan the replay followed.
+    pub plan: SamplePlan,
 }
 
 /// Replays traces once per item through fan-out tool sets, in parallel
@@ -117,10 +114,6 @@ pub struct SweepEngine {
     generations: AtomicU64,
     lane_instructions: AtomicU64,
     lane_branches: AtomicU64,
-    /// Sampled-replay plans, keyed by `(trace fingerprint, sampling
-    /// config)` — building one costs a fingerprinting replay plus a
-    /// clustering, so a warm sampled sweep pays it zero times.
-    plans: Mutex<HashMap<(u64, SamplingConfig), Arc<SamplePlan>>>,
 }
 
 impl SweepEngine {
@@ -257,41 +250,12 @@ impl SweepEngine {
         Ok((set.into_inner(), summary))
     }
 
-    /// Returns (building on first use) the sampling plan for `key`'s
-    /// snapshot under `config`. Plans are cached per engine, so
-    /// re-sweeping the same roster re-pays neither the fingerprinting
-    /// replay nor the clustering.
-    fn plan_for<FP: Fingerprinter>(
-        &self,
-        key: &TraceKey,
-        config: &SamplingConfig,
-        snapshot: &Snapshot<'_>,
-        fingerprinter: impl FnOnce() -> FP,
-    ) -> Result<Arc<SamplePlan>, CacheError> {
-        let cache_key = (key.fingerprint(), *config);
-        if let Some(plan) = self.plans().get(&cache_key) {
-            return Ok(Arc::clone(plan));
-        }
-        // Built outside the lock: a concurrent duplicate build is
-        // deterministic, so last-writer-wins is harmless.
-        let _plan_span = telemetry::span("sampling.plan");
-        let mut fp = fingerprinter();
-        let plan = Arc::new(SamplePlan::from_snapshot(snapshot, &mut fp, config)?);
-        self.plans().insert(cache_key, Arc::clone(&plan));
-        Ok(plan)
-    }
-
-    /// The plan cache, even if a panicking thread poisoned its lock: it
-    /// maps keys to immutable plans, so every entry stays valid.
-    fn plans(&self) -> MutexGuard<'_, HashMap<(u64, SamplingConfig), Arc<SamplePlan>>> {
-        self.plans.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Replays one item phase-sampled: fingerprints `snapshot` into a
-    /// [`SamplePlan`] under `config` (cached per engine by `key`'s
-    /// fingerprint and the config, so a re-sweep never rebuilds it), then
-    /// replays only the plan's weighted representatives through all
-    /// `tools` ([`Snapshot::replay_sampled`]). The sampled counterpart of
+    /// [`SamplePlan`] under `config`, then replays only the plan's
+    /// weighted representatives through all `tools`
+    /// ([`Snapshot::replay_sampled`]). Every command samples each
+    /// `(workload, config)` once, so the plan is built where it is used
+    /// and not kept. The sampled counterpart of
     /// [`SweepEngine::fan_out_cached`]; tools must be weight-aware
     /// ([`Pintool::supports_sampled_replay`]).
     ///
@@ -301,14 +265,16 @@ impl SweepEngine {
     /// windows.
     pub fn replay_sampled<T: Pintool, FP: Fingerprinter>(
         &self,
-        key: &TraceKey,
         snapshot: &Snapshot<'_>,
         config: &SamplingConfig,
         tools: Vec<T>,
         fingerprinter: impl FnOnce() -> FP,
-    ) -> Result<(Vec<T>, SampledReplay, Arc<SamplePlan>), CacheError> {
+    ) -> Result<(Vec<T>, SampledReplay, SamplePlan), SnapshotError> {
         let _replay_span = telemetry::span("replay");
-        let plan = self.plan_for(key, config, snapshot, fingerprinter)?;
+        let plan = {
+            let _plan_span = telemetry::span("sampling.plan");
+            SamplePlan::from_snapshot(snapshot, &mut fingerprinter(), config)?
+        };
         let mut set = ToolSet::from_tools(tools);
         let replay = snapshot.replay_sampled(&mut set, &plan)?;
         self.record(&set);
@@ -533,12 +499,12 @@ mod tests {
         config: &SamplingConfig,
         (seed, budget): (u64, u64),
         tools: Vec<WeightedCount>,
-    ) -> (Vec<WeightedCount>, SampledReplay, Arc<SamplePlan>) {
+    ) -> (Vec<WeightedCount>, SampledReplay, SamplePlan) {
         let key = TraceKey::new(format!("w{seed}"), "t", seed, 0);
         let owned = cache.snapshot(&key, || Ok(tiny_trace(budget, seed)));
         let owned = owned.unwrap();
         engine
-            .replay_sampled(&key, &owned.snapshot(), config, tools, ConstFp::default)
+            .replay_sampled(&owned.snapshot(), config, tools, ConstFp::default)
             .unwrap()
     }
 
@@ -585,7 +551,7 @@ mod tests {
         assert_eq!(engine.replays(), 4, "one replay per sampled item");
         for (a, b) in cold.iter().zip(&warm) {
             assert_eq!(a.0[0].insts, b.0[0].insts);
-            assert!(Arc::ptr_eq(&a.2, &b.2), "plans come from the cache");
+            assert_eq!(a.2, b.2, "a rebuilt plan is the same plan");
         }
         std::fs::remove_dir_all(cache.dir()).unwrap();
     }
@@ -605,36 +571,6 @@ mod tests {
         assert_eq!(
             tools[0].weight_calls, 0,
             "degenerate plans take the unsampled path"
-        );
-        std::fs::remove_dir_all(cache.dir()).unwrap();
-    }
-
-    #[test]
-    fn poisoned_plan_cache_still_serves_sampled_sweeps() {
-        let cache = TraceCache::scratch().unwrap();
-        let engine = SweepEngine::new();
-        let config = crate::SamplingConfig::default()
-            .with_intervals(10)
-            .with_k(2);
-        std::thread::scope(|s| {
-            let poisoner = s.spawn(|| {
-                let _held = engine.plans.lock().unwrap();
-                panic!("a thread dies holding the plan cache");
-            });
-            assert!(poisoner.join().is_err());
-        });
-        assert!(engine.plans.is_poisoned());
-        let run = || {
-            let tools = vec![WeightedCount::default()];
-            sample(&engine, &cache, &config, (1, 2_000), tools)
-        };
-        let (cold_tools, _, cold_plan) = run();
-        let (warm_tools, _, warm_plan) = run();
-        assert_eq!(cold_tools[0].insts, 2_000);
-        assert_eq!(warm_tools[0].insts, 2_000);
-        assert!(
-            Arc::ptr_eq(&cold_plan, &warm_plan),
-            "the poisoned cache still stores and serves plans"
         );
         std::fs::remove_dir_all(cache.dir()).unwrap();
     }

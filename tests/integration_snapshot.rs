@@ -90,7 +90,7 @@ fn recorded_snapshot_replays_bit_identically() {
         deliver(&mut writer);
         writer.finish().unwrap().0
     };
-    assert_eq!(SnapshotWriter::new(Vec::new(), 0, 0).need(), Need::Runs);
+    assert_eq!(SnapshotWriter::new(Vec::new(), 0, 0).need(), Need::Events);
     let per_event = record(&|w| {
         trace.replay_per_event(w);
     });

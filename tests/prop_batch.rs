@@ -24,13 +24,18 @@
 //!    `PredictorSim`s, `BtbSim` and the mix/direction/bias pintools),
 //!    replayed from a snapshot through branch-only batches, report what
 //!    per-event delivery reports, and their `ToolSet` lanes and
-//!    `on_batch` calls match a replay through full batches, and
+//!    `on_batch` calls match a replay through run batches, and
 //! 7. the tools that read runs (`BasicBlockTool`, `FootprintTool`,
 //!    `ICacheSim`, `ICacheBank`, `BbvTool` and a `FetchGrid` over a
 //!    mixed design grid), replayed from a snapshot through run batches,
-//!    report what per-event delivery and full batches report, over
-//!    whole streams and sampled windows, and `FootprintTool` keeps each
-//!    PC's first-seen length and section.
+//!    report what per-event delivery reports, over whole streams and
+//!    sampled windows, however the batch capacity cuts the runs (at
+//!    capacity 1 every run is one instruction), and `FootprintTool`
+//!    keeps each PC's first-seen length and section, and
+//! 8. run batches are lossless: a tool that only implements `on_inst`
+//!    sees, through the default `on_batch`, the exact per-event call
+//!    sequence of streams with long sequential runs, pushed or decoded,
+//!    also where a run wraps past the top of the address space.
 
 use proptest::prelude::*;
 
@@ -50,7 +55,7 @@ use rebalance::pintools::{
 use rebalance::trace::sampling::Fingerprinter;
 use rebalance::trace::snapshot::KIND_TABLE;
 use rebalance::trace::{
-    BranchEvent, BySection, EventBatch, FnTool, LaneFill, Need, Pintool, SamplePlan,
+    BranchEvent, BySection, EventBatch, FnTool, LaneFill, Need, Piece, Pintool, SamplePlan,
     SamplingConfig, Section, Snapshot, SnapshotWriter, ToolSet, TraceEvent, DEFAULT_BATCH_CAPACITY,
 };
 
@@ -132,8 +137,9 @@ fn deliver_per_event<T: Pintool>(stream: &[(TraceEvent, bool)], tool: &mut T) {
     }
 }
 
-/// Feeds the stream through an [`EventBatch`] of the given capacity,
-/// flushing whenever it fills, exactly as the producers do.
+/// Feeds the stream through a run batch of the given capacity
+/// ([`EventBatch::push`]), flushing whenever it fills, exactly as the
+/// producers do.
 fn deliver_batched<T: Pintool>(stream: &[(TraceEvent, bool)], capacity: usize, tool: &mut T) {
     let mut batch = EventBatch::with_capacity(capacity);
     for &(ev, boundary) in stream {
@@ -706,7 +712,7 @@ fn readout(tools: &BranchTools) -> BranchReadout {
 /// Replays `stream`, snapshot-encoded, into the branch-only tools at
 /// each capacity, and asserts that they report what per-event delivery
 /// of the stream reports, and that lanes and `on_batch` calls match a
-/// replay through full batches.
+/// replay through run batches.
 fn assert_branch_only_replay_matches(stream: &[(TraceEvent, bool)]) {
     let mut writer = SnapshotWriter::new(Vec::new(), 1, 0);
     deliver_per_event(stream, &mut writer);
@@ -732,10 +738,10 @@ fn assert_branch_only_replay_matches(stream: &[(TraceEvent, bool)]) {
         assert_eq!(&got.4, &dir, "direction at capacity {}", capacity);
         assert_eq!(&got.5, &bias, "bias at capacity {}", capacity);
 
-        // The same tools through full batches: one tool that reads
+        // The same tools through run batches: one tool that reads
         // every event makes the whole set take them.
-        let mut full = branch_tools();
-        let mut every = (&mut full, FnTool::new(|_: &TraceEvent| {}));
+        let mut runs = branch_tools();
+        let mut every = (&mut runs, FnTool::new(|_: &TraceEvent| {}));
         assert_eq!(every.need(), Need::Events);
         assert_eq!(
             snapshot
@@ -743,7 +749,7 @@ fn assert_branch_only_replay_matches(stream: &[(TraceEvent, bool)]) {
                 .expect("decodes"),
             summary
         );
-        let lanes = readout(&full).6;
+        let lanes = readout(&runs).6;
         assert_eq!(
             got.6, lanes,
             "lanes and on_batch calls at capacity {}",
@@ -857,37 +863,6 @@ fn run_readout(tools: RunTools) -> RunReadout {
     )
 }
 
-/// Forwards everything to `T` but its need, so a replay into it takes
-/// full batches: the run readers then see each plain event as a run of
-/// one.
-struct EveryEvent<T>(T);
-
-impl<T: Pintool> Pintool for EveryEvent<T> {
-    fn on_inst(&mut self, ev: &TraceEvent) {
-        self.0.on_inst(ev);
-    }
-
-    fn on_section_start(&mut self, section: Section) {
-        self.0.on_section_start(section);
-    }
-
-    fn on_batch(&mut self, batch: &EventBatch) {
-        self.0.on_batch(batch);
-    }
-
-    fn on_sample_weight(&mut self, weight: u64) {
-        self.0.on_sample_weight(weight);
-    }
-
-    fn on_sample_gap(&mut self) {
-        self.0.on_sample_gap();
-    }
-
-    fn supports_sampled_replay(&self) -> bool {
-        self.0.supports_sampled_replay()
-    }
-}
-
 /// The footprint a per-PC count gives at full coverage: per section,
 /// the instructions and the first-seen length of each PC, credited to
 /// its first-seen section.
@@ -909,9 +884,10 @@ fn per_pc_footprint(stream: &[(TraceEvent, bool)]) -> (BySection<(u64, u64)>, us
 }
 
 /// Replays `stream`, snapshot-encoded, into the run readers through
-/// run batches and through full batches at capacities 1, 7 and the
-/// default, and asserts both report what per-event delivery reports;
-/// then does the same for the weight-aware ones over sampled windows.
+/// run batches at capacities 1, 7 and the default, and asserts each
+/// reports what per-event delivery reports; then asserts the
+/// weight-aware ones report the same over sampled windows at every
+/// capacity. Capacity 1 cuts every run to one instruction.
 fn assert_run_replay_matches(stream: &[(TraceEvent, bool)], interval: u64) {
     let mut writer = SnapshotWriter::new(Vec::new(), 1, 0);
     deliver_per_event(stream, &mut writer);
@@ -935,7 +911,7 @@ fn assert_run_replay_matches(stream: &[(TraceEvent, bool)], interval: u64) {
 
     for capacity in [1, 7, DEFAULT_BATCH_CAPACITY] {
         let mut runs = run_tools(interval);
-        assert_eq!(runs.need(), Need::Runs);
+        assert_eq!(runs.need(), Need::Events);
         snapshot
             .replay_batched(&mut runs, capacity)
             .expect("decodes");
@@ -943,20 +919,10 @@ fn assert_run_replay_matches(stream: &[(TraceEvent, bool)], interval: u64) {
             run_readout(runs) == expected,
             "run batches at capacity {capacity}"
         );
-
-        let mut every = EveryEvent(run_tools(interval));
-        assert_eq!(every.need(), Need::Events);
-        snapshot
-            .replay_batched(&mut every, capacity)
-            .expect("decodes");
-        assert!(
-            run_readout(every.0) == expected,
-            "full batches at capacity {capacity}"
-        );
     }
 
-    // Sampled windows: the weight-aware readers through run batches
-    // and through full ones.
+    // Sampled windows: the weight-aware readers through run batches,
+    // long runs against runs of one.
     let total = snapshot.info().summary.instructions;
     if total < 8 {
         return;
@@ -977,17 +943,17 @@ fn assert_run_replay_matches(stream: &[(TraceEvent, bool)], interval: u64) {
         icaches.push(icache_bits(&icache.report()));
         (icaches, grid.reports())
     };
-    for capacity in [1, 7, DEFAULT_BATCH_CAPACITY] {
+    let sampled = |capacity| {
         let mut runs = sampled_tools();
         snapshot
             .replay_sampled_batched(&mut runs, &plan, capacity)
             .expect("sampled replay");
-        let mut every = EveryEvent(sampled_tools());
-        snapshot
-            .replay_sampled_batched(&mut every, &plan, capacity)
-            .expect("sampled replay");
+        read(runs)
+    };
+    let runs_of_one = sampled(1);
+    for capacity in [7, DEFAULT_BATCH_CAPACITY] {
         assert!(
-            read(runs) == read(every.0),
+            sampled(capacity) == runs_of_one,
             "sampled windows at capacity {capacity}"
         );
     }
@@ -1012,4 +978,85 @@ proptest! {
         assert_run_replay_matches(&local_stream(&local), interval);
         assert_run_replay_matches(&stream_of(&raws), interval);
     }
+}
+
+/// Asserts that a tool that only implements `on_inst` sees, through the
+/// default `on_batch`, the exact per-event call sequence of `stream`,
+/// pushed into run batches and decoded from its snapshot at capacities
+/// 1, 3, 7 and the default.
+fn assert_run_batches_are_lossless(stream: &[(TraceEvent, bool)]) {
+    let mut expected = CallLog::default();
+    deliver_per_event(stream, &mut expected);
+    let mut writer = SnapshotWriter::new(Vec::new(), 1, 0);
+    deliver_per_event(stream, &mut writer);
+    let bytes = writer.finish().expect("Vec sink cannot fail").0;
+    let snapshot = Snapshot::parse(&bytes).expect("writer output parses");
+    for capacity in [1, 3, 7, DEFAULT_BATCH_CAPACITY] {
+        let mut pushed = CallLog::default();
+        assert_eq!(pushed.need(), Need::Events);
+        deliver_batched(stream, capacity, &mut pushed);
+        assert!(pushed == expected, "pushed at capacity {capacity}");
+        let mut decoded = CallLog::default();
+        snapshot
+            .replay_batched(&mut decoded, capacity)
+            .expect("decodes");
+        assert!(decoded == expected, "decoded at capacity {capacity}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Run batches on the streams where runs are long: loop bodies of
+    /// sequential plain instructions, and local streams with lines
+    /// walked in order. Arbitrary pcs almost never make two plain
+    /// instructions sequential, so these are the streams that put
+    /// runs of many instructions through the default `on_batch`.
+    #[test]
+    fn run_batches_replay_every_event_to_an_on_inst_tool(
+        loops in loop_steps(24),
+        local in local_steps(300),
+    ) {
+        assert_run_batches_are_lossless(&loop_stream(&loops));
+        assert_run_batches_are_lossless(&local_stream(&local));
+    }
+}
+
+/// A run that wraps past the top of the address space stays one run,
+/// and its expansion wraps each pc the way the stream did.
+#[test]
+fn a_run_across_the_top_of_the_address_space_replays_exactly() {
+    let plain = |pc: u64, section| TraceEvent {
+        pc: Addr::new(pc),
+        len: 4,
+        class: InstClass::Other,
+        branch: None,
+        section,
+    };
+    let mut stream: Stream = (0..6u64)
+        .map(|i| {
+            let pc = (u64::MAX - 11).wrapping_add(4 * i);
+            (plain(pc, Section::Parallel), i == 0)
+        })
+        .collect();
+    assert_eq!(stream[3].0.pc.as_u64(), 0, "the fourth pc wraps");
+    stream.push((cond(12, 0x40, true, Section::Parallel), false));
+    stream.push((plain(0x40, Section::Serial), true));
+    assert_run_batches_are_lossless(&stream);
+
+    let mut batch = EventBatch::with_capacity(DEFAULT_BATCH_CAPACITY);
+    for &(ev, start) in &stream {
+        if start {
+            batch.push_section_start(ev.section);
+        }
+        batch.push(ev);
+    }
+    let runs: Vec<_> = batch
+        .pieces()
+        .filter_map(|piece| match piece {
+            Piece::Run(run) => Some((run.pc.as_u64(), run.bytes, run.lens.len())),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(runs, vec![(u64::MAX - 11, 24, 6), (0x40, 4, 1)]);
 }

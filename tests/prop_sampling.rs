@@ -18,7 +18,7 @@ use rebalance::isa::{Addr, InstClass, Outcome};
 use rebalance::pintools::BbvTool;
 use rebalance::trace::snapshot::{self, checksum, KIND_TABLE};
 use rebalance::trace::{
-    BranchEvent, EventBatch, Need, Pintool, SamplePlan, SamplingConfig, Section, Snapshot,
+    BranchEvent, EventBatch, FnTool, Need, Pintool, SamplePlan, SamplingConfig, Section, Snapshot,
     SnapshotError, SnapshotWriter, ToolSet, TraceEvent, DEFAULT_BATCH_CAPACITY,
 };
 use rebalance::Scale;
@@ -238,8 +238,10 @@ impl Pintool for CallLog {
     }
 
     fn on_batch(&mut self, batch: &EventBatch) {
+        let mut events = Vec::new();
+        batch.replay_into(&mut FnTool::new(|ev: &TraceEvent| events.push(*ev)));
         self.0.push(Call::Batch {
-            events: batch.events().to_vec(),
+            events,
             starts: batch.section_starts().to_vec(),
         });
     }

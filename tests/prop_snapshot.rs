@@ -13,12 +13,13 @@
 //!    and
 //! 4. a tool set that reads only branches, replayed through branch-only
 //!    batches (which skip runs of sequential records a word at a time),
-//!    and one that reads runs, replayed through run batches (which keep
-//!    those runs without building events), see what they see through
-//!    full batches on any record stream, a truncated or malformed one
-//!    included: the same batches, the same summary or the same error at
-//!    the same byte, and a sampling plan pass records the same cursor
-//!    table and plan.
+//!    sees the batches a run reader sees through run batches (which keep
+//!    those runs without building events), and the run reader sees the
+//!    per-event decode's stream, on any record stream, a truncated or
+//!    malformed one included: the same batches, the same summary or the
+//!    same error at the same byte, and a sampling plan pass through
+//!    branch-only batches records the cursor table and plan a pass
+//!    through run batches records.
 
 use proptest::prelude::*;
 
@@ -27,10 +28,10 @@ use rebalance::pintools::BbvTool;
 use rebalance::trace::sampling::Fingerprinter;
 use rebalance::trace::snapshot::{checksum, KIND_TABLE};
 use rebalance::trace::{
-    BranchEvent, BySection, CondBehavior, EventBatch, FnTool, IterCount, Need, Phase, Piece,
-    Pintool, ProgramBuilder, SamplePlan, SamplingConfig, Schedule, Section, Snapshot,
-    SnapshotError, SnapshotWriter, SweepEngine, SyntheticTrace, Terminator, TraceCache, TraceEvent,
-    TraceKey, DEFAULT_BATCH_CAPACITY,
+    BranchEvent, BySection, CondBehavior, EventBatch, IterCount, Need, Phase, Piece, Pintool,
+    ProgramBuilder, SamplePlan, SamplingConfig, Schedule, Section, Snapshot, SnapshotError,
+    SnapshotWriter, SweepEngine, SyntheticTrace, Terminator, TraceCache, TraceEvent, TraceKey,
+    DEFAULT_BATCH_CAPACITY,
 };
 
 /// One drawn raw event: `(class selector, pc, len, taken, target,
@@ -154,7 +155,7 @@ proptest! {
             for capacity in [1, 7, DEFAULT_BATCH_CAPACITY] {
                 let mut writer = SnapshotWriter::new(Vec::new(), info.seed, info.fingerprint)
                     .with_static_bytes(info.static_bytes);
-                prop_assert_eq!(writer.need(), Need::Runs);
+                prop_assert_eq!(writer.need(), Need::Events);
                 snapshot.replay_batched(&mut writer, capacity).expect("decodes");
                 let again = writer.finish().expect("Vec sink cannot fail").0;
                 prop_assert!(again == bytes, "capacity {}", capacity);
@@ -348,7 +349,6 @@ proptest! {
             let owned = cache.snapshot(&key, || Ok(phased_trace())).expect("snapshot");
             let (tools, replay, _) = SweepEngine::new()
                 .replay_sampled(
-                    &key,
                     &owned.snapshot(),
                     &config,
                     vec![SampledLog::default()],
@@ -496,35 +496,47 @@ impl Pintool for RunLog {
         }
         self.1.push(read);
     }
+}
 
-    fn need(&self) -> Need {
-        Need::Runs
+/// The stream a per-event decode delivers, as a [`RunLog`] reads it.
+#[derive(Default)]
+struct PerEventLog(RunRead);
+
+impl Pintool for PerEventLog {
+    fn on_inst(&mut self, ev: &TraceEvent) {
+        self.0.push(Ok((ev.pc.as_u64(), ev.len, ev.section)));
+    }
+
+    fn on_section_start(&mut self, section: Section) {
+        self.0.push(Err(section));
     }
 }
 
 /// Replays `bytes` into a [`BranchLog`] through branch-only batches and
-/// into a [`RunLog`] through run batches, and into both through full
-/// ones, at `capacity`, and asserts each saw what it sees through full
-/// batches and every replay ended as the per-event decode ends (the
-/// same summary, or the same error at the same byte). Returns that
-/// outcome.
+/// into a [`RunLog`] through run batches at `capacity`, and per event,
+/// and asserts both batch shapes delivered the same batches, the run
+/// batches the per-event stream, and every replay ended as the
+/// per-event decode ends (the same summary, or the same error at the
+/// same byte). Returns that outcome.
 fn assert_sinks_agree(bytes: &[u8], capacity: usize) -> Result<(), String> {
     let snapshot = Snapshot::parse(bytes).expect("sealed bytes parse");
     let mut branch_only = BranchLog::default();
     let fast = snapshot.replay_batched(&mut branch_only, capacity);
     let mut runs = RunLog::default();
     let by_runs = snapshot.replay_batched(&mut runs, capacity);
-    let mut full = RunLog::default();
-    let slow =
-        snapshot.replay_batched(&mut (&mut full, FnTool::new(|_: &TraceEvent| {})), capacity);
     assert_eq!(
-        branch_only, full.0,
+        branch_only, runs.0,
         "capacity {capacity}: delivered batches"
     );
-    assert_eq!(runs, full, "capacity {capacity}: delivered runs");
-    let oracle = snapshot.replay_per_event(&mut rebalance::trace::NullTool);
+    let mut per_event = PerEventLog::default();
+    let oracle = snapshot.replay_per_event(&mut per_event);
+    assert_eq!(
+        runs.1.concat(),
+        per_event.0,
+        "capacity {capacity}: delivered runs"
+    );
     let expected = format!("{oracle:?}");
-    for (sink, outcome) in [("branch-only", fast), ("run", by_runs), ("full", slow)] {
+    for (sink, outcome) in [("branch-only", fast), ("run", by_runs)] {
         assert_eq!(
             format!("{outcome:?}"),
             expected,
@@ -667,11 +679,11 @@ impl Fingerprinter for BranchShare {
     }
 }
 
-/// Forces full batches on a fingerprinter by keeping the default need,
+/// Forces run batches on a fingerprinter by keeping the default need,
 /// every event.
-struct Full<F>(F);
+struct ByRuns<F>(F);
 
-impl<F: Fingerprinter> Pintool for Full<F> {
+impl<F: Fingerprinter> Pintool for ByRuns<F> {
     fn on_inst(&mut self, ev: &TraceEvent) {
         self.0.on_inst(ev);
     }
@@ -681,7 +693,7 @@ impl<F: Fingerprinter> Pintool for Full<F> {
     }
 }
 
-impl<F: Fingerprinter> Fingerprinter for Full<F> {
+impl<F: Fingerprinter> Fingerprinter for ByRuns<F> {
     fn set_interval_insts(&mut self, insts: u64) {
         self.0.set_interval_insts(insts);
     }
@@ -694,10 +706,10 @@ impl<F: Fingerprinter> Fingerprinter for Full<F> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A plan pass through branch-only batches, and one through run
-    /// batches, record the cursor table (and so the plan) a full-batch
-    /// pass records, on run-heavy streams whose interval marks fall
-    /// inside skippable runs.
+    /// A plan pass through branch-only batches records the cursor
+    /// table (and so the plan) a pass through run batches records, on
+    /// run-heavy streams whose interval marks fall inside skippable
+    /// runs.
     #[test]
     fn a_branch_only_plan_pass_records_the_same_cursor_table(
         raws in run_events(600),
@@ -714,17 +726,8 @@ proptest! {
         let mut branch_only = BranchShare::default();
         prop_assert_eq!(branch_only.need(), Need::Branches);
         let fast = SamplePlan::from_snapshot(&snapshot, &mut branch_only, &cfg).expect("plan");
-        let slow = SamplePlan::from_snapshot(&snapshot, &mut Full(BranchShare::default()), &cfg)
+        let slow = SamplePlan::from_snapshot(&snapshot, &mut ByRuns(BranchShare::default()), &cfg)
             .expect("plan");
         prop_assert_eq!(fast, slow);
-
-        // The BBV fingerprinter reads runs: its plan through run
-        // batches is the one full batches give, cursor table included.
-        let mut bbv = BbvTool::new(cfg.dims);
-        prop_assert_eq!(bbv.need(), Need::Runs);
-        let by_runs = SamplePlan::from_snapshot(&snapshot, &mut bbv, &cfg).expect("plan");
-        let full = SamplePlan::from_snapshot(&snapshot, &mut Full(BbvTool::new(cfg.dims)), &cfg)
-            .expect("plan");
-        prop_assert_eq!(by_runs, full);
     }
 }
